@@ -46,7 +46,6 @@ from .comma import (
     build_coproduct_module,
     check_equivalence,
     comma_hom_space,
-    dot_product,
     extract_comma_from_module,
     f_on_morphisms,
     phi_iso,
@@ -94,7 +93,6 @@ __all__ = [
     "build_coproduct_module",
     "check_equivalence",
     "comma_hom_space",
-    "dot_product",
     "extract_comma_from_module",
     "f_on_morphisms",
     "phi_iso",

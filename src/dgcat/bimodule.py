@@ -15,7 +15,7 @@ the right action of t between slice functors.
 from __future__ import annotations
 
 from .category import opposite_category, tensor_category
-from .complexes import DgModule, HomComplex, zero_dg_module
+from .complexes import DgModule, HomComplex, TensorComplex, zero_dg_module
 from .errors import InternalCheckError, StructureError
 from .graded import GradedModule, Homog, map_from_action, zero_map
 from .functors import (
@@ -25,6 +25,8 @@ from .functors import (
     dgnat_differential,
     dgnat_space,
     dgnat_window,
+    encode_nat_in_basis,
+    functor_from_basis_images,
     validate_dg_functor,
 )
 from .report import Report, fmt_graded_map
@@ -306,42 +308,30 @@ def bimodule_to_tensor_functor(bim, name=None):
     tensor-category axioms.
     """
     U, T = bim.left_base, bim.right_base
-    field = bim.field
     opp = bim.opposite_right_base()
     base = tensor_category(U, opp, name=f"({U.name})x({T.name}.op)")
-    name = name or f"{bim.name}~tensor"
-    pair_of = {}
-    for u in U.objects:
-        for t in T.objects:
-            pair_of[f"({u},{t})"] = (u, t)
-    on_objects = {
-        obj: bim.values[pair_of[obj]] for obj in base.objects
-    }
-    fun = DgFunctor(base, on_objects, {}, name=name)
-    on_hom = {}
-    for p in base.objects:
-        for q in base.objects:
-            u, t = pair_of[p]
-            u2, t2 = pair_of[q]
-            hc = fun.hom_cx(p, q)
-            source = base.hom[(p, q)].carrier
-            # basis of hom((u,t),(u2,t2)) = hom_U(u,u2) (x) hom_{T^op}(t,t2)
-            # decodes through the tensor complex of the product category
-            tensor = base._tensor_cache.get(("__decode__", p, q))
-            from .complexes import TensorComplex
+    pair_of = {f"({u},{t})": (u, t) for u in U.objects for t in T.objects}
+    # basis of hom((u,t),(u2,t2)) = hom_U(u,u2) (x) hom_{T^op}(t,t2)
+    # decodes through the tensor complex of the product category
+    tensors = {}
+    for p, (u, t) in pair_of.items():
+        for q, (u2, t2) in pair_of.items():
+            tensors[(p, q)] = TensorComplex(U.hom[(u, u2)], opp.hom[(t, t2)])
 
-            tensor = TensorComplex(U.hom[(u, u2)], opp.hom[(t, t2)])
+    def image(p, q, n, k):
+        (u, t), (u2, t2) = pair_of[p], pair_of[q]
+        ud, uidx, tidx = tensors[(p, q)].basis(n)[k]
+        alpha = U.basis_element(u, u2, ud, uidx)
+        # hom_{T^op}(t, t2) = hom_T(t2, t): basis is beta: t2 -> t
+        beta = T.basis_element(t2, t, n - ud, tidx)
+        return _tensor_action(bim, alpha, beta)
 
-            def column(n, k, _tensor=tensor, _u=u, _u2=u2, _t=t, _t2=t2, _hc=hc):
-                ud, uidx, tidx = _tensor.basis(n)[k]
-                td = n - ud
-                alpha = U.basis_element(_u, _u2, ud, uidx)
-                # hom_{T^op}(t, t2) = hom_T(t2, t): basis is beta: t2 -> t
-                beta = T.basis_element(_t2, _t, td, tidx)
-                return _hc.encode(_tensor_action(bim, alpha, beta))
-
-            on_hom[(p, q)] = map_from_action(source, hc.module.carrier, 0, column)
-    return DgFunctor(base, on_objects, on_hom, name=name)
+    return functor_from_basis_images(
+        base,
+        {obj: bim.values[pair_of[obj]] for obj in base.objects},
+        image,
+        name=name or f"{bim.name}~tensor",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +377,9 @@ class GModule:
             )
             on_objects[t] = DgModule(carrier, diff, check=False)
         self._on_objects = on_objects
-        fun = DgFunctor(T, on_objects, {}, name=f"G({B.name})")
-        on_hom = {}
-        for t in T.objects:
-            for t2 in T.objects:
-                hc = fun.hom_cx(t, t2)
-                source = T.hom[(t, t2)].carrier
-
-                def column(m, k, _t=t, _t2=t2, _hc=hc):
-                    return _hc.encode(self._action_map(_t, _t2, m, k))
-
-                on_hom[(t, t2)] = map_from_action(
-                    source, hc.module.carrier, 0, column
-                )
-        self.functor = DgFunctor(T, on_objects, on_hom, name=f"G({B.name})")
+        self.functor = functor_from_basis_images(
+            T, on_objects, self._action_map, name=f"G({B.name})"
+        )
 
     def _d_column(self, t, n, k):
         """Differential of a basis transformation, in the basis one degree up."""
@@ -415,7 +394,6 @@ class GModule:
 
     def decode(self, t, n, vec):
         """The transformation M_t -> B with the given carrier coordinates."""
-        field = self.bimodule.field
         basis = self.nat_basis.get((t, n), [])
         slice_t = self.bimodule.slice_t(t)
         out = None
@@ -428,8 +406,6 @@ class GModule:
 
     def encode(self, t, n, nat):
         """Carrier coordinates of a transformation, or None if outside."""
-        from .functors import encode_nat_in_basis
-
         keys = self.keys.get((t, n))
         if keys is None:
             flat_zero = all(c.is_zero() for c in nat.components.values())
@@ -476,7 +452,6 @@ def g_on_objects(bim, B):
 
 def g_on_morphisms(bim, g_source, g_target, eps):
     """G(eps): postcomposition by eps, a transformation G(B) -> G(B')."""
-    field = bim.field
     T = bim.right_base
     degree = eps.degree
     components = {}

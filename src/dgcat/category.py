@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import linalg
 from .complexes import TensorComplex, zero_dg_module
 from .errors import StructureError, ValidationFailure
-from .graded import GradedMap
+from .graded import GradedMap, map_from_action
 from .report import Report, fmt_vector
 
 ZERO_OBJECT = "@0"
@@ -145,13 +146,7 @@ class DgCategoryPresentation:
     def basis_element(self, source, target, degree, index):
         dim = self.hom[(source, target)].dim(degree)
         return HomElement(
-            source,
-            target,
-            degree,
-            tuple(
-                self.field.one() if k == index else self.field.zero()
-                for k in range(dim)
-            ),
+            source, target, degree, linalg.unit_vector(self.field, dim, index)
         )
 
     def basis_elements(self, source, target):
@@ -235,7 +230,7 @@ def validate_dg_category(cat):
                         if any(not field.is_zero(row[k]) for row in block)
                     )
                     gdeg, gidx, fidx = tensor.basis(deg)[col]
-                    unit = _unit(field, tensor.module.dim(deg), col)
+                    unit = linalg.unit_vector(field, tensor.module.dim(deg), col)
                     witness = {
                         "triple": [x, y, z],
                         "basis": {
@@ -330,21 +325,14 @@ def _associativity_witness(cat, x, y, z, w):
                     return {
                         "objects": [x, y, z, w],
                         "basis": [[fd, fi], [gd, gi], [hd, hi]],
-                        "h_after_gf": fmt_vector(field, _densify(field, left, dim)),
-                        "hg_after_f": fmt_vector(field, _densify(field, right, dim)),
+                        "h_after_gf": fmt_vector(
+                            field, linalg.dense_vector(field, left.items(), dim)
+                        ),
+                        "hg_after_f": fmt_vector(
+                            field, linalg.dense_vector(field, right.items(), dim)
+                        ),
                     }
     return None
-
-
-def _densify(field, sparse_dict, dim):
-    out = [field.zero()] * dim
-    for k, v in sparse_dict.items():
-        out[k] = v
-    return tuple(out)
-
-
-def _unit(field, n, k):
-    return tuple(field.one() if i == k else field.zero() for i in range(n))
 
 
 def require_valid_category(cat):
@@ -385,17 +373,11 @@ def opposite_category(cat):
                     sgn = field.sign(p * q)
                     return tuple(field.mul(sgn, v) for v in out.coords)
 
-                comp[(x, y, z)] = _comp_from_columns(
-                    tensor.module.carrier, target, column
+                comp[(x, y, z)] = map_from_action(
+                    tensor.module.carrier, target, 0, column
                 )
     opposite.set_comp(comp)
     return opposite
-
-
-def _comp_from_columns(source_carrier, target_carrier, column):
-    from .graded import map_from_action
-
-    return map_from_action(source_carrier, target_carrier, 0, column)
 
 
 def tensor_category(cat_a, cat_b, name=None):
@@ -455,7 +437,7 @@ def tensor_category(cat_a, cat_b, name=None):
                     _za=za,
                     _zb=zb,
                 ):
-                    gdeg, gidx, fidx = _unpack_pair(_tensor, n, k)
+                    gdeg, gidx, fidx = _tensor.basis(n)[k]
                     fdeg = n - gdeg
                     p2, ia2, ib2 = _gt.basis(gdeg)[gidx]
                     q2 = gdeg - p2
@@ -473,16 +455,11 @@ def tensor_category(cat_a, cat_b, name=None):
                     sgn = field.sign(q2 * p1)
                     return tuple(field.mul(sgn, v) for v in out)
 
-                comp[(p, q, r)] = _comp_from_columns(
-                    tensor.module.carrier, hom[(p, r)].carrier, column
+                comp[(p, q, r)] = map_from_action(
+                    tensor.module.carrier, hom[(p, r)].carrier, 0, column
                 )
     result.set_comp(comp)
     return result
-
-
-def _unpack_pair(tensor, n, k):
-    gdeg, gidx, fidx = tensor.basis(n)[k]
-    return gdeg, gidx, fidx
 
 
 def with_zero_object(cat, marker=ZERO_OBJECT):

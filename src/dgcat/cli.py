@@ -15,7 +15,12 @@ import time
 
 from .category import opposite_category, tensor_category, validate_dg_category
 from .bimodule import validate_bimodule
-from .comma import check_equivalence, comma_window, validate_comma_object
+from .comma import (
+    build_coproduct_module,
+    check_equivalence,
+    comma_window,
+    validate_comma_object,
+)
 from .errors import StructureError, ValidationFailure
 from .functors import dgnat_window, validate_dg_functor
 from .io_json import (
@@ -182,13 +187,15 @@ def cmd_check_equivalence(args):
         _write_output(args.output, report.render())
         return EXIT_MATH_FAIL
 
-    lam = build_lambda(
-        workspace.categories[fixture["t"]],
-        workspace.categories[fixture["u"]],
-        workspace.bimodules[fixture["bimodule"]],
-        validate=True,
-    )
-    report.extend(validate_dg_category(lam.presentation), prefix="lambda.")
+    lam = workspace.lambda_for(fixture["t"], fixture["u"], fixture["bimodule"])
+    sub = validate_dg_category(lam.presentation)
+    if not sub.passed:
+        raise ValidationFailure(
+            "triangular matrix category failed its own validation "
+            "(internal inconsistency)",
+            sub,
+        )
+    report.extend(sub, prefix="lambda.")
 
     comma_objects = [workspace.comma_objects[r] for r in fixture["comma_objects"]]
     lambda_modules = [workspace.modules[r] for r in fixture["lambda_modules"]]
@@ -201,8 +208,6 @@ def cmd_check_equivalence(args):
     if args.degree_window is not None:
         lo, hi = _parse_window(args.degree_window)
         needed = set()
-        from .comma import build_coproduct_module
-
         coproducts = [build_coproduct_module(lam, o) for o in comma_objects]
         for i, src in enumerate(comma_objects):
             for j, tgt in enumerate(comma_objects):

@@ -16,19 +16,20 @@ a closed natural isomorphism at every object.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from . import linalg
 from .bimodule import g_on_objects
-from .complexes import DgModule
+from .complexes import DgModule, zero_dg_module
 from .errors import InternalCheckError, StructureError
 from .functors import (
-    DgFunctor,
     DgNatTransformation,
     compose_nat,
     dgnat_differential,
     dgnat_space,
     dgnat_window,
+    functor_from_basis_images,
     nat_from_flat,
     nat_to_flat,
     nat_unknowns,
@@ -49,7 +50,6 @@ class CommaObject:
         self.B = B
         self.name = name
         self.gB = g_of_b if g_of_b is not None else g_on_objects(bim, B)
-        field = bim.field
         self.f = {}
         for t in bim.right_base.objects:
             comp = f.get(t)
@@ -80,11 +80,6 @@ class CommaObject:
         out = nat.components[u].apply(m.degree, m.coords)
         sgn = field.sign(m.degree * x.degree)
         return Homog(m.degree + x.degree, tuple(field.mul(sgn, v) for v in out))
-
-
-def dot_product(obj, u, t, m, x):
-    """Module-level alias for CommaObject.dot."""
-    return obj.dot(u, t, m, x)
 
 
 def t_star(A, t_elem, x):
@@ -155,7 +150,11 @@ def _square_rows(source, target, n):
             eta2_basis = target.gB.nat_basis.get((t, k + n), [])
             nu_for = [
                 source.gB.decode(
-                    t, k, source.f[t].apply(k, _unit(field, a_src.dim(k), cx))
+                    t,
+                    k,
+                    source.f[t].apply(
+                        k, linalg.unit_vector(field, a_src.dim(k), cx)
+                    ),
                 )
                 for cx in range(a_src.dim(k))
             ]
@@ -204,18 +203,13 @@ def _square_rows(source, target, n):
                                     yield row
 
 
-def _unit(field, n, k):
-    return tuple(field.one() if i == k else field.zero() for i in range(n))
-
-
-def comma_hom_space(source, target, n, signed_variant=False):
+def comma_hom_space(source, target, n):
     """Exact basis of degree-n comma morphisms (alpha, beta).
 
     One joint linear solve: naturality for alpha over T, naturality for
     beta over U, and the square constraint.  The square is strict as
     defined; since the structure maps have degree zero, the Koszul-signed
-    variant (-1)^{n |f|} coincides with it, and signed_variant exists only
-    to make that coincidence checkable.
+    variant (-1)^{n |f|} coincides with it.
     """
     bim = source.bimodule
     field = bim.field
@@ -270,7 +264,7 @@ def is_comma_morphism(source, target, phi):
         a_src = source.A.on_objects[t].carrier
         for k in a_src.degrees():
             for cx in range(a_src.dim(k)):
-                x = Homog(k, _unit(field, a_src.dim(k), cx))
+                x = Homog(k, linalg.unit_vector(field, a_src.dim(k), cx))
                 ax = Homog(k + n, phi.alpha.components[t].apply(k, x.coords))
                 lhs = target.f[t].apply(k + n, ax.coords)
                 lhs_nat = target.gB.decode(t, k + n, lhs)
@@ -291,13 +285,10 @@ def is_comma_morphism(source, target, phi):
 
 def build_coproduct_module(lam, obj, name=None):
     """The Lambda-module (t,u) |-> A(t) + B(u) with the dot-product action."""
-    bim = lam.bimodule
     field = lam.field
     marker = lam.zero_marker
     pres = lam.presentation
     name = name or f"{obj.A.name}(+){obj.B.name}[{obj.name}]"
-
-    from .complexes import zero_dg_module
 
     zero_val = zero_dg_module(field)
 
@@ -316,37 +307,20 @@ def build_coproduct_module(lam, obj, name=None):
         sums[p] = ds
         on_objects[p] = DgModule(ds.module, diff, check=False)
 
-    fun = DgFunctor(pres, on_objects, {}, name=name)
-    on_hom = {}
-    for p in pres.objects:
-        for q in pres.objects:
-            t1, u1 = lam.split_name(p)
-            t2, u2 = lam.split_name(q)
-            hc = fun.hom_cx(p, q)
-            source = pres.hom[(p, q)].carrier
-            pair_ds = lam.sum_of(p, q)
+    def image(p, q, r, k):
+        t1, u1 = lam.split_name(p)
+        t2, u2 = lam.split_name(q)
+        slot, local = _slot_of(lam.sum_of(p, q), r, k)
+        if slot == SLOT_T:
+            upper = obj.A.map_of_basis(t1, t2, r, local)
+            return _corner_map(field, sums[p], sums[q], r, upper=upper)
+        if slot == SLOT_U:
+            lower = obj.B.map_of_basis(u1, u2, r, local)
+            return _corner_map(field, sums[p], sums[q], r, lower=lower)
+        action = _dot_action_map(obj, u2, t1, r, local)
+        return _corner_map(field, sums[p], sums[q], r, cross=action)
 
-            def column(r, k, _p=p, _q=q, _t1=t1, _t2=t2, _u1=u1, _u2=u2, _hc=hc, _pds=pair_ds):
-                slot, local = _slot_of(_pds, r, k)
-                if slot == SLOT_T:
-                    upper = obj.A.map_of_basis(_t1, _t2, r, local)
-                    gmap = _corner_map(
-                        field, sums[_p], sums[_q], r, upper=upper
-                    )
-                elif slot == SLOT_U:
-                    lower = obj.B.map_of_basis(_u1, _u2, r, local)
-                    gmap = _corner_map(
-                        field, sums[_p], sums[_q], r, lower=lower
-                    )
-                else:
-                    action = _dot_action_map(obj, _u2, _t1, r, local)
-                    gmap = _corner_map(
-                        field, sums[_p], sums[_q], r, cross=action
-                    )
-                return _hc.encode(gmap)
-
-            on_hom[(p, q)] = map_from_action(source, hc.module.carrier, 0, column)
-    module = DgFunctor(pres, on_objects, on_hom, name=name)
+    module = functor_from_basis_images(pres, on_objects, image, name=name)
     module._coproduct_sums = sums
     return module
 
@@ -368,10 +342,10 @@ def _dot_action_map(obj, u, t, r, im):
     src = obj.A.on_objects[t].carrier
     tgt = obj.B.on_objects[u].carrier
     m_dim = bim.value(u, t).dim(r)
-    m = Homog(r, _unit(field, m_dim, im))
+    m = Homog(r, linalg.unit_vector(field, m_dim, im))
 
     def column(k, cx):
-        x = Homog(k, _unit(field, src.dim(k), cx))
+        x = Homog(k, linalg.unit_vector(field, src.dim(k), cx))
         return obj.dot(u, t, m, x).coords
 
     return map_from_action(src, tgt, r, column)
@@ -454,7 +428,7 @@ def extract_comma_from_module(lam, module, name=None):
             maps = []
             m_dim = bim.value(u, t).dim(j)
             for cm in range(m_dim):
-                mbar = lam.m_bar(t, u, Homog(j, _unit(field, m_dim, cm)))
+                mbar = lam.m_bar(t, u, Homog(j, linalg.unit_vector(field, m_dim, cm)))
                 maps.append(module.map_of(mbar))
             corner_cache[key] = maps
         return corner_cache[key]
@@ -465,7 +439,7 @@ def extract_comma_from_module(lam, module, name=None):
         tgt = g_c2.functor.on_objects[t].carrier
 
         def column(k, cx, _t=t, _src=src):
-            x = _unit(field, _src.dim(k), cx)
+            x = linalg.unit_vector(field, _src.dim(k), cx)
             components = {}
             for u in bim.left_base.objects:
                 m_carrier = bim.value(u, _t).carrier
@@ -598,11 +572,19 @@ def check_product_identities(obj):
                         if witness:
                             break
                         for mi in range(m_carrier.dim(mdeg)):
-                            m = Homog(mdeg, _unit(field, m_carrier.dim(mdeg), mi))
+                            m = Homog(
+                                mdeg,
+                                linalg.unit_vector(field, m_carrier.dim(mdeg), mi),
+                            )
                             mt = bim.right_bullet(u, m, t_elem)
                             for k in a_carrier.degrees():
                                 for cx in range(a_carrier.dim(k)):
-                                    x = Homog(k, _unit(field, a_carrier.dim(k), cx))
+                                    x = Homog(
+                                        k,
+                                        linalg.unit_vector(
+                                            field, a_carrier.dim(k), cx
+                                        ),
+                                    )
                                     lhs = obj.dot(u, t1, mt, x)
                                     rhs = obj.dot(u, t2, m, t_star(obj.A, t_elem, x))
                                     if lhs.coords != rhs.coords:
@@ -633,11 +615,19 @@ def check_product_identities(obj):
                         if witness:
                             break
                         for mi in range(m_carrier.dim(mdeg)):
-                            m = Homog(mdeg, _unit(field, m_carrier.dim(mdeg), mi))
+                            m = Homog(
+                                mdeg,
+                                linalg.unit_vector(field, m_carrier.dim(mdeg), mi),
+                            )
                             um = bim.left_bullet(u_elem, t, m)
                             for k in a_carrier.degrees():
                                 for cx in range(a_carrier.dim(k)):
-                                    x = Homog(k, _unit(field, a_carrier.dim(k), cx))
+                                    x = Homog(
+                                        k,
+                                        linalg.unit_vector(
+                                            field, a_carrier.dim(k), cx
+                                        ),
+                                    )
                                     lhs = obj.dot(u2, t, um, x)
                                     rhs = u_diamond(obj.B, u_elem, obj.dot(u1, t, m, x))
                                     if lhs.coords != rhs.coords:
@@ -680,12 +670,14 @@ def check_product_identities(obj):
                                 for m1i in range(m1_carrier.dim(m1deg)):
                                     m1 = Homog(
                                         m1deg,
-                                        _unit(field, m1_carrier.dim(m1deg), m1i),
+                                        linalg.unit_vector(
+                                            field, m1_carrier.dim(m1deg), m1i
+                                        ),
                                     )
                                     for m2i in range(m2_carrier.dim(m2deg)):
                                         m2 = Homog(
                                             m2deg,
-                                            _unit(
+                                            linalg.unit_vector(
                                                 field, m2_carrier.dim(m2deg), m2i
                                             ),
                                         )
@@ -696,7 +688,7 @@ def check_product_identities(obj):
                                             for cx in range(a_carrier.dim(k)):
                                                 x = Homog(
                                                     k,
-                                                    _unit(
+                                                    linalg.unit_vector(
                                                         field,
                                                         a_carrier.dim(k),
                                                         cx,
@@ -753,11 +745,11 @@ def check_dot_leibniz(obj):
                 if witness:
                     break
                 for mi in range(value.dim(mdeg)):
-                    m = Homog(mdeg, _unit(field, value.dim(mdeg), mi))
+                    m = Homog(mdeg, linalg.unit_vector(field, value.dim(mdeg), mi))
                     dm = Homog(mdeg + 1, value.d.apply(mdeg, m.coords))
                     for k in a_mod.carrier.degrees():
                         for cx in range(a_mod.dim(k)):
-                            x = Homog(k, _unit(field, a_mod.dim(k), cx))
+                            x = Homog(k, linalg.unit_vector(field, a_mod.dim(k), cx))
                             dx = Homog(k + 1, a_mod.d.apply(k, x.coords))
                             mx = obj.dot(u, t, m, x)
                             lhs = Homog(
@@ -800,10 +792,8 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
     structure map on the nose; seeded random morphisms confirm that the
     functor respects differentials and composition.
     """
-    import random as _random
-
     field = lam.field
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     report = Report("dg-equivalence", seed=seed)
     coproducts = [build_coproduct_module(lam, o) for o in comma_objects]
     bases = {}
@@ -905,9 +895,7 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
             phi = _random_combo(field, rng, comma_basis)
             d_phi = comma_differential(phi)
             lhs = f_on_morphisms(lam, f_src, f_tgt, d_phi)
-            rhs = _nat_differential_of_image(
-                lam, f_src, f_tgt, phi
-            )
+            rhs = dgnat_differential(f_on_morphisms(lam, f_src, f_tgt, phi))
             if lhs != rhs:
                 witness = {"pair": [src.name, tgt.name], "degree": n}
                 break
@@ -972,8 +960,3 @@ def _random_combo(field, rng, morphisms):
                 out.beta.add(scaled.beta),
             )
     return out
-
-
-def _nat_differential_of_image(lam, f_src, f_tgt, phi):
-    image = f_on_morphisms(lam, f_src, f_tgt, phi)
-    return dgnat_differential(image)

@@ -64,8 +64,10 @@ class Rationals:
         s = str(text).strip()
         if not _RATIONAL_RE.match(s):
             raise StructureError(f"not a rational scalar: {text!r}")
-        value = Fraction(s)
-        return value
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise StructureError(f"zero denominator: {text!r}") from None
 
     def format(self, a):
         # Fraction normalises to q > 0 and gcd(p, q) = 1 already.

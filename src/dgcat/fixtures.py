@@ -10,10 +10,25 @@ its seed.
 
 from __future__ import annotations
 
+import random
+
 from . import linalg
+from .bimodule import Bimodule, g_on_objects
 from .category import DgCategoryPresentation, one_object_category
-from .complexes import DgModule, HomComplex, dg_module
-from .graded import GradedMap, GradedModule
+from .comma import CommaObject
+from .complexes import DgModule, HomComplex, TensorComplex, dg_module
+from .functors import (
+    action_from_basis_images,
+    dgnat_differential,
+    dgnat_space,
+    direct_sum_functors,
+    functor_from_basis_images,
+    nat_to_flat,
+    nat_unknowns,
+    representable_module,
+)
+from .graded import GradedMap, GradedModule, identity_map, map_from_action
+from .lambda_cat import build_lambda
 
 # ---------------------------------------------------------------------------
 # deterministic small categories
@@ -48,8 +63,6 @@ def exterior_category(field, name="Ext", obj="*"):
 
 
 def _tensor_carrier(left, right):
-    from .complexes import TensorComplex
-
     return TensorComplex(left, right).module.carrier
 
 
@@ -118,8 +131,6 @@ def endomorphism_category(field, modules, name="End"):
             hom_cx[(x, y)] = hc
             hom[(x, y)] = hc.module
     ids = {}
-    from .graded import identity_map
-
     for x in names:
         ids[x] = hom_cx[(x, x)].encode(identity_map(modules[x].carrier))
     cat = DgCategoryPresentation(field, names, hom, {}, ids, name=name)
@@ -135,21 +146,16 @@ def endomorphism_category(field, modules, name="End"):
                 def column(n, k, _t=tensor, _g=gcx, _f=fcx, _o=ocx):
                     gdeg, gidx, fidx = _t.basis(n)[k]
                     fdeg = n - gdeg
-                    gmap = _g.decode(gdeg, _unit(field, _g.module.dim(gdeg), gidx))
-                    fmap = _f.decode(fdeg, _unit(field, _f.module.dim(fdeg), fidx))
+                    gdim, fdim = _g.module.dim(gdeg), _f.module.dim(fdeg)
+                    gmap = _g.decode(gdeg, linalg.unit_vector(field, gdim, gidx))
+                    fmap = _f.decode(fdeg, linalg.unit_vector(field, fdim, fidx))
                     return _o.encode(gmap.compose(fmap))
-
-                from .graded import map_from_action
 
                 comp[(x, y, z)] = map_from_action(
                     tensor.module.carrier, hom[(x, z)].carrier, 0, column
                 )
     cat.set_comp(comp)
     return cat, hom_cx
-
-
-def _unit(field, n, k):
-    return tuple(field.one() if i == k else field.zero() for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +214,6 @@ def random_endo_category(rng, field, name, max_objects=2):
 
 
 def zero_bimodule(u_cat, t_cat, name="0"):
-    from .bimodule import Bimodule
-
     return Bimodule(u_cat, t_cat, {}, {}, {}, name=name)
 
 
@@ -220,132 +224,83 @@ def hom_bimodule(u_cat, u_modules, t_cat, t_modules, name="M"):
     the left action postcomposes, the right action precomposes with the
     contravariant Koszul sign (-1)^{|t||m|}.
     """
-    from .bimodule import Bimodule
-    from .complexes import HomComplex
-
     field = u_cat.field
-    values = {}
-    value_cx = {}
-    for u in u_cat.objects:
-        for t in t_cat.objects:
-            hc = HomComplex(t_modules[t], u_modules[u])
-            value_cx[(u, t)] = hc
-            values[(u, t)] = hc.module
-
-    u_hom_cx = {
-        (u, u2): HomComplex(u_modules[u], u_modules[u2])
+    value_cx = {
+        (u, t): HomComplex(t_modules[t], u_modules[u])
         for u in u_cat.objects
-        for u2 in u_cat.objects
-    }
-    t_hom_cx = {
-        (t, t2): HomComplex(t_modules[t], t_modules[t2])
         for t in t_cat.objects
-        for t2 in t_cat.objects
     }
-
-    from .graded import map_from_action
+    values = {key: hc.module for key, hc in value_cx.items()}
+    u_hom_cx = _hom_complexes(u_cat, u_modules)
+    t_hom_cx = _hom_complexes(t_cat, t_modules)
 
     left_action = {}
-    for u in u_cat.objects:
-        for u2 in u_cat.objects:
-            for t in t_cat.objects:
-                out_cx = HomComplex(values[(u, t)], values[(u2, t)])
-
-                def column(m, k, _u=u, _u2=u2, _t=t, _out=out_cx):
-                    g = u_hom_cx[(_u, _u2)].decode(
-                        m, _unit(field, u_cat.hom[(_u, _u2)].dim(m), k)
-                    )
-                    action = map_from_action(
-                        values[(_u, _t)].carrier,
-                        values[(_u2, _t)].carrier,
-                        m,
-                        lambda i, j: value_cx[(_u2, _t)].encode(
-                            g.compose(value_cx[(_u, _t)].decode(
-                                i, _unit(field, values[(_u, _t)].dim(i), j)
-                            ))
-                        ),
-                    )
-                    return _out.encode(action)
-
-                left_action[(u, u2, t)] = map_from_action(
-                    u_cat.hom[(u, u2)].carrier, out_cx.module.carrier, 0, column
-                )
+    for (u, u2), g_cx in u_hom_cx.items():
+        for t in t_cat.objects:
+            src, tgt = value_cx[(u, t)], value_cx[(u2, t)]
+            left_action[(u, u2, t)] = action_from_basis_images(
+                u_cat.hom[(u, u2)].carrier,
+                HomComplex(src.module, tgt.module),
+                lambda m, k: _post_composition(field, g_cx, src, tgt, m, k),
+            )
 
     right_action = {}
-    for t in t_cat.objects:
-        for t2 in t_cat.objects:
-            for u in u_cat.objects:
-                out_cx = HomComplex(values[(u, t2)], values[(u, t)])
-
-                def column(m, k, _t=t, _t2=t2, _u=u, _out=out_cx):
-                    s = t_hom_cx[(_t, _t2)].decode(
-                        m, _unit(field, t_cat.hom[(_t, _t2)].dim(m), k)
-                    )
-
-                    def inner(i, j):
-                        jmap = value_cx[(_u, _t2)].decode(
-                            i, _unit(field, values[(_u, _t2)].dim(i), j)
-                        )
-                        sgn = field.sign(m * i)
-                        composed = jmap.compose(s).scale(sgn)
-                        return value_cx[(_u, _t)].encode(composed)
-
-                    action = map_from_action(
-                        values[(_u, _t2)].carrier,
-                        values[(_u, _t)].carrier,
-                        m,
-                        inner,
-                    )
-                    return _out.encode(action)
-
-                right_action[(t, t2, u)] = map_from_action(
-                    t_cat.hom[(t, t2)].carrier, out_cx.module.carrier, 0, column
-                )
+    for (t, t2), s_cx in t_hom_cx.items():
+        for u in u_cat.objects:
+            src, tgt = value_cx[(u, t2)], value_cx[(u, t)]
+            right_action[(t, t2, u)] = action_from_basis_images(
+                t_cat.hom[(t, t2)].carrier,
+                HomComplex(src.module, tgt.module),
+                lambda m, k: _pre_composition(field, s_cx, src, tgt, m, k),
+            )
 
     return Bimodule(u_cat, t_cat, values, left_action, right_action, name=name)
 
 
+def _hom_complexes(cat, modules):
+    return {
+        (x, y): HomComplex(modules[x], modules[y])
+        for x in cat.objects
+        for y in cat.objects
+    }
+
+
+def _post_composition(field, g_cx, src, tgt, m, k):
+    """Hom(P, Q) -> Hom(P, Q'), j |-> g . j for the basis map g = (m, k) of
+    g_cx = Hom(Q, Q'); src and tgt are the two Hom complexes."""
+    g = g_cx.decode(m, linalg.unit_vector(field, g_cx.module.dim(m), k))
+
+    def column(i, j):
+        jmap = src.decode(i, linalg.unit_vector(field, src.module.dim(i), j))
+        return tgt.encode(g.compose(jmap))
+
+    return map_from_action(src.module.carrier, tgt.module.carrier, m, column)
+
+
+def _pre_composition(field, s_cx, src, tgt, m, k):
+    """Hom(P', Q) -> Hom(P, Q), j |-> (-1)^{m|j|} j . s for the basis map
+    s = (m, k) of s_cx = Hom(P, P'); src and tgt are the two Hom complexes."""
+    s = s_cx.decode(m, linalg.unit_vector(field, s_cx.module.dim(m), k))
+
+    def column(i, j):
+        jmap = src.decode(i, linalg.unit_vector(field, src.module.dim(i), j))
+        return tgt.encode(jmap.compose(s).scale(field.sign(m * i)))
+
+    return map_from_action(src.module.carrier, tgt.module.carrier, m, column)
+
+
 def hom_from_module(u_cat, u_modules, z_module, name=None):
     """The dg U-module u |-> Hom(Z, Q_u) with post-composition action."""
-    from .complexes import HomComplex
-    from .functors import DgFunctor
-    from .graded import map_from_action
-
-    field = u_cat.field
-    name = name or "Hom(Z,-)"
     values = {u: HomComplex(z_module, u_modules[u]) for u in u_cat.objects}
-    on_objects = {u: values[u].module for u in u_cat.objects}
-    u_hom_cx = {
-        (u, u2): HomComplex(u_modules[u], u_modules[u2])
-        for u in u_cat.objects
-        for u2 in u_cat.objects
-    }
-    fun = DgFunctor(u_cat, on_objects, {}, name=name)
-    on_hom = {}
-    for u in u_cat.objects:
-        for u2 in u_cat.objects:
-            hc = fun.hom_cx(u, u2)
-
-            def column(m, k, _u=u, _u2=u2, _hc=hc):
-                g = u_hom_cx[(_u, _u2)].decode(
-                    m, _unit(field, u_cat.hom[(_u, _u2)].dim(m), k)
-                )
-                action = map_from_action(
-                    on_objects[_u].carrier,
-                    on_objects[_u2].carrier,
-                    m,
-                    lambda i, j: values[_u2].encode(
-                        g.compose(values[_u].decode(
-                            i, _unit(field, on_objects[_u].dim(i), j)
-                        ))
-                    ),
-                )
-                return _hc.encode(action)
-
-            on_hom[(u, u2)] = map_from_action(
-                u_cat.hom[(u, u2)].carrier, hc.module.carrier, 0, column
-            )
-    return DgFunctor(u_cat, on_objects, on_hom, name=name)
+    u_hom_cx = _hom_complexes(u_cat, u_modules)
+    return functor_from_basis_images(
+        u_cat,
+        {u: values[u].module for u in u_cat.objects},
+        lambda u, u2, m, k: _post_composition(
+            u_cat.field, u_hom_cx[(u, u2)], values[u], values[u2], m, k
+        ),
+        name=name or "Hom(Z,-)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +309,6 @@ def hom_from_module(u_cat, u_modules, z_module, name=None):
 
 def closed_structure_maps(A, fun):
     """Basis of closed degree-0 transformations A -> fun (e.g. G(B))."""
-    from .functors import (
-        dgnat_differential,
-        dgnat_space,
-        nat_to_flat,
-        nat_unknowns,
-    )
-
     field = A.base.field
     _, _, nats = dgnat_space(A, fun, 0)
     if not nats:
@@ -385,9 +333,6 @@ def closed_structure_maps(A, fun):
 
 def random_comma_object(rng, bim, A, B, g_of_b=None, name="o"):
     """A comma object with a random closed degree-0 structure map."""
-    from .bimodule import g_on_objects
-    from .comma import CommaObject
-
     field = bim.field
     gb = g_of_b if g_of_b is not None else g_on_objects(bim, B)
     closed = closed_structure_maps(A, gb.functor)
@@ -407,9 +352,7 @@ def random_axiom_fixture(seed, field):
     module dims <= 1 per degree over windows of <= 3 degrees inside
     [-2, 2]; every hom space then has dimension <= 3 per degree.
     """
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     max_objects = 3 if seed % 5 == 0 else 2
     u_cat, u_modules, _ = random_endo_category(rng, field, "U", max_objects=max_objects)
     t_cat, t_modules, _ = random_endo_category(rng, field, "T", max_objects=max_objects)
@@ -417,7 +360,6 @@ def random_axiom_fixture(seed, field):
         bim = zero_bimodule(u_cat, t_cat)
     else:
         bim = hom_bimodule(u_cat, u_modules, t_cat, t_modules)
-    from .functors import representable_module
 
     a_module = representable_module(t_cat, rng.choice(t_cat.objects))
     if seed % 3 == 0:
@@ -436,13 +378,7 @@ def random_axiom_fixture(seed, field):
 def random_theorem_fixture(seed, field, max_objects=1):
     """A full instance for the equivalence suite: Lambda, comma objects,
     Lambda-modules.  Sizes stay minimal so exact solves remain fast."""
-    import random as _random
-
-    from .bimodule import g_on_objects
-    from .functors import representable_module
-    from .lambda_cat import build_lambda
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     u_cat, u_modules, _ = random_endo_category(rng, field, "U", max_objects=max_objects)
     t_cat, t_modules, _ = random_endo_category(rng, field, "T", max_objects=max_objects)
     bim = hom_bimodule(u_cat, u_modules, t_cat, t_modules)
@@ -454,8 +390,6 @@ def random_theorem_fixture(seed, field, max_objects=1):
     else:
         B = representable_module(u_cat, rng.choice(u_cat.objects))
     gb = g_on_objects(bim, B)
-    from .comma import CommaObject
-
     zero_obj = CommaObject(bim, A, B, {}, g_of_b=gb, name="o_zero")
     rand_obj = random_comma_object(rng, bim, A, B, g_of_b=gb, name="o_rand")
     comma_objects = [zero_obj, rand_obj]
@@ -476,8 +410,6 @@ def random_theorem_fixture(seed, field, max_objects=1):
     origin = rng.choice(lam.presentation.objects)
     lambda_modules = [representable_module(lam.presentation, origin)]
     if seed % 2 == 0:
-        from .functors import direct_sum_functors
-
         others = [o for o in lam.presentation.objects if o != origin]
         second = representable_module(lam.presentation, rng.choice(others))
         total, _ = direct_sum_functors(

@@ -12,9 +12,16 @@ from __future__ import annotations
 
 from . import linalg
 from .category import opposite_category
-from .complexes import HomComplex, zero_dg_module
+from .complexes import DgModule, HomComplex, hom_differential, zero_dg_module
 from .errors import StructureError
-from .graded import DirectSum, GradedMap, block_diag_between, identity_map, zero_map
+from .graded import (
+    DirectSum,
+    GradedMap,
+    block_diag_between,
+    identity_map,
+    map_from_action,
+    zero_map,
+)
 from .report import Report, fmt_graded_map
 
 
@@ -149,7 +156,7 @@ def validate_dg_functor(fun):
                             x,
                             z,
                             gd + fd,
-                            _dense(
+                            linalg.dense_vector(
                                 field,
                                 base.compose_basis(x, y, z, gd, gi, fd, fi),
                                 base.hom[(x, z)].dim(gd + fd),
@@ -169,13 +176,6 @@ def validate_dg_functor(fun):
                             break
     report.add("functoriality", witness is None, witness)
     return report
-
-
-def _dense(field, sparse, dim):
-    out = [field.zero()] * dim
-    for k, v in sparse:
-        out[k] = v
-    return tuple(out)
 
 
 class DgNatTransformation:
@@ -294,8 +294,6 @@ def compose_nat(nu, eta):
 
 def dgnat_differential(eta):
     """Componentwise Hom-complex differential of a transformation."""
-    from .complexes import hom_differential
-
     return DgNatTransformation(
         eta.source,
         eta.target,
@@ -454,26 +452,36 @@ def encode_nat_in_basis(F, G, n, keys, basis_vectors, nat):
 # canonical functors
 
 
+def action_from_basis_images(source, hom_cx, image):
+    """The degree-0 map source -> hom_cx.module sending the k-th basis
+    element of source^m to the coordinates of the graded map image(m, k)."""
+    return map_from_action(
+        source, hom_cx.module.carrier, 0, lambda m, k: hom_cx.encode(image(m, k))
+    )
+
+
+def functor_from_basis_images(base, on_objects, image, name):
+    """The dg-functor with the given values whose action sends the basis
+    morphism (m, k) of hom(x, y) to the graded map image(x, y, m, k)."""
+    fun = DgFunctor(base, on_objects, {}, name=name)
+    for x in base.objects:
+        for y in base.objects:
+            fun.on_hom[(x, y)] = action_from_basis_images(
+                base.hom[(x, y)].carrier,
+                fun.hom_cx(x, y),
+                lambda m, k: image(x, y, m, k),
+            )
+    return fun
+
+
 def representable_module(cat, origin, name=None):
     """The covariant module hom(origin, -) with post-composition action."""
-    field = cat.field
-    name = name or f"h[{origin}]"
-    on_objects = {obj: cat.hom[(origin, obj)] for obj in cat.objects}
-    fun = DgFunctor(cat, on_objects, {}, name=name)
-    on_hom = {}
-    for y in cat.objects:
-        for z in cat.objects:
-            hc = fun.hom_cx(y, z)
-            source = cat.hom[(y, z)].carrier
-
-            def column(m, k, _y=y, _z=z, _hc=hc):
-                gmap = _action_map(cat, origin, _y, _z, m, k)
-                return _hc.encode(gmap)
-
-            from .graded import map_from_action
-
-            on_hom[(y, z)] = map_from_action(source, hc.module.carrier, 0, column)
-    return DgFunctor(cat, on_objects, on_hom, name=name)
+    return functor_from_basis_images(
+        cat,
+        {obj: cat.hom[(origin, obj)] for obj in cat.objects},
+        lambda y, z, m, k: _action_map(cat, origin, y, z, m, k),
+        name=name or f"h[{origin}]",
+    )
 
 
 def _action_map(cat, origin, y, z, m, k):
@@ -484,9 +492,7 @@ def _action_map(cat, origin, y, z, m, k):
 
     def column(i, j):
         sparse = cat.compose_basis(origin, y, z, m, k, i, j)
-        return _dense(field, sparse, tgt.dim(i + m))
-
-    from .graded import map_from_action
+        return linalg.dense_vector(field, sparse, tgt.dim(i + m))
 
     return map_from_action(src, tgt, m, column)
 
@@ -497,26 +503,13 @@ def yoneda_module(cat, origin, opposite=None, name=None):
     The contravariant action sends a basis morphism f of degree m to
     j |-> (-1)^{m |j|} j . f.
     """
-    field = cat.field
-    opp = opposite if opposite is not None else opposite_category(cat)
-    name = name or f"y[{origin}]"
-    on_objects = {obj: cat.hom[(obj, origin)] for obj in cat.objects}
-    fun = DgFunctor(opp, on_objects, {}, name=name)
-    on_hom = {}
-    for x in opp.objects:
-        for y in opp.objects:
-            # a morphism x -> y in the opposite category is f: y -> x here
-            hc = fun.hom_cx(x, y)
-            source = opp.hom[(x, y)].carrier
-
-            def column(m, k, _x=x, _y=y, _hc=hc):
-                gmap = _yoneda_action_map(cat, origin, _x, _y, m, k)
-                return _hc.encode(gmap)
-
-            from .graded import map_from_action
-
-            on_hom[(x, y)] = map_from_action(source, hc.module.carrier, 0, column)
-    return DgFunctor(opp, on_objects, on_hom, name=name)
+    # a morphism x -> y in the opposite category is f: y -> x here
+    return functor_from_basis_images(
+        opposite if opposite is not None else opposite_category(cat),
+        {obj: cat.hom[(obj, origin)] for obj in cat.objects},
+        lambda x, y, m, k: _yoneda_action_map(cat, origin, x, y, m, k),
+        name=name or f"y[{origin}]",
+    )
 
 
 def _yoneda_action_map(cat, origin, x, y, m, k):
@@ -528,11 +521,9 @@ def _yoneda_action_map(cat, origin, x, y, m, k):
         # j-th basis element of hom(x, origin)^i, precomposed with
         # f = basis (m, k) of hom(y, x), signed by (-1)^{m i}.
         sparse = cat.compose_basis(y, x, origin, i, j, m, k)
-        dense = _dense(field, sparse, tgt.dim(i + m))
+        dense = linalg.dense_vector(field, sparse, tgt.dim(i + m))
         sgn = field.sign(m * i)
         return tuple(field.mul(sgn, v) for v in dense)
-
-    from .graded import map_from_action
 
     return map_from_action(src, tgt, m, column)
 
@@ -541,30 +532,18 @@ def direct_sum_functors(funs, name=None):
     """Objectwise direct sum of dg-functors over a common base."""
     funs = list(funs)
     base = funs[0].base
-    name = name or "(+)".join(f.name for f in funs)
     sums = {}
     on_objects = {}
     for obj in base.objects:
         parts = [f.on_objects[obj] for f in funs]
         ds = DirectSum([p.carrier for p in parts])
-        from .complexes import DgModule
-
         diff = ds.block_diag([p.d for p in parts], degree=1)
         sums[obj] = ds
         on_objects[obj] = DgModule(ds.module, diff, check=False)
-    result = DgFunctor(base, on_objects, {}, name=name)
-    on_hom = {}
-    for x in base.objects:
-        for y in base.objects:
-            hc = result.hom_cx(x, y)
-            source = base.hom[(x, y)].carrier
 
-            def column(m, k, _x=x, _y=y, _hc=hc):
-                maps = [f.map_of_basis(_x, _y, m, k) for f in funs]
-                combined = block_diag_between(sums[_x], sums[_y], maps, degree=m)
-                return _hc.encode(combined)
+    def image(x, y, m, k):
+        maps = [f.map_of_basis(x, y, m, k) for f in funs]
+        return block_diag_between(sums[x], sums[y], maps, degree=m)
 
-            from .graded import map_from_action
-
-            on_hom[(x, y)] = map_from_action(source, hc.module.carrier, 0, column)
-    return DgFunctor(base, on_objects, on_hom, name=name), sums
+    name = name or "(+)".join(f.name for f in funs)
+    return functor_from_basis_images(base, on_objects, image, name=name), sums

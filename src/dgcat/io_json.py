@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 
-from .bimodule import Bimodule
+from . import linalg
+from .bimodule import Bimodule, g_on_objects
 from .category import DgCategoryPresentation
 from .comma import CommaObject
 from .complexes import DgModule
@@ -25,10 +26,6 @@ from .fields import field_from_descriptor
 from .functors import DgFunctor
 from .graded import GradedMap, GradedModule
 from .lambda_cat import build_lambda
-
-
-def _unit(field, n, k):
-    return tuple(field.one() if i == k else field.zero() for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +101,8 @@ def _action_entries(field, source_carrier, hom_cx, action):
     entries = []
     for hdeg in source_carrier.degrees():
         for hidx in range(source_carrier.dim(hdeg)):
-            vec = action.apply(hdeg, _unit(field, source_carrier.dim(hdeg), hidx))
+            unit = linalg.unit_vector(field, source_carrier.dim(hdeg), hidx)
+            vec = action.apply(hdeg, unit)
             gmap = hom_cx.decode(hdeg, vec)
             for srcdeg, block in sorted(gmap.blocks.items()):
                 for row in range(len(block)):
@@ -244,6 +242,32 @@ def _expect_dict(value, path):
     return value
 
 
+def _degree(key, path):
+    """A degree written as a JSON object key."""
+    try:
+        return int(key)
+    except ValueError:
+        raise StructureError(f"{path}: bad degree {key!r}") from None
+
+
+def _int_entry(entry, path, layout):
+    """A sparse entry: five ints, then a scalar string."""
+    if (
+        not isinstance(entry, list)
+        or len(entry) != 6
+        or any(type(v) is not int for v in entry[:5])
+    ):
+        raise StructureError(f"{path}: expected {layout} with integer indices")
+    return entry
+
+
+def _scalar(field, text, path):
+    try:
+        return field.parse(text)
+    except StructureError as exc:
+        raise StructureError(f"{path}: {exc}") from None
+
+
 def parse_matrix(field, rows, path, shape):
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise StructureError(f"{path}: expected a matrix (list of rows)")
@@ -251,33 +275,27 @@ def parse_matrix(field, rows, path, shape):
         raise StructureError(
             f"{path}: matrix has wrong shape, expected {shape[0]}x{shape[1]}"
         )
-    try:
-        return tuple(tuple(field.parse(x) for x in row) for row in rows)
-    except StructureError as exc:
-        raise StructureError(f"{path}: {exc}") from None
+    return tuple(tuple(_scalar(field, x, path) for x in row) for row in rows)
 
 
 def parse_dg_module(field, data, path):
     data = _expect_dict(data, path)
     dims = {}
     for key, dim in _expect_dict(data.get("dims", {}), f"{path}.dims").items():
-        try:
-            deg = int(key)
-        except ValueError:
-            raise StructureError(f"{path}.dims: bad degree {key!r}") from None
+        deg = _degree(key, f"{path}.dims")
         if not isinstance(dim, int) or dim < 0:
             raise StructureError(f"{path}.dims[{key}]: bad dimension {dim!r}")
         dims[deg] = dim
     labels = None
     if "labels" in data:
         labels = {
-            int(k): tuple(v)
+            _degree(k, f"{path}.labels"): tuple(v)
             for k, v in _expect_dict(data["labels"], f"{path}.labels").items()
         }
     carrier = GradedModule(field, dims, labels)
     blocks = {}
     for key, rows in _expect_dict(data.get("d", {}), f"{path}.d").items():
-        i = int(key)
+        i = _degree(key, f"{path}.d")
         blocks[i] = parse_matrix(
             field, rows, f"{path}.d[{key}]", (carrier.dim(i + 1), carrier.dim(i))
         )
@@ -305,7 +323,7 @@ def parse_category(field, name, data, path):
     for x, vec in _expect_dict(data.get("id", {}), f"{path}.id").items():
         if x not in objects:
             raise StructureError(f"{path}.id: unknown object {x!r}")
-        ids[x] = tuple(field.parse(v) for v in vec)
+        ids[x] = tuple(_scalar(field, v, f"{path}.id.{x}") for v in vec)
     cat = DgCategoryPresentation(field, objects, hom, {}, ids, name=name)
     comp = {}
     comp_data = _expect_dict(data.get("comp", {}), f"{path}.comp")
@@ -328,9 +346,9 @@ def _parse_comp_map(field, cat, x, y, z, entries, path):
     if not isinstance(entries, list):
         raise StructureError(f"{path}: expected a list of entries")
     for pos, entry in enumerate(entries):
-        if not isinstance(entry, list) or len(entry) != 6:
-            raise StructureError(f"{path}[{pos}]: expected [gdeg, gidx, fdeg, fidx, out, coeff]")
-        gdeg, gidx, fdeg, fidx, out_idx, coeff = entry
+        gdeg, gidx, fdeg, fidx, out_idx, coeff = _int_entry(
+            entry, f"{path}[{pos}]", "[gdeg, gidx, fdeg, fidx, out, coeff]"
+        )
         n = gdeg + fdeg
         try:
             col = tensor.index(n, gdeg, gidx, fidx)
@@ -342,7 +360,9 @@ def _parse_comp_map(field, cat, x, y, z, entries, path):
             n,
             [[field.zero()] * tensor.module.dim(n) for _ in range(target.dim(n))],
         )
-        block[out_idx][col] = field.add(block[out_idx][col], field.parse(coeff))
+        block[out_idx][col] = field.add(
+            block[out_idx][col], _scalar(field, coeff, f"{path}[{pos}]")
+        )
     return GradedMap(tensor.module.carrier, target, 0, blocks)
 
 
@@ -351,11 +371,9 @@ def _parse_action_map(field, source_carrier, hom_cx, entries, path):
     if not isinstance(entries, list):
         raise StructureError(f"{path}: expected a list of entries")
     for pos, entry in enumerate(entries):
-        if not isinstance(entry, list) or len(entry) != 6:
-            raise StructureError(
-                f"{path}[{pos}]: expected [hdeg, hidx, srcdeg, row, col, coeff]"
-            )
-        hdeg, hidx, srcdeg, row, col, coeff = entry
+        hdeg, hidx, srcdeg, row, col, coeff = _int_entry(
+            entry, f"{path}[{pos}]", "[hdeg, hidx, srcdeg, row, col, coeff]"
+        )
         if not 0 <= hidx < source_carrier.dim(hdeg):
             raise StructureError(f"{path}[{pos}]: morphism index out of range")
         src_dim = hom_cx.source.dim(srcdeg)
@@ -366,7 +384,9 @@ def _parse_action_map(field, source_carrier, hom_cx, entries, path):
         block = blocks.setdefault(
             srcdeg, [[field.zero()] * src_dim for _ in range(tgt_dim)]
         )
-        block[row][col] = field.add(block[row][col], field.parse(coeff))
+        block[row][col] = field.add(
+            block[row][col], _scalar(field, coeff, f"{path}[{pos}]")
+        )
     action_blocks = {}
     for hdeg in source_carrier.degrees():
         dim = source_carrier.dim(hdeg)
@@ -405,7 +425,6 @@ def parse_bimodule(field, name, data, workspace, path):
                 field, module_data, f"{path}.values.{u}.{t}"
             )
     bim = Bimodule(left_base, right_base, values, {}, {}, name=name)
-    left_action = {}
     for u, per_u2 in _expect_dict(
         data.get("left_action", {}), f"{path}.left_action"
     ).items():
@@ -413,14 +432,17 @@ def parse_bimodule(field, name, data, workspace, path):
             for t, entries in _expect_dict(
                 per_t, f"{path}.left_action.{u}.{u2}"
             ).items():
-                left_action[(u, u2, t)] = _parse_action_map(
+                if (u, u2, t) not in bim.left_action:
+                    raise StructureError(
+                        f"{path}.left_action: unknown objects ({u},{u2},{t})"
+                    )
+                bim.left_action[(u, u2, t)] = _parse_action_map(
                     field,
                     left_base.hom[(u, u2)].carrier,
                     bim.value_cx(u, t, u2, t),
                     entries,
                     f"{path}.left_action.{u}.{u2}.{t}",
                 )
-    right_action = {}
     for t, per_t2 in _expect_dict(
         data.get("right_action", {}), f"{path}.right_action"
     ).items():
@@ -428,16 +450,18 @@ def parse_bimodule(field, name, data, workspace, path):
             for u, entries in _expect_dict(
                 per_u, f"{path}.right_action.{t}.{t2}"
             ).items():
-                right_action[(t, t2, u)] = _parse_action_map(
+                if (t, t2, u) not in bim.right_action:
+                    raise StructureError(
+                        f"{path}.right_action: unknown objects ({t},{t2},{u})"
+                    )
+                bim.right_action[(t, t2, u)] = _parse_action_map(
                     field,
                     right_base.hom[(t, t2)].carrier,
                     bim.value_cx(u, t2, u, t),
                     entries,
                     f"{path}.right_action.{t}.{t2}.{u}",
                 )
-    return Bimodule(
-        left_base, right_base, values, left_action, right_action, name=name
-    )
+    return bim
 
 
 def parse_module(field, name, data, workspace, path):
@@ -469,24 +493,21 @@ def parse_module(field, name, data, workspace, path):
             field, module_data, f"{path}.on_objects.{obj}"
         )
     fun = DgFunctor(base, on_objects, {}, name=name)
-    on_hom = {}
     for x, per_y in _expect_dict(data.get("on_hom", {}), f"{path}.on_hom").items():
         for y, entries in _expect_dict(per_y, f"{path}.on_hom.{x}").items():
             if x not in base.objects or y not in base.objects:
                 raise StructureError(f"{path}.on_hom: unknown pair ({x},{y})")
-            on_hom[(x, y)] = _parse_action_map(
+            fun.on_hom[(x, y)] = _parse_action_map(
                 field,
                 base.hom[(x, y)].carrier,
                 fun.hom_cx(x, y),
                 entries,
                 f"{path}.on_hom.{x}.{y}",
             )
-    return DgFunctor(base, on_objects, on_hom, name=name), base_ref
+    return fun, base_ref
 
 
 def parse_comma_object(field, name, data, workspace, path):
-    from .bimodule import g_on_objects
-
     data = _expect_dict(data, path)
     refs = {}
     for key in ("bimodule", "module_t", "module_u"):
@@ -512,7 +533,7 @@ def parse_comma_object(field, name, data, workspace, path):
         tgt = gb.functor.on_objects[t].carrier
         blocks = {}
         for key, rows in _expect_dict(per_degree, f"{path}.f.{t}").items():
-            k = int(key)
+            k = _degree(key, f"{path}.f.{t}")
             blocks[k] = parse_matrix(
                 field, rows, f"{path}.f.{t}[{key}]", (tgt.dim(k), src.dim(k))
             )

@@ -11,6 +11,7 @@ actions of the bimodule.
 
 from __future__ import annotations
 
+from . import linalg
 from .category import (
     DgCategoryPresentation,
     ZERO_OBJECT,
@@ -21,6 +22,7 @@ from .complexes import DgModule, zero_dg_module
 from .errors import StructureError, ValidationFailure
 from .graded import DirectSum, Homog, map_from_action
 from .bimodule import validate_bimodule
+from .functors import functor_from_basis_images
 from .report import Report, fmt_vector
 
 SLOT_T, SLOT_M, SLOT_U = 0, 1, 2
@@ -55,9 +57,6 @@ class LambdaCategory:
     def embed(self, p, q, slot, degree, vec):
         """Inject slot coordinates into the full hom vector at a degree."""
         return self.pair_data[(p, q)][0].inject(slot, degree, vec)
-
-    def project(self, p, q, slot, degree, vec):
-        return self.pair_data[(p, q)][0].project(slot, degree, vec)
 
     def hom_element_from_t(self, p, q, t_elem):
         coords = self.embed(p, q, SLOT_T, t_elem.degree, t_elem.coords)
@@ -208,7 +207,7 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
                         sparse = t_ext.compose_basis(
                             _t1, _t2, _t3, gdeg, lg, fdeg, lf
                         )
-                        dense = _dense(
+                        dense = linalg.dense_vector(
                             field, sparse, t_ext.hom[(_t1, _t3)].dim(n)
                         )
                         return _target.inject(SLOT_T, n, dense)
@@ -216,7 +215,7 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
                         sparse = u_ext.compose_basis(
                             _u1, _u2, _u3, gdeg, lg, fdeg, lf
                         )
-                        dense = _dense(
+                        dense = linalg.dense_vector(
                             field, sparse, u_ext.hom[(_u1, _u3)].dim(n)
                         )
                         return _target.inject(SLOT_U, n, dense)
@@ -224,7 +223,7 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
                         # m2 . t1 = (-1)^{|m2||t1|} M(1 (x) t1^op)(m2)
                         rmap = bimodule.right_map_basis(_t1, _t2, _u3, fdeg, lf)
                         m_dim = bimodule.value(_u3, _t2).dim(gdeg)
-                        unit = _unit(field, m_dim, lg)
+                        unit = linalg.unit_vector(field, m_dim, lg)
                         image = rmap.apply(gdeg, unit)
                         sgn = field.sign(gdeg * fdeg)
                         image = tuple(field.mul(sgn, x) for x in image)
@@ -233,7 +232,7 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
                         # u2 . m1 = M(u2 (x) 1)(m1)
                         lmap = bimodule.left_map_basis(_u2, _u3, _t1, gdeg, lg)
                         m_dim = bimodule.value(_u2, _t1).dim(fdeg)
-                        unit = _unit(field, m_dim, lf)
+                        unit = linalg.unit_vector(field, m_dim, lf)
                         image = lmap.apply(fdeg, unit)
                         return _target.inject(SLOT_M, n, image)
                     return zero_vec
@@ -255,17 +254,6 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
                 rep,
             )
     return lam
-
-
-def _dense(field, sparse, dim):
-    out = [field.zero()] * dim
-    for k, v in sparse:
-        out[k] = v
-    return tuple(out)
-
-
-def _unit(field, n, k):
-    return tuple(field.one() if i == k else field.zero() for i in range(n))
 
 
 def lambda_leibniz_check(lam):
@@ -294,7 +282,9 @@ def lambda_leibniz_check(lam):
                     dt = T.differential(t_elem)
                     for mdeg in module.carrier.degrees():
                         for mi in range(module.dim(mdeg)):
-                            m = Homog(mdeg, _unit(field, module.dim(mdeg), mi))
+                            m = Homog(
+                                mdeg, linalg.unit_vector(field, module.dim(mdeg), mi)
+                            )
                             dm = Homog(mdeg + 1, module.d.apply(mdeg, m.coords))
                             lhs_in = bim.right_bullet(u, m, t_elem)
                             lhs = Homog(
@@ -332,7 +322,9 @@ def lambda_leibniz_check(lam):
                     du = U.differential(u_elem)
                     for mdeg in module.carrier.degrees():
                         for mi in range(module.dim(mdeg)):
-                            m = Homog(mdeg, _unit(field, module.dim(mdeg), mi))
+                            m = Homog(
+                                mdeg, linalg.unit_vector(field, module.dim(mdeg), mi)
+                            )
                             dm = Homog(mdeg + 1, module.d.apply(mdeg, m.coords))
                             lhs_in = bim.left_bullet(u_elem, t, m)
                             lhs = Homog(
@@ -359,39 +351,24 @@ def lambda_leibniz_check(lam):
 
 def restrict_module(lam, module):
     """(C1, C2) = restrictions of a Lambda-module along the two inclusions."""
-    from .functors import DgFunctor
-    from .graded import map_from_action as _mfa
-
-    pres = lam.presentation
     marker = lam.zero_marker
-    field = lam.field
 
-    def build(base, make_pair, slot, label):
-        on_objects = {
-            obj: module.on_objects[make_pair(obj)] for obj in base.objects
-        }
-        fun = DgFunctor(base, on_objects, {}, name=f"{module.name}.{label}")
-        on_hom = {}
-        for x in base.objects:
-            for y in base.objects:
-                p, q = make_pair(x), make_pair(y)
-                hc = fun.hom_cx(x, y)
-                source = base.hom[(x, y)].carrier
+    def restrict(base, make_pair, lift, label):
+        def image(x, y, m, k):
+            p, q = make_pair(x), make_pair(y)
+            return module.map_of(lift(p, q, base.basis_element(x, y, m, k)))
 
-                def column(m, k, _p=p, _q=q, _x=x, _y=y, _hc=hc):
-                    if slot == SLOT_T:
-                        elem = lam.hom_element_from_t(
-                            _p, _q, base.basis_element(_x, _y, m, k)
-                        )
-                    else:
-                        elem = lam.hom_element_from_u(
-                            _p, _q, base.basis_element(_x, _y, m, k)
-                        )
-                    return module.hom_cx(_p, _q).encode(module.map_of(elem))
+        return functor_from_basis_images(
+            base,
+            {obj: module.on_objects[make_pair(obj)] for obj in base.objects},
+            image,
+            name=f"{module.name}.{label}",
+        )
 
-                on_hom[(x, y)] = _mfa(source, hc.module.carrier, 0, column)
-        return DgFunctor(base, on_objects, on_hom, name=f"{module.name}.{label}")
-
-    c1 = build(lam.t_cat, lambda t: lam.object_name(t, marker), SLOT_T, "1")
-    c2 = build(lam.u_cat, lambda u: lam.object_name(marker, u), SLOT_U, "2")
+    c1 = restrict(
+        lam.t_cat, lambda t: lam.object_name(t, marker), lam.hom_element_from_t, "1"
+    )
+    c2 = restrict(
+        lam.u_cat, lambda u: lam.object_name(marker, u), lam.hom_element_from_u, "2"
+    )
     return c1, c2

@@ -26,6 +26,20 @@ def identity(field, n):
     )
 
 
+def unit_vector(field, n, k):
+    """The k-th standard basis vector of length n."""
+    z, o = field.zero(), field.one()
+    return tuple(o if i == k else z for i in range(n))
+
+
+def dense_vector(field, entries, n):
+    """Length-n vector from sparse (index, value) pairs."""
+    out = [field.zero()] * n
+    for k, v in entries:
+        out[k] = v
+    return tuple(out)
+
+
 def shape(mat):
     return (len(mat), len(mat[0]) if mat else 0)
 

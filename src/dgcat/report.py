@@ -76,13 +76,6 @@ class Report:
     def render(self):
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
-    def summary_lines(self):
-        lines = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"[{status}] {self.title}: {c.name}")
-        return lines
-
 
 def fmt_matrix(field_obj, mat):
     return [[field_obj.format(x) for x in row] for row in mat]

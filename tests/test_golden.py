@@ -1,0 +1,56 @@
+"""CLI output bytes pinned across commits.
+
+Each digest is the SHA-256 of what one CLI command writes to stdout on a
+shipped fixture.  The digests were recorded before the functor builders
+were merged into one helper; a refactor that keeps the outputs must keep
+them.  A change that alters an output on purpose records the new digest
+here and says why.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from dgcat.cli import main
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+COMMANDS = {
+    "validate": ["validate"],
+    "oppose": ["oppose", "--category", "T"],
+    "tensor": ["tensor", "--left", "T", "--right", "U"],
+    "lambda": ["lambda", "--t", "T", "--u", "U", "--bimodule", "M"],
+    "check-equivalence": ["check-equivalence", "--seed", "7"],
+}
+
+GOLDEN = {
+    ("contractible", "validate"): "284cfb53cf8eb4f232f65e5a1d24751fc2ee9948a07d8a32e2b2960b9dc5815b",
+    ("contractible", "oppose"): "df44602c237d246c14e3df8827321ca450da8647ee231d200abe5ac653b0db0f",
+    ("contractible", "tensor"): "8c32b48894d9893cdb758b6b61c5fc66b959f2c3d3c1fa9c98ea8a7f09d233ca",
+    ("contractible", "lambda"): "0d24c41aa1425609d0e41700e6e498d15b6ad8bd846868fac159099b7846c605",
+    ("contractible", "check-equivalence"): "6e01807d1848bfc5f562bec344f9e23890adcf730812fefa8501e9ed0aeb16a0",
+    ("exterior", "validate"): "284cfb53cf8eb4f232f65e5a1d24751fc2ee9948a07d8a32e2b2960b9dc5815b",
+    ("exterior", "oppose"): "1e74ffae9f96aae0d1138ca522deb08e4e767ba4ba2fa04b93e033691ae0c44d",
+    ("exterior", "tensor"): "b814ea348d878c56c95c9b22e70ad2819b5e19fdb674e9a1594a7ae9a885b049",
+    ("exterior", "lambda"): "c43d7ccd1605c9dee233b337efe6075ea787d71c21430493081e0d6a8cb82ae6",
+    ("exterior", "check-equivalence"): "0de9eb5134ddf7b5ebf319c62d8fb0b1814c0b2888bdd9cdaac52366a69c6bc9",
+    ("kkk", "validate"): "284cfb53cf8eb4f232f65e5a1d24751fc2ee9948a07d8a32e2b2960b9dc5815b",
+    ("kkk", "oppose"): "df44602c237d246c14e3df8827321ca450da8647ee231d200abe5ac653b0db0f",
+    ("kkk", "tensor"): "8c32b48894d9893cdb758b6b61c5fc66b959f2c3d3c1fa9c98ea8a7f09d233ca",
+    ("kkk", "lambda"): "aaa997c0bfe00548d33705fb123e5b052670c28f43d085bc8bef05bb4b240b90",
+    ("kkk", "check-equivalence"): "6e01807d1848bfc5f562bec344f9e23890adcf730812fefa8501e9ed0aeb16a0",
+}
+
+
+@pytest.mark.parametrize("fixture,command", sorted(GOLDEN))
+def test_cli_output_bytes_are_pinned(fixture, command):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    argv = COMMANDS[command] + ["--input", str(FIXTURE_DIR / f"{fixture}.json")]
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code == 0, stderr.getvalue()
+    digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+    assert digest == GOLDEN[(fixture, command)]

@@ -43,6 +43,44 @@ def test_parse_rejects_bad_scalar():
         parse_text(text)
 
 
+def _set_identity(doc, value):
+    doc["categories"]["T"]["id"]["t"][0] = value
+
+
+def _set_comp_degree(doc, value):
+    doc["categories"]["T"]["comp"]["t"]["t"]["t"][0][0] = value
+
+
+def _set_d_key(doc, key):
+    doc["categories"]["T"]["hom"]["t"]["t"]["d"] = {key: [["1"]]}
+
+
+def _add_left_action(doc, source):
+    doc["bimodules"]["M"]["left_action"][source] = {"u": {"t": [[0, 0, 0, 0, 0, "1"]]}}
+
+
+@pytest.mark.parametrize(
+    "edit,path",
+    [
+        (lambda doc: _set_identity(doc, "1/0"), "$.categories.T.id.t:"),
+        (lambda doc: _set_comp_degree(doc, "0"), "$.categories.T.comp.t.t.t[0]:"),
+        (lambda doc: _set_d_key(doc, "z"), "$.categories.T.hom.t.t.d:"),
+        (lambda doc: _add_left_action(doc, "nope"), "$.bimodules.M.left_action:"),
+    ],
+    ids=["zero_denominator", "string_comp_degree", "letter_d_key", "unknown_action"],
+)
+def test_parse_rejects_malformed_entry_with_its_path(edit, path, tmp_path):
+    document = json.loads(fixture_text("kkk"))
+    edit(document)
+    with pytest.raises(StructureError) as info:
+        parse_text(json.dumps(document))
+    assert str(info.value).startswith(path)
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(document), encoding="utf-8")
+    code, text = run_cli(["validate", "--input", str(src)], tmp_path)
+    assert (code, text) == (2, "")
+
+
 def test_parse_rejects_bad_json():
     with pytest.raises(StructureError):
         parse_text("{not json")
@@ -136,6 +174,35 @@ def test_cli_check_equivalence_deterministic(tmp_path):
         ["check-equivalence", "--input", str(src), "--seed", "11"], tmp_path
     )
     assert first == second
+
+
+def test_cli_check_equivalence_validates_and_builds_once(tmp_path, monkeypatch):
+    """T, U and Lambda are each validated once; Lambda is built once."""
+    import dgcat.cli
+    import dgcat.io_json
+    import dgcat.lambda_cat
+
+    calls = {"validate": [], "build": 0}
+    validate = dgcat.lambda_cat.validate_dg_category
+    build = dgcat.lambda_cat.build_lambda
+
+    def counted_validate(cat):
+        calls["validate"].append(cat.name)
+        return validate(cat)
+
+    def counted_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    for module in (dgcat.cli, dgcat.lambda_cat):
+        monkeypatch.setattr(module, "validate_dg_category", counted_validate)
+    for module in (dgcat.cli, dgcat.io_json):
+        monkeypatch.setattr(module, "build_lambda", counted_build)
+    src = tmp_path / "kkk.json"
+    src.write_text(fixture_text("kkk"), encoding="utf-8")
+    code, _ = run_cli(["check-equivalence", "--input", str(src)], tmp_path)
+    assert code == 0
+    assert calls == {"validate": ["T", "U", "[[T,0],[M,U]]"], "build": 1}
 
 
 def test_cli_check_equivalence_window_guard(tmp_path):
