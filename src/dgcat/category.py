@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .complexes import TensorComplex, zero_dg_module
-from .errors import StructureError, ValidationFailure
+from .errors import StructureError
 from .graded import GradedMap, map_from_action
 from .report import Report, fmt_vector
 
@@ -154,14 +154,6 @@ class DgCategoryPresentation:
             for index in range(self.hom[(source, target)].dim(degree)):
                 yield degree, index
 
-    def zero_element(self, source, target, degree):
-        return self.element(
-            source,
-            target,
-            degree,
-            (self.field.zero(),) * self.hom[(source, target)].dim(degree),
-        )
-
     def identity(self, x):
         return HomElement(x, x, 0, self.ids[x])
 
@@ -190,9 +182,6 @@ class DgCategoryPresentation:
     def differential(self, e):
         out = self.hom[(e.source, e.target)].d.apply(e.degree, e.coords)
         return HomElement(e.source, e.target, e.degree + 1, out)
-
-    def hom_is_zero(self, x, y):
-        return self.hom[(x, y)].is_zero()
 
 
 def validate_dg_category(cat):
@@ -333,17 +322,6 @@ def _associativity_witness(cat, x, y, z, w):
                         ),
                     }
     return None
-
-
-def require_valid_category(cat):
-    report = validate_dg_category(cat)
-    if not report.passed:
-        raise ValidationFailure(
-            f"dg-category {cat.name} failed validation: "
-            f"{report.first_failure().name}",
-            report,
-        )
-    return cat
 
 
 def opposite_category(cat):

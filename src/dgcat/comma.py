@@ -841,19 +841,15 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
                 for phi in comma_basis:
                     nat = f_on_morphisms(lam, f_src, f_tgt, phi)
                     flat = nat_to_flat(f_src, f_tgt, n, keys_l, nat)
-                    coords = linalg.solve_in_span(field, list(vecs_l), flat)
+                    coords = linalg.nullspace_coordinates(field, vecs_l, flat)
                     if coords is None:
                         raise InternalCheckError(
                             "image of a comma morphism is not a transformation"
                         )
                     columns.append(coords)
-                if comma_basis:
-                    mat = tuple(
-                        tuple(col[r] for col in columns)
-                        for r in range(len(nats_l))
-                    )
-                    if linalg.rank(field, mat) != len(comma_basis):
-                        witness = witness or {"degree": n, "kernel": "nontrivial"}
+                # the rank of the coordinate columns is that of the induced map
+                if comma_basis and linalg.rank(field, columns) != len(comma_basis):
+                    witness = witness or {"degree": n, "kernel": "nontrivial"}
             report.dimensions[f"comma[{label}]"] = comma_dims
             report.dimensions[f"lambda[{label}]"] = lambda_dims
             report.add(f"full_faithful[{label}]", witness is None, witness)

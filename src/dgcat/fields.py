@@ -1,12 +1,14 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Scalars are plain Python values (`fractions.Fraction` for Q, ints in
-[0, p) for F_p); the field object supplies the arithmetic.  Nothing in
-this package ever touches floating point.
+Scalars are plain Python values (an `int` or a `fractions.Fraction` for
+Q, whole numbers kept as `int`; ints in [0, p) for F_p); the field object
+supplies the arithmetic.  Nothing in this package ever touches floating
+point.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -15,20 +17,46 @@ from .errors import StructureError
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
+# Miller-Rabin with these bases is exact for every n < 3.3 * 10**24.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin primality for 2 <= n < 2**64."""
+    if any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+def _int_first(q):
+    """A Fraction with denominator 1 as a plain int, any other unchanged."""
+    return q.numerator if q.denominator == 1 else q
+
 
 class Rationals:
-    """The field Q with exact Fraction arithmetic."""
+    """The field Q with exact arithmetic on ints and Fractions.
+
+    Whole numbers are plain ints wherever the field creates them, so the
+    common integer entries never pay for Fraction arithmetic.
+    """
 
     characteristic = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return operator.index(n)
 
     def add(self, a, b):
         return a + b
@@ -45,19 +73,19 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return 1 / Fraction(a)
+        return _int_first(1 / Fraction(a))
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return Fraction(a) / b
+        return _int_first(Fraction(a) / b)
 
     def is_zero(self, a):
         return a == 0
 
     def sign(self, exponent):
         """(-1)**exponent as a scalar."""
-        return Fraction(-1) if exponent % 2 else Fraction(1)
+        return -1 if exponent % 2 else 1
 
     def parse(self, text):
         """Parse "p/q" or an integer string; reject anything else."""
@@ -65,7 +93,7 @@ class Rationals:
         if not _RATIONAL_RE.match(s):
             raise StructureError(f"not a rational scalar: {text!r}")
         try:
-            return Fraction(s)
+            return _int_first(Fraction(s))
         except ZeroDivisionError:
             raise StructureError(f"zero denominator: {text!r}") from None
 
@@ -90,11 +118,12 @@ class PrimeField:
     """The prime field F_p; scalars are ints reduced into [0, p)."""
 
     def __init__(self, p):
-        if not isinstance(p, int) or p < 2:
+        if type(p) is not int or p < 2:
             raise StructureError(f"not a prime: {p!r}")
-        for d in range(2, int(p ** 0.5) + 1):
-            if p % d == 0:
-                raise StructureError(f"not a prime: {p}")
+        if p >= 2**64:
+            raise StructureError(f"prime modulus must be below 2**64: {p}")
+        if not _is_prime(p):
+            raise StructureError(f"not a prime: {p}")
         self.p = p
         self.characteristic = p
 
@@ -165,5 +194,5 @@ def field_from_descriptor(desc):
     if desc == "Q":
         return Rationals()
     if isinstance(desc, dict) and set(desc) == {"Fp"}:
-        return PrimeField(int(desc["Fp"]))
+        return PrimeField(desc["Fp"])
     raise StructureError(f"unknown field descriptor: {desc!r}")

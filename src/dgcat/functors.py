@@ -69,9 +69,6 @@ class DgFunctor:
             self._hom_cx[key] = HomComplex(self.on_objects[x], self.on_objects[y])
         return self._hom_cx[key]
 
-    def module_at(self, obj):
-        return self.on_objects[obj]
-
     def map_of(self, element):
         """The graded map F(element): F(source) -> F(target)."""
         hc = self.hom_cx(element.source, element.target)
@@ -356,14 +353,13 @@ def naturality_rows(F, G, n, tag):
     for x in base.objects:
         for y in base.objects:
             for m, k in base.basis_elements(x, y):
-                elements.append((x, y, base.basis_element(x, y, m, k)))
+                elements.append(
+                    (x, y, m, F.map_of_basis(x, y, m, k), G.map_of_basis(x, y, m, k))
+                )
         ident = base.identity(x)
         if not ident.is_zero(field):
-            elements.append((x, x, ident))
-    for x, y, morphism in elements:
-        m = morphism.degree
-        f_map = F.map_of(morphism)
-        g_map = G.map_of(morphism)
+            elements.append((x, x, ident.degree, F.map_of(ident), G.map_of(ident)))
+    for x, y, m, f_map, g_map in elements:
         sgn = field.neg(field.sign(n * m))
         fx = F.on_objects[x].carrier
         fy = F.on_objects[y].carrier
@@ -443,9 +439,8 @@ def dgnat_space(F, G, n):
 
 def encode_nat_in_basis(F, G, n, keys, basis_vectors, nat):
     """Coordinates of a transformation in a dgnat basis; None if outside."""
-    field = F.base.field
     target = nat_to_flat(F, G, n, keys, nat)
-    return linalg.solve_in_span(field, list(basis_vectors), target)
+    return linalg.nullspace_coordinates(F.base.field, basis_vectors, target)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ two-space indentation.  emit(parse(emit(x))) == emit(x) byte for byte.
 from __future__ import annotations
 
 import json
+import math
 
 from . import linalg
 from .bimodule import Bimodule, g_on_objects
@@ -262,10 +263,15 @@ def _int_entry(entry, path, layout):
 
 
 def _scalar(field, text, path):
+    """A scalar string; a fraction must be in lowest terms."""
     try:
-        return field.parse(text)
+        value = field.parse(text)
     except StructureError as exc:
         raise StructureError(f"{path}: {exc}") from None
+    num, _, den = str(text).partition("/")
+    if den and math.gcd(int(num), int(den)) != 1:
+        raise StructureError(f"{path}: fraction not in lowest terms: {text!r}")
+    return value
 
 
 def parse_matrix(field, rows, path, shape):
@@ -323,6 +329,8 @@ def parse_category(field, name, data, path):
     for x, vec in _expect_dict(data.get("id", {}), f"{path}.id").items():
         if x not in objects:
             raise StructureError(f"{path}.id: unknown object {x!r}")
+        if not isinstance(vec, list):
+            raise StructureError(f"{path}.id.{x}: expected a list of scalars")
         ids[x] = tuple(_scalar(field, v, f"{path}.id.{x}") for v in vec)
     cat = DgCategoryPresentation(field, objects, hom, {}, ids, name=name)
     comp = {}
@@ -569,7 +577,10 @@ def parse_document(document):
     document = _expect_dict(document, "$")
     if "field" not in document:
         raise StructureError("$.field: missing field declaration")
-    field = field_from_descriptor(document["field"])
+    try:
+        field = field_from_descriptor(document["field"])
+    except StructureError as exc:
+        raise StructureError(f"$.field: {exc}") from None
     workspace = Workspace(field)
     for name, data in sorted(
         _expect_dict(document.get("categories", {}), "$.categories").items()

@@ -1,8 +1,10 @@
-"""Dense exact linear algebra over a coefficient field.
+"""Exact linear algebra over a coefficient field.
 
 Matrices are tuples of row tuples; entry [r][c] is the coefficient of
-source basis vector c in target basis vector r.  All routines are
-deterministic: no pivoting heuristics, first nonzero entry wins.
+source basis vector c in target basis vector r.  Rank, kernels and
+linear systems go through one sparse exact elimination on
+{column: value} rows.  All routines are deterministic: the reduced row
+echelon form is unique, so no pivoting choice can change a result.
 """
 
 from __future__ import annotations
@@ -60,10 +62,6 @@ def mat_scale(field, c, a):
     return tuple(tuple(field.mul(c, x) for x in row) for row in a)
 
 
-def mat_neg(field, a):
-    return tuple(tuple(field.neg(x) for x in row) for row in a)
-
-
 def mat_mul(field, a, b):
     ra, ca = shape(a)
     rb, cb = shape(b)
@@ -105,10 +103,6 @@ def vec_add(field, u, v):
     return tuple(field.add(x, y) for x, y in zip(u, v))
 
 
-def vec_sub(field, u, v):
-    return tuple(field.sub(x, y) for x, y in zip(u, v))
-
-
 def vec_scale(field, c, v):
     return tuple(field.mul(c, x) for x in v)
 
@@ -117,100 +111,97 @@ def is_zero_vector(field, v):
     return all(field.is_zero(x) for x in v)
 
 
-def rref(field, rows):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    mat = [list(row) for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not field.is_zero(mat[i][c]):
-                pivot = i
-                break
-        if pivot is None:
+def _eliminate(field, row, c, pivot_row):
+    """row - row[c] * pivot_row in place; column c drops out."""
+    f = row.pop(c)
+    for j, v in pivot_row.items():
+        if j != c:
+            x = field.sub(row.get(j, field.zero()), field.mul(f, v))
+            if field.is_zero(x):
+                row.pop(j, None)
+            else:
+                row[j] = x
+
+
+def _rref(field, rows):
+    """Sparse reduced row echelon form, built one row at a time.
+
+    rows are dense sequences or {column: value} dicts.  Returns {pivot
+    column: row}, each row a {column: value} dict with a one at its pivot
+    and zeros at every other pivot column.  Each new row is reduced
+    against the pivot rows, normalised at its smallest remaining column,
+    and that column is then cleared from the earlier rows.  The reduced
+    row echelon form is unique, so the result equals the dense one.
+    """
+    pivots = {}
+    for row in rows:
+        if isinstance(row, dict):
+            row = dict(row)
+        else:
+            row = {c: x for c, x in enumerate(row) if not field.is_zero(x)}
+        for c in [c for c in row if c in pivots]:
+            _eliminate(field, row, c, pivots[c])
+        if not row:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
-        for i in range(nrows):
-            if i != r and not field.is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [
-                    field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return freeze(mat), pivots
+        p = min(row)
+        inv = field.inv(row[p])
+        row = {j: field.mul(inv, x) for j, x in row.items()}
+        for other in pivots.values():
+            if p in other:
+                _eliminate(field, other, p, row)
+        pivots[p] = row
+    return pivots
 
 
 def rank(field, mat):
-    return len(rref(field, mat)[1]) if mat else 0
+    return len(_rref(field, mat))
 
 
 def nullspace(field, mat, ncols=None):
     """Deterministic basis of the right kernel.
 
-    Each basis vector has a single free column set to one; free columns
-    are taken in ascending order.
+    Rows as for _rref; dict rows need ncols.  Each basis vector has a
+    single free column set to one, and that column is its last nonzero
+    entry; free columns are taken in ascending order.
     """
     if ncols is None:
         if not mat:
             raise StructureError("nullspace of empty matrix needs ncols")
         ncols = len(mat[0])
-    if not mat:
-        return [
-            tuple(
-                field.one() if j == i else field.zero() for j in range(ncols)
-            )
-            for i in range(ncols)
-        ]
-    red, pivots = rref(field, mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    pivots = _rref(field, mat)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [field.zero()] * ncols
         vec[fc] = field.one()
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = field.neg(red[row_idx][fc])
+        for pc, row in pivots.items():
+            if fc in row:
+                vec[pc] = field.neg(row[fc])
         basis.append(tuple(vec))
     return basis
 
 
-def solve(field, mat, target):
-    """One exact solution of mat * x = target, or None if inconsistent."""
-    nr, nc = shape(mat) if mat else (len(target), 0)
-    if nr != len(target):
-        raise StructureError("right-hand side length mismatch")
-    if nc == 0:
-        return () if is_zero_vector(field, target) else None
-    aug = [list(row) + [t] for row, t in zip(mat, target)]
-    red, pivots = rref(field, aug)
-    if nc in pivots:
-        return None
-    x = [field.zero()] * nc
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = red[row_idx][nc]
-    return tuple(x)
+def nullspace_coordinates(field, basis, target):
+    """Coordinates of target in a basis returned by nullspace, or None.
 
-
-def solve_in_span(field, vectors, target):
-    """Coordinates of target in the span of vectors, or None.
-
-    vectors is a list of equal-length tuples; the returned tuple c
-    satisfies sum(c[i] * vectors[i]) == target exactly.
+    The coordinate on each basis vector is the target's entry at that
+    vector's free column (its last nonzero entry); the coordinates are
+    returned only if they rebuild the target exactly.
     """
-    if not vectors:
-        return () if is_zero_vector(field, target) else None
-    mat = tuple(
-        tuple(vec[r] for vec in vectors) for r in range(len(target))
-    )
-    return solve(field, mat, target)
+    coords = []
+    rebuilt = [field.zero()] * len(target)
+    for vec in basis:
+        fc = max(j for j, x in enumerate(vec) if not field.is_zero(x))
+        c = target[fc]
+        coords.append(c)
+        if not field.is_zero(c):
+            for j, x in enumerate(vec):
+                if not field.is_zero(x):
+                    rebuilt[j] = field.add(rebuilt[j], field.mul(c, x))
+    if any(not field.is_zero(field.sub(x, y)) for x, y in zip(rebuilt, target)):
+        return None
+    return tuple(coords)
 
 
 def solve_linear(field, unknowns, constraints):
@@ -231,16 +222,15 @@ def solve_linear(field, unknowns, constraints):
     seen = set()
     rows = []
     for constraint in constraints:
-        row = [field.zero()] * len(unknowns)
+        row = {}
         for name, coeff in constraint.items():
             if name not in index:
                 raise StructureError(f"constraint references undeclared unknown: {name!r}")
-            row[index[name]] = field.add(row[index[name]], coeff)
-        if all(field.is_zero(x) for x in row):
-            continue
-        key = tuple(field.format(x) for x in row)
-        if key in seen:
+            if not field.is_zero(coeff):
+                row[index[name]] = coeff
+        key = tuple(sorted(row.items()))
+        if not row or key in seen:
             continue
         seen.add(key)
-        rows.append(tuple(row))
+        rows.append(row)
     return nullspace(field, rows, ncols=len(unknowns))

@@ -1,10 +1,12 @@
-"""CLI output bytes pinned across commits.
+"""CLI output bytes and equivalence reports pinned across commits.
 
-Each digest is the SHA-256 of what one CLI command writes to stdout on a
-shipped fixture.  The digests were recorded before the functor builders
-were merged into one helper; a refactor that keeps the outputs must keep
-them.  A change that alters an output on purpose records the new digest
-here and says why.
+Each digest in GOLDEN is the SHA-256 of what one CLI command writes to
+stdout on a shipped fixture.  The digests were recorded before the functor
+builders were merged into one helper; a refactor that keeps the outputs
+must keep them.  Each digest in HEAVY_REPORTS is the SHA-256 of the
+rendered check_equivalence report (seed 5) on one random theorem instance
+over Q, recorded before the exact solve path went sparse.  A change that
+alters an output on purpose records the new digest here and says why.
 """
 
 import contextlib
@@ -15,6 +17,9 @@ from pathlib import Path
 import pytest
 
 from dgcat.cli import main
+from dgcat.comma import check_equivalence
+from dgcat.fields import Rationals
+from dgcat.fixtures import random_theorem_fixture
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -54,3 +59,22 @@ def test_cli_output_bytes_are_pinned(fixture, command):
     assert code == 0, stderr.getvalue()
     digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
     assert digest == GOLDEN[(fixture, command)]
+
+
+# (fixture seed, max_objects) -> SHA-256 of the rendered report
+HEAVY_REPORTS = {
+    (0, 1): "3f856e6906ca79ce6a7ef891c3e734aa1da0560f94712bacbcff1db7f69bf188",
+    (3, 1): "cf47b5a0f7d695cae781af465147a03ec1ab2ec51af24c71a6a4480c15209ca0",
+    (6, 2): "70e9840df9c0befc5ec9bba1d4c6280d0659aad4088143a633a5e676f0d118e9",
+    (7, 2): "f6c188279246ef09c954430ee7d15cd6c6884842c3c7704e97006eabe6fc529d",
+}
+
+
+@pytest.mark.parametrize("seed,max_objects", sorted(HEAVY_REPORTS))
+def test_theorem_report_bytes_are_pinned(seed, max_objects):
+    fx = random_theorem_fixture(seed, Rationals(), max_objects=max_objects)
+    report = check_equivalence(
+        fx["lambda"], fx["comma_objects"], fx["lambda_modules"], seed=5
+    )
+    digest = hashlib.sha256(report.render().encode("utf-8")).hexdigest()
+    assert digest == HEAVY_REPORTS[(seed, max_objects)]

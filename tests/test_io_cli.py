@@ -66,8 +66,25 @@ def _add_left_action(doc, source):
         (lambda doc: _set_comp_degree(doc, "0"), "$.categories.T.comp.t.t.t[0]:"),
         (lambda doc: _set_d_key(doc, "z"), "$.categories.T.hom.t.t.d:"),
         (lambda doc: _add_left_action(doc, "nope"), "$.bimodules.M.left_action:"),
+        (lambda doc: doc["categories"]["T"]["id"].update(t="1"), "$.categories.T.id.t:"),
+        (lambda doc: _set_identity(doc, "2/4"), "$.categories.T.id.t:"),
+        (lambda doc: _set_identity(doc, "-3/6"), "$.categories.T.id.t:"),
+        (lambda doc: _set_identity(doc, "4/2"), "$.categories.T.id.t:"),
+        (lambda doc: doc.update(field={"Fp": "5"}), "$.field:"),
+        (lambda doc: doc.update(field={"Fp": True}), "$.field:"),
     ],
-    ids=["zero_denominator", "string_comp_degree", "letter_d_key", "unknown_action"],
+    ids=[
+        "zero_denominator",
+        "string_comp_degree",
+        "letter_d_key",
+        "unknown_action",
+        "string_identity",
+        "unreduced_2/4",
+        "unreduced_-3/6",
+        "unreduced_4/2",
+        "string_modulus",
+        "bool_modulus",
+    ],
 )
 def test_parse_rejects_malformed_entry_with_its_path(edit, path, tmp_path):
     document = json.loads(fixture_text("kkk"))
@@ -79,6 +96,13 @@ def test_parse_rejects_malformed_entry_with_its_path(edit, path, tmp_path):
     src.write_text(json.dumps(document), encoding="utf-8")
     code, text = run_cli(["validate", "--input", str(src)], tmp_path)
     assert (code, text) == (2, "")
+
+
+@pytest.mark.parametrize("value", ["1/2", "-1/2", "3"])
+def test_parse_accepts_reduced_scalars(value):
+    document = json.loads(fixture_text("kkk"))
+    _set_identity(document, value)
+    parse_text(json.dumps(document))
 
 
 def test_parse_rejects_bad_json():

@@ -1,10 +1,16 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgcat import linalg
+from dgcat.comma import build_coproduct_module
 from dgcat.errors import StructureError
 from dgcat.fields import PrimeField, Rationals, field_from_descriptor
+from dgcat.fixtures import random_theorem_fixture
+from dgcat.functors import dgnat_space, dgnat_window
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -27,6 +33,20 @@ def test_prime_field_rejects_composites():
         PrimeField(6)
     with pytest.raises(StructureError):
         PrimeField(1)
+
+
+def test_prime_field_checks_a_large_modulus_fast():
+    start = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(StructureError):
+        PrimeField(561)  # a Carmichael number: 3 * 11 * 17
+
+
+@pytest.mark.parametrize("modulus", [2**64 + 13, "5", True])
+def test_field_descriptor_rejects_bad_modulus(modulus):
+    with pytest.raises(StructureError):
+        field_from_descriptor({"Fp": modulus})
 
 
 def test_scalar_parse_format_roundtrip():
@@ -84,22 +104,23 @@ def test_nullspace_satisfies_system():
         assert linalg.is_zero_vector(QQ, linalg.mat_vec(QQ, mat, vec))
 
 
-def test_solve_consistent_and_inconsistent():
+def test_nullspace_coordinates_in_and_out_of_span():
+    # kernel of x + y - z: free columns 1 and 2
+    basis = linalg.nullspace(QQ, [(1, 1, -1)], ncols=3)
+    assert basis == [(-1, 1, 0), (1, 0, 1)]
+    assert linalg.nullspace_coordinates(QQ, basis, (1, 2, 3)) == (2, 3)
+    assert linalg.nullspace_coordinates(QQ, basis, (0, 1, 0)) is None
+    assert linalg.nullspace_coordinates(QQ, [], (Fraction(0),)) == ()
+    assert linalg.nullspace_coordinates(QQ, [], (Fraction(1),)) is None
+
+
+def test_nullspace_coordinates_of_a_consistent_system():
     mat = linalg.freeze([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(0)]])
-    sol = linalg.solve(QQ, mat, (Fraction(2), Fraction(0)))
-    assert sol is not None
-    assert linalg.mat_vec(QQ, mat, sol) == (Fraction(2), Fraction(0))
-    assert linalg.solve(QQ, mat, (Fraction(0), Fraction(1))) is None
-
-
-def test_solve_in_span():
-    v1 = (Fraction(1), Fraction(0), Fraction(1))
-    v2 = (Fraction(0), Fraction(1), Fraction(1))
-    coords = linalg.solve_in_span(QQ, [v1, v2], (Fraction(2), Fraction(3), Fraction(5)))
-    assert coords == (Fraction(2), Fraction(3))
-    assert linalg.solve_in_span(QQ, [v1], (Fraction(0), Fraction(1), Fraction(0))) is None
-    assert linalg.solve_in_span(QQ, [], (Fraction(0),)) == ()
-    assert linalg.solve_in_span(QQ, [], (Fraction(1),)) is None
+    basis = linalg.nullspace(QQ, mat)
+    assert basis == [(-1, 1)]
+    coords = linalg.nullspace_coordinates(QQ, basis, (Fraction(-2), Fraction(2)))
+    assert coords == (2,)
+    assert linalg.nullspace_coordinates(QQ, basis, (Fraction(0), Fraction(1))) is None
 
 
 def test_solve_linear_one_equation():
@@ -130,3 +151,135 @@ def test_solve_linear_over_f5():
     assert len(basis) == 1
     x, y = basis[0]
     assert (2 * x + 3 * y) % 5 == 0
+
+
+# ---------------------------------------------------------------------------
+# the sparse solve path against a dense Gauss-Jordan reference
+
+
+def reference_nullspace(field, rows, ncols):
+    """Kernel basis by textbook dense Gauss-Jordan elimination: first
+    nonzero pivot per column, one free column set to one per vector."""
+    mat = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(mat)) if not field.is_zero(mat[i][c])), None)
+        if hit is None:
+            continue
+        mat[r], mat[hit] = mat[hit], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not field.is_zero(mat[i][c]):
+                f = mat[i][c]
+                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [field.zero()] * ncols
+        vec[fc] = field.one()
+        for i, pc in enumerate(pivots):
+            vec[pc] = field.neg(mat[i][fc])
+        basis.append(tuple(vec))
+    return basis
+
+
+SCALARS = {
+    "Q": st.builds(QQ.div, st.integers(-3, 3), st.integers(1, 3)),
+    "F5": st.integers(0, 4),
+}
+
+
+@st.composite
+def sparse_system(draw, name):
+    """(field, dense rows, ncols, a vector); each row has at most three
+    nonzero entries."""
+    field = {"Q": QQ, "F5": F5}[name]
+    scalar = SCALARS[name]
+    ncols = draw(st.integers(1, 8))
+    entries = st.lists(st.tuples(st.integers(0, ncols - 1), scalar), max_size=3)
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        row = [field.zero()] * ncols
+        for c, x in draw(entries):
+            row[c] = x
+        rows.append(tuple(row))
+    vector = tuple(draw(st.lists(scalar, min_size=ncols, max_size=ncols)))
+    return field, rows, ncols, vector
+
+
+def _combine(field, coeffs, basis, ncols):
+    out = [field.zero()] * ncols
+    for c, vec in zip(coeffs, basis):
+        out = [field.add(x, field.mul(c, y)) for x, y in zip(out, vec)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["Q", "F5"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sparse_solve_matches_dense_reference(name, data):
+    field, rows, ncols, vector = data.draw(sparse_system(name))
+    expected = reference_nullspace(field, rows, ncols)
+    assert linalg.nullspace(field, rows, ncols=ncols) == expected
+    assert linalg.rank(field, rows) == ncols - len(expected)
+    names = [f"x{c}" for c in range(ncols)]
+    constraints = [
+        {names[c]: x for c, x in enumerate(row) if not field.is_zero(x)} for row in rows
+    ]
+    assert linalg.solve_linear(field, names, constraints) == expected
+
+    coeffs = data.draw(st.lists(SCALARS[name], min_size=len(expected), max_size=len(expected)))
+    inside = _combine(field, coeffs, expected, ncols)
+    assert linalg.nullspace_coordinates(field, expected, inside) == tuple(coeffs)
+
+    in_kernel = all(
+        field.is_zero(x) for x in linalg.mat_vec(field, rows, vector)
+    ) if rows else True
+    coords = linalg.nullspace_coordinates(field, expected, vector)
+    if in_kernel:
+        assert _combine(field, coords, expected, ncols) == vector
+    else:
+        assert coords is None
+
+
+# ---------------------------------------------------------------------------
+# Q scalars are ints or Fractions, never floats or bools
+
+
+def _is_q_scalar(x):
+    return type(x) is int or type(x) is Fraction
+
+
+def test_rational_operations_return_int_or_fraction():
+    assert type(QQ.div(4, 2)) is int and QQ.div(4, 2) == 2
+    assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.parse("4")) is int and type(QQ.parse("-3/6")) is Fraction
+    assert type(QQ.from_int(True)) is int
+    values = [QQ.zero(), QQ.one(), QQ.from_int(-3), QQ.sign(1), QQ.sign(2),
+              QQ.parse("1/2"), QQ.parse("6/3")]
+    for a in values:
+        for b in values:
+            results = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a)]
+            if b != 0:
+                results += [QQ.div(a, b), QQ.inv(b)]
+            assert all(_is_q_scalar(x) for x in results), (a, b, results)
+
+
+def test_dgnat_basis_entries_are_int_or_fraction():
+    fx = random_theorem_fixture(2, QQ)
+    lam = fx["lambda"]
+    modules = [build_coproduct_module(lam, o) for o in fx["comma_objects"]]
+    checked = 0
+    for F in modules:
+        for G in modules:
+            for n in dgnat_window(F, G):
+                _, vectors, _ = dgnat_space(F, G, n)
+                for vec in vectors:
+                    assert all(_is_q_scalar(x) for x in vec), vec
+                    checked += len(vec)
+    assert checked > 0
