@@ -2,8 +2,10 @@
 
 A bimodule over (U, T) assigns a dg K-module to each (U-object,
 T-object) pair, a left action by U-morphisms and a right action by
-T-morphisms (contravariant).  The two families must commute up to the
-Koszul interchange sign; this is exactly the data equivalent to a
+T-morphisms (contravariant).  Each action is stored as the graded map
+every basis morphism acts by, as in a DgFunctor, and a general morphism
+acts by their linear combination.  The two families must commute up to
+the Koszul interchange sign; this is exactly the data equivalent to a
 dg-functor out of U (x) T^op, and an optional round-trip to such a
 functor is provided for cross-validation.
 
@@ -15,27 +17,35 @@ the right action of t between slice functors.
 from __future__ import annotations
 
 from .category import opposite_category, tensor_category
-from .complexes import DgModule, HomComplex, TensorComplex, zero_dg_module
+from .complexes import DgModule, TensorComplex, zero_dg_module
 from .errors import InternalCheckError, StructureError
-from .graded import GradedModule, Homog, map_from_action, zero_map
+from .graded import GradedModule, Homog, map_from_action
 from .functors import (
     DgFunctor,
     DgNatTransformation,
+    basis_images,
     compose_nat,
     dgnat_differential,
     dgnat_space,
     dgnat_window,
     encode_nat_in_basis,
     functor_from_basis_images,
+    image_of,
     validate_dg_functor,
 )
 from .report import Report, fmt_graded_map
 
 
 class Bimodule:
-    """Values plus left/right actions; see the module docstring."""
+    """Values plus left/right actions; see the module docstring.
 
-    def __init__(self, left_base, right_base, values, left_action, right_action, name="M"):
+    left_images[(u, u2, t)][(m, k)] is the map M(u, t) -> M(u2, t) of the
+    k-th basis morphism of hom_U(u, u2)^m; right_images[(t, t2, u)][(m, k)]
+    is the map M(u, t2) -> M(u, t) of the k-th basis morphism of
+    hom_T(t, t2)^m.  Missing basis morphisms act by zero.
+    """
+
+    def __init__(self, left_base, right_base, values, left_images, right_images, name="M"):
         if left_base.field != right_base.field:
             raise StructureError("bimodule bases over different fields")
         self.left_base = left_base      # U
@@ -49,52 +59,37 @@ class Bimodule:
                 if module is None:
                     module = zero_dg_module(field)
                 self.values[(u, t)] = module
-        self._value_cx = {}
-        self.left_action = {}
-        self.right_action = {}
-        for u in left_base.objects:
-            for u2 in left_base.objects:
-                for t in right_base.objects:
-                    key = (u, u2, t)
-                    action = left_action.get(key)
-                    hc = self.value_cx(u, t, u2, t)
-                    if action is None:
-                        action = zero_map(
-                            left_base.hom[(u, u2)].carrier, hc.module.carrier, 0
-                        )
-                    if (
-                        action.degree != 0
-                        or action.source != left_base.hom[(u, u2)].carrier
-                        or action.target != hc.module.carrier
-                    ):
-                        raise StructureError(
-                            f"left action at {key} has the wrong shape"
-                        )
-                    self.left_action[key] = action
-        for t in right_base.objects:
-            for t2 in right_base.objects:
-                for u in left_base.objects:
-                    key = (t, t2, u)
-                    action = right_action.get(key)
-                    hc = self.value_cx(u, t2, u, t)
-                    if action is None:
-                        action = zero_map(
-                            right_base.hom[(t, t2)].carrier, hc.module.carrier, 0
-                        )
-                    if (
-                        action.degree != 0
-                        or action.source != right_base.hom[(t, t2)].carrier
-                        or action.target != hc.module.carrier
-                    ):
-                        raise StructureError(
-                            f"right action at {key} has the wrong shape"
-                        )
-                    self.right_action[key] = action
+        self.left_images = {
+            (u, u2, t): basis_images(
+                left_base,
+                u,
+                u2,
+                self.values[(u, t)].carrier,
+                self.values[(u2, t)].carrier,
+                left_images.get((u, u2, t), {}),
+                f"left action at {(u, u2, t)}",
+            )
+            for u in left_base.objects
+            for u2 in left_base.objects
+            for t in right_base.objects
+        }
+        self.right_images = {
+            (t, t2, u): basis_images(
+                right_base,
+                t,
+                t2,
+                self.values[(u, t2)].carrier,
+                self.values[(u, t)].carrier,
+                right_images.get((t, t2, u), {}),
+                f"right action at {(t, t2, u)}",
+            )
+            for t in right_base.objects
+            for t2 in right_base.objects
+            for u in left_base.objects
+        }
         self._opposite_right = None
         self._slice_t = {}
         self._slice_u = {}
-        self._left_map_cache = {}
-        self._right_map_cache = {}
 
     @property
     def field(self):
@@ -103,15 +98,6 @@ class Bimodule:
     def value(self, u, t):
         return self.values[(u, t)]
 
-    def value_cx(self, u_src, t_src, u_tgt, t_tgt):
-        """Cached Hom complex between two value modules."""
-        key = (u_src, t_src, u_tgt, t_tgt)
-        if key not in self._value_cx:
-            self._value_cx[key] = HomComplex(
-                self.values[(u_src, t_src)], self.values[(u_tgt, t_tgt)]
-            )
-        return self._value_cx[key]
-
     def opposite_right_base(self):
         if self._opposite_right is None:
             self._opposite_right = opposite_category(self.right_base)
@@ -119,51 +105,33 @@ class Bimodule:
 
     def left_map(self, u_elem, t):
         """M(u (x) 1_t): M(source(u), t) -> M(target(u), t)."""
-        hc = self.value_cx(u_elem.source, t, u_elem.target, t)
-        vec = self.left_action[(u_elem.source, u_elem.target, t)].apply(
-            u_elem.degree, u_elem.coords
+        return image_of(
+            self.left_images[(u_elem.source, u_elem.target, t)],
+            self.values[(u_elem.source, t)].carrier,
+            self.values[(u_elem.target, t)].carrier,
+            u_elem,
         )
-        return hc.decode(u_elem.degree, vec)
 
     def right_map(self, t_elem, u):
         """M(1_u (x) t^op): M(u, target(t)) -> M(u, source(t))."""
-        hc = self.value_cx(u, t_elem.target, u, t_elem.source)
-        vec = self.right_action[(t_elem.source, t_elem.target, u)].apply(
-            t_elem.degree, t_elem.coords
+        return image_of(
+            self.right_images[(t_elem.source, t_elem.target, u)],
+            self.values[(u, t_elem.target)].carrier,
+            self.values[(u, t_elem.source)].carrier,
+            t_elem,
         )
-        return hc.decode(t_elem.degree, vec)
-
-    def left_map_basis(self, u, u2, t, degree, index):
-        key = (u, u2, t, degree, index)
-        cached = self._left_map_cache.get(key)
-        if cached is None:
-            cached = self.left_map(
-                self.left_base.basis_element(u, u2, degree, index), t
-            )
-            self._left_map_cache[key] = cached
-        return cached
-
-    def right_map_basis(self, t, t2, u, degree, index):
-        key = (t, t2, u, degree, index)
-        cached = self._right_map_cache.get(key)
-        if cached is None:
-            cached = self.right_map(
-                self.right_base.basis_element(t, t2, degree, index), u
-            )
-            self._right_map_cache[key] = cached
-        return cached
 
     def slice_t(self, t):
         """The dg U-module M_t: U |-> M(U, t)."""
         if t not in self._slice_t:
             on_objects = {u: self.values[(u, t)] for u in self.left_base.objects}
-            on_hom = {
-                (u, u2): self.left_action[(u, u2, t)]
+            images = {
+                (u, u2): self.left_images[(u, u2, t)]
                 for u in self.left_base.objects
                 for u2 in self.left_base.objects
             }
             self._slice_t[t] = DgFunctor(
-                self.left_base, on_objects, on_hom, name=f"{self.name}_{t}"
+                self.left_base, on_objects, images, name=f"{self.name}_{t}"
             )
         return self._slice_t[t]
 
@@ -174,13 +142,13 @@ class Bimodule:
             on_objects = {t: self.values[(u, t)] for t in self.right_base.objects}
             # hom_{T^op}(t, t2) = hom_T(t2, t); its basis element s: t2 -> t
             # acts by M(1_u (x) s^op): M(u, t) -> M(u, t2).
-            on_hom = {
-                (t, t2): self.right_action[(t2, t, u)]
+            images = {
+                (t, t2): self.right_images[(t2, t, u)]
                 for t in self.right_base.objects
                 for t2 in self.right_base.objects
             }
             self._slice_u[u] = DgFunctor(
-                opp, on_objects, on_hom, name=f"{self.name}^{u}"
+                opp, on_objects, images, name=f"{self.name}^{u}"
             )
         return self._slice_u[u]
 
@@ -232,12 +200,12 @@ def validate_bimodule(bim):
                             break
                         for td, ti in T.basis_elements(t, t2):
                             # both routes M(u, t2) -> M(u2, t)
-                            via_left_first = bim.right_map_basis(
-                                t, t2, u2, td, ti
-                            ).compose(bim.left_map_basis(u, u2, t2, ud, ui))
-                            via_right_first = bim.left_map_basis(
-                                u, u2, t, ud, ui
-                            ).compose(bim.right_map_basis(t, t2, u, td, ti))
+                            via_left_first = bim.right_images[(t, t2, u2)][
+                                (td, ti)
+                            ].compose(bim.left_images[(u, u2, t2)][(ud, ui)])
+                            via_right_first = bim.left_images[(u, u2, t)][
+                                (ud, ui)
+                            ].compose(bim.right_images[(t, t2, u)][(td, ti)])
                             sgn = field.sign(ud * td)
                             if via_left_first.scale(sgn) != via_right_first:
                                 witness = {
@@ -423,7 +391,7 @@ class GModule:
         tgt = self._on_objects[t2].carrier
         # tbar: M_{t2} -> M_t has components M(1_u (x) t^op)
         tbar_components = {
-            u: bim.right_map_basis(t, t2, u, m, k) for u in bim.left_base.objects
+            u: bim.right_images[(t, t2, u)][(m, k)] for u in bim.left_base.objects
         }
 
         def column(n, j):

@@ -15,14 +15,9 @@ import time
 
 from .category import opposite_category, tensor_category, validate_dg_category
 from .bimodule import validate_bimodule
-from .comma import (
-    build_coproduct_module,
-    check_equivalence,
-    comma_window,
-    validate_comma_object,
-)
+from .comma import check_equivalence, validate_comma_object
 from .errors import StructureError, ValidationFailure
-from .functors import dgnat_window, validate_dg_functor
+from .functors import validate_dg_functor
 from .io_json import (
     emit_category,
     parse_text,
@@ -132,16 +127,6 @@ def cmd_lambda(args):
     return EXIT_OK
 
 
-def _parse_window(text):
-    try:
-        lo_text, hi_text = text.split(":", 1)
-        return int(lo_text), int(hi_text)
-    except ValueError:
-        raise StructureError(
-            f"bad --degree-window {text!r}, expected LO:HI"
-        ) from None
-
-
 def cmd_check_equivalence(args):
     workspace = parse_text(_read_input(args.input))
     if not workspace.fixtures:
@@ -205,21 +190,6 @@ def cmd_check_equivalence(args):
                 f"module {module.name!r} is not over the fixture's lambda category"
             )
 
-    if args.degree_window is not None:
-        lo, hi = _parse_window(args.degree_window)
-        needed = set()
-        coproducts = [build_coproduct_module(lam, o) for o in comma_objects]
-        for i, src in enumerate(comma_objects):
-            for j, tgt in enumerate(comma_objects):
-                needed.update(comma_window(src, tgt))
-                needed.update(dgnat_window(coproducts[i], coproducts[j]))
-        if needed and (lo > min(needed) or hi < max(needed)):
-            raise StructureError(
-                f"--degree-window {lo}:{hi} is narrower than the shape window "
-                f"{min(needed)}:{max(needed)}; refusing to silently weaken "
-                "the check"
-            )
-
     equivalence = check_equivalence(
         lam, comma_objects, lambda_modules, seed=args.seed
     )
@@ -274,11 +244,6 @@ def build_parser():
     )
     common(p)
     p.add_argument("--fixture", default=None)
-    p.add_argument(
-        "--degree-window",
-        default=None,
-        help="LO:HI; must cover the shape window, narrower windows are refused",
-    )
     p.set_defaults(func=cmd_check_equivalence)
     return parser
 

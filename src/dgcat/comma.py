@@ -36,7 +36,7 @@ from .functors import (
     naturality_rows,
     naturality_witness,
 )
-from .graded import DirectSum, GradedMap, Homog, map_from_action
+from .graded import DirectSum, GradedMap, Homog, map_from_action, place_blocks
 from .lambda_cat import SLOT_M, SLOT_T, SLOT_U, restrict_module
 from .report import Report, fmt_vector
 
@@ -312,13 +312,12 @@ def build_coproduct_module(lam, obj, name=None):
         t2, u2 = lam.split_name(q)
         slot, local = _slot_of(lam.sum_of(p, q), r, k)
         if slot == SLOT_T:
-            upper = obj.A.map_of_basis(t1, t2, r, local)
-            return _corner_map(field, sums[p], sums[q], r, upper=upper)
-        if slot == SLOT_U:
-            lower = obj.B.map_of_basis(u1, u2, r, local)
-            return _corner_map(field, sums[p], sums[q], r, lower=lower)
-        action = _dot_action_map(obj, u2, t1, r, local)
-        return _corner_map(field, sums[p], sums[q], r, cross=action)
+            piece = (0, 0, obj.A.map_of_basis(t1, t2, r, local))
+        elif slot == SLOT_U:
+            piece = (1, 1, obj.B.map_of_basis(u1, u2, r, local))
+        else:
+            piece = (1, 0, _dot_action_map(obj, u2, t1, r, local))
+        return place_blocks(sums[p], sums[q], r, [piece])
 
     module = functor_from_basis_images(pres, on_objects, image, name=name)
     module._coproduct_sums = sums
@@ -351,48 +350,8 @@ def _dot_action_map(obj, u, t, r, im):
     return map_from_action(src, tgt, r, column)
 
 
-def _corner_map(field, src_sum, tgt_sum, degree, upper=None, lower=None, cross=None):
-    """Assemble [[upper, 0], [cross, lower]] between two 2-part sums."""
-    blocks = {}
-    for i in src_sum.module.degrees():
-        rows = tgt_sum.module.dim(i + degree)
-        cols = src_sum.module.dim(i)
-        if rows == 0 or cols == 0:
-            continue
-        block = [[field.zero()] * cols for _ in range(rows)]
-        placed = False
-        if upper is not None:
-            sub = upper.block(i)
-            ro, co = tgt_sum.offset(0, i + degree), src_sum.offset(0, i)
-            for r in range(len(sub)):
-                for c in range(len(sub[0]) if sub else 0):
-                    if not field.is_zero(sub[r][c]):
-                        block[ro + r][co + c] = sub[r][c]
-                        placed = True
-        if lower is not None:
-            sub = lower.block(i)
-            ro, co = tgt_sum.offset(1, i + degree), src_sum.offset(1, i)
-            for r in range(len(sub)):
-                for c in range(len(sub[0]) if sub else 0):
-                    if not field.is_zero(sub[r][c]):
-                        block[ro + r][co + c] = sub[r][c]
-                        placed = True
-        if cross is not None:
-            sub = cross.block(i)
-            ro, co = tgt_sum.offset(1, i + degree), src_sum.offset(0, i)
-            for r in range(len(sub)):
-                for c in range(len(sub[0]) if sub else 0):
-                    if not field.is_zero(sub[r][c]):
-                        block[ro + r][co + c] = sub[r][c]
-                        placed = True
-        if placed:
-            blocks[i] = block
-    return GradedMap(src_sum.module, tgt_sum.module, degree, blocks)
-
-
 def f_on_morphisms(lam, source_module, target_module, phi):
     """alpha (+) beta as a transformation between coproduct modules."""
-    field = lam.field
     marker = lam.zero_marker
     pres = lam.presentation
     components = {}
@@ -400,11 +359,12 @@ def f_on_morphisms(lam, source_module, target_module, phi):
         t, u = lam.split_name(p)
         src_sum = source_module._coproduct_sums[p]
         tgt_sum = target_module._coproduct_sums[p]
-        upper = None if t == marker else phi.alpha.components[t]
-        lower = None if u == marker else phi.beta.components[u]
-        components[p] = _corner_map(
-            field, src_sum, tgt_sum, phi.degree, upper=upper, lower=lower
-        )
+        pieces = []
+        if t != marker:
+            pieces.append((0, 0, phi.alpha.components[t]))
+        if u != marker:
+            pieces.append((1, 1, phi.beta.components[u]))
+        components[p] = place_blocks(src_sum, tgt_sum, phi.degree, pieces)
     return DgNatTransformation(
         source_module, target_module, phi.degree, components
     )
@@ -493,26 +453,12 @@ def phi_iso(lam, module):
         t, u = lam.split_name(p)
         ds = coproduct._coproduct_sums[p]
         tgt = module.on_objects[p].carrier
-        maps = []
+        pieces = []
         if t != marker:
-            maps.append((0, module.map_of(lam.lambda_t_inclusion(t, u))))
+            pieces.append((0, 0, module.map_of(lam.lambda_t_inclusion(t, u))))
         if u != marker:
-            maps.append((1, module.map_of(lam.lambda_u_inclusion(t, u))))
-        blocks = {}
-        for i in ds.module.degrees():
-            rows = tgt.dim(i)
-            cols = ds.module.dim(i)
-            if rows == 0 or cols == 0:
-                continue
-            block = [[field.zero()] * cols for _ in range(rows)]
-            for part, gmap in maps:
-                sub = gmap.block(i)
-                off = ds.offset(part, i)
-                for r in range(len(sub)):
-                    for c in range(len(sub[0]) if sub else 0):
-                        block[r][off + c] = sub[r][c]
-            blocks[i] = block
-        components[p] = GradedMap(ds.module, tgt, 0, blocks)
+            pieces.append((0, 1, module.map_of(lam.lambda_u_inclusion(t, u))))
+        components[p] = place_blocks(ds, tgt, 0, pieces)
 
     witness = None
     for p in pres.objects:

@@ -18,7 +18,6 @@ from .category import DgCategoryPresentation, one_object_category
 from .comma import CommaObject
 from .complexes import DgModule, HomComplex, TensorComplex, dg_module
 from .functors import (
-    action_from_basis_images,
     dgnat_differential,
     dgnat_space,
     direct_sum_functors,
@@ -225,36 +224,36 @@ def hom_bimodule(u_cat, u_modules, t_cat, t_modules, name="M"):
     contravariant Koszul sign (-1)^{|t||m|}.
     """
     field = u_cat.field
-    value_cx = {
+    value_hom = {
         (u, t): HomComplex(t_modules[t], u_modules[u])
         for u in u_cat.objects
         for t in t_cat.objects
     }
-    values = {key: hc.module for key, hc in value_cx.items()}
+    values = {key: hc.module for key, hc in value_hom.items()}
     u_hom_cx = _hom_complexes(u_cat, u_modules)
     t_hom_cx = _hom_complexes(t_cat, t_modules)
 
-    left_action = {}
-    for (u, u2), g_cx in u_hom_cx.items():
-        for t in t_cat.objects:
-            src, tgt = value_cx[(u, t)], value_cx[(u2, t)]
-            left_action[(u, u2, t)] = action_from_basis_images(
-                u_cat.hom[(u, u2)].carrier,
-                HomComplex(src.module, tgt.module),
-                lambda m, k: _post_composition(field, g_cx, src, tgt, m, k),
+    left_images = {
+        (u, u2, t): {
+            (m, k): _post_composition(
+                field, g_cx, value_hom[(u, t)], value_hom[(u2, t)], m, k
             )
-
-    right_action = {}
-    for (t, t2), s_cx in t_hom_cx.items():
-        for u in u_cat.objects:
-            src, tgt = value_cx[(u, t2)], value_cx[(u, t)]
-            right_action[(t, t2, u)] = action_from_basis_images(
-                t_cat.hom[(t, t2)].carrier,
-                HomComplex(src.module, tgt.module),
-                lambda m, k: _pre_composition(field, s_cx, src, tgt, m, k),
+            for m, k in u_cat.basis_elements(u, u2)
+        }
+        for (u, u2), g_cx in u_hom_cx.items()
+        for t in t_cat.objects
+    }
+    right_images = {
+        (t, t2, u): {
+            (m, k): _pre_composition(
+                field, s_cx, value_hom[(u, t2)], value_hom[(u, t)], m, k
             )
-
-    return Bimodule(u_cat, t_cat, values, left_action, right_action, name=name)
+            for m, k in t_cat.basis_elements(t, t2)
+        }
+        for (t, t2), s_cx in t_hom_cx.items()
+        for u in u_cat.objects
+    }
+    return Bimodule(u_cat, t_cat, values, left_images, right_images, name=name)
 
 
 def _hom_complexes(cat, modules):

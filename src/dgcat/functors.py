@@ -1,11 +1,12 @@
 """Dg-modules over a presented dg-category and their transformation spaces.
 
 A DgFunctor packages a dg-functor into dg K-modules: a dg module per
-object and, per object pair, a degree-0 chain map from the hom dg-module
-into the Hom complex of the images.  A transformation of degree n is a
-family of degree-n graded maps whose naturality squares commute up to
-(-1)^{nm} against degree-m morphisms; dgnat_space computes an exact basis
-of these by a single linear solve over the block entries.
+object and, per basis morphism of each hom dg-module, the graded map it
+acts by.  A general morphism acts by the linear combination of these
+images.  A transformation of degree n is a family of degree-n graded
+maps whose naturality squares commute up to (-1)^{nm} against degree-m
+morphisms; dgnat_space computes an exact basis of these by a single
+linear solve over the block entries.
 """
 
 from __future__ import annotations
@@ -17,18 +18,23 @@ from .errors import StructureError
 from .graded import (
     DirectSum,
     GradedMap,
-    block_diag_between,
     identity_map,
     map_from_action,
+    place_blocks,
     zero_map,
 )
 from .report import Report, fmt_graded_map
 
 
 class DgFunctor:
-    """A dg-functor base -> DgMod(K), given on objects and on hom modules."""
+    """A dg-functor base -> DgMod(K), given on objects and on basis morphisms.
 
-    def __init__(self, base, on_objects, on_hom, name="F"):
+    images[(x, y)][(m, k)] is the graded map F(x) -> F(y) of degree m by
+    which the k-th basis morphism of hom(x, y)^m acts; a basis morphism
+    missing from the given images acts by zero.
+    """
+
+    def __init__(self, base, on_objects, images, name="F"):
         self.base = base
         self.name = name
         field = base.field
@@ -38,58 +44,81 @@ class DgFunctor:
             if module is None:
                 module = zero_dg_module(field)
             self.on_objects[obj] = module
-        self._hom_cx = {}
-        self.on_hom = {}
-        for x in base.objects:
-            for y in base.objects:
-                hc = self.hom_cx(x, y)
-                action = on_hom.get((x, y))
-                if action is None:
-                    action = zero_map(
-                        base.hom[(x, y)].carrier, hc.module.carrier, 0
-                    )
-                if (
-                    action.degree != 0
-                    or action.source != base.hom[(x, y)].carrier
-                    or action.target != hc.module.carrier
-                ):
-                    raise StructureError(
-                        f"action of {name} on hom({x},{y}) has the wrong shape"
-                    )
-                self.on_hom[(x, y)] = action
-        self._basis_map_cache = {}
+        self.images = {
+            (x, y): basis_images(
+                base,
+                x,
+                y,
+                self.on_objects[x].carrier,
+                self.on_objects[y].carrier,
+                images.get((x, y), {}),
+                f"action of {name} on hom({x},{y})",
+            )
+            for x in base.objects
+            for y in base.objects
+        }
 
     @property
     def field(self):
         return self.base.field
 
-    def hom_cx(self, x, y):
-        key = (x, y)
-        if key not in self._hom_cx:
-            self._hom_cx[key] = HomComplex(self.on_objects[x], self.on_objects[y])
-        return self._hom_cx[key]
-
     def map_of(self, element):
         """The graded map F(element): F(source) -> F(target)."""
-        hc = self.hom_cx(element.source, element.target)
-        vec = self.on_hom[(element.source, element.target)].apply(
-            element.degree, element.coords
+        return image_of(
+            self.images[(element.source, element.target)],
+            self.on_objects[element.source].carrier,
+            self.on_objects[element.target].carrier,
+            element,
         )
-        return hc.decode(element.degree, vec)
 
     def map_of_basis(self, x, y, degree, index):
-        key = (x, y, degree, index)
-        cached = self._basis_map_cache.get(key)
-        if cached is None:
-            cached = self.map_of(self.base.basis_element(x, y, degree, index))
-            self._basis_map_cache[key] = cached
-        return cached
+        return self.images[(x, y)][(degree, index)]
 
     def is_zero(self):
         return all(m.is_zero() for m in self.on_objects.values())
 
     def __repr__(self):
         return f"DgFunctor({self.name} over {self.base.name})"
+
+
+def basis_images(base, x, y, source, target, given, what):
+    """The image source -> target of every basis morphism (m, k) of hom(x, y).
+
+    A basis morphism missing from given acts by zero; an image of the
+    wrong source, target or degree, or of no basis morphism, is refused.
+    """
+    hom = base.hom[(x, y)]
+    for (m, k), image in given.items():
+        if (
+            not 0 <= k < hom.dim(m)
+            or image.degree != m
+            or image.source != source
+            or image.target != target
+        ):
+            raise StructureError(f"{what} has the wrong shape")
+    return {
+        (m, k): given[(m, k)] if (m, k) in given else zero_map(source, target, m)
+        for m, k in base.basis_elements(x, y)
+    }
+
+
+def image_of(images, source, target, element):
+    """The map source -> target by which a homogeneous morphism acts: the
+    combination of the basis images images[(degree, k)] with its coordinates."""
+    field = source.field
+    terms = [
+        (c, images[(element.degree, k)])
+        for k, c in enumerate(element.coords)
+        if not field.is_zero(c)
+    ]
+    if len(terms) == 1 and terms[0][0] == field.one():
+        return terms[0][1]
+    blocks = {}
+    for c, image in terms:
+        for i, block in image.blocks.items():
+            scaled = linalg.mat_scale(field, c, block)
+            blocks[i] = linalg.mat_add(field, blocks[i], scaled) if i in blocks else scaled
+    return GradedMap(source, target, element.degree, blocks)
 
 
 def zero_functor(base, name="0"):
@@ -113,8 +142,12 @@ def validate_dg_functor(fun):
     witness = None
     for x in base.objects:
         for y in base.objects:
-            action = fun.on_hom[(x, y)]
-            hc = fun.hom_cx(x, y)
+            hc = HomComplex(fun.on_objects[x], fun.on_objects[y])
+            action = action_from_basis_images(
+                base.hom[(x, y)].carrier,
+                hc,
+                lambda m, k: fun.map_of_basis(x, y, m, k),
+            )
             lhs = action.compose(base.hom[(x, y)].d)
             rhs = hc.module.d.compose(action)
             if lhs != rhs:
@@ -458,15 +491,12 @@ def action_from_basis_images(source, hom_cx, image):
 def functor_from_basis_images(base, on_objects, image, name):
     """The dg-functor with the given values whose action sends the basis
     morphism (m, k) of hom(x, y) to the graded map image(x, y, m, k)."""
-    fun = DgFunctor(base, on_objects, {}, name=name)
-    for x in base.objects:
-        for y in base.objects:
-            fun.on_hom[(x, y)] = action_from_basis_images(
-                base.hom[(x, y)].carrier,
-                fun.hom_cx(x, y),
-                lambda m, k: image(x, y, m, k),
-            )
-    return fun
+    images = {
+        (x, y): {(m, k): image(x, y, m, k) for m, k in base.basis_elements(x, y)}
+        for x in base.objects
+        for y in base.objects
+    }
+    return DgFunctor(base, on_objects, images, name=name)
 
 
 def representable_module(cat, origin, name=None):
@@ -538,7 +568,9 @@ def direct_sum_functors(funs, name=None):
 
     def image(x, y, m, k):
         maps = [f.map_of_basis(x, y, m, k) for f in funs]
-        return block_diag_between(sums[x], sums[y], maps, degree=m)
+        return place_blocks(
+            sums[x], sums[y], m, [(p, p, f) for p, f in enumerate(maps)]
+        )
 
     name = name or "(+)".join(f.name for f in funs)
     return functor_from_basis_images(base, on_objects, image, name=name), sums

@@ -318,32 +318,40 @@ class DirectSum:
 
     def block_diag(self, maps, degree=0):
         """Blockwise endomorphism from per-part maps of a common degree."""
-        return block_diag_between(self, self, maps, degree)
+        if len(maps) != len(self.parts):
+            raise StructureError("one map per part required")
+        return place_blocks(self, self, degree, [(k, k, m) for k, m in enumerate(maps)])
 
 
-def block_diag_between(source_sum, target_sum, maps, degree=0):
-    """Blockwise map source_sum -> target_sum; maps[k] sends part k to part k."""
-    if len(maps) != len(source_sum.parts) or len(maps) != len(target_sum.parts):
-        raise StructureError("one map per part required")
-    field = source_sum.module.field
-    for pi, m in enumerate(maps):
-        if m.source != source_sum.parts[pi] or m.target != target_sum.parts[pi]:
-            raise StructureError(f"map {pi} does not match the direct-sum parts")
-        if m.degree != degree:
-            raise StructureError("all parts must share the stated degree")
+def place_blocks(source, target, degree, pieces):
+    """The map source -> target of the given degree, zero outside the pieces.
+
+    source and target are DirectSums, or GradedModules standing for a sum
+    of one part.  Each piece (target part, source part, map) puts a
+    graded map between those two parts at their offsets.
+    """
+    src, src_parts, src_offset = _as_sum(source)
+    tgt, tgt_parts, tgt_offset = _as_sum(target)
+    for tp, sp, m in pieces:
+        if m.degree != degree or m.source != src_parts[sp] or m.target != tgt_parts[tp]:
+            raise StructureError(f"map for parts {(tp, sp)} does not match the direct sums")
+    field = src.field
     blocks = {}
-    for i in source_sum.module.degrees():
-        rows = target_sum.module.dim(i + degree)
-        cols = source_sum.module.dim(i)
-        if rows == 0 or cols == 0:
+    for i in src.degrees():
+        subs = [(tp, sp, m.blocks[i]) for tp, sp, m in pieces if i in m.blocks]
+        if not subs:
             continue
-        block = [[field.zero()] * cols for _ in range(rows)]
-        for pi, m in enumerate(maps):
-            src_off = source_sum.offset(pi, i)
-            tgt_off = target_sum.offset(pi, i + degree)
-            sub = m.block(i)
-            for r in range(len(sub)):
-                for c in range(len(sub[0]) if sub else 0):
-                    block[tgt_off + r][src_off + c] = sub[r][c]
+        block = [[field.zero()] * src.dim(i) for _ in range(tgt.dim(i + degree))]
+        for tp, sp, sub in subs:
+            ro, co = tgt_offset(tp, i + degree), src_offset(sp, i)
+            for r, row in enumerate(sub):
+                block[ro + r][co : co + len(row)] = row
         blocks[i] = block
-    return GradedMap(source_sum.module, target_sum.module, degree, blocks)
+    return GradedMap(src, tgt, degree, blocks)
+
+
+def _as_sum(module):
+    """(module, parts, offset) of a DirectSum or of a one-part GradedModule."""
+    if isinstance(module, DirectSum):
+        return module.module, module.parts, module.offset
+    return module, (module,), lambda part, degree: 0

@@ -17,11 +17,10 @@ from __future__ import annotations
 import json
 import math
 
-from . import linalg
 from .bimodule import Bimodule, g_on_objects
 from .category import DgCategoryPresentation
 from .comma import CommaObject
-from .complexes import DgModule
+from .complexes import DgModule, zero_dg_module
 from .errors import StructureError
 from .fields import field_from_descriptor
 from .functors import DgFunctor
@@ -97,22 +96,17 @@ def _comp_entries(cat, x, y, z):
     return entries
 
 
-def _action_entries(field, source_carrier, hom_cx, action):
-    """Sparse [hdeg, hidx, srcdeg, row, col, coeff] rows of an action map."""
+def _action_entries(field, images):
+    """Sparse [hdeg, hidx, srcdeg, row, col, coeff] rows of one action table."""
     entries = []
-    for hdeg in source_carrier.degrees():
-        for hidx in range(source_carrier.dim(hdeg)):
-            unit = linalg.unit_vector(field, source_carrier.dim(hdeg), hidx)
-            vec = action.apply(hdeg, unit)
-            gmap = hom_cx.decode(hdeg, vec)
-            for srcdeg, block in sorted(gmap.blocks.items()):
-                for row in range(len(block)):
-                    for col in range(len(block[0])):
-                        value = block[row][col]
-                        if not field.is_zero(value):
-                            entries.append(
-                                [hdeg, hidx, srcdeg, row, col, field.format(value)]
-                            )
+    for (hdeg, hidx), gmap in images.items():
+        for srcdeg, block in gmap.blocks.items():
+            for row, values in enumerate(block):
+                for col, value in enumerate(values):
+                    if not field.is_zero(value):
+                        entries.append(
+                            [hdeg, hidx, srcdeg, row, col, field.format(value)]
+                        )
     entries.sort(key=lambda e: (e[0], e[1], e[2], e[3], e[4]))
     return entries
 
@@ -130,29 +124,15 @@ def emit_bimodule(bim):
     if values:
         out["values"] = values
     left = {}
-    for (u, u2, t), action in sorted(bim.left_action.items()):
-        if action.is_zero():
-            continue
-        entries = _action_entries(
-            field,
-            bim.left_base.hom[(u, u2)].carrier,
-            bim.value_cx(u, t, u2, t),
-            action,
-        )
+    for (u, u2, t), images in sorted(bim.left_images.items()):
+        entries = _action_entries(field, images)
         if entries:
             left.setdefault(u, {}).setdefault(u2, {})[t] = entries
     if left:
         out["left_action"] = left
     right = {}
-    for (t, t2, u), action in sorted(bim.right_action.items()):
-        if action.is_zero():
-            continue
-        entries = _action_entries(
-            field,
-            bim.right_base.hom[(t, t2)].carrier,
-            bim.value_cx(u, t2, u, t),
-            action,
-        )
+    for (t, t2, u), images in sorted(bim.right_images.items()):
+        entries = _action_entries(field, images)
         if entries:
             right.setdefault(t, {}).setdefault(t2, {})[u] = entries
     if right:
@@ -174,12 +154,7 @@ def emit_module(fun, base_ref):
     on_hom = {}
     for x in fun.base.objects:
         for y in fun.base.objects:
-            action = fun.on_hom[(x, y)]
-            if action.is_zero():
-                continue
-            entries = _action_entries(
-                field, fun.base.hom[(x, y)].carrier, fun.hom_cx(x, y), action
-            )
+            entries = _action_entries(field, fun.images[(x, y)])
             if entries:
                 on_hom.setdefault(x, {})[y] = entries
     if on_hom:
@@ -264,11 +239,13 @@ def _int_entry(entry, path, layout):
 
 def _scalar(field, text, path):
     """A scalar string; a fraction must be in lowest terms."""
+    if not isinstance(text, str):
+        raise StructureError(f"{path}: expected a scalar string, got {text!r}")
     try:
         value = field.parse(text)
     except StructureError as exc:
         raise StructureError(f"{path}: {exc}") from None
-    num, _, den = str(text).partition("/")
+    num, _, den = text.partition("/")
     if den and math.gcd(int(num), int(den)) != 1:
         raise StructureError(f"{path}: fraction not in lowest terms: {text!r}")
     return value
@@ -374,7 +351,9 @@ def _parse_comp_map(field, cat, x, y, z, entries, path):
     return GradedMap(tensor.module.carrier, target, 0, blocks)
 
 
-def _parse_action_map(field, source_carrier, hom_cx, entries, path):
+def _parse_action_images(field, hom, source, target, entries, path):
+    """The images source -> target an action table gives, keyed by the
+    basis morphism (hdeg, hidx) of the hom carrier they act for."""
     per_basis = {}
     if not isinstance(entries, list):
         raise StructureError(f"{path}: expected a list of entries")
@@ -382,10 +361,10 @@ def _parse_action_map(field, source_carrier, hom_cx, entries, path):
         hdeg, hidx, srcdeg, row, col, coeff = _int_entry(
             entry, f"{path}[{pos}]", "[hdeg, hidx, srcdeg, row, col, coeff]"
         )
-        if not 0 <= hidx < source_carrier.dim(hdeg):
+        if not 0 <= hidx < hom.dim(hdeg):
             raise StructureError(f"{path}[{pos}]: morphism index out of range")
-        src_dim = hom_cx.source.dim(srcdeg)
-        tgt_dim = hom_cx.target.dim(srcdeg + hdeg)
+        src_dim = source.dim(srcdeg)
+        tgt_dim = target.dim(srcdeg + hdeg)
         if not (0 <= col < src_dim and 0 <= row < tgt_dim):
             raise StructureError(f"{path}[{pos}]: block entry out of range")
         blocks = per_basis.setdefault((hdeg, hidx), {})
@@ -395,24 +374,10 @@ def _parse_action_map(field, source_carrier, hom_cx, entries, path):
         block[row][col] = field.add(
             block[row][col], _scalar(field, coeff, f"{path}[{pos}]")
         )
-    action_blocks = {}
-    for hdeg in source_carrier.degrees():
-        dim = source_carrier.dim(hdeg)
-        out_dim = hom_cx.module.dim(hdeg)
-        if out_dim == 0 or dim == 0:
-            continue
-        block = [[field.zero()] * dim for _ in range(out_dim)]
-        for hidx in range(dim):
-            gmap_blocks = per_basis.get((hdeg, hidx))
-            if not gmap_blocks:
-                continue
-            gmap = GradedMap(
-                hom_cx.source.carrier, hom_cx.target.carrier, hdeg, gmap_blocks
-            )
-            for r, value in enumerate(hom_cx.encode(gmap)):
-                block[r][hidx] = value
-        action_blocks[hdeg] = block
-    return GradedMap(source_carrier, hom_cx.module.carrier, 0, action_blocks)
+    return {
+        (hdeg, hidx): GradedMap(source, target, hdeg, blocks)
+        for (hdeg, hidx), blocks in per_basis.items()
+    }
 
 
 def parse_bimodule(field, name, data, workspace, path):
@@ -422,17 +387,18 @@ def parse_bimodule(field, name, data, workspace, path):
             raise StructureError(f"{path}.{key}: unknown category {data.get(key)!r}")
     left_base = workspace.categories[data["left"]]
     right_base = workspace.categories[data["right"]]
-    values = {}
+    U, T = left_base.objects, right_base.objects
+    values = {(u, t): zero_dg_module(field) for u in U for t in T}
     for u, per_t in _expect_dict(data.get("values", {}), f"{path}.values").items():
-        if u not in left_base.objects:
+        if u not in U:
             raise StructureError(f"{path}.values: unknown object {u!r}")
         for t, module_data in _expect_dict(per_t, f"{path}.values.{u}").items():
-            if t not in right_base.objects:
+            if t not in T:
                 raise StructureError(f"{path}.values.{u}: unknown object {t!r}")
             values[(u, t)] = parse_dg_module(
                 field, module_data, f"{path}.values.{u}.{t}"
             )
-    bim = Bimodule(left_base, right_base, values, {}, {}, name=name)
+    left = {}
     for u, per_u2 in _expect_dict(
         data.get("left_action", {}), f"{path}.left_action"
     ).items():
@@ -440,17 +406,19 @@ def parse_bimodule(field, name, data, workspace, path):
             for t, entries in _expect_dict(
                 per_t, f"{path}.left_action.{u}.{u2}"
             ).items():
-                if (u, u2, t) not in bim.left_action:
+                if u not in U or u2 not in U or t not in T:
                     raise StructureError(
                         f"{path}.left_action: unknown objects ({u},{u2},{t})"
                     )
-                bim.left_action[(u, u2, t)] = _parse_action_map(
+                left[(u, u2, t)] = _parse_action_images(
                     field,
                     left_base.hom[(u, u2)].carrier,
-                    bim.value_cx(u, t, u2, t),
+                    values[(u, t)].carrier,
+                    values[(u2, t)].carrier,
                     entries,
                     f"{path}.left_action.{u}.{u2}.{t}",
                 )
+    right = {}
     for t, per_t2 in _expect_dict(
         data.get("right_action", {}), f"{path}.right_action"
     ).items():
@@ -458,18 +426,19 @@ def parse_bimodule(field, name, data, workspace, path):
             for u, entries in _expect_dict(
                 per_u, f"{path}.right_action.{t}.{t2}"
             ).items():
-                if (t, t2, u) not in bim.right_action:
+                if t not in T or t2 not in T or u not in U:
                     raise StructureError(
                         f"{path}.right_action: unknown objects ({t},{t2},{u})"
                     )
-                bim.right_action[(t, t2, u)] = _parse_action_map(
+                right[(t, t2, u)] = _parse_action_images(
                     field,
                     right_base.hom[(t, t2)].carrier,
-                    bim.value_cx(u, t2, u, t),
+                    values[(u, t2)].carrier,
+                    values[(u, t)].carrier,
                     entries,
                     f"{path}.right_action.{t}.{t2}.{u}",
                 )
-    return bim
+    return Bimodule(left_base, right_base, values, left, right, name=name)
 
 
 def parse_module(field, name, data, workspace, path):
@@ -491,7 +460,7 @@ def parse_module(field, name, data, workspace, path):
         base = workspace.lambda_for(ref["t"], ref["u"], ref["bimodule"]).presentation
     else:
         raise StructureError(f"{path}.base: expected a name or a lambda reference")
-    on_objects = {}
+    on_objects = {obj: zero_dg_module(field) for obj in base.objects}
     for obj, module_data in _expect_dict(
         data.get("on_objects", {}), f"{path}.on_objects"
     ).items():
@@ -500,19 +469,20 @@ def parse_module(field, name, data, workspace, path):
         on_objects[obj] = parse_dg_module(
             field, module_data, f"{path}.on_objects.{obj}"
         )
-    fun = DgFunctor(base, on_objects, {}, name=name)
+    images = {}
     for x, per_y in _expect_dict(data.get("on_hom", {}), f"{path}.on_hom").items():
         for y, entries in _expect_dict(per_y, f"{path}.on_hom.{x}").items():
             if x not in base.objects or y not in base.objects:
                 raise StructureError(f"{path}.on_hom: unknown pair ({x},{y})")
-            fun.on_hom[(x, y)] = _parse_action_map(
+            images[(x, y)] = _parse_action_images(
                 field,
                 base.hom[(x, y)].carrier,
-                fun.hom_cx(x, y),
+                on_objects[x].carrier,
+                on_objects[y].carrier,
                 entries,
                 f"{path}.on_hom.{x}.{y}",
             )
-    return fun, base_ref
+    return DgFunctor(base, on_objects, images, name=name), base_ref
 
 
 def parse_comma_object(field, name, data, workspace, path):

@@ -221,7 +221,7 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
                         return _target.inject(SLOT_U, n, dense)
                     if slot_g == SLOT_M and slot_f == SLOT_T:
                         # m2 . t1 = (-1)^{|m2||t1|} M(1 (x) t1^op)(m2)
-                        rmap = bimodule.right_map_basis(_t1, _t2, _u3, fdeg, lf)
+                        rmap = bimodule.right_images[(_t1, _t2, _u3)][(fdeg, lf)]
                         m_dim = bimodule.value(_u3, _t2).dim(gdeg)
                         unit = linalg.unit_vector(field, m_dim, lg)
                         image = rmap.apply(gdeg, unit)
@@ -230,7 +230,7 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
                         return _target.inject(SLOT_M, n, image)
                     if slot_g == SLOT_U and slot_f == SLOT_M:
                         # u2 . m1 = M(u2 (x) 1)(m1)
-                        lmap = bimodule.left_map_basis(_u2, _u3, _t1, gdeg, lg)
+                        lmap = bimodule.left_images[(_u2, _u3, _t1)][(gdeg, lg)]
                         m_dim = bimodule.value(_u2, _t1).dim(fdeg)
                         unit = linalg.unit_vector(field, m_dim, lf)
                         image = lmap.apply(fdeg, unit)

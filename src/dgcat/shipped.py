@@ -13,24 +13,13 @@ from __future__ import annotations
 
 from .bimodule import Bimodule, g_on_objects
 from .comma import CommaObject
-from .complexes import HomComplex, dg_module
+from .complexes import dg_module
 from .fields import Rationals
 from .fixtures import exterior_category, trivial_category
 from .functors import representable_module
 from .graded import GradedMap, identity_map
 from .io_json import Workspace, emit_workspace, render_document
 from .lambda_cat import build_lambda
-
-
-def _identity_action(base_cat, value_module):
-    """Action map sending the identity generator to the identity map."""
-    hcx = HomComplex(value_module, value_module)
-    carrier = base_cat.hom[(base_cat.objects[0], base_cat.objects[0])].carrier
-    ident = hcx.encode(identity_map(value_module.carrier))
-    blocks = {}
-    if carrier.dim(0):
-        blocks[0] = [[v] for v in ident]
-    return GradedMap(carrier, hcx.module.carrier, 0, blocks)
 
 
 def _one_object_bimodule(u_cat, t_cat, value_module, name="M"):
@@ -42,12 +31,14 @@ def _one_object_bimodule(u_cat, t_cat, value_module, name="M"):
     """
     u = u_cat.objects[0]
     t = t_cat.objects[0]
+    # the identity generator is the degree-0 basis morphism of both homs
+    identity = {(0, 0): identity_map(value_module.carrier)}
     return Bimodule(
         u_cat,
         t_cat,
         {(u, t): value_module},
-        {(u, u, t): _identity_action(u_cat, value_module)},
-        {(t, t, u): _identity_action(t_cat, value_module)},
+        {(u, u, t): identity},
+        {(t, t, u): identity},
         name=name,
     )
 

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from dgcat import linalg
-from dgcat.bimodule import validate_bimodule
+from dgcat.bimodule import Bimodule, validate_bimodule
 from dgcat.category import (
     DgCategoryPresentation,
     one_object_category,
@@ -43,12 +43,13 @@ from dgcat.fixtures import (
     trivial_category,
 )
 from dgcat.functors import (
+    DgFunctor,
     naturality_witness,
     representable_module,
     validate_dg_functor,
     yoneda_module,
 )
-from dgcat.graded import GradedMap, map_from_action
+from dgcat.graded import GradedMap, identity_map, map_from_action
 from dgcat.lambda_cat import build_lambda, lambda_leibniz_check
 from dgcat.shipped import SHIPPED_BUILDERS
 
@@ -402,7 +403,7 @@ def _direct_module_hom_dims(bim, B):
         rows = []
         for m in algebra.carrier.degrees():
             for k in range(algebra.dim(m)):
-                act_n = bim.left_map_basis(u, u, t, m, k)
+                act_n = bim.left_images[(u, u, t)][(m, k)]
                 act_b = B.map_of_basis(u, u, m, k)
                 sgn = field.sign(n * m)
                 for i in value.carrier.degrees():
@@ -451,6 +452,19 @@ def test_criterion_6_algebra_corollary(theorem_fixtures):
             checked += 1
     assert checked >= 6
     print(f"\n[PASS] criterion 6: dg-algebra corollary on {checked} one-object cases")
+
+
+def _scaled_images(fun, pair, factor, degree=None):
+    """fun's basis images with those on pair (of one degree, if given) scaled."""
+    field = fun.field
+    images = dict(fun.images)
+    images[pair] = {
+        (m, k): image.scale(field.from_int(factor))
+        if degree is None or m == degree
+        else image
+        for (m, k), image in images[pair].items()
+    }
+    return images
 
 
 def _first_failure_is(report, name):
@@ -548,8 +562,7 @@ def test_criterion_7_negative_controls():
     # functor unit: action scaled uniformly by 2
     cat = trivial_category(field)
     fun = representable_module(cat, "*")
-    fun.on_hom[("*", "*")] = fun.on_hom[("*", "*")].scale(field.from_int(2))
-    fun._basis_map_cache.clear()
+    fun = DgFunctor(cat, fun.on_objects, _scaled_images(fun, ("*", "*"), 2))
     report = validate_dg_functor(fun)
     results["functor_unit"] = _first_failure_is(report, "unit")
 
@@ -565,8 +578,7 @@ def test_criterion_7_negative_controls():
         }
         cat, _ = endomorphism_category(field, modules, name="E2")
         fun = representable_module(cat, "m0")
-        fun.on_hom[("m0", "m1")] = fun.on_hom[("m0", "m1")].scale(field.from_int(2))
-        fun._basis_map_cache.clear()
+        fun = DgFunctor(cat, fun.on_objects, _scaled_images(fun, ("m0", "m1"), 2))
         report = validate_dg_functor(fun)
         if _first_failure_is(report, "functoriality"):
             found = True
@@ -583,22 +595,14 @@ def test_criterion_7_negative_controls():
             continue
         cat, _ = endomorphism_category(field, modules, name="E3")
         fun = representable_module(cat, "m0")
-        action = fun.on_hom[("m0", "m0")]
-        for deg in list(action.blocks):
-            scaled = dict(action.blocks)
-            scaled[deg] = [
-                [field.mul(field.from_int(2), x) for x in row]
-                for row in action.blocks[deg]
-            ]
-            fun.on_hom[("m0", "m0")] = GradedMap(
-                action.source, action.target, 0, scaled
-            )
-            fun._basis_map_cache.clear()
-            report = validate_dg_functor(fun)
+        images = fun.images[("m0", "m0")]
+        acting = sorted({m for (m, _), image in images.items() if not image.is_zero()})
+        for deg in acting:
+            scaled = _scaled_images(fun, ("m0", "m0"), 2, degree=deg)
+            report = validate_dg_functor(DgFunctor(cat, fun.on_objects, scaled))
             if _first_failure_is(report, "chain_map"):
                 found = True
                 break
-            fun.on_hom[("m0", "m0")] = action
         if found:
             break
     results["functor_chain_map"] = found
@@ -624,11 +628,14 @@ def test_criterion_7_negative_controls():
                 return field.from_int(2)
             return field.one()
 
-        for (u, u2, t), action in list(bim.left_action.items()):
-            factor = field.div(conj(u2, t), conj(u, t))
-            bim.left_action[(u, u2, t)] = action.scale(factor)
-        bim._left_map_cache.clear()
-        bim._slice_t.clear()
+        left = {
+            (u, u2, t): {
+                key: image.scale(field.div(conj(u2, t), conj(u, t)))
+                for key, image in images.items()
+            }
+            for (u, u2, t), images in bim.left_images.items()
+        }
+        bim = Bimodule(u_cat, t_cat, bim.values, left, bim.right_images)
         report = validate_bimodule(bim)
         failure = report.first_failure()
         if failure is not None and failure.name == "interchange_sign":
@@ -645,22 +652,10 @@ def test_criterion_7_negative_controls():
     bim = _one_object_bimodule(u_cat, t_cat, value)
     A = representable_module(t_cat, "t")
     contractible = dg_module(field, {0: 1, 1: 1}, {0: [[field.one()]]})
-    from dgcat.functors import DgFunctor
-
-    b_cx = HomComplex(contractible, contractible)
-    from dgcat.graded import identity_map
-
     B = DgFunctor(
         u_cat,
         {"u": contractible},
-        {
-            ("u", "u"): map_from_action(
-                u_cat.hom[("u", "u")].carrier,
-                b_cx.module.carrier,
-                0,
-                lambda m, k: b_cx.encode(identity_map(contractible.carrier)),
-            )
-        },
+        {("u", "u"): {(0, 0): identity_map(contractible.carrier)}},
         name="Bc",
     )
     assert validate_dg_functor(B).passed
@@ -684,18 +679,10 @@ def test_criterion_7_negative_controls():
     bim = _one_object_bimodule(u_cat, t_cat, value)
     A = representable_module(t_cat, "t")
     two_line = dg_module(field, {0: 1, 1: 1}, {})
-    b_cx = HomComplex(two_line, two_line)
     B = DgFunctor(
         u_cat,
         {"u": two_line},
-        {
-            ("u", "u"): map_from_action(
-                u_cat.hom[("u", "u")].carrier,
-                b_cx.module.carrier,
-                0,
-                lambda m, k: b_cx.encode(identity_map(two_line.carrier)),
-            )
-        },
+        {("u", "u"): {(0, 0): identity_map(two_line.carrier)}},
         name="B2",
     )
     assert validate_dg_functor(B).passed

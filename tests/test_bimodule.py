@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from dgcat.bimodule import (
     Bimodule,
     bimodule_to_tensor_functor,
@@ -9,6 +11,7 @@ from dgcat.bimodule import (
     validate_bimodule,
 )
 from dgcat.complexes import dg_module
+from dgcat.errors import StructureError
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     endomorphism_category,
@@ -18,6 +21,7 @@ from dgcat.fixtures import (
     zero_bimodule,
 )
 from dgcat.functors import (
+    DgFunctor,
     dgnat_differential,
     dgnat_space,
     dgnat_window,
@@ -26,7 +30,7 @@ from dgcat.functors import (
     validate_dg_functor,
     zero_functor,
 )
-from dgcat.graded import Homog
+from dgcat.graded import GradedMap, Homog
 
 QQ = Rationals()
 
@@ -57,6 +61,25 @@ def random_setup(seed, field=QQ, max_objects=2):
     return u_cat, t_cat, u_modules, t_modules, bim, rng
 
 
+def with_first_right_action_negated(bim):
+    """A copy of bim, built through the constructor, whose first right
+    action table with a nonzero image acts with the opposite sign."""
+    right = dict(bim.right_images)
+    nonzero = [
+        key
+        for key, images in right.items()
+        if any(not image.is_zero() for image in images.values())
+    ]
+    assert nonzero
+    right[nonzero[0]] = {
+        basis: image.scale(bim.field.from_int(-1))
+        for basis, image in right[nonzero[0]].items()
+    }
+    return Bimodule(
+        bim.left_base, bim.right_base, bim.values, bim.left_images, right, name=bim.name
+    )
+
+
 def test_kkk_bimodule_validates():
     _, _, _, _, bim = kkk_setup()
     report = validate_bimodule(bim)
@@ -82,21 +105,32 @@ def test_hom_bimodule_validates_f5():
     assert validate_bimodule(bim).passed
 
 
+def test_images_of_the_wrong_shape_are_refused():
+    # degree, source, target, and a basis morphism hom(u0, u0) lacks
+    u_cat, t_cat, _, _, bim = kkk_setup()
+    fun = representable_module(u_cat, "u0")
+    good = fun.map_of_basis("u0", "u0", 0, 0)
+    other = k_module(degree=1).carrier
+    wrong = [
+        ((0, 0), GradedMap(good.source, good.target, 1, {})),
+        ((0, 0), GradedMap(other, good.target, 0, {})),
+        ((0, 0), GradedMap(good.source, other, 0, {})),
+        ((0, 1), good),
+    ]
+    for basis, image in wrong:
+        with pytest.raises(StructureError):
+            DgFunctor(u_cat, fun.on_objects, {("u0", "u0"): {basis: image}})
+        with pytest.raises(StructureError):
+            Bimodule(u_cat, t_cat, bim.values, {("u0", "u0", "t0"): {basis: image}}, {})
+        with pytest.raises(StructureError):
+            Bimodule(u_cat, t_cat, bim.values, {}, {("t0", "t0", "u0"): {basis: image}})
+
+
 def test_interchange_negative_control():
     # Corrupt one right-action sign; the interchange check must catch it
     # with a witness, while the slice functors can stay valid.
     u_cat, t_cat, u_modules, t_modules, bim, _ = random_setup(7)
-    field = QQ
-    # find a right action with a nonzero block and flip its sign
-    flipped = False
-    for key, action in bim.right_action.items():
-        if action.blocks and not flipped:
-            bim.right_action[key] = action.scale(field.from_int(-1))
-            flipped = True
-    assert flipped
-    bim._right_map_cache.clear()
-    bim._slice_u.clear()
-    report = validate_bimodule(bim)
+    report = validate_bimodule(with_first_right_action_negated(bim))
     assert not report.passed
 
 
@@ -272,22 +306,15 @@ def test_regular_bimodule_over_exterior_algebra():
     # U = K, T = the exterior algebra; M is the regular right module
     # hom_T(*, *) with right multiplication carrying the Koszul sign.
     from dgcat.fixtures import exterior_category, trivial_category
-    from dgcat.graded import GradedMap, identity_map, map_from_action
-    from dgcat.complexes import HomComplex
+    from dgcat.graded import identity_map, map_from_action
 
     field = QQ
     t_cat = exterior_category(field, name="T", obj="t")
     u_cat = trivial_category(field, name="U", obj="u")
     value = t_cat.hom[("t", "t")]
-    hcx = HomComplex(value, value)
-    left = GradedMap(
-        u_cat.hom[("u", "u")].carrier,
-        hcx.module.carrier,
-        0,
-        {0: [[v] for v in hcx.encode(identity_map(value.carrier))]},
-    )
+    left = {(0, 0): identity_map(value.carrier)}
 
-    def right_column(m, k):
+    def right_image(m, k):
         t_elem = t_cat.basis_element("t", "t", m, k)
 
         def inner(i, j):
@@ -296,13 +323,9 @@ def test_regular_bimodule_over_exterior_algebra():
             sgn = field.sign(m * i)
             return tuple(field.mul(sgn, v) for v in composed.coords)
 
-        return hcx.encode(
-            map_from_action(value.carrier, value.carrier, m, inner)
-        )
+        return map_from_action(value.carrier, value.carrier, m, inner)
 
-    right = map_from_action(
-        t_cat.hom[("t", "t")].carrier, hcx.module.carrier, 0, right_column
-    )
+    right = {(m, k): right_image(m, k) for m, k in t_cat.basis_elements("t", "t")}
     bim = Bimodule(
         u_cat,
         t_cat,

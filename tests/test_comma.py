@@ -337,10 +337,8 @@ def test_restrict_coproduct_recovers_module_actions():
             assert c1.on_objects[t].carrier.dims() == (
                 o.A.on_objects[t].carrier.dims()
             )
-        for pair in c1.on_hom:
-            assert c1.on_hom[pair].blocks == o.A.on_hom[pair].blocks
-        for pair in c2.on_hom:
-            assert c2.on_hom[pair].blocks == o.B.on_hom[pair].blocks
+        assert c1.images == o.A.images
+        assert c2.images == o.B.images
 
 
 def test_phi_components_identity_on_coproduct_form():
@@ -354,3 +352,40 @@ def test_phi_components_identity_on_coproduct_form():
     assert report.passed, report.render()
     for p in lam.presentation.objects:
         assert nat.components[p] == identity_map(module.on_objects[p].carrier)
+
+
+def test_actions_are_built_without_hom_complexes(monkeypatch):
+    """A bimodule, G(B), a coproduct module and a restriction store their
+    actions as basis images: none of them builds a Hom complex, and the
+    bimodule leaves the opposite of T unbuilt until a u-slice asks for it."""
+    import dgcat.bimodule
+    from dgcat.bimodule import Bimodule
+    from dgcat.complexes import HomComplex
+    from dgcat.lambda_cat import restrict_module
+
+    fx = random_theorem_fixture(3, QQ, max_objects=2)
+    bim, lam = fx["bimodule"], fx["lambda"]
+    obj = fx["comma_objects"][1]
+    built = {"hom_complex": 0, "opposite": 0}
+    hom_complex_init = HomComplex.__init__
+    opposite = dgcat.bimodule.opposite_category
+
+    def counted_hom_complex(self, *args):
+        built["hom_complex"] += 1
+        hom_complex_init(self, *args)
+
+    def counted_opposite(*args, **kwargs):
+        built["opposite"] += 1
+        return opposite(*args, **kwargs)
+
+    monkeypatch.setattr(HomComplex, "__init__", counted_hom_complex)
+    monkeypatch.setattr(dgcat.bimodule, "opposite_category", counted_opposite)
+    copy = Bimodule(
+        bim.left_base, bim.right_base, bim.values, bim.left_images, bim.right_images
+    )
+    g_on_objects(copy, obj.B)
+    module = build_coproduct_module(lam, obj)
+    restrict_module(lam, module)
+    assert built == {"hom_complex": 0, "opposite": 0}
+    copy.slice_u(copy.left_base.objects[0])
+    assert built == {"hom_complex": 0, "opposite": 1}

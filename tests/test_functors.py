@@ -59,18 +59,15 @@ def test_functor_negative_control_chain_map():
         modules = {"m0": random_dg_module(rng, QQ)}
     cat, _ = endomorphism_category(QQ, modules, name="E")
     fun = representable_module(cat, "m0")
-    action = fun.on_hom[("m0", "m0")]
-    scaled = {}
-    sign = False
-    for i, block in action.blocks.items():
-        scaled[i] = [[x * (2 if sign else 1) for x in row] for row in block]
-        sign = not sign
-    from dgcat.graded import GradedMap
-
-    fun.on_hom[("m0", "m0")] = GradedMap(
-        action.source, action.target, 0, scaled
-    )
-    fun._basis_map_cache.clear()
+    images = fun.images[("m0", "m0")]
+    # double the images of every other hom degree that acts nontrivially
+    degrees = sorted({m for (m, _), image in images.items() if not image.is_zero()})
+    doubled = degrees[1::2]
+    corrupted = {
+        (m, k): image.scale(2) if m in doubled else image
+        for (m, k), image in images.items()
+    }
+    fun = DgFunctor(cat, fun.on_objects, {("m0", "m0"): corrupted})
     report = validate_dg_functor(fun)
     assert not report.passed
     names = [c.name for c in report.failures()]
@@ -279,17 +276,10 @@ def test_dgnat_differential_single_component_evaluation():
     cat = trivial_category(field)
     contractible = dg_module(field, {0: 1, 1: 1}, {0: [[field.one()]]})
     plain = dg_module(field, {0: 1}, {})
-    from dgcat.complexes import HomComplex
-    from dgcat.graded import identity_map, map_from_action
+    from dgcat.graded import identity_map
 
     def const_action(module):
-        hc = HomComplex(module, module)
-        return map_from_action(
-            cat.hom[("*", "*")].carrier,
-            hc.module.carrier,
-            0,
-            lambda m, k: hc.encode(identity_map(module.carrier)),
-        )
+        return {(0, 0): identity_map(module.carrier)}
 
     F = DgFunctor(cat, {"*": contractible}, {("*", "*"): const_action(contractible)})
     G = DgFunctor(cat, {"*": plain}, {("*", "*"): const_action(plain)})

@@ -55,6 +55,10 @@ def _set_d_key(doc, key):
     doc["categories"]["T"]["hom"]["t"]["t"]["d"] = {key: [["1"]]}
 
 
+def _set_structure_entry(doc, value):
+    doc["comma_objects"]["o_can"]["f"]["t"]["0"][0][0] = value
+
+
 def _add_left_action(doc, source):
     doc["bimodules"]["M"]["left_action"][source] = {"u": {"t": [[0, 0, 0, 0, 0, "1"]]}}
 
@@ -72,6 +76,11 @@ def _add_left_action(doc, source):
         (lambda doc: _set_identity(doc, "4/2"), "$.categories.T.id.t:"),
         (lambda doc: doc.update(field={"Fp": "5"}), "$.field:"),
         (lambda doc: doc.update(field={"Fp": True}), "$.field:"),
+        (lambda doc: _set_identity(doc, 1), "$.categories.T.id.t:"),
+        (
+            lambda doc: _set_structure_entry(doc, 1),
+            "$.comma_objects.o_can.f.t[0]:",
+        ),
     ],
     ids=[
         "zero_denominator",
@@ -84,6 +93,8 @@ def _add_left_action(doc, source):
         "unreduced_4/2",
         "string_modulus",
         "bool_modulus",
+        "numeric_identity",
+        "numeric_matrix_entry",
     ],
 )
 def test_parse_rejects_malformed_entry_with_its_path(edit, path, tmp_path):
@@ -229,34 +240,14 @@ def test_cli_check_equivalence_validates_and_builds_once(tmp_path, monkeypatch):
     assert calls == {"validate": ["T", "U", "[[T,0],[M,U]]"], "build": 1}
 
 
-def test_cli_check_equivalence_window_guard(tmp_path):
+def test_cli_check_equivalence_rejects_degree_window(tmp_path, capsys):
+    """The option is gone: argparse refuses it with exit 2."""
     src = tmp_path / "kkk.json"
     src.write_text(fixture_text("kkk"), encoding="utf-8")
-    code = main(
-        [
-            "check-equivalence",
-            "--input",
-            str(src),
-            "--degree-window",
-            "0:0",
-            "--output",
-            str(tmp_path / "o.json"),
-        ]
-    )
-    # the kkk shape window is exactly 0:0, so this is allowed
-    assert code == 0
-    code = main(
-        [
-            "check-equivalence",
-            "--input",
-            str(src),
-            "--degree-window",
-            "1:1",
-            "--output",
-            str(tmp_path / "o2.json"),
-        ]
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["check-equivalence", "--input", str(src), "--degree-window", "0:0"])
+    assert info.value.code == 2
+    assert "--degree-window" in capsys.readouterr().err
 
 
 def test_cli_corrupted_composition_fails_at_lambda_validation(tmp_path):

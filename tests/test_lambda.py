@@ -8,7 +8,7 @@ from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import zero_bimodule
 from dgcat.functors import representable_module, validate_dg_functor
 from dgcat.lambda_cat import build_lambda, lambda_leibniz_check, restrict_module
-from tests.test_bimodule import kkk_setup, random_setup
+from tests.test_bimodule import kkk_setup, random_setup, with_first_right_action_negated
 
 QQ = Rationals()
 
@@ -80,15 +80,7 @@ def test_lambda_validates_f5():
 
 def test_lambda_refuses_invalid_bimodule():
     u_cat, t_cat, u_modules, t_modules, bim, _ = random_setup(7, max_objects=1)
-    field = QQ
-    flipped = False
-    for key, action in bim.right_action.items():
-        if action.blocks and not flipped:
-            bim.right_action[key] = action.scale(field.from_int(-1))
-            flipped = True
-    assert flipped
-    bim._right_map_cache.clear()
-    bim._slice_u.clear()
+    bim = with_first_right_action_negated(bim)
     with pytest.raises(ValidationFailure) as exc:
         build_lambda(t_cat, u_cat, bim)
     assert exc.value.report is not None
