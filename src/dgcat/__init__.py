@@ -12,9 +12,7 @@ from .complexes import (
     DgModule,
     HomComplex,
     TensorComplex,
-    hom_complex,
     is_closed_degree_zero,
-    tensor_complex,
 )
 from .category import (
     DgCategoryPresentation,
@@ -65,8 +63,6 @@ __all__ = [
     "DgModule",
     "HomComplex",
     "TensorComplex",
-    "hom_complex",
-    "tensor_complex",
     "is_closed_degree_zero",
     "DgCategoryPresentation",
     "HomElement",

@@ -12,12 +12,19 @@ the blockwise transformation.  The reverse direction restricts along the
 two inclusions and reads f off the action of the corner morphisms; the
 comparison map assembled from the two inclusion images is checked to be
 a closed natural isomorphism at every object.
+
+For a homogeneous m the dot product is a graded map A(t) -> B(u) of x,
+built once per basis m (CommaObject.dot_map).  The product identities
+and the dot Leibniz rule are checked as equalities of such maps, one
+pair per basis morphism and basis m, which by linearity covers every
+basis x; a failing check names the first differing column as x.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from . import linalg
 from .bimodule import g_on_objects
@@ -30,15 +37,23 @@ from .functors import (
     dgnat_space,
     dgnat_window,
     functor_from_basis_images,
+    image_of,
     nat_from_flat,
     nat_to_flat,
     nat_unknowns,
     naturality_rows,
     naturality_witness,
 )
-from .graded import DirectSum, GradedMap, Homog, map_from_action, place_blocks
+from .graded import (
+    DirectSum,
+    GradedMap,
+    Homog,
+    homogeneous_basis,
+    map_from_action,
+    place_blocks,
+)
 from .lambda_cat import SLOT_M, SLOT_T, SLOT_U, restrict_module
-from .report import Report, fmt_vector
+from .report import Report, first_mismatch
 
 
 class CommaObject:
@@ -60,6 +75,7 @@ class CommaObject:
             if comp.degree != 0 or comp.source != src or comp.target != tgt:
                 raise StructureError(f"structure map at {t} has the wrong shape")
             self.f[t] = comp
+        self._dot_images = {}
 
     @property
     def field(self):
@@ -81,17 +97,24 @@ class CommaObject:
         sgn = field.sign(m.degree * x.degree)
         return Homog(m.degree + x.degree, tuple(field.mul(sgn, v) for v in out))
 
-
-def t_star(A, t_elem, x):
-    """t * x := A(t)(x)."""
-    out = A.map_of(t_elem).apply(x.degree, x.coords)
-    return Homog(x.degree + t_elem.degree, out)
-
-
-def u_diamond(B, u_elem, z):
-    """u <> z := B(u)(z)."""
-    out = B.map_of(u_elem).apply(z.degree, z.coords)
-    return Homog(z.degree + u_elem.degree, out)
+    def dot_map(self, u, t, m):
+        """The graded map A(t) -> B(u), x |-> m . x, for a homogeneous m in
+        M(u, t): the combination of the maps of the basis of M(u, t), each
+        built once from dot."""
+        src = self.A.on_objects[t].carrier
+        tgt = self.B.on_objects[u].carrier
+        if (u, t) not in self._dot_images:
+            xs = {(k, cx): x for k, cx, x in homogeneous_basis(src)}
+            self._dot_images[(u, t)] = {
+                (r, i): map_from_action(
+                    src,
+                    tgt,
+                    r,
+                    lambda k, cx, _m=m_i: self.dot(u, t, _m, xs[k, cx]).coords,
+                )
+                for r, i, m_i in homogeneous_basis(self.bimodule.value(u, t).carrier)
+            }
+        return image_of(self._dot_images[(u, t)], src, tgt, m)
 
 
 def validate_comma_object(obj):
@@ -316,7 +339,9 @@ def build_coproduct_module(lam, obj, name=None):
         elif slot == SLOT_U:
             piece = (1, 1, obj.B.map_of_basis(u1, u2, r, local))
         else:
-            piece = (1, 0, _dot_action_map(obj, u2, t1, r, local))
+            m_dim = obj.bimodule.value(u2, t1).dim(r)
+            m = Homog(r, linalg.unit_vector(field, m_dim, local))
+            piece = (1, 0, obj.dot_map(u2, t1, m))
         return place_blocks(sums[p], sums[q], r, [piece])
 
     module = functor_from_basis_images(pres, on_objects, image, name=name)
@@ -332,22 +357,6 @@ def _slot_of(pair_ds, degree, index):
         if off <= index < off + dim:
             return slot, index - off
     raise StructureError(f"basis index {index} out of range at degree {degree}")
-
-
-def _dot_action_map(obj, u, t, r, im):
-    """x |-> m_basis . x as a graded map A(t) -> B(u) of degree r."""
-    field = obj.field
-    bim = obj.bimodule
-    src = obj.A.on_objects[t].carrier
-    tgt = obj.B.on_objects[u].carrier
-    m_dim = bim.value(u, t).dim(r)
-    m = Homog(r, linalg.unit_vector(field, m_dim, im))
-
-    def column(k, cx):
-        x = Homog(k, linalg.unit_vector(field, src.dim(k), cx))
-        return obj.dot(u, t, m, x).coords
-
-    return map_from_action(src, tgt, r, column)
 
 
 def f_on_morphisms(lam, source_module, target_module, phi):
@@ -496,175 +505,78 @@ def phi_iso(lam, module):
 
 
 def check_product_identities(obj):
-    """(m . t) . x = m . (t * x), (u . m) . x = u <> (m . x), distributivity."""
+    """(m . t) . x = m . (t * x), (u . m) . x = u <> (m . x), distributivity.
+
+    Each identity compares two graded maps of x, one pair per basis
+    morphism and basis m; by linearity this covers every basis x.
+    """
     bim = obj.bimodule
     field = obj.field
     T, U = bim.right_base, bim.left_base
+    A, B = obj.A, obj.B
     report = Report(f"action products on {obj.name}")
 
-    witness = None
-    for u in U.objects:
-        for t1 in T.objects:
-            for t2 in T.objects:
-                if witness:
-                    break
-                m_carrier = bim.value(u, t2).carrier
-                a_carrier = obj.A.on_objects[t1].carrier
-                for td, ti in T.basis_elements(t1, t2):
-                    if witness:
-                        break
-                    t_elem = T.basis_element(t1, t2, td, ti)
-                    for mdeg in m_carrier.degrees():
-                        if witness:
-                            break
-                        for mi in range(m_carrier.dim(mdeg)):
-                            m = Homog(
-                                mdeg,
-                                linalg.unit_vector(field, m_carrier.dim(mdeg), mi),
-                            )
-                            mt = bim.right_bullet(u, m, t_elem)
-                            for k in a_carrier.degrees():
-                                for cx in range(a_carrier.dim(k)):
-                                    x = Homog(
-                                        k,
-                                        linalg.unit_vector(
-                                            field, a_carrier.dim(k), cx
-                                        ),
-                                    )
-                                    lhs = obj.dot(u, t1, mt, x)
-                                    rhs = obj.dot(u, t2, m, t_star(obj.A, t_elem, x))
-                                    if lhs.coords != rhs.coords:
-                                        witness = {
-                                            "u": u,
-                                            "t": [t1, t2, td, ti],
-                                            "m": [mdeg, mi],
-                                            "x": [k, cx],
-                                            "lhs": fmt_vector(field, lhs.coords),
-                                            "rhs": fmt_vector(field, rhs.coords),
-                                        }
-                                        break
+    def right_sides():
+        for u, t1, t2 in product(U.objects, T.objects, T.objects):
+            for td, ti in T.basis_elements(t1, t2):
+                t_elem = T.basis_element(t1, t2, td, ti)
+                t_map = A.map_of_basis(t1, t2, td, ti)
+                for mdeg, mi, m in homogeneous_basis(bim.value(u, t2).carrier):
+                    yield (
+                        {"u": u, "t": [t1, t2, td, ti], "m": [mdeg, mi]},
+                        obj.dot_map(u, t1, bim.right_bullet(u, m, t_elem)),
+                        obj.dot_map(u, t2, m).compose(t_map),
+                    )
+
+    witness = first_mismatch(field, right_sides())
     report.add("bullet_right_compatible", witness is None, witness)
 
-    witness = None
-    for u1 in U.objects:
-        for u2 in U.objects:
-            for t in T.objects:
-                if witness:
-                    break
-                m_carrier = bim.value(u1, t).carrier
-                a_carrier = obj.A.on_objects[t].carrier
-                for ud, ui in U.basis_elements(u1, u2):
-                    if witness:
-                        break
-                    u_elem = U.basis_element(u1, u2, ud, ui)
-                    for mdeg in m_carrier.degrees():
-                        if witness:
-                            break
-                        for mi in range(m_carrier.dim(mdeg)):
-                            m = Homog(
-                                mdeg,
-                                linalg.unit_vector(field, m_carrier.dim(mdeg), mi),
-                            )
-                            um = bim.left_bullet(u_elem, t, m)
-                            for k in a_carrier.degrees():
-                                for cx in range(a_carrier.dim(k)):
-                                    x = Homog(
-                                        k,
-                                        linalg.unit_vector(
-                                            field, a_carrier.dim(k), cx
-                                        ),
-                                    )
-                                    lhs = obj.dot(u2, t, um, x)
-                                    rhs = u_diamond(obj.B, u_elem, obj.dot(u1, t, m, x))
-                                    if lhs.coords != rhs.coords:
-                                        witness = {
-                                            "u": [u1, u2, ud, ui],
-                                            "t": t,
-                                            "m": [mdeg, mi],
-                                            "x": [k, cx],
-                                            "lhs": fmt_vector(field, lhs.coords),
-                                            "rhs": fmt_vector(field, rhs.coords),
-                                        }
-                                        break
+    def left_sides():
+        for u1, u2, t in product(U.objects, U.objects, T.objects):
+            for ud, ui in U.basis_elements(u1, u2):
+                u_elem = U.basis_element(u1, u2, ud, ui)
+                u_map = B.map_of_basis(u1, u2, ud, ui)
+                for mdeg, mi, m in homogeneous_basis(bim.value(u1, t).carrier):
+                    yield (
+                        {"u": [u1, u2, ud, ui], "t": t, "m": [mdeg, mi]},
+                        obj.dot_map(u2, t, bim.left_bullet(u_elem, t, m)),
+                        u_map.compose(obj.dot_map(u1, t, m)),
+                    )
+
+    witness = first_mismatch(field, left_sides())
     report.add("bullet_left_compatible", witness is None, witness)
 
-    witness = None
     checked = 0
-    for u1 in U.objects:
-        for u2 in U.objects:
-            for t1 in T.objects:
-                for t2 in T.objects:
-                    if witness:
-                        break
-                    m1_carrier = bim.value(u2, t2).carrier
-                    m2_carrier = bim.value(u1, t1).carrier
-                    a_carrier = obj.A.on_objects[t1].carrier
-                    for td, ti in T.basis_elements(t1, t2):
-                        if witness:
-                            break
-                        t_elem = T.basis_element(t1, t2, td, ti)
-                        for ud, ui in U.basis_elements(u1, u2):
-                            if witness:
-                                break
-                            u_elem = U.basis_element(u1, u2, ud, ui)
-                            for m1deg in m1_carrier.degrees():
-                                m2deg = m1deg + td - ud
-                                if m2_carrier.dim(m2deg) == 0:
-                                    continue
-                                if witness:
-                                    break
-                                for m1i in range(m1_carrier.dim(m1deg)):
-                                    m1 = Homog(
-                                        m1deg,
-                                        linalg.unit_vector(
-                                            field, m1_carrier.dim(m1deg), m1i
-                                        ),
-                                    )
-                                    for m2i in range(m2_carrier.dim(m2deg)):
-                                        m2 = Homog(
-                                            m2deg,
-                                            linalg.unit_vector(
-                                                field, m2_carrier.dim(m2deg), m2i
-                                            ),
-                                        )
-                                        combined = bim.right_bullet(
-                                            u2, m1, t_elem
-                                        ).add(field, bim.left_bullet(u_elem, t1, m2))
-                                        for k in a_carrier.degrees():
-                                            for cx in range(a_carrier.dim(k)):
-                                                x = Homog(
-                                                    k,
-                                                    linalg.unit_vector(
-                                                        field,
-                                                        a_carrier.dim(k),
-                                                        cx,
-                                                    ),
-                                                )
-                                                checked += 1
-                                                lhs = obj.dot(u2, t1, combined, x)
-                                                rhs = obj.dot(
-                                                    u2,
-                                                    t2,
-                                                    m1,
-                                                    t_star(obj.A, t_elem, x),
-                                                ).add(
-                                                    field,
-                                                    u_diamond(
-                                                        obj.B,
-                                                        u_elem,
-                                                        obj.dot(u1, t1, m2, x),
-                                                    ),
-                                                )
-                                                if lhs.coords != rhs.coords:
-                                                    witness = {
-                                                        "lhs": fmt_vector(
-                                                            field, lhs.coords
-                                                        ),
-                                                        "rhs": fmt_vector(
-                                                            field, rhs.coords
-                                                        ),
-                                                    }
-                                                    break
+
+    def distributive_sides():
+        nonlocal checked
+        for u1, u2, t1, t2 in product(U.objects, U.objects, T.objects, T.objects):
+            m1_basis = list(homogeneous_basis(bim.value(u2, t2).carrier))
+            m2_basis = list(homogeneous_basis(bim.value(u1, t1).carrier))
+            for (td, ti), (ud, ui) in product(
+                T.basis_elements(t1, t2), U.basis_elements(u1, u2)
+            ):
+                t_elem = T.basis_element(t1, t2, td, ti)
+                u_elem = U.basis_element(u1, u2, ud, ui)
+                t_map = A.map_of_basis(t1, t2, td, ti)
+                u_map = B.map_of_basis(u1, u2, ud, ui)
+                for (_, _, m1), (_, _, m2) in product(m1_basis, m2_basis):
+                    if m2.degree != m1.degree + td - ud:
+                        continue
+                    combined = bim.right_bullet(u2, m1, t_elem).add(
+                        field, bim.left_bullet(u_elem, t1, m2)
+                    )
+                    rhs = obj.dot_map(u2, t2, m1).compose(t_map)
+                    checked += A.on_objects[t1].carrier.total_dim()
+                    yield (
+                        {},
+                        obj.dot_map(u2, t1, combined),
+                        rhs.add(u_map.compose(obj.dot_map(u1, t1, m2))),
+                    )
+
+    witness = first_mismatch(field, distributive_sides())
+    if witness is not None:
+        witness = {"lhs": witness["lhs"], "rhs": witness["rhs"]}
     report.add(
         "distributivity",
         witness is None,
@@ -675,46 +587,27 @@ def check_product_identities(obj):
 
 
 def check_dot_leibniz(obj):
-    """d(m . x) = d(m) . x + (-1)^{|m|} m . d(x) on all basis pairs."""
+    """d(m . x) = d(m) . x + (-1)^{|m|} m . d(x), as graded maps of x for
+    every basis m."""
     bim = obj.bimodule
     field = obj.field
-    report = Report(f"dot Leibniz on {obj.name}")
-    witness = None
-    for u in bim.left_base.objects:
-        for t in bim.right_base.objects:
-            if witness:
-                break
+
+    def sides():
+        for u, t in product(bim.left_base.objects, bim.right_base.objects):
             value = bim.value(u, t)
-            a_mod = obj.A.on_objects[t]
-            b_mod = obj.B.on_objects[u]
-            for mdeg in value.carrier.degrees():
-                if witness:
-                    break
-                for mi in range(value.dim(mdeg)):
-                    m = Homog(mdeg, linalg.unit_vector(field, value.dim(mdeg), mi))
-                    dm = Homog(mdeg + 1, value.d.apply(mdeg, m.coords))
-                    for k in a_mod.carrier.degrees():
-                        for cx in range(a_mod.dim(k)):
-                            x = Homog(k, linalg.unit_vector(field, a_mod.dim(k), cx))
-                            dx = Homog(k + 1, a_mod.d.apply(k, x.coords))
-                            mx = obj.dot(u, t, m, x)
-                            lhs = Homog(
-                                mx.degree + 1, b_mod.d.apply(mx.degree, mx.coords)
-                            )
-                            rhs = obj.dot(u, t, dm, x).add(
-                                field,
-                                obj.dot(u, t, m, dx).scale(field, field.sign(mdeg)),
-                            )
-                            if lhs.coords != rhs.coords:
-                                witness = {
-                                    "u": u,
-                                    "t": t,
-                                    "m": [mdeg, mi],
-                                    "x": [k, cx],
-                                    "lhs": fmt_vector(field, lhs.coords),
-                                    "rhs": fmt_vector(field, rhs.coords),
-                                }
-                                break
+            for mdeg, mi, m in homogeneous_basis(value.carrier):
+                dm = Homog(mdeg + 1, value.d.apply(mdeg, m.coords))
+                dot_m = obj.dot_map(u, t, m)
+                d_after = obj.B.on_objects[u].d.compose(dot_m)
+                d_before = dot_m.compose(obj.A.on_objects[t].d)
+                yield (
+                    {"u": u, "t": t, "m": [mdeg, mi]},
+                    d_after,
+                    obj.dot_map(u, t, dm).add(d_before.scale(field.sign(mdeg))),
+                )
+
+    report = Report(f"dot Leibniz on {obj.name}")
+    witness = first_mismatch(field, sides())
     report.add("dot_leibniz", witness is None, witness)
     return report
 

@@ -87,47 +87,62 @@ def is_closed_degree_zero(source, target, f):
     return hom_differential(source, target, f).is_zero()
 
 
-class HomComplex:
-    """Hom(M, N) as a dg K-module with the elementary-map basis."""
+class _PairComplex:
+    """The basis the Hom and tensor complexes share.
 
-    def __init__(self, source, target):
-        if source.field != target.field:
-            raise StructureError("hom complex over mismatched fields")
-        self.source = source
-        self.target = target
-        field = source.field
+    Degree n is spanned by triples (i, a, b), ordered as written, pairing
+    the a-th basis vector of first^i with the b-th of second^j, where j =
+    partner(n, i); the differential comes from the subclass's _d_column.
+    """
+
+    def __init__(self, first, second, degrees, partner, sep):
+        if first.field != second.field:
+            raise StructureError(f"{type(self).__name__} over mismatched fields")
         self._basis = {}
         dims = {}
         labels = {}
-        src_w = source.carrier.window()
-        tgt_w = target.carrier.window()
-        if src_w and tgt_w:
-            lo = tgt_w[0] - src_w[1]
-            hi = tgt_w[1] - src_w[0]
-            for n in range(lo, hi + 1):
-                triples = []
-                for i in source.carrier.degrees():
-                    sd = source.dim(i)
-                    td = target.dim(i + n)
-                    if sd == 0 or td == 0:
-                        continue
-                    for a in range(sd):
-                        for b in range(td):
-                            triples.append((i, a, b))
-                if triples:
-                    self._basis[n] = tuple(triples)
-                    dims[n] = len(triples)
-                    labels[n] = tuple(
-                        f"[{source.carrier.label(i, a)}=>{target.carrier.label(i + n, b)}]"
-                        for (i, a, b) in triples
-                    )
-        carrier = GradedModule(field, dims, labels)
+        for n in degrees:
+            triples = tuple(
+                (i, a, b)
+                for i in first.carrier.degrees()
+                for a in range(first.dim(i))
+                for b in range(second.dim(partner(n, i)))
+            )
+            if triples:
+                self._basis[n] = triples
+                dims[n] = len(triples)
+                labels[n] = tuple(
+                    f"[{first.carrier.label(i, a)}{sep}"
+                    f"{second.carrier.label(partner(n, i), b)}]"
+                    for i, a, b in triples
+                )
+        carrier = GradedModule(first.field, dims, labels)
         self._carrier = carrier
         self._index = {
             n: {t: k for k, t in enumerate(ts)} for n, ts in self._basis.items()
         }
         d = map_from_action(carrier, carrier, 1, self._d_column)
         self.module = DgModule(carrier, d, check=False)
+
+    def basis(self, n):
+        return self._basis.get(n, ())
+
+    def index(self, n, i, a, b):
+        return self._index[n][(i, a, b)]
+
+
+class HomComplex(_PairComplex):
+    """Hom(M, N) as a dg K-module with the elementary-map basis."""
+
+    def __init__(self, source, target):
+        self.source = source
+        self.target = target
+        src_w = source.carrier.window()
+        tgt_w = target.carrier.window()
+        degrees = ()
+        if src_w and tgt_w:
+            degrees = range(tgt_w[0] - src_w[1], tgt_w[1] - src_w[0] + 1)
+        super().__init__(source, target, degrees, lambda n, i: i + n, "=>")
 
     def _d_column(self, n, k):
         field = self.source.field
@@ -150,12 +165,6 @@ class HomComplex:
                     out[index[key]], field.mul(sgn, dm[a][a2])
                 )
         return out
-
-    def basis(self, n):
-        return self._basis.get(n, ())
-
-    def index(self, n, i, a, b):
-        return self._index[n][(i, a, b)]
 
     def encode(self, gmap):
         """Coordinates of a graded map M -> N in the elementary basis."""
@@ -191,46 +200,18 @@ class HomComplex:
         return GradedMap(self.source.carrier, self.target.carrier, n, blocks)
 
 
-class TensorComplex:
+class TensorComplex(_PairComplex):
     """M (x) N as a dg K-module with the pure-tensor basis."""
 
     def __init__(self, left, right):
-        if left.field != right.field:
-            raise StructureError("tensor complex over mismatched fields")
         self.left = left
         self.right = right
-        field = left.field
-        self._basis = {}
-        dims = {}
-        labels = {}
         lw = left.carrier.window()
         rw = right.carrier.window()
+        degrees = ()
         if lw and rw:
-            for n in range(lw[0] + rw[0], lw[1] + rw[1] + 1):
-                triples = []
-                for i in left.carrier.degrees():
-                    j = n - i
-                    ld = left.dim(i)
-                    rd = right.dim(j)
-                    if ld == 0 or rd == 0:
-                        continue
-                    for a in range(ld):
-                        for b in range(rd):
-                            triples.append((i, a, b))
-                if triples:
-                    self._basis[n] = tuple(triples)
-                    dims[n] = len(triples)
-                    labels[n] = tuple(
-                        f"[{left.carrier.label(i, a)}(x){right.carrier.label(n - i, b)}]"
-                        for (i, a, b) in triples
-                    )
-        carrier = GradedModule(field, dims, labels)
-        self._carrier = carrier
-        self._index = {
-            n: {t: k for k, t in enumerate(ts)} for n, ts in self._basis.items()
-        }
-        d = map_from_action(carrier, carrier, 1, self._d_column)
-        self.module = DgModule(carrier, d, check=False)
+            degrees = range(lw[0] + rw[0], lw[1] + rw[1] + 1)
+        super().__init__(left, right, degrees, lambda n, i: n - i, "(x)")
 
     def _d_column(self, n, k):
         field = self.left.field
@@ -253,12 +234,6 @@ class TensorComplex:
                 )
         return out
 
-    def basis(self, n):
-        return self._basis.get(n, ())
-
-    def index(self, n, i, a, b):
-        return self._index[n][(i, a, b)]
-
     def encode_pure(self, i, left_vec, j, right_vec):
         """Coordinates of left_vec (x) right_vec at degree i + j."""
         field = self.left.field
@@ -274,16 +249,6 @@ class TensorComplex:
                     continue
                 out[self._index[n][(i, a, b)]] = field.mul(x, y)
         return tuple(out)
-
-
-def hom_complex(source, target):
-    """The dg K-module Hom(source, target); see HomComplex for the basis."""
-    return HomComplex(source, target)
-
-
-def tensor_complex(left, right):
-    """The dg K-module left (x) right; see TensorComplex for the basis."""
-    return TensorComplex(left, right)
 
 
 def tensor_differential_oracle(tcx, i, left_vec, j, right_vec):

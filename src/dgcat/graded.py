@@ -277,6 +277,15 @@ class Homog:
         return Homog(self.degree, linalg.vec_scale(field, c, self.coords))
 
 
+def homogeneous_basis(module):
+    """(degree, index, basis element) for every basis vector of a graded
+    module, in degree order and then by index."""
+    for deg in module.degrees():
+        dim = module.dim(deg)
+        for i in range(dim):
+            yield deg, i, Homog(deg, linalg.unit_vector(module.field, dim, i))
+
+
 class DirectSum:
     """Ordered direct sum of graded modules with coordinate bookkeeping."""
 

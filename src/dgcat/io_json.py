@@ -219,11 +219,20 @@ def _expect_dict(value, path):
 
 
 def _degree(key, path):
-    """A degree written as a JSON object key."""
+    """A degree written as a JSON object key, in its canonical form."""
     try:
-        return int(key)
+        if str(int(key)) == key:
+            return int(key)
     except ValueError:
-        raise StructureError(f"{path}: bad degree {key!r}") from None
+        pass
+    raise StructureError(f"{path}: bad degree {key!r}")
+
+
+def _names(value, path):
+    """A list of strings."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise StructureError(f"{path}: expected a list of names")
+    return value
 
 
 def _int_entry(entry, path, layout):
@@ -266,13 +275,13 @@ def parse_dg_module(field, data, path):
     dims = {}
     for key, dim in _expect_dict(data.get("dims", {}), f"{path}.dims").items():
         deg = _degree(key, f"{path}.dims")
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise StructureError(f"{path}.dims[{key}]: bad dimension {dim!r}")
         dims[deg] = dim
     labels = None
     if "labels" in data:
         labels = {
-            _degree(k, f"{path}.labels"): tuple(v)
+            _degree(k, f"{path}.labels"): tuple(_names(v, f"{path}.labels[{k}]"))
             for k, v in _expect_dict(data["labels"], f"{path}.labels").items()
         }
     carrier = GradedModule(field, dims, labels)
@@ -290,9 +299,7 @@ def parse_dg_module(field, data, path):
 
 def parse_category(field, name, data, path):
     data = _expect_dict(data, path)
-    objects = data.get("objects")
-    if not isinstance(objects, list) or not all(isinstance(x, str) for x in objects):
-        raise StructureError(f"{path}.objects: expected a list of names")
+    objects = _names(data.get("objects"), f"{path}.objects")
     hom = {}
     hom_data = _expect_dict(data.get("hom", {}), f"{path}.hom")
     for x, per_target in hom_data.items():
@@ -531,12 +538,12 @@ def parse_fixture(name, data, workspace, path):
             raise StructureError(f"{path}.{key}: unknown {kind} {data.get(key)!r}")
         out[key] = data[key]
     out["comma_objects"] = []
-    for ref in data.get("comma_objects", []):
+    for ref in _names(data.get("comma_objects", []), f"{path}.comma_objects"):
         if ref not in workspace.comma_objects:
             raise StructureError(f"{path}.comma_objects: unknown object {ref!r}")
         out["comma_objects"].append(ref)
     out["lambda_modules"] = []
-    for ref in data.get("lambda_modules", []):
+    for ref in _names(data.get("lambda_modules", []), f"{path}.lambda_modules"):
         if ref not in workspace.modules:
             raise StructureError(f"{path}.lambda_modules: unknown module {ref!r}")
         out["lambda_modules"].append(ref)

@@ -11,6 +11,8 @@ actions of the bimodule.
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import linalg
 from .category import (
     DgCategoryPresentation,
@@ -20,10 +22,10 @@ from .category import (
 )
 from .complexes import DgModule, zero_dg_module
 from .errors import StructureError, ValidationFailure
-from .graded import DirectSum, Homog, map_from_action
+from .graded import DirectSum, Homog, homogeneous_basis, map_from_action
 from .bimodule import validate_bimodule
 from .functors import functor_from_basis_images
-from .report import Report, fmt_vector
+from .report import Report, first_mismatch
 
 SLOT_T, SLOT_M, SLOT_U = 0, 1, 2
 
@@ -267,84 +269,44 @@ def lambda_leibniz_check(lam):
     T, U = lam.t_cat, lam.u_cat
     report = Report("bullet Leibniz")
 
-    witness = None
-    for t1 in T.objects:
-        for t2 in T.objects:
-            for u in U.objects:
-                if witness:
-                    break
-                module = bim.value(u, t2)
-                target = bim.value(u, t1)
-                for td, ti in T.basis_elements(t1, t2):
-                    if witness:
-                        break
-                    t_elem = T.basis_element(t1, t2, td, ti)
-                    dt = T.differential(t_elem)
-                    for mdeg in module.carrier.degrees():
-                        for mi in range(module.dim(mdeg)):
-                            m = Homog(
-                                mdeg, linalg.unit_vector(field, module.dim(mdeg), mi)
-                            )
-                            dm = Homog(mdeg + 1, module.d.apply(mdeg, m.coords))
-                            lhs_in = bim.right_bullet(u, m, t_elem)
-                            lhs = Homog(
-                                lhs_in.degree + 1,
-                                target.d.apply(lhs_in.degree, lhs_in.coords),
-                            )
-                            rhs = bim.right_bullet(u, dm, t_elem).add(
-                                field,
-                                bim.right_bullet(u, m, dt).scale(
-                                    field, field.sign(mdeg)
-                                ),
-                            )
-                            if lhs.coords != rhs.coords:
-                                witness = {
-                                    "t": [t1, t2, td, ti],
-                                    "m": [u, t2, mdeg, mi],
-                                    "lhs": fmt_vector(field, lhs.coords),
-                                    "rhs": fmt_vector(field, rhs.coords),
-                                }
-                                break
+    def right_sides():
+        for t1, t2, u in product(T.objects, T.objects, U.objects):
+            module = bim.value(u, t2)
+            target = bim.value(u, t1)
+            for td, ti in T.basis_elements(t1, t2):
+                t_elem = T.basis_element(t1, t2, td, ti)
+                dt = T.differential(t_elem)
+                for mdeg, mi, m in homogeneous_basis(module.carrier):
+                    dm = Homog(mdeg + 1, module.d.apply(mdeg, m.coords))
+                    mt = bim.right_bullet(u, m, t_elem)
+                    m_dt = bim.right_bullet(u, m, dt).scale(field, field.sign(mdeg))
+                    yield (
+                        {"t": [t1, t2, td, ti], "m": [u, t2, mdeg, mi]},
+                        target.d.apply(mt.degree, mt.coords),
+                        bim.right_bullet(u, dm, t_elem).add(field, m_dt).coords,
+                    )
+
+    witness = first_mismatch(field, right_sides())
     report.add("right_bullet_leibniz", witness is None, witness)
 
-    witness = None
-    for u1 in U.objects:
-        for u2 in U.objects:
-            for t in T.objects:
-                if witness:
-                    break
-                module = bim.value(u1, t)
-                target = bim.value(u2, t)
-                for ud, ui in U.basis_elements(u1, u2):
-                    if witness:
-                        break
-                    u_elem = U.basis_element(u1, u2, ud, ui)
-                    du = U.differential(u_elem)
-                    for mdeg in module.carrier.degrees():
-                        for mi in range(module.dim(mdeg)):
-                            m = Homog(
-                                mdeg, linalg.unit_vector(field, module.dim(mdeg), mi)
-                            )
-                            dm = Homog(mdeg + 1, module.d.apply(mdeg, m.coords))
-                            lhs_in = bim.left_bullet(u_elem, t, m)
-                            lhs = Homog(
-                                lhs_in.degree + 1,
-                                target.d.apply(lhs_in.degree, lhs_in.coords),
-                            )
-                            rhs = bim.left_bullet(du, t, m).add(
-                                field,
-                                bim.left_bullet(u_elem, t, dm).scale(
-                                    field, field.sign(ud)
-                                ),
-                            )
-                            if lhs.coords != rhs.coords:
-                                witness = {
-                                    "u": [u1, u2, ud, ui],
-                                    "m": [u1, t, mdeg, mi],
-                                    "lhs": fmt_vector(field, lhs.coords),
-                                    "rhs": fmt_vector(field, rhs.coords),
-                                }
-                                break
+    def left_sides():
+        for u1, u2, t in product(U.objects, U.objects, T.objects):
+            module = bim.value(u1, t)
+            target = bim.value(u2, t)
+            for ud, ui in U.basis_elements(u1, u2):
+                u_elem = U.basis_element(u1, u2, ud, ui)
+                du = U.differential(u_elem)
+                for mdeg, mi, m in homogeneous_basis(module.carrier):
+                    dm = Homog(mdeg + 1, module.d.apply(mdeg, m.coords))
+                    um = bim.left_bullet(u_elem, t, m)
+                    u_dm = bim.left_bullet(u_elem, t, dm).scale(field, field.sign(ud))
+                    yield (
+                        {"u": [u1, u2, ud, ui], "m": [u1, t, mdeg, mi]},
+                        target.d.apply(um.degree, um.coords),
+                        bim.left_bullet(du, t, m).add(field, u_dm).coords,
+                    )
+
+    witness = first_mismatch(field, left_sides())
     report.add("left_bullet_leibniz", witness is None, witness)
     return report
 

@@ -7,8 +7,6 @@ when their coordinates are equal in the coefficient field.
 import json
 import time
 
-import pytest
-
 from dgcat import linalg
 from dgcat.bimodule import Bimodule, validate_bimodule
 from dgcat.category import (
@@ -50,7 +48,7 @@ from dgcat.functors import (
     yoneda_module,
 )
 from dgcat.graded import GradedMap, identity_map, map_from_action
-from dgcat.lambda_cat import build_lambda, lambda_leibniz_check
+from dgcat.lambda_cat import lambda_leibniz_check
 from dgcat.shipped import SHIPPED_BUILDERS
 
 QQ = Rationals()
@@ -59,46 +57,6 @@ F5 = PrimeField(5)
 
 def _unit(field, n, k):
     return tuple(field.one() if i == k else field.zero() for i in range(n))
-
-
-@pytest.fixture(scope="module")
-def theorem_fixtures():
-    fixtures = []
-    for name, builder in SHIPPED_BUILDERS.items():
-        ws = builder()
-        lam = build_lambda(
-            ws.categories["T"], ws.categories["U"], ws.bimodules["M"], validate=False
-        )
-        fixtures.append(
-            {
-                "name": name,
-                "seed": 0,
-                "t_cat": ws.categories["T"],
-                "u_cat": ws.categories["U"],
-                "bimodule": ws.bimodules["M"],
-                "lambda": lam,
-                "comma_objects": [
-                    ws.comma_objects["o_can"],
-                    ws.comma_objects["o_zero"],
-                ],
-                "lambda_modules": [ws.modules["C"]],
-            }
-        )
-    specs = [
-        (0, QQ, 1),
-        (1, QQ, 1),
-        (2, QQ, 1),
-        (3, F5, 1),
-        (4, F5, 1),
-        (5, F5, 1),
-        (6, QQ, 2),
-        (7, F5, 2),
-    ]
-    for seed, field, max_objects in specs:
-        fx = random_theorem_fixture(seed, field, max_objects=max_objects)
-        fx["name"] = f"random{seed}"
-        fixtures.append(fx)
-    return fixtures
 
 
 def test_criterion_1_axiom_suite():
@@ -671,6 +629,9 @@ def test_criterion_7_negative_controls():
     obj = CommaObject(bim, A, B, {"t": f_map}, g_of_b=gb, name="not_closed")
     report = validate_comma_object(obj)
     results["comma_closed"] = _first_failure_is(report, "closed")
+    # the action of a structure map that is not closed breaks d(m . x)
+    report = check_dot_leibniz(obj)
+    results["comma_dot_leibniz"] = _first_failure_is(report, "dot_leibniz")
 
     # comma naturality: closed but non-natural structure map over the
     # exterior algebra
@@ -693,6 +654,9 @@ def test_criterion_7_negative_controls():
     obj = CommaObject(bim, A, B, {"t": f_map}, g_of_b=gb, name="not_natural")
     report = validate_comma_object(obj)
     results["comma_natural"] = _first_failure_is(report, "natural")
+    # the action of a structure map that is not natural breaks (m . t) . x
+    report = check_product_identities(obj)
+    results["comma_bullet_right"] = _first_failure_is(report, "bullet_right_compatible")
 
     # opposite category without the Koszul sign fails the chain-map axiom
     found = False

@@ -6,11 +6,11 @@ from dgcat.fields import PrimeField, Rationals
 from dgcat.graded import GradedMap, GradedModule
 from dgcat.complexes import (
     DgModule,
+    HomComplex,
+    TensorComplex,
     dg_module,
-    hom_complex,
     hom_differential,
     is_closed_degree_zero,
-    tensor_complex,
     tensor_differential_oracle,
     zero_dg_module,
 )
@@ -70,7 +70,7 @@ def test_hom_complex_dimension_bookkeeping():
     for _ in range(15):
         m = random_dg_module(rng, QQ)
         n = random_dg_module(rng, QQ)
-        hc = hom_complex(m, n)
+        hc = HomComplex(m, n)
         for deg in range(-6, 7):
             expected = sum(
                 m.dim(i) * n.dim(i + deg) for i in m.carrier.degrees()
@@ -83,7 +83,7 @@ def test_hom_complex_d_squared_zero():
     for _ in range(15):
         m = random_dg_module(rng, QQ)
         n = random_dg_module(rng, QQ)
-        assert hom_complex(m, n).module.d_squared_witness() is None
+        assert HomComplex(m, n).module.d_squared_witness() is None
 
 
 def test_hom_complex_matches_direct_formula():
@@ -93,7 +93,7 @@ def test_hom_complex_matches_direct_formula():
     for _ in range(10):
         m = random_dg_module(rng, QQ)
         n = random_dg_module(rng, QQ)
-        hc = hom_complex(m, n)
+        hc = HomComplex(m, n)
         for deg in hc.module.carrier.degrees():
             for k in range(hc.module.dim(deg)):
                 vec = tuple(
@@ -113,7 +113,7 @@ def test_hom_complex_contractible_example():
     # which is the nonzero basis element of Hom^0.
     m = contractible()
     n = k_module()
-    hc = hom_complex(m, n)
+    hc = HomComplex(m, n)
     assert hc.module.dim(0) == 1
     assert hc.module.dim(-1) == 1
     image = hc.module.d.apply(-1, (Fraction(1),))
@@ -126,7 +126,7 @@ def test_d_of_identity_is_zero():
     rng = random.Random(13)
     for _ in range(10):
         m = random_dg_module(rng, QQ)
-        hc = hom_complex(m, m)
+        hc = HomComplex(m, m)
         from dgcat.graded import identity_map
 
         ident = identity_map(m.carrier)
@@ -140,7 +140,7 @@ def test_hom_encode_decode_roundtrip():
     rng = random.Random(17)
     m = random_dg_module(rng, QQ)
     n = random_dg_module(rng, QQ)
-    hc = hom_complex(m, n)
+    hc = HomComplex(m, n)
     for deg in hc.module.carrier.degrees():
         vec = tuple(
             QQ.from_int(rng.randint(-3, 3)) for _ in range(hc.module.dim(deg))
@@ -153,7 +153,7 @@ def test_tensor_complex_dims_and_d_squared():
     for _ in range(15):
         m = random_dg_module(rng, QQ)
         n = random_dg_module(rng, QQ)
-        tc = tensor_complex(m, n)
+        tc = TensorComplex(m, n)
         for deg in range(-6, 7):
             expected = sum(
                 m.dim(i) * n.dim(deg - i) for i in m.carrier.degrees()
@@ -167,7 +167,7 @@ def test_tensor_leibniz_on_random_pure_tensors():
     for _ in range(10):
         m = random_dg_module(rng, QQ)
         n = random_dg_module(rng, QQ)
-        tc = tensor_complex(m, n)
+        tc = TensorComplex(m, n)
         for i in m.carrier.degrees():
             for j in n.carrier.degrees():
                 x = tuple(QQ.from_int(rng.randint(-2, 2)) for _ in range(m.dim(i)))
@@ -181,7 +181,7 @@ def test_tensor_sign_degree_one_example():
     # |m| = 1: d(m (x) n) = d(m) (x) n - m (x) d(n).
     m = dg_module(QQ, {1: 1, 2: 1}, {1: [[Fraction(1)]]})
     n = contractible()
-    tc = tensor_complex(m, n)
+    tc = TensorComplex(m, n)
     x = (Fraction(1),)
     y = (Fraction(1),)
     got = tc.module.d.apply(1, tc.encode_pure(1, x, 0, y))
@@ -196,7 +196,7 @@ def test_tensor_with_unit_is_identity_shape():
     unit = k_module()
     for _ in range(8):
         n = random_dg_module(rng, QQ)
-        tc = tensor_complex(unit, n)
+        tc = TensorComplex(unit, n)
         assert tc.module.carrier.dims() == n.carrier.dims()
         assert tc.module.d == n.d
 
@@ -204,7 +204,7 @@ def test_tensor_with_unit_is_identity_shape():
 def test_zero_differentials_give_zero_tensor_differential():
     m = dg_module(QQ, {0: 2, 1: 1}, {})
     n = dg_module(QQ, {-1: 1, 0: 1}, {})
-    tc = tensor_complex(m, n)
+    tc = TensorComplex(m, n)
     assert tc.module.d.is_zero()
 
 
@@ -242,5 +242,5 @@ def test_zero_dg_module_and_f5_complexes():
     rng = random.Random(31)
     m = random_dg_module(rng, field)
     n = random_dg_module(rng, field)
-    assert hom_complex(m, n).module.d_squared_witness() is None
-    assert tensor_complex(m, n).module.d_squared_witness() is None
+    assert HomComplex(m, n).module.d_squared_witness() is None
+    assert TensorComplex(m, n).module.d_squared_witness() is None

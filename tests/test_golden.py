@@ -5,8 +5,13 @@ stdout on a shipped fixture.  The digests were recorded before the functor
 builders were merged into one helper; a refactor that keeps the outputs
 must keep them.  Each digest in HEAVY_REPORTS is the SHA-256 of the
 rendered check_equivalence report (seed 5) on one random theorem instance
-over Q, recorded before the exact solve path went sparse.  A change that
-alters an output on purpose records the new digest here and says why.
+over Q, recorded before the exact solve path went sparse.  Each digest in
+IDENTITY_REPORTS is the SHA-256 of the rendered lambda_leibniz_check
+report of one theorem fixture of the acceptance suite followed by the
+check_product_identities and check_dot_leibniz reports of each of its
+comma objects, recorded before those checks compared whole graded maps.
+A change that alters an output on purpose records the new digest here
+and says why.
 """
 
 import contextlib
@@ -17,9 +22,10 @@ from pathlib import Path
 import pytest
 
 from dgcat.cli import main
-from dgcat.comma import check_equivalence
+from dgcat.comma import check_dot_leibniz, check_equivalence, check_product_identities
 from dgcat.fields import Rationals
 from dgcat.fixtures import random_theorem_fixture
+from dgcat.lambda_cat import lambda_leibniz_check
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -78,3 +84,30 @@ def test_theorem_report_bytes_are_pinned(seed, max_objects):
     )
     digest = hashlib.sha256(report.render().encode("utf-8")).hexdigest()
     assert digest == HEAVY_REPORTS[(seed, max_objects)]
+
+
+# theorem fixture name -> SHA-256 of its identity reports, rendered and joined
+IDENTITY_REPORTS = {
+    "contractible": "7a6826e8769d6ede29508fc3b493081ac3d2892ba839980423401bce2b72f178",
+    "exterior": "7a6826e8769d6ede29508fc3b493081ac3d2892ba839980423401bce2b72f178",
+    "kkk": "3032adf1795a35841dade1566e433ed6cd05384c45dc4ad5354cb5a90115ab0d",
+    "random0": "0637346891aa48b0d1962a8cb724b269fcca6087d1794e4436804ffc8bd900c6",
+    "random1": "debd6ba5c89d06894edd8c89d4a52ee6c1372cdf427f94cf070682bd7d862c51",
+    "random2": "bc19533cf69acdbe0bac74b54bd41a533a6f0533b931f17aadbf3a80b6dcd233",
+    "random3": "76b96b136562c12210b5895622aae2d3c14bf2907e3c680990a04d9dbd0db912",
+    "random4": "228813b1a870b052956f35637e547629195a21f7c66c6103afce0951c56d3059",
+    "random5": "debd6ba5c89d06894edd8c89d4a52ee6c1372cdf427f94cf070682bd7d862c51",
+    "random6": "09795805123b4ac0a9b414f6bfe5e52c4201506df5a5668514c99d23724a1b61",
+    "random7": "ef36f1907a7ffce96ad463cfa13bb6f53ede1f01ece281d3edb2089138d95ca6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_REPORTS))
+def test_identity_report_bytes_are_pinned(name, theorem_fixtures):
+    (fx,) = [fx for fx in theorem_fixtures if fx["name"] == name]
+    text = lambda_leibniz_check(fx["lambda"]).render()
+    for obj in fx["comma_objects"]:
+        text += check_product_identities(obj).render()
+        text += check_dot_leibniz(obj).render()
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == IDENTITY_REPORTS[name]

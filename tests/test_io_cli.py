@@ -63,6 +63,14 @@ def _add_left_action(doc, source):
     doc["bimodules"]["M"]["left_action"][source] = {"u": {"t": [[0, 0, 0, 0, 0, "1"]]}}
 
 
+def _set_t_hom(doc, key, value):
+    doc["categories"]["T"]["hom"]["t"]["t"][key] = value
+
+
+def _set_fixture_refs(doc, key, value):
+    doc["fixtures"]["main"][key] = value
+
+
 @pytest.mark.parametrize(
     "edit,path",
     [
@@ -81,6 +89,34 @@ def _add_left_action(doc, source):
             lambda doc: _set_structure_entry(doc, 1),
             "$.comma_objects.o_can.f.t[0]:",
         ),
+        (
+            lambda doc: _set_t_hom(doc, "labels", {"0": 5}),
+            "$.categories.T.hom.t.t.labels[0]:",
+        ),
+        (
+            lambda doc: _set_t_hom(doc, "labels", {"0": "x"}),
+            "$.categories.T.hom.t.t.labels[0]:",
+        ),
+        (
+            lambda doc: _set_t_hom(doc, "dims", {"0": True}),
+            "$.categories.T.hom.t.t.dims[0]:",
+        ),
+        (
+            lambda doc: _set_t_hom(doc, "dims", {" 0": 1}),
+            "$.categories.T.hom.t.t.dims:",
+        ),
+        (
+            lambda doc: _set_t_hom(doc, "dims", {"0_0": 1}),
+            "$.categories.T.hom.t.t.dims:",
+        ),
+        (
+            lambda doc: _set_fixture_refs(doc, "comma_objects", 5),
+            "$.fixtures.main.comma_objects:",
+        ),
+        (
+            lambda doc: _set_fixture_refs(doc, "lambda_modules", "C"),
+            "$.fixtures.main.lambda_modules:",
+        ),
     ],
     ids=[
         "zero_denominator",
@@ -95,6 +131,13 @@ def _add_left_action(doc, source):
         "bool_modulus",
         "numeric_identity",
         "numeric_matrix_entry",
+        "numeric_labels",
+        "string_labels",
+        "bool_dimension",
+        "padded_degree_key",
+        "underscored_degree_key",
+        "numeric_fixture_objects",
+        "string_fixture_modules",
     ],
 )
 def test_parse_rejects_malformed_entry_with_its_path(edit, path, tmp_path):

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from dgcat import linalg
+from dgcat.bimodule import Bimodule
 from dgcat.category import validate_dg_category
 from dgcat.errors import ValidationFailure
 from dgcat.fields import PrimeField, Rationals
-from dgcat.fixtures import zero_bimodule
+from dgcat.fixtures import random_theorem_fixture, zero_bimodule
 from dgcat.functors import representable_module, validate_dg_functor
+from dgcat.graded import Homog
 from dgcat.lambda_cat import build_lambda, lambda_leibniz_check, restrict_module
 from tests.test_bimodule import kkk_setup, random_setup, with_first_right_action_negated
 
@@ -98,6 +101,73 @@ def test_lambda_leibniz_trivial_when_differentials_vanish():
     u_cat, t_cat, _, _, bim = kkk_setup()
     lam = build_lambda(t_cat, u_cat, bim)
     assert lambda_leibniz_check(lam).passed
+
+
+def _doubled_odd_lambda():
+    """Lambda over the bimodule of random theorem seed 1 over Q with every
+    odd-degree left and right action image doubled, so a bullet Leibniz
+    identity fails at more than one degree of m."""
+    fx = random_theorem_fixture(1, QQ)
+    bim = fx["bimodule"]
+    two = QQ.from_int(2)
+
+    def doubled(images):
+        return {
+            key: {(m, k): im.scale(two) if m % 2 else im for (m, k), im in table.items()}
+            for key, table in images.items()
+        }
+
+    bad = Bimodule(
+        bim.left_base,
+        bim.right_base,
+        bim.values,
+        doubled(bim.left_images),
+        doubled(bim.right_images),
+    )
+    return build_lambda(fx["t_cat"], fx["u_cat"], bad, validate=False)
+
+
+def _first_left_leibniz_violation(lam):
+    """(u, m) of the first basis pair, in loop order, where
+    d(u . m) != d(u) . m + (-1)^{|u|} u . d(m)."""
+    bim = lam.bimodule
+    field = lam.field
+    U, T = lam.u_cat, lam.t_cat
+    for u1 in U.objects:
+        for u2 in U.objects:
+            for t in T.objects:
+                module = bim.value(u1, t)
+                for ud, ui in U.basis_elements(u1, u2):
+                    u_elem = U.basis_element(u1, u2, ud, ui)
+                    du = U.differential(u_elem)
+                    for mdeg in module.carrier.degrees():
+                        for mi in range(module.dim(mdeg)):
+                            m = Homog(mdeg, linalg.unit_vector(field, module.dim(mdeg), mi))
+                            dm = Homog(mdeg + 1, module.d.apply(mdeg, m.coords))
+                            um = bim.left_bullet(u_elem, t, m)
+                            lhs = bim.value(u2, t).d.apply(um.degree, um.coords)
+                            rhs = linalg.vec_add(
+                                field,
+                                bim.left_bullet(du, t, m).coords,
+                                linalg.vec_scale(
+                                    field,
+                                    field.sign(ud),
+                                    bim.left_bullet(u_elem, t, dm).coords,
+                                ),
+                            )
+                            if lhs != rhs:
+                                return [u1, u2, ud, ui], [u1, t, mdeg, mi]
+    return None
+
+
+def test_lambda_leibniz_witness_is_the_first_violation():
+    lam = _doubled_odd_lambda()
+    report = lambda_leibniz_check(lam)
+    failure = report.first_failure()
+    assert failure is not None and failure.name == "left_bullet_leibniz"
+    first = _first_left_leibniz_violation(lam)
+    assert first is not None
+    assert [failure.witness["u"], failure.witness["m"]] == list(first)
 
 
 def test_restrict_representable_module():
