@@ -10,14 +10,18 @@ unit laws, and associativity on homogeneous basis triples.  All checks
 extend to arbitrary morphisms by bilinearity, and the signs involved
 depend only on degrees, so basis tuples decide everything.
 
-The opposite category and the tensor product of two presentations
-carry the Koszul signs: op-composition picks up (-1)^{|a||b|}, and
-composition in a tensor product picks up (-1)^{|b2||a1|} from moving
-b2 past a1.
+Every constructed presentation gets its composition tensors from one
+helper, compose_from_products, which takes the composite of each basis
+pair as a coordinate vector and assembles the tensor of every object
+triple.  The opposite category and the tensor product of two
+presentations carry the Koszul signs: op-composition picks up
+(-1)^{|a||b|}, and composition in a tensor product picks up
+(-1)^{|b2||a1|} from moving b2 past a1.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -134,6 +138,14 @@ class DgCategoryPresentation:
                 )
         self._pair_cache[key] = out
         return out
+
+    def compose_basis_coords(self, x, y, z, gdeg, gidx, fdeg, fidx):
+        """compose_basis as a dense coordinate vector in hom(x,z)^(gdeg+fdeg)."""
+        return linalg.dense_vector(
+            self.field,
+            self.compose_basis(x, y, z, gdeg, gidx, fdeg, fidx),
+            self.hom[(x, z)].dim(gdeg + fdeg),
+        )
 
     def element(self, source, target, degree, coords):
         coords = tuple(coords)
@@ -324,38 +336,44 @@ def _associativity_witness(cat, x, y, z, w):
     return None
 
 
+def compose_from_products(cat, product):
+    """Install on cat the composition tensors given by product; returns cat.
+
+    product(x, y, z, gdeg, gidx, fdeg, fidx) is the coordinate vector in
+    hom(x, z)^(gdeg+fdeg) of the composite of the basis morphisms
+    (gdeg, gidx) of hom(y, z) and (fdeg, fidx) of hom(x, y).  This is the
+    one loop over object triples that turns such a rule into tensors.
+    """
+    comp = {}
+    for x, y, z in itertools.product(cat.objects, repeat=3):
+        tensor = cat.tensor_cx(x, y, z)
+
+        def column(n, k):
+            gdeg, gidx, fidx = tensor.basis(n)[k]
+            return product(x, y, z, gdeg, gidx, n - gdeg, fidx)
+
+        comp[(x, y, z)] = map_from_action(
+            tensor.module.carrier, cat.hom[(x, z)].carrier, 0, column
+        )
+    cat.set_comp(comp)
+    return cat
+
+
 def opposite_category(cat):
     """Same objects, reversed homs, composition with the (-1)^{|a||b|} sign."""
     field = cat.field
     hom = {(a, b): cat.hom[(b, a)] for a in cat.objects for b in cat.objects}
     opposite = DgCategoryPresentation(
-        field, cat.objects, hom, {}, {x: cat.ids[x] for x in cat.objects},
-        name=f"{cat.name}.op",
+        field, cat.objects, hom, {}, cat.ids, name=f"{cat.name}.op"
     )
-    comp = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            for z in cat.objects:
-                tensor = opposite.tensor_cx(x, y, z)
-                target = opposite.hom[(x, z)].carrier
 
-                def column(n, k, _x=x, _y=y, _z=z, _tensor=tensor):
-                    # basis pair: b in hom(z,y)^p (the op-morphism y->z),
-                    # a in hom(y,x)^q (the op-morphism x->y); compose a . b
-                    # in the original category and twist by (-1)^{pq}.
-                    p, ib, ia = _tensor.basis(n)[k]
-                    q = n - p
-                    b = cat.basis_element(_z, _y, p, ib)
-                    a = cat.basis_element(_y, _x, q, ia)
-                    out = cat.compose(a, b)
-                    sgn = field.sign(p * q)
-                    return tuple(field.mul(sgn, v) for v in out.coords)
+    def product(x, y, z, p, ib, q, ia):
+        # b in hom(z,y)^p is the op-morphism y->z and a in hom(y,x)^q the
+        # op-morphism x->y; compose a . b in cat and twist by (-1)^{pq}.
+        out = cat.compose_basis_coords(z, y, x, q, ia, p, ib)
+        return linalg.vec_scale(field, field.sign(p * q), out)
 
-                comp[(x, y, z)] = map_from_action(
-                    tensor.module.carrier, target, 0, column
-                )
-    opposite.set_comp(comp)
-    return opposite
+    return compose_from_products(opposite, product)
 
 
 def tensor_category(cat_a, cat_b, name=None):
@@ -364,80 +382,33 @@ def tensor_category(cat_a, cat_b, name=None):
         raise StructureError("tensor product over mismatched fields")
     field = cat_a.field
     name = name or f"({cat_a.name})x({cat_b.name})"
-    objects = []
-    pair_of = {}
-    for xa in cat_a.objects:
-        for xb in cat_b.objects:
-            obj = f"({xa},{xb})"
-            objects.append(obj)
-            pair_of[obj] = (xa, xb)
+    pair_of = {
+        f"({xa},{xb})": (xa, xb) for xa in cat_a.objects for xb in cat_b.objects
+    }
+    hom_tensors = {
+        (p, q): TensorComplex(cat_a.hom[(xa, ya)], cat_b.hom[(xb, yb)])
+        for p, (xa, xb) in pair_of.items()
+        for q, (ya, yb) in pair_of.items()
+    }
+    ids = {
+        p: hom_tensors[(p, p)].encode_pure(0, cat_a.ids[xa], 0, cat_b.ids[xb])
+        for p, (xa, xb) in pair_of.items()
+    }
+    hom = {key: tensor.module for key, tensor in hom_tensors.items()}
+    result = DgCategoryPresentation(field, pair_of, hom, {}, ids, name=name)
 
-    hom_tensors = {}
-    hom = {}
-    for p in objects:
-        for q in objects:
-            xa, xb = pair_of[p]
-            ya, yb = pair_of[q]
-            tensor = TensorComplex(cat_a.hom[(xa, ya)], cat_b.hom[(xb, yb)])
-            hom_tensors[(p, q)] = tensor
-            hom[(p, q)] = tensor.module
+    def product(p, q, r, gdeg, gidx, fdeg, fidx):
+        # (a2 (x) b2) . (a1 (x) b1) = (-1)^{|b2||a1|} (a2 . a1) (x) (b2 . b1)
+        (xa, xb), (ya, yb), (za, zb) = pair_of[p], pair_of[q], pair_of[r]
+        p2, ia2, ib2 = hom_tensors[(q, r)].basis(gdeg)[gidx]
+        p1, ia1, ib1 = hom_tensors[(p, q)].basis(fdeg)[fidx]
+        q2, q1 = gdeg - p2, fdeg - p1
+        alpha = cat_a.compose_basis_coords(xa, ya, za, p2, ia2, p1, ia1)
+        beta = cat_b.compose_basis_coords(xb, yb, zb, q2, ib2, q1, ib1)
+        out = hom_tensors[(p, r)].encode_pure(p2 + p1, alpha, q2 + q1, beta)
+        return linalg.vec_scale(field, field.sign(q2 * p1), out)
 
-    ids = {}
-    for p in objects:
-        xa, xb = pair_of[p]
-        tensor = hom_tensors[(p, p)]
-        ids[p] = tensor.encode_pure(0, cat_a.ids[xa], 0, cat_b.ids[xb])
-
-    result = DgCategoryPresentation(field, objects, hom, {}, ids, name=name)
-    comp = {}
-    for p in objects:
-        for q in objects:
-            for r in objects:
-                tensor = result.tensor_cx(p, q, r)
-                target_tensor = hom_tensors[(p, r)]
-                g_tensor = hom_tensors[(q, r)]
-                f_tensor = hom_tensors[(p, q)]
-                xa, xb = pair_of[p]
-                ya, yb = pair_of[q]
-                za, zb = pair_of[r]
-
-                def column(
-                    n,
-                    k,
-                    _tensor=tensor,
-                    _gt=g_tensor,
-                    _ft=f_tensor,
-                    _tt=target_tensor,
-                    _xa=xa,
-                    _xb=xb,
-                    _ya=ya,
-                    _yb=yb,
-                    _za=za,
-                    _zb=zb,
-                ):
-                    gdeg, gidx, fidx = _tensor.basis(n)[k]
-                    fdeg = n - gdeg
-                    p2, ia2, ib2 = _gt.basis(gdeg)[gidx]
-                    q2 = gdeg - p2
-                    p1, ia1, ib1 = _ft.basis(fdeg)[fidx]
-                    q1 = fdeg - p1
-                    alpha = cat_a.compose(
-                        cat_a.basis_element(_ya, _za, p2, ia2),
-                        cat_a.basis_element(_xa, _ya, p1, ia1),
-                    )
-                    beta = cat_b.compose(
-                        cat_b.basis_element(_yb, _zb, q2, ib2),
-                        cat_b.basis_element(_xb, _yb, q1, ib1),
-                    )
-                    out = _tt.encode_pure(p2 + p1, alpha.coords, q2 + q1, beta.coords)
-                    sgn = field.sign(q2 * p1)
-                    return tuple(field.mul(sgn, v) for v in out)
-
-                comp[(p, q, r)] = map_from_action(
-                    tensor.module.carrier, hom[(p, r)].carrier, 0, column
-                )
-    result.set_comp(comp)
-    return result
+    return compose_from_products(result, product)
 
 
 def with_zero_object(cat, marker=ZERO_OBJECT):

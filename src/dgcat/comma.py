@@ -3,7 +3,7 @@ modules over the triangular matrix category.
 
 A comma object is (A, f, B): a dg T-module, a dg U-module, and a closed
 degree-0 transformation f: A -> G(B).  Its comma morphisms to another
-object are pairs (alpha, beta) of transformations of a common degree
+object are pairs (alpha, beta) of transformations of a common degree n
 satisfying the strict square f' . alpha = G(beta) . f; these are computed
 as one joint linear system.  The functor to Lambda-modules sends (A,f,B)
 to the block module (t,u) |-> A(t) + B(u) whose lower-left action is the
@@ -14,8 +14,15 @@ comparison map assembled from the two inclusion images is checked to be
 a closed natural isomorphism at every object.
 
 For a homogeneous m the dot product is a graded map A(t) -> B(u) of x,
-built once per basis m (CommaObject.dot_map).  The product identities
-and the dot Leibniz rule are checked as equalities of such maps, one
+built once per basis m (CommaObject.dot_map).  Evaluated at a basis m of
+M(u, t)^j, the comma square reads m .' alpha(x) = (-1)^{nj} beta(m . x),
+that is
+
+    target.dot_map(u, t, m) . alpha_t = (-1)^{nj} beta_u . source.dot_map(u, t, m);
+
+the comma Hom system takes its rows from functors.square_rows on these
+maps, and is_comma_morphism compares them.  The product identities and
+the dot Leibniz rule are checked as equalities of such maps too, one
 pair per basis morphism and basis m, which by linearity covers every
 basis x; a failing check names the first differing column as x.
 """
@@ -43,16 +50,18 @@ from .functors import (
     nat_unknowns,
     naturality_rows,
     naturality_witness,
+    square_rows,
 )
 from .graded import (
     DirectSum,
     GradedMap,
     Homog,
+    basis_vector,
     homogeneous_basis,
     map_from_action,
     place_blocks,
 )
-from .lambda_cat import SLOT_M, SLOT_T, SLOT_U, restrict_module
+from .lambda_cat import SLOT_T, SLOT_U, restrict_module
 from .report import Report, first_mismatch
 
 
@@ -130,7 +139,8 @@ def validate_comma_object(obj):
                 witness = {"object": t, "degree": min(comp.blocks)}
                 break
     report.add("closed", witness is None, witness)
-    report.add("natural", naturality_witness(nat) is None, naturality_witness(nat))
+    witness = naturality_witness(nat)
+    report.add("natural", witness is None, witness)
     return report
 
 
@@ -155,75 +165,20 @@ def comma_unknown_count(source, target, n):
 
 
 def _square_rows(source, target, n):
-    """Rows forcing f' . alpha = G(beta) . f at every raw component entry.
-
-    Evaluated on each basis element x of A(t)^k, both sides are
-    transformations M_t -> B' of degree k + n; their components are
-    compared entry by entry, which keeps everything linear in the alpha
-    and beta unknowns.
-    """
+    """Rows forcing f' . alpha = G(beta) . f, evaluated at each basis m of
+    each M(u, t)^j: m .' alpha(x) = (-1)^{nj} beta(m . x) as graded maps
+    A(t) -> B'(u) of x."""
     bim = source.bimodule
-    field = bim.field
-    T = bim.right_base
-    U = bim.left_base
-    for t in T.objects:
-        a_src = source.A.on_objects[t].carrier
-        for k in a_src.degrees():
-            f2_block = target.f[t].block(k + n)
-            eta2_basis = target.gB.nat_basis.get((t, k + n), [])
-            nu_for = [
-                source.gB.decode(
-                    t,
-                    k,
-                    source.f[t].apply(
-                        k, linalg.unit_vector(field, a_src.dim(k), cx)
-                    ),
-                )
-                for cx in range(a_src.dim(k))
-            ]
-            a2_dim = target.A.on_objects[t].carrier.dim(k + n)
-            for cx in range(a_src.dim(k)):
-                nu_x = nu_for[cx]
-                for u in U.objects:
-                    m_carrier = bim.value(u, t).carrier
-                    b2_carrier = target.B.on_objects[u].carrier
-                    b_carrier = source.B.on_objects[u].carrier
-                    for j in m_carrier.degrees():
-                        rows = b2_carrier.dim(j + k + n)
-                        cols = m_carrier.dim(j)
-                        if rows == 0 or cols == 0:
-                            continue
-                        nu_block = nu_x.components[u].block(j)
-                        for rr in range(rows):
-                            for cc in range(cols):
-                                row = {}
-                                for s in range(a2_dim):
-                                    acc = field.zero()
-                                    for r2, eta2 in enumerate(eta2_basis):
-                                        coeff = f2_block[r2][s]
-                                        if field.is_zero(coeff):
-                                            continue
-                                        entry = eta2.components[u].block(j)[rr][cc]
-                                        if field.is_zero(entry):
-                                            continue
-                                        acc = field.add(
-                                            acc, field.mul(coeff, entry)
-                                        )
-                                    if not field.is_zero(acc):
-                                        key = ("a", t, k, s, cx)
-                                        row[key] = field.add(
-                                            row.get(key, field.zero()), acc
-                                        )
-                                for s in range(b_carrier.dim(j + k)):
-                                    coeff = nu_block[s][cc]
-                                    if field.is_zero(coeff):
-                                        continue
-                                    key = ("b", u, j + k, rr, s)
-                                    row[key] = field.sub(
-                                        row.get(key, field.zero()), coeff
-                                    )
-                                if row:
-                                    yield row
+    for t, u in product(bim.right_base.objects, bim.left_base.objects):
+        for j, _, m in homogeneous_basis(bim.value(u, t).carrier):
+            yield from square_rows(
+                target.dot_map(u, t, m),
+                ("a", t),
+                source.dot_map(u, t, m),
+                ("b", u),
+                n,
+                bim.field.sign(n * j),
+            )
 
 
 def comma_hom_space(source, target, n):
@@ -275,30 +230,22 @@ def comma_differential(phi):
 
 
 def is_comma_morphism(source, target, phi):
-    """Exact check of naturality of both legs and the strict square."""
+    """Exact check of naturality of both legs and of the square
+    m .' alpha(x) = (-1)^{nj} beta(m . x), as graded maps of x, for every
+    basis m of every M(u, t)^j."""
     if naturality_witness(phi.alpha) is not None:
         return False
     if naturality_witness(phi.beta) is not None:
         return False
-    field = source.field
     bim = source.bimodule
-    n = phi.degree
-    for t in bim.right_base.objects:
-        a_src = source.A.on_objects[t].carrier
-        for k in a_src.degrees():
-            for cx in range(a_src.dim(k)):
-                x = Homog(k, linalg.unit_vector(field, a_src.dim(k), cx))
-                ax = Homog(k + n, phi.alpha.components[t].apply(k, x.coords))
-                lhs = target.f[t].apply(k + n, ax.coords)
-                lhs_nat = target.gB.decode(t, k + n, lhs)
-                nu = source.f_of(t, x)
-                rhs_nat_components = {
-                    u: phi.beta.components[u].compose(nu.components[u])
-                    for u in bim.left_base.objects
-                }
-                for u in bim.left_base.objects:
-                    if lhs_nat.components[u] != rhs_nat_components[u]:
-                        return False
+    field = bim.field
+    for t, u in product(bim.right_base.objects, bim.left_base.objects):
+        alpha, beta = phi.alpha.components[t], phi.beta.components[u]
+        for j, _, m in homogeneous_basis(bim.value(u, t).carrier):
+            lhs = target.dot_map(u, t, m).compose(alpha)
+            rhs = beta.compose(source.dot_map(u, t, m))
+            if lhs != rhs.scale(field.sign(phi.degree * j)):
+                return False
     return True
 
 
@@ -333,30 +280,19 @@ def build_coproduct_module(lam, obj, name=None):
     def image(p, q, r, k):
         t1, u1 = lam.split_name(p)
         t2, u2 = lam.split_name(q)
-        slot, local = _slot_of(lam.sum_of(p, q), r, k)
+        slot, local = lam.slots[(p, q)][r][k]
         if slot == SLOT_T:
             piece = (0, 0, obj.A.map_of_basis(t1, t2, r, local))
         elif slot == SLOT_U:
             piece = (1, 1, obj.B.map_of_basis(u1, u2, r, local))
         else:
-            m_dim = obj.bimodule.value(u2, t1).dim(r)
-            m = Homog(r, linalg.unit_vector(field, m_dim, local))
+            m = basis_vector(obj.bimodule.value(u2, t1), r, local)
             piece = (1, 0, obj.dot_map(u2, t1, m))
         return place_blocks(sums[p], sums[q], r, [piece])
 
     module = functor_from_basis_images(pres, on_objects, image, name=name)
     module._coproduct_sums = sums
     return module
-
-
-def _slot_of(pair_ds, degree, index):
-    """(slot, local index) of a Lambda-hom basis element."""
-    for slot in (SLOT_T, SLOT_M, SLOT_U):
-        off = pair_ds.offset(slot, degree)
-        dim = pair_ds.parts[slot].dim(degree)
-        if off <= index < off + dim:
-            return slot, index - off
-    raise StructureError(f"basis index {index} out of range at degree {degree}")
 
 
 def f_on_morphisms(lam, source_module, target_module, phi):
@@ -395,9 +331,8 @@ def extract_comma_from_module(lam, module, name=None):
         key = (t, u, j)
         if key not in corner_cache:
             maps = []
-            m_dim = bim.value(u, t).dim(j)
-            for cm in range(m_dim):
-                mbar = lam.m_bar(t, u, Homog(j, linalg.unit_vector(field, m_dim, cm)))
+            for cm in range(bim.value(u, t).dim(j)):
+                mbar = lam.m_bar(t, u, basis_vector(bim.value(u, t), j, cm))
                 maps.append(module.map_of(mbar))
             corner_cache[key] = maps
         return corner_cache[key]

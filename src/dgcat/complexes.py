@@ -10,6 +10,7 @@ left index, right index).
 
 from __future__ import annotations
 
+from . import linalg
 from .errors import StructureError
 from .graded import GradedMap, GradedModule, map_from_action, zero_module
 
@@ -176,6 +177,11 @@ class HomComplex(_PairComplex):
         for k, (i, a, b) in enumerate(self.basis(n)):
             out[k] = gmap.block(i)[b][a]
         return tuple(out)
+
+    def decode_basis(self, n, k):
+        """The k-th elementary map of degree n."""
+        field = self.source.field
+        return self.decode(n, linalg.unit_vector(field, self.module.dim(n), k))
 
     def decode(self, n, vec):
         """The graded map of degree n with the given coordinates."""

@@ -14,7 +14,11 @@ import random
 
 from . import linalg
 from .bimodule import Bimodule, g_on_objects
-from .category import DgCategoryPresentation, one_object_category
+from .category import (
+    DgCategoryPresentation,
+    compose_from_products,
+    one_object_category,
+)
 from .comma import CommaObject
 from .complexes import DgModule, HomComplex, TensorComplex, dg_module
 from .functors import (
@@ -79,39 +83,11 @@ def path_category(field, arrows, name="Path"):
             if i <= j:
                 hom[(objects[i], objects[j])] = dg_module(field, {0: 1}, {})
     cat = DgCategoryPresentation(
-        field,
-        objects,
-        hom,
-        {},
-        {obj: (field.one(),) for obj in objects},
-        name=name,
+        field, objects, hom, {}, {obj: (field.one(),) for obj in objects}, name=name
     )
-    comp = {}
-    for i in range(arrows + 1):
-        for j in range(i, arrows + 1):
-            for k in range(j, arrows + 1):
-                x, y, z = objects[i], objects[j], objects[k]
-                tensor = cat.tensor_cx(x, y, z)
-                comp[(x, y, z)] = GradedMap(
-                    tensor.module.carrier,
-                    cat.hom[(x, z)].carrier,
-                    0,
-                    {0: [[field.one()]]},
-                )
-    for x in cat.objects:
-        for y in cat.objects:
-            for z in cat.objects:
-                comp.setdefault(
-                    (x, y, z),
-                    GradedMap(
-                        cat.tensor_cx(x, y, z).module.carrier,
-                        cat.hom[(x, z)].carrier,
-                        0,
-                        {},
-                    ),
-                )
-    cat.set_comp(comp)
-    return cat
+    # a basis pair is composable only along x_i -> x_j -> x_k with i <= j <= k,
+    # and its composite is the basis arrow x_i -> x_k
+    return compose_from_products(cat, lambda *basis_pair: (field.one(),))
 
 
 def endomorphism_category(field, modules, name="End"):
@@ -122,38 +98,17 @@ def endomorphism_category(field, modules, name="End"):
     every axiom true by construction.
     """
     names = tuple(modules)
-    hom_cx = {}
-    hom = {}
-    for x in names:
-        for y in names:
-            hc = HomComplex(modules[x], modules[y])
-            hom_cx[(x, y)] = hc
-            hom[(x, y)] = hc.module
-    ids = {}
-    for x in names:
-        ids[x] = hom_cx[(x, x)].encode(identity_map(modules[x].carrier))
+    hom_cx = {(x, y): HomComplex(modules[x], modules[y]) for x in names for y in names}
+    hom = {key: hc.module for key, hc in hom_cx.items()}
+    ids = {x: hom_cx[(x, x)].encode(identity_map(modules[x].carrier)) for x in names}
     cat = DgCategoryPresentation(field, names, hom, {}, ids, name=name)
-    comp = {}
-    for x in names:
-        for y in names:
-            for z in names:
-                tensor = cat.tensor_cx(x, y, z)
-                gcx = hom_cx[(y, z)]
-                fcx = hom_cx[(x, y)]
-                ocx = hom_cx[(x, z)]
 
-                def column(n, k, _t=tensor, _g=gcx, _f=fcx, _o=ocx):
-                    gdeg, gidx, fidx = _t.basis(n)[k]
-                    fdeg = n - gdeg
-                    gdim, fdim = _g.module.dim(gdeg), _f.module.dim(fdeg)
-                    gmap = _g.decode(gdeg, linalg.unit_vector(field, gdim, gidx))
-                    fmap = _f.decode(fdeg, linalg.unit_vector(field, fdim, fidx))
-                    return _o.encode(gmap.compose(fmap))
+    def product(x, y, z, gdeg, gidx, fdeg, fidx):
+        gmap = hom_cx[(y, z)].decode_basis(gdeg, gidx)
+        fmap = hom_cx[(x, y)].decode_basis(fdeg, fidx)
+        return hom_cx[(x, z)].encode(gmap.compose(fmap))
 
-                comp[(x, y, z)] = map_from_action(
-                    tensor.module.carrier, hom[(x, z)].carrier, 0, column
-                )
-    cat.set_comp(comp)
+    compose_from_products(cat, product)
     return cat, hom_cx
 
 
@@ -236,7 +191,7 @@ def hom_bimodule(u_cat, u_modules, t_cat, t_modules, name="M"):
     left_images = {
         (u, u2, t): {
             (m, k): _post_composition(
-                field, g_cx, value_hom[(u, t)], value_hom[(u2, t)], m, k
+                g_cx, value_hom[(u, t)], value_hom[(u2, t)], m, k
             )
             for m, k in u_cat.basis_elements(u, u2)
         }
@@ -264,14 +219,13 @@ def _hom_complexes(cat, modules):
     }
 
 
-def _post_composition(field, g_cx, src, tgt, m, k):
+def _post_composition(g_cx, src, tgt, m, k):
     """Hom(P, Q) -> Hom(P, Q'), j |-> g . j for the basis map g = (m, k) of
     g_cx = Hom(Q, Q'); src and tgt are the two Hom complexes."""
-    g = g_cx.decode(m, linalg.unit_vector(field, g_cx.module.dim(m), k))
+    g = g_cx.decode_basis(m, k)
 
     def column(i, j):
-        jmap = src.decode(i, linalg.unit_vector(field, src.module.dim(i), j))
-        return tgt.encode(g.compose(jmap))
+        return tgt.encode(g.compose(src.decode_basis(i, j)))
 
     return map_from_action(src.module.carrier, tgt.module.carrier, m, column)
 
@@ -279,11 +233,10 @@ def _post_composition(field, g_cx, src, tgt, m, k):
 def _pre_composition(field, s_cx, src, tgt, m, k):
     """Hom(P', Q) -> Hom(P, Q), j |-> (-1)^{m|j|} j . s for the basis map
     s = (m, k) of s_cx = Hom(P, P'); src and tgt are the two Hom complexes."""
-    s = s_cx.decode(m, linalg.unit_vector(field, s_cx.module.dim(m), k))
+    s = s_cx.decode_basis(m, k)
 
     def column(i, j):
-        jmap = src.decode(i, linalg.unit_vector(field, src.module.dim(i), j))
-        return tgt.encode(jmap.compose(s).scale(field.sign(m * i)))
+        return tgt.encode(src.decode_basis(i, j).compose(s).scale(field.sign(m * i)))
 
     return map_from_action(src.module.carrier, tgt.module.carrier, m, column)
 
@@ -296,7 +249,7 @@ def hom_from_module(u_cat, u_modules, z_module, name=None):
         u_cat,
         {u: values[u].module for u in u_cat.objects},
         lambda u, u2, m, k: _post_composition(
-            u_cat.field, u_hom_cx[(u, u2)], values[u], values[u2], m, k
+            u_hom_cx[(u, u2)], values[u], values[u2], m, k
         ),
         name=name or "Hom(Z,-)",
     )

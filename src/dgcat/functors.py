@@ -6,7 +6,9 @@ acts by.  A general morphism acts by the linear combination of these
 images.  A transformation of degree n is a family of degree-n graded
 maps whose naturality squares commute up to (-1)^{nm} against degree-m
 morphisms; dgnat_space computes an exact basis of these by a single
-linear solve over the block entries.
+linear solve over the block entries.  Every square of the form
+g . X = +-Y . f with unknown maps X and Y, here and in the comma
+category, is turned into rows by one helper, square_rows.
 """
 
 from __future__ import annotations
@@ -128,7 +130,6 @@ def zero_functor(base, name="0"):
 def validate_dg_functor(fun):
     """PASS/FAIL per axiom: chain map, units, functoriality on basis pairs."""
     base = fun.base
-    field = base.field
     report = Report(f"dg-functor {fun.name}")
 
     witness = None
@@ -182,16 +183,8 @@ def validate_dg_functor(fun):
                     f_map = fun.map_of_basis(x, y, fd, fi)
                     for gd, gi in base.basis_elements(y, z):
                         g_map = fun.map_of_basis(y, z, gd, gi)
-                        composite = base.element(
-                            x,
-                            z,
-                            gd + fd,
-                            linalg.dense_vector(
-                                field,
-                                base.compose_basis(x, y, z, gd, gi, fd, fi),
-                                base.hom[(x, z)].dim(gd + fd),
-                            ),
-                        )
+                        coords = base.compose_basis_coords(x, y, z, gd, gi, fd, fi)
+                        composite = base.element(x, z, gd + fd, coords)
                         if fun.map_of(composite) != g_map.compose(f_map):
                             witness = {
                                 "objects": [x, y, z],
@@ -373,55 +366,68 @@ def dgnat_window(F, G):
     return range(lo, hi + 1)
 
 
+def square_rows(g, x_key, f, y_key, n, sgn):
+    """Linear rows forcing g . X = sgn * Y . f on unknown degree-n maps X, Y.
+
+    g and f are graded maps of a common degree m; X runs from f.source to
+    g.source and Y from f.target to g.target.  Each entry (r, c) at source
+    degree i of the two sides gives one row over the unknowns
+    x_key + (i, s, c) (entries of X) and y_key + (i + m, r, s) (entries of
+    Y), keyed as nat_unknowns keys them.  Only nonzero entries of g and f
+    are read.
+    """
+    field = g.field
+    m = f.degree
+    rows = {}
+
+    def add(i, r, c, key, coeff):
+        row = rows.setdefault((i, r, c), {})
+        row[key] = field.add(row[key], coeff) if key in row else coeff
+
+    for j, block in g.blocks.items():
+        i = j - n
+        for r, line in enumerate(block):
+            for s, coeff in enumerate(line):
+                if not field.is_zero(coeff):
+                    for c in range(f.source.dim(i)):
+                        add(i, r, c, x_key + (i, s, c), coeff)
+    neg = field.neg(sgn)
+    for i, block in f.blocks.items():
+        for s, line in enumerate(block):
+            for c, coeff in enumerate(line):
+                if not field.is_zero(coeff):
+                    coeff = field.mul(neg, coeff)
+                    for r in range(g.target.dim(i + m + n)):
+                        add(i, r, c, y_key + (i + m, r, s), coeff)
+    return list(rows.values())
+
+
 def naturality_rows(F, G, n, tag):
     """Linear constraints expressing graded naturality for degree-n families.
 
     Unknowns are tagged (tag, object, source degree, row, col).  Rows are
-    generated per homogeneous basis morphism and per identity element;
-    the solver deduplicates.
+    the square G(a) . eta_x = (-1)^{nm} eta_y . F(a) for every homogeneous
+    basis morphism a: x -> y of degree m and every identity; the solver
+    deduplicates.
     """
     base = F.base
     field = base.field
-    elements = []
     for x in base.objects:
         for y in base.objects:
             for m, k in base.basis_elements(x, y):
-                elements.append(
-                    (x, y, m, F.map_of_basis(x, y, m, k), G.map_of_basis(x, y, m, k))
+                yield from square_rows(
+                    G.map_of_basis(x, y, m, k),
+                    (tag, x),
+                    F.map_of_basis(x, y, m, k),
+                    (tag, y),
+                    n,
+                    field.sign(n * m),
                 )
         ident = base.identity(x)
         if not ident.is_zero(field):
-            elements.append((x, x, ident.degree, F.map_of(ident), G.map_of(ident)))
-    for x, y, m, f_map, g_map in elements:
-        sgn = field.neg(field.sign(n * m))
-        fx = F.on_objects[x].carrier
-        fy = F.on_objects[y].carrier
-        gx = G.on_objects[x].carrier
-        gy = G.on_objects[y].carrier
-        for i in fx.degrees():
-            cols = fx.dim(i)
-            rows = gy.dim(i + n + m)
-            if rows == 0 or cols == 0:
-                continue
-            g_block = g_map.block(i + n)
-            f_block = f_map.block(i)
-            for r in range(rows):
-                for c in range(cols):
-                    row = {}
-                    for s in range(gx.dim(i + n)):
-                        coeff = g_block[r][s]
-                        if not field.is_zero(coeff):
-                            key = (tag, x, i, s, c)
-                            row[key] = field.add(row.get(key, field.zero()), coeff)
-                    for s in range(fy.dim(i + m)):
-                        coeff = f_block[s][c]
-                        if not field.is_zero(coeff):
-                            key = (tag, y, i + m, r, s)
-                            row[key] = field.add(
-                                row.get(key, field.zero()), field.mul(sgn, coeff)
-                            )
-                    if row:
-                        yield row
+            yield from square_rows(
+                G.map_of(ident), (tag, x), F.map_of(ident), (tag, x), n, field.one()
+            )
 
 
 def nat_from_flat(F, G, n, keys, vec):
@@ -511,15 +517,12 @@ def representable_module(cat, origin, name=None):
 
 def _action_map(cat, origin, y, z, m, k):
     """hom(origin, y) -> hom(origin, z) by post-composition with basis (m, k)."""
-    field = cat.field
-    src = cat.hom[(origin, y)].carrier
-    tgt = cat.hom[(origin, z)].carrier
-
-    def column(i, j):
-        sparse = cat.compose_basis(origin, y, z, m, k, i, j)
-        return linalg.dense_vector(field, sparse, tgt.dim(i + m))
-
-    return map_from_action(src, tgt, m, column)
+    return map_from_action(
+        cat.hom[(origin, y)].carrier,
+        cat.hom[(origin, z)].carrier,
+        m,
+        lambda i, j: cat.compose_basis_coords(origin, y, z, m, k, i, j),
+    )
 
 
 def yoneda_module(cat, origin, opposite=None, name=None):
@@ -539,18 +542,16 @@ def yoneda_module(cat, origin, opposite=None, name=None):
 
 def _yoneda_action_map(cat, origin, x, y, m, k):
     field = cat.field
-    src = cat.hom[(x, origin)].carrier
-    tgt = cat.hom[(y, origin)].carrier
 
     def column(i, j):
         # j-th basis element of hom(x, origin)^i, precomposed with
         # f = basis (m, k) of hom(y, x), signed by (-1)^{m i}.
-        sparse = cat.compose_basis(y, x, origin, i, j, m, k)
-        dense = linalg.dense_vector(field, sparse, tgt.dim(i + m))
-        sgn = field.sign(m * i)
-        return tuple(field.mul(sgn, v) for v in dense)
+        dense = cat.compose_basis_coords(y, x, origin, i, j, m, k)
+        return linalg.vec_scale(field, field.sign(m * i), dense)
 
-    return map_from_action(src, tgt, m, column)
+    return map_from_action(
+        cat.hom[(x, origin)].carrier, cat.hom[(y, origin)].carrier, m, column
+    )
 
 
 def direct_sum_functors(funs, name=None):

@@ -277,13 +277,17 @@ class Homog:
         return Homog(self.degree, linalg.vec_scale(field, c, self.coords))
 
 
+def basis_vector(module, degree, index):
+    """The index-th basis element of module^degree, as a Homog."""
+    return Homog(degree, linalg.unit_vector(module.field, module.dim(degree), index))
+
+
 def homogeneous_basis(module):
     """(degree, index, basis element) for every basis vector of a graded
     module, in degree order and then by index."""
     for deg in module.degrees():
-        dim = module.dim(deg)
-        for i in range(dim):
-            yield deg, i, Homog(deg, linalg.unit_vector(module.field, dim, i))
+        for i in range(module.dim(deg)):
+            yield deg, i, basis_vector(module, deg, i)
 
 
 class DirectSum:

@@ -17,12 +17,13 @@ from . import linalg
 from .category import (
     DgCategoryPresentation,
     ZERO_OBJECT,
+    compose_from_products,
     validate_dg_category,
     with_zero_object,
 )
 from .complexes import DgModule, zero_dg_module
 from .errors import StructureError, ValidationFailure
-from .graded import DirectSum, Homog, homogeneous_basis, map_from_action
+from .graded import DirectSum, Homog, basis_vector, homogeneous_basis
 from .bimodule import validate_bimodule
 from .functors import functor_from_basis_images
 from .report import Report, first_mismatch
@@ -33,13 +34,25 @@ SLOT_T, SLOT_M, SLOT_U = 0, 1, 2
 class LambdaCategory:
     """The presentation plus block bookkeeping for the three hom slots."""
 
-    def __init__(self, t_cat, u_cat, bimodule, presentation, pair_data):
+    def __init__(self, t_cat, u_cat, bimodule, presentation, sums):
         self.t_cat = t_cat
         self.u_cat = u_cat
         self.bimodule = bimodule
         self.presentation = presentation
-        # pair_data[(p, q)] = (DirectSum, t-part module, m-part module, u-part module)
-        self.pair_data = pair_data
+        # sums[(p, q)]: hom(p, q) as the DirectSum (t-block, m-block, u-block)
+        self.sums = sums
+        # slots[(p, q)][degree][index]: (slot, local index) of a basis element
+        self.slots = {
+            key: {
+                deg: tuple(
+                    (slot, local)
+                    for slot in (SLOT_T, SLOT_M, SLOT_U)
+                    for local in range(ds.parts[slot].dim(deg))
+                )
+                for deg in ds.module.degrees()
+            }
+            for key, ds in sums.items()
+        }
         self.zero_marker = ZERO_OBJECT
 
     @property
@@ -53,12 +66,9 @@ class LambdaCategory:
         t_obj, u_obj = name.split("|", 1)
         return t_obj, u_obj
 
-    def sum_of(self, p, q):
-        return self.pair_data[(p, q)][0]
-
     def embed(self, p, q, slot, degree, vec):
         """Inject slot coordinates into the full hom vector at a degree."""
-        return self.pair_data[(p, q)][0].inject(slot, degree, vec)
+        return self.sums[(p, q)].inject(slot, degree, vec)
 
     def hom_element_from_t(self, p, q, t_elem):
         coords = self.embed(p, q, SLOT_T, t_elem.degree, t_elem.coords)
@@ -128,125 +138,54 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
             return zero_value
         return bimodule.value(u_obj, t_obj)
 
-    pairs = [(t, u) for t in t_ext.objects for u in u_ext.objects]
-    objects = [f"{t}|{u}" for t, u in pairs]
+    pair_of = {f"{t}|{u}": (t, u) for t in t_ext.objects for u in u_ext.objects}
     name = name or f"[[{t_cat.name},0],[{bimodule.name},{u_cat.name}]]"
 
     hom = {}
-    pair_data = {}
-    for t1, u1 in pairs:
-        for t2, u2 in pairs:
-            p = f"{t1}|{u1}"
-            q = f"{t2}|{u2}"
-            t_part = t_ext.hom[(t1, t2)]
-            m_part = value_ext(u2, t1)
-            u_part = u_ext.hom[(u1, u2)]
-            ds = DirectSum([t_part.carrier, m_part.carrier, u_part.carrier])
-            diff = ds.block_diag([t_part.d, m_part.d, u_part.d], degree=1)
+    sums = {}
+    for p, (t1, u1) in pair_of.items():
+        for q, (t2, u2) in pair_of.items():
+            parts = [t_ext.hom[(t1, t2)], value_ext(u2, t1), u_ext.hom[(u1, u2)]]
+            ds = DirectSum([part.carrier for part in parts])
+            diff = ds.block_diag([part.d for part in parts], degree=1)
             hom[(p, q)] = DgModule(ds.module, diff, check=False)
-            pair_data[(p, q)] = (ds, t_part, m_part, u_part)
+            sums[(p, q)] = ds
 
     ids = {}
-    for t1, u1 in pairs:
-        p = f"{t1}|{u1}"
-        ds = pair_data[(p, p)][0]
-        vec = [field.zero()] * ds.module.dim(0)
-        if t1 != ZERO_OBJECT:
-            off = ds.offset(SLOT_T, 0)
-            for k, x in enumerate(t_ext.ids[t1]):
-                vec[off + k] = x
-        if u1 != ZERO_OBJECT:
-            off = ds.offset(SLOT_U, 0)
-            for k, x in enumerate(u_ext.ids[u1]):
-                vec[off + k] = x
-        ids[p] = tuple(vec)
+    for p, (t, u) in pair_of.items():
+        ds = sums[(p, p)]
+        t_id = ds.inject(SLOT_T, 0, t_ext.ids[t])
+        ids[p] = linalg.vec_add(field, t_id, ds.inject(SLOT_U, 0, u_ext.ids[u]))
+    presentation = DgCategoryPresentation(field, pair_of, hom, {}, ids, name=name)
+    lam = LambdaCategory(t_cat, u_cat, bimodule, presentation, sums)
 
-    presentation = DgCategoryPresentation(field, objects, hom, {}, ids, name=name)
+    def matrix_product(p1, p2, p3, gdeg, gidx, fdeg, fidx):
+        # lower-triangular matrix multiplication; the m-block of the
+        # composite is m2 . t1 or u2 . m1, the two bullet actions
+        slot_g, lg = lam.slots[(p2, p3)][gdeg][gidx]
+        slot_f, lf = lam.slots[(p1, p2)][fdeg][fidx]
+        (t1, u1), (t2, u2), (t3, u3) = pair_of[p1], pair_of[p2], pair_of[p3]
+        n = gdeg + fdeg
+        if slot_g == slot_f == SLOT_T:
+            out = t_ext.compose_basis_coords(t1, t2, t3, gdeg, lg, fdeg, lf)
+            return lam.embed(p1, p3, SLOT_T, n, out)
+        if slot_g == slot_f == SLOT_U:
+            out = u_ext.compose_basis_coords(u1, u2, u3, gdeg, lg, fdeg, lf)
+            return lam.embed(p1, p3, SLOT_U, n, out)
+        if (slot_g, slot_f) == (SLOT_M, SLOT_T):
+            # m2 . t1 = (-1)^{|m2||t1|} M(1 (x) t1^op)(m2)
+            image = bimodule.right_images[(t1, t2, u3)][(fdeg, lf)]
+            out = image.apply(gdeg, basis_vector(image.source, gdeg, lg).coords)
+            out = linalg.vec_scale(field, field.sign(gdeg * fdeg), out)
+            return lam.embed(p1, p3, SLOT_M, n, out)
+        if (slot_g, slot_f) == (SLOT_U, SLOT_M):
+            # u2 . m1 = M(u2 (x) 1)(m1)
+            image = bimodule.left_images[(u2, u3, t1)][(gdeg, lg)]
+            out = image.apply(fdeg, basis_vector(image.source, fdeg, lf).coords)
+            return lam.embed(p1, p3, SLOT_M, n, out)
+        return (field.zero(),) * presentation.hom[(p1, p3)].dim(n)
 
-    slot_index = {}
-    for key, (ds, *_parts) in pair_data.items():
-        table = {}
-        for deg in ds.module.degrees():
-            entries = []
-            for slot in (SLOT_T, SLOT_M, SLOT_U):
-                for local in range(ds.parts[slot].dim(deg)):
-                    entries.append((slot, local))
-            table[deg] = entries
-        slot_index[key] = table
-
-    comp = {}
-    for t1, u1 in pairs:
-        for t2, u2 in pairs:
-            for t3, u3 in pairs:
-                p1 = f"{t1}|{u1}"
-                p2 = f"{t2}|{u2}"
-                p3 = f"{t3}|{u3}"
-                tensor = presentation.tensor_cx(p1, p2, p3)
-                target_ds = pair_data[(p1, p3)][0]
-
-                def column(
-                    n,
-                    k,
-                    _tensor=tensor,
-                    _p1=p1,
-                    _p2=p2,
-                    _p3=p3,
-                    _t1=t1,
-                    _t2=t2,
-                    _t3=t3,
-                    _u1=u1,
-                    _u2=u2,
-                    _u3=u3,
-                    _target=target_ds,
-                ):
-                    gdeg, gidx, fidx = _tensor.basis(n)[k]
-                    fdeg = n - gdeg
-                    slot_g, lg = slot_index[(_p2, _p3)][gdeg][gidx]
-                    slot_f, lf = slot_index[(_p1, _p2)][fdeg][fidx]
-                    out_dim = _target.module.dim(n)
-                    zero_vec = (field.zero(),) * out_dim
-                    if slot_g == SLOT_T and slot_f == SLOT_T:
-                        sparse = t_ext.compose_basis(
-                            _t1, _t2, _t3, gdeg, lg, fdeg, lf
-                        )
-                        dense = linalg.dense_vector(
-                            field, sparse, t_ext.hom[(_t1, _t3)].dim(n)
-                        )
-                        return _target.inject(SLOT_T, n, dense)
-                    if slot_g == SLOT_U and slot_f == SLOT_U:
-                        sparse = u_ext.compose_basis(
-                            _u1, _u2, _u3, gdeg, lg, fdeg, lf
-                        )
-                        dense = linalg.dense_vector(
-                            field, sparse, u_ext.hom[(_u1, _u3)].dim(n)
-                        )
-                        return _target.inject(SLOT_U, n, dense)
-                    if slot_g == SLOT_M and slot_f == SLOT_T:
-                        # m2 . t1 = (-1)^{|m2||t1|} M(1 (x) t1^op)(m2)
-                        rmap = bimodule.right_images[(_t1, _t2, _u3)][(fdeg, lf)]
-                        m_dim = bimodule.value(_u3, _t2).dim(gdeg)
-                        unit = linalg.unit_vector(field, m_dim, lg)
-                        image = rmap.apply(gdeg, unit)
-                        sgn = field.sign(gdeg * fdeg)
-                        image = tuple(field.mul(sgn, x) for x in image)
-                        return _target.inject(SLOT_M, n, image)
-                    if slot_g == SLOT_U and slot_f == SLOT_M:
-                        # u2 . m1 = M(u2 (x) 1)(m1)
-                        lmap = bimodule.left_images[(_u2, _u3, _t1)][(gdeg, lg)]
-                        m_dim = bimodule.value(_u2, _t1).dim(fdeg)
-                        unit = linalg.unit_vector(field, m_dim, lf)
-                        image = lmap.apply(fdeg, unit)
-                        return _target.inject(SLOT_M, n, image)
-                    return zero_vec
-
-                comp[(p1, p2, p3)] = map_from_action(
-                    tensor.module.carrier,
-                    presentation.hom[(p1, p3)].carrier,
-                    0,
-                    column,
-                )
-    presentation.set_comp(comp)
-    lam = LambdaCategory(t_cat, u_cat, bimodule, presentation, pair_data)
+    compose_from_products(presentation, matrix_product)
     if validate:
         rep = validate_dg_category(presentation)
         if not rep.passed:

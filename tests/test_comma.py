@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+from dgcat import linalg
 from dgcat.bimodule import g_on_objects
 from dgcat.comma import (
+    CommaMorphism,
     CommaObject,
     build_coproduct_module,
     check_dot_leibniz,
@@ -17,6 +19,11 @@ from dgcat.comma import (
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_theorem_fixture
 from dgcat.functors import (
+    DgNatTransformation,
+    identity_nat,
+    nat_to_flat,
+    nat_unknowns,
+    naturality_witness,
     representable_module,
     validate_dg_functor,
     zero_functor,
@@ -132,6 +139,27 @@ def test_comma_hom_space_contains_identity():
     assert is_comma_morphism(obj, obj, phi)
     # alpha and beta are forced equal by the square: check scalar equality
     assert phi.alpha.components["t0"].block(0) == phi.beta.components["u0"].block(0)
+
+
+def test_square_failure_alone_is_refused_kkk():
+    # (identity, 0) has natural legs, but f . id = f differs from G(0) . f = 0
+    lam, obj, _ = kkk_comma_setup()
+    zero_beta = DgNatTransformation(obj.B, obj.B, 0, {})
+    phi = CommaMorphism(0, identity_nat(obj.A), zero_beta)
+    assert naturality_witness(phi.alpha) is None
+    assert naturality_witness(phi.beta) is None
+    assert not is_comma_morphism(obj, obj, phi)
+
+    a_keys = nat_unknowns(obj.A, obj.A, 0)
+    b_keys = nat_unknowns(obj.B, obj.B, 0)
+
+    def flat(psi):
+        return nat_to_flat(obj.A, obj.A, 0, a_keys, psi.alpha) + nat_to_flat(
+            obj.B, obj.B, 0, b_keys, psi.beta
+        )
+
+    basis = [flat(psi) for psi in comma_hom_space(obj, obj, 0)]
+    assert linalg.rank(QQ, basis + [flat(phi)]) == len(basis) + 1
 
 
 def test_comma_hom_space_zero_target():

@@ -10,22 +10,41 @@ IDENTITY_REPORTS is the SHA-256 of the rendered lambda_leibniz_check
 report of one theorem fixture of the acceptance suite followed by the
 check_product_identities and check_dot_leibniz reports of each of its
 comma objects, recorded before those checks compared whole graded maps.
-A change that alters an output on purpose records the new digest here
-and says why.
+Each digest in BASIS_VECTORS is the SHA-256 of the flat basis vectors of
+dgnat_space between the coproduct modules and of comma_hom_space, for
+every ordered pair of comma objects and every degree of the window
+check_equivalence scans, on one theorem fixture; each digest in
+EMITTED_CATEGORIES is the SHA-256 of the rendered emit_category document
+of the opposites of both categories, their tensor product or their
+triangular category on one axiom fixture, or of a path category.  Both
+were recorded before composition tensors and square rows were each built
+through one helper.  A change that alters an output on purpose records
+the new digest here and says why.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
+from dgcat.category import opposite_category, tensor_category
 from dgcat.cli import main
-from dgcat.comma import check_dot_leibniz, check_equivalence, check_product_identities
-from dgcat.fields import Rationals
-from dgcat.fixtures import random_theorem_fixture
-from dgcat.lambda_cat import lambda_leibniz_check
+from dgcat.comma import (
+    build_coproduct_module,
+    check_dot_leibniz,
+    check_equivalence,
+    check_product_identities,
+    comma_hom_space,
+    comma_window,
+)
+from dgcat.fields import PrimeField, Rationals
+from dgcat.fixtures import path_category, random_axiom_fixture, random_theorem_fixture
+from dgcat.functors import dgnat_space, dgnat_window, nat_to_flat, nat_unknowns
+from dgcat.io_json import emit_category, render_document
+from dgcat.lambda_cat import build_lambda, lambda_leibniz_check
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -111,3 +130,80 @@ def test_identity_report_bytes_are_pinned(name, theorem_fixtures):
         text += check_dot_leibniz(obj).render()
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == IDENTITY_REPORTS[name]
+
+
+# theorem fixture name -> SHA-256 of its DgNat and comma basis vectors
+BASIS_VECTORS = {
+    "random0": "00575d249ab32353f104441e4d021055b9775c64a93be888feef87051fc14d37",
+    "random3": "f84768c50d1bca5d4233a7b04fd407e137698f7fdc6f899476c22724c8565c52",
+    "random6": "6452984ce7f70a975a2ea3361fae2191dfc6c2c81e51d44744474d0b3dfc1732",
+    "random7": "e94545c688be7ecb258125eabb7ee7935c2d3510bbd80d838c8f2d0c05e4fe59",
+}
+
+
+def _basis_text(fx):
+    field = fx["lambda"].field
+    objects = fx["comma_objects"]
+    coproducts = [build_coproduct_module(fx["lambda"], o) for o in objects]
+
+    def flat(vectors):
+        return json.dumps([[field.format(x) for x in vec] for vec in vectors])
+
+    lines = []
+    for src, f_src in zip(objects, coproducts):
+        for tgt, f_tgt in zip(objects, coproducts):
+            window = set(comma_window(src, tgt)) | set(dgnat_window(f_src, f_tgt))
+            for n in sorted(window):
+                _, lambda_vecs, _ = dgnat_space(f_src, f_tgt, n)
+                a_keys = nat_unknowns(src.A, tgt.A, n)
+                b_keys = nat_unknowns(src.B, tgt.B, n)
+                comma_vecs = [
+                    nat_to_flat(src.A, tgt.A, n, a_keys, phi.alpha)
+                    + nat_to_flat(src.B, tgt.B, n, b_keys, phi.beta)
+                    for phi in comma_hom_space(src, tgt, n)
+                ]
+                label = f"{src.name}->{tgt.name} {n}"
+                lines.append(f"{label} lambda {flat(lambda_vecs)}")
+                lines.append(f"{label} comma {flat(comma_vecs)}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_VECTORS))
+def test_basis_vectors_are_pinned(name, theorem_fixtures):
+    (fx,) = [fx for fx in theorem_fixtures if fx["name"] == name]
+    digest = hashlib.sha256(_basis_text(fx).encode("utf-8")).hexdigest()
+    assert digest == BASIS_VECTORS[name]
+
+
+# (construction, field, axiom fixture seed) -> SHA-256 of the emitted document
+EMITTED_CATEGORIES = {
+    ("opposite", "Q", 2): "bba1f6e30af15a2e2cb40c92d1f17584a4ba65677c875abf21fae580d0c19e52",
+    ("tensor", "Q", 2): "8e6e4075ddc0e93ef5907149119487c5253526ac9ce052591b8ec61496fd8a0f",
+    ("lambda", "Q", 2): "c40474c4c029f1d75e7aae920b6166c770f01b4358370b059531d506e1be2d37",
+    ("opposite", "F5", 9): "9b69e451e5ba2366aaf951a5ad2d2dda3520f3c86cd3f701378514c76b1df056",
+    ("tensor", "F5", 9): "04fbd4521dad1e20adffcd354b61bbdce452a7853e8ece3dbbbe549a92b163e9",
+    ("lambda", "F5", 9): "ba73b7f93899a49b0ef51aca98c2c3cbe1613fc37335aa612063a1fdd2fad97a",
+    ("path", "Q", 3): "d4c44ece8866c69a4294a675b90b6e9f7104843399f6e9239ebad8075102987e",
+}
+
+FIELDS = {"Q": Rationals(), "F5": PrimeField(5)}
+
+
+def _constructions(kind, field, seed):
+    if kind == "path":
+        return [path_category(field, seed)]
+    fx = random_axiom_fixture(seed, field)
+    t_cat, u_cat = fx["t_cat"], fx["u_cat"]
+    if kind == "opposite":
+        return [opposite_category(t_cat), opposite_category(u_cat)]
+    if kind == "tensor":
+        return [tensor_category(t_cat, u_cat)]
+    return [build_lambda(t_cat, u_cat, fx["bimodule"], validate=False).presentation]
+
+
+@pytest.mark.parametrize("kind,field,seed", sorted(EMITTED_CATEGORIES))
+def test_emitted_category_bytes_are_pinned(kind, field, seed):
+    cats = _constructions(kind, FIELDS[field], seed)
+    text = render_document({"categories": {c.name: emit_category(c) for c in cats}})
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == EMITTED_CATEGORIES[(kind, field, seed)]
