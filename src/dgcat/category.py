@@ -10,6 +10,14 @@ unit laws, and associativity on homogeneous basis triples.  All checks
 extend to arbitrary morphisms by bilinearity, and the signs involved
 depend only on degrees, so basis tuples decide everything.
 
+Both composition axioms read products(x, y, z), the nonzero composite
+of every basis pair of a triple, packed once from its tensor.
+Associativity sums h.(g.f) and (h.g).f per basis pair (f, g) over the h
+with a nonzero term only.  The chain-map axiom is checked as the Leibniz
+rule d(g.f) = dg.f + (-1)^{|g|} g.df on basis pairs; a triple failing it
+composes with the tensor differential for the witness, and that finding
+no failure is an InternalCheckError.
+
 Every constructed presentation gets its composition tensors from one
 helper, compose_from_products, which takes the composite of each basis
 pair as a coordinate vector and assembles the tensor of every object
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .complexes import TensorComplex, zero_dg_module
-from .errors import StructureError
+from .errors import InternalCheckError, StructureError
 from .graded import GradedMap, map_from_action
 from .report import Report, fmt_vector
 
@@ -65,7 +73,6 @@ class DgCategoryPresentation:
                     raise StructureError(f"hom({x},{y}) over the wrong field")
                 self.hom[(x, y)] = module
         self._tensor_cache = {}
-        self._pair_cache = {}
         self.set_comp(comp)
         self.ids = {}
         for x in self.objects:
@@ -85,25 +92,18 @@ class DgCategoryPresentation:
     def set_comp(self, comp):
         """Install composition tensors (missing triples default to zero)."""
         self.comp = {}
-        self._pair_cache.clear()
-        for x in self.objects:
-            for y in self.objects:
-                for z in self.objects:
-                    tensor = self.tensor_cx(x, y, z)
-                    cmap = comp.get((x, y, z))
-                    if cmap is None:
-                        cmap = GradedMap(
-                            tensor.module.carrier, self.hom[(x, z)].carrier, 0, {}
-                        )
-                    if (
-                        cmap.degree != 0
-                        or cmap.source != tensor.module.carrier
-                        or cmap.target != self.hom[(x, z)].carrier
-                    ):
-                        raise StructureError(
-                            f"composition tensor for ({x},{y},{z}) has the wrong shape"
-                        )
-                    self.comp[(x, y, z)] = cmap
+        self._products = {}
+        for x, y, z in itertools.product(self.objects, repeat=3):
+            source = self.tensor_cx(x, y, z).carrier
+            target = self.hom[(x, z)].carrier
+            cmap = comp.get((x, y, z))
+            if cmap is None:
+                cmap = GradedMap(source, target, 0, {})
+            if cmap.degree != 0 or cmap.source != source or cmap.target != target:
+                raise StructureError(
+                    f"composition tensor for ({x},{y},{z}) has the wrong shape"
+                )
+            self.comp[(x, y, z)] = cmap
 
     def tensor_cx(self, x, y, z):
         """Cached tensor complex hom(y,z) (x) hom(x,y)."""
@@ -112,32 +112,29 @@ class DgCategoryPresentation:
             self._tensor_cache[key] = TensorComplex(self.hom[(y, z)], self.hom[(x, y)])
         return self._tensor_cache[key]
 
-    def compose_basis(self, x, y, z, gdeg, gidx, fdeg, fidx):
-        """Sparse composite of two basis morphisms: ((index, coeff), ...).
+    def products(self, x, y, z):
+        """The composites of all basis pairs of one triple, packed.
 
-        The result lives in hom(x,z)^(gdeg+fdeg); entries are cached per
-        presentation, which makes basis-tuple axiom sweeps cheap.
+        {f: {g: ((row, coeff), ...)}} with f = (degree, index) in hom(x,y)
+        and g in hom(y,z); zero composites are left out.  Built once from
+        comp[(x, y, z)] and rebuilt when that tensor is replaced.
         """
-        key = (x, y, z, gdeg, gidx, fdeg, fidx)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        field = self.field
-        tensor = self.tensor_cx(x, y, z)
-        n = gdeg + fdeg
         cmap = self.comp[(x, y, z)]
-        out = ()
-        if self.hom[(x, z)].dim(n):
-            col = tensor.index(n, gdeg, gidx, fidx)
-            block = cmap.blocks.get(n)
-            if block is not None:
-                out = tuple(
-                    (r, block[r][col])
-                    for r in range(len(block))
-                    if not field.is_zero(block[r][col])
-                )
-        self._pair_cache[key] = out
-        return out
+        cached = self._products.get((x, y, z))
+        if cached is not None and cached[0] is cmap:
+            return cached[1]
+        basis = self.tensor_cx(x, y, z).basis
+        table = {}
+        for (n, col), entries in _sparse_columns(self.field, cmap).items():
+            gdeg, gidx, fidx = basis(n)[col]
+            table.setdefault((n - gdeg, fidx), {})[(gdeg, gidx)] = entries
+        self._products[(x, y, z)] = (cmap, table)
+        return table
+
+    def compose_basis(self, x, y, z, gdeg, gidx, fdeg, fidx):
+        """Sparse composite of two basis morphisms: ((index, coeff), ...)
+        in hom(x,z)^(gdeg+fdeg), read from products(x, y, z)."""
+        return self.products(x, y, z).get((fdeg, fidx), {}).get((gdeg, gidx), ())
 
     def compose_basis_coords(self, x, y, z, gdeg, gidx, fdeg, fidx):
         """compose_basis as a dense coordinate vector in hom(x,z)^(gdeg+fdeg)."""
@@ -214,38 +211,15 @@ def validate_dg_category(cat):
     report.add("d_squared", witness is None, witness)
 
     witness = None
-    for x in cat.objects:
-        for y in cat.objects:
-            for z in cat.objects:
-                tensor = cat.tensor_cx(x, y, z)
-                cmap = cat.comp[(x, y, z)]
-                lhs = cmap.compose(tensor.module.d)
-                rhs = cat.hom[(x, z)].d.compose(cmap)
-                if lhs != rhs:
-                    diff = lhs.sub(rhs)
-                    deg = min(diff.blocks)
-                    block = diff.blocks[deg]
-                    col = next(
-                        k
-                        for k in range(len(block[0]))
-                        if any(not field.is_zero(row[k]) for row in block)
-                    )
-                    gdeg, gidx, fidx = tensor.basis(deg)[col]
-                    unit = linalg.unit_vector(field, tensor.module.dim(deg), col)
-                    witness = {
-                        "triple": [x, y, z],
-                        "basis": {
-                            "g": [gdeg, gidx],
-                            "f": [deg - gdeg, fidx],
-                        },
-                        "comp_after_d": fmt_vector(field, lhs.apply(deg, unit)),
-                        "d_after_comp": fmt_vector(field, rhs.apply(deg, unit)),
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    for x, y, z in itertools.product(cat.objects, repeat=3):
+        if _leibniz_holds(cat, x, y, z):
+            continue
+        witness = _chain_map_witness(cat, x, y, z)
+        if witness is None:
+            raise InternalCheckError(
+                f"Leibniz rule fails on ({x},{y},{z}) but the chain-map condition holds"
+            )
+        break
     report.add("composition_chain_map", witness is None, witness)
 
     witness = None
@@ -257,80 +231,146 @@ def validate_dg_category(cat):
     report.add("identity_closed", witness is None, witness)
 
     witness = None
-    for x in cat.objects:
-        for y in cat.objects:
-            id_y = cat.identity(y)
-            id_x = cat.identity(x)
-            for degree, index in cat.basis_elements(x, y):
-                f = cat.basis_element(x, y, degree, index)
-                left = cat.compose(id_y, f)
-                right = cat.compose(f, id_x)
-                if left.coords != f.coords or right.coords != f.coords:
-                    witness = {
-                        "pair": [x, y],
-                        "basis": [degree, index],
-                        "id_then_f": fmt_vector(field, left.coords),
-                        "f_then_id": fmt_vector(field, right.coords),
-                        "f": fmt_vector(field, f.coords),
-                    }
-                    break
-            if witness:
+    for x, y in itertools.product(cat.objects, repeat=2):
+        for degree, index in cat.basis_elements(x, y):
+            f = cat.basis_element(x, y, degree, index)
+            left = cat.compose(cat.identity(y), f)
+            right = cat.compose(f, cat.identity(x))
+            if left.coords != f.coords or right.coords != f.coords:
+                witness = {
+                    "pair": [x, y],
+                    "basis": [degree, index],
+                    "id_then_f": fmt_vector(field, left.coords),
+                    "f_then_id": fmt_vector(field, right.coords),
+                    "f": fmt_vector(field, f.coords),
+                }
                 break
         if witness:
             break
     report.add("units", witness is None, witness)
 
     witness = None
-    for x in cat.objects:
-        for y in cat.objects:
-            for z in cat.objects:
-                for w in cat.objects:
-                    if witness:
-                        break
-                    witness = _associativity_witness(cat, x, y, z, w)
+    for x, y, z, w in itertools.product(cat.objects, repeat=4):
+        witness = _associativity_witness(cat, x, y, z, w)
+        if witness:
+            break
     report.add("associativity", witness is None, witness)
     return report
 
 
-def _sparse_then(cat, x, y, z, gdeg, gidx, sparse, sdeg):
-    """Sparse composite basis(gdeg, gidx) . (sparse vector at degree sdeg)."""
-    field = cat.field
-    acc = {}
-    for fi, fval in sparse:
-        for r, coeff in cat.compose_basis(x, y, z, gdeg, gidx, sdeg, fi):
-            acc[r] = field.add(acc.get(r, field.zero()), field.mul(fval, coeff))
-    return {k: v for k, v in acc.items() if not field.is_zero(v)}
+def _sparse_columns(field, gmap):
+    """{(degree, column): ((row, coeff), ...)} over a map's nonzero columns."""
+    out = {}
+    for i, block in gmap.blocks.items():
+        for k, column in enumerate(zip(*block)):
+            entries = tuple((r, v) for r, v in enumerate(column) if not field.is_zero(v))
+            if entries:
+                out[(i, k)] = entries
+    return out
 
 
-def _sparse_after(cat, x, y, z, sparse, sdeg, fdeg, fidx):
-    """Sparse composite (sparse vector at degree sdeg) . basis(fdeg, fidx)."""
+def _add_scaled(field, acc, c, entries):
+    """acc += c * entries, for a sparse vector acc (a dict) and entries."""
+    for r, v in entries:
+        acc[r] = field.add(acc.get(r, field.zero()), field.mul(c, v))
+
+
+def _nonzero(field, acc):
+    return {r: v for r, v in acc.items() if not field.is_zero(v)}
+
+
+def _leibniz_holds(cat, x, y, z):
+    """d(g.f) == dg.f + (-1)^{|g|} g.df for every basis pair (f, g) of the
+    triple: the chain-map condition of comp[(x, y, z)], column by column."""
     field = cat.field
-    acc = {}
-    for gi, gval in sparse:
-        for r, coeff in cat.compose_basis(x, y, z, sdeg, gi, fdeg, fidx):
-            acc[r] = field.add(acc.get(r, field.zero()), field.mul(gval, coeff))
-    return {k: v for k, v in acc.items() if not field.is_zero(v)}
+    gf_of = cat.products(x, y, z)
+    d_f = _sparse_columns(field, cat.hom[(x, y)].d)
+    d_g = _sparse_columns(field, cat.hom[(y, z)].d)
+    d_gf = _sparse_columns(field, cat.hom[(x, z)].d)
+    g_basis = tuple(cat.basis_elements(y, z))
+    for f in cat.basis_elements(x, y):
+        gfs = gf_of.get(f, {})
+        for g in g_basis:
+            lhs, rhs = {}, {}
+            for r, c in gfs.get(g, ()):
+                _add_scaled(field, lhs, c, d_gf.get((f[0] + g[0], r), ()))
+            for s, c in d_g.get(g, ()):
+                _add_scaled(field, rhs, c, gfs.get((g[0] + 1, s), ()))
+            sgn = field.sign(g[0])
+            for s, c in d_f.get(f, ()):
+                terms = gf_of.get((f[0] + 1, s), {}).get(g, ())
+                _add_scaled(field, rhs, field.mul(sgn, c), terms)
+            if _nonzero(field, lhs) != _nonzero(field, rhs):
+                return False
+    return True
+
+
+def _chain_map_witness(cat, x, y, z):
+    """First tensor basis column where comp . d_tensor != d . comp, or None."""
+    field = cat.field
+    tensor = cat.tensor_cx(x, y, z)
+    cmap = cat.comp[(x, y, z)]
+    lhs = cmap.compose(tensor.module.d)
+    rhs = cat.hom[(x, z)].d.compose(cmap)
+    if lhs == rhs:
+        return None
+    diff = lhs.sub(rhs)
+    deg = min(diff.blocks)
+    block = diff.blocks[deg]
+    col = next(
+        k
+        for k in range(len(block[0]))
+        if any(not field.is_zero(row[k]) for row in block)
+    )
+    gdeg, gidx, fidx = tensor.basis(deg)[col]
+    unit = linalg.unit_vector(field, tensor.carrier.dim(deg), col)
+    return {
+        "triple": [x, y, z],
+        "basis": {"g": [gdeg, gidx], "f": [deg - gdeg, fidx]},
+        "comp_after_d": fmt_vector(field, lhs.apply(deg, unit)),
+        "d_after_comp": fmt_vector(field, rhs.apply(deg, unit)),
+    }
 
 
 def _associativity_witness(cat, x, y, z, w):
+    """First basis triple (f, g, h) with h.(g.f) != (h.g).f, in basis order.
+
+    Both sides are summed per pair (f, g) for all h at once over the terms
+    the product tables hold; any other h is zero on both.
+    """
+    if cat.hom[(x, w)].is_zero():
+        return None
     field = cat.field
-    for fd, fi in cat.basis_elements(x, y):
-        for gd, gi in cat.basis_elements(y, z):
-            gf = cat.compose_basis(x, y, z, gd, gi, fd, fi)
-            for hd, hi in cat.basis_elements(z, w):
-                hg = cat.compose_basis(y, z, w, hd, hi, gd, gi)
-                left = _sparse_then(cat, x, z, w, hd, hi, gf, gd + fd)
-                right = _sparse_after(cat, x, y, w, hg, hd + gd, fd, fi)
-                if left != right:
-                    dim = cat.hom[(x, w)].dim(fd + gd + hd)
+    gf_of = cat.products(x, y, z)
+    h_gf_of = cat.products(x, z, w)
+    hg_of = cat.products(y, z, w)
+    hg_f_of = cat.products(x, y, w)
+    g_basis = tuple(cat.basis_elements(y, z))
+    for f in cat.basis_elements(x, y):
+        gfs = gf_of.get(f, {})
+        hg_fs = hg_f_of.get(f, {})
+        for g in g_basis:
+            left, right = {}, {}
+            for r, c in gfs.get(g, ()):
+                for h, terms in h_gf_of.get((f[0] + g[0], r), {}).items():
+                    _add_scaled(field, left.setdefault(h, {}), c, terms)
+            for h, hg in hg_of.get(g, {}).items():
+                acc = right.setdefault(h, {})
+                for s, c in hg:
+                    _add_scaled(field, acc, c, hg_fs.get((h[0] + g[0], s), ()))
+            for h in sorted(left.keys() | right.keys()):
+                lhs = _nonzero(field, left.get(h, {}))
+                rhs = _nonzero(field, right.get(h, {}))
+                if lhs != rhs:
+                    dim = cat.hom[(x, w)].dim(f[0] + g[0] + h[0])
                     return {
                         "objects": [x, y, z, w],
-                        "basis": [[fd, fi], [gd, gi], [hd, hi]],
+                        "basis": [list(f), list(g), list(h)],
                         "h_after_gf": fmt_vector(
-                            field, linalg.dense_vector(field, left.items(), dim)
+                            field, linalg.dense_vector(field, lhs.items(), dim)
                         ),
                         "hg_after_f": fmt_vector(
-                            field, linalg.dense_vector(field, right.items(), dim)
+                            field, linalg.dense_vector(field, rhs.items(), dim)
                         ),
                     }
     return None
@@ -353,7 +393,7 @@ def compose_from_products(cat, product):
             return product(x, y, z, gdeg, gidx, n - gdeg, fidx)
 
         comp[(x, y, z)] = map_from_action(
-            tensor.module.carrier, cat.hom[(x, z)].carrier, 0, column
+            tensor.carrier, cat.hom[(x, z)].carrier, 0, column
         )
     cat.set_comp(comp)
     return cat

@@ -212,10 +212,13 @@ def build_parser():
     def common(p):
         p.add_argument("--input", required=True, help="input file, or - for stdin")
         p.add_argument("--output", default="-", help="output file, or - for stdout")
+
+    def seeded(p):
+        common(p)
         p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
 
     p = sub.add_parser("validate", help="validate every declared entity")
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("oppose", help="emit the opposite of a category")
@@ -242,7 +245,7 @@ def build_parser():
     p = sub.add_parser(
         "check-equivalence", help="run the full equivalence suite on a fixture"
     )
-    common(p)
+    seeded(p)
     p.add_argument("--fixture", default=None)
     p.set_defaults(func=cmd_check_equivalence)
     return parser

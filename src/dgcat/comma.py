@@ -84,6 +84,7 @@ class CommaObject:
             if comp.degree != 0 or comp.source != src or comp.target != tgt:
                 raise StructureError(f"structure map at {t} has the wrong shape")
             self.f[t] = comp
+        self._f_images = {}
         self._dot_images = {}
 
     @property
@@ -94,9 +95,12 @@ class CommaObject:
         return DgNatTransformation(self.A, self.gB.functor, 0, self.f)
 
     def f_of(self, t, x):
-        """The transformation f_t(x): M_t -> B for a homogeneous x in A(t)."""
-        coords = self.f[t].apply(x.degree, x.coords)
-        return self.gB.decode(t, x.degree, coords)
+        """f_t(x): M_t -> B for a homogeneous x in A(t), decoded once per (t, x)."""
+        key = (t, x.degree, x.coords)
+        if key not in self._f_images:
+            coords = self.f[t].apply(x.degree, x.coords)
+            self._f_images[key] = self.gB.decode(t, x.degree, coords)
+        return self._f_images[key]
 
     def dot(self, u, t, m, x):
         """m . x = (-1)^{|x||m|} [f_t(x)]_u(m) in B(u)."""

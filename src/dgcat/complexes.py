@@ -117,13 +117,12 @@ class _PairComplex:
                     f"{second.carrier.label(partner(n, i), b)}]"
                     for i, a, b in triples
                 )
-        carrier = GradedModule(first.field, dims, labels)
-        self._carrier = carrier
+        self.carrier = GradedModule(first.field, dims, labels)
         self._index = {
             n: {t: k for k, t in enumerate(ts)} for n, ts in self._basis.items()
         }
-        d = map_from_action(carrier, carrier, 1, self._d_column)
-        self.module = DgModule(carrier, d, check=False)
+        d = map_from_action(self.carrier, self.carrier, 1, self._d_column)
+        self.module = DgModule(self.carrier, d, check=False)
 
     def basis(self, n):
         return self._basis.get(n, ())
@@ -148,7 +147,7 @@ class HomComplex(_PairComplex):
     def _d_column(self, n, k):
         field = self.source.field
         i, a, b = self._basis[n][k]
-        out = [field.zero()] * self._carrier.dim(n + 1)
+        out = [field.zero()] * self.carrier.dim(n + 1)
         index = self._index.get(n + 1, {})
         # d_N after the elementary map: column b of d_N at degree i + n.
         dn = self.target.d.block(i + n)
@@ -173,7 +172,7 @@ class HomComplex(_PairComplex):
             raise StructureError("graded map does not belong to this hom complex")
         n = gmap.degree
         field = self.source.field
-        out = [field.zero()] * self.module.dim(n)
+        out = [field.zero()] * self.carrier.dim(n)
         for k, (i, a, b) in enumerate(self.basis(n)):
             out[k] = gmap.block(i)[b][a]
         return tuple(out)
@@ -181,14 +180,14 @@ class HomComplex(_PairComplex):
     def decode_basis(self, n, k):
         """The k-th elementary map of degree n."""
         field = self.source.field
-        return self.decode(n, linalg.unit_vector(field, self.module.dim(n), k))
+        return self.decode(n, linalg.unit_vector(field, self.carrier.dim(n), k))
 
     def decode(self, n, vec):
         """The graded map of degree n with the given coordinates."""
         field = self.source.field
-        if len(vec) != self.module.dim(n):
+        if len(vec) != self.carrier.dim(n):
             raise StructureError(
-                f"vector length {len(vec)} != hom dimension {self.module.dim(n)}"
+                f"vector length {len(vec)} != hom dimension {self.carrier.dim(n)}"
             )
         blocks = {}
         for k, (i, a, b) in enumerate(self.basis(n)):
@@ -223,7 +222,7 @@ class TensorComplex(_PairComplex):
         field = self.left.field
         i, a, b = self._basis[n][k]
         j = n - i
-        out = [field.zero()] * self._carrier.dim(n + 1)
+        out = [field.zero()] * self.carrier.dim(n + 1)
         index = self._index.get(n + 1, {})
         dl = self.left.d.block(i)
         for a2 in range(self.left.dim(i + 1)):
@@ -244,7 +243,7 @@ class TensorComplex(_PairComplex):
         """Coordinates of left_vec (x) right_vec at degree i + j."""
         field = self.left.field
         n = i + j
-        out = [field.zero()] * self.module.dim(n)
+        out = [field.zero()] * self.carrier.dim(n)
         if len(left_vec) != self.left.dim(i) or len(right_vec) != self.right.dim(j):
             raise StructureError("pure tensor factors have wrong lengths")
         for a, x in enumerate(left_vec):

@@ -66,7 +66,7 @@ def exterior_category(field, name="Ext", obj="*"):
 
 
 def _tensor_carrier(left, right):
-    return TensorComplex(left, right).module.carrier
+    return TensorComplex(left, right).carrier
 
 
 def path_category(field, arrows, name="Path"):
@@ -227,7 +227,7 @@ def _post_composition(g_cx, src, tgt, m, k):
     def column(i, j):
         return tgt.encode(g.compose(src.decode_basis(i, j)))
 
-    return map_from_action(src.module.carrier, tgt.module.carrier, m, column)
+    return map_from_action(src.carrier, tgt.carrier, m, column)
 
 
 def _pre_composition(field, s_cx, src, tgt, m, k):
@@ -238,7 +238,7 @@ def _pre_composition(field, s_cx, src, tgt, m, k):
     def column(i, j):
         return tgt.encode(src.decode_basis(i, j).compose(s).scale(field.sign(m * i)))
 
-    return map_from_action(src.module.carrier, tgt.module.carrier, m, column)
+    return map_from_action(src.carrier, tgt.carrier, m, column)
 
 
 def hom_from_module(u_cat, u_modules, z_module, name=None):

@@ -490,7 +490,7 @@ def action_from_basis_images(source, hom_cx, image):
     """The degree-0 map source -> hom_cx.module sending the k-th basis
     element of source^m to the coordinates of the graded map image(m, k)."""
     return map_from_action(
-        source, hom_cx.module.carrier, 0, lambda m, k: hom_cx.encode(image(m, k))
+        source, hom_cx.carrier, 0, lambda m, k: hom_cx.encode(image(m, k))
     )
 
 

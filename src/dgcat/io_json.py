@@ -235,6 +235,24 @@ def _names(value, path):
     return value
 
 
+def _ref(value, table, path, kind):
+    """The entry of table that value names; any other value exits with path."""
+    if not isinstance(value, str) or value not in table:
+        raise StructureError(f"{path}: unknown {kind} {value!r}")
+    return table[value]
+
+
+def _lambda_refs(data, workspace, path):
+    """The checked names (t, u, bimodule) that a Lambda is built from."""
+    for key, table, kind in (
+        ("t", workspace.categories, "category"),
+        ("u", workspace.categories, "category"),
+        ("bimodule", workspace.bimodules, "bimodule"),
+    ):
+        _ref(data.get(key), table, f"{path}.{key}", kind)
+    return data["t"], data["u"], data["bimodule"]
+
+
 def _int_entry(entry, path, layout):
     """A sparse entry: five ints, then a scalar string."""
     if (
@@ -350,12 +368,12 @@ def _parse_comp_map(field, cat, x, y, z, entries, path):
             raise StructureError(f"{path}[{pos}]: output index out of range")
         block = blocks.setdefault(
             n,
-            [[field.zero()] * tensor.module.dim(n) for _ in range(target.dim(n))],
+            [[field.zero()] * tensor.carrier.dim(n) for _ in range(target.dim(n))],
         )
         block[out_idx][col] = field.add(
             block[out_idx][col], _scalar(field, coeff, f"{path}[{pos}]")
         )
-    return GradedMap(tensor.module.carrier, target, 0, blocks)
+    return GradedMap(tensor.carrier, target, 0, blocks)
 
 
 def _parse_action_images(field, hom, source, target, entries, path):
@@ -389,11 +407,10 @@ def _parse_action_images(field, hom, source, target, entries, path):
 
 def parse_bimodule(field, name, data, workspace, path):
     data = _expect_dict(data, path)
-    for key in ("left", "right"):
-        if data.get(key) not in workspace.categories:
-            raise StructureError(f"{path}.{key}: unknown category {data.get(key)!r}")
-    left_base = workspace.categories[data["left"]]
-    right_base = workspace.categories[data["right"]]
+    left_base, right_base = (
+        _ref(data.get(key), workspace.categories, f"{path}.{key}", "category")
+        for key in ("left", "right")
+    )
     U, T = left_base.objects, right_base.objects
     values = {(u, t): zero_dg_module(field) for u in U for t in T}
     for u, per_t in _expect_dict(data.get("values", {}), f"{path}.values").items():
@@ -451,22 +468,12 @@ def parse_bimodule(field, name, data, workspace, path):
 def parse_module(field, name, data, workspace, path):
     data = _expect_dict(data, path)
     base_ref = data.get("base")
-    if isinstance(base_ref, str):
-        if base_ref not in workspace.categories:
-            raise StructureError(f"{path}.base: unknown category {base_ref!r}")
-        base = workspace.categories[base_ref]
-    elif isinstance(base_ref, dict) and set(base_ref) == {"lambda"}:
+    if isinstance(base_ref, dict) and set(base_ref) == {"lambda"}:
         ref = _expect_dict(base_ref["lambda"], f"{path}.base.lambda")
-        for key in ("t", "u", "bimodule"):
-            if key not in ref:
-                raise StructureError(f"{path}.base.lambda: missing {key!r}")
-        if ref["bimodule"] not in workspace.bimodules:
-            raise StructureError(
-                f"{path}.base.lambda: unknown bimodule {ref['bimodule']!r}"
-            )
-        base = workspace.lambda_for(ref["t"], ref["u"], ref["bimodule"]).presentation
+        names = _lambda_refs(ref, workspace, f"{path}.base.lambda")
+        base = workspace.lambda_for(*names).presentation
     else:
-        raise StructureError(f"{path}.base: expected a name or a lambda reference")
+        base = _ref(base_ref, workspace.categories, f"{path}.base", "category")
     on_objects = {obj: zero_dg_module(field) for obj in base.objects}
     for obj, module_data in _expect_dict(
         data.get("on_objects", {}), f"{path}.on_objects"
@@ -499,16 +506,17 @@ def parse_comma_object(field, name, data, workspace, path):
         if key not in data:
             raise StructureError(f"{path}: missing {key!r}")
         refs[key] = data[key]
-    if refs["bimodule"] not in workspace.bimodules:
-        raise StructureError(f"{path}.bimodule: unknown bimodule {refs['bimodule']!r}")
-    bim = workspace.bimodules[refs["bimodule"]]
-    for key, base in (("module_t", bim.right_base), ("module_u", bim.left_base)):
-        if refs[key] not in workspace.modules:
-            raise StructureError(f"{path}.{key}: unknown module {refs[key]!r}")
-        if workspace.modules[refs[key]].base.objects != base.objects:
+    bim = _ref(refs["bimodule"], workspace.bimodules, f"{path}.bimodule", "bimodule")
+    A, B = (
+        _ref(refs[key], workspace.modules, f"{path}.{key}", "module")
+        for key in ("module_t", "module_u")
+    )
+    for key, module, base in (
+        ("module_t", A, bim.right_base),
+        ("module_u", B, bim.left_base),
+    ):
+        if module.base.objects != base.objects:
             raise StructureError(f"{path}.{key}: module is over the wrong category")
-    A = workspace.modules[refs["module_t"]]
-    B = workspace.modules[refs["module_u"]]
     gb = g_on_objects(bim, B)
     f = {}
     for t, per_degree in _expect_dict(data.get("f", {}), f"{path}.f").items():
@@ -529,24 +537,14 @@ def parse_comma_object(field, name, data, workspace, path):
 def parse_fixture(name, data, workspace, path):
     data = _expect_dict(data, path)
     out = {"name": name}
-    for key, pool, kind in (
-        ("t", workspace.categories, "category"),
-        ("u", workspace.categories, "category"),
-        ("bimodule", workspace.bimodules, "bimodule"),
+    out["t"], out["u"], out["bimodule"] = _lambda_refs(data, workspace, path)
+    for key, table, kind in (
+        ("comma_objects", workspace.comma_objects, "object"),
+        ("lambda_modules", workspace.modules, "module"),
     ):
-        if data.get(key) not in pool:
-            raise StructureError(f"{path}.{key}: unknown {kind} {data.get(key)!r}")
-        out[key] = data[key]
-    out["comma_objects"] = []
-    for ref in _names(data.get("comma_objects", []), f"{path}.comma_objects"):
-        if ref not in workspace.comma_objects:
-            raise StructureError(f"{path}.comma_objects: unknown object {ref!r}")
-        out["comma_objects"].append(ref)
-    out["lambda_modules"] = []
-    for ref in _names(data.get("lambda_modules", []), f"{path}.lambda_modules"):
-        if ref not in workspace.modules:
-            raise StructureError(f"{path}.lambda_modules: unknown module {ref!r}")
-        out["lambda_modules"].append(ref)
+        out[key] = _names(data.get(key, []), f"{path}.{key}")
+        for ref in out[key]:
+            _ref(ref, table, f"{path}.{key}", kind)
     return out
 
 

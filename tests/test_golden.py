@@ -18,19 +18,27 @@ EMITTED_CATEGORIES is the SHA-256 of the rendered emit_category document
 of the opposites of both categories, their tensor product or their
 triangular category on one axiom fixture, or of a path category.  Both
 were recorded before composition tensors and square rows were each built
-through one helper.  A change that alters an output on purpose records
-the new digest here and says why.
+through one helper.  Each digest in CORRUPTED_REPORTS is the SHA-256 of
+the rendered validate_dg_category reports of T, U or Lambda of one axiom
+fixture, each with one composition entry bumped in one object triple,
+recorded while associativity was still a pair-by-pair sweep over
+compose_basis and the chain-map axiom still composed with the tensor
+differential.  A change that alters an output on purpose records the new
+digest here and says why.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from dgcat.category import opposite_category, tensor_category
+from dgcat.category import opposite_category, tensor_category, validate_dg_category
 from dgcat.cli import main
 from dgcat.comma import (
     build_coproduct_module,
@@ -43,8 +51,11 @@ from dgcat.comma import (
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import path_category, random_axiom_fixture, random_theorem_fixture
 from dgcat.functors import dgnat_space, dgnat_window, nat_to_flat, nat_unknowns
+from dgcat.graded import GradedMap
 from dgcat.io_json import emit_category, render_document
 from dgcat.lambda_cat import build_lambda, lambda_leibniz_check
+from dgcat.linalg import dense_vector
+from dgcat.report import fmt_vector
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -207,3 +218,155 @@ def test_emitted_category_bytes_are_pinned(kind, field, seed):
     text = render_document({"categories": {c.name: emit_category(c) for c in cats}})
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == EMITTED_CATEGORIES[(kind, field, seed)]
+
+
+# (field, axiom fixture seed, category) -> SHA-256 of the joined reports
+CORRUPTED_REPORTS = {
+    ("F5", 2, "Lambda"): "ce4ba36ac5bd274ab2d0c28c027c07837e5f82daf00fdc01f70925a664b4413f",
+    ("F5", 4, "Lambda"): "bd1603a328cde1ed7795cbec844af2e5f17b6f08ffc66068eec8f6fc6fcacfda",
+    ("F5", 4, "T"): "96f7883435de0fb0664ac2e9780ad82907f288ecbfa6893c34cfac6be0ee5633",
+    ("F5", 4, "U"): "0743e37f24f22d675e47f1d0e0e4bb8e0b80898abc5ae4290195c6c2d973475a",
+    ("F5", 6, "T"): "a634640bb4aba3c9a1e2cddd589c020977f82aa10bc68dd09815262150d6d32a",
+    ("F5", 8, "Lambda"): "aa88008e36efe8a550b8f050816121881b0b9e3e700a5387deab2e99baa28a50",
+    ("F5", 9, "U"): "25c5726de5efa2c8e91dd55f5eb1dcbf86f6519cf95f3884f229ecef8833a74f",
+    ("Q", 4, "Lambda"): "2381015382628a31afa017b3f934eba50b0e9d545fdf2808e295bbcac5024327",
+    ("Q", 4, "T"): "e30bdb8403632d76a73bd6e414f53516395b97c6a644670a2f4f7329a7b968f2",
+    ("Q", 4, "U"): "92aa7a0f0b5f3705d0dd8a6e0f7201e2051db17ee3b4b7bf502f76975d7029ae",
+    ("Q", 6, "T"): "411080081ebe6ea6ac74c6cc8829ca9d6bc1a94edc99abb78eb66eb5a6faa54a",
+    ("Q", 8, "Lambda"): "9e7dd19b8c4f0ee55dd383929f6fd69d41c2a5f4ccf6fd127de4a63aa0c55eae",
+    ("Q", 9, "Lambda"): "1b32196032912e934393692d5b39d59b73fbcf465ae4a9251e492ca37b00cf67",
+    ("Q", 9, "U"): "3ce2b17e93d8becfdda3d2a38e62dbbbc37b460baf5348e1451f892dc84292ba",
+}
+
+# a Lambda has up to hundreds of nonempty triples; a sample keeps the sweep short
+LAMBDA_TRIPLES = 6
+
+
+def _axiom_categories(field, seed):
+    fx = random_axiom_fixture(seed, FIELDS[field])
+    lam = build_lambda(fx["t_cat"], fx["u_cat"], fx["bimodule"], validate=False)
+    return {"T": fx["t_cat"], "U": fx["u_cat"], "Lambda": lam.presentation}
+
+
+def _bump(cat, key, rng):
+    """The composition tensor of key with one entry of one block plus one,
+    or None when the triple composes into zero spaces only."""
+    x, _, z = key
+    field = cat.field
+    cmap = cat.comp[key]
+    target = cat.hom[(x, z)].carrier
+    degrees = [n for n in cmap.source.degrees() if target.dim(n)]
+    if not degrees:
+        return None
+    n = rng.choice(degrees)
+    row, col = rng.randrange(target.dim(n)), rng.randrange(cmap.source.dim(n))
+    block = [list(r) for r in cmap.block(n)]
+    block[row][col] = field.add(block[row][col], field.one())
+    return GradedMap(cmap.source, target, 0, {**cmap.blocks, n: block})
+
+
+def _corrupted(field, seed, label):
+    """(cat, report) per bumped triple; cat stays corrupted until the next
+    step, so a caller can inspect it."""
+    cat = _axiom_categories(field, seed)[label]
+    original = dict(cat.comp)
+    rng = random.Random(f"{field}/{seed}/{label}")
+    bumps = [(key, _bump(cat, key, rng)) for key in sorted(original)]
+    bumps = [(key, bad) for key, bad in bumps if bad is not None]
+    if label == "Lambda":
+        bumps = rng.sample(bumps, min(LAMBDA_TRIPLES, len(bumps)))
+    for key, bad in bumps:
+        cat.set_comp({**original, key: bad})
+        yield cat, validate_dg_category(cat)
+
+
+@functools.lru_cache(maxsize=None)
+def _corrupted_reports(field, seed, label):
+    return tuple(report for _, report in _corrupted(field, seed, label))
+
+
+@pytest.mark.parametrize("field,seed,label", sorted(CORRUPTED_REPORTS))
+def test_corrupted_category_reports_are_pinned(field, seed, label):
+    text = "".join(r.render() for r in _corrupted_reports(field, seed, label))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == CORRUPTED_REPORTS[(field, seed, label)]
+
+
+def test_corrupted_reports_cover_both_composition_axioms():
+    failing = {"associativity": set(), "composition_chain_map": set()}
+    for field, seed, label in sorted(CORRUPTED_REPORTS):
+        for report in _corrupted_reports(field, seed, label):
+            for check in report.failures():
+                if check.name in failing:
+                    failing[check.name].add(label)
+    assert failing == {
+        "associativity": {"T", "U", "Lambda"},
+        "composition_chain_map": {"T", "U", "Lambda"},
+    }
+
+
+def _reference_compose_basis(cat, x, y, z, gdeg, gidx, fdeg, fidx):
+    """The composite of two basis morphisms, read off the tensor column."""
+    field = cat.field
+    n = gdeg + fdeg
+    block = cat.comp[(x, y, z)].blocks.get(n)
+    if block is None:
+        return ()
+    col = cat.tensor_cx(x, y, z).index(n, gdeg, gidx, fidx)
+    return tuple(
+        (r, block[r][col]) for r in range(len(block)) if not field.is_zero(block[r][col])
+    )
+
+
+def _sparse_then(cat, x, y, z, gdeg, gidx, sparse, sdeg):
+    """Sparse composite basis(gdeg, gidx) . (sparse vector at degree sdeg)."""
+    field = cat.field
+    acc = {}
+    for fi, fval in sparse:
+        for r, coeff in _reference_compose_basis(cat, x, y, z, gdeg, gidx, sdeg, fi):
+            acc[r] = field.add(acc.get(r, field.zero()), field.mul(fval, coeff))
+    return {k: v for k, v in acc.items() if not field.is_zero(v)}
+
+
+def _sparse_after(cat, x, y, z, sparse, sdeg, fdeg, fidx):
+    """Sparse composite (sparse vector at degree sdeg) . basis(fdeg, fidx)."""
+    field = cat.field
+    acc = {}
+    for gi, gval in sparse:
+        for r, coeff in _reference_compose_basis(cat, x, y, z, sdeg, gi, fdeg, fidx):
+            acc[r] = field.add(acc.get(r, field.zero()), field.mul(gval, coeff))
+    return {k: v for k, v in acc.items() if not field.is_zero(v)}
+
+
+def _reference_associativity_witness(cat):
+    """The first basis triple (f, g, h) where h.(g.f) != (h.g).f, found
+    pair by pair over every object quadruple."""
+    field = cat.field
+    for x, y, z, w in itertools.product(cat.objects, repeat=4):
+        for fd, fi in cat.basis_elements(x, y):
+            for gd, gi in cat.basis_elements(y, z):
+                gf = _reference_compose_basis(cat, x, y, z, gd, gi, fd, fi)
+                for hd, hi in cat.basis_elements(z, w):
+                    hg = _reference_compose_basis(cat, y, z, w, hd, hi, gd, gi)
+                    left = _sparse_then(cat, x, z, w, hd, hi, gf, gd + fd)
+                    right = _sparse_after(cat, x, y, w, hg, hd + gd, fd, fi)
+                    if left != right:
+                        dim = cat.hom[(x, w)].dim(fd + gd + hd)
+                        return {
+                            "objects": [x, y, z, w],
+                            "basis": [[fd, fi], [gd, gi], [hd, hi]],
+                            "h_after_gf": fmt_vector(
+                                field, dense_vector(field, left.items(), dim)
+                            ),
+                            "hg_after_f": fmt_vector(
+                                field, dense_vector(field, right.items(), dim)
+                            ),
+                        }
+    return None
+
+
+@pytest.mark.parametrize("field,seed,label", sorted(CORRUPTED_REPORTS))
+def test_associativity_witness_matches_pairwise_sweep(field, seed, label):
+    for cat, report in _corrupted(field, seed, label):
+        (check,) = [c for c in report.checks if c.name == "associativity"]
+        assert check.witness == _reference_associativity_witness(cat)

@@ -117,6 +117,28 @@ def _set_fixture_refs(doc, key, value):
             lambda doc: _set_fixture_refs(doc, "lambda_modules", "C"),
             "$.fixtures.main.lambda_modules:",
         ),
+        (
+            lambda doc: doc["bimodules"]["M"].update(left=["U"]),
+            "$.bimodules.M.left:",
+        ),
+        (lambda doc: _set_fixture_refs(doc, "t", {"T": 1}), "$.fixtures.main.t:"),
+        (
+            lambda doc: doc["comma_objects"]["o_can"].update(bimodule=["M"]),
+            "$.comma_objects.o_can.bimodule:",
+        ),
+        (
+            lambda doc: doc["comma_objects"]["o_can"].update(module_t={"A": 1}),
+            "$.comma_objects.o_can.module_t:",
+        ),
+        (
+            lambda doc: doc["modules"]["C"]["base"]["lambda"].update(t=["T"]),
+            "$.modules.C.base.lambda.t:",
+        ),
+        (
+            lambda doc: doc["modules"]["C"]["base"]["lambda"].update(u="Nope"),
+            "$.modules.C.base.lambda.u:",
+        ),
+        (lambda doc: doc["modules"]["A"].update(base=["T"]), "$.modules.A.base:"),
     ],
     ids=[
         "zero_denominator",
@@ -138,6 +160,13 @@ def _set_fixture_refs(doc, key, value):
         "underscored_degree_key",
         "numeric_fixture_objects",
         "string_fixture_modules",
+        "list_bimodule_base",
+        "dict_fixture_category",
+        "list_comma_bimodule",
+        "dict_comma_module",
+        "list_lambda_category",
+        "unknown_lambda_category",
+        "list_module_base",
     ],
 )
 def test_parse_rejects_malformed_entry_with_its_path(edit, path, tmp_path):
@@ -399,6 +428,23 @@ def test_cli_unknown_name_is_structural(tmp_path):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oppose", "--category", "T"],
+        ["tensor", "--left", "T", "--right", "U"],
+        ["lambda", "--t", "T", "--u", "U", "--bimodule", "M"],
+    ],
+    ids=["oppose", "tensor", "lambda"],
+)
+def test_seed_is_refused_where_no_report_records_it(argv, capsys):
+    source = str(FIXTURE_DIR / "kkk.json")
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--input", source, "--seed", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):
