@@ -507,13 +507,13 @@ def test_criterion_7_negative_controls():
 
     # associativity: corrupted middle composite in a path category
     cat = path_category(field, 3)
-    cat.comp[("x0", "x2", "x3")] = GradedMap(
+    bad = GradedMap(
         cat.tensor_cx("x0", "x2", "x3").module.carrier,
         cat.hom[("x0", "x3")].carrier,
         0,
         {0: [[field.from_int(2)]]},
     )
-    cat.set_comp(cat.comp)
+    cat.set_comp({**cat.comp, ("x0", "x2", "x3"): bad})
     report = validate_dg_category(cat)
     results["associativity"] = _first_failure_is(report, "associativity")
 

@@ -122,7 +122,7 @@ def test_associativity_negative_control_path():
         0,
         {0: [[Fraction(2)]]},
     )
-    cat.comp[("x0", "x2", "x3")] = bad
+    cat.set_comp({**cat.comp, ("x0", "x2", "x3"): bad})
     report = validate_dg_category(cat)
     by_name = {c.name: c for c in report.checks}
     assert by_name["d_squared"].passed
