@@ -31,6 +31,7 @@ from .functors import (
     encode_nat_in_basis,
     functor_from_basis_images,
     image_of,
+    linear_combination,
     validate_dg_functor,
 )
 from .report import Report, fmt_graded_map
@@ -332,14 +333,7 @@ class GModule:
             dims_per_object[t] = dims
         on_objects = {}
         for t in T.objects:
-            carrier = GradedModule(
-                field,
-                dims_per_object[t],
-                labels={
-                    n: tuple(f"nat{n}_{k}" for k in range(d))
-                    for n, d in dims_per_object[t].items()
-                },
-            )
+            carrier = GradedModule(field, dims_per_object[t])
             diff = map_from_action(
                 carrier, carrier, 1, lambda n, k, _t=t: self._d_column(_t, n, k)
             )
@@ -362,14 +356,9 @@ class GModule:
 
     def decode(self, t, n, vec):
         """The transformation M_t -> B with the given carrier coordinates."""
-        basis = self.nat_basis.get((t, n), [])
-        slice_t = self.bimodule.slice_t(t)
-        out = None
-        for coeff, nat in zip(vec, basis):
-            term = nat.scale(coeff)
-            out = term if out is None else out.add(term)
+        out = linear_combination(vec, self.nat_basis.get((t, n), []))
         if out is None:
-            out = DgNatTransformation(slice_t, self.B, n, {})
+            out = DgNatTransformation(self.bimodule.slice_t(t), self.B, n, {})
         return out
 
     def encode(self, t, n, nat):

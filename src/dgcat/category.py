@@ -124,9 +124,7 @@ class DgCategoryPresentation:
         if table is None:
             basis = self.tensor_cx(x, y, z).basis
             table = {}
-            for (n, col), entries in _sparse_columns(
-                self.field, self.comp[(x, y, z)]
-            ).items():
+            for (n, col), entries in _sparse_columns(self.comp[(x, y, z)]).items():
                 gdeg, gidx, fidx = basis(n)[col]
                 table.setdefault((n - gdeg, fidx), {})[(gdeg, gidx)] = entries
             self._products[(x, y, z)] = table
@@ -212,7 +210,7 @@ def validate_dg_category(cat):
     report.add("d_squared", witness is None, witness)
 
     witness = None
-    d_cols = {key: _sparse_columns(field, hom.d) for key, hom in cat.hom.items()}
+    d_cols = {key: _sparse_columns(hom.d) for key, hom in cat.hom.items()}
     for x, y, z in itertools.product(cat.objects, repeat=3):
         witness = _chain_map_witness(cat, d_cols, x, y, z)
         if witness:
@@ -263,15 +261,12 @@ def validate_dg_category(cat):
     return report
 
 
-def _sparse_columns(field, gmap):
+def _sparse_columns(gmap):
     """{(degree, column): ((row, coeff), ...)} over a map's nonzero columns."""
     out = {}
-    for i, block in gmap.blocks.items():
-        for k, column in enumerate(zip(*block)):
-            entries = tuple((r, v) for r, v in enumerate(column) if not field.is_zero(v))
-            if entries:
-                out[(i, k)] = entries
-    return out
+    for i, r, c, v in gmap.entries():
+        out.setdefault((i, c), []).append((r, v))
+    return {key: tuple(entries) for key, entries in out.items()}
 
 
 def _add_scaled(field, acc, c, entries):

@@ -352,20 +352,16 @@ def extract_comma_from_module(lam, module, name=None):
             for u in bim.left_base.objects:
                 m_carrier = bim.value(u, _t).carrier
                 c2_carrier = c2.on_objects[u].carrier
-                blocks = {}
-                for j in m_carrier.degrees():
-                    rows = c2_carrier.dim(j + k)
-                    cols = m_carrier.dim(j)
-                    if rows == 0 or cols == 0:
-                        continue
-                    sgn = field.sign(k * j)
-                    block = [[field.zero()] * cols for _ in range(rows)]
-                    for cm, cmap in enumerate(corner(_t, u, j)):
-                        image = cmap.apply(k, x)
-                        for r, v in enumerate(image):
-                            block[r][cm] = field.mul(sgn, v)
-                    blocks[j] = block
-                components[u] = GradedMap(m_carrier, c2_carrier, k, blocks)
+                entries = (
+                    (j, r, cm, field.mul(field.sign(k * j), v))
+                    for j in m_carrier.degrees()
+                    if c2_carrier.dim(j + k)
+                    for cm, cmap in enumerate(corner(_t, u, j))
+                    for r, v in enumerate(cmap.apply(k, x))
+                )
+                components[u] = GradedMap.from_entries(
+                    m_carrier, c2_carrier, k, entries
+                )
             candidate = DgNatTransformation(
                 bim.slice_t(_t), c2, k, components
             )
@@ -605,7 +601,7 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
             for n in window:
                 comma_basis = comma_hom_space(src, tgt, n)
                 keys_l, vecs_l, nats_l = dgnat_space(f_src, f_tgt, n)
-                bases[(i, j, n)] = (comma_basis, keys_l, vecs_l, nats_l)
+                bases[(i, j, n)] = comma_basis
                 comma_dims[str(n)] = len(comma_basis)
                 lambda_dims[str(n)] = len(nats_l)
                 if len(comma_basis) != len(nats_l):
@@ -662,10 +658,9 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
         src, tgt = comma_objects[i], comma_objects[j]
         f_src, f_tgt = coproducts[i], coproducts[j]
         for n in comma_window(src, tgt):
-            entry = bases.get((i, j, n))
-            if entry is None or not entry[0]:
+            comma_basis = bases.get((i, j, n))
+            if not comma_basis:
                 continue
-            comma_basis = entry[0]
             phi = _random_combo(field, rng, comma_basis)
             d_phi = comma_differential(phi)
             lhs = f_on_morphisms(lam, f_src, f_tgt, d_phi)
@@ -686,14 +681,14 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
             src = comma_objects[i]
             for n1 in comma_window(src, mid):
                 first = bases.get((i, j, n1))
-                if first is None or not first[0]:
+                if not first:
                     continue
                 for n2 in comma_window(mid, tgt):
                     second = bases.get((j, k, n2))
-                    if second is None or not second[0]:
+                    if not second:
                         continue
-                    phi = _random_combo(field, rng, first[0])
-                    psi = _random_combo(field, rng, second[0])
+                    phi = _random_combo(field, rng, first)
+                    psi = _random_combo(field, rng, second)
                     composite = compose_comma(psi, phi)
                     lhs = f_on_morphisms(
                         lam, coproducts[i], coproducts[k], composite

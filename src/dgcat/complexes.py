@@ -68,8 +68,8 @@ def zero_dg_module(field):
     return DgModule(z, GradedMap(z, z, 1, {}), check=False)
 
 
-def dg_module(field, dims, d_blocks, labels=None, check=True):
-    carrier = GradedModule(field, dims, labels)
+def dg_module(field, dims, d_blocks, check=True):
+    carrier = GradedModule(field, dims)
     return DgModule(carrier, GradedMap(carrier, carrier, 1, d_blocks), check=check)
 
 
@@ -96,12 +96,10 @@ class _PairComplex:
     partner(n, i); the differential comes from the subclass's _d_column.
     """
 
-    def __init__(self, first, second, degrees, partner, sep):
+    def __init__(self, first, second, degrees, partner):
         if first.field != second.field:
             raise StructureError(f"{type(self).__name__} over mismatched fields")
         self._basis = {}
-        dims = {}
-        labels = {}
         for n in degrees:
             triples = tuple(
                 (i, a, b)
@@ -111,13 +109,9 @@ class _PairComplex:
             )
             if triples:
                 self._basis[n] = triples
-                dims[n] = len(triples)
-                labels[n] = tuple(
-                    f"[{first.carrier.label(i, a)}{sep}"
-                    f"{second.carrier.label(partner(n, i), b)}]"
-                    for i, a, b in triples
-                )
-        self.carrier = GradedModule(first.field, dims, labels)
+        self.carrier = GradedModule(
+            first.field, {n: len(ts) for n, ts in self._basis.items()}
+        )
         self._index = {
             n: {t: k for k, t in enumerate(ts)} for n, ts in self._basis.items()
         }
@@ -142,7 +136,7 @@ class HomComplex(_PairComplex):
         degrees = ()
         if src_w and tgt_w:
             degrees = range(tgt_w[0] - src_w[1], tgt_w[1] - src_w[0] + 1)
-        super().__init__(source, target, degrees, lambda n, i: i + n, "=>")
+        super().__init__(source, target, degrees, lambda n, i: i + n)
 
     def _d_column(self, n, k):
         field = self.source.field
@@ -170,12 +164,7 @@ class HomComplex(_PairComplex):
         """Coordinates of a graded map M -> N in the elementary basis."""
         if gmap.source != self.source.carrier or gmap.target != self.target.carrier:
             raise StructureError("graded map does not belong to this hom complex")
-        n = gmap.degree
-        field = self.source.field
-        out = [field.zero()] * self.carrier.dim(n)
-        for k, (i, a, b) in enumerate(self.basis(n)):
-            out[k] = gmap.block(i)[b][a]
-        return tuple(out)
+        return tuple(gmap.entry(i, b, a) for i, a, b in self.basis(gmap.degree))
 
     def decode_basis(self, n, k):
         """The k-th elementary map of degree n."""
@@ -184,25 +173,16 @@ class HomComplex(_PairComplex):
 
     def decode(self, n, vec):
         """The graded map of degree n with the given coordinates."""
-        field = self.source.field
         if len(vec) != self.carrier.dim(n):
             raise StructureError(
                 f"vector length {len(vec)} != hom dimension {self.carrier.dim(n)}"
             )
-        blocks = {}
-        for k, (i, a, b) in enumerate(self.basis(n)):
-            x = vec[k]
-            if field.is_zero(x):
-                continue
-            block = blocks.get(i)
-            if block is None:
-                block = [
-                    [field.zero()] * self.source.dim(i)
-                    for _ in range(self.target.dim(i + n))
-                ]
-                blocks[i] = block
-            block[b][a] = field.add(block[b][a], x)
-        return GradedMap(self.source.carrier, self.target.carrier, n, blocks)
+        return GradedMap.from_entries(
+            self.source.carrier,
+            self.target.carrier,
+            n,
+            ((i, b, a, x) for (i, a, b), x in zip(self.basis(n), vec)),
+        )
 
 
 class TensorComplex(_PairComplex):
@@ -216,7 +196,7 @@ class TensorComplex(_PairComplex):
         degrees = ()
         if lw and rw:
             degrees = range(lw[0] + rw[0], lw[1] + rw[1] + 1)
-        super().__init__(left, right, degrees, lambda n, i: n - i, "(x)")
+        super().__init__(left, right, degrees, lambda n, i: n - i)
 
     def _d_column(self, n, k):
         field = self.left.field

@@ -26,6 +26,7 @@ from .functors import (
     dgnat_space,
     direct_sum_functors,
     functor_from_basis_images,
+    linear_combination,
     nat_to_flat,
     nat_unknowns,
     representable_module,
@@ -39,7 +40,7 @@ from .lambda_cat import build_lambda
 
 def trivial_category(field, name="K", obj="*"):
     """The one-object dg-category with endomorphisms K in degree 0."""
-    hom = dg_module(field, {0: 1}, {}, labels={0: ("1",)})
+    hom = dg_module(field, {0: 1}, {})
     comp = GradedMap(
         _tensor_carrier(hom, hom),
         hom.carrier,
@@ -51,7 +52,7 @@ def trivial_category(field, name="K", obj="*"):
 
 def exterior_category(field, name="Ext", obj="*"):
     """One object, hom = K.1 + K.x with |x| = 1, x.x = 0, zero differential."""
-    hom = dg_module(field, {0: 1, 1: 1}, {}, labels={0: ("1",), 1: ("x",)})
+    hom = dg_module(field, {0: 1, 1: 1}, {})
     carrier = _tensor_carrier(hom, hom)
     one = field.one()
     blocks = {
@@ -273,14 +274,7 @@ def closed_structure_maps(A, fun):
         tuple(columns[i][r] for i in range(len(nats))) for r in range(len(keys1))
     )
     combos = linalg.nullspace(field, mat, ncols=len(nats))
-    closed = []
-    for combo in combos:
-        out = None
-        for coeff, nat in zip(combo, nats):
-            term = nat.scale(coeff)
-            out = term if out is None else out.add(term)
-        closed.append(out)
-    return closed
+    return [linear_combination(combo, nats) for combo in combos]
 
 
 def random_comma_object(rng, bim, A, B, g_of_b=None, name="o"):
@@ -288,11 +282,9 @@ def random_comma_object(rng, bim, A, B, g_of_b=None, name="o"):
     field = bim.field
     gb = g_of_b if g_of_b is not None else g_on_objects(bim, B)
     closed = closed_structure_maps(A, gb.functor)
-    chosen = None
-    for nat in closed:
-        c = field.from_int(rng.randint(-2, 2))
-        term = nat.scale(c)
-        chosen = term if chosen is None else chosen.add(term)
+    # the golden pins fix these draws: one per closed map, in order
+    coeffs = [field.from_int(rng.randint(-2, 2)) for _ in closed]
+    chosen = linear_combination(coeffs, closed)
     components = chosen.components if chosen is not None else {}
     return CommaObject(bim, A, B, components, g_of_b=gb, name=name)
 

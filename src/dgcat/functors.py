@@ -384,21 +384,15 @@ def square_rows(g, x_key, f, y_key, n, sgn):
         row = rows.setdefault((i, r, c), {})
         row[key] = field.add(row[key], coeff) if key in row else coeff
 
-    for j, block in g.blocks.items():
+    for j, r, s, coeff in g.entries():
         i = j - n
-        for r, line in enumerate(block):
-            for s, coeff in enumerate(line):
-                if not field.is_zero(coeff):
-                    for c in range(f.source.dim(i)):
-                        add(i, r, c, x_key + (i, s, c), coeff)
+        for c in range(f.source.dim(i)):
+            add(i, r, c, x_key + (i, s, c), coeff)
     neg = field.neg(sgn)
-    for i, block in f.blocks.items():
-        for s, line in enumerate(block):
-            for c, coeff in enumerate(line):
-                if not field.is_zero(coeff):
-                    coeff = field.mul(neg, coeff)
-                    for r in range(g.target.dim(i + m + n)):
-                        add(i, r, c, y_key + (i + m, r, s), coeff)
+    for i, s, c, coeff in f.entries():
+        coeff = field.mul(neg, coeff)
+        for r in range(g.target.dim(i + m + n)):
+            add(i, r, c, y_key + (i + m, r, s), coeff)
     return list(rows.values())
 
 
@@ -431,32 +425,30 @@ def naturality_rows(F, G, n, tag):
 
 
 def nat_from_flat(F, G, n, keys, vec):
-    field = F.base.field
-    blocks = {}
-    for key, value in zip(keys, vec):
-        obj, i, r, c = key
-        blocks.setdefault(obj, {}).setdefault(i, {})[(r, c)] = value
-    components = {}
-    for obj in F.base.objects:
-        src = F.on_objects[obj].carrier
-        tgt = G.on_objects[obj].carrier
-        per_degree = {}
-        for i, entries in blocks.get(obj, {}).items():
-            rows = tgt.dim(i + n)
-            cols = src.dim(i)
-            block = [[field.zero()] * cols for _ in range(rows)]
-            for (r, c), value in entries.items():
-                block[r][c] = value
-            per_degree[i] = block
-        components[obj] = GradedMap(src, tgt, n, per_degree)
+    entries = {obj: [] for obj in F.base.objects}
+    for (obj, i, r, c), value in zip(keys, vec):
+        entries[obj].append((i, r, c, value))
+    components = {
+        obj: GradedMap.from_entries(
+            F.on_objects[obj].carrier, G.on_objects[obj].carrier, n, entries[obj]
+        )
+        for obj in F.base.objects
+    }
     return DgNatTransformation(F, G, n, components)
 
 
 def nat_to_flat(F, G, n, keys, nat):
-    out = []
-    for obj, i, r, c in keys:
-        out.append(nat.components[obj].block(i)[r][c])
-    return tuple(out)
+    return tuple(nat.components[obj].entry(i, r, c) for obj, i, r, c in keys)
+
+
+def linear_combination(coeffs, items):
+    """The sum of c * item over the pairs of coeffs and items (transformations
+    or graded maps), or None when there are no pairs."""
+    out = None
+    for coeff, item in zip(coeffs, items):
+        term = item.scale(coeff)
+        out = term if out is None else out.add(term)
+    return out
 
 
 def dgnat_space(F, G, n):

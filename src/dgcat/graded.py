@@ -1,9 +1,15 @@
 """Graded modules over an exact field and degree-homogeneous maps.
 
-A GradedModule is a finitely supported map degree -> dimension with
-stable basis labels.  A GradedMap of degree n is a sparse family of
-blocks, one matrix per source degree i, sending degree i to i + n;
-an absent block is the zero block.
+A GradedModule is a finitely supported map degree -> dimension; a basis
+vector is named by its degree and its index there.  A GradedMap of
+degree n is a sparse family of blocks, one row-major matrix per source
+degree i, sending degree i to i + n; an absent block is the zero block.
+
+This module is the one place that knows that layout.  Elsewhere a map is
+built from its (i, r, c, value) entries with GradedMap.from_entries (or
+column by column with map_from_action, or from sub-maps with
+place_blocks), and read with GradedMap.entries, which yields the nonzero
+entries, or GradedMap.entry, which reads one.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ from .errors import StructureError
 
 
 class GradedModule:
-    """Finitely supported degree -> dimension table with basis labels."""
+    """Finitely supported degree -> dimension table."""
 
-    __slots__ = ("field", "_dims", "_labels")
+    __slots__ = ("field", "_dims")
 
-    def __init__(self, field, dims, labels=None):
+    def __init__(self, field, dims):
         self.field = field
         clean = {}
         for deg, dim in dims.items():
@@ -30,15 +36,6 @@ class GradedModule:
             if dim > 0:
                 clean[deg] = dim
         self._dims = dict(sorted(clean.items()))
-        self._labels = {}
-        if labels:
-            for deg, names in labels.items():
-                if deg in self._dims:
-                    if len(names) != self._dims[deg]:
-                        raise StructureError(
-                            f"{len(names)} labels for dimension {self._dims[deg]} at degree {deg}"
-                        )
-                    self._labels[deg] = tuple(str(x) for x in names)
 
     def dim(self, degree):
         return self._dims.get(degree, 0)
@@ -61,14 +58,6 @@ class GradedModule:
             return None
         keys = list(self._dims)
         return (keys[0], keys[-1])
-
-    def label(self, degree, index):
-        if degree in self._labels:
-            return self._labels[degree][index]
-        return f"e{degree}_{index}"
-
-    def labels_at(self, degree):
-        return tuple(self.label(degree, i) for i in range(self.dim(degree)))
 
     def __eq__(self, other):
         return (
@@ -119,6 +108,40 @@ class GradedMap:
                 continue
             clean[i] = linalg.freeze(block)
         self.blocks = dict(sorted(clean.items()))
+
+    @classmethod
+    def from_entries(cls, source, target, degree, entries):
+        """The map with the given (i, r, c, value) entries: value at row r,
+        column c of the block at source degree i.  Entries at one position
+        are summed; every position no entry names is zero."""
+        field = source.field
+        blocks = {}
+        for i, r, c, value in entries:
+            if field.is_zero(value):
+                continue
+            block = blocks.get(i)
+            if block is None:
+                block = blocks[i] = [
+                    [field.zero()] * source.dim(i)
+                    for _ in range(target.dim(i + degree))
+                ]
+            block[r][c] = field.add(block[r][c], value)
+        return cls(source, target, degree, blocks)
+
+    def entries(self):
+        """The nonzero entries (i, r, c, value), by source degree i, then
+        row r, then column c."""
+        is_zero = self.field.is_zero
+        for i, block in self.blocks.items():
+            for r, row in enumerate(block):
+                for c, value in enumerate(row):
+                    if not is_zero(value):
+                        yield i, r, c, value
+
+    def entry(self, i, r, c):
+        """Row r, column c of the block at source degree i."""
+        block = self.blocks.get(i)
+        return self.field.zero() if block is None else block[r][c]
 
     @property
     def field(self):
@@ -249,11 +272,7 @@ def kernel(f):
         incl_blocks[i] = tuple(
             tuple(vec[r] for vec in basis) for r in range(n)
         )
-    ker = GradedModule(
-        f.source.field,
-        dims,
-        labels={i: tuple(f"ker{i}_{k}" for k in range(d)) for i, d in dims.items()},
-    )
+    ker = GradedModule(f.source.field, dims)
     incl = GradedMap(ker, f.source, 0, incl_blocks)
     return ker, incl
 
@@ -298,21 +317,13 @@ class DirectSum:
         if not parts:
             raise StructureError("direct sum needs at least one part")
         field = parts[0].field
-        dims = {}
-        labels = {}
         for part in parts:
             if part.field != field:
                 raise StructureError("direct sum parts over different fields")
-        degrees = sorted({d for p in parts for d in p.degrees()})
-        for deg in degrees:
-            total = sum(p.dim(deg) for p in parts)
-            dims[deg] = total
-            labs = []
-            for pi, p in enumerate(parts):
-                labs.extend(f"s{pi}.{p.label(deg, k)}" for k in range(p.dim(deg)))
-            labels[deg] = tuple(labs)
+        degrees = {d for p in parts for d in p.degrees()}
+        dims = {deg: sum(p.dim(deg) for p in parts) for deg in degrees}
         self.parts = parts
-        self.module = GradedModule(field, dims, labels)
+        self.module = GradedModule(field, dims)
 
     def offset(self, part_index, degree):
         return sum(p.dim(degree) for p in self.parts[:part_index])

@@ -80,33 +80,22 @@ def emit_category(cat):
 
 def _comp_entries(cat, x, y, z):
     field = cat.field
-    tensor = cat.tensor_cx(x, y, z)
-    cmap = cat.comp[(x, y, z)]
+    basis = cat.tensor_cx(x, y, z).basis
     entries = []
-    for n, block in sorted(cmap.blocks.items()):
-        basis = tensor.basis(n)
-        for col, (gdeg, gidx, fidx) in enumerate(basis):
-            for row in range(len(block)):
-                value = block[row][col]
-                if not field.is_zero(value):
-                    entries.append(
-                        [gdeg, gidx, n - gdeg, fidx, row, field.format(value)]
-                    )
+    for n, row, col, value in cat.comp[(x, y, z)].entries():
+        gdeg, gidx, fidx = basis(n)[col]
+        entries.append([gdeg, gidx, n - gdeg, fidx, row, field.format(value)])
     entries.sort(key=lambda e: (e[0] + e[2], e[0], e[1], e[3], e[4]))
     return entries
 
 
 def _action_entries(field, images):
     """Sparse [hdeg, hidx, srcdeg, row, col, coeff] rows of one action table."""
-    entries = []
-    for (hdeg, hidx), gmap in images.items():
-        for srcdeg, block in gmap.blocks.items():
-            for row, values in enumerate(block):
-                for col, value in enumerate(values):
-                    if not field.is_zero(value):
-                        entries.append(
-                            [hdeg, hidx, srcdeg, row, col, field.format(value)]
-                        )
+    entries = [
+        [hdeg, hidx, srcdeg, row, col, field.format(value)]
+        for (hdeg, hidx), gmap in images.items()
+        for srcdeg, row, col, value in gmap.entries()
+    ]
     entries.sort(key=lambda e: (e[0], e[1], e[2], e[3], e[4]))
     return entries
 
@@ -296,13 +285,15 @@ def parse_dg_module(field, data, path):
         if type(dim) is not int or dim < 0:
             raise StructureError(f"{path}.dims[{key}]: bad dimension {dim!r}")
         dims[deg] = dim
-    labels = None
-    if "labels" in data:
-        labels = {
-            _degree(k, f"{path}.labels"): tuple(_names(v, f"{path}.labels[{k}]"))
-            for k, v in _expect_dict(data["labels"], f"{path}.labels").items()
-        }
-    carrier = GradedModule(field, dims, labels)
+    # Basis labels are checked, then dropped: nothing reads or emits them.
+    for key, names in _expect_dict(data.get("labels", {}), f"{path}.labels").items():
+        dim = dims.get(_degree(key, f"{path}.labels"))
+        names = _names(names, f"{path}.labels[{key}]")
+        if dim and len(names) != dim:
+            raise StructureError(
+                f"{path}.labels[{key}]: {len(names)} labels for dimension {dim}"
+            )
+    carrier = GradedModule(field, dims)
     blocks = {}
     for key, rows in _expect_dict(data.get("d", {}), f"{path}.d").items():
         i = _degree(key, f"{path}.d")
@@ -352,7 +343,7 @@ def parse_category(field, name, data, path):
 def _parse_comp_map(field, cat, x, y, z, entries, path):
     tensor = cat.tensor_cx(x, y, z)
     target = cat.hom[(x, z)].carrier
-    blocks = {}
+    parsed = []
     if not isinstance(entries, list):
         raise StructureError(f"{path}: expected a list of entries")
     for pos, entry in enumerate(entries):
@@ -366,14 +357,8 @@ def _parse_comp_map(field, cat, x, y, z, entries, path):
             raise StructureError(f"{path}[{pos}]: no such basis pair") from None
         if not 0 <= out_idx < target.dim(n):
             raise StructureError(f"{path}[{pos}]: output index out of range")
-        block = blocks.setdefault(
-            n,
-            [[field.zero()] * tensor.carrier.dim(n) for _ in range(target.dim(n))],
-        )
-        block[out_idx][col] = field.add(
-            block[out_idx][col], _scalar(field, coeff, f"{path}[{pos}]")
-        )
-    return GradedMap(tensor.carrier, target, 0, blocks)
+        parsed.append((n, out_idx, col, _scalar(field, coeff, f"{path}[{pos}]")))
+    return GradedMap.from_entries(tensor.carrier, target, 0, parsed)
 
 
 def _parse_action_images(field, hom, source, target, entries, path):
@@ -392,16 +377,12 @@ def _parse_action_images(field, hom, source, target, entries, path):
         tgt_dim = target.dim(srcdeg + hdeg)
         if not (0 <= col < src_dim and 0 <= row < tgt_dim):
             raise StructureError(f"{path}[{pos}]: block entry out of range")
-        blocks = per_basis.setdefault((hdeg, hidx), {})
-        block = blocks.setdefault(
-            srcdeg, [[field.zero()] * src_dim for _ in range(tgt_dim)]
-        )
-        block[row][col] = field.add(
-            block[row][col], _scalar(field, coeff, f"{path}[{pos}]")
+        per_basis.setdefault((hdeg, hidx), []).append(
+            (srcdeg, row, col, _scalar(field, coeff, f"{path}[{pos}]"))
         )
     return {
-        (hdeg, hidx): GradedMap(source, target, hdeg, blocks)
-        for (hdeg, hidx), blocks in per_basis.items()
+        (hdeg, hidx): GradedMap.from_entries(source, target, hdeg, parsed)
+        for (hdeg, hidx), parsed in per_basis.items()
     }
 
 

@@ -66,39 +66,29 @@ class LambdaCategory:
         t_obj, u_obj = name.split("|", 1)
         return t_obj, u_obj
 
-    def embed(self, p, q, slot, degree, vec):
-        """Inject slot coordinates into the full hom vector at a degree."""
-        return self.sums[(p, q)].inject(slot, degree, vec)
-
-    def hom_element_from_t(self, p, q, t_elem):
-        coords = self.embed(p, q, SLOT_T, t_elem.degree, t_elem.coords)
-        return self.presentation.element(p, q, t_elem.degree, coords)
-
-    def hom_element_from_u(self, p, q, u_elem):
-        coords = self.embed(p, q, SLOT_U, u_elem.degree, u_elem.coords)
-        return self.presentation.element(p, q, u_elem.degree, coords)
-
-    def hom_element_from_m(self, p, q, m):
-        coords = self.embed(p, q, SLOT_M, m.degree, m.coords)
-        return self.presentation.element(p, q, m.degree, coords)
+    def hom_element(self, p, q, slot, elem):
+        """The morphism p -> q whose slot block is elem (a homogeneous
+        element of that block) and whose other blocks are zero."""
+        coords = self.sums[(p, q)].inject(slot, elem.degree, elem.coords)
+        return self.presentation.element(p, q, elem.degree, coords)
 
     def lambda_t_inclusion(self, t_obj, u_obj):
         """[[1_t, 0], [0, 0]]: (t, 0) -> (t, u), degree 0."""
         p = self.object_name(t_obj, self.zero_marker)
         q = self.object_name(t_obj, u_obj)
-        return self.hom_element_from_t(p, q, self.t_cat.identity(t_obj))
+        return self.hom_element(p, q, SLOT_T, self.t_cat.identity(t_obj))
 
     def lambda_u_inclusion(self, t_obj, u_obj):
         """[[0, 0], [0, 1_u]]: (0, u) -> (t, u), degree 0."""
         p = self.object_name(self.zero_marker, u_obj)
         q = self.object_name(t_obj, u_obj)
-        return self.hom_element_from_u(p, q, self.u_cat.identity(u_obj))
+        return self.hom_element(p, q, SLOT_U, self.u_cat.identity(u_obj))
 
     def m_bar(self, t_obj, u_obj, m):
         """[[0, 0], [m, 0]]: (t, 0) -> (0, u) of degree |m|, m in M(u, t)."""
         p = self.object_name(t_obj, self.zero_marker)
         q = self.object_name(self.zero_marker, u_obj)
-        return self.hom_element_from_m(p, q, m)
+        return self.hom_element(p, q, SLOT_M, m)
 
 
 def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
@@ -168,21 +158,21 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
         n = gdeg + fdeg
         if slot_g == slot_f == SLOT_T:
             out = t_ext.compose_basis_coords(t1, t2, t3, gdeg, lg, fdeg, lf)
-            return lam.embed(p1, p3, SLOT_T, n, out)
+            return sums[(p1, p3)].inject(SLOT_T, n, out)
         if slot_g == slot_f == SLOT_U:
             out = u_ext.compose_basis_coords(u1, u2, u3, gdeg, lg, fdeg, lf)
-            return lam.embed(p1, p3, SLOT_U, n, out)
+            return sums[(p1, p3)].inject(SLOT_U, n, out)
         if (slot_g, slot_f) == (SLOT_M, SLOT_T):
             # m2 . t1 = (-1)^{|m2||t1|} M(1 (x) t1^op)(m2)
             image = bimodule.right_images[(t1, t2, u3)][(fdeg, lf)]
             out = image.apply(gdeg, basis_vector(image.source, gdeg, lg).coords)
             out = linalg.vec_scale(field, field.sign(gdeg * fdeg), out)
-            return lam.embed(p1, p3, SLOT_M, n, out)
+            return sums[(p1, p3)].inject(SLOT_M, n, out)
         if (slot_g, slot_f) == (SLOT_U, SLOT_M):
             # u2 . m1 = M(u2 (x) 1)(m1)
             image = bimodule.left_images[(u2, u3, t1)][(gdeg, lg)]
             out = image.apply(fdeg, basis_vector(image.source, fdeg, lf).coords)
-            return lam.embed(p1, p3, SLOT_M, n, out)
+            return sums[(p1, p3)].inject(SLOT_M, n, out)
         return (field.zero(),) * presentation.hom[(p1, p3)].dim(n)
 
     compose_from_products(presentation, matrix_product)
@@ -254,10 +244,12 @@ def restrict_module(lam, module):
     """(C1, C2) = restrictions of a Lambda-module along the two inclusions."""
     marker = lam.zero_marker
 
-    def restrict(base, make_pair, lift, label):
+    def restrict(base, make_pair, slot, label):
         def image(x, y, m, k):
             p, q = make_pair(x), make_pair(y)
-            return module.map_of(lift(p, q, base.basis_element(x, y, m, k)))
+            return module.map_of(
+                lam.hom_element(p, q, slot, base.basis_element(x, y, m, k))
+            )
 
         return functor_from_basis_images(
             base,
@@ -266,10 +258,6 @@ def restrict_module(lam, module):
             name=f"{module.name}.{label}",
         )
 
-    c1 = restrict(
-        lam.t_cat, lambda t: lam.object_name(t, marker), lam.hom_element_from_t, "1"
-    )
-    c2 = restrict(
-        lam.u_cat, lambda u: lam.object_name(marker, u), lam.hom_element_from_u, "2"
-    )
+    c1 = restrict(lam.t_cat, lambda t: lam.object_name(t, marker), SLOT_T, "1")
+    c2 = restrict(lam.u_cat, lambda u: lam.object_name(marker, u), SLOT_U, "2")
     return c1, c2

@@ -54,10 +54,31 @@ def test_module_drops_zero_dims_and_sorts():
     assert m.dim(5) == 0
 
 
-def test_module_label_defaults_and_custom():
-    m = GradedModule(QQ, {0: 2}, labels={0: ("a", "b")})
-    assert m.labels_at(0) == ("a", "b")
-    assert m.label(1, 0) == "e1_0"
+def test_map_entries_build_and_read_blocks():
+    src = GradedModule(QQ, {0: 2, 1: 1})
+    tgt = GradedModule(QQ, {1: 2, 2: 1})
+    f = GradedMap.from_entries(
+        src,
+        tgt,
+        1,
+        [(1, 0, 0, Fraction(3)), (0, 1, 0, Fraction(1)), (0, 1, 0, Fraction(1, 2)),
+         (0, 0, 1, Fraction(2)), (0, 0, 0, Fraction(0))],
+    )
+    assert f.blocks == {0: qmat([[0, 2], [Fraction(3, 2), 0]]), 1: qmat([[3]])}
+    assert list(f.entries()) == [
+        (0, 0, 1, 2),
+        (0, 1, 0, Fraction(3, 2)),
+        (1, 0, 0, 3),
+    ]
+    g = GradedMap.from_entries(src, tgt, 1, [(0, 0, 0, Fraction(1))])
+    assert 1 not in g.blocks
+    assert g.entry(1, 0, 0) == 0
+    assert 1 not in g.blocks
+    assert g.entry(0, 0, 0) == 1
+    cancelled = GradedMap.from_entries(
+        src, tgt, 1, [(0, 0, 0, Fraction(1)), (0, 0, 0, Fraction(-1))]
+    )
+    assert cancelled.is_zero()
 
 
 def test_map_shape_validation():

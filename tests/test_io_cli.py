@@ -98,6 +98,10 @@ def _set_fixture_refs(doc, key, value):
             "$.categories.T.hom.t.t.labels[0]:",
         ),
         (
+            lambda doc: _set_t_hom(doc, "labels", {"0": []}),
+            "$.categories.T.hom.t.t.labels[0]:",
+        ),
+        (
             lambda doc: _set_t_hom(doc, "dims", {"0": True}),
             "$.categories.T.hom.t.t.dims[0]:",
         ),
@@ -155,6 +159,7 @@ def _set_fixture_refs(doc, key, value):
         "numeric_matrix_entry",
         "numeric_labels",
         "string_labels",
+        "short_labels",
         "bool_dimension",
         "padded_degree_key",
         "underscored_degree_key",
