@@ -45,6 +45,7 @@ from .functors import (
     dgnat_window,
     functor_from_basis_images,
     image_of,
+    linear_combination,
     nat_from_flat,
     nat_to_flat,
     nat_unknowns,
@@ -714,18 +715,10 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
 
 
 def _random_combo(field, rng, morphisms):
-    out = None
-    for phi in morphisms:
-        c = field.from_int(rng.randint(-2, 2))
-        scaled = CommaMorphism(
-            phi.degree, phi.alpha.scale(c), phi.beta.scale(c)
-        )
-        if out is None:
-            out = scaled
-        else:
-            out = CommaMorphism(
-                phi.degree,
-                out.alpha.add(scaled.alpha),
-                out.beta.add(scaled.beta),
-            )
-    return out
+    """sum c * phi over the morphisms, one draw c in {-2..2} per morphism."""
+    coeffs = [field.from_int(rng.randint(-2, 2)) for _ in morphisms]
+    return CommaMorphism(
+        morphisms[0].degree,
+        linear_combination(coeffs, [phi.alpha for phi in morphisms]),
+        linear_combination(coeffs, [phi.beta for phi in morphisms]),
+    )

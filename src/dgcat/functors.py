@@ -20,6 +20,7 @@ from .errors import StructureError
 from .graded import (
     DirectSum,
     GradedMap,
+    combination,
     identity_map,
     map_from_action,
     place_blocks,
@@ -107,20 +108,8 @@ def basis_images(base, x, y, source, target, given, what):
 def image_of(images, source, target, element):
     """The map source -> target by which a homogeneous morphism acts: the
     combination of the basis images images[(degree, k)] with its coordinates."""
-    field = source.field
-    terms = [
-        (c, images[(element.degree, k)])
-        for k, c in enumerate(element.coords)
-        if not field.is_zero(c)
-    ]
-    if len(terms) == 1 and terms[0][0] == field.one():
-        return terms[0][1]
-    blocks = {}
-    for c, image in terms:
-        for i, block in image.blocks.items():
-            scaled = linalg.mat_scale(field, c, block)
-            blocks[i] = linalg.mat_add(field, blocks[i], scaled) if i in blocks else scaled
-    return GradedMap(source, target, element.degree, blocks)
+    terms = [(c, images[(element.degree, k)]) for k, c in enumerate(element.coords)]
+    return combination(source, target, element.degree, terms)
 
 
 def zero_functor(base, name="0"):
@@ -444,11 +433,18 @@ def nat_to_flat(F, G, n, keys, nat):
 def linear_combination(coeffs, items):
     """The sum of c * item over the pairs of coeffs and items (transformations
     or graded maps), or None when there are no pairs."""
-    out = None
-    for coeff, item in zip(coeffs, items):
-        term = item.scale(coeff)
-        out = term if out is None else out.add(term)
-    return out
+    terms = list(zip(coeffs, items))
+    if not terms:
+        return None
+    first = terms[0][1]
+    if isinstance(first, GradedMap):
+        return combination(first.source, first.target, first.degree, terms)
+    coeffs = [c for c, _ in terms]
+    components = {
+        obj: linear_combination(coeffs, [nat.components[obj] for _, nat in terms])
+        for obj in first.components
+    }
+    return DgNatTransformation(first.source, first.target, first.degree, components)
 
 
 def dgnat_space(F, G, n):

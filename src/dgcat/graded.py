@@ -10,6 +10,16 @@ built from its (i, r, c, value) entries with GradedMap.from_entries (or
 column by column with map_from_action, or from sub-maps with
 place_blocks), and read with GradedMap.entries, which yields the nonzero
 entries, or GradedMap.entry, which reads one.
+
+Invariant: every stored block is a tuple of row tuples of shape
+(target.dim(i + degree), source.dim(i)), none is zero, and they are kept
+in degree order, so maps are equal exactly when their data are.
+GradedMap(...), from_entries and map_from_action take blocks from
+outside or from callbacks, so they check shapes and drop zero blocks.
+add, sub, scale, compose_graded, combination and place_blocks derive a
+map from maps that hold the invariant and build it once, already in
+final form, through GradedMap._built: scaling by zero gives the zero
+map, and a block that cancels in a composite or a sum is dropped.
 """
 
 from __future__ import annotations
@@ -60,7 +70,7 @@ class GradedModule:
         return (keys[0], keys[-1])
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GradedModule)
             and self.field == other.field
             and self._dims == other._dims
@@ -108,6 +118,14 @@ class GradedMap:
                 continue
             clean[i] = linalg.freeze(block)
         self.blocks = dict(sorted(clean.items()))
+
+    @classmethod
+    def _built(cls, source, target, degree, blocks):
+        """The map with the given blocks, which already hold the module
+        invariant: frozen, of the right shape, none zero, in degree order."""
+        out = object.__new__(cls)
+        out.source, out.target, out.degree, out.blocks = source, target, degree, blocks
+        return out
 
     @classmethod
     def from_entries(cls, source, target, degree, entries):
@@ -172,24 +190,21 @@ class GradedMap:
         return compose_graded(self, other)
 
     def add(self, other):
-        if (self.source, self.target, self.degree) != (
-            other.source,
-            other.target,
-            other.degree,
-        ):
-            raise StructureError("cannot add maps of different shapes")
-        field = self.field
-        out = {}
-        for i in set(self.blocks) | set(other.blocks):
-            out[i] = linalg.mat_add(field, self.block(i), other.block(i))
-        return GradedMap(self.source, self.target, self.degree, out)
+        one = self.field.one()
+        terms = ((one, self), (one, other))
+        return combination(self.source, self.target, self.degree, terms)
 
     def sub(self, other):
-        return self.add(other.scale(self.field.neg(self.field.one())))
+        one = self.field.one()
+        terms = ((one, self), (self.field.neg(one), other))
+        return combination(self.source, self.target, self.degree, terms)
 
     def scale(self, c):
-        out = {i: linalg.mat_scale(self.field, c, b) for i, b in self.blocks.items()}
-        return GradedMap(self.source, self.target, self.degree, out)
+        field = self.field
+        out = {} if field.is_zero(c) else {
+            i: linalg.mat_scale(field, c, b) for i, b in self.blocks.items()
+        }
+        return GradedMap._built(self.source, self.target, self.degree, out)
 
     def __eq__(self, other):
         return (
@@ -224,12 +239,46 @@ def compose_graded(g, f):
         raise StructureError("maps are not composable: target/source mismatch")
     field = f.field
     out = {}
-    for i in f.blocks:
-        j = i + f.degree
-        if g.target.dim(j + g.degree) == 0:
-            continue
-        out[i] = linalg.mat_mul(field, g.block(j), f.blocks[i])
-    return GradedMap(f.source, g.target, f.degree + g.degree, out)
+    for i, block in f.blocks.items():
+        after = g.blocks.get(i + f.degree)
+        if after is not None:
+            prod = linalg.mat_mul(field, after, block)
+            if not linalg.is_zero_matrix(field, prod):
+                out[i] = prod
+    return GradedMap._built(f.source, g.target, f.degree + g.degree, out)
+
+
+def combination(source, target, degree, terms):
+    """The sum of c * m over the (c, m) pairs of terms, each m a map
+    source -> target of the given degree, built in one pass."""
+    field = source.field
+    is_zero, add, mul, one = field.is_zero, field.add, field.mul, field.one()
+    live = []
+    for c, m in terms:
+        if (m.source, m.target, m.degree) != (source, target, degree):
+            raise StructureError("cannot combine maps of different shapes")
+        if m.blocks and not is_zero(c):
+            live.append((c, m))
+    if len(live) == 1 and live[0][0] == one:
+        return live[0][1]
+    sums, summed = {}, set()
+    for c, m in live:
+        for i, block in m.blocks.items():
+            acc = sums.get(i)
+            if acc is None:
+                sums[i] = [[mul(c, x) for x in row] for row in block]
+                continue
+            summed.add(i)
+            for arow, row in zip(acc, block):
+                for k, x in enumerate(row):
+                    if not is_zero(x):
+                        arow[k] = add(arow[k], mul(c, x))
+    blocks = {}
+    for i in sorted(sums):
+        block = linalg.freeze(sums[i])
+        if i not in summed or not linalg.is_zero_matrix(field, block):
+            blocks[i] = block
+    return GradedMap._built(source, target, degree, blocks)
 
 
 def map_from_action(source, target, degree, action):
@@ -370,8 +419,9 @@ def place_blocks(source, target, degree, pieces):
             ro, co = tgt_offset(tp, i + degree), src_offset(sp, i)
             for r, row in enumerate(sub):
                 block[ro + r][co : co + len(row)] = row
-        blocks[i] = block
-    return GradedMap(src, tgt, degree, blocks)
+        # the last sub-block placed is nonzero and nothing overwrites it
+        blocks[i] = linalg.freeze(block)
+    return GradedMap._built(src, tgt, degree, blocks)
 
 
 def _as_sum(module):

@@ -50,35 +50,26 @@ def is_zero_matrix(field, mat):
     return all(field.is_zero(x) for row in mat for x in row)
 
 
-def mat_add(field, a, b):
-    if shape(a) != shape(b):
-        raise StructureError(f"matrix shapes differ: {shape(a)} vs {shape(b)}")
-    return tuple(
-        tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def mat_scale(field, c, a):
     return tuple(tuple(field.mul(c, x) for x in row) for row in a)
 
 
 def mat_mul(field, a, b):
+    """a . b, by rows i of a, then k, then the nonzero entries of row k of b."""
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise StructureError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+    is_zero, add, mul = field.is_zero, field.add, field.mul
     z = field.zero()
+    b_rows = [[(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in b]
     out = []
-    for i in range(ra):
-        arow = a[i]
-        row = []
-        for j in range(cb):
-            acc = z
-            for k in range(ca):
-                x = arow[k]
-                if not field.is_zero(x):
-                    acc = field.add(acc, field.mul(x, b[k][j]))
-            row.append(acc)
+    for arow in a:
+        row = [z] * cb
+        for x, b_row in zip(arow, b_rows):
+            if b_row and not is_zero(x):
+                for j, y in b_row:
+                    row[j] = add(row[j], mul(x, y))
         out.append(tuple(row))
     return tuple(out)
 

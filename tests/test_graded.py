@@ -2,22 +2,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgcat import linalg
 from dgcat.errors import StructureError
 from dgcat.fields import PrimeField, Rationals
+from dgcat.functors import linear_combination
 from dgcat.graded import (
     DirectSum,
     GradedMap,
     GradedModule,
+    combination,
     compose_graded,
     identity_map,
     kernel,
     map_from_action,
+    place_blocks,
     zero_map,
 )
 
 QQ = Rationals()
+F5 = PrimeField(5)
 
 
 def qmat(rows):
@@ -208,3 +214,139 @@ def test_block_diag_map():
     fb = GradedMap(b, b, 0, {0: qmat([[3]])})
     m = ds.block_diag([fa, fb])
     assert m.block(0) == qmat([[2, 0], [0, 3]])
+
+
+# Property test: every map graded.py derives from clean maps equals the
+# checked GradedMap built from the same blocks computed densely.
+
+
+@st.composite
+def small_module(draw, field):
+    return GradedModule(field, draw(st.dictionaries(st.integers(-1, 1), st.integers(0, 2))))
+
+
+@st.composite
+def dense_map(draw, field, source, target, degree):
+    """Every block of a map source -> target, zeros included, entries in
+    {-1, 0, 1} so that sums and products often cancel."""
+    return {
+        i: [
+            [field.from_int(draw(st.integers(-1, 1))) for _ in range(source.dim(i))]
+            for _ in range(target.dim(i + degree))
+        ]
+        for i in source.degrees()
+        if target.dim(i + degree)
+    }
+
+
+def dense_zero(field, rows, cols):
+    return [[field.zero()] * cols for _ in range(rows)]
+
+
+def dense_sum(field, terms, source, target, degree):
+    out = {}
+    for i in source.degrees():
+        rows, cols = target.dim(i + degree), source.dim(i)
+        if rows:
+            out[i] = dense_zero(field, rows, cols)
+            for c, blocks in terms:
+                for r in range(rows):
+                    for k in range(cols):
+                        out[i][r][k] = field.add(out[i][r][k], field.mul(c, blocks[i][r][k]))
+    return out
+
+
+def dense_product(field, g, f, a, b, c, n, m):
+    """The blocks of g . f for dense f: a -> b of degree n, g: b -> c of degree m."""
+    out = {}
+    for i in a.degrees():
+        rows, inner, cols = c.dim(i + n + m), b.dim(i + n), a.dim(i)
+        if rows:
+            out[i] = dense_zero(field, rows, cols)
+            for r in range(rows):
+                for k in range(cols):
+                    for j in range(inner):
+                        out[i][r][k] = field.add(
+                            out[i][r][k], field.mul(g[i + n][r][j], f[i][j][k])
+                        )
+    return out
+
+
+def dense_placed(field, source, target, degree, pieces):
+    out = {}
+    for i in source.module.degrees():
+        rows = target.module.dim(i + degree)
+        if rows:
+            out[i] = dense_zero(field, rows, source.module.dim(i))
+            for tp, sp, blocks in pieces:
+                if i in blocks:
+                    ro, co = target.offset(tp, i + degree), source.offset(sp, i)
+                    for r, row in enumerate(blocks[i]):
+                        out[i][ro + r][co : co + len(row)] = row
+    return out
+
+
+def assert_built_like_checked(got, source, target, degree, dense):
+    want = GradedMap(source, target, degree, dense)
+    assert (got.source, got.target, got.degree) == (source, target, degree)
+    assert got.blocks == want.blocks
+    assert list(got.blocks) == list(want.blocks)
+    for block in got.blocks.values():
+        assert type(block) is tuple and all(type(row) is tuple for row in block)
+        assert not linalg.is_zero_matrix(got.field, block)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_derived_maps_equal_checked_dense_maps(data):
+    field = data.draw(st.sampled_from([QQ, F5]))
+    a, b, c = (data.draw(small_module(field)) for _ in range(3))
+    n, m = data.draw(st.integers(-1, 1)), data.draw(st.integers(-1, 1))
+    dense = [data.draw(dense_map(field, a, b, n)) for _ in range(3)]
+    maps = [GradedMap(a, b, n, blocks) for blocks in dense]
+    coeffs = [field.from_int(data.draw(st.integers(-2, 2))) for _ in dense]
+    one, minus = field.one(), field.neg(field.one())
+
+    def check(got, terms):
+        assert_built_like_checked(got, a, b, n, dense_sum(field, terms, a, b, n))
+
+    check(maps[0].add(maps[1]), [(one, dense[0]), (one, dense[1])])
+    check(maps[0].sub(maps[1]), [(one, dense[0]), (minus, dense[1])])
+    check(maps[0].sub(maps[0]), [])
+    check(maps[0].scale(coeffs[0]), [(coeffs[0], dense[0])])
+    check(maps[0].scale(field.zero()), [])
+    check(combination(a, b, n, list(zip(coeffs, maps))), list(zip(coeffs, dense)))
+    check(linear_combination(coeffs, maps), list(zip(coeffs, dense)))
+
+    g_dense = data.draw(dense_map(field, b, c, m))
+    g = GradedMap(b, c, m, g_dense)
+    full = dense_sum(field, [(one, dense[0])], a, b, n)
+    g_full = dense_sum(field, [(one, g_dense)], b, c, m)
+    assert_built_like_checked(
+        compose_graded(g, maps[0]), a, c, n + m,
+        dense_product(field, g_full, full, a, b, c, n, m),
+    )
+    # g after the inclusion of its kernel: every product block cancels
+    ker, incl = kernel(g)
+    incl_full = {i: incl.block(i) for i in ker.degrees()}
+    assert_built_like_checked(
+        compose_graded(g, incl), ker, c, m,
+        dense_product(field, g_full, incl_full, ker, b, c, 0, m),
+    )
+
+    source, target = DirectSum([a, a]), DirectSum([b, b])
+    candidates = [(0, 0, 0), (1, 1, 1), (1, 0, 2), (0, 0, 1)]
+    chosen = data.draw(st.lists(st.sampled_from(candidates), max_size=4))
+    assert_built_like_checked(
+        place_blocks(source, target, n, [(tp, sp, maps[k]) for tp, sp, k in chosen]),
+        source.module, target.module, n,
+        dense_placed(field, source, target, n, [(tp, sp, dense[k]) for tp, sp, k in chosen]),
+    )
+
+
+def test_cancelling_blocks_are_dropped():
+    m = GradedModule(QQ, {0: 2})
+    row = GradedMap(m, GradedModule(QQ, {0: 1}), 0, {0: qmat([[1, 1]])})
+    column = GradedMap(GradedModule(QQ, {0: 1}), m, 0, {0: qmat([[1], [-1]])})
+    assert compose_graded(row, column).blocks == {}
+    assert combination(m, m, 0, [(1, identity_map(m)), (-1, identity_map(m))]).blocks == {}
