@@ -124,7 +124,7 @@ class DgCategoryPresentation:
         if table is None:
             basis = self.tensor_cx(x, y, z).basis
             table = {}
-            for (n, col), entries in _sparse_columns(self.comp[(x, y, z)]).items():
+            for (n, col), entries in self.comp[(x, y, z)].columns().items():
                 gdeg, gidx, fidx = basis(n)[col]
                 table.setdefault((n - gdeg, fidx), {})[(gdeg, gidx)] = entries
             self._products[(x, y, z)] = table
@@ -210,7 +210,7 @@ def validate_dg_category(cat):
     report.add("d_squared", witness is None, witness)
 
     witness = None
-    d_cols = {key: _sparse_columns(hom.d) for key, hom in cat.hom.items()}
+    d_cols = {key: hom.d.columns() for key, hom in cat.hom.items()}
     for x, y, z in itertools.product(cat.objects, repeat=3):
         witness = _chain_map_witness(cat, d_cols, x, y, z)
         if witness:
@@ -259,14 +259,6 @@ def validate_dg_category(cat):
                     witness = _associativity_witness(cat, x, y, z, w)
     report.add("associativity", witness is None, witness)
     return report
-
-
-def _sparse_columns(gmap):
-    """{(degree, column): ((row, coeff), ...)} over a map's nonzero columns."""
-    out = {}
-    for i, r, c, v in gmap.entries():
-        out.setdefault((i, c), []).append((r, v))
-    return {key: tuple(entries) for key, entries in out.items()}
 
 
 def _add_scaled(field, acc, c, entries):

@@ -6,9 +6,16 @@ on graded maps; the tensor complex carries d(m (x) n) = d(m) (x) n +
 Hom^n is spanned by elementary maps ordered by (source degree, source
 index, target index); (M (x) N)^n by pure tensors ordered by (left degree,
 left index, right index).
+
+A complex builds its differential matrix only when .module is first
+read: composition tensors, product tables and the file format need just
+the basis and the carrier, and hom_differential evaluates d(f) on one
+map without any matrix.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from . import linalg
 from .errors import StructureError
@@ -93,7 +100,8 @@ class _PairComplex:
 
     Degree n is spanned by triples (i, a, b), ordered as written, pairing
     the a-th basis vector of first^i with the b-th of second^j, where j =
-    partner(n, i); the differential comes from the subclass's _d_column.
+    partner(n, i).  carrier, basis and index are built at once; module,
+    whose differential comes from the subclass's _d_column, on first read.
     """
 
     def __init__(self, first, second, degrees, partner):
@@ -115,8 +123,12 @@ class _PairComplex:
         self._index = {
             n: {t: k for k, t in enumerate(ts)} for n, ts in self._basis.items()
         }
+
+    @cached_property
+    def module(self):
+        """The complex as a dg K-module."""
         d = map_from_action(self.carrier, self.carrier, 1, self._d_column)
-        self.module = DgModule(self.carrier, d, check=False)
+        return DgModule(self.carrier, d, check=False)
 
     def basis(self, n):
         return self._basis.get(n, ())

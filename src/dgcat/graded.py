@@ -9,7 +9,8 @@ This module is the one place that knows that layout.  Elsewhere a map is
 built from its (i, r, c, value) entries with GradedMap.from_entries (or
 column by column with map_from_action, or from sub-maps with
 place_blocks), and read with GradedMap.entries, which yields the nonzero
-entries, or GradedMap.entry, which reads one.
+entries (GradedMap.columns groups them by column), or GradedMap.entry,
+which reads one.
 
 Invariant: every stored block is a tuple of row tuples of shape
 (target.dim(i + degree), source.dim(i)), none is zero, and they are kept
@@ -155,6 +156,14 @@ class GradedMap:
                 for c, value in enumerate(row):
                     if not is_zero(value):
                         yield i, r, c, value
+
+    def columns(self):
+        """{(i, c): ((r, value), ...)}: the nonzero entries of every column
+        c of the block at source degree i that has one, by row."""
+        out = {}
+        for i, r, c, value in self.entries():
+            out.setdefault((i, c), []).append((r, value))
+        return {key: tuple(entries) for key, entries in out.items()}
 
     def entry(self, i, r, c):
         """Row r, column c of the block at source degree i."""
@@ -401,13 +410,18 @@ def place_blocks(source, target, degree, pieces):
 
     source and target are DirectSums, or GradedModules standing for a sum
     of one part.  Each piece (target part, source part, map) puts a
-    graded map between those two parts at their offsets.
+    graded map between those two parts at their offsets; two pieces for
+    the same pair of parts are refused.
     """
     src, src_parts, src_offset = _as_sum(source)
     tgt, tgt_parts, tgt_offset = _as_sum(target)
+    placed = set()
     for tp, sp, m in pieces:
         if m.degree != degree or m.source != src_parts[sp] or m.target != tgt_parts[tp]:
             raise StructureError(f"map for parts {(tp, sp)} does not match the direct sums")
+        if (tp, sp) in placed:
+            raise StructureError(f"two maps for parts {(tp, sp)}")
+        placed.add((tp, sp))
     field = src.field
     blocks = {}
     for i in src.degrees():
@@ -419,7 +433,7 @@ def place_blocks(source, target, degree, pieces):
             ro, co = tgt_offset(tp, i + degree), src_offset(sp, i)
             for r, row in enumerate(sub):
                 block[ro + r][co : co + len(row)] = row
-        # the last sub-block placed is nonzero and nothing overwrites it
+        # the pieces fill disjoint sub-blocks, and each placed one is nonzero
         blocks[i] = linalg.freeze(block)
     return GradedMap._built(src, tgt, degree, blocks)
 

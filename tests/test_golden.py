@@ -23,8 +23,14 @@ the rendered validate_dg_category reports of T, U or Lambda of one axiom
 fixture, each with one composition entry bumped in one object triple,
 recorded while associativity was still a pair-by-pair sweep over
 compose_basis and the chain-map axiom still composed with the tensor
-differential.  A change that alters an output on purpose records the new
-digest here and says why.
+differential.  Each digest in CORRUPTED_MODULE_REPORTS is the SHA-256 of
+the rendered validate_dg_functor reports of a module, a bimodule slice or
+a representable Lambda-module of one axiom fixture, each with one entry of
+one basis image bumped on one object pair, recorded while the chain-map
+axiom was still one comparison of whole maps into a Hom complex and
+functoriality still went through dense composite coordinates.  A change
+that alters an output on purpose records the new digest here and says
+why.
 """
 
 import contextlib
@@ -40,6 +46,7 @@ import pytest
 
 from dgcat.category import opposite_category, tensor_category, validate_dg_category
 from dgcat.cli import main
+from dgcat.complexes import HomComplex, TensorComplex
 from dgcat.comma import (
     build_coproduct_module,
     check_dot_leibniz,
@@ -50,7 +57,17 @@ from dgcat.comma import (
 )
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import path_category, random_axiom_fixture, random_theorem_fixture
-from dgcat.functors import dgnat_space, dgnat_window, nat_to_flat, nat_unknowns
+from dgcat.functors import (
+    DgFunctor,
+    action_from_basis_images,
+    chain_map_holds,
+    dgnat_space,
+    dgnat_window,
+    nat_to_flat,
+    nat_unknowns,
+    representable_module,
+    validate_dg_functor,
+)
 from dgcat.graded import GradedMap
 from dgcat.io_json import emit_category, render_document
 from dgcat.lambda_cat import build_lambda, lambda_leibniz_check
@@ -86,8 +103,7 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("fixture,command", sorted(GOLDEN))
-def test_cli_output_bytes_are_pinned(fixture, command):
+def _assert_pinned_output(fixture, command):
     stdout, stderr = io.StringIO(), io.StringIO()
     argv = COMMANDS[command] + ["--input", str(FIXTURE_DIR / f"{fixture}.json")]
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -95,6 +111,25 @@ def test_cli_output_bytes_are_pinned(fixture, command):
     assert code == 0, stderr.getvalue()
     digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
     assert digest == GOLDEN[(fixture, command)]
+
+
+@pytest.mark.parametrize("fixture,command", sorted(GOLDEN))
+def test_cli_output_bytes_are_pinned(fixture, command):
+    _assert_pinned_output(fixture, command)
+
+
+@pytest.mark.parametrize("fixture", ["contractible", "exterior", "kkk"])
+def test_verdicts_build_no_pair_complex_differential(fixture, monkeypatch):
+    """validate and check-equivalence read no Hom or tensor differential
+    matrix: with both column builders refusing, the bytes are the same."""
+
+    def refuse(self, n, k):
+        raise AssertionError(f"{type(self).__name__} differential built")
+
+    monkeypatch.setattr(HomComplex, "_d_column", refuse)
+    monkeypatch.setattr(TensorComplex, "_d_column", refuse)
+    for command in ("validate", "check-equivalence"):
+        _assert_pinned_output(fixture, command)
 
 
 # (fixture seed, max_objects) -> SHA-256 of the rendered report
@@ -370,3 +405,127 @@ def test_associativity_witness_matches_pairwise_sweep(field, seed, label):
     for cat, report in _corrupted(field, seed, label):
         (check,) = [c for c in report.checks if c.name == "associativity"]
         assert check.witness == _reference_associativity_witness(cat)
+
+
+# (field, axiom fixture seed, module) -> SHA-256 of the joined reports
+CORRUPTED_MODULE_REPORTS = {
+    ("F5", 5, "Lambda"): "748164ac23ee044231e1a6cb24f15bd34ec81d7b6378e91f3e3b44d88c1402fd",
+    ("F5", 5, "module"): "3daec147cfaf14d08821bd1d6097ef606833c89276a3278d8e5fa2d097da936d",
+    ("F5", 5, "slice"): "7cdbf2ef12de685dac3f8e56e4a46ef421c8b692aef9dbe28dc20992e3e24c9e",
+    ("F5", 11, "Lambda"): "137c4f9e28623d4a7ac0918582ff16baea3139176071095ec627fa83450f5ff2",
+    ("F5", 11, "module"): "666c0481e02a459c0e248aac3809b220942edf3fcf060d1f228fc1feb6a184da",
+    ("F5", 11, "slice"): "705ab9c891eb17b1152f9f1bd861c3579416aa50fefa35602a8e1c44961b8066",
+    ("Q", 1, "Lambda"): "3b39f56a67e065344027205d08816a531a91998c5efc3899e32a5055e69161b4",
+    ("Q", 1, "module"): "b77b406214ceebcfb2a61c6024c1a81b691df706b90a2c045c61074811656f9e",
+    ("Q", 1, "slice"): "dc460ad131453d05f5bca98b9704bf26b8ee72c022c50e598d30ca3ccf18f5f2",
+    ("Q", 5, "Lambda"): "3d584d4e83b6d16a40ebcf53e4820755a0dc9d879bff08a298e76e3f22b8d673",
+    ("Q", 5, "module"): "931a21e3f7f9933105f0f54b8dc862c63f90cda17b0c647c9fecc0f2a176c2a7",
+    ("Q", 5, "slice"): "e31c122fb2cf40a507599c2ebb6c2b98acfa072a9b8724b8f1e82bd739598017",
+}
+
+# a Lambda-module has dozens of object pairs; a sample keeps the sweep short
+LAMBDA_PAIRS = 6
+
+
+def _axiom_modules(field, seed):
+    """A module, a bimodule slice and a representable Lambda-module of one
+    axiom fixture."""
+    fx = random_axiom_fixture(seed, FIELDS[field])
+    lam = build_lambda(fx["t_cat"], fx["u_cat"], fx["bimodule"], validate=False)
+    return {
+        "module": fx["modules"][1],
+        "slice": fx["bimodule"].slice_u(fx["u_cat"].objects[0]),
+        "Lambda": representable_module(lam.presentation, lam.presentation.objects[0]),
+    }
+
+
+def _bump_image(fun, key, rng):
+    """fun with one entry of one basis image on the object pair key plus
+    one, or None when every image of the pair is between zero spaces."""
+    x, y = key
+    source, target = fun.on_objects[x].carrier, fun.on_objects[y].carrier
+    spots = [
+        (basis, i)
+        for basis in sorted(fun.images[key])
+        for i in source.degrees()
+        if target.dim(i + basis[0])
+    ]
+    if not spots:
+        return None
+    (m, k), i = rng.choice(spots)
+    image = fun.images[key][(m, k)]
+    row, col = rng.randrange(target.dim(i + m)), rng.randrange(source.dim(i))
+    block = [list(r) for r in image.block(i)]
+    block[row][col] = fun.field.add(block[row][col], fun.field.one())
+    bumped = GradedMap(source, target, m, {**image.blocks, i: block})
+    images = {**fun.images, key: {**fun.images[key], (m, k): bumped}}
+    return DgFunctor(fun.base, fun.on_objects, images, name=fun.name)
+
+
+def _corrupted_modules(field, seed, label):
+    """One functor per object pair, each with one bumped basis image."""
+    fun = _axiom_modules(field, seed)[label]
+    rng = random.Random(f"{field}/{seed}/{label}")
+    bumps = [_bump_image(fun, key, rng) for key in sorted(fun.images)]
+    bumps = [bad for bad in bumps if bad is not None]
+    if label == "Lambda":
+        bumps = rng.sample(bumps, min(LAMBDA_PAIRS, len(bumps)))
+    return bumps
+
+
+@functools.lru_cache(maxsize=None)
+def _corrupted_module_reports(field, seed, label):
+    return tuple(validate_dg_functor(f) for f in _corrupted_modules(field, seed, label))
+
+
+@pytest.mark.parametrize("field,seed,label", sorted(CORRUPTED_MODULE_REPORTS))
+def test_corrupted_module_reports_are_pinned(field, seed, label):
+    text = "".join(r.render() for r in _corrupted_module_reports(field, seed, label))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == CORRUPTED_MODULE_REPORTS[(field, seed, label)]
+
+
+def test_corrupted_module_reports_cover_both_functor_axioms():
+    failing = {"chain_map": set(), "functoriality": set()}
+    for field, seed, label in sorted(CORRUPTED_MODULE_REPORTS):
+        for report in _corrupted_module_reports(field, seed, label):
+            for check in report.failures():
+                if check.name in failing:
+                    failing[check.name].add(label)
+    assert failing == {
+        "chain_map": {"module", "slice", "Lambda"},
+        "functoriality": {"module", "slice", "Lambda"},
+    }
+
+
+def _whole_map_chain_map(fun, x, y):
+    """The chain-map test on hom(x, y) as one comparison of graded maps
+    into the Hom complex of the values: action.d == d.action."""
+    hc = HomComplex(fun.on_objects[x], fun.on_objects[y])
+    hom = fun.base.hom[(x, y)]
+    images = fun.images[(x, y)]
+    action = action_from_basis_images(hom.carrier, hc, lambda m, k: images[(m, k)])
+    return action.compose(hom.d) == hc.module.d.compose(action)
+
+
+def _theorem_modules(fx):
+    bim = fx["bimodule"]
+    yield from fx["lambda_modules"]
+    for obj in fx["comma_objects"]:
+        yield obj.A
+        yield obj.B
+    yield from (bim.slice_t(t) for t in fx["t_cat"].objects)
+    yield from (bim.slice_u(u) for u in fx["u_cat"].objects)
+
+
+def test_basis_chain_map_check_matches_whole_map_test(theorem_fixtures):
+    funs = [f for fx in theorem_fixtures for f in _theorem_modules(fx)]
+    for key in sorted(CORRUPTED_MODULE_REPORTS):
+        funs.extend(_corrupted_modules(*key))
+    verdicts = []
+    for fun in funs:
+        for x, y in itertools.product(fun.base.objects, repeat=2):
+            verdict = chain_map_holds(fun, x, y)
+            assert verdict == _whole_map_chain_map(fun, x, y), (fun.name, x, y)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts

@@ -334,13 +334,36 @@ def test_derived_maps_equal_checked_dense_maps(data):
         dense_product(field, g_full, incl_full, ker, b, c, 0, m),
     )
 
+    # pieces at distinct pairs of parts; a second piece at one pair is refused
     source, target = DirectSum([a, a]), DirectSum([b, b])
     candidates = [(0, 0, 0), (1, 1, 1), (1, 0, 2), (0, 0, 1)]
-    chosen = data.draw(st.lists(st.sampled_from(candidates), max_size=4))
+    chosen = data.draw(
+        st.lists(st.sampled_from(candidates), max_size=4, unique_by=lambda p: p[:2])
+    )
+    pieces = [(tp, sp, maps[k]) for tp, sp, k in chosen]
     assert_built_like_checked(
-        place_blocks(source, target, n, [(tp, sp, maps[k]) for tp, sp, k in chosen]),
+        place_blocks(source, target, n, pieces),
         source.module, target.module, n,
         dense_placed(field, source, target, n, [(tp, sp, dense[k]) for tp, sp, k in chosen]),
+    )
+    if pieces:
+        tp, sp, _ = data.draw(st.sampled_from(pieces))
+        again = (tp, sp, maps[data.draw(st.integers(0, 2))])
+        with pytest.raises(StructureError):
+            place_blocks(source, target, n, pieces + [again])
+
+
+def test_place_blocks_refuses_two_maps_for_one_pair_of_parts():
+    # a draw of the property test above: a later zero piece at the same
+    # pair of parts once left the earlier block in place
+    a, b = GradedModule(QQ, {0: 1}), GradedModule(QQ, {1: 2})
+    first = GradedMap(a, b, 1, {0: qmat([[0], [1]])})
+    source, target = DirectSum([a, a]), DirectSum([b, b])
+    with pytest.raises(StructureError):
+        place_blocks(source, target, 1, [(0, 0, first), (0, 0, zero_map(a, b, 1))])
+    placed = qmat([[0, 0], [1, 0], [0, 0], [0, 0]])
+    assert place_blocks(source, target, 1, [(0, 0, first)]) == GradedMap(
+        source.module, target.module, 1, {0: placed}
     )
 
 
