@@ -1,30 +1,31 @@
 """Finite presentations of dg-categories and their validation.
 
 A presentation lists objects, a dg K-module of morphisms for every
-ordered object pair, a composition structure tensor per object triple
-(a degree-0 map from the tensor complex hom(Y,Z) (x) hom(X,Y) into
-hom(X,Z)), and the coordinates of each identity.  Validation checks,
-in order: differentials square to zero, composition is a degree-0
-chain map against the tensor differential, identities are cycles,
-unit laws, and associativity on homogeneous basis triples.  All checks
-extend to arbitrary morphisms by bilinearity, and the signs involved
-depend only on degrees, so basis tuples decide everything.
+ordered object pair, the coordinates of each identity and, per object
+triple (x, y, z), the product table of composition hom(y,z) x hom(x,y)
+-> hom(x,z): {f: {g: ((row, coeff), ...)}}, keyed by the (degree, index)
+of the basis morphisms f of hom(x,y) and g of hom(y,z), with the nonzero
+coordinates of g.f in hom(x,z)^(|f|+|g|) by row.  Zero composites are
+left out.  Composition is bilinear, so this table is all of it, and it is
+the only form composition is stored in.
 
-Both composition axioms read products(x, y, z), the nonzero composite
-of every basis pair of a triple, packed once from its tensor.
-Associativity sums h.(g.f) and (h.g).f per basis pair (f, g) over the h
-with a nonzero term only.  The chain-map axiom is checked as the Leibniz
-rule d(g.f) = dg.f + (-1)^{|g|} g.df on the tensor basis pairs g (x) f,
-in degree and then basis order; its right side is comp applied to the
-tensor differential of g (x) f, so the first failing pair and its two
-sides are the witness.
+Validation checks, in order: differentials square to zero, composition
+is a degree-0 chain map, identities are cycles, unit laws, and
+associativity on homogeneous basis triples.  All checks extend to
+arbitrary morphisms by bilinearity, and the signs involved depend only on
+degrees, so basis tuples decide everything.  Associativity sums h.(g.f)
+and (h.g).f per basis pair (f, g) over the h with a nonzero term only.
+The chain-map axiom is checked as the Leibniz rule
+d(g.f) = dg.f + (-1)^{|g|} g.df on the basis pairs (g, f), sorted by
+(|g|+|f|, |g|, g index, f index), the pure-tensor order of
+hom(y,z) (x) hom(x,y); the first failing pair and its two sides are the
+witness.
 
-Every constructed presentation gets its composition tensors from one
-helper, compose_from_products, which takes the composite of each basis
-pair as a coordinate vector and assembles the tensor of every object
-triple.  The opposite category and the tensor product of two
-presentations carry the Koszul signs: op-composition picks up
-(-1)^{|a||b|}, and composition in a tensor product picks up
+Every constructed presentation gets its tables from one helper,
+compose_from_products, which packs the composite of each basis pair
+given as a coordinate vector.  The opposite category and the tensor
+product of two presentations carry the Koszul signs: op-composition
+picks up (-1)^{|a||b|}, and composition in a tensor product picks up
 (-1)^{|b2||a1|} from moving b2 past a1.
 """
 
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from . import linalg
 from .complexes import TensorComplex, zero_dg_module
 from .errors import StructureError
-from .graded import GradedMap, map_from_action
 from .report import Report, fmt_vector
 
 ZERO_OBJECT = "@0"
@@ -56,9 +56,9 @@ class HomElement:
 
 
 class DgCategoryPresentation:
-    """Objects, hom dg-modules, composition tensors, identity coordinates."""
+    """Objects, hom dg-modules, product tables, identity coordinates."""
 
-    def __init__(self, field, objects, hom, comp, ids, name="C"):
+    def __init__(self, field, objects, hom, products, ids, name="C"):
         self.field = field
         self.name = name
         self.objects = tuple(objects)
@@ -73,8 +73,7 @@ class DgCategoryPresentation:
                 if module.field != field:
                     raise StructureError(f"hom({x},{y}) over the wrong field")
                 self.hom[(x, y)] = module
-        self._tensor_cache = {}
-        self.set_comp(comp)
+        self.set_products(products)
         self.ids = {}
         for x in self.objects:
             vec = ids.get(x)
@@ -90,50 +89,34 @@ class DgCategoryPresentation:
                 )
             self.ids[x] = vec
 
-    def set_comp(self, comp):
-        """Install composition tensors (missing triples default to zero)."""
-        self.comp = {}
+    def set_products(self, products):
+        """Install product tables, keyed by object triple (a missing triple
+        has no nonzero composite); a basis morphism or row out of range
+        is refused."""
         self._products = {}
         for x, y, z in itertools.product(self.objects, repeat=3):
-            source = self.tensor_cx(x, y, z).carrier
-            target = self.hom[(x, z)].carrier
-            cmap = comp.get((x, y, z))
-            if cmap is None:
-                cmap = GradedMap(source, target, 0, {})
-            if cmap.degree != 0 or cmap.source != source or cmap.target != target:
-                raise StructureError(
-                    f"composition tensor for ({x},{y},{z}) has the wrong shape"
-                )
-            self.comp[(x, y, z)] = cmap
-
-    def tensor_cx(self, x, y, z):
-        """Cached tensor complex hom(y,z) (x) hom(x,y)."""
-        key = (x, y, z)
-        if key not in self._tensor_cache:
-            self._tensor_cache[key] = TensorComplex(self.hom[(y, z)], self.hom[(x, y)])
-        return self._tensor_cache[key]
+            table = products.get((x, y, z), {})
+            for f, per_g in table.items():
+                for g, terms in per_g.items():
+                    dim = self.hom[(x, z)].dim(f[0] + g[0])
+                    if not (
+                        0 <= f[1] < self.hom[(x, y)].dim(f[0])
+                        and 0 <= g[1] < self.hom[(y, z)].dim(g[0])
+                        and all(0 <= r < dim for r, _ in terms)
+                    ):
+                        raise StructureError(
+                            f"product table for ({x},{y},{z}) has the wrong shape"
+                        )
+            self._products[(x, y, z)] = table
 
     def products(self, x, y, z):
-        """The composites of all basis pairs of one triple, packed.
-
-        {f: {g: ((row, coeff), ...)}} with f = (degree, index) in hom(x,y)
-        and g in hom(y,z); zero composites are left out.  Built once from
-        comp[(x, y, z)] and cleared by set_comp.
-        """
-        table = self._products.get((x, y, z))
-        if table is None:
-            basis = self.tensor_cx(x, y, z).basis
-            table = {}
-            for (n, col), entries in self.comp[(x, y, z)].columns().items():
-                gdeg, gidx, fidx = basis(n)[col]
-                table.setdefault((n - gdeg, fidx), {})[(gdeg, gidx)] = entries
-            self._products[(x, y, z)] = table
-        return table
+        """The product table of one triple: {f: {g: ((row, coeff), ...)}}."""
+        return self._products[(x, y, z)]
 
     def compose_basis(self, x, y, z, gdeg, gidx, fdeg, fidx):
         """Sparse composite of two basis morphisms: ((index, coeff), ...)
         in hom(x,z)^(gdeg+fdeg), read from products(x, y, z)."""
-        return self.products(x, y, z).get((fdeg, fidx), {}).get((gdeg, gidx), ())
+        return self._products[(x, y, z)].get((fdeg, fidx), {}).get((gdeg, gidx), ())
 
     def compose_basis_coords(self, x, y, z, gdeg, gidx, fdeg, fidx):
         """compose_basis as a dense coordinate vector in hom(x,z)^(gdeg+fdeg)."""
@@ -272,42 +255,43 @@ def _nonzero(field, acc):
 
 
 def _chain_map_witness(cat, d_cols, x, y, z):
-    """First tensor basis pair g (x) f of the triple, in degree and then
-    basis order, with d(g.f) != dg.f + (-1)^{|g|} g.df, or None.
+    """First basis pair (g, f) of the triple, sorted by (|g|+|f|, |g|,
+    g index, f index), with d(g.f) != dg.f + (-1)^{|g|} g.df, or None.
 
-    d_cols holds the sparse columns of every hom differential.  The right
-    side is comp applied to the tensor differential of g (x) f.
+    d_cols holds the sparse columns of every hom differential.
     """
     field = cat.field
     gf_of = cat.products(x, y, z)
     d_f, d_g, d_gf = d_cols[(x, y)], d_cols[(y, z)], d_cols[(x, z)]
-    tensor = cat.tensor_cx(x, y, z)
-    for n in tensor.carrier.degrees():
-        for gdeg, gidx, fidx in tensor.basis(n):
-            f, g = (n - gdeg, fidx), (gdeg, gidx)
-            gfs = gf_of.get(f, {})
-            lhs, rhs = {}, {}
-            for r, c in gfs.get(g, ()):
-                _add_scaled(field, lhs, c, d_gf.get((n, r), ()))
-            for s, c in d_g.get(g, ()):
-                _add_scaled(field, rhs, c, gfs.get((gdeg + 1, s), ()))
-            sgn = field.sign(gdeg)
-            for s, c in d_f.get(f, ()):
-                terms = gf_of.get((f[0] + 1, s), {}).get(g, ())
-                _add_scaled(field, rhs, field.mul(sgn, c), terms)
-            lhs, rhs = _nonzero(field, lhs), _nonzero(field, rhs)
-            if lhs != rhs:
-                dim = cat.hom[(x, z)].dim(n + 1)
-                return {
-                    "triple": [x, y, z],
-                    "basis": {"g": list(g), "f": list(f)},
-                    "comp_after_d": fmt_vector(
-                        field, linalg.dense_vector(field, rhs.items(), dim)
-                    ),
-                    "d_after_comp": fmt_vector(
-                        field, linalg.dense_vector(field, lhs.items(), dim)
-                    ),
-                }
+    pairs = sorted(
+        itertools.product(cat.basis_elements(y, z), cat.basis_elements(x, y)),
+        key=lambda gf: (gf[0][0] + gf[1][0], gf[0][0], gf[0][1], gf[1][1]),
+    )
+    for g, f in pairs:
+        n, gdeg = f[0] + g[0], g[0]
+        gfs = gf_of.get(f, {})
+        lhs, rhs = {}, {}
+        for r, c in gfs.get(g, ()):
+            _add_scaled(field, lhs, c, d_gf.get((n, r), ()))
+        for s, c in d_g.get(g, ()):
+            _add_scaled(field, rhs, c, gfs.get((gdeg + 1, s), ()))
+        sgn = field.sign(gdeg)
+        for s, c in d_f.get(f, ()):
+            terms = gf_of.get((f[0] + 1, s), {}).get(g, ())
+            _add_scaled(field, rhs, field.mul(sgn, c), terms)
+        lhs, rhs = _nonzero(field, lhs), _nonzero(field, rhs)
+        if lhs != rhs:
+            dim = cat.hom[(x, z)].dim(n + 1)
+            return {
+                "triple": [x, y, z],
+                "basis": {"g": list(g), "f": list(f)},
+                "comp_after_d": fmt_vector(
+                    field, linalg.dense_vector(field, rhs.items(), dim)
+                ),
+                "d_after_comp": fmt_vector(
+                    field, linalg.dense_vector(field, lhs.items(), dim)
+                ),
+            }
     return None
 
 
@@ -356,25 +340,32 @@ def _associativity_witness(cat, x, y, z, w):
 
 
 def compose_from_products(cat, product):
-    """Install on cat the composition tensors given by product; returns cat.
+    """Install on cat the product tables given by product; returns cat.
 
     product(x, y, z, gdeg, gidx, fdeg, fidx) is the coordinate vector in
     hom(x, z)^(gdeg+fdeg) of the composite of the basis morphisms
-    (gdeg, gidx) of hom(y, z) and (fdeg, fidx) of hom(x, y).  This is the
-    one loop over object triples that turns such a rule into tensors.
+    (gdeg, gidx) of hom(y, z) and (fdeg, fidx) of hom(x, y); it is not
+    called when that space is zero.  This is the one loop over object
+    triples that turns such a rule into tables.
     """
-    comp = {}
+    field = cat.field
+    tables = {}
     for x, y, z in itertools.product(cat.objects, repeat=3):
-        tensor = cat.tensor_cx(x, y, z)
-
-        def column(n, k):
-            gdeg, gidx, fidx = tensor.basis(n)[k]
-            return product(x, y, z, gdeg, gidx, n - gdeg, fidx)
-
-        comp[(x, y, z)] = map_from_action(
-            tensor.carrier, cat.hom[(x, z)].carrier, 0, column
-        )
-    cat.set_comp(comp)
+        table = tables[(x, y, z)] = {}
+        pairs = itertools.product(cat.basis_elements(x, y), cat.basis_elements(y, z))
+        for f, g in pairs:
+            dim = cat.hom[(x, z)].dim(f[0] + g[0])
+            if not dim:
+                continue
+            out = product(x, y, z, *g, *f)
+            if len(out) != dim:
+                raise StructureError(
+                    f"composite in hom({x},{z}) has length {len(out)}, expected {dim}"
+                )
+            terms = tuple((r, c) for r, c in enumerate(out) if not field.is_zero(c))
+            if terms:
+                table.setdefault(f, {})[g] = terms
+    cat.set_products(tables)
     return cat
 
 
@@ -435,23 +426,20 @@ def with_zero_object(cat, marker=ZERO_OBJECT):
     if marker in cat.objects:
         raise StructureError(f"object name {marker!r} is reserved")
     objects = cat.objects + (marker,)
-    hom = dict(cat.hom)
-    comp = dict(cat.comp)
     ids = dict(cat.ids)
     ids[marker] = ()
-    out = DgCategoryPresentation(
-        cat.field, objects, hom, comp, ids, name=f"{cat.name}+0"
+    return DgCategoryPresentation(
+        cat.field, objects, cat.hom, cat._products, ids, name=f"{cat.name}+0"
     )
-    return out
 
 
-def one_object_category(field, hom_module, comp_map, id_coords, name="A", obj="*"):
+def one_object_category(field, hom_module, table, id_coords, name="A", obj="*"):
     """A dg-algebra presented as a one-object dg-category."""
     return DgCategoryPresentation(
         field,
         (obj,),
         {(obj, obj): hom_module},
-        {(obj, obj, obj): comp_map},
+        {(obj, obj, obj): table},
         {obj: id_coords},
         name=name,
     )

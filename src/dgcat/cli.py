@@ -172,6 +172,14 @@ def cmd_check_equivalence(args):
         _write_output(args.output, report.render())
         return EXIT_MATH_FAIL
 
+    # The comma objects' modules are inputs of the theorem too; an invalid
+    # one stops the run with its own report, as an inconsistent Lambda does.
+    refs = [workspace.comma_refs[ref] for ref in fixture["comma_objects"]]
+    for name in sorted({r[key] for r in refs for key in ("module_t", "module_u")}):
+        sub = validate_dg_functor(workspace.modules[name])
+        if not sub.passed:
+            raise ValidationFailure(f"comma object module {name!r} is invalid", sub)
+
     lam = workspace.lambda_for(fixture["t"], fixture["u"], fixture["bimodule"])
     sub = validate_dg_category(lam.presentation)
     if not sub.passed:

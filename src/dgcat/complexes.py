@@ -8,9 +8,10 @@ index, target index); (M (x) N)^n by pure tensors ordered by (left degree,
 left index, right index).
 
 A complex builds its differential matrix only when .module is first
-read: composition tensors, product tables and the file format need just
-the basis and the carrier, and hom_differential evaluates d(f) on one
-map without any matrix.
+read: most callers need just the basis and the carrier, and
+hom_differential evaluates d(f) on one map without any matrix.
+Composition in a dg-category is not stored over a tensor complex; it is
+the product table of category.py.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class _PairComplex:
 
     Degree n is spanned by triples (i, a, b), ordered as written, pairing
     the a-th basis vector of first^i with the b-th of second^j, where j =
-    partner(n, i).  carrier, basis and index are built at once; module,
+    partner(n, i).  carrier and basis are built at once; module,
     whose differential comes from the subclass's _d_column, on first read.
     """
 
@@ -132,9 +133,6 @@ class _PairComplex:
 
     def basis(self, n):
         return self._basis.get(n, ())
-
-    def index(self, n, i, a, b):
-        return self._index[n][(i, a, b)]
 
 
 class HomComplex(_PairComplex):

@@ -20,7 +20,7 @@ from .category import (
     one_object_category,
 )
 from .comma import CommaObject
-from .complexes import DgModule, HomComplex, TensorComplex, dg_module
+from .complexes import DgModule, HomComplex, dg_module
 from .functors import (
     dgnat_differential,
     dgnat_space,
@@ -41,33 +41,19 @@ from .lambda_cat import build_lambda
 def trivial_category(field, name="K", obj="*"):
     """The one-object dg-category with endomorphisms K in degree 0."""
     hom = dg_module(field, {0: 1}, {})
-    comp = GradedMap(
-        _tensor_carrier(hom, hom),
-        hom.carrier,
-        0,
-        {0: [[field.one()]]},
-    )
-    return one_object_category(field, hom, comp, (field.one(),), name=name, obj=obj)
+    one = ((0, field.one()),)
+    table = {(0, 0): {(0, 0): one}}
+    return one_object_category(field, hom, table, (field.one(),), name=name, obj=obj)
 
 
 def exterior_category(field, name="Ext", obj="*"):
     """One object, hom = K.1 + K.x with |x| = 1, x.x = 0, zero differential."""
     hom = dg_module(field, {0: 1, 1: 1}, {})
-    carrier = _tensor_carrier(hom, hom)
-    one = field.one()
-    blocks = {
-        # 1 (x) 1 -> 1
-        0: [[one]],
-        # 1 (x) x -> x, x (x) 1 -> x  (tensor basis ordered by left degree)
-        1: [[one, one]],
-        # x (x) x -> 0 lands in the zero space hom^2; no block
-    }
-    comp = GradedMap(carrier, hom.carrier, 0, blocks)
-    return one_object_category(field, hom, comp, (one,), name=name, obj=obj)
-
-
-def _tensor_carrier(left, right):
-    return TensorComplex(left, right).carrier
+    one = ((0, field.one()),)
+    # 1.1 = 1 and 1.x = x.1 = x; x.x = 0 lands in the zero space hom^2
+    unit, x = (0, 0), (1, 0)
+    table = {unit: {unit: one, x: one}, x: {unit: one}}
+    return one_object_category(field, hom, table, (field.one(),), name=name, obj=obj)
 
 
 def path_category(field, arrows, name="Path"):

@@ -5,8 +5,10 @@ sections for categories, bimodules, modules, comma objects and fixtures.
 Scalars are strings ("p/q" over Q with q > 0 and gcd 1; integers in
 [0, p) over F_p).  Matrices are row-major lists of scalar strings with
 entry [row][col] the coefficient of source basis vector col in target
-basis vector row.  Composition tensors and action tables are sparse
-entry lists; an omitted block, pair or entry is zero.
+basis vector row.  Composition is a sparse list of product table rows
+[gdeg, gidx, fdeg, fidx, out, coeff]: coordinate out of the composite of
+basis morphism (gdeg, gidx) after (fdeg, fidx).  Action tables are sparse
+entry lists too; an omitted block, pair or entry is zero.
 
 Emission is canonical: keys sorted, entries sorted, zero data dropped,
 two-space indentation.  emit(parse(emit(x))) == emit(x) byte for byte.
@@ -26,21 +28,18 @@ from .fields import field_from_descriptor
 from .functors import DgFunctor
 from .graded import GradedMap, GradedModule
 from .lambda_cat import build_lambda
+from .report import fmt_matrix
 
 
 # ---------------------------------------------------------------------------
 # emission
 
 
-def emit_matrix(field, mat):
-    return [[field.format(x) for x in row] for row in mat]
-
-
 def emit_dg_module(module):
     field = module.field
     out = {"dims": {str(d): module.dim(d) for d in module.carrier.degrees()}}
     d_blocks = {
-        str(i): emit_matrix(field, block) for i, block in module.d.blocks.items()
+        str(i): fmt_matrix(field, block) for i, block in module.d.blocks.items()
     }
     if d_blocks:
         out["d"] = d_blocks
@@ -79,12 +78,14 @@ def emit_category(cat):
 
 
 def _comp_entries(cat, x, y, z):
+    """The rows of one product table, in degree and then basis order."""
     field = cat.field
-    basis = cat.tensor_cx(x, y, z).basis
-    entries = []
-    for n, row, col, value in cat.comp[(x, y, z)].entries():
-        gdeg, gidx, fidx = basis(n)[col]
-        entries.append([gdeg, gidx, n - gdeg, fidx, row, field.format(value)])
+    entries = [
+        [gdeg, gidx, fdeg, fidx, row, field.format(value)]
+        for (fdeg, fidx), per_g in cat.products(x, y, z).items()
+        for (gdeg, gidx), terms in per_g.items()
+        for row, value in terms
+    ]
     entries.sort(key=lambda e: (e[0] + e[2], e[0], e[1], e[3], e[4]))
     return entries
 
@@ -157,7 +158,7 @@ def emit_comma_object(obj, refs):
     f_blocks = {}
     for t in obj.bimodule.right_base.objects:
         blocks = {
-            str(k): emit_matrix(field, block)
+            str(k): fmt_matrix(field, block)
             for k, block in sorted(obj.f[t].blocks.items())
         }
         if blocks:
@@ -326,39 +327,46 @@ def parse_category(field, name, data, path):
             raise StructureError(f"{path}.id.{x}: expected a list of scalars")
         ids[x] = tuple(_scalar(field, v, f"{path}.id.{x}") for v in vec)
     cat = DgCategoryPresentation(field, objects, hom, {}, ids, name=name)
-    comp = {}
+    tables = {}
     comp_data = _expect_dict(data.get("comp", {}), f"{path}.comp")
     for x, per_y in comp_data.items():
         for y, per_z in _expect_dict(per_y, f"{path}.comp.{x}").items():
             for z, entries in _expect_dict(per_z, f"{path}.comp.{x}.{y}").items():
                 if x not in objects or y not in objects or z not in objects:
                     raise StructureError(f"{path}.comp: unknown object in ({x},{y},{z})")
-                comp[(x, y, z)] = _parse_comp_map(
+                tables[(x, y, z)] = _parse_products(
                     field, cat, x, y, z, entries, f"{path}.comp.{x}.{y}.{z}"
                 )
-    cat.set_comp(comp)
+    cat.set_products(tables)
     return cat
 
 
-def _parse_comp_map(field, cat, x, y, z, entries, path):
-    tensor = cat.tensor_cx(x, y, z)
-    target = cat.hom[(x, z)].carrier
-    parsed = []
+def _parse_products(field, cat, x, y, z, entries, path):
+    """The product table of one triple.  Entries at one position are
+    summed and a zero sum is left out."""
     if not isinstance(entries, list):
         raise StructureError(f"{path}: expected a list of entries")
+    sums = {}
     for pos, entry in enumerate(entries):
-        gdeg, gidx, fdeg, fidx, out_idx, coeff = _int_entry(
+        gdeg, gidx, fdeg, fidx, row, coeff = _int_entry(
             entry, f"{path}[{pos}]", "[gdeg, gidx, fdeg, fidx, out, coeff]"
         )
-        n = gdeg + fdeg
-        try:
-            col = tensor.index(n, gdeg, gidx, fidx)
-        except KeyError:
-            raise StructureError(f"{path}[{pos}]: no such basis pair") from None
-        if not 0 <= out_idx < target.dim(n):
+        if not (
+            0 <= gidx < cat.hom[(y, z)].dim(gdeg)
+            and 0 <= fidx < cat.hom[(x, y)].dim(fdeg)
+        ):
+            raise StructureError(f"{path}[{pos}]: no such basis pair")
+        if not 0 <= row < cat.hom[(x, z)].dim(gdeg + fdeg):
             raise StructureError(f"{path}[{pos}]: output index out of range")
-        parsed.append((n, out_idx, col, _scalar(field, coeff, f"{path}[{pos}]")))
-    return GradedMap.from_entries(tensor.carrier, target, 0, parsed)
+        value = _scalar(field, coeff, f"{path}[{pos}]")
+        key = ((fdeg, fidx), (gdeg, gidx), row)
+        sums[key] = field.add(sums[key], value) if key in sums else value
+    table = {}
+    for (f, g, row), value in sorted(sums.items()):
+        if not field.is_zero(value):
+            per_g = table.setdefault(f, {})
+            per_g[g] = per_g.get(g, ()) + ((row, value),)
+    return table
 
 
 def _parse_action_images(field, hom, source, target, entries, path):

@@ -4,6 +4,7 @@ All arithmetic is exact, so every tolerance is zero: two values agree
 when their coordinates are equal in the coefficient field.
 """
 
+import itertools
 import json
 import time
 
@@ -11,6 +12,7 @@ from dgcat import linalg
 from dgcat.bimodule import Bimodule, validate_bimodule
 from dgcat.category import (
     DgCategoryPresentation,
+    compose_from_products,
     one_object_category,
     opposite_category,
     tensor_category,
@@ -47,7 +49,7 @@ from dgcat.functors import (
     validate_dg_functor,
     yoneda_module,
 )
-from dgcat.graded import GradedMap, identity_map, map_from_action
+from dgcat.graded import GradedMap, identity_map
 from dgcat.lambda_cat import lambda_leibniz_check
 from dgcat.shipped import SHIPPED_BUILDERS
 
@@ -117,7 +119,10 @@ def _opposite_sign_holds(cat):
                         if got != want:
                             return False
     double = opposite_category(opp)
-    return all(double.comp[key] == cat.comp[key] for key in cat.comp)
+    return all(
+        double.products(*key) == cat.products(*key)
+        for key in itertools.product(cat.objects, repeat=3)
+    )
 
 
 def _tensor_sign_holds(cat_a, cat_b):
@@ -471,19 +476,25 @@ def test_criterion_7_negative_controls():
             continue
         cat, _ = endomorphism_category(field, modules, name="E")
         key = ("m0", "m0", "m0")
-        cmap = cat.comp[key]
-        for deg in list(cmap.blocks):
-            scaled = dict(cmap.blocks)
-            scaled[deg] = [[field.mul(field.from_int(2), x) for x in row] for row in cmap.blocks[deg]]
-            candidate = GradedMap(cmap.source, cmap.target, 0, scaled)
-            trial = dict(cat.comp)
-            trial[key] = candidate
-            cat.set_comp(trial)
+        table = cat.products(*key)
+        two = field.from_int(2)
+        # every composite of one total degree scaled by 2
+        for deg in sorted({f[0] + g[0] for f, per_g in table.items() for g in per_g}):
+            candidate = {
+                f: {
+                    g: tuple((r, field.mul(two, c)) for r, c in terms)
+                    if f[0] + g[0] == deg
+                    else terms
+                    for g, terms in per_g.items()
+                }
+                for f, per_g in table.items()
+            }
+            cat.set_products({key: candidate})
             report = validate_dg_category(cat)
             if _first_failure_is(report, "composition_chain_map"):
                 found = True
                 break
-            cat.set_comp({k: v for k, v in trial.items() if k != key} | {key: cmap})
+            cat.set_products({key: table})
         if found:
             break
     results["composition_chain_map"] = found
@@ -491,29 +502,22 @@ def test_criterion_7_negative_controls():
     # identity cycle: zero composition makes the chain-map axiom vacuous,
     # isolating d(1) != 0
     hom = dg_module(field, {0: 1, 1: 1}, {0: [[field.one()]]})
-    tensor = TensorComplex(hom, hom)
-    comp = GradedMap(tensor.module.carrier, hom.carrier, 0, {})
-    cat = one_object_category(field, hom, comp, (field.one(),), name="BadIdOnly")
+    cat = one_object_category(field, hom, {}, (field.one(),), name="BadIdOnly")
     report = validate_dg_category(cat)
     results["identity_closed"] = _first_failure_is(report, "identity_closed")
 
     # units: scaled multiplication on the one-object trivial category
     hom = dg_module(field, {0: 1}, {})
-    tensor = TensorComplex(hom, hom)
-    comp = GradedMap(tensor.module.carrier, hom.carrier, 0, {0: [[field.from_int(2)]]})
-    cat = one_object_category(field, hom, comp, (field.one(),), name="BadUnit")
+    table = {(0, 0): {(0, 0): ((0, field.from_int(2)),)}}
+    cat = one_object_category(field, hom, table, (field.one(),), name="BadUnit")
     report = validate_dg_category(cat)
     results["units"] = _first_failure_is(report, "units")
 
     # associativity: corrupted middle composite in a path category
     cat = path_category(field, 3)
-    bad = GradedMap(
-        cat.tensor_cx("x0", "x2", "x3").module.carrier,
-        cat.hom[("x0", "x3")].carrier,
-        0,
-        {0: [[field.from_int(2)]]},
-    )
-    cat.set_comp({**cat.comp, ("x0", "x2", "x3"): bad})
+    tables = {t: cat.products(*t) for t in itertools.product(cat.objects, repeat=3)}
+    bad = {(0, 0): {(0, 0): ((0, field.from_int(2)),)}}
+    cat.set_products({**tables, ("x0", "x2", "x3"): bad})
     report = validate_dg_category(cat)
     results["associativity"] = _first_failure_is(report, "associativity")
 
@@ -683,34 +687,22 @@ def test_criterion_7_negative_controls():
 
 
 def _unsigned_opposite(cat):
-    field = cat.field
     hom = {(a, b): cat.hom[(b, a)] for a in cat.objects for b in cat.objects}
     out = DgCategoryPresentation(
-        field,
+        cat.field,
         cat.objects,
         hom,
         {},
         {x: cat.ids[x] for x in cat.objects},
         name=f"{cat.name}.op_nosign",
     )
-    comp = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            for z in cat.objects:
-                tensor = out.tensor_cx(x, y, z)
 
-                def column(n, k, _x=x, _y=y, _z=z, _tensor=tensor):
-                    p, ib, ia = _tensor.basis(n)[k]
-                    q = n - p
-                    b = cat.basis_element(_z, _y, p, ib)
-                    a = cat.basis_element(_y, _x, q, ia)
-                    return cat.compose(a, b).coords
+    def product(x, y, z, p, ib, q, ia):
+        b = cat.basis_element(z, y, p, ib)
+        a = cat.basis_element(y, x, q, ia)
+        return cat.compose(a, b).coords
 
-                comp[(x, y, z)] = map_from_action(
-                    tensor.module.carrier, out.hom[(x, z)].carrier, 0, column
-                )
-    out.set_comp(comp)
-    return out
+    return compose_from_products(out, product)
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,9 +20,16 @@ from dgcat.fixtures import (
     random_endo_category,
     trivial_category,
 )
-from dgcat.graded import GradedMap
 
 QQ = Rationals()
+
+
+def _unit_and_x_table(c):
+    """The product table of hom = K.1 + K.x (|x| = 1) on one object with
+    1.1 = 1.x = x.1 = c times the basis vector of the right degree."""
+    entry = ((0, Fraction(c)),)
+    unit, x = (0, 0), (1, 0)
+    return {unit: {unit: entry, x: entry}, x: {unit: entry}}
 
 
 def test_trivial_category_validates():
@@ -73,16 +81,8 @@ def test_d_of_identity_failure_detected():
     # degree-0 generator: d(1) != 0 must fail exactly the identity axiom.
     field = QQ
     hom = dg_module(field, {0: 1, 1: 1}, {0: [[Fraction(1)]]})
-    from dgcat.complexes import TensorComplex
-
-    carrier = TensorComplex(hom, hom).module.carrier
-    comp = GradedMap(
-        carrier,
-        hom.carrier,
-        0,
-        {0: [[1]], 1: [[1, 1]]},
-    )
-    cat = one_object_category(field, hom, comp, (Fraction(1),), name="BadId")
+    table = _unit_and_x_table(1)
+    cat = one_object_category(field, hom, table, (Fraction(1),), name="BadId")
     report = validate_dg_category(cat)
     by_name = {c.name: c for c in report.checks}
     assert by_name["d_squared"].passed
@@ -93,13 +93,8 @@ def test_validation_reports_are_total():
     # Corrupt two independent axioms; both must be reported.
     field = QQ
     hom = dg_module(field, {0: 1, 1: 1}, {0: [[Fraction(1)]]})
-    from dgcat.complexes import TensorComplex
-
-    carrier = TensorComplex(hom, hom).module.carrier
-    comp = GradedMap(
-        carrier, hom.carrier, 0, {0: [[Fraction(2)]], 1: [[2, 2]]}
-    )
-    cat = one_object_category(field, hom, comp, (Fraction(1),), name="Bad2")
+    table = _unit_and_x_table(2)
+    cat = one_object_category(field, hom, table, (Fraction(1),), name="Bad2")
     report = validate_dg_category(cat)
     by_name = {c.name: c for c in report.checks}
     assert by_name["d_squared"].passed
@@ -116,13 +111,9 @@ def test_associativity_negative_control_path():
     # associativity without touching units, chain map, or differentials.
     field = QQ
     cat = path_category(field, 3)
-    bad = GradedMap(
-        cat.tensor_cx("x0", "x2", "x3").module.carrier,
-        cat.hom[("x0", "x3")].carrier,
-        0,
-        {0: [[Fraction(2)]]},
-    )
-    cat.set_comp({**cat.comp, ("x0", "x2", "x3"): bad})
+    bad = {(0, 0): {(0, 0): ((0, Fraction(2)),)}}
+    tables = {t: cat.products(*t) for t in itertools.product(cat.objects, repeat=3)}
+    cat.set_products({**tables, ("x0", "x2", "x3"): bad})
     report = validate_dg_category(cat)
     by_name = {c.name: c for c in report.checks}
     assert by_name["d_squared"].passed
@@ -162,8 +153,8 @@ def test_opposite_validates_and_involutes():
     opp = opposite_category(cat)
     assert validate_dg_category(opp).passed
     double = opposite_category(opp)
-    for key, cmap in cat.comp.items():
-        assert double.comp[key] == cmap
+    for key in itertools.product(cat.objects, repeat=3):
+        assert double.products(*key) == cat.products(*key)
     for key, module in cat.hom.items():
         assert double.hom[key] == module
 
@@ -219,7 +210,7 @@ def test_tensor_unit_category_is_identity():
     assert len(prod.objects) == 1
     pair = prod.objects[0]
     assert prod.hom[(pair, pair)].carrier.dims() == b.hom[("*", "*")].carrier.dims()
-    assert prod.comp[(pair, pair, pair)].blocks == b.comp[("*", "*", "*")].blocks
+    assert prod.products(pair, pair, pair) == b.products("*", "*", "*")
     assert validate_dg_category(prod).passed
 
 
@@ -234,11 +225,8 @@ def test_with_zero_object():
 def test_zero_object_name_reserved():
     field = QQ
     hom = dg_module(field, {0: 1}, {})
-    from dgcat.complexes import TensorComplex
-
-    carrier = TensorComplex(hom, hom).module.carrier
-    comp = GradedMap(carrier, hom.carrier, 0, {0: [[Fraction(1)]]})
-    cat = one_object_category(field, hom, comp, (Fraction(1),), obj="@0")
+    table = {(0, 0): {(0, 0): ((0, Fraction(1)),)}}
+    cat = one_object_category(field, hom, table, (Fraction(1),), obj="@0")
     with pytest.raises(StructureError):
         with_zero_object(cat)
 
@@ -246,10 +234,17 @@ def test_zero_object_name_reserved():
 def test_structure_error_on_bad_comp_shape():
     field = QQ
     hom = dg_module(field, {0: 2}, {})
-    # tensor carrier has dimension 4 at degree 0, so a 2 -> 2 map misfits
-    bad = GradedMap(hom.carrier, hom.carrier, 0, {0: [[1, 0], [0, 1]]})
-    with pytest.raises(StructureError):
-        one_object_category(field, hom, bad, (Fraction(1), Fraction(0)))
+    one = Fraction(1)
+    # hom^0 has dimension 2, so basis index 2 and row 2 are out of range,
+    # and there is no basis morphism in degree 1
+    for bad in (
+        {(0, 2): {(0, 0): ((0, one),)}},
+        {(0, 0): {(0, 2): ((0, one),)}},
+        {(0, 0): {(0, 0): ((2, one),)}},
+        {(1, 0): {(0, 0): ((0, one),)}},
+    ):
+        with pytest.raises(StructureError):
+            one_object_category(field, hom, bad, (one, Fraction(0)))
 
 
 def test_chain_map_condition_equals_leibniz_rule():

@@ -284,34 +284,50 @@ def _axiom_categories(field, seed):
 
 
 def _bump(cat, key, rng):
-    """The composition tensor of key with one entry of one block plus one,
-    or None when the triple composes into zero spaces only."""
-    x, _, z = key
+    """The product table of key with one coordinate of one composite plus
+    one, or None when the triple composes into zero spaces only.  The
+    position is drawn as (degree, row, column) of the matrix of composition
+    out of the tensor complex hom(y,z) (x) hom(x,y)."""
+    x, y, z = key
     field = cat.field
-    cmap = cat.comp[key]
+    source = TensorComplex(cat.hom[(y, z)], cat.hom[(x, y)])
     target = cat.hom[(x, z)].carrier
-    degrees = [n for n in cmap.source.degrees() if target.dim(n)]
+    degrees = [n for n in source.carrier.degrees() if target.dim(n)]
     if not degrees:
         return None
     n = rng.choice(degrees)
-    row, col = rng.randrange(target.dim(n)), rng.randrange(cmap.source.dim(n))
-    block = [list(r) for r in cmap.block(n)]
-    block[row][col] = field.add(block[row][col], field.one())
-    return GradedMap(cmap.source, target, 0, {**cmap.blocks, n: block})
+    row, col = rng.randrange(target.dim(n)), rng.randrange(source.carrier.dim(n))
+    gdeg, gidx, fidx = source.basis(n)[col]
+    entries = {
+        (f, g, r): c
+        for f, per_g in cat.products(*key).items()
+        for g, terms in per_g.items()
+        for r, c in terms
+    }
+    bumped = ((n - gdeg, fidx), (gdeg, gidx), row)
+    entries[bumped] = field.add(entries.get(bumped, field.zero()), field.one())
+    table = {}
+    for (f, g, r), c in sorted(entries.items()):
+        if not field.is_zero(c):
+            per_g = table.setdefault(f, {})
+            per_g[g] = per_g.get(g, ()) + ((r, c),)
+    return table
 
 
 def _corrupted(field, seed, label):
     """(cat, report) per bumped triple; cat stays corrupted until the next
     step, so a caller can inspect it."""
     cat = _axiom_categories(field, seed)[label]
-    original = dict(cat.comp)
+    original = {
+        key: cat.products(*key) for key in itertools.product(cat.objects, repeat=3)
+    }
     rng = random.Random(f"{field}/{seed}/{label}")
     bumps = [(key, _bump(cat, key, rng)) for key in sorted(original)]
     bumps = [(key, bad) for key, bad in bumps if bad is not None]
     if label == "Lambda":
         bumps = rng.sample(bumps, min(LAMBDA_TRIPLES, len(bumps)))
     for key, bad in bumps:
-        cat.set_comp({**original, key: bad})
+        cat.set_products({**original, key: bad})
         yield cat, validate_dg_category(cat)
 
 
@@ -341,16 +357,8 @@ def test_corrupted_reports_cover_both_composition_axioms():
 
 
 def _reference_compose_basis(cat, x, y, z, gdeg, gidx, fdeg, fidx):
-    """The composite of two basis morphisms, read off the tensor column."""
-    field = cat.field
-    n = gdeg + fdeg
-    block = cat.comp[(x, y, z)].blocks.get(n)
-    if block is None:
-        return ()
-    col = cat.tensor_cx(x, y, z).index(n, gdeg, gidx, fidx)
-    return tuple(
-        (r, block[r][col]) for r in range(len(block)) if not field.is_zero(block[r][col])
-    )
+    """The composite of two basis morphisms, read off the product table."""
+    return cat.products(x, y, z).get((fdeg, fidx), {}).get((gdeg, gidx), ())
 
 
 def _sparse_then(cat, x, y, z, gdeg, gidx, sparse, sdeg):

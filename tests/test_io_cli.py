@@ -51,6 +51,10 @@ def _set_comp_degree(doc, value):
     doc["categories"]["T"]["comp"]["t"]["t"]["t"][0][0] = value
 
 
+def _set_comp_gidx(doc, value):
+    doc["categories"]["T"]["comp"]["t"]["t"]["t"][0][1] = value
+
+
 def _set_d_key(doc, key):
     doc["categories"]["T"]["hom"]["t"]["t"]["d"] = {key: [["1"]]}
 
@@ -76,6 +80,7 @@ def _set_fixture_refs(doc, key, value):
     [
         (lambda doc: _set_identity(doc, "1/0"), "$.categories.T.id.t:"),
         (lambda doc: _set_comp_degree(doc, "0"), "$.categories.T.comp.t.t.t[0]:"),
+        (lambda doc: _set_comp_gidx(doc, -1), "$.categories.T.comp.t.t.t[0]:"),
         (lambda doc: _set_d_key(doc, "z"), "$.categories.T.hom.t.t.d:"),
         (lambda doc: _add_left_action(doc, "nope"), "$.bimodules.M.left_action:"),
         (lambda doc: doc["categories"]["T"]["id"].update(t="1"), "$.categories.T.id.t:"),
@@ -147,6 +152,7 @@ def _set_fixture_refs(doc, key, value):
     ids=[
         "zero_denominator",
         "string_comp_degree",
+        "negative_comp_index",
         "letter_d_key",
         "unknown_action",
         "string_identity",
@@ -191,6 +197,22 @@ def test_parse_accepts_reduced_scalars(value):
     document = json.loads(fixture_text("kkk"))
     _set_identity(document, value)
     parse_text(json.dumps(document))
+
+
+@pytest.mark.parametrize(
+    "entries,emitted",
+    [
+        ([[0, 0, 0, 0, 0, "1/2"], [0, 0, 0, 0, 0, "1/2"]], [[0, 0, 0, 0, 0, "1"]]),
+        ([[0, 0, 0, 0, 0, "1"], [0, 0, 0, 0, 0, "-1"]], None),
+    ],
+    ids=["listed_twice", "cancelling"],
+)
+def test_parse_sums_comp_entries_at_one_position(entries, emitted):
+    document = json.loads(fixture_text("kkk"))
+    document["categories"]["T"]["comp"]["t"]["t"]["t"] = entries
+    category = emit_workspace(parse_text(json.dumps(document)))["categories"]["T"]
+    comp = category.get("comp")
+    assert comp == (None if emitted is None else {"t": {"t": {"t": emitted}}})
 
 
 def test_parse_rejects_bad_json():
@@ -472,3 +494,44 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
     assert "wall time" in proc.stderr
+
+
+def _failing(report):
+    return [c["name"] for c in report["checks"] if c["status"] == "FAIL"]
+
+
+def test_cli_check_equivalence_refuses_an_invalid_comma_module(tmp_path, capsys):
+    # The identity of A acts by 2 in degree 1, so A breaks the unit law and
+    # functoriality; both comma objects of the fixture are built over A.
+    document = json.loads(fixture_text("exterior"))
+    document["modules"]["A"]["on_hom"]["t"]["t"][1][5] = "2"
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(document), encoding="utf-8")
+    code, text = run_cli(["validate", "--input", str(src)], tmp_path)
+    assert code == 1
+    assert _failing(json.loads(text)) == ["module[A].unit", "module[A].functoriality"]
+    capsys.readouterr()
+    out = tmp_path / "equivalence.json"
+    code = main(["check-equivalence", "--input", str(src), "--output", str(out)])
+    assert code == 1
+    assert not out.exists()
+    report = json.loads(capsys.readouterr().out)
+    assert report["title"] == "dg-functor A"
+    assert _failing(report) == ["unit", "functoriality"]
+
+
+def test_cli_validate_checks_a_large_unit_sparsely(tmp_path):
+    # A module acting by zero on a 100000-dimensional value: an identity
+    # matrix of that size would hold 10^10 entries, so only a check that
+    # reads the image of the identity entry by entry finishes here.
+    document = json.loads(fixture_text("kkk"))
+    del document["comma_objects"], document["fixtures"]
+    document["modules"]["A"] = {
+        "base": "T",
+        "on_objects": {"t": {"dims": {"0": 100000}}},
+    }
+    src = tmp_path / "large.json"
+    src.write_text(json.dumps(document), encoding="utf-8")
+    code, text = run_cli(["validate", "--input", str(src)], tmp_path)
+    assert code == 1
+    assert _failing(json.loads(text)) == ["module[A].unit"]
