@@ -73,58 +73,46 @@ def cmd_validate(args):
     return EXIT_OK if report.passed else EXIT_MATH_FAIL
 
 
-def cmd_oppose(args):
-    workspace = parse_text(_read_input(args.input))
-    if args.category not in workspace.categories:
-        raise StructureError(f"unknown category {args.category!r}")
-    cat = workspace.categories[args.category]
-    opposite = opposite_category(cat)
-    name = args.name or f"{args.category}.op"
+def _named(table, name, kind):
+    """The entry of table called name; any other name is a structural error."""
+    if name not in table:
+        raise StructureError(f"unknown {kind} {name!r}")
+    return table[name]
+
+
+def _write_category(args, workspace, name, cat):
+    """Write a document holding the one category cat, called name."""
     document = {
         "field": workspace.field.descriptor(),
-        "categories": {name: emit_category(opposite)},
+        "categories": {name: emit_category(cat)},
     }
     _write_output(args.output, render_document(document))
     return EXIT_OK
+
+
+def cmd_oppose(args):
+    workspace = parse_text(_read_input(args.input))
+    cat = _named(workspace.categories, args.category, "category")
+    name = args.name or f"{args.category}.op"
+    return _write_category(args, workspace, name, opposite_category(cat))
 
 
 def cmd_tensor(args):
     workspace = parse_text(_read_input(args.input))
-    for key in (args.left, args.right):
-        if key not in workspace.categories:
-            raise StructureError(f"unknown category {key!r}")
-    product = tensor_category(
-        workspace.categories[args.left], workspace.categories[args.right]
+    left, right = (
+        _named(workspace.categories, key, "category") for key in (args.left, args.right)
     )
     name = args.name or f"{args.left}.tensor.{args.right}"
-    document = {
-        "field": workspace.field.descriptor(),
-        "categories": {name: emit_category(product)},
-    }
-    _write_output(args.output, render_document(document))
-    return EXIT_OK
+    return _write_category(args, workspace, name, tensor_category(left, right))
 
 
 def cmd_lambda(args):
     workspace = parse_text(_read_input(args.input))
-    for key, pool in ((args.t, workspace.categories), (args.u, workspace.categories)):
-        if key not in pool:
-            raise StructureError(f"unknown category {key!r}")
-    if args.bimodule not in workspace.bimodules:
-        raise StructureError(f"unknown bimodule {args.bimodule!r}")
-    lam = build_lambda(
-        workspace.categories[args.t],
-        workspace.categories[args.u],
-        workspace.bimodules[args.bimodule],
-        validate=True,
-    )
+    t, u = (_named(workspace.categories, key, "category") for key in (args.t, args.u))
+    bimodule = _named(workspace.bimodules, args.bimodule, "bimodule")
+    lam = build_lambda(t, u, bimodule, validate=True)
     name = args.name or f"lambda.{args.t}.{args.bimodule}.{args.u}"
-    document = {
-        "field": workspace.field.descriptor(),
-        "categories": {name: emit_category(lam.presentation)},
-    }
-    _write_output(args.output, render_document(document))
-    return EXIT_OK
+    return _write_category(args, workspace, name, lam.presentation)
 
 
 def cmd_check_equivalence(args):
@@ -138,9 +126,7 @@ def cmd_check_equivalence(args):
             )
         fixture = next(iter(workspace.fixtures.values()))
     else:
-        if args.fixture not in workspace.fixtures:
-            raise StructureError(f"unknown fixture {args.fixture!r}")
-        fixture = workspace.fixtures[args.fixture]
+        fixture = _named(workspace.fixtures, args.fixture, "fixture")
 
     report = Report(f"check-equivalence[{fixture['name']}]", seed=args.seed)
     note = _char_two_note(workspace.field)

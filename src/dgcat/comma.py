@@ -43,11 +43,11 @@ from .functors import (
     dgnat_differential,
     dgnat_space,
     dgnat_window,
+    encode_nat_in_basis,
     functor_from_basis_images,
     image_of,
     linear_combination,
     nat_from_flat,
-    nat_to_flat,
     nat_unknowns,
     naturality_rows,
     naturality_witness,
@@ -558,8 +558,10 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
     (i)  For every ordered pair of comma objects and every degree in the
          joint shape window, the comma Hom space and the transformation
          space between the associated Lambda-modules are computed by two
-         independent linear solves; their dimensions must agree and the
-         induced map must be bijective (exact rank).
+         independent linear solves; their dimensions must agree, the image
+         F(phi) of each comma basis morphism must be a transformation (else
+         the witness names its basis index) and the induced map must be
+         bijective (exact rank).
     (ii) For every supplied Lambda-module, the comparison map from the
          coproduct of its extracted comma object is a closed natural
          isomorphism at every object.
@@ -612,18 +614,16 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
                         "lambda_dim": len(nats_l),
                     }
                     continue
-                columns = []
-                for phi in comma_basis:
-                    nat = f_on_morphisms(lam, f_src, f_tgt, phi)
-                    flat = nat_to_flat(f_src, f_tgt, n, keys_l, nat)
-                    coords = linalg.nullspace_coordinates(field, vecs_l, flat)
-                    if coords is None:
-                        raise InternalCheckError(
-                            "image of a comma morphism is not a transformation"
-                        )
-                    columns.append(coords)
-                # the rank of the coordinate columns is that of the induced map
-                if comma_basis and linalg.rank(field, columns) != len(comma_basis):
+                images = (f_on_morphisms(lam, f_src, f_tgt, phi) for phi in comma_basis)
+                columns = [
+                    encode_nat_in_basis(f_src, f_tgt, n, keys_l, vecs_l, nat)
+                    for nat in images
+                ]
+                if None in columns:  # some F(phi) is not a transformation
+                    index = columns.index(None)
+                    witness = witness or {"degree": n, "not_natural": index}
+                elif comma_basis and linalg.rank(field, columns) != len(comma_basis):
+                    # the rank of the coordinate columns is that of the induced map
                     witness = witness or {"degree": n, "kernel": "nontrivial"}
             report.dimensions[f"comma[{label}]"] = comma_dims
             report.dimensions[f"lambda[{label}]"] = lambda_dims

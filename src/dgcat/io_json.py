@@ -10,6 +10,18 @@ basis vector row.  Composition is a sparse list of product table rows
 basis morphism (gdeg, gidx) after (fdeg, fidx).  Action tables are sparse
 entry lists too; an omitted block, pair or entry is zero.
 
+Every nested table (hom, comp, id, values, the actions, on_objects,
+on_hom, f and the five sections) is an object keyed by declared names,
+possibly several levels deep.  The reader walks each through _table,
+which visits keys in sorted order and exits with the level's JSON path
+on an undeclared name; _degrees reads degree-keyed objects and _entries
+sparse entry lists on top of it.  Each object kind (document, category,
+dg module, bimodule, module, base.lambda, comma object, fixture) accepts
+only its defined keys, so a misspelt key exits 2 with the object's path
+instead of reading as an absent entry.  The writer builds every nested
+table with _nested from tuple-keyed entries and stores it with _put,
+which drops empty data.
+
 Emission is canonical: keys sorted, entries sorted, zero data dropped,
 two-space indentation.  emit(parse(emit(x))) == emit(x) byte for byte.
 """
@@ -18,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import product
 
 from .bimodule import Bimodule, g_on_objects
 from .category import DgCategoryPresentation
@@ -30,51 +43,55 @@ from .graded import GradedMap, GradedModule
 from .lambda_cat import build_lambda
 from .report import fmt_matrix
 
+_FIXTURE_KEYS = ("t", "u", "bimodule", "comma_objects", "lambda_modules")
+
 
 # ---------------------------------------------------------------------------
 # emission
 
 
+def _nested(flat):
+    """The nested objects {k1: {k2: ... value}} of {(k1, k2, ...): value},
+    leaving out empty values."""
+    out = {}
+    for keys, value in flat.items():
+        if value:
+            node = out
+            for key in keys[:-1]:
+                node = node.setdefault(key, {})
+            node[keys[-1]] = value
+    return out
+
+
+def _put(out, key, value):
+    """out with out[key] = value, unless value is empty."""
+    if value:
+        out[key] = value
+    return out
+
+
+def _modules(modules):
+    """The nested table of the nonzero dg modules of {keys: module}."""
+    return _nested(
+        {keys: emit_dg_module(m) for keys, m in modules.items() if not m.is_zero()}
+    )
+
+
 def emit_dg_module(module):
     field = module.field
     out = {"dims": {str(d): module.dim(d) for d in module.carrier.degrees()}}
-    d_blocks = {
-        str(i): fmt_matrix(field, block) for i, block in module.d.blocks.items()
-    }
-    if d_blocks:
-        out["d"] = d_blocks
-    return out
+    d = {str(i): fmt_matrix(field, block) for i, block in module.d.blocks.items()}
+    return _put(out, "d", d)
 
 
 def emit_category(cat):
-    field = cat.field
-    out = {"objects": list(cat.objects)}
-    hom = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            module = cat.hom[(x, y)]
-            if module.is_zero():
-                continue
-            hom.setdefault(x, {})[y] = emit_dg_module(module)
-    if hom:
-        out["hom"] = hom
-    comp = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            for z in cat.objects:
-                entries = _comp_entries(cat, x, y, z)
-                if entries:
-                    comp.setdefault(x, {}).setdefault(y, {})[z] = entries
-    if comp:
-        out["comp"] = comp
-    ids = {}
-    for x in cat.objects:
-        vec = cat.ids[x]
-        if vec:
-            ids[x] = [field.format(v) for v in vec]
-    if ids:
-        out["id"] = ids
-    return out
+    field, objects = cat.field, cat.objects
+    out = {"objects": list(objects)}
+    _put(out, "hom", _modules(cat.hom))
+    triples = product(objects, repeat=3)
+    _put(out, "comp", _nested({xyz: _comp_entries(cat, *xyz) for xyz in triples}))
+    ids = {(x,): [field.format(v) for v in cat.ids[x]] for x in objects}
+    return _put(out, "id", _nested(ids))
 
 
 def _comp_entries(cat, x, y, z):
@@ -90,6 +107,11 @@ def _comp_entries(cat, x, y, z):
     return entries
 
 
+def _actions(field, images):
+    """The nested table of the action entries of {keys: basis images}."""
+    return _nested({keys: _action_entries(field, per) for keys, per in images.items()})
+
+
 def _action_entries(field, images):
     """Sparse [hdeg, hidx, srcdeg, row, col, coeff] rows of one action table."""
     entries = [
@@ -102,70 +124,30 @@ def _action_entries(field, images):
 
 
 def emit_bimodule(bim):
-    field = bim.field
     out = {"left": bim.left_base.name, "right": bim.right_base.name}
-    values = {}
-    for u in bim.left_base.objects:
-        for t in bim.right_base.objects:
-            module = bim.value(u, t)
-            if module.is_zero():
-                continue
-            values.setdefault(u, {})[t] = emit_dg_module(module)
-    if values:
-        out["values"] = values
-    left = {}
-    for (u, u2, t), images in sorted(bim.left_images.items()):
-        entries = _action_entries(field, images)
-        if entries:
-            left.setdefault(u, {}).setdefault(u2, {})[t] = entries
-    if left:
-        out["left_action"] = left
-    right = {}
-    for (t, t2, u), images in sorted(bim.right_images.items()):
-        entries = _action_entries(field, images)
-        if entries:
-            right.setdefault(t, {}).setdefault(t2, {})[u] = entries
-    if right:
-        out["right_action"] = right
-    return out
+    values = {
+        (u, t): bim.value(u, t)
+        for u in bim.left_base.objects
+        for t in bim.right_base.objects
+    }
+    _put(out, "values", _modules(values))
+    _put(out, "left_action", _actions(bim.field, bim.left_images))
+    return _put(out, "right_action", _actions(bim.field, bim.right_images))
 
 
 def emit_module(fun, base_ref):
-    field = fun.base.field
     out = {"base": base_ref}
-    on_objects = {}
-    for obj in fun.base.objects:
-        module = fun.on_objects[obj]
-        if module.is_zero():
-            continue
-        on_objects[obj] = emit_dg_module(module)
-    if on_objects:
-        out["on_objects"] = on_objects
-    on_hom = {}
-    for x in fun.base.objects:
-        for y in fun.base.objects:
-            entries = _action_entries(field, fun.images[(x, y)])
-            if entries:
-                on_hom.setdefault(x, {})[y] = entries
-    if on_hom:
-        out["on_hom"] = on_hom
-    return out
+    _put(out, "on_objects", _modules({(x,): m for x, m in fun.on_objects.items()}))
+    return _put(out, "on_hom", _actions(fun.base.field, fun.images))
 
 
 def emit_comma_object(obj, refs):
-    field = obj.field
-    out = dict(refs)
-    f_blocks = {}
-    for t in obj.bimodule.right_base.objects:
-        blocks = {
-            str(k): fmt_matrix(field, block)
-            for k, block in sorted(obj.f[t].blocks.items())
-        }
-        if blocks:
-            f_blocks[t] = blocks
-    if f_blocks:
-        out["f"] = f_blocks
-    return out
+    f_blocks = {
+        (t, str(k)): fmt_matrix(obj.field, block)
+        for t in obj.bimodule.right_base.objects
+        for k, block in obj.f[t].blocks.items()
+    }
+    return _put(dict(refs), "f", _nested(f_blocks))
 
 
 def render_document(document):
@@ -202,10 +184,46 @@ class Workspace:
         return self._lambdas[key]
 
 
-def _expect_dict(value, path):
+def _dict(value, path, keys=None):
+    """A JSON object; given keys, one that defines no other key."""
     if not isinstance(value, dict):
         raise StructureError(f"{path}: expected an object")
+    if keys is not None:
+        undefined = sorted(set(value).difference(keys))
+        if undefined:
+            raise StructureError(f"{path}: undefined key {undefined[0]!r}")
     return value
+
+
+def _list(value, path, what):
+    if not isinstance(value, list):
+        raise StructureError(f"{path}: expected {what}")
+    return value
+
+
+def _table(data, path, *levels):
+    """Walk an object nested len(levels) deep, keys in sorted order.
+
+    levels[k] holds the names allowed at depth k (None allows any name);
+    a key outside its level exits with that level's path.  Yields
+    (keys, leaf, leaf path).
+    """
+    allowed, rest = levels[0], levels[1:]
+    data = _dict(data, path)
+    for key in sorted(data):
+        if allowed is not None and key not in allowed:
+            raise StructureError(f"{path}: unknown name {key!r}")
+        if rest:
+            for keys, leaf, at in _table(data[key], f"{path}.{key}", *rest):
+                yield (key,) + keys, leaf, at
+        else:
+            yield (key,), data[key], f"{path}.{key}"
+
+
+def _degrees(data, path):
+    """(degree, value, path) for each entry of a degree-keyed object."""
+    for (key,), value, _ in _table(data, path, None):
+        yield _degree(key, path), value, f"{path}[{key}]"
 
 
 def _degree(key, path):
@@ -243,15 +261,18 @@ def _lambda_refs(data, workspace, path):
     return data["t"], data["u"], data["bimodule"]
 
 
-def _int_entry(entry, path, layout):
-    """A sparse entry: five ints, then a scalar string."""
-    if (
-        not isinstance(entry, list)
-        or len(entry) != 6
-        or any(type(v) is not int for v in entry[:5])
-    ):
-        raise StructureError(f"{path}: expected {layout} with integer indices")
-    return entry
+def _entries(field, entries, path, layout):
+    """The rows of a sparse entry list, each five ints and then a scalar
+    string, as (*ints, scalar, path of the row)."""
+    for pos, entry in enumerate(_list(entries, path, "a list of entries")):
+        at = f"{path}[{pos}]"
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 6
+            or any(type(v) is not int for v in entry[:5])
+        ):
+            raise StructureError(f"{at}: expected {layout} with integer indices")
+        yield (*entry[:5], _scalar(field, entry[5], at), at)
 
 
 def _scalar(field, text, path):
@@ -279,28 +300,22 @@ def parse_matrix(field, rows, path, shape):
 
 
 def parse_dg_module(field, data, path):
-    data = _expect_dict(data, path)
+    data = _dict(data, path, ("dims", "labels", "d"))
     dims = {}
-    for key, dim in _expect_dict(data.get("dims", {}), f"{path}.dims").items():
-        deg = _degree(key, f"{path}.dims")
+    for deg, dim, at in _degrees(data.get("dims", {}), f"{path}.dims"):
         if type(dim) is not int or dim < 0:
-            raise StructureError(f"{path}.dims[{key}]: bad dimension {dim!r}")
+            raise StructureError(f"{at}: bad dimension {dim!r}")
         dims[deg] = dim
     # Basis labels are checked, then dropped: nothing reads or emits them.
-    for key, names in _expect_dict(data.get("labels", {}), f"{path}.labels").items():
-        dim = dims.get(_degree(key, f"{path}.labels"))
-        names = _names(names, f"{path}.labels[{key}]")
-        if dim and len(names) != dim:
-            raise StructureError(
-                f"{path}.labels[{key}]: {len(names)} labels for dimension {dim}"
-            )
+    for deg, names, at in _degrees(data.get("labels", {}), f"{path}.labels"):
+        count, dim = len(_names(names, at)), dims.get(deg)
+        if dim and count != dim:
+            raise StructureError(f"{at}: {count} labels for dimension {dim}")
     carrier = GradedModule(field, dims)
-    blocks = {}
-    for key, rows in _expect_dict(data.get("d", {}), f"{path}.d").items():
-        i = _degree(key, f"{path}.d")
-        blocks[i] = parse_matrix(
-            field, rows, f"{path}.d[{key}]", (carrier.dim(i + 1), carrier.dim(i))
-        )
+    blocks = {
+        i: parse_matrix(field, rows, at, (carrier.dim(i + 1), carrier.dim(i)))
+        for i, rows, at in _degrees(data.get("d", {}), f"{path}.d")
+    }
     d = GradedMap(carrier, carrier, 1, blocks)
     # d . d = 0 is a mathematical axiom, not a schema rule: files carrying
     # a bad differential parse fine and fail validation with a witness.
@@ -308,57 +323,43 @@ def parse_dg_module(field, data, path):
 
 
 def parse_category(field, name, data, path):
-    data = _expect_dict(data, path)
+    data = _dict(data, path, ("objects", "hom", "comp", "id"))
     objects = _names(data.get("objects"), f"{path}.objects")
-    hom = {}
-    hom_data = _expect_dict(data.get("hom", {}), f"{path}.hom")
-    for x, per_target in hom_data.items():
-        if x not in objects:
-            raise StructureError(f"{path}.hom: unknown object {x!r}")
-        for y, module_data in _expect_dict(per_target, f"{path}.hom.{x}").items():
-            if y not in objects:
-                raise StructureError(f"{path}.hom.{x}: unknown object {y!r}")
-            hom[(x, y)] = parse_dg_module(field, module_data, f"{path}.hom.{x}.{y}")
-    ids = {}
-    for x, vec in _expect_dict(data.get("id", {}), f"{path}.id").items():
-        if x not in objects:
-            raise StructureError(f"{path}.id: unknown object {x!r}")
-        if not isinstance(vec, list):
-            raise StructureError(f"{path}.id.{x}: expected a list of scalars")
-        ids[x] = tuple(_scalar(field, v, f"{path}.id.{x}") for v in vec)
+    hom = {
+        pair: parse_dg_module(field, module, at)
+        for pair, module, at in _table(
+            data.get("hom", {}), f"{path}.hom", objects, objects
+        )
+    }
+    ids = {
+        x: tuple(_scalar(field, v, at) for v in _list(vec, at, "a list of scalars"))
+        for (x,), vec, at in _table(data.get("id", {}), f"{path}.id", objects)
+    }
     cat = DgCategoryPresentation(field, objects, hom, {}, ids, name=name)
-    tables = {}
-    comp_data = _expect_dict(data.get("comp", {}), f"{path}.comp")
-    for x, per_y in comp_data.items():
-        for y, per_z in _expect_dict(per_y, f"{path}.comp.{x}").items():
-            for z, entries in _expect_dict(per_z, f"{path}.comp.{x}.{y}").items():
-                if x not in objects or y not in objects or z not in objects:
-                    raise StructureError(f"{path}.comp: unknown object in ({x},{y},{z})")
-                tables[(x, y, z)] = _parse_products(
-                    field, cat, x, y, z, entries, f"{path}.comp.{x}.{y}.{z}"
-                )
-    cat.set_products(tables)
+    comp = _table(data.get("comp", {}), f"{path}.comp", objects, objects, objects)
+    cat.set_products(
+        {
+            triple: _parse_products(field, cat, *triple, entries, at)
+            for triple, entries, at in comp
+        }
+    )
     return cat
 
 
 def _parse_products(field, cat, x, y, z, entries, path):
     """The product table of one triple.  Entries at one position are
     summed and a zero sum is left out."""
-    if not isinstance(entries, list):
-        raise StructureError(f"{path}: expected a list of entries")
     sums = {}
-    for pos, entry in enumerate(entries):
-        gdeg, gidx, fdeg, fidx, row, coeff = _int_entry(
-            entry, f"{path}[{pos}]", "[gdeg, gidx, fdeg, fidx, out, coeff]"
-        )
+    for gdeg, gidx, fdeg, fidx, row, value, at in _entries(
+        field, entries, path, "[gdeg, gidx, fdeg, fidx, out, coeff]"
+    ):
         if not (
             0 <= gidx < cat.hom[(y, z)].dim(gdeg)
             and 0 <= fidx < cat.hom[(x, y)].dim(fdeg)
         ):
-            raise StructureError(f"{path}[{pos}]: no such basis pair")
+            raise StructureError(f"{at}: no such basis pair")
         if not 0 <= row < cat.hom[(x, z)].dim(gdeg + fdeg):
-            raise StructureError(f"{path}[{pos}]: output index out of range")
-        value = _scalar(field, coeff, f"{path}[{pos}]")
+            raise StructureError(f"{at}: output index out of range")
         key = ((fdeg, fidx), (gdeg, gidx), row)
         sums[key] = field.add(sums[key], value) if key in sums else value
     table = {}
@@ -373,21 +374,14 @@ def _parse_action_images(field, hom, source, target, entries, path):
     """The images source -> target an action table gives, keyed by the
     basis morphism (hdeg, hidx) of the hom carrier they act for."""
     per_basis = {}
-    if not isinstance(entries, list):
-        raise StructureError(f"{path}: expected a list of entries")
-    for pos, entry in enumerate(entries):
-        hdeg, hidx, srcdeg, row, col, coeff = _int_entry(
-            entry, f"{path}[{pos}]", "[hdeg, hidx, srcdeg, row, col, coeff]"
-        )
+    for hdeg, hidx, srcdeg, row, col, value, at in _entries(
+        field, entries, path, "[hdeg, hidx, srcdeg, row, col, coeff]"
+    ):
         if not 0 <= hidx < hom.dim(hdeg):
-            raise StructureError(f"{path}[{pos}]: morphism index out of range")
-        src_dim = source.dim(srcdeg)
-        tgt_dim = target.dim(srcdeg + hdeg)
-        if not (0 <= col < src_dim and 0 <= row < tgt_dim):
-            raise StructureError(f"{path}[{pos}]: block entry out of range")
-        per_basis.setdefault((hdeg, hidx), []).append(
-            (srcdeg, row, col, _scalar(field, coeff, f"{path}[{pos}]"))
-        )
+            raise StructureError(f"{at}: morphism index out of range")
+        if not (0 <= col < source.dim(srcdeg) and 0 <= row < target.dim(srcdeg + hdeg)):
+            raise StructureError(f"{at}: block entry out of range")
+        per_basis.setdefault((hdeg, hidx), []).append((srcdeg, row, col, value))
     return {
         (hdeg, hidx): GradedMap.from_entries(source, target, hdeg, parsed)
         for (hdeg, hidx), parsed in per_basis.items()
@@ -395,101 +389,78 @@ def _parse_action_images(field, hom, source, target, entries, path):
 
 
 def parse_bimodule(field, name, data, workspace, path):
-    data = _expect_dict(data, path)
+    data = _dict(
+        data, path, ("left", "right", "values", "left_action", "right_action")
+    )
     left_base, right_base = (
         _ref(data.get(key), workspace.categories, f"{path}.{key}", "category")
         for key in ("left", "right")
     )
     U, T = left_base.objects, right_base.objects
     values = {(u, t): zero_dg_module(field) for u in U for t in T}
-    for u, per_t in _expect_dict(data.get("values", {}), f"{path}.values").items():
-        if u not in U:
-            raise StructureError(f"{path}.values: unknown object {u!r}")
-        for t, module_data in _expect_dict(per_t, f"{path}.values.{u}").items():
-            if t not in T:
-                raise StructureError(f"{path}.values.{u}: unknown object {t!r}")
-            values[(u, t)] = parse_dg_module(
-                field, module_data, f"{path}.values.{u}.{t}"
-            )
-    left = {}
-    for u, per_u2 in _expect_dict(
-        data.get("left_action", {}), f"{path}.left_action"
-    ).items():
-        for u2, per_t in _expect_dict(per_u2, f"{path}.left_action.{u}").items():
-            for t, entries in _expect_dict(
-                per_t, f"{path}.left_action.{u}.{u2}"
-            ).items():
-                if u not in U or u2 not in U or t not in T:
-                    raise StructureError(
-                        f"{path}.left_action: unknown objects ({u},{u2},{t})"
-                    )
-                left[(u, u2, t)] = _parse_action_images(
-                    field,
-                    left_base.hom[(u, u2)].carrier,
-                    values[(u, t)].carrier,
-                    values[(u2, t)].carrier,
-                    entries,
-                    f"{path}.left_action.{u}.{u2}.{t}",
-                )
-    right = {}
-    for t, per_t2 in _expect_dict(
-        data.get("right_action", {}), f"{path}.right_action"
-    ).items():
-        for t2, per_u in _expect_dict(per_t2, f"{path}.right_action.{t}").items():
-            for u, entries in _expect_dict(
-                per_u, f"{path}.right_action.{t}.{t2}"
-            ).items():
-                if t not in T or t2 not in T or u not in U:
-                    raise StructureError(
-                        f"{path}.right_action: unknown objects ({t},{t2},{u})"
-                    )
-                right[(t, t2, u)] = _parse_action_images(
-                    field,
-                    right_base.hom[(t, t2)].carrier,
-                    values[(u, t2)].carrier,
-                    values[(u, t)].carrier,
-                    entries,
-                    f"{path}.right_action.{t}.{t2}.{u}",
-                )
+    for pair, module, at in _table(data.get("values", {}), f"{path}.values", U, T):
+        values[pair] = parse_dg_module(field, module, at)
+    left = {
+        (u, u2, t): _parse_action_images(
+            field,
+            left_base.hom[(u, u2)].carrier,
+            values[(u, t)].carrier,
+            values[(u2, t)].carrier,
+            entries,
+            at,
+        )
+        for (u, u2, t), entries, at in _table(
+            data.get("left_action", {}), f"{path}.left_action", U, U, T
+        )
+    }
+    right = {
+        (t, t2, u): _parse_action_images(
+            field,
+            right_base.hom[(t, t2)].carrier,
+            values[(u, t2)].carrier,
+            values[(u, t)].carrier,
+            entries,
+            at,
+        )
+        for (t, t2, u), entries, at in _table(
+            data.get("right_action", {}), f"{path}.right_action", T, T, U
+        )
+    }
     return Bimodule(left_base, right_base, values, left, right, name=name)
 
 
 def parse_module(field, name, data, workspace, path):
-    data = _expect_dict(data, path)
+    data = _dict(data, path, ("base", "on_objects", "on_hom"))
     base_ref = data.get("base")
     if isinstance(base_ref, dict) and set(base_ref) == {"lambda"}:
-        ref = _expect_dict(base_ref["lambda"], f"{path}.base.lambda")
-        names = _lambda_refs(ref, workspace, f"{path}.base.lambda")
-        base = workspace.lambda_for(*names).presentation
+        at = f"{path}.base.lambda"
+        ref = _dict(base_ref["lambda"], at, ("t", "u", "bimodule"))
+        base = workspace.lambda_for(*_lambda_refs(ref, workspace, at)).presentation
     else:
         base = _ref(base_ref, workspace.categories, f"{path}.base", "category")
     on_objects = {obj: zero_dg_module(field) for obj in base.objects}
-    for obj, module_data in _expect_dict(
-        data.get("on_objects", {}), f"{path}.on_objects"
-    ).items():
-        if obj not in base.objects:
-            raise StructureError(f"{path}.on_objects: unknown object {obj!r}")
-        on_objects[obj] = parse_dg_module(
-            field, module_data, f"{path}.on_objects.{obj}"
+    for (obj,), module, at in _table(
+        data.get("on_objects", {}), f"{path}.on_objects", base.objects
+    ):
+        on_objects[obj] = parse_dg_module(field, module, at)
+    images = {
+        (x, y): _parse_action_images(
+            field,
+            base.hom[(x, y)].carrier,
+            on_objects[x].carrier,
+            on_objects[y].carrier,
+            entries,
+            at,
         )
-    images = {}
-    for x, per_y in _expect_dict(data.get("on_hom", {}), f"{path}.on_hom").items():
-        for y, entries in _expect_dict(per_y, f"{path}.on_hom.{x}").items():
-            if x not in base.objects or y not in base.objects:
-                raise StructureError(f"{path}.on_hom: unknown pair ({x},{y})")
-            images[(x, y)] = _parse_action_images(
-                field,
-                base.hom[(x, y)].carrier,
-                on_objects[x].carrier,
-                on_objects[y].carrier,
-                entries,
-                f"{path}.on_hom.{x}.{y}",
-            )
+        for (x, y), entries, at in _table(
+            data.get("on_hom", {}), f"{path}.on_hom", base.objects, base.objects
+        )
+    }
     return DgFunctor(base, on_objects, images, name=name), base_ref
 
 
 def parse_comma_object(field, name, data, workspace, path):
-    data = _expect_dict(data, path)
+    data = _dict(data, path, ("bimodule", "module_t", "module_u", "f"))
     refs = {}
     for key in ("bimodule", "module_t", "module_u"):
         if key not in data:
@@ -508,23 +479,21 @@ def parse_comma_object(field, name, data, workspace, path):
             raise StructureError(f"{path}.{key}: module is over the wrong category")
     gb = g_on_objects(bim, B)
     f = {}
-    for t, per_degree in _expect_dict(data.get("f", {}), f"{path}.f").items():
-        if t not in bim.right_base.objects:
-            raise StructureError(f"{path}.f: unknown object {t!r}")
+    for (t,), per_degree, at in _table(
+        data.get("f", {}), f"{path}.f", bim.right_base.objects
+    ):
         src = A.on_objects[t].carrier
         tgt = gb.functor.on_objects[t].carrier
-        blocks = {}
-        for key, rows in _expect_dict(per_degree, f"{path}.f.{t}").items():
-            k = _degree(key, f"{path}.f.{t}")
-            blocks[k] = parse_matrix(
-                field, rows, f"{path}.f.{t}[{key}]", (tgt.dim(k), src.dim(k))
-            )
+        blocks = {
+            k: parse_matrix(field, rows, at_k, (tgt.dim(k), src.dim(k)))
+            for k, rows, at_k in _degrees(per_degree, at)
+        }
         f[t] = GradedMap(src, tgt, 0, blocks)
     return CommaObject(bim, A, B, f, g_of_b=gb, name=name), refs
 
 
 def parse_fixture(name, data, workspace, path):
-    data = _expect_dict(data, path)
+    data = _dict(data, path, _FIXTURE_KEYS)
     out = {"name": name}
     out["t"], out["u"], out["bimodule"] = _lambda_refs(data, workspace, path)
     for key, table, kind in (
@@ -538,7 +507,8 @@ def parse_fixture(name, data, workspace, path):
 
 
 def parse_document(document):
-    document = _expect_dict(document, "$")
+    sections = ("categories", "bimodules", "modules", "comma_objects", "fixtures")
+    document = _dict(document, "$", ("field",) + sections)
     if "field" not in document:
         raise StructureError("$.field: missing field declaration")
     try:
@@ -546,40 +516,24 @@ def parse_document(document):
     except StructureError as exc:
         raise StructureError(f"$.field: {exc}") from None
     workspace = Workspace(field)
-    for name, data in sorted(
-        _expect_dict(document.get("categories", {}), "$.categories").items()
-    ):
-        workspace.categories[name] = parse_category(
-            field, name, data, f"$.categories.{name}"
-        )
-    for name, data in sorted(
-        _expect_dict(document.get("bimodules", {}), "$.bimodules").items()
-    ):
-        workspace.bimodules[name] = parse_bimodule(
-            field, name, data, workspace, f"$.bimodules.{name}"
-        )
-    for name, data in sorted(
-        _expect_dict(document.get("modules", {}), "$.modules").items()
-    ):
-        fun, base_ref = parse_module(
-            field, name, data, workspace, f"$.modules.{name}"
-        )
+
+    def section(key):
+        return _table(document.get(key, {}), f"$.{key}", None)
+
+    for (name,), data, at in section("categories"):
+        workspace.categories[name] = parse_category(field, name, data, at)
+    for (name,), data, at in section("bimodules"):
+        workspace.bimodules[name] = parse_bimodule(field, name, data, workspace, at)
+    for (name,), data, at in section("modules"):
+        fun, base_ref = parse_module(field, name, data, workspace, at)
         workspace.modules[name] = fun
         workspace.module_bases[name] = base_ref
-    for name, data in sorted(
-        _expect_dict(document.get("comma_objects", {}), "$.comma_objects").items()
-    ):
-        obj, refs = parse_comma_object(
-            field, name, data, workspace, f"$.comma_objects.{name}"
-        )
+    for (name,), data, at in section("comma_objects"):
+        obj, refs = parse_comma_object(field, name, data, workspace, at)
         workspace.comma_objects[name] = obj
         workspace.comma_refs[name] = refs
-    for name, data in sorted(
-        _expect_dict(document.get("fixtures", {}), "$.fixtures").items()
-    ):
-        workspace.fixtures[name] = parse_fixture(
-            name, data, workspace, f"$.fixtures.{name}"
-        )
+    for (name,), data, at in section("fixtures"):
+        workspace.fixtures[name] = parse_fixture(name, data, workspace, at)
     return workspace
 
 
@@ -593,36 +547,23 @@ def parse_text(text):
 
 def emit_workspace(workspace):
     """Canonical document for a whole workspace."""
-    document = {"field": workspace.field.descriptor()}
-    if workspace.categories:
-        document["categories"] = {
-            name: emit_category(cat)
-            for name, cat in sorted(workspace.categories.items())
-        }
-    if workspace.bimodules:
-        document["bimodules"] = {
-            name: emit_bimodule(bim)
-            for name, bim in sorted(workspace.bimodules.items())
-        }
-    if workspace.modules:
-        document["modules"] = {
-            name: emit_module(fun, workspace.module_bases.get(name, fun.base.name))
-            for name, fun in sorted(workspace.modules.items())
-        }
-    if workspace.comma_objects:
-        document["comma_objects"] = {
-            name: emit_comma_object(obj, workspace.comma_refs[name])
-            for name, obj in sorted(workspace.comma_objects.items())
-        }
-    if workspace.fixtures:
-        document["fixtures"] = {
-            name: {
-                "t": fx["t"],
-                "u": fx["u"],
-                "bimodule": fx["bimodule"],
-                "comma_objects": fx["comma_objects"],
-                "lambda_modules": fx["lambda_modules"],
-            }
-            for name, fx in sorted(workspace.fixtures.items())
-        }
+    ws = workspace
+    sections = {
+        "categories": {n: emit_category(c) for n, c in ws.categories.items()},
+        "bimodules": {n: emit_bimodule(b) for n, b in ws.bimodules.items()},
+        "modules": {
+            n: emit_module(fun, ws.module_bases.get(n, fun.base.name))
+            for n, fun in ws.modules.items()
+        },
+        "comma_objects": {
+            n: emit_comma_object(obj, ws.comma_refs[n])
+            for n, obj in ws.comma_objects.items()
+        },
+        "fixtures": {
+            n: {key: fx[key] for key in _FIXTURE_KEYS} for n, fx in ws.fixtures.items()
+        },
+    }
+    document = {"field": ws.field.descriptor()}
+    for key, section in sections.items():
+        _put(document, key, section)
     return document

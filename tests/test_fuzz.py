@@ -4,7 +4,8 @@ Every leaf of every shipped fixture (a scalar, or an empty list or
 object) is replaced by one small wrong value or deleted, the kind taken
 in turn by leaf number.  `validate` and `check-equivalence` then run
 in-process on each mutant and must end with exit 0, 1 or 2: a mutant
-may still be a valid document, or fail a check, but never raise.
+may still be a valid document, or fail a check, but never raise.  The
+same holds when any one key of any object is renamed to "no_such_name".
 """
 
 import contextlib
@@ -32,6 +33,26 @@ def leaf_paths(node, path=()):
             yield from leaf_paths(value, path + (index,))
     else:
         yield path
+
+
+def key_paths(node, path=()):
+    """The path of every key of every object in node."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from key_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from key_paths(value, path + (index,))
+
+
+def rename(doc, path, name):
+    out = copy.deepcopy(doc)
+    parent = out
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[name] = parent.pop(path[-1])
+    return out
 
 
 def mutate(doc, path, value):
@@ -75,4 +96,22 @@ def test_single_leaf_mutants_exit_cleanly(name):
             if code not in (0, 1, 2):
                 kind = "delete" if value is DELETE else json.dumps(value)
                 escaped.append((command, list(path), kind, code))
+    assert not escaped, escaped[:5]
+
+
+@pytest.mark.parametrize("name", ["kkk", "exterior", "contractible"])
+def test_renamed_key_mutants_exit_cleanly(name):
+    doc = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+    escaped = []
+    paths = list(key_paths(doc))
+    assert len(paths) > 50
+    for path in paths:
+        text = json.dumps(rename(doc, path, "no_such_name"))
+        for command in ("validate", "check-equivalence"):
+            try:
+                code = run_cli(command, text)
+            except Exception as exc:  # the failure this test looks for
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 1, 2):
+                escaped.append((command, list(path), code))
     assert not escaped, escaped[:5]

@@ -535,3 +535,89 @@ def test_cli_validate_checks_a_large_unit_sparsely(tmp_path):
     code, text = run_cli(["validate", "--input", str(src)], tmp_path)
     assert code == 1
     assert _failing(json.loads(text)) == ["module[A].unit"]
+
+
+def _rename(*steps):
+    """Edit: the key at the end of steps gets a misspelt name."""
+
+    def edit(doc):
+        for step in steps[:-1]:
+            doc = doc[step]
+        doc[steps[-1] + "_typo"] = doc.pop(steps[-1])
+
+    return edit
+
+
+def _drop_fixtures_and_rename_comma_objects(doc):
+    # At the parent this document passed `validate` with no comma object read.
+    del doc["fixtures"]
+    _rename("comma_objects")(doc)
+
+
+@pytest.mark.parametrize(
+    "edit,path",
+    [
+        (_drop_fixtures_and_rename_comma_objects, "$:"),
+        (_rename("categories", "T", "comp"), "$.categories.T:"),
+        (
+            lambda doc: doc["categories"]["T"]["hom"]["t"]["t"].update(lables={}),
+            "$.categories.T.hom.t.t:",
+        ),
+        (_rename("bimodules", "M", "values"), "$.bimodules.M:"),
+        (_rename("modules", "A", "on_hom"), "$.modules.A:"),
+        (
+            _rename("modules", "C", "base", "lambda", "bimodule"),
+            "$.modules.C.base.lambda:",
+        ),
+        (_rename("comma_objects", "o_can", "f"), "$.comma_objects.o_can:"),
+        (_rename("fixtures", "main", "lambda_modules"), "$.fixtures.main:"),
+    ],
+    ids=[
+        "document",
+        "category",
+        "dg_module",
+        "bimodule",
+        "module",
+        "base_lambda",
+        "comma_object",
+        "fixture",
+    ],
+)
+def test_parse_rejects_an_undefined_key_with_its_object_path(edit, path, tmp_path):
+    # Read as an absent entry, a misspelt key would leave its data unchecked.
+    document = json.loads(fixture_text("exterior"))
+    edit(document)
+    with pytest.raises(StructureError) as info:
+        parse_text(json.dumps(document))
+    assert str(info.value).startswith(path)
+    assert "undefined key" in str(info.value)
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(document), encoding="utf-8")
+    assert run_cli(["validate", "--input", str(src)], tmp_path) == (2, "")
+
+
+def test_check_equivalence_fails_full_faithful_on_a_non_natural_image(
+    monkeypatch, capsys
+):
+    # Doubling one component of every F(phi) breaks naturality along the
+    # morphisms of Lambda that join the T side to the U side.
+    import dgcat.comma
+    from dgcat.functors import DgNatTransformation
+
+    f_on_morphisms = dgcat.comma.f_on_morphisms
+
+    def doubled(lam, source, target, phi):
+        nat = f_on_morphisms(lam, source, target, phi)
+        components = dict(nat.components)
+        obj = lam.presentation.objects[0]
+        components[obj] = components[obj].scale(lam.field.from_int(2))
+        return DgNatTransformation(nat.source, nat.target, nat.degree, components)
+
+    monkeypatch.setattr(dgcat.comma, "f_on_morphisms", doubled)
+    code = main(["check-equivalence", "--input", str(FIXTURE_DIR / "kkk.json")])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in report["checks"]}
+    bad = checks["full_faithful[o_can->o_can]"]
+    assert bad["status"] == "FAIL"
+    assert bad["witness"] == {"degree": 0, "not_natural": 0}
