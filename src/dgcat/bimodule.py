@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .category import opposite_category, tensor_category
 from .complexes import DgModule, TensorComplex, zero_dg_module
-from .errors import InternalCheckError, StructureError
+from .errors import InternalCheckError, StructureError, ValidationFailure
 from .graded import GradedModule, Homog, map_from_action
 from .functors import (
     DgFunctor,
@@ -346,13 +346,7 @@ class GModule:
     def _d_column(self, t, n, k):
         """Differential of a basis transformation, in the basis one degree up."""
         nat = self.nat_basis[(t, n)][k]
-        image = dgnat_differential(nat)
-        coords = self.encode(t, n + 1, image)
-        if coords is None:
-            raise InternalCheckError(
-                "differential of a natural transformation left the computed basis"
-            )
-        return coords
+        return self.encode_or_raise(t, n + 1, dgnat_differential(nat), "differential")
 
     def decode(self, t, n, vec):
         """The transformation M_t -> B with the given carrier coordinates."""
@@ -372,6 +366,17 @@ class GModule:
             slice_t, self.B, n, keys, self.basis_vectors[(t, n)], nat
         )
 
+    def encode_or_raise(self, t, n, nat, what):
+        """Carrier coordinates of a transformation that lies in G(B)(t)^n by
+        construction; InternalCheckError, naming what built it, if not."""
+        coords = self.encode(t, n, nat)
+        if coords is None:
+            raise InternalCheckError(
+                f"{what} left the transformations {self.bimodule.name}_{t} -> "
+                f"{self.B.name} of degree {n}"
+            )
+        return coords
+
     def _action_map(self, t, t2, m, k):
         """G(B)(t basis element): eta |-> (-1)^{|eta||t|} eta . tbar."""
         bim = self.bimodule
@@ -389,22 +394,32 @@ class GModule:
                 u: eta.components[u].compose(tbar_components[u])
                 for u in bim.left_base.objects
             }
-            slice_t2 = bim.slice_t(t2)
-            candidate = DgNatTransformation(slice_t2, self.B, n + m, composed)
+            candidate = DgNatTransformation(bim.slice_t(t2), self.B, n + m, composed)
+            coords = self.encode_or_raise(t2, n + m, candidate, "composite with tbar")
             sgn = field.sign(n * m)
-            coords = self.encode(t2, n + m, candidate)
-            if coords is None:
-                raise InternalCheckError(
-                    "composite with tbar left the transformation space"
-                )
             return tuple(field.mul(sgn, x) for x in coords)
 
         return map_from_action(src, tgt, m, column)
 
 
 def g_on_objects(bim, B):
-    """G(B): the dg T-module of transformations out of the slices of M."""
-    return GModule(bim, B)
+    """G(B): the dg T-module of transformations out of the slices of M.
+
+    G(B) is built only from a dg U-module B and a dg-bimodule M.  When the
+    construction finds that one of them is not, the report of the first
+    invalid one, B then M, is raised as a ValidationFailure; valid inputs
+    pay nothing for this.
+    """
+    try:
+        return GModule(bim, B)
+    except InternalCheckError:
+        for report in (validate_dg_functor(B), validate_bimodule(bim)):
+            if not report.passed:
+                raise ValidationFailure(
+                    f"{report.title} is invalid, so G({B.name}) cannot be built",
+                    report,
+                ) from None
+        raise
 
 
 def g_on_morphisms(bim, g_source, g_target, eps):
@@ -418,13 +433,9 @@ def g_on_morphisms(bim, g_source, g_target, eps):
 
         def column(n, j, _t=t):
             eta = g_source.nat_basis[(_t, n)][j]
-            composed = compose_nat(eps, eta)
-            coords = g_target.encode(_t, n + degree, composed)
-            if coords is None:
-                raise InternalCheckError(
-                    "postcomposition left the transformation space"
-                )
-            return coords
+            return g_target.encode_or_raise(
+                _t, n + degree, compose_nat(eps, eta), "postcomposition"
+            )
 
         components[t] = map_from_action(src, tgt, degree, column)
     return DgNatTransformation(

@@ -417,3 +417,68 @@ def test_actions_are_built_without_hom_complexes(monkeypatch):
     assert built == {"hom_complex": 0, "opposite": 0}
     copy.slice_u(copy.left_base.objects[0])
     assert built == {"hom_complex": 0, "opposite": 1}
+
+
+def test_functor_laws_fail_for_every_seed_when_f_is_wrong_on_one_basis_morphism(
+    monkeypatch,
+):
+    # F'(phi) = F(phi) + c(phi) F(b), with c(phi) the coordinate of phi along
+    # the one basis morphism b: o_zero -> o_mix of degree -4, so F' is twice F
+    # on b (where d b != 0) and F on every other basis morphism.  A sampled
+    # combination misses b whenever its coefficient draws 0.
+    import dgcat.comma
+
+    fx = random_theorem_fixture(4, QQ)
+    objs = {o.name: o for o in fx["comma_objects"]}
+    (b,) = comma_hom_space(objs["o_zero"], objs["o_mix"], -4)
+    leg, obj, i, r, c, value = next(
+        (leg, obj, *entry)
+        for leg in ("alpha", "beta")
+        for obj, comp in getattr(b, leg).components.items()
+        for entry in comp.entries()
+    )
+    hom_of_b = tuple(
+        build_coproduct_module(fx["lambda"], objs[name]).name
+        for name in ("o_zero", "o_mix")
+    ) + (-4,)
+    f_on_morphisms = dgcat.comma.f_on_morphisms
+
+    def wrong_on_b(lam, source, target, phi):
+        image = f_on_morphisms(lam, source, target, phi)
+        if (source.name, target.name, phi.degree) == hom_of_b:
+            coeff = QQ.div(getattr(phi, leg).components[obj].entry(i, r, c), value)
+            image = image.add(f_on_morphisms(lam, source, target, b).scale(coeff))
+        return image
+
+    monkeypatch.setattr(dgcat.comma, "f_on_morphisms", wrong_on_b)
+    expected = {
+        "functor_commutes_with_differential": {
+            "pair": ["o_zero", "o_mix"],
+            "degree": -4,
+        },
+        "functor_commutes_with_composition": {
+            "objects": ["o_zero", "o_rand", "o_mix"],
+            "degrees": [0, -4],
+        },
+        "equivalence_verified": None,
+    }
+    for seed in range(10):
+        report = check_equivalence(
+            fx["lambda"], fx["comma_objects"], fx["lambda_modules"], seed=seed
+        )
+        failed = {ch.name: ch.witness for ch in report.checks if not ch.passed}
+        assert failed == expected, seed
+
+
+def test_signed_square_variant_fails_on_a_structure_map_of_nonzero_degree():
+    # CommaObject refuses such a map, so it is swapped in afterwards; the
+    # check reads the degrees instead of asserting PASS.
+    from dgcat.graded import GradedMap
+
+    lam, obj, zero_obj = kkk_comma_setup()
+    f_t0 = obj.f["t0"]
+    obj.f["t0"] = GradedMap(f_t0.source, f_t0.target, 1, {})
+    report = check_equivalence(lam, [zero_obj, obj], [])
+    checks = {c.name: c for c in report.checks}
+    assert not checks["signed_square_variant"].passed
+    assert checks["signed_square_variant"].witness == {"object": "o_can", "t": "t0"}

@@ -7,7 +7,10 @@ import pytest
 
 from dgcat.cli import main
 from dgcat.errors import StructureError
+from dgcat.fields import Rationals
+from dgcat.fixtures import random_theorem_fixture
 from dgcat.io_json import (
+    Workspace,
     emit_workspace,
     parse_text,
     render_document,
@@ -518,6 +521,78 @@ def test_cli_check_equivalence_refuses_an_invalid_comma_module(tmp_path, capsys)
     report = json.loads(capsys.readouterr().out)
     assert report["title"] == "dg-functor A"
     assert _failing(report) == ["unit", "functoriality"]
+
+
+def _theorem_document(seed):
+    """random_theorem_fixture(seed, Q) as a document: T, U, M, the modules of
+    the comma objects named t0, t1, ... and u0, u1, ... in order of first
+    use, the Lambda-modules c0, c1, ... and the fixture main."""
+    fx = random_theorem_fixture(seed, Rationals())
+    ws = Workspace(fx["t_cat"].field)
+    ws.categories.update(T=fx["t_cat"], U=fx["u_cat"])
+    ws.bimodules["M"] = fx["bimodule"]
+    names = {}
+    for obj in fx["comma_objects"]:
+        for module, base in ((obj.A, "T"), (obj.B, "U")):
+            if id(module) not in names:
+                count = list(ws.module_bases.values()).count(base)
+                names[id(module)] = name = f"{base.lower()}{count}"
+                ws.modules[name], ws.module_bases[name] = module, base
+        ws.comma_objects[obj.name] = obj
+        ws.comma_refs[obj.name] = {
+            "bimodule": "M",
+            "module_t": names[id(obj.A)],
+            "module_u": names[id(obj.B)],
+        }
+    for i, module in enumerate(fx["lambda_modules"]):
+        ws.modules[f"c{i}"] = module
+        ws.module_bases[f"c{i}"] = {"lambda": {"t": "T", "u": "U", "bimodule": "M"}}
+    ws.fixtures["main"] = {
+        "name": "main",
+        "t": "T",
+        "u": "U",
+        "bimodule": "M",
+        "comma_objects": [o.name for o in fx["comma_objects"]],
+        "lambda_modules": [f"c{i}" for i in range(len(fx["lambda_modules"]))],
+    }
+    return json.loads(render_document(emit_workspace(ws)))
+
+
+def _set_u1_d(doc, value):
+    doc["modules"]["u1"]["on_objects"]["u0"]["d"]["-3"][0][1] = value
+
+
+def _set_m_left_action(doc, value):
+    doc["bimodules"]["M"]["left_action"]["u0"]["u0"]["t0"][0][5] = value
+
+
+@pytest.mark.parametrize(
+    "seed,edit,title,failing",
+    [
+        # d^{-3} = (2 3), was (2 2), makes d^2 of u1, B of o_mix, nonzero
+        (4, _set_u1_d, "dg-functor u1", ["values_d_squared", "chain_map"]),
+        (0, _set_m_left_action, "bimodule M", ["t_slice[t0]", "interchange_sign"]),
+    ],
+    ids=["u_module", "bimodule"],
+)
+def test_input_that_g_cannot_be_built_from_exits_1_with_its_report(
+    seed, edit, title, failing, tmp_path, capsys
+):
+    # G(B) of each comma object is built while the file is read; an invalid
+    # B or M stops every command there with that entity's own report.
+    document = _theorem_document(seed)
+    parse_text(json.dumps(document))
+    edit(document, "3")
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(document), encoding="utf-8")
+    for command in ("validate", "check-equivalence"):
+        capsys.readouterr()
+        assert main([command, "--input", str(src)]) == 1
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["title"] == title
+        assert _failing(report) == failing
+        assert f"{title} is invalid, so G(" in err
 
 
 def test_cli_validate_checks_a_large_unit_sparsely(tmp_path):
