@@ -21,6 +21,17 @@ d(g.f) = dg.f + (-1)^{|g|} g.df on the basis pairs (g, f), sorted by
 hom(y,z) (x) hom(x,y); the first failing pair and its two sides are the
 witness.
 
+Associativity is decided on a generating set.  spanning() visits the
+basis morphisms in (x, y, degree, index) order and keeps as a generator
+each one not yet reached from earlier ones by sums and composites (one
+incremental echelon form per hom(x, z)^n, over the category's field); the
+pairs whose composites reached the rest are the spanning pairs.  The f
+with h.(g.f) = (h.g).f for all g, h are closed under sums and composites,
+so checking f on the generators decides associativity; associative()
+keeps that verdict, and set_products clears it with the spanning.  When
+it is False, validate_dg_category runs the scan over every basis triple,
+so the witness is the first failing triple in basis order as before.
+
 Every constructed presentation gets its tables from one helper,
 compose_from_products, which packs the composite of each basis pair
 given as a coordinate vector.  The opposite category and the tensor
@@ -32,6 +43,7 @@ picks up (-1)^{|a||b|}, and composition in a tensor product picks up
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 from . import linalg
@@ -108,10 +120,30 @@ class DgCategoryPresentation:
                             f"product table for ({x},{y},{z}) has the wrong shape"
                         )
             self._products[(x, y, z)] = table
+        self._spanning = None
+        self._associative = None
 
     def products(self, x, y, z):
         """The product table of one triple: {f: {g: ((row, coeff), ...)}}."""
         return self._products[(x, y, z)]
+
+    def spanning(self):
+        """The generators and spanning pairs of the product tables (see
+        Spanning), computed on first call and kept until set_products."""
+        if self._spanning is None:
+            self._spanning = _spanning_closure(self)
+        return self._spanning
+
+    def associative(self):
+        """True iff h.(g.f) = (h.g).f on every basis triple, decided on the
+        triples whose f is a generator and kept until set_products."""
+        if self._associative is None:
+            generators = self.spanning().generators
+            self._associative = not any(
+                _associativity_witness(self, x, y, z, w, generators[(x, y)])
+                for x, y, z, w in itertools.product(self.objects, repeat=4)
+            )
+        return self._associative
 
     def compose_basis(self, x, y, z, gdeg, gidx, fdeg, fidx):
         """Sparse composite of two basis morphisms: ((index, coeff), ...)
@@ -233,13 +265,11 @@ def validate_dg_category(cat):
     report.add("units", witness is None, witness)
 
     witness = None
-    for x in cat.objects:
-        for y in cat.objects:
-            for z in cat.objects:
-                for w in cat.objects:
-                    if witness:
-                        break
-                    witness = _associativity_witness(cat, x, y, z, w)
+    if not cat.associative():
+        for x, y, z, w in itertools.product(cat.objects, repeat=4):
+            witness = _associativity_witness(cat, x, y, z, w)
+            if witness:
+                break
     report.add("associativity", witness is None, witness)
     return report
 
@@ -295,8 +325,9 @@ def _chain_map_witness(cat, d_cols, x, y, z):
     return None
 
 
-def _associativity_witness(cat, x, y, z, w):
-    """First basis triple (f, g, h) with h.(g.f) != (h.g).f, in basis order.
+def _associativity_witness(cat, x, y, z, w, fs=None):
+    """First basis triple (f, g, h) with h.(g.f) != (h.g).f, in basis order,
+    f running over fs (default: the basis of hom(x, y)).
 
     Both sides are summed per pair (f, g) for all h at once over the terms
     the product tables hold; any other h is zero on both.
@@ -309,7 +340,7 @@ def _associativity_witness(cat, x, y, z, w):
     hg_of = cat.products(y, z, w)
     hg_f_of = cat.products(x, y, w)
     g_basis = tuple(cat.basis_elements(y, z))
-    for f in cat.basis_elements(x, y):
+    for f in cat.basis_elements(x, y) if fs is None else fs:
         gfs = gf_of.get(f, {})
         hg_fs = hg_f_of.get(f, {})
         for g in g_basis:
@@ -337,6 +368,82 @@ def _associativity_witness(cat, x, y, z, w):
                         ),
                     }
     return None
+
+
+@dataclass(frozen=True)
+class Spanning:
+    """A set of basis morphisms generating a presentation under sums and
+    composition, with the composites that reach the rest.
+
+    generators[(x, y)] lists the basis morphisms (degree, index) of
+    hom(x, y) kept as generators; pairs lists as (x, y, z, g, f) the basis
+    pairs, g of hom(y, z) and f of hom(x, y), whose composites g.f reached
+    the other basis morphisms.  Both members of a pair were reached before
+    its composite was added.  So a property of morphisms that holds on the
+    generators, is kept by sums and passes from g and f to g.f on each
+    spanning pair holds on every morphism.
+    """
+
+    generators: dict
+    pairs: tuple
+
+
+def _spanning_closure(cat):
+    """The Spanning of cat, over its field.
+
+    Basis morphisms are visited in (x, y, degree, index) order, and each
+    one not yet reached is kept as a generator.  A basis morphism is
+    reached once its unit vector lies in the span of the generators'
+    unit vectors and the composites of reached pairs; one Echelon per
+    hom(x, z)^n holds that span, and a pair is recorded only if its
+    composite raised the rank.  Each reached morphism is composed on both
+    sides with every morphism reached before it, and with itself.
+    """
+    field = cat.field
+    echelons = {}
+    reached = set()
+    done = {key: [] for key in itertools.product(cat.objects, repeat=2)}
+    generators = {key: [] for key in done}
+    pairs = []
+    queue = deque()
+
+    def grow(x, y, n, row):
+        """Add row to the span in hom(x, y)^n; True iff the rank rose."""
+        dim = cat.hom[(x, y)].dim(n)
+        echelon = echelons.setdefault((x, y, n), linalg.Echelon(field))
+        if len(echelon.pivots) == dim or not echelon.add(row):
+            return False
+        for k in range(dim):
+            if (x, y, (n, k)) not in reached and echelon.has_unit(k):
+                reached.add((x, y, (n, k)))
+                queue.append((x, y, (n, k)))
+        return True
+
+    def compose(x, y, z, g, f):
+        terms = cat._products[(x, y, z)].get(f, {}).get(g, ())
+        row = {r: c for r, c in terms if not field.is_zero(c)}
+        if row and grow(x, z, f[0] + g[0], row):
+            pairs.append((x, y, z, g, f))
+
+    for x, y in itertools.product(cat.objects, repeat=2):
+        for a in cat.basis_elements(x, y):
+            if (x, y, a) in reached:
+                continue
+            generators[(x, y)].append(a)
+            grow(x, y, a[0], {a[1]: field.one()})
+            while queue:
+                p, q, b = queue.popleft()
+                for r in cat.objects:
+                    for c in done[(q, r)]:
+                        compose(p, q, r, c, b)
+                    for c in done[(r, p)]:
+                        compose(r, p, q, b, c)
+                if p == q:
+                    compose(p, p, p, b, b)
+                done[(p, q)].append(b)
+    return Spanning(
+        {key: tuple(gens) for key, gens in generators.items()}, tuple(pairs)
+    )
 
 
 def compose_from_products(cat, product):

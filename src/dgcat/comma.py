@@ -327,12 +327,22 @@ def f_on_morphisms(lam, source_module, target_module, phi):
 # from Lambda-modules back to comma objects
 
 
-def extract_comma_from_module(lam, module, name=None):
-    """(C1, f, C2) with [f_t(x)]_u(m) = (-1)^{|x||m|} C(mbar)(x)."""
+def extract_comma_from_module(lam, module, name=None, known=None):
+    """(C1, f, C2) with [f_t(x)]_u(m) = (-1)^{|x||m|} C(mbar)(x).
+
+    known, a GModule, serves as G(C2) when its B has the values and basis
+    images of C2; otherwise G(C2) is built."""
     bim = lam.bimodule
     field = lam.field
     c1, c2 = restrict_module(lam, module)
-    g_c2 = g_on_objects(bim, c2)
+    if (
+        known is not None
+        and known.B.on_objects == c2.on_objects
+        and known.B.images == c2.images
+    ):
+        g_c2 = known
+    else:
+        g_c2 = g_on_objects(bim, c2)
     corner_cache = {}
 
     def corner(t, u, j):
@@ -657,7 +667,7 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
     )
 
     for i, obj in enumerate(comma_objects):
-        extracted = extract_comma_from_module(lam, coproducts[i])
+        extracted = extract_comma_from_module(lam, coproducts[i], known=obj.gB)
         same = all(
             extracted.f[t] == obj.f[t] for t in lam.bimodule.right_base.objects
         )

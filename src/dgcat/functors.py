@@ -17,6 +17,20 @@ the composite read from the base's product table.  The Hom complex of a
 pair of values is built only for the witness of a failing pair, and the
 unit law reads the image of each identity entry by entry against the
 diagonal, with no identity matrix.
+
+Two checks read the base's generators (DgCategoryPresentation.spanning).
+Over an associative base the f with F(g.f) = F(g).F(f) for all g are
+closed under sums and composites, so functoriality is checked for f among
+the generators when base.associative() holds.  For F and G over the same
+presentation object that both satisfy F(g.f) = F(g).F(f) on the spanning
+pairs (checked once per functor and kept, or settled by a functoriality
+PASS), naturality along generators
+gives naturality along every morphism: naturality_rows then writes the
+squares of the generators only, which leaves the solution space, its
+reduced row echelon form and every basis unchanged, and
+naturality_witness checks the generators first.  Whenever a precondition
+does not hold or a generator check fails, the scan over every basis
+morphism or pair runs, so every witness is the one it was.
 """
 
 from __future__ import annotations
@@ -70,10 +84,23 @@ class DgFunctor:
             for x in base.objects
             for y in base.objects
         }
+        self._functorial_memo = None
 
     @property
     def field(self):
         return self.base.field
+
+    def functorial_on(self, spanning):
+        """True iff F(g.f) = F(g).F(f) on every pair of spanning.pairs, a
+        Spanning of the base; the verdict is kept for the last spanning
+        asked about, and a functoriality PASS of validate_dg_functor sets
+        it to True."""
+        memo = self._functorial_memo
+        if memo is None or memo[0] is not spanning:
+            sides = (_functor_sides(self, *pair) for pair in spanning.pairs)
+            verdict = all(image == composite for image, composite in sides)
+            memo = self._functorial_memo = (spanning, verdict)
+        return memo[1]
 
     def map_of(self, element):
         """The graded map F(element): F(source) -> F(target)."""
@@ -159,11 +186,19 @@ def validate_dg_functor(fun):
             break
     report.add("unit", witness is None, witness)
 
+    triples = list(itertools.product(base.objects, repeat=3))
+    generators = base.spanning().generators if base.associative() else None
     witness = None
-    for x, y, z in itertools.product(base.objects, repeat=3):
-        witness = _functoriality_witness(fun, x, y, z)
-        if witness:
-            break
+    if generators is None or any(
+        _functoriality_witness(fun, x, y, z, generators[(x, y)])
+        for x, y, z in triples
+    ):
+        for x, y, z in triples:
+            witness = _functoriality_witness(fun, x, y, z)
+            if witness:
+                break
+    if witness is None:  # every basis pair composes, so every spanning pair
+        fun._functorial_memo = (base.spanning(), True)
     report.add("functoriality", witness is None, witness)
     return report
 
@@ -209,20 +244,13 @@ def _chain_map_witness(fun, x, y):
     }
 
 
-def _functoriality_witness(fun, x, y, z):
+def _functoriality_witness(fun, x, y, z, fs=None):
     """First basis pair f of hom(x, y), g of hom(y, z), in basis order,
-    with F(g.f) != F(g).F(f), or None.  F(g.f) combines the images of
-    hom(x, z) over the composite's entries in base.products(x, y, z)."""
-    source, target = fun.on_objects[x].carrier, fun.on_objects[z].carrier
-    gf_of = fun.base.products(x, y, z)
-    xz_images = fun.images[(x, z)]
-    for f, f_map in fun.images[(x, y)].items():
-        gfs = gf_of.get(f, {})
-        for g, g_map in fun.images[(y, z)].items():
-            n = f[0] + g[0]
-            terms = [(c, xz_images[(n, r)]) for r, c in gfs.get(g, ())]
-            image = combination(source, target, n, terms)
-            composite = g_map.compose(f_map)
+    with F(g.f) != F(g).F(f), or None; f runs over fs (default: every
+    basis morphism)."""
+    for f in fun.images[(x, y)] if fs is None else fs:
+        for g in fun.images[(y, z)]:
+            image, composite = _functor_sides(fun, x, y, z, g, f)
             if image != composite:
                 return {
                     "objects": [x, y, z],
@@ -231,6 +259,22 @@ def _functoriality_witness(fun, x, y, z):
                     "composite_of_images": fmt_graded_map(composite),
                 }
     return None
+
+
+def _functor_sides(fun, x, y, z, g, f):
+    """(F(g.f), F(g).F(f)) for basis morphisms f of hom(x, y) and g of
+    hom(y, z); F(g.f) combines the images of hom(x, z) over the
+    composite's entries in base.products(x, y, z)."""
+    n = f[0] + g[0]
+    xz_images = fun.images[(x, z)]
+    terms = [
+        (c, xz_images[(n, r)])
+        for r, c in fun.base.products(x, y, z).get(f, {}).get(g, ())
+    ]
+    image = combination(
+        fun.on_objects[x].carrier, fun.on_objects[z].carrier, n, terms
+    )
+    return image, fun.images[(y, z)][g].compose(fun.images[(x, y)][f])
 
 
 class DgNatTransformation:
@@ -298,14 +342,48 @@ class DgNatTransformation:
 
 
 def naturality_witness(nat):
-    """First basis morphism violating graded naturality, or None."""
+    """First basis morphism violating graded naturality, or None.
+
+    Naturality is checked on the generators first when _natural_generators
+    allows it; any failure there, and every other case, runs the scan
+    over all basis morphisms, which finds the witness."""
+    generators = _natural_generators(nat.source, nat.target)
+    if generators is not None and _naturality_witness(nat, generators) is None:
+        return None
+    return _naturality_witness(nat)
+
+
+def _natural_generators(F, G):
+    """The generators of the common base of F and G, {(x, y): basis
+    morphisms}, when a family natural on them is natural on every
+    morphism; else None.
+
+    That holds when F and G are over the same presentation object and
+    both compose on its spanning pairs: naturality along a and along b
+    then gives it along b.a, and sums keep it.
+    """
+    base = F.base
+    if G.base is not base:
+        return None
+    spanning = base.spanning()
+    if F.functorial_on(spanning) and G.functorial_on(spanning):
+        return spanning.generators
+    return None
+
+
+def _naturality_witness(nat, generators=None):
+    """First basis morphism of generators (default: all) violating graded
+    naturality, or None."""
     F, G = nat.source, nat.target
     base = F.base
     field = base.field
     n = nat.degree
     for x in base.objects:
         for y in base.objects:
-            for m, k in base.basis_elements(x, y):
+            basis = (
+                base.basis_elements(x, y) if generators is None else generators[(x, y)]
+            )
+            for m, k in basis:
                 f_map = F.map_of_basis(x, y, m, k)
                 g_map = G.map_of_basis(x, y, m, k)
                 lhs = g_map.compose(nat.components[x])
@@ -433,15 +511,22 @@ def naturality_rows(F, G, n, tag):
 
     Unknowns are tagged (tag, object, source degree, row, col).  Rows are
     the square G(a) . eta_x = (-1)^{nm} eta_y . F(a) for every homogeneous
-    basis morphism a: x -> y of degree m; the solver deduplicates.  The
-    square of an identity adds nothing: F and G act linearly, so its rows
-    are combinations of the degree-0 basis squares of hom(x, x).
+    basis morphism a: x -> y of degree m, or only for the generators when
+    _natural_generators allows it: the solution space, hence the reduced
+    row echelon form and every basis read from it, is the same.  The
+    solver deduplicates.  The square of an identity adds nothing: F and G
+    act linearly, so its rows are combinations of the degree-0 basis
+    squares of hom(x, x).
     """
     base = F.base
     field = base.field
+    generators = _natural_generators(F, G)
     for x in base.objects:
         for y in base.objects:
-            for m, k in base.basis_elements(x, y):
+            basis = (
+                base.basis_elements(x, y) if generators is None else generators[(x, y)]
+            )
+            for m, k in basis:
                 yield from square_rows(
                     G.map_of_basis(x, y, m, k),
                     (tag, x),

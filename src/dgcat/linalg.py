@@ -114,18 +114,23 @@ def _eliminate(field, row, c, pivot_row):
                 row[j] = x
 
 
-def _rref(field, rows):
-    """Sparse reduced row echelon form, built one row at a time.
+class Echelon:
+    """Sparse reduced row echelon form, grown one row at a time.
 
-    rows are dense sequences or {column: value} dicts.  Returns {pivot
-    column: row}, each row a {column: value} dict with a one at its pivot
-    and zeros at every other pivot column.  Each new row is reduced
-    against the pivot rows, normalised at its smallest remaining column,
-    and that column is then cleared from the earlier rows.  The reduced
-    row echelon form is unique, so the result equals the dense one.
+    pivots is {pivot column: row}, each row a {column: value} dict with a
+    one at its pivot and zeros at every other pivot column.  add reduces a
+    new row against the pivot rows, normalises it at its smallest
+    remaining column and clears that column from the earlier rows.  The
+    reduced row echelon form is unique, so it equals the dense one.
     """
-    pivots = {}
-    for row in rows:
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}
+
+    def add(self, row):
+        """Add a dense sequence or {column: value} dict; True iff the rank rose."""
+        field, pivots = self.field, self.pivots
         if isinstance(row, dict):
             row = dict(row)
         else:
@@ -133,7 +138,7 @@ def _rref(field, rows):
         for c in [c for c in row if c in pivots]:
             _eliminate(field, row, c, pivots[c])
         if not row:
-            continue
+            return False
         p = min(row)
         inv = field.inv(row[p])
         row = {j: field.mul(inv, x) for j, x in row.items()}
@@ -141,7 +146,21 @@ def _rref(field, rows):
             if p in other:
                 _eliminate(field, other, p, row)
         pivots[p] = row
-    return pivots
+        return True
+
+    def has_unit(self, k):
+        """True iff the k-th unit vector lies in the row space: in reduced
+        form that is exactly when k is a pivot whose row is that unit."""
+        return len(self.pivots.get(k, ())) == 1
+
+
+def _rref(field, rows):
+    """Sparse reduced row echelon form of rows (see Echelon): {pivot
+    column: row}."""
+    echelon = Echelon(field)
+    for row in rows:
+        echelon.add(row)
+    return echelon.pivots
 
 
 def rank(field, mat):
