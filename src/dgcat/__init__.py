@@ -8,12 +8,7 @@ dg-modules over the triangular construction, all in exact arithmetic.
 
 from .fields import PrimeField, Rationals, field_from_descriptor
 from .graded import GradedMap, GradedModule, compose_graded, kernel
-from .complexes import (
-    DgModule,
-    HomComplex,
-    TensorComplex,
-    is_closed_degree_zero,
-)
+from .complexes import DgModule, HomComplex, TensorComplex
 from .category import (
     DgCategoryPresentation,
     HomElement,
@@ -63,7 +58,6 @@ __all__ = [
     "DgModule",
     "HomComplex",
     "TensorComplex",
-    "is_closed_degree_zero",
     "DgCategoryPresentation",
     "HomElement",
     "opposite_category",

@@ -17,10 +17,11 @@ Invariant: every stored block is a tuple of row tuples of shape
 in degree order, so maps are equal exactly when their data are.
 GradedMap(...), from_entries and map_from_action take blocks from
 outside or from callbacks, so they check shapes and drop zero blocks.
-add, sub, scale, compose_graded, combination and place_blocks derive a
-map from maps that hold the invariant and build it once, already in
-final form, through GradedMap._built: scaling by zero gives the zero
-map, and a block that cancels in a composite or a sum is dropped.
+add, sub, scale, compose_graded, MapStack.after, combination and
+place_blocks derive a map from maps that hold the invariant and build it
+once, already in final form, through GradedMap._built: scaling by zero
+gives the zero map, and a block that cancels in a composite or a sum is
+dropped.
 """
 
 from __future__ import annotations
@@ -255,6 +256,90 @@ def compose_graded(g, f):
             if not linalg.is_zero_matrix(field, prod):
                 out[i] = prod
     return GradedMap._built(f.source, g.target, f.degree + g.degree, out)
+
+
+def maps_key(maps):
+    """A hashable key of a sequence of maps: the degree and blocks of each.
+
+    Two sequences of maps with the same sources and targets have equal
+    keys exactly when the maps are equal (GradedMap's own hash reads only
+    the block degrees)."""
+    return tuple((m.degree, tuple(m.blocks.items())) for m in maps)
+
+
+class MapStack:
+    """Maps out of one graded module, of any targets and degrees, laid out
+    once per source degree i for MapStack.after: the blocks at i of the
+    maps that have one, one above another (tall) or side by side (wide,
+    for maps that share a target and a degree)."""
+
+    __slots__ = ("source", "maps", "_talls", "_wides")
+
+    def __init__(self, source, maps):
+        self.source = source
+        self.maps = tuple(maps)
+        if any(m.source != source for m in self.maps):
+            raise StructureError("cannot stack maps out of different modules")
+        self._talls, self._wides = {}, {}
+
+    def _blocks(self, i):
+        present = [k for k, m in enumerate(self.maps) if i in m.blocks]
+        return present, [self.maps[k].blocks[i] for k in present]
+
+    def _tall(self, i):
+        if i not in self._talls:
+            present, blocks = self._blocks(i)
+            self._talls[i] = present, tuple(row for block in blocks for row in block)
+        return self._talls[i]
+
+    def _wide(self, i):
+        if i not in self._wides:
+            present, blocks = self._blocks(i)
+            self._wides[i] = present, tuple(
+                tuple(x for row in rows for x in row) for rows in zip(*blocks)
+            )
+        return self._wides[i]
+
+    def after(self, fs):
+        """[[g . f for f in fs.maps] for g in self.maps], as compose_graded
+        gives them pair by pair, for maps fs of one target, self.source, and
+        one degree n.  One linalg.mat_mul per source degree i: the tall
+        matrix of the g blocks at i + n times the wide matrix of the f
+        blocks at i, whose sub-block in the rows of g_a and the columns of
+        f_b is the block of g_a . f_b."""
+        n = fs.maps[0].degree if fs.maps else 0
+        if any(f.target != self.source or f.degree != n for f in fs.maps):
+            raise StructureError("maps are not composable: target/source mismatch")
+        field = fs.source.field
+        is_zero = field.is_zero
+        blocks = {}  # (a, b): the nonzero blocks of g_a . f_b
+        for i in fs.source.degrees():
+            f_present, wide = fs._wide(i)
+            g_present, tall = self._tall(i + n) if f_present else ((), ())
+            if not g_present:
+                continue
+            prod = linalg.mat_mul(field, tall, wide)
+            nc, start = fs.source.dim(i), 0
+            for a in g_present:
+                g = self.maps[a]
+                rows = prod[start : start + g.target.dim(i + n + g.degree)]
+                start += len(rows)
+                live = {
+                    c // nc for row in rows for c, x in enumerate(row) if not is_zero(x)
+                }
+                for fb in live:
+                    block = tuple(row[fb * nc : (fb + 1) * nc] for row in rows)
+                    blocks.setdefault((a, f_present[fb]), {})[i] = block
+        out, zero = [], None
+        for g in self.maps:  # one zero map per run of maps of one shape
+            degree = n + g.degree
+            if zero is None or zero.target is not g.target or zero.degree != degree:
+                zero = GradedMap._built(fs.source, g.target, degree, {})
+            out.append([zero] * len(fs.maps))
+        for (a, b), found in blocks.items():
+            g = self.maps[a]
+            out[a][b] = GradedMap._built(fs.source, g.target, n + g.degree, found)
+        return out
 
 
 def combination(source, target, degree, terms):

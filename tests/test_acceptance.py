@@ -30,7 +30,6 @@ from dgcat.complexes import (
     TensorComplex,
     dg_module,
     hom_differential,
-    tensor_differential_oracle,
 )
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
@@ -52,6 +51,7 @@ from dgcat.functors import (
 from dgcat.graded import GradedMap, identity_map
 from dgcat.lambda_cat import lambda_leibniz_check
 from dgcat.shipped import SHIPPED_BUILDERS
+from tests.test_complexes import tensor_differential_oracle
 
 QQ = Rationals()
 F5 = PrimeField(5)

@@ -10,8 +10,6 @@ from dgcat.complexes import (
     TensorComplex,
     dg_module,
     hom_differential,
-    is_closed_degree_zero,
-    tensor_differential_oracle,
     zero_dg_module,
 )
 
@@ -20,6 +18,30 @@ QQ = Rationals()
 
 def qmat(rows):
     return linalg.freeze([[Fraction(x) for x in row] for row in rows])
+
+
+def is_closed_degree_zero(source, target, f):
+    """True iff f has degree 0 and commutes with the differentials."""
+    if f.degree != 0:
+        return False
+    return hom_differential(source, target, f).is_zero()
+
+
+def tensor_differential_oracle(tcx, i, left_vec, j, right_vec):
+    """Right-hand side of the tensor Leibniz rule, computed independently.
+
+    Returns the coordinates of d(x (x) y) = d(x) (x) y + (-1)^i x (x) d(y)
+    at degree i + j + 1 without touching the assembled differential matrix.
+    """
+    field = tcx.left.field
+    dx = tcx.left.d.apply(i, left_vec)
+    dy = tcx.right.d.apply(j, right_vec)
+    first = tcx.encode_pure(i + 1, dx, j, right_vec)
+    second = tcx.encode_pure(i, left_vec, j + 1, dy)
+    sgn = field.sign(i)
+    return tuple(
+        field.add(u, field.mul(sgn, v)) for u, v in zip(first, second)
+    )
 
 
 def k_module(field=QQ, degree=0):

@@ -1,0 +1,248 @@
+"""check_equivalence's functor laws against the per-pair scan they replaced.
+
+The report evaluates F once per distinct comma morphism value and forms
+psi . phi and F(psi) . F(phi) with stacked products (graded.MapStack),
+many basis pairs at a time.  The oracle below is the earlier scan, which
+built both sides of each law whole for every comma basis morphism and
+every composable basis pair; both must give the same verdicts and the
+same first witnesses, also when F is wrong on one value.
+"""
+
+from itertools import product
+
+import pytest
+
+import dgcat.comma
+from dgcat.comma import (
+    CommaMorphism,
+    build_coproduct_module,
+    check_equivalence,
+    comma_differential,
+    comma_hom_space,
+    comma_window,
+)
+from dgcat.fields import Rationals
+from dgcat.fixtures import random_theorem_fixture
+from dgcat.functors import (
+    DgNatTransformation,
+    compose_nat,
+    dgnat_differential,
+    dgnat_window,
+)
+from dgcat.graded import maps_key
+
+QQ = Rationals()
+LAWS = ("functor_commutes_with_differential", "functor_commutes_with_composition")
+HEAVY = [(0, 1), (3, 1), (6, 2), (7, 2)]
+
+
+def compose_comma(psi, phi):
+    return CommaMorphism(
+        psi.degree + phi.degree,
+        compose_nat(psi.alpha, phi.alpha),
+        compose_nat(psi.beta, phi.beta),
+    )
+
+
+def comma_bases(lam, comma_objects, coproducts):
+    """(i, j, n) -> the degree-n comma basis o_i -> o_j, over the window
+    check_equivalence scans."""
+    bases = {}
+    for (i, src), (j, tgt) in product(enumerate(comma_objects), repeat=2):
+        window = set(comma_window(src, tgt))
+        window |= set(dgnat_window(coproducts[i], coproducts[j]))
+        for n in sorted(window):
+            bases[(i, j, n)] = comma_hom_space(src, tgt, n)
+    return bases
+
+
+def oracle_witnesses(lam, comma_objects):
+    """The two functor-law witnesses of the per-pair scan, F read from
+    dgcat.comma at each call."""
+    coproducts = [build_coproduct_module(lam, o) for o in comma_objects]
+
+    def f(i, j, phi):
+        return dgcat.comma.f_on_morphisms(lam, coproducts[i], coproducts[j], phi)
+
+    images = {
+        key: [(phi, f(key[0], key[1], phi)) for phi in basis]
+        for key, basis in comma_bases(lam, comma_objects, coproducts).items()
+    }
+    d_witness = next(
+        (
+            {"pair": [comma_objects[i].name, comma_objects[j].name], "degree": n}
+            for (i, j, n), mapped in images.items()
+            if any(
+                f(i, j, comma_differential(phi)) != dgnat_differential(image)
+                for phi, image in mapped
+            )
+        ),
+        None,
+    )
+
+    def composition_failures():
+        for i, j, k in product(range(len(comma_objects)), repeat=3):
+            src, mid, tgt = comma_objects[i], comma_objects[j], comma_objects[k]
+            for n1, n2 in product(comma_window(src, mid), comma_window(mid, tgt)):
+                for (phi, f_phi), (psi, f_psi) in product(
+                    images[(i, j, n1)], images[(j, k, n2)]
+                ):
+                    lhs = f(i, k, compose_comma(psi, phi))
+                    if lhs != compose_nat(f_psi, f_phi):
+                        yield {
+                            "objects": [src.name, mid.name, tgt.name],
+                            "degrees": [n1, n2],
+                        }
+
+    return {
+        LAWS[0]: d_witness,
+        LAWS[1]: next(composition_failures(), None),
+    }
+
+
+def report_witnesses(fx):
+    report = check_equivalence(fx["lambda"], fx["comma_objects"], fx["lambda_modules"])
+    checks = {c.name: c for c in report.checks}
+    for name in LAWS:
+        assert checks[name].passed == (checks[name].witness is None)
+    return {name: checks[name].witness for name in LAWS}
+
+
+def value_of(phi):
+    return (
+        phi.degree,
+        maps_key(phi.alpha.components.values()),
+        maps_key(phi.beta.components.values()),
+    )
+
+
+def wrong_on(monkeypatch, source_name, target_name, value):
+    """Patch F so that on the one comma morphism source_name -> target_name
+    of the given value its component at the last Lambda-object where it
+    is nonzero is doubled; F elsewhere."""
+    f_on_morphisms = dgcat.comma.f_on_morphisms
+
+    def patched(lam, source, target, phi):
+        image = f_on_morphisms(lam, source, target, phi)
+        if (source.name, target.name, value_of(phi)) == (
+            source_name,
+            target_name,
+            value,
+        ):
+            comps = dict(image.components)
+            p = [p for p, comp in comps.items() if not comp.is_zero()][-1]
+            comps[p] = comps[p].scale(lam.field.from_int(2))
+            image = DgNatTransformation(source, target, image.degree, comps)
+        return image
+
+    monkeypatch.setattr(dgcat.comma, "f_on_morphisms", patched)
+
+
+def module_names(fx, *indices):
+    objs = fx["comma_objects"]
+    return [build_coproduct_module(fx["lambda"], objs[x]).name for x in indices]
+
+
+def basis_composites(fx):
+    """(i, k, phi, psi, composite, basis of o_i -> o_k at its degree) for
+    every composable pair of comma basis morphisms, in the scan's order."""
+    lam, objs = fx["lambda"], fx["comma_objects"]
+    coproducts = [build_coproduct_module(lam, o) for o in objs]
+    bases = comma_bases(lam, objs, coproducts)
+    for i, j, k in product(range(len(objs)), repeat=3):
+        for n1, n2 in product(
+            comma_window(objs[i], objs[j]), comma_window(objs[j], objs[k])
+        ):
+            for phi, psi in product(bases[(i, j, n1)], bases[(j, k, n2)]):
+                yield i, k, phi, psi, compose_comma(psi, phi), bases.get(
+                    (i, k, n1 + n2), []
+                )
+
+
+def test_functor_laws_match_the_per_pair_scan_on_theorem_fixtures(theorem_fixtures):
+    for fx in theorem_fixtures:
+        want = oracle_witnesses(fx["lambda"], fx["comma_objects"])
+        assert report_witnesses(fx) == want, fx["name"]
+
+
+@pytest.mark.parametrize("seed,max_objects", HEAVY)
+def test_functor_laws_match_the_per_pair_scan_on_the_heavy_set(seed, max_objects):
+    fx = random_theorem_fixture(seed, QQ, max_objects=max_objects)
+    want = oracle_witnesses(fx["lambda"], fx["comma_objects"])
+    assert want == {name: None for name in LAWS}
+    assert report_witnesses(fx) == want
+
+
+def test_f_wrong_on_a_basis_morphism_served_as_a_composite(monkeypatch):
+    fx = random_theorem_fixture(1, QQ)
+    objs = fx["comma_objects"]
+    i, k, chi = next(
+        (i, k, chi)
+        for i, k, phi, psi, composite, basis in basis_composites(fx)
+        for chi in basis
+        if value_of(composite) == value_of(chi)
+        and value_of(chi) not in (value_of(phi), value_of(psi))
+    )
+    wrong_on(monkeypatch, *module_names(fx, i, k), value_of(chi))
+    want = oracle_witnesses(fx["lambda"], objs)
+    assert want == {
+        LAWS[0]: None,
+        LAWS[1]: {"objects": ["o_zero"] * 3, "degrees": [-1, 1]},
+    }
+    assert report_witnesses(fx) == want
+
+
+def test_f_wrong_only_on_a_composite_that_is_no_basis_morphism(monkeypatch):
+    fx = random_theorem_fixture(36, QQ)
+    objs = fx["comma_objects"]
+    i, k, composite = next(
+        (i, k, composite)
+        for i, k, _, _, composite, basis in basis_composites(fx)
+        if not (composite.alpha.is_zero() and composite.beta.is_zero())
+        and value_of(composite) not in {value_of(chi) for chi in basis}
+    )
+    wrong_on(monkeypatch, *module_names(fx, i, k), value_of(composite))
+    want = oracle_witnesses(fx["lambda"], objs)
+    assert want == {
+        LAWS[0]: None,
+        LAWS[1]: {"objects": ["o_rand", "o_mix", "o_zero"], "degrees": [-3, 3]},
+    }
+    assert report_witnesses(fx) == want
+
+
+@pytest.mark.parametrize("seed", [1, 2, 36])
+def test_f_runs_once_per_distinct_comma_morphism(monkeypatch, seed):
+    fx = random_theorem_fixture(seed, QQ)
+    lam, objs = fx["lambda"], fx["comma_objects"]
+    coproducts = [build_coproduct_module(lam, o) for o in objs]
+    bases = comma_bases(lam, objs, coproducts)
+    names = [c.name for c in coproducts]
+    basis = [
+        (names[i], names[j], value_of(phi))
+        for (i, j, _), phis in bases.items()
+        for phi in phis
+    ]
+    others = {
+        (names[i], names[j], value_of(comma_differential(phi)))
+        for (i, j, _), phis in bases.items()
+        for phi in phis
+    }
+    others |= {
+        (names[i], names[k], value_of(composite))
+        for i, k, _, _, composite, _ in basis_composites(fx)
+    }
+
+    calls = []
+    f_on_morphisms = dgcat.comma.f_on_morphisms
+
+    def counted(lam, source, target, phi):
+        calls.append((source.name, target.name, value_of(phi)))
+        return f_on_morphisms(lam, source, target, phi)
+
+    monkeypatch.setattr(dgcat.comma, "f_on_morphisms", counted)
+    check_equivalence(lam, objs, fx["lambda_modules"])
+    # the full_faithful loop maps each basis morphism once; after it, F
+    # runs once for each other value and never for a basis morphism
+    assert calls[: len(basis)] == basis
+    assert sorted(calls[len(basis) :]) == sorted(others - set(basis))
+    assert len(set(calls)) == len(calls)

@@ -13,11 +13,13 @@ from dgcat.graded import (
     DirectSum,
     GradedMap,
     GradedModule,
+    MapStack,
     combination,
     compose_graded,
     identity_map,
     kernel,
     map_from_action,
+    maps_key,
     place_blocks,
     zero_map,
 )
@@ -373,3 +375,71 @@ def test_cancelling_blocks_are_dropped():
     column = GradedMap(GradedModule(QQ, {0: 1}), m, 0, {0: qmat([[1], [-1]])})
     assert compose_graded(row, column).blocks == {}
     assert combination(m, m, 0, [(1, identity_map(m)), (-1, identity_map(m))]).blocks == {}
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_stacked_composites_equal_pairwise_compose(data):
+    # small_module leaves degrees out, so blocks go absent and middle
+    # degrees are zero-dimensional; entries in {-1, 0, 1} often cancel;
+    # the maps g leave b for two targets at two degrees
+    field = data.draw(st.sampled_from([QQ, F5]))
+    a, b, c, e = (data.draw(small_module(field)) for _ in range(4))
+    n = data.draw(st.integers(-1, 1))
+    fs = [
+        GradedMap(a, b, n, data.draw(dense_map(field, a, b, n)))
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    gs = []
+    for target in (c, e):
+        m = data.draw(st.integers(-1, 1))
+        gs += [
+            GradedMap(b, target, m, data.draw(dense_map(field, b, target, m)))
+            for _ in range(data.draw(st.integers(0, 2)))
+        ]
+    got = MapStack(b, gs).after(MapStack(a, fs))
+    assert len(got) == len(gs)
+    for g, row in zip(gs, got):
+        assert len(row) == len(fs)
+        for f, gf in zip(fs, row):
+            want = compose_graded(g, f)
+            assert_built_like_checked(gf, a, g.target, n + g.degree, want.blocks)
+
+
+def test_stacked_composites_absent_blocks_empty_middle_and_cancellation():
+    a = GradedModule(QQ, {0: 1, 1: 1})
+    b = GradedModule(QQ, {0: 2})  # b^1 = 0: nothing passes through degree 1
+    c = GradedModule(QQ, {0: 1, 1: 1})
+    fs = [
+        GradedMap(a, b, 0, {0: qmat([[1], [1]])}),
+        zero_map(a, b, 0),
+        GradedMap(a, b, 0, {0: qmat([[1], [-1]])}),
+    ]
+    gs = [
+        GradedMap(b, c, 0, {0: qmat([[1, -1]])}),
+        zero_map(b, c, 0),
+        GradedMap(b, c, 1, {0: qmat([[0, 3]])}),
+    ]
+    got = MapStack(b, gs).after(MapStack(a, fs))
+    assert [[gf.blocks for gf in row] for row in got] == [
+        [{}, {}, {0: qmat([[2]])}],
+        [{}, {}, {}],
+        [{0: qmat([[3]])}, {}, {0: qmat([[-3]])}],
+    ]
+    for g, row in zip(gs, got):
+        assert row == [compose_graded(g, f) for f in fs]
+    with pytest.raises(StructureError):
+        MapStack(a, [fs[0], zero_map(b, b, 0)])
+    with pytest.raises(StructureError):
+        MapStack(b, gs).after(MapStack(a, [fs[0], zero_map(a, b, 1)]))
+    with pytest.raises(StructureError):
+        MapStack(a, fs).after(MapStack(a, fs))
+
+
+def test_maps_key_reads_the_entries_not_only_the_block_degrees():
+    m = GradedModule(QQ, {0: 1})
+    one, two = (GradedMap(m, m, 0, {0: qmat([[x]])}) for x in (1, 2))
+    assert hash(one) == hash(two) and one != two
+    assert maps_key([one]) != maps_key([two])
+    same = [identity_map(m), two.add(zero_map(m, m, 0))]
+    assert maps_key([one, two]) == maps_key(same)
