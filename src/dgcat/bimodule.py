@@ -6,18 +6,20 @@ T-morphisms (contravariant).  Each action is stored as the graded map
 every basis morphism acts by, as in a DgFunctor, and a general morphism
 acts by their linear combination.  The two families must commute up to
 the Koszul interchange sign; this is exactly the data equivalent to a
-dg-functor out of U (x) T^op, and an optional round-trip to such a
-functor is provided for cross-validation.
+dg-functor out of U (x) T^op.
 
 G sends a dg U-module B to the dg T-module T |-> Hom(M_T, B), with a
 morphism t acting by eta |-> (-1)^{|eta||t|} eta . tbar where tbar is
-the right action of t between slice functors.
+the right action of t between slice functors.  G(B) depends only on M
+and B, so g_on_objects builds it once per bimodule and value of B (its
+values and basis images) and every caller asks it; nothing else
+constructs a GModule.
 """
 
 from __future__ import annotations
 
-from .category import opposite_category, tensor_category
-from .complexes import DgModule, TensorComplex, zero_dg_module
+from .category import opposite_category
+from .complexes import DgModule, zero_dg_module
 from .errors import InternalCheckError, StructureError, ValidationFailure
 from .graded import GradedModule, Homog, map_from_action
 from .functors import (
@@ -88,9 +90,9 @@ class Bimodule:
             for t2 in right_base.objects
             for u in left_base.objects
         }
-        self._opposite_right = None
         self._slice_t = {}
         self._slice_u = {}
+        self._g_modules = []  # every G(B) built by g_on_objects, in order
 
     @property
     def field(self):
@@ -98,11 +100,6 @@ class Bimodule:
 
     def value(self, u, t):
         return self.values[(u, t)]
-
-    def opposite_right_base(self):
-        if self._opposite_right is None:
-            self._opposite_right = opposite_category(self.right_base)
-        return self._opposite_right
 
     def left_map(self, u_elem, t):
         """M(u (x) 1_t): M(source(u), t) -> M(target(u), t)."""
@@ -139,7 +136,7 @@ class Bimodule:
     def slice_u(self, u):
         """The dg T^op-module M_u: T |-> M(u, T)."""
         if u not in self._slice_u:
-            opp = self.opposite_right_base()
+            opp = opposite_category(self.right_base)
             on_objects = {t: self.values[(u, t)] for t in self.right_base.objects}
             # hom_{T^op}(t, t2) = hom_T(t2, t); its basis element s: t2 -> t
             # acts by M(1_u (x) s^op): M(u, t) -> M(u, t2).
@@ -269,40 +266,6 @@ def _leibniz_witness(bim, u, u2, t, t2):
     return None
 
 
-def bimodule_to_tensor_functor(bim, name=None):
-    """Round-trip view of the bimodule as a module over U (x) T^op.
-
-    Used for cross-validation: the result must pass validate_dg_functor,
-    which re-derives the interchange and Leibniz identities from the
-    tensor-category axioms.
-    """
-    U, T = bim.left_base, bim.right_base
-    opp = bim.opposite_right_base()
-    base = tensor_category(U, opp, name=f"({U.name})x({T.name}.op)")
-    pair_of = {f"({u},{t})": (u, t) for u in U.objects for t in T.objects}
-    # basis of hom((u,t),(u2,t2)) = hom_U(u,u2) (x) hom_{T^op}(t,t2)
-    # decodes through the tensor complex of the product category
-    tensors = {}
-    for p, (u, t) in pair_of.items():
-        for q, (u2, t2) in pair_of.items():
-            tensors[(p, q)] = TensorComplex(U.hom[(u, u2)], opp.hom[(t, t2)])
-
-    def image(p, q, n, k):
-        (u, t), (u2, t2) = pair_of[p], pair_of[q]
-        ud, uidx, tidx = tensors[(p, q)].basis(n)[k]
-        alpha = U.basis_element(u, u2, ud, uidx)
-        # hom_{T^op}(t, t2) = hom_T(t2, t): basis is beta: t2 -> t
-        beta = T.basis_element(t2, t, n - ud, tidx)
-        return _tensor_action(bim, alpha, beta)
-
-    return functor_from_basis_images(
-        base,
-        {obj: bim.values[pair_of[obj]] for obj in base.objects},
-        image,
-        name=name or f"{bim.name}~tensor",
-    )
-
-
 # ---------------------------------------------------------------------------
 # the functor G
 
@@ -405,13 +368,21 @@ class GModule:
 def g_on_objects(bim, B):
     """G(B): the dg T-module of transformations out of the slices of M.
 
+    Built once per bimodule and B: a B that is, or has the values and
+    basis images of, one already given for bim gets the same GModule.
+
     G(B) is built only from a dg U-module B and a dg-bimodule M.  When the
     construction finds that one of them is not, the report of the first
-    invalid one, B then M, is raised as a ValidationFailure; valid inputs
-    pay nothing for this.
+    invalid one, B then M, is raised as a ValidationFailure and nothing is
+    kept; valid inputs pay nothing for this.
     """
+    for built in bim._g_modules:
+        if built.B is B or (
+            built.B.on_objects == B.on_objects and built.B.images == B.images
+        ):
+            return built
     try:
-        return GModule(bim, B)
+        built = GModule(bim, B)
     except InternalCheckError:
         for report in (validate_dg_functor(B), validate_bimodule(bim)):
             if not report.passed:
@@ -420,6 +391,8 @@ def g_on_objects(bim, B):
                     report,
                 ) from None
         raise
+    bim._g_modules.append(built)
+    return built
 
 
 def g_on_morphisms(bim, g_source, g_target, eps):

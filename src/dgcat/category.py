@@ -28,7 +28,8 @@ incremental echelon form per hom(x, z)^n, over the category's field); the
 pairs whose composites reached the rest are the spanning pairs.  The f
 with h.(g.f) = (h.g).f for all g, h are closed under sums and composites,
 so checking f on the generators decides associativity; associative()
-keeps that verdict, and set_products clears it with the spanning.  When
+keeps that verdict, and set_products clears it with the spanning and the
+opposite category, which opposite_category builds once per tables.  When
 it is False, validate_dg_category runs the scan over every basis triple,
 so the witness is the first failing triple in basis order as before.
 
@@ -122,6 +123,7 @@ class DgCategoryPresentation:
             self._products[(x, y, z)] = table
         self._spanning = None
         self._associative = None
+        self._opposite = None
 
     def products(self, x, y, z):
         """The product table of one triple: {f: {g: ((row, coeff), ...)}}."""
@@ -477,7 +479,10 @@ def compose_from_products(cat, product):
 
 
 def opposite_category(cat):
-    """Same objects, reversed homs, composition with the (-1)^{|a||b|} sign."""
+    """Same objects, reversed homs, composition with the (-1)^{|a||b|} sign;
+    built on first call and kept on cat until set_products."""
+    if cat._opposite is not None:
+        return cat._opposite
     field = cat.field
     hom = {(a, b): cat.hom[(b, a)] for a in cat.objects for b in cat.objects}
     opposite = DgCategoryPresentation(
@@ -490,7 +495,8 @@ def opposite_category(cat):
         out = cat.compose_basis_coords(z, y, x, q, ia, p, ib)
         return linalg.vec_scale(field, field.sign(p * q), out)
 
-    return compose_from_products(opposite, product)
+    cat._opposite = compose_from_products(opposite, product)
+    return cat._opposite
 
 
 def tensor_category(cat_a, cat_b, name=None):

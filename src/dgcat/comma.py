@@ -2,7 +2,10 @@
 modules over the triangular matrix category.
 
 A comma object is (A, f, B): a dg T-module, a dg U-module, and a closed
-degree-0 transformation f: A -> G(B).  Its comma morphisms to another
+degree-0 transformation f: A -> G(B).  G(B) depends only on the bimodule
+and B, so a comma object takes it from bimodule.g_on_objects, which
+builds it once per value of B: objects over one B, and a restriction
+that equals an earlier B, share it.  Its comma morphisms to another
 object are pairs (alpha, beta) of transformations of a common degree n
 satisfying the strict square f' . alpha = G(beta) . f; these are computed
 as one joint linear system.  The functor to Lambda-modules sends (A,f,B)
@@ -78,12 +81,12 @@ from .report import Report, first_mismatch
 class CommaObject:
     """(A, f, B) with the computed G(B) and f stored componentwise."""
 
-    def __init__(self, bim, A, B, f, g_of_b=None, name="o"):
+    def __init__(self, bim, A, B, f, name="o"):
         self.bimodule = bim
         self.A = A
         self.B = B
         self.name = name
-        self.gB = g_of_b if g_of_b is not None else g_on_objects(bim, B)
+        self.gB = g_on_objects(bim, B)
         self.f = {}
         for t in bim.right_base.objects:
             comp = f.get(t)
@@ -324,22 +327,15 @@ def f_on_morphisms(lam, source_module, target_module, phi):
 # from Lambda-modules back to comma objects
 
 
-def extract_comma_from_module(lam, module, name=None, known=None):
+def extract_comma_from_module(lam, module, name=None):
     """(C1, f, C2) with [f_t(x)]_u(m) = (-1)^{|x||m|} C(mbar)(x).
 
-    known, a GModule, serves as G(C2) when its B has the values and basis
-    images of C2; otherwise G(C2) is built."""
+    G(C2) comes from g_on_objects, so a C2 with the values and basis
+    images of a B already used with this bimodule reuses its G(B)."""
     bim = lam.bimodule
     field = lam.field
     c1, c2 = restrict_module(lam, module)
-    if (
-        known is not None
-        and known.B.on_objects == c2.on_objects
-        and known.B.images == c2.images
-    ):
-        g_c2 = known
-    else:
-        g_c2 = g_on_objects(bim, c2)
+    g_c2 = g_on_objects(bim, c2)
     corner_cache = {}
 
     def corner(t, u, j):
@@ -379,9 +375,7 @@ def extract_comma_from_module(lam, module, name=None, known=None):
             return g_c2.encode_or_raise(_t, k, candidate, "corner action")
 
         f[t] = map_from_action(src, tgt, 0, column)
-    return CommaObject(
-        bim, c1, c2, f, g_of_b=g_c2, name=name or f"extract({module.name})"
-    )
+    return CommaObject(bim, c1, c2, f, name=name or f"extract({module.name})")
 
 
 def phi_iso(lam, module):
@@ -660,7 +654,7 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
     )
 
     for i, obj in enumerate(comma_objects):
-        extracted = extract_comma_from_module(lam, coproducts[i], known=obj.gB)
+        extracted = extract_comma_from_module(lam, coproducts[i])
         same = all(
             extracted.f[t] == obj.f[t] for t in lam.bimodule.right_base.objects
         )

@@ -263,16 +263,15 @@ def closed_structure_maps(A, fun):
     return [linear_combination(combo, nats) for combo in combos]
 
 
-def random_comma_object(rng, bim, A, B, g_of_b=None, name="o"):
+def random_comma_object(rng, bim, A, B, name="o"):
     """A comma object with a random closed degree-0 structure map."""
     field = bim.field
-    gb = g_of_b if g_of_b is not None else g_on_objects(bim, B)
-    closed = closed_structure_maps(A, gb.functor)
+    closed = closed_structure_maps(A, g_on_objects(bim, B).functor)
     # the golden pins fix these draws: one per closed map, in order
     coeffs = [field.from_int(rng.randint(-2, 2)) for _ in closed]
     chosen = linear_combination(coeffs, closed)
     components = chosen.components if chosen is not None else {}
-    return CommaObject(bim, A, B, components, g_of_b=gb, name=name)
+    return CommaObject(bim, A, B, components, name=name)
 
 
 def random_axiom_fixture(seed, field):
@@ -319,9 +318,8 @@ def random_theorem_fixture(seed, field, max_objects=1):
         B = hom_from_module(u_cat, u_modules, random_dg_module(rng, field))
     else:
         B = representable_module(u_cat, rng.choice(u_cat.objects))
-    gb = g_on_objects(bim, B)
-    zero_obj = CommaObject(bim, A, B, {}, g_of_b=gb, name="o_zero")
-    rand_obj = random_comma_object(rng, bim, A, B, g_of_b=gb, name="o_rand")
+    zero_obj = CommaObject(bim, A, B, {}, name="o_zero")
+    rand_obj = random_comma_object(rng, bim, A, B, name="o_rand")
     comma_objects = [zero_obj, rand_obj]
     if max_objects == 1 and seed % 2 == 0:
         # a third object over different modules, so cross Hom spaces mix
@@ -332,10 +330,7 @@ def random_theorem_fixture(seed, field, max_objects=1):
         B2 = hom_from_module(
             u_cat, u_modules, random_dg_module(rng, field), name="B2"
         )
-        gb2 = g_on_objects(bim, B2)
-        comma_objects.append(
-            random_comma_object(rng, bim, A2, B2, g_of_b=gb2, name="o_mix")
-        )
+        comma_objects.append(random_comma_object(rng, bim, A2, B2, name="o_mix"))
 
     origin = rng.choice(lam.presentation.objects)
     lambda_modules = [representable_module(lam.presentation, origin)]

@@ -637,7 +637,7 @@ def _action_map(cat, origin, y, z, m, k):
     )
 
 
-def yoneda_module(cat, origin, opposite=None, name=None):
+def yoneda_module(cat, origin, name=None):
     """hom(-, origin) over the opposite category, with the Koszul sign.
 
     The contravariant action sends a basis morphism f of degree m to
@@ -645,7 +645,7 @@ def yoneda_module(cat, origin, opposite=None, name=None):
     """
     # a morphism x -> y in the opposite category is f: y -> x here
     return functor_from_basis_images(
-        opposite if opposite is not None else opposite_category(cat),
+        opposite_category(cat),
         {obj: cat.hom[(obj, origin)] for obj in cat.objects},
         lambda x, y, m, k: _yoneda_action_map(cat, origin, x, y, m, k),
         name=name or f"y[{origin}]",

@@ -489,7 +489,7 @@ def parse_comma_object(field, name, data, workspace, path):
             for k, rows, at_k in _degrees(per_degree, at)
         }
         f[t] = GradedMap(src, tgt, 0, blocks)
-    return CommaObject(bim, A, B, f, g_of_b=gb, name=name), refs
+    return CommaObject(bim, A, B, f, name=name), refs
 
 
 def parse_fixture(name, data, workspace, path):

@@ -43,9 +43,10 @@ def _one_object_bimodule(u_cat, t_cat, value_module, name="M"):
     )
 
 
-def _canonical_structure_map(bim, A, B, gb):
+def _canonical_structure_map(bim, A, B):
     """f with the degree-0 block [[1]] wherever both sides are 1-dim."""
     field = bim.field
+    gb = g_on_objects(bim, B)
     f = {}
     for t in bim.right_base.objects:
         src = A.on_objects[t].carrier
@@ -65,7 +66,6 @@ def _assemble(name, t_cat, u_cat, bim):
     workspace.bimodules["M"] = bim
     A = representable_module(t_cat, t_cat.objects[0], name="A")
     B = representable_module(u_cat, u_cat.objects[0], name="B")
-    gb = g_on_objects(bim, B)
     lam = build_lambda(t_cat, u_cat, bim, validate=False)
     pair = lam.object_name(t_cat.objects[0], u_cat.objects[0])
     C = representable_module(lam.presentation, pair, name="C")
@@ -77,13 +77,9 @@ def _assemble(name, t_cat, u_cat, bim):
     workspace.module_bases["C"] = {
         "lambda": {"t": "T", "u": "U", "bimodule": "M"}
     }
-    f = _canonical_structure_map(bim, A, B, gb)
-    workspace.comma_objects["o_can"] = CommaObject(
-        bim, A, B, f, g_of_b=gb, name="o_can"
-    )
-    workspace.comma_objects["o_zero"] = CommaObject(
-        bim, A, B, {}, g_of_b=gb, name="o_zero"
-    )
+    f = _canonical_structure_map(bim, A, B)
+    workspace.comma_objects["o_can"] = CommaObject(bim, A, B, f, name="o_can")
+    workspace.comma_objects["o_zero"] = CommaObject(bim, A, B, {}, name="o_zero")
     refs = {"bimodule": "M", "module_t": "A", "module_u": "B"}
     workspace.comma_refs["o_can"] = dict(refs)
     workspace.comma_refs["o_zero"] = dict(refs)

@@ -228,9 +228,8 @@ def _complex_differentials_match(module_a, module_b):
 
 def _hom_variance_signs_hold(cat):
     field = cat.field
-    opp = opposite_category(cat)
     for origin in cat.objects:
-        contra = yoneda_module(cat, origin, opposite=opp)
+        contra = yoneda_module(cat, origin)
         if not validate_dg_functor(contra).passed:
             return False
         cova = representable_module(cat, origin)
@@ -630,7 +629,7 @@ def test_criterion_7_negative_controls():
         0,
         {0: [[field.one()]]},
     )
-    obj = CommaObject(bim, A, B, {"t": f_map}, g_of_b=gb, name="not_closed")
+    obj = CommaObject(bim, A, B, {"t": f_map}, name="not_closed")
     report = validate_comma_object(obj)
     results["comma_closed"] = _first_failure_is(report, "closed")
     # the action of a structure map that is not closed breaks d(m . x)
@@ -655,7 +654,7 @@ def test_criterion_7_negative_controls():
     src = A.on_objects["t"].carrier
     tgt = gb.functor.on_objects["t"].carrier
     f_map = GradedMap(src, tgt, 0, {0: [[field.one()]], 1: [[field.one()]]})
-    obj = CommaObject(bim, A, B, {"t": f_map}, g_of_b=gb, name="not_natural")
+    obj = CommaObject(bim, A, B, {"t": f_map}, name="not_natural")
     report = validate_comma_object(obj)
     results["comma_natural"] = _first_failure_is(report, "natural")
     # the action of a structure map that is not natural breaks (m . t) . x

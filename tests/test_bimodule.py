@@ -1,23 +1,27 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from dgcat.bimodule import (
     Bimodule,
-    bimodule_to_tensor_functor,
+    GModule,
     g_on_objects,
     g_on_morphisms,
     validate_bimodule,
 )
-from dgcat.complexes import dg_module
-from dgcat.errors import StructureError
+from dgcat.category import opposite_category, tensor_category
+from dgcat.cli import main
+from dgcat.complexes import DgModule, TensorComplex, dg_module
+from dgcat.errors import StructureError, ValidationFailure
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     endomorphism_category,
     hom_bimodule,
     hom_from_module,
     random_dg_module,
+    random_theorem_fixture,
     zero_bimodule,
 )
 from dgcat.functors import (
@@ -25,6 +29,7 @@ from dgcat.functors import (
     dgnat_differential,
     dgnat_space,
     dgnat_window,
+    functor_from_basis_images,
     naturality_witness,
     representable_module,
     validate_dg_functor,
@@ -216,6 +221,41 @@ def test_right_bullet_degree_one_sign():
     raise AssertionError("no fixture exercised the degree-1 sign")
 
 
+def bimodule_to_tensor_functor(bim):
+    """The bimodule as a module over U (x) T^op, the basis morphism
+    alpha (x) beta^op acting by M(alpha (x) 1) . M(1 (x) beta^op).
+
+    It must pass validate_dg_functor, which re-derives the interchange and
+    Leibniz identities from the tensor-category axioms.
+    """
+    U, T = bim.left_base, bim.right_base
+    opp = opposite_category(T)
+    base = tensor_category(U, opp, name=f"({U.name})x({T.name}.op)")
+    pair_of = {f"({u},{t})": (u, t) for u in U.objects for t in T.objects}
+    # basis of hom((u,t),(u2,t2)) = hom_U(u,u2) (x) hom_{T^op}(t,t2)
+    # decodes through the tensor complex of the product category
+    tensors = {
+        (p, q): TensorComplex(U.hom[(u, u2)], opp.hom[(t, t2)])
+        for p, (u, t) in pair_of.items()
+        for q, (u2, t2) in pair_of.items()
+    }
+
+    def image(p, q, n, k):
+        (u, t), (u2, t2) = pair_of[p], pair_of[q]
+        ud, uidx, tidx = tensors[(p, q)].basis(n)[k]
+        alpha = U.basis_element(u, u2, ud, uidx)
+        # hom_{T^op}(t, t2) = hom_T(t2, t): basis is beta: t2 -> t
+        beta = T.basis_element(t2, t, n - ud, tidx)
+        return bim.left_map(alpha, t2).compose(bim.right_map(beta, u))
+
+    return functor_from_basis_images(
+        base,
+        {obj: bim.values[pair_of[obj]] for obj in base.objects},
+        image,
+        name=f"{bim.name}~tensor",
+    )
+
+
 def test_bimodule_round_trip_tensor_functor():
     *_, bim, _ = random_setup(3, max_objects=1)
     fun = bimodule_to_tensor_functor(bim)
@@ -242,6 +282,63 @@ def test_g_on_objects_zero_module():
     u_cat, t_cat, *_ , bim = kkk_setup()
     gb = g_on_objects(bim, zero_functor(u_cat))
     assert all(m.is_zero() for m in gb.functor.on_objects.values())
+
+
+def test_g_on_objects_is_built_once_per_value_of_b():
+    u_cat, t_cat, u_modules, t_modules, bim, rng = random_setup(4, max_objects=1)
+    B = representable_module(u_cat, u_cat.objects[0])
+    gb = g_on_objects(bim, B)
+    assert g_on_objects(bim, B) is gb
+    assert g_on_objects(bim, DgFunctor(B.base, B.on_objects, B.images)) is gb
+    other = hom_from_module(u_cat, u_modules, random_dg_module(rng, QQ))
+    assert other.on_objects != B.on_objects
+    g_other = g_on_objects(bim, other)
+    assert g_other is not gb and g_other.B is other
+    assert g_on_objects(bim, B) is gb
+    # another bimodule with the same actions builds its own
+    twin = Bimodule(
+        bim.left_base, bim.right_base, bim.values, bim.left_images, bim.right_images
+    )
+    assert g_on_objects(twin, B) is not gb
+
+
+def test_g_on_objects_refuses_an_invalid_b_on_every_call():
+    # d^{-3} of B2 of o_mix in random theorem seed 4 changed to (2 3), so
+    # d^2 != 0; the failed build is not kept, so the second call fails too.
+    fx = random_theorem_fixture(4, QQ)
+    bim = fx["bimodule"]
+    B = fx["comma_objects"][2].B
+    value = B.on_objects["u0"]
+    blocks = {k: [list(row) for row in block] for k, block in value.d.blocks.items()}
+    blocks[-3][0][1] = QQ.from_int(3)
+    d = GradedMap(value.carrier, value.carrier, 1, blocks)
+    bad = DgFunctor(
+        B.base, {"u0": DgModule(value.carrier, d, check=False)}, B.images, name="Bbad"
+    )
+    built = len(bim._g_modules)
+    for _ in range(2):
+        with pytest.raises(ValidationFailure) as exc:
+            g_on_objects(bim, bad)
+        assert exc.value.report.title == "dg-functor Bbad"
+    assert len(bim._g_modules) == built
+
+
+@pytest.mark.parametrize("name", ["kkk", "exterior", "contractible"])
+def test_check_equivalence_builds_g_once_per_module_value(name, monkeypatch, tmp_path):
+    # o_can and o_zero share B, and their round trips restrict to B again;
+    # the restriction of C to U is the one other module.
+    built = []
+    init = GModule.__init__
+
+    def counted(self, bim, B):
+        built.append(B.name)
+        init(self, bim, B)
+
+    monkeypatch.setattr(GModule, "__init__", counted)
+    source = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.json"
+    argv = ["check-equivalence", "--input", str(source), "--output", str(tmp_path / "r")]
+    assert main(argv) == 0
+    assert len(built) == 2, built
 
 
 def test_g_functor_validates_on_random_fixtures():

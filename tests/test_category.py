@@ -167,6 +167,27 @@ def test_opposite_degree_zero_is_plain_reversal():
     assert opp.compose(f, g).coords == (Fraction(1),)
 
 
+def test_opposite_is_built_once_per_product_tables():
+    # Doubling the composite x0 -> x2 -> x3 of the path category through
+    # set_products gives a new opposite, whose x3 -> x2 -> x0 follows it.
+    cat = path_category(QQ, 3)
+    opp = opposite_category(cat)
+    assert opposite_category(cat) is opp
+
+    def op_composite(op):
+        g = op.basis_element("x2", "x0", 0, 0)
+        f = op.basis_element("x3", "x2", 0, 0)
+        return op.compose(g, f).coords
+
+    assert op_composite(opp) == (Fraction(1),)
+    tables = {t: cat.products(*t) for t in itertools.product(cat.objects, repeat=3)}
+    doubled = {(0, 0): {(0, 0): ((0, Fraction(2)),)}}
+    cat.set_products({**tables, ("x0", "x2", "x3"): doubled})
+    again = opposite_category(cat)
+    assert again is not opp and opposite_category(cat) is again
+    assert op_composite(again) == (Fraction(2),)
+
+
 def test_tensor_category_validates_and_has_pair_objects():
     rng = random.Random(17)
     cat_a, _, _ = random_endo_category(rng, QQ, "A", max_objects=1)

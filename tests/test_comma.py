@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 from dgcat import linalg
 from dgcat.bimodule import g_on_objects
@@ -10,6 +11,7 @@ from dgcat.comma import (
     check_equivalence,
     check_product_identities,
     comma_hom_space,
+    comma_window,
     extract_comma_from_module,
     f_on_morphisms,
     is_comma_morphism,
@@ -28,7 +30,7 @@ from dgcat.functors import (
     validate_dg_functor,
     zero_functor,
 )
-from dgcat.graded import Homog
+from dgcat.graded import Homog, homogeneous_basis
 from dgcat.lambda_cat import build_lambda
 from tests.test_bimodule import kkk_setup
 
@@ -51,8 +53,8 @@ def kkk_comma_setup():
         0,
         {0: [[QQ.one()]]},
     )
-    obj = CommaObject(bim, A, B, {"t0": f_map}, g_of_b=gb, name="o_can")
-    zero_obj = CommaObject(bim, A, B, {}, g_of_b=gb, name="o_zero")
+    obj = CommaObject(bim, A, B, {"t0": f_map}, name="o_can")
+    zero_obj = CommaObject(bim, A, B, {}, name="o_zero")
     return lam, obj, zero_obj
 
 
@@ -98,7 +100,7 @@ def test_non_closed_f_detected():
             )
     found_invalid = False
     for f_map in candidates:
-        obj = CommaObject(bim, A, B, {"t0": f_map}, g_of_b=gb, name="bad")
+        obj = CommaObject(bim, A, B, {"t0": f_map}, name="bad")
         report = validate_comma_object(obj)
         if not report.passed:
             found_invalid = True
@@ -139,6 +141,27 @@ def test_comma_hom_space_contains_identity():
     assert is_comma_morphism(obj, obj, phi)
     # alpha and beta are forced equal by the square: check scalar equality
     assert phi.alpha.components["t0"].block(0) == phi.beta.components["u0"].block(0)
+
+
+def test_every_comma_hom_basis_morphism_is_a_comma_morphism(theorem_fixtures):
+    # The square's (-1)^{nj} matters where beta_u . (m . -) is nonzero for a
+    # basis m of odd degree j and odd n; random0 over Q has such morphisms,
+    # so a sign dropped on either side rejects some of them.
+    signed = set()
+    for fx in theorem_fixtures:
+        bim = fx["bimodule"]
+        for src, tgt in product(fx["comma_objects"], repeat=2):
+            for n in comma_window(src, tgt):
+                for phi in comma_hom_space(src, tgt, n):
+                    assert is_comma_morphism(src, tgt, phi), (fx["name"], n)
+                    for t, u in product(bim.right_base.objects, bim.left_base.objects):
+                        beta = phi.beta.components[u]
+                        for j, _, m in homogeneous_basis(bim.value(u, t).carrier):
+                            if n * j % 2 and not beta.compose(
+                                src.dot_map(u, t, m)
+                            ).is_zero():
+                                signed.add(fx["name"])
+    assert "random0" in signed
 
 
 def test_square_failure_alone_is_refused_kkk():

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-from dgcat.category import opposite_category
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     endomorphism_category,
@@ -218,8 +217,7 @@ def test_yoneda_exterior_sign():
     # two-dimensional module; the action of x is right multiplication
     # with the sign (-1)^{|x||j|}.
     cat = exterior_category(QQ)
-    opp = opposite_category(cat)
-    fun = yoneda_module(cat, "*", opposite=opp)
+    fun = yoneda_module(cat, "*")
     report = validate_dg_functor(fun)
     assert report.passed, report.render()
     x_action = fun.map_of_basis("*", "*", 1, 0)
@@ -232,9 +230,8 @@ def test_yoneda_exterior_sign():
 def test_yoneda_two_object_category():
     rng = random.Random(41)
     cat, _, _ = random_endo_category(rng, QQ, "E", max_objects=2)
-    opp = opposite_category(cat)
     for obj in cat.objects:
-        report = validate_dg_functor(yoneda_module(cat, obj, opposite=opp))
+        report = validate_dg_functor(yoneda_module(cat, obj))
         assert report.passed, report.render()
 
 
