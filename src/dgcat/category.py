@@ -13,15 +13,19 @@ Validation checks, in order: differentials square to zero, composition
 is a degree-0 chain map, identities are cycles, unit laws, and
 associativity on homogeneous basis triples.  All checks extend to
 arbitrary morphisms by bilinearity, and the signs involved depend only on
-degrees, so basis tuples decide everything.  Associativity sums h.(g.f)
-and (h.g).f per basis pair (f, g) over the h with a nonzero term only.
-The chain-map axiom is checked as the Leibniz rule
-d(g.f) = dg.f + (-1)^{|g|} g.df on the basis pairs (g, f), sorted by
-(|g|+|f|, |g|, g index, f index), the pure-tensor order of
-hom(y,z) (x) hom(x,y); the first failing pair and its two sides are the
-witness.
+degrees, so basis tuples decide everything.  The chain-map axiom is
+checked as the Leibniz rule d(g.f) = dg.f + (-1)^{|g|} g.df on the basis
+pairs (g, f), sorted by (|g|+|f|, |g|, g index, f index), the pure-tensor
+order of hom(y,z) (x) hom(x,y); the first failing pair and its two sides
+are the witness.
 
-Associativity is decided on a generating set.  spanning() visits the
+Associativity is decided one basis pair (f, g) at a time: the
+difference h.(g.f) - (h.g).f is summed for every h at once into one flat
+{(h, coordinate): value} dict over the terms the tables hold, and the
+pair passes iff every entry is zero (_first_unassociative_pair).  Only
+the first failing pair's sides are summed per h again, for the witness.
+
+It is also decided on a generating set.  spanning() visits the
 basis morphisms in (x, y, degree, index) order and keeps as a generator
 each one not yet reached from earlier ones by sums and composites (one
 incremental echelon form per hom(x, z)^n, over the category's field); the
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .complexes import TensorComplex, zero_dg_module
-from .errors import StructureError
+from .errors import InternalCheckError, StructureError
 from .report import Report, fmt_vector
 
 ZERO_OBJECT = "@0"
@@ -138,11 +142,17 @@ class DgCategoryPresentation:
 
     def associative(self):
         """True iff h.(g.f) = (h.g).f on every basis triple, decided on the
-        triples whose f is a generator and kept until set_products."""
+        triples whose f is a generator and kept until set_products.
+
+        The f with h.(g.f) = (h.g).f for all g and h are closed under sums
+        and composites: for such f1, f2, h.(g.(f2.f1)) = h.((g.f2).f1) =
+        (h.(g.f2)).f1 = ((h.g).f2).f1 = (h.g).(f2.f1).  Each generator f is
+        checked by one difference per basis pair (f, g), summed for all h.
+        """
         if self._associative is None:
             generators = self.spanning().generators
             self._associative = not any(
-                _associativity_witness(self, x, y, z, w, generators[(x, y)])
+                _first_unassociative_pair(self, x, y, z, w, generators[(x, y)])
                 for x, y, z, w in itertools.product(self.objects, repeat=4)
             )
         return self._associative
@@ -286,6 +296,11 @@ def _nonzero(field, acc):
     return {r: v for r, v in acc.items() if not field.is_zero(v)}
 
 
+def _fmt_sparse(field, acc, dim):
+    """The sparse vector acc as formatted coordinates of length dim."""
+    return fmt_vector(field, linalg.dense_vector(field, acc.items(), dim))
+
+
 def _chain_map_witness(cat, d_cols, x, y, z):
     """First basis pair (g, f) of the triple, sorted by (|g|+|f|, |g|,
     g index, f index), with d(g.f) != dg.f + (-1)^{|g|} g.df, or None.
@@ -317,59 +332,82 @@ def _chain_map_witness(cat, d_cols, x, y, z):
             return {
                 "triple": [x, y, z],
                 "basis": {"g": list(g), "f": list(f)},
-                "comp_after_d": fmt_vector(
-                    field, linalg.dense_vector(field, rhs.items(), dim)
-                ),
-                "d_after_comp": fmt_vector(
-                    field, linalg.dense_vector(field, lhs.items(), dim)
-                ),
+                "comp_after_d": _fmt_sparse(field, rhs, dim),
+                "d_after_comp": _fmt_sparse(field, lhs, dim),
             }
     return None
 
 
-def _associativity_witness(cat, x, y, z, w, fs=None):
-    """First basis triple (f, g, h) with h.(g.f) != (h.g).f, in basis order,
-    f running over fs (default: the basis of hom(x, y)).
+def _first_unassociative_pair(cat, x, y, z, w, fs):
+    """First basis pair (f, g), f running over fs in order and g over the
+    basis of hom(y, z), with h.(g.f) != (h.g).f for some basis h of
+    hom(z, w), or None.
 
-    Both sides are summed per pair (f, g) for all h at once over the terms
-    the product tables hold; any other h is zero on both.
+    The difference h.(g.f) - (h.g).f of one pair is summed for all h at
+    once into one flat {(h, coordinate): value} dict, over the terms the
+    product tables hold; the pair fails iff an entry is nonzero.
     """
     if cat.hom[(x, w)].is_zero():
         return None
     field = cat.field
+    add, sub, mul, is_zero = field.add, field.sub, field.mul, field.is_zero
+    zero = field.zero()
     gf_of = cat.products(x, y, z)
     h_gf_of = cat.products(x, z, w)
     hg_of = cat.products(y, z, w)
     hg_f_of = cat.products(x, y, w)
     g_basis = tuple(cat.basis_elements(y, z))
-    for f in cat.basis_elements(x, y) if fs is None else fs:
+    for f in fs:
         gfs = gf_of.get(f, {})
         hg_fs = hg_f_of.get(f, {})
         for g in g_basis:
-            left, right = {}, {}
+            diff = {}
             for r, c in gfs.get(g, ()):
                 for h, terms in h_gf_of.get((f[0] + g[0], r), {}).items():
-                    _add_scaled(field, left.setdefault(h, {}), c, terms)
+                    for s, v in terms:
+                        diff[h, s] = add(diff.get((h, s), zero), mul(c, v))
             for h, hg in hg_of.get(g, {}).items():
-                acc = right.setdefault(h, {})
                 for s, c in hg:
-                    _add_scaled(field, acc, c, hg_fs.get((h[0] + g[0], s), ()))
-            for h in sorted(left.keys() | right.keys()):
-                lhs = _nonzero(field, left.get(h, {}))
-                rhs = _nonzero(field, right.get(h, {}))
-                if lhs != rhs:
-                    dim = cat.hom[(x, w)].dim(f[0] + g[0] + h[0])
-                    return {
-                        "objects": [x, y, z, w],
-                        "basis": [list(f), list(g), list(h)],
-                        "h_after_gf": fmt_vector(
-                            field, linalg.dense_vector(field, lhs.items(), dim)
-                        ),
-                        "hg_after_f": fmt_vector(
-                            field, linalg.dense_vector(field, rhs.items(), dim)
-                        ),
-                    }
+                    for r, v in hg_fs.get((h[0] + g[0], s), ()):
+                        diff[h, r] = sub(diff.get((h, r), zero), mul(c, v))
+            if not all(map(is_zero, diff.values())):
+                return f, g
     return None
+
+
+def _associativity_witness(cat, x, y, z, w):
+    """First basis triple (f, g, h) with h.(g.f) != (h.g).f, in basis order.
+
+    _first_unassociative_pair finds the pair (f, g); both sides are then
+    summed per h for that pair only, and h is the first in sorted order
+    whose sides differ.
+    """
+    pair = _first_unassociative_pair(cat, x, y, z, w, cat.basis_elements(x, y))
+    if pair is None:
+        return None
+    f, g = pair
+    field = cat.field
+    hg_fs = cat.products(x, y, w).get(f, {})
+    left, right = {}, {}
+    for r, c in cat.products(x, y, z).get(f, {}).get(g, ()):
+        for h, terms in cat.products(x, z, w).get((f[0] + g[0], r), {}).items():
+            _add_scaled(field, left.setdefault(h, {}), c, terms)
+    for h, hg in cat.products(y, z, w).get(g, {}).items():
+        acc = right.setdefault(h, {})
+        for s, c in hg:
+            _add_scaled(field, acc, c, hg_fs.get((h[0] + g[0], s), ()))
+    for h in sorted(left.keys() | right.keys()):
+        lhs = _nonzero(field, left.get(h, {}))
+        rhs = _nonzero(field, right.get(h, {}))
+        if lhs != rhs:
+            dim = cat.hom[(x, w)].dim(f[0] + g[0] + h[0])
+            return {
+                "objects": [x, y, z, w],
+                "basis": [list(f), list(g), list(h)],
+                "h_after_gf": _fmt_sparse(field, lhs, dim),
+                "hg_after_f": _fmt_sparse(field, rhs, dim),
+            }
+    raise InternalCheckError(f"no h fails for the unassociative pair {(f, g)}")
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ that is
     target.dot_map(u, t, m) . alpha_t = (-1)^{nj} beta_u . source.dot_map(u, t, m);
 
 the comma Hom system takes its rows from functors.square_rows on these
-maps, and is_comma_morphism compares them.  The product identities and
-the dot Leibniz rule are checked as equalities of such maps too, one
-pair per basis morphism and basis m, which by linearity covers every
-basis x; a failing check names the first differing column as x.
+maps.  The product identities and the dot Leibniz rule are checked as
+equalities of such maps too, one pair per basis morphism and basis m,
+which by linearity covers every basis x; a failing check names the first
+differing column as x.
 
 The functor laws are exact in the same way: check_equivalence computes
 F(phi) once per comma basis morphism and compares F(d phi) with d F(phi)
@@ -235,26 +235,6 @@ def comma_differential(phi):
         dgnat_differential(phi.alpha),
         dgnat_differential(phi.beta),
     )
-
-
-def is_comma_morphism(source, target, phi):
-    """Exact check of naturality of both legs and of the square
-    m .' alpha(x) = (-1)^{nj} beta(m . x), as graded maps of x, for every
-    basis m of every M(u, t)^j."""
-    if naturality_witness(phi.alpha) is not None:
-        return False
-    if naturality_witness(phi.beta) is not None:
-        return False
-    bim = source.bimodule
-    field = bim.field
-    for t, u in product(bim.right_base.objects, bim.left_base.objects):
-        alpha, beta = phi.alpha.components[t], phi.beta.components[u]
-        for j, _, m in homogeneous_basis(bim.value(u, t).carrier):
-            lhs = target.dot_map(u, t, m).compose(alpha)
-            rhs = beta.compose(source.dot_map(u, t, m))
-            if lhs != rhs.scale(field.sign(phi.degree * j)):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

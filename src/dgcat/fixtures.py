@@ -56,27 +56,6 @@ def exterior_category(field, name="Ext", obj="*"):
     return one_object_category(field, hom, table, (field.one(),), name=name, obj=obj)
 
 
-def path_category(field, arrows, name="Path"):
-    """A poset-like category: one basis arrow x_i -> x_{i+1} in degree 0.
-
-    arrows is the number of generating arrows; composites are the unique
-    degree-0 basis elements between comparable objects.  Used as a
-    deterministic associativity playground and for negative controls.
-    """
-    objects = tuple(f"x{i}" for i in range(arrows + 1))
-    hom = {}
-    for i in range(arrows + 1):
-        for j in range(arrows + 1):
-            if i <= j:
-                hom[(objects[i], objects[j])] = dg_module(field, {0: 1}, {})
-    cat = DgCategoryPresentation(
-        field, objects, hom, {}, {obj: (field.one(),) for obj in objects}, name=name
-    )
-    # a basis pair is composable only along x_i -> x_j -> x_k with i <= j <= k,
-    # and its composite is the basis arrow x_i -> x_k
-    return compose_from_products(cat, lambda *basis_pair: (field.one(),))
-
-
 def endomorphism_category(field, modules, name="End"):
     """Full sub-dg-category of dg K-modules on the given named modules.
 

@@ -45,7 +45,6 @@ from .graded import (
     DirectSum,
     GradedMap,
     combination,
-    identity_map,
     map_from_action,
     place_blocks,
     zero_map,
@@ -147,10 +146,6 @@ def image_of(images, source, target, element):
     combination of the basis images images[(degree, k)] with its coordinates."""
     terms = [(c, images[(element.degree, k)]) for k, c in enumerate(element.coords)]
     return combination(source, target, element.degree, terms)
-
-
-def zero_functor(base, name="0"):
-    return DgFunctor(base, {}, {}, name=name)
 
 
 def validate_dg_functor(fun):
@@ -396,18 +391,6 @@ def _naturality_witness(nat, generators=None):
                         "signed_eta_after_F_f": fmt_graded_map(rhs),
                     }
     return None
-
-
-def identity_nat(fun):
-    return DgNatTransformation(
-        fun,
-        fun,
-        0,
-        {
-            obj: identity_map(fun.on_objects[obj].carrier)
-            for obj in fun.base.objects
-        },
-    )
 
 
 def compose_nat(nu, eta):

@@ -479,10 +479,6 @@ class DirectSum:
             out[off + k] = x
         return tuple(out)
 
-    def project(self, part_index, degree, vec):
-        off = self.offset(part_index, degree)
-        return tuple(vec[off : off + self.parts[part_index].dim(degree)])
-
     def block_diag(self, maps, degree=0):
         """Blockwise endomorphism from per-part maps of a common degree."""
         if len(maps) != len(self.parts):

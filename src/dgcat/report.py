@@ -52,6 +52,11 @@ class Report:
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
+    def check(self, name):
+        """The one check called name."""
+        (found,) = [c for c in self.checks if c.name == name]
+        return found
+
     def first_failure(self):
         for c in self.checks:
             if not c.passed:

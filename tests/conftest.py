@@ -2,18 +2,59 @@
 
 Three shipped workspaces and eight seeded random instances over Q and
 F_5; built once per session because several criteria and the pinned
-report digests read the same instances.
+report digests read the same instances.  path_category, zero_functor and
+identity_nat, which only tests use, live here too.
 """
 
 import pytest
 
+from dgcat.category import DgCategoryPresentation, compose_from_products
+from dgcat.complexes import dg_module
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_theorem_fixture
+from dgcat.functors import DgFunctor, DgNatTransformation
+from dgcat.graded import identity_map
 from dgcat.lambda_cat import build_lambda
 from dgcat.shipped import SHIPPED_BUILDERS
 
 QQ = Rationals()
 F5 = PrimeField(5)
+
+
+def path_category(field, arrows, name="Path"):
+    """A poset-like category: one basis arrow x_i -> x_{i+1} in degree 0.
+
+    arrows is the number of generating arrows; composites are the unique
+    degree-0 basis elements between comparable objects.  Used as a
+    deterministic associativity playground and for negative controls.
+    """
+    objects = tuple(f"x{i}" for i in range(arrows + 1))
+    hom = {}
+    for i in range(arrows + 1):
+        for j in range(arrows + 1):
+            if i <= j:
+                hom[(objects[i], objects[j])] = dg_module(field, {0: 1}, {})
+    cat = DgCategoryPresentation(
+        field, objects, hom, {}, {obj: (field.one(),) for obj in objects}, name=name
+    )
+    # a basis pair is composable only along x_i -> x_j -> x_k with i <= j <= k,
+    # and its composite is the basis arrow x_i -> x_k
+    return compose_from_products(cat, lambda *basis_pair: (field.one(),))
+
+
+def zero_functor(base, name="0"):
+    """The dg-functor with every value zero."""
+    return DgFunctor(base, {}, {}, name=name)
+
+
+def identity_nat(fun):
+    """The identity transformation of a dg-functor."""
+    return DgNatTransformation(
+        fun,
+        fun,
+        0,
+        {obj: identity_map(fun.on_objects[obj].carrier) for obj in fun.base.objects},
+    )
 
 
 @pytest.fixture(scope="session")

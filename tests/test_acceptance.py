@@ -8,6 +8,7 @@ import itertools
 import json
 import time
 
+from conftest import path_category
 from dgcat import linalg
 from dgcat.bimodule import Bimodule, validate_bimodule
 from dgcat.category import (
@@ -35,7 +36,6 @@ from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     endomorphism_category,
     exterior_category,
-    path_category,
     random_axiom_fixture,
     random_dg_module,
     random_theorem_fixture,

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import identity_nat, zero_functor
 from dgcat.bimodule import (
     Bimodule,
     GModule,
@@ -33,7 +35,6 @@ from dgcat.functors import (
     naturality_witness,
     representable_module,
     validate_dg_functor,
-    zero_functor,
 )
 from dgcat.graded import GradedMap, Homog
 
@@ -445,7 +446,7 @@ def test_left_bullet_zero_element():
 
 
 def test_g_on_morphisms_identity_and_zero():
-    from dgcat.functors import identity_nat, zero_functor, DgNatTransformation
+    from dgcat.functors import DgNatTransformation
     from dgcat.graded import identity_map
 
     u_cat, t_cat, u_modules, t_modules, bim = kkk_setup()
@@ -459,3 +460,153 @@ def test_g_on_morphisms_identity_and_zero():
         )
     zero = DgNatTransformation(B, B, 0, {})
     assert g_on_morphisms(bim, gb, gb, zero).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the two-sided Leibniz identity, decided from the slice chain maps
+
+
+def _oracle_leibniz_witness(bim):
+    """The first basis pair (alpha, beta) over every object quadruple with
+    M(d alpha (x) beta) + (-1)^|alpha| M(alpha (x) d beta) !=
+    d.M(alpha (x) beta) - (-1)^{|alpha|+|beta|} M(alpha (x) beta).d, scanned
+    unconditionally, as validate_bimodule did before it read the slices."""
+    from dgcat.report import fmt_graded_map
+
+    field = bim.field
+    U, T = bim.left_base, bim.right_base
+
+    def action(alpha, beta):
+        left = bim.left_map(alpha, beta.source)
+        return left.compose(bim.right_map(beta, alpha.source))
+
+    for u, u2, t, t2 in itertools.product(U.objects, U.objects, T.objects, T.objects):
+        for ud, ui in U.basis_elements(u, u2):
+            alpha = U.basis_element(u, u2, ud, ui)
+            d_alpha = U.differential(alpha)
+            for td, ti in T.basis_elements(t, t2):
+                beta = T.basis_element(t, t2, td, ti)
+                d_beta = T.differential(beta)
+                lhs = action(d_alpha, beta).add(
+                    action(alpha, d_beta).scale(field.sign(ud))
+                )
+                both = action(alpha, beta)
+                rhs = bim.values[(u2, t)].d.compose(both).sub(
+                    both.compose(bim.values[(u, t2)].d).scale(field.sign(ud + td))
+                )
+                if lhs != rhs:
+                    return {
+                        "u": [u, u2, ud, ui],
+                        "t": [t, t2, td, ti],
+                        "lhs": fmt_graded_map(lhs),
+                        "rhs": fmt_graded_map(rhs),
+                    }
+    return None
+
+
+def _slices_are_chain_maps(bim):
+    slices = [bim.slice_t(t) for t in bim.right_base.objects]
+    slices += [bim.slice_u(u) for u in bim.left_base.objects]
+    return all(validate_dg_functor(s).check("chain_map").passed for s in slices)
+
+
+def _bumped(gmap, i, row, col):
+    """gmap with the entry (row, col) of its block at degree i plus one."""
+    field = gmap.field
+    block = [list(r) for r in gmap.block(i)]
+    block[row][col] = field.add(block[row][col], field.one())
+    return GradedMap(gmap.source, gmap.target, gmap.degree, {**gmap.blocks, i: block})
+
+
+def _entries(gmap):
+    """Every (degree, row, column) position of gmap's blocks, in order."""
+    for i in gmap.source.degrees():
+        for row in range(gmap.target.dim(i + gmap.degree)):
+            for col in range(gmap.source.dim(i)):
+                yield i, row, col
+
+
+def _action_mutants(bim, side):
+    """Bimodules equal to bim but for one entry of one left ("left") or
+    right ("right") basis image, or of one value's differential ("d")."""
+    parts = {"d": bim.values, "left": bim.left_images, "right": bim.right_images}
+    table = parts[side]
+    for key, entry in sorted(table.items()):
+        if side == "d":
+            bumps = (
+                DgModule(entry.carrier, _bumped(entry.d, *spot), check=False)
+                for spot in _entries(entry.d)
+            )
+        else:
+            bumps = (
+                {**entry, basis: _bumped(image, *spot)}
+                for basis, image in sorted(entry.items())
+                for spot in _entries(image)
+            )
+        for bad in bumps:
+            mutant = {**parts, side: {**table, key: bad}}
+            yield Bimodule(
+                bim.left_base,
+                bim.right_base,
+                mutant["d"],
+                mutant["left"],
+                mutant["right"],
+                name=bim.name,
+            )
+
+
+def _first_chain_map_breaking_mutant(theorem_fixtures, side):
+    for fx in theorem_fixtures:
+        for mutant in _action_mutants(fx["bimodule"], side):
+            if not _slices_are_chain_maps(mutant):
+                return mutant
+    raise AssertionError(f"no {side} mutant breaks a slice chain map")
+
+
+def _leibniz_check(bim, monkeypatch):
+    """(two_sided_leibniz check of validate_bimodule, _leibniz_witness calls)."""
+    from dgcat import bimodule
+
+    calls = []
+    scan = bimodule._leibniz_witness
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bimodule, "_leibniz_witness", counted)
+        report = validate_bimodule(bim)
+    return report.check("two_sided_leibniz"), len(calls)
+
+
+def test_leibniz_on_valid_bimodules_is_read_from_the_slices(
+    theorem_fixtures, monkeypatch
+):
+    from dgcat.io_json import parse_text
+
+    shipped = Path(__file__).resolve().parent.parent / "fixtures"
+    bimodules = [(fx["name"], fx["bimodule"]) for fx in theorem_fixtures] + [
+        (path.name, parse_text(path.read_text()).bimodules["M"])
+        for path in sorted(shipped.glob("*.json"))
+    ]
+    for name, bim in bimodules:
+        check, scanned = _leibniz_check(bim, monkeypatch)
+        assert check.passed and check.witness is None, name
+        assert _oracle_leibniz_witness(bim) is None, name
+        assert scanned == 0, name
+
+
+def test_leibniz_on_mutants_matches_the_unconditional_scan(
+    theorem_fixtures, monkeypatch
+):
+    failed = []
+    for side in ("left", "right", "d"):
+        mutant = _first_chain_map_breaking_mutant(theorem_fixtures, side)
+        check, scanned = _leibniz_check(mutant, monkeypatch)
+        oracle = _oracle_leibniz_witness(mutant)
+        assert check.witness == oracle, side
+        assert check.passed == (oracle is None), side
+        assert scanned > 0, side
+        failed.append(not check.passed)
+    assert any(failed)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import path_category
 from dgcat.category import (
     one_object_category,
     opposite_category,
@@ -16,7 +17,6 @@ from dgcat.errors import StructureError
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     exterior_category,
-    path_category,
     random_endo_category,
     trivial_category,
 )

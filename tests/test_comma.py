@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+from conftest import identity_nat, zero_functor
 from dgcat import linalg
 from dgcat.bimodule import g_on_objects
 from dgcat.comma import (
@@ -14,7 +15,6 @@ from dgcat.comma import (
     comma_window,
     extract_comma_from_module,
     f_on_morphisms,
-    is_comma_morphism,
     phi_iso,
     validate_comma_object,
 )
@@ -22,19 +22,37 @@ from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_theorem_fixture
 from dgcat.functors import (
     DgNatTransformation,
-    identity_nat,
     nat_to_flat,
     nat_unknowns,
     naturality_witness,
     representable_module,
     validate_dg_functor,
-    zero_functor,
 )
 from dgcat.graded import Homog, homogeneous_basis
 from dgcat.lambda_cat import build_lambda
 from tests.test_bimodule import kkk_setup
 
 QQ = Rationals()
+
+
+def is_comma_morphism(source, target, phi):
+    """Exact check of naturality of both legs and of the square
+    m .' alpha(x) = (-1)^{nj} beta(m . x), as graded maps of x, for every
+    basis m of every M(u, t)^j."""
+    if naturality_witness(phi.alpha) is not None:
+        return False
+    if naturality_witness(phi.beta) is not None:
+        return False
+    bim = source.bimodule
+    field = bim.field
+    for t, u in product(bim.right_base.objects, bim.left_base.objects):
+        alpha, beta = phi.alpha.components[t], phi.beta.components[u]
+        for j, _, m in homogeneous_basis(bim.value(u, t).carrier):
+            lhs = target.dot_map(u, t, m).compose(alpha)
+            rhs = beta.compose(source.dot_map(u, t, m))
+            if lhs != rhs.scale(field.sign(phi.degree * j)):
+                return False
+    return True
 
 
 def kkk_comma_setup():

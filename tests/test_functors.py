@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from conftest import identity_nat, zero_functor
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     endomorphism_category,
@@ -17,12 +18,10 @@ from dgcat.functors import (
     dgnat_space,
     dgnat_window,
     direct_sum_functors,
-    identity_nat,
     naturality_witness,
     representable_module,
     validate_dg_functor,
     yoneda_module,
-    zero_functor,
 )
 
 QQ = Rationals()

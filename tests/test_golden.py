@@ -44,6 +44,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import path_category
 from dgcat.category import opposite_category, tensor_category, validate_dg_category
 from dgcat.cli import main
 from dgcat.complexes import HomComplex, TensorComplex
@@ -56,7 +57,7 @@ from dgcat.comma import (
     comma_window,
 )
 from dgcat.fields import PrimeField, Rationals
-from dgcat.fixtures import path_category, random_axiom_fixture, random_theorem_fixture
+from dgcat.fixtures import random_axiom_fixture, random_theorem_fixture
 from dgcat.functors import (
     DgFunctor,
     action_from_basis_images,

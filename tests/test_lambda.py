@@ -185,7 +185,7 @@ def test_restrict_representable_module():
 
 
 def test_restrict_zero_module():
-    from dgcat.functors import zero_functor
+    from conftest import zero_functor
 
     u_cat, t_cat, _, _, bim = kkk_setup()
     lam = build_lambda(t_cat, u_cat, bim)

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import identity_nat
 from dgcat import functors, linalg
 from dgcat.category import (
     DgCategoryPresentation,
     Spanning,
+    _first_unassociative_pair,
     one_object_category,
     validate_dg_category,
 )
@@ -33,7 +35,6 @@ from dgcat.functors import (
     DgNatTransformation,
     dgnat_space,
     dgnat_window,
-    identity_nat,
     nat_from_flat,
     nat_to_flat,
     nat_unknowns,
@@ -43,6 +44,7 @@ from dgcat.functors import (
 )
 from dgcat.graded import GradedMap
 from dgcat.lambda_cat import build_lambda
+from tests.test_golden import _reference_associativity_witness
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -188,6 +190,50 @@ SAMPLE = 4
 def _failed(report, name):
     (check,) = [c for c in report.checks if c.name == name]
     return check.witness is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), field=st.sampled_from([QQ, F5]))
+def test_first_unassociative_pair_is_the_pairwise_sweeps_first(data, field):
+    """One coordinate of one composite of T or U is moved by 1, 2 or -1, or
+    set to zero; some such changes leave the category associative, as they
+    cancel between the two sides of each triple they reach.  On each object
+    quadruple before the one of the pairwise sweep's witness the kernel
+    finds no pair, on that one it finds the witness's (f, g), and
+    associative() holds iff the sweep finds nothing."""
+    seed = data.draw(st.integers(0, 79), label="seed")
+    fx = random_axiom_fixture(seed, field)
+    cat = fx[data.draw(st.sampled_from(["t_cat", "u_cat"]), label="category")]
+    spots = [
+        (key, f, g, r)
+        for key in itertools.product(cat.objects, repeat=3)
+        for f in cat.basis_elements(*key[:2])
+        for g in cat.basis_elements(*key[1:])
+        for r in range(cat.hom[(key[0], key[2])].dim(f[0] + g[0]))
+    ]
+    if spots:
+        key, f, g, r = data.draw(st.sampled_from(spots), label="entry")
+        step = data.draw(st.sampled_from([1, 2, -1, None]), label="step")
+        table = {f2: dict(per_g) for f2, per_g in cat.products(*key).items()}
+        terms = dict(table.get(f, {}).get(g, ()))
+        if step is None:
+            terms[r] = field.zero()
+        else:
+            terms[r] = field.add(terms.get(r, field.zero()), field.from_int(step))
+        table.setdefault(f, {})[g] = tuple(
+            (s, c) for s, c in sorted(terms.items()) if not field.is_zero(c)
+        )
+        cat = _copy(cat, {key: table})
+    expected = _reference_associativity_witness(cat)
+    for quadruple in itertools.product(cat.objects, repeat=4):
+        pair = _first_unassociative_pair(
+            cat, *quadruple, cat.basis_elements(*quadruple[:2])
+        )
+        if expected is not None and list(quadruple) == expected["objects"]:
+            assert [list(pair[0]), list(pair[1])] == expected["basis"][:2]
+            break
+        assert pair is None, quadruple
+    assert cat.associative() == (expected is None)
 
 
 def test_associativity_fallback_keeps_the_full_scan_report():
