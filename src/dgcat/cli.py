@@ -10,6 +10,7 @@ failed, 2 structural or parse failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -192,7 +193,10 @@ def cmd_check_equivalence(args):
     return EXIT_OK if report.passed else EXIT_MATH_FAIL
 
 
+@functools.cache
 def build_parser():
+    """The dgcat argument parser, built once per process: parse_args
+    leaves it as it was, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="dgcat",
         description=(

@@ -11,16 +11,21 @@ g . X = +-Y . f with unknown maps X and Y, here and in the comma
 category, is turned into rows by one helper, square_rows.
 
 validate_dg_functor checks the action on basis morphisms only, where
-linearity puts both axioms: F(d phi) = d F(phi), evaluated by
-hom_differential on the one map F(phi), and F(g.f) = F(g).F(f), with
-the composite read from the base's product table.  The Hom complex of a
-pair of values is built only for the witness of a failing pair, and the
+linearity puts both axioms: F(d phi) = d F(phi), that is
+d_N.F(phi) - (-1)^{|phi|} F(phi).d_M = F(d phi), and
+F(g.f) = F(g).F(f), with the composite read from the base's product
+table.  Each basis morphism phi, and each basis pair (f, g), is decided
+by one flat entry difference of the two sides (graded.first_nonzero_sum,
+chain_map_holds and _composition_sums), so no graded map is built or
+composed.  Only on a failure do the scans that build both sides run
+(_chain_map_witness, which builds the Hom complex of the pair's values,
+and _functoriality_witness), so every witness is the one they give.  The
 unit law reads the image of each identity entry by entry against the
 diagonal, with no identity matrix.
 
 Two checks read the base's generators (DgCategoryPresentation.spanning).
 Over an associative base the f with F(g.f) = F(g).F(f) for all g are
-closed under sums and composites, so functoriality is checked for f among
+closed under sums and composites, so functoriality is decided for f among
 the generators when base.associative() holds.  For F and G over the same
 presentation object that both satisfy F(g.f) = F(g).F(f) on the spanning
 pairs (checked once per functor and kept, or settled by a functoriality
@@ -45,6 +50,7 @@ from .graded import (
     DirectSum,
     GradedMap,
     combination,
+    first_nonzero_sum,
     map_from_action,
     place_blocks,
     zero_map,
@@ -96,8 +102,8 @@ class DgFunctor:
         it to True."""
         memo = self._functorial_memo
         if memo is None or memo[0] is not spanning:
-            sides = (_functor_sides(self, *pair) for pair in spanning.pairs)
-            verdict = all(image == composite for image, composite in sides)
+            sums = _composition_sums(self, spanning.pairs)
+            verdict = first_nonzero_sum(self.field, sums) is None
             memo = self._functorial_memo = (spanning, verdict)
         return memo[1]
 
@@ -183,11 +189,14 @@ def validate_dg_functor(fun):
 
     triples = list(itertools.product(base.objects, repeat=3))
     generators = base.spanning().generators if base.associative() else None
-    witness = None
-    if generators is None or any(
-        _functoriality_witness(fun, x, y, z, generators[(x, y)])
+    pairs = (
+        (x, y, z, g, f)
         for x, y, z in triples
-    ):
+        for f in (fun.images[(x, y)] if generators is None else generators[(x, y)])
+        for g in fun.images[(y, z)]
+    )
+    witness = None
+    if first_nonzero_sum(fun.field, _composition_sums(fun, pairs)) is not None:
         for x, y, z in triples:
             witness = _functoriality_witness(fun, x, y, z)
             if witness:
@@ -213,16 +222,23 @@ def _is_identity(gmap):
 def chain_map_holds(fun, x, y):
     """True iff F(d phi) = d F(phi) in Hom(F x, F y) for every basis
     morphism phi of hom(x, y), that is, iff the action of hom(x, y) is a
-    chain map.  F(d phi) combines the images over the column of d."""
-    source, target = fun.on_objects[x], fun.on_objects[y]
+    chain map.  Per phi, d_N.F(phi) - (-1)^{|phi|} F(phi).d_M minus the
+    images over the column of d at phi is one flat difference, which must
+    vanish (graded.first_nonzero_sum)."""
+    field = fun.field
+    neg, sign = field.neg, field.sign
+    one = field.one()
+    d_source, d_target = fun.on_objects[x].d, fun.on_objects[y].d
     images = fun.images[(x, y)]
     d_columns = fun.base.hom[(x, y)].d.columns()
-    for (m, k), image in images.items():
-        terms = [(c, images[(m + 1, r)]) for r, c in d_columns.get((m, k), ())]
-        after_d = combination(source.carrier, target.carrier, m + 1, terms)
-        if after_d != hom_differential(source, target, image):
-            return False
-    return True
+
+    def sums():
+        for (m, k), image in images.items():
+            terms = [(one, d_target, image), (neg(sign(m)), image, d_source)]
+            terms += [(neg(c), images[(m + 1, r)]) for r, c in d_columns.get((m, k), ())]
+            yield (m, k), terms
+
+    return first_nonzero_sum(field, sums()) is None
 
 
 def _chain_map_witness(fun, x, y):
@@ -239,11 +255,10 @@ def _chain_map_witness(fun, x, y):
     }
 
 
-def _functoriality_witness(fun, x, y, z, fs=None):
+def _functoriality_witness(fun, x, y, z):
     """First basis pair f of hom(x, y), g of hom(y, z), in basis order,
-    with F(g.f) != F(g).F(f), or None; f runs over fs (default: every
-    basis morphism)."""
-    for f in fun.images[(x, y)] if fs is None else fs:
+    with F(g.f) != F(g).F(f), or None."""
+    for f in fun.images[(x, y)]:
         for g in fun.images[(y, z)]:
             image, composite = _functor_sides(fun, x, y, z, g, f)
             if image != composite:
@@ -254,6 +269,24 @@ def _functoriality_witness(fun, x, y, z, fs=None):
                     "composite_of_images": fmt_graded_map(composite),
                 }
     return None
+
+
+def _composition_sums(fun, pairs):
+    """(pair, terms) per basis pair (x, y, z, g, f) of pairs, for
+    graded.first_nonzero_sum: the terms of F(g).F(f) - F(g.f), with the
+    composite g.f read from base.products(x, y, z)."""
+    field = fun.field
+    neg, one = field.neg, field.one()
+    for pair in pairs:
+        x, y, z, g, f = pair
+        xz_images = fun.images[(x, z)]
+        n = f[0] + g[0]
+        terms = [(one, fun.images[(y, z)][g], fun.images[(x, y)][f])]
+        terms += [
+            (neg(c), xz_images[(n, r)])
+            for r, c in fun.base.products(x, y, z).get(f, {}).get(g, ())
+        ]
+        yield pair, terms
 
 
 def _functor_sides(fun, x, y, z, g, f):

@@ -22,6 +22,11 @@ place_blocks derive a map from maps that hold the invariant and build it
 once, already in final form, through GradedMap._built: scaling by zero
 gives the zero map, and a block that cancels in a composite or a sum is
 dropped.
+
+An identity between sums of maps and of composites, checked once per
+basis pair of some category, is decided by first_nonzero_sum: each sum
+is added up entry by entry from the blocks into one flat dict, with no
+map built, and is zero iff every entry is.
 """
 
 from __future__ import annotations
@@ -373,6 +378,51 @@ def combination(source, target, degree, terms):
         if i not in summed or not linalg.is_zero_matrix(field, block):
             blocks[i] = block
     return GradedMap._built(source, target, degree, blocks)
+
+
+def first_nonzero_sum(field, sums):
+    """The key of the first (key, terms) pair of sums whose terms add up to
+    a nonzero map, or None.
+
+    A term is (c, m) for c * m or (c, g, f) for c * (g . f); every term of
+    one sum is a map of one source, target and degree.  A sum is added up
+    entry by entry into one flat {(i, row, col): value} dict, read off the
+    blocks, so no map is built and nothing is composed; it is zero iff
+    every entry is.  sums is read lazily, so the sums after the first
+    nonzero one are never formed.
+    """
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    one = field.one()
+    for key, terms in sums:
+        acc = {}
+        for term in terms:
+            c = term[0]
+            scaled = c != one
+            if len(term) == 2:
+                for i, block in term[1].blocks.items():
+                    for r, row in enumerate(block):
+                        for k, v in enumerate(row):
+                            if not is_zero(v):
+                                x, at = mul(c, v) if scaled else v, (i, r, k)
+                                acc[at] = add(acc[at], x) if at in acc else x
+                continue
+            g, f = term[1], term[2]
+            for i, f_block in f.blocks.items():
+                g_block = g.blocks.get(i + f.degree)
+                if g_block is None:
+                    continue
+                for r, g_row in enumerate(g_block):
+                    for s, w in enumerate(g_row):
+                        if is_zero(w):
+                            continue
+                        cw = mul(c, w) if scaled else w
+                        for k, v in enumerate(f_block[s]):
+                            if not is_zero(v):
+                                x, at = mul(cw, v), (i, r, k)
+                                acc[at] = add(acc[at], x) if at in acc else x
+        if not all(map(is_zero, acc.values())):
+            return key
+    return None
 
 
 def map_from_action(source, target, degree, action):

@@ -98,10 +98,6 @@ def vec_scale(field, c, v):
     return tuple(field.mul(c, x) for x in v)
 
 
-def is_zero_vector(field, v):
-    return all(field.is_zero(x) for x in v)
-
-
 def _eliminate(field, row, c, pivot_row):
     """row - row[c] * pivot_row in place; column c drops out."""
     f = row.pop(c)

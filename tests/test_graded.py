@@ -16,6 +16,7 @@ from dgcat.graded import (
     MapStack,
     combination,
     compose_graded,
+    first_nonzero_sum,
     identity_map,
     kernel,
     map_from_action,
@@ -410,6 +411,52 @@ def test_stacked_composites_equal_pairwise_compose(data):
         for f, gf in zip(fs, row):
             want = compose_graded(g, f)
             assert_built_like_checked(gf, a, g.target, n + g.degree, want.blocks)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_first_nonzero_sum_is_the_first_sum_not_the_zero_map(data):
+    """Sums of terms c * m and c * (g . f), with c in -2..2, against their
+    totals built by combination and compose_graded.  About half of the sums
+    get minus their own total as one more term, so they are zero by
+    cancellation between terms of any coefficient.  No sum after the first
+    nonzero one is read."""
+    field = data.draw(st.sampled_from([QQ, F5]))
+    # every degree of -1..1 present, so that most composites are nonzero
+    a, b, c = (
+        GradedModule(field, {d: data.draw(st.integers(1, 2)) for d in (-1, 0, 1)})
+        for _ in range(3)
+    )
+    n, m = data.draw(st.integers(-1, 1)), data.draw(st.integers(-1, 1))
+
+    def draw_map(source, target, degree):
+        return GradedMap(source, target, degree, data.draw(dense_map(field, source, target, degree)))
+
+    sums = []
+    for key in range(3):
+        terms, values = [], []
+        for _ in range(data.draw(st.integers(0, 3))):
+            coeff = field.from_int(data.draw(st.integers(-2, 2)))
+            if data.draw(st.booleans()):
+                terms.append((coeff, draw_map(a, c, n + m)))
+                values.append((coeff, terms[-1][1]))
+            else:
+                g, f = draw_map(b, c, m), draw_map(a, b, n)
+                terms.append((coeff, g, f))
+                values.append((coeff, compose_graded(g, f)))
+        total = combination(a, c, n + m, values)
+        if data.draw(st.booleans()):
+            terms.append((field.neg(field.one()), total))
+            total = zero_map(a, c, n + m)
+        sums.append((key, terms, total))
+    want = next((key for key, _, total in sums if not total.is_zero()), None)
+
+    def lazily():
+        for key, terms, _ in sums:
+            yield key, terms
+            assert key != want, "a sum after the first nonzero one was read"
+
+    assert first_nonzero_sum(field, lazily()) == want
 
 
 def test_stacked_composites_absent_blocks_empty_middle_and_cancellation():

@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from dgcat.cli import main
+from dgcat.cli import build_parser, main
 from dgcat.errors import StructureError
 from dgcat.fields import Rationals
 from dgcat.fixtures import random_theorem_fixture
@@ -696,3 +697,53 @@ def test_check_equivalence_fails_full_faithful_on_a_non_natural_image(
     bad = checks["full_faithful[o_can->o_can]"]
     assert bad["status"] == "FAIL"
     assert bad["witness"] == {"degree": 0, "not_natural": 0}
+
+
+PARSER_RUNS = [
+    ["validate", "--input", "kkk.json"],
+    ["oppose", "--input", "exterior.json", "--category", "T"],
+    ["validate", "--input", "kkk.json", "--no-such-option"],
+    ["tensor", "--input", "exterior.json", "--left", "T", "--right", "U"],
+    ["oppose", "--input", "kkk.json", "--category", "T", "--seed", "5"],
+    ["check-equivalence", "--input", "kkk.json", "--seed", "3"],
+    ["lambda", "--input", "exterior.json", "--t", "T", "--u", "U", "--bimodule", "M"],
+    ["no-such-command"],
+    ["validate", "--input", "contractible.json", "--seed", "4"],
+]
+
+
+def _without_wall_time(err):
+    return "".join(
+        line for line in err.splitlines(keepends=True) if not line.startswith("wall time:")
+    )
+
+
+def test_one_parser_serves_every_in_process_call(capsys, monkeypatch):
+    """build_parser builds once per process; calls of main in one process,
+    after exit-2 argument errors too and across subcommands, write what
+    a fresh process writes for each."""
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    runs = [
+        [str(FIXTURE_DIR / arg) if arg.endswith(".json") else arg for arg in argv]
+        for argv in PARSER_RUNS
+    ]
+    in_process = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        in_process.append((code, out, _without_wall_time(err)))
+    codes = [code for code, _, _ in in_process]
+    assert codes == [0, 0, 2, 0, 2, 0, 0, 2, 0]
+    for argv, seen in zip(runs, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dgcat.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ),
+        )
+        fresh = (proc.returncode, proc.stdout, _without_wall_time(proc.stderr))
+        assert seen == fresh, argv

@@ -339,7 +339,7 @@ def test_a_functoriality_pass_answers_functorial_on(monkeypatch):
     cat = _axiom_categories(QQ, 1)[2]
     fun = representable_module(cat, cat.objects[0])
     assert validate_dg_functor(fun).passed
-    monkeypatch.setattr(functors, "_functor_sides", None)
+    monkeypatch.setattr(functors, "_composition_sums", None)
     assert fun.functorial_on(cat.spanning())
 
 
