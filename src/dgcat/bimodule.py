@@ -421,15 +421,19 @@ def g_on_objects(bim, B):
     try:
         built = GModule(bim, B)
     except InternalCheckError:
-        for report in (validate_dg_functor(B), validate_bimodule(bim)):
-            if not report.passed:
-                raise ValidationFailure(
-                    f"{report.title} is invalid, so G({B.name}) cannot be built",
-                    report,
-                ) from None
+        refuse_invalid_g_inputs(bim, B)
         raise
     bim._g_modules.append(built)
     return built
+
+
+def refuse_invalid_g_inputs(bim, B):
+    """Raise the report of the first invalid one of B, then M, if any."""
+    for report in (validate_dg_functor(B), validate_bimodule(bim)):
+        if not report.passed:
+            raise ValidationFailure(
+                f"{report.title} is invalid, so G({B.name}) is not defined", report
+            ) from None
 
 
 def g_on_morphisms(bim, g_source, g_target, eps):

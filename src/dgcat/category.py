@@ -37,12 +37,13 @@ opposite category, which opposite_category builds once per tables.  When
 it is False, validate_dg_category runs the scan over every basis triple,
 so the witness is the first failing triple in basis order as before.
 
-Every constructed presentation gets its tables from one helper,
-compose_from_products, which packs the composite of each basis pair
-given as a coordinate vector.  The opposite category and the tensor
-product of two presentations carry the Koszul signs: op-composition
-picks up (-1)^{|a||b|}, and composition in a tensor product picks up
-(-1)^{|b2||a1|} from moving b2 past a1.
+The opposite category transposes the tables with the sign (-1)^{|a||b|},
+the triangular category (lambda_cat) shifts T's, U's and the action
+columns by block offsets, and the rest give each basis pair's composite
+to compose_from_products (a tensor product with the sign (-1)^{|b2||a1|}
+of moving b2 past a1).  The unit laws are read off two tables, and the
+Leibniz and associativity sweeps skip the pairs without a term, whose
+both sides are zero.
 """
 
 from __future__ import annotations
@@ -154,6 +155,7 @@ class DgCategoryPresentation:
             self._associative = not any(
                 _first_unassociative_pair(self, x, y, z, w, generators[(x, y)])
                 for x, y, z, w in itertools.product(self.objects, repeat=4)
+                if generators[(x, y)]
             )
         return self._associative
 
@@ -236,12 +238,9 @@ def validate_dg_category(cat):
             break
     report.add("d_squared", witness is None, witness)
 
-    witness = None
     d_cols = {key: hom.d.columns() for key, hom in cat.hom.items()}
-    for x, y, z in itertools.product(cat.objects, repeat=3):
-        witness = _chain_map_witness(cat, d_cols, x, y, z)
-        if witness:
-            break
+    triples = itertools.product(cat.objects, repeat=3)
+    witness = next(filter(None, (_chain_map_witness(cat, d_cols, *t) for t in triples)), None)
     report.add("composition_chain_map", witness is None, witness)
 
     witness = None
@@ -252,28 +251,9 @@ def validate_dg_category(cat):
             break
     report.add("identity_closed", witness is None, witness)
 
-    witness = None
-    for x in cat.objects:
-        for y in cat.objects:
-            id_y = cat.identity(y)
-            id_x = cat.identity(x)
-            for degree, index in cat.basis_elements(x, y):
-                f = cat.basis_element(x, y, degree, index)
-                left = cat.compose(id_y, f)
-                right = cat.compose(f, id_x)
-                if left.coords != f.coords or right.coords != f.coords:
-                    witness = {
-                        "pair": [x, y],
-                        "basis": [degree, index],
-                        "id_then_f": fmt_vector(field, left.coords),
-                        "f_then_id": fmt_vector(field, right.coords),
-                        "f": fmt_vector(field, f.coords),
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    pairs = itertools.product(cat.objects, repeat=2)
+    units = (_unit_witness(cat, x, y, f) for x, y in pairs for f in cat.basis_elements(x, y))
+    witness = next(filter(None, units), None)
     report.add("units", witness is None, witness)
 
     witness = None
@@ -301,20 +281,36 @@ def _fmt_sparse(field, acc, dim):
     return fmt_vector(field, linalg.dense_vector(field, acc.items(), dim))
 
 
+def _leibniz_pairs(gf_of, d_f, d_g):
+    """The basis pairs (g, f) of one triple, in _chain_map_witness's order,
+    with a term in gf_of for g.f, g.f' (f' a term of df) or g'.f (g' a
+    term of dg); both Leibniz sides are zero at every other pair.  d_f and
+    d_g are the differential columns of hom(x, y) and hom(y, z)."""
+    pairs = {(g, f) for f, per_g in gf_of.items() for g in per_g}
+    for f, column in d_f.items():
+        for s, _ in column:
+            pairs.update((g, f) for g in gf_of.get((f[0] + 1, s), ()))
+    g_sources = {}
+    for g, column in d_g.items():
+        for s, _ in column:
+            g_sources.setdefault((g[0] + 1, s), []).append(g)
+    for f, per_g in gf_of.items():
+        for g2 in per_g:
+            pairs.update((g, f) for g in g_sources.get(g2, ()))
+    return sorted(pairs, key=lambda gf: (gf[0][0] + gf[1][0], gf[0][0], gf[0][1], gf[1][1]))
+
+
 def _chain_map_witness(cat, d_cols, x, y, z):
     """First basis pair (g, f) of the triple, sorted by (|g|+|f|, |g|,
     g index, f index), with d(g.f) != dg.f + (-1)^{|g|} g.df, or None.
 
-    d_cols holds the sparse columns of every hom differential.
+    d_cols holds the sparse columns of every hom differential; only the
+    _leibniz_pairs are visited.
     """
     field = cat.field
     gf_of = cat.products(x, y, z)
     d_f, d_g, d_gf = d_cols[(x, y)], d_cols[(y, z)], d_cols[(x, z)]
-    pairs = sorted(
-        itertools.product(cat.basis_elements(y, z), cat.basis_elements(x, y)),
-        key=lambda gf: (gf[0][0] + gf[1][0], gf[0][0], gf[0][1], gf[1][1]),
-    )
-    for g, f in pairs:
+    for g, f in _leibniz_pairs(gf_of, d_f, d_g):
         n, gdeg = f[0] + g[0], g[0]
         gfs = gf_of.get(f, {})
         lhs, rhs = {}, {}
@@ -338,6 +334,27 @@ def _chain_map_witness(cat, d_cols, x, y, z):
     return None
 
 
+def _unit_witness(cat, x, y, f):
+    """None if 1_y.f = f = f.1_x for the basis morphism f of hom(x, y),
+    else both sides and f, read from the tables of (x, y, y) and (x, x, y)."""
+    field = cat.field
+    left, right = {}, {}
+    after_f, before_f = cat.products(x, y, y).get(f, {}), cat.products(x, x, y)
+    for k, c in enumerate(cat.ids[y]):
+        _add_scaled(field, left, c, after_f.get((0, k), ()))
+    for k, c in enumerate(cat.ids[x]):
+        _add_scaled(field, right, c, before_f.get((0, k), {}).get(f, ()))
+    unit = {f[1]: field.one()}
+    left, right = _nonzero(field, left), _nonzero(field, right)
+    if left == unit == right:
+        return None
+    dim = cat.hom[(x, y)].dim(f[0])
+    sides = {"id_then_f": left, "f_then_id": right, "f": unit}
+    return {"pair": [x, y], "basis": list(f)} | {
+        key: _fmt_sparse(field, side, dim) for key, side in sides.items()
+    }
+
+
 def _first_unassociative_pair(cat, x, y, z, w, fs):
     """First basis pair (f, g), f running over fs in order and g over the
     basis of hom(y, z), with h.(g.f) != (h.g).f for some basis h of
@@ -345,7 +362,8 @@ def _first_unassociative_pair(cat, x, y, z, w, fs):
 
     The difference h.(g.f) - (h.g).f of one pair is summed for all h at
     once into one flat {(h, coordinate): value} dict, over the terms the
-    product tables hold; the pair fails iff an entry is nonzero.
+    product tables hold (none for some pairs); the pair fails iff an entry
+    is nonzero.
     """
     if cat.hom[(x, w)].is_zero():
         return None
@@ -358,9 +376,12 @@ def _first_unassociative_pair(cat, x, y, z, w, fs):
     hg_f_of = cat.products(x, y, w)
     g_basis = tuple(cat.basis_elements(y, z))
     for f in fs:
-        gfs = gf_of.get(f, {})
-        hg_fs = hg_f_of.get(f, {})
+        gfs, hg_fs = gf_of.get(f, {}), hg_f_of.get(f, {})
+        if not gfs and not hg_fs:
+            continue
         for g in g_basis:
+            if g not in gfs and g not in hg_of:
+                continue
             diff = {}
             for r, c in gfs.get(g, ()):
                 for h, terms in h_gf_of.get((f[0] + g[0], r), {}).items():
@@ -492,8 +513,7 @@ def compose_from_products(cat, product):
     product(x, y, z, gdeg, gidx, fdeg, fidx) is the coordinate vector in
     hom(x, z)^(gdeg+fdeg) of the composite of the basis morphisms
     (gdeg, gidx) of hom(y, z) and (fdeg, fidx) of hom(x, y); it is not
-    called when that space is zero.  This is the one loop over object
-    triples that turns such a rule into tables.
+    called when that space is zero.
     """
     field = cat.field
     tables = {}
@@ -523,17 +543,18 @@ def opposite_category(cat):
         return cat._opposite
     field = cat.field
     hom = {(a, b): cat.hom[(b, a)] for a in cat.objects for b in cat.objects}
-    opposite = DgCategoryPresentation(
-        field, cat.objects, hom, {}, cat.ids, name=f"{cat.name}.op"
+    tables = {}
+    for x, y, z in itertools.product(cat.objects, repeat=3):
+        # b in hom(z,y) is the op-morphism y->z and a in hom(y,x) the
+        # op-morphism x->y; b after a in the opposite is (-1)^{|a||b|} a.b
+        table = tables[(x, y, z)] = {}
+        for b, per_a in cat.products(z, y, x).items():
+            for a, terms in per_a.items():
+                sgn = field.sign(a[0] * b[0])
+                table.setdefault(a, {})[b] = tuple((r, field.mul(sgn, c)) for r, c in terms)
+    cat._opposite = DgCategoryPresentation(
+        field, cat.objects, hom, tables, cat.ids, name=f"{cat.name}.op"
     )
-
-    def product(x, y, z, p, ib, q, ia):
-        # b in hom(z,y)^p is the op-morphism y->z and a in hom(y,x)^q the
-        # op-morphism x->y; compose a . b in cat and twist by (-1)^{pq}.
-        out = cat.compose_basis_coords(z, y, x, q, ia, p, ib)
-        return linalg.vec_scale(field, field.sign(p * q), out)
-
-    cat._opposite = compose_from_products(opposite, product)
     return cat._opposite
 
 

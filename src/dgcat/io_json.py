@@ -32,7 +32,7 @@ import json
 import math
 from itertools import product
 
-from .bimodule import Bimodule, g_on_objects
+from .bimodule import Bimodule, g_on_objects, refuse_invalid_g_inputs
 from .category import DgCategoryPresentation
 from .comma import CommaObject
 from .complexes import DgModule, zero_dg_module
@@ -479,16 +479,21 @@ def parse_comma_object(field, name, data, workspace, path):
             raise StructureError(f"{path}.{key}: module is over the wrong category")
     gb = g_on_objects(bim, B)
     f = {}
-    for (t,), per_degree, at in _table(
-        data.get("f", {}), f"{path}.f", bim.right_base.objects
-    ):
-        src = A.on_objects[t].carrier
-        tgt = gb.functor.on_objects[t].carrier
-        blocks = {
-            k: parse_matrix(field, rows, at_k, (tgt.dim(k), src.dim(k)))
-            for k, rows, at_k in _degrees(per_degree, at)
-        }
-        f[t] = GradedMap(src, tgt, 0, blocks)
+    try:
+        for (t,), per_degree, at in _table(
+            data.get("f", {}), f"{path}.f", bim.right_base.objects
+        ):
+            src = A.on_objects[t].carrier
+            tgt = gb.functor.on_objects[t].carrier
+            blocks = {
+                k: parse_matrix(field, rows, at_k, (tgt.dim(k), src.dim(k)))
+                for k, rows, at_k in _degrees(per_degree, at)
+            }
+            f[t] = GradedMap(src, tgt, 0, blocks)
+    except StructureError:
+        # an invalid B or M can build a G(B) of other dimensions than f's
+        refuse_invalid_g_inputs(bim, B)
+        raise
     return CommaObject(bim, A, B, f, name=name), refs
 
 

@@ -6,7 +6,8 @@ functors evaluate at are honest objects.  The hom space of a pair of
 objects is the direct sum (t-block, m-block, u-block) of hom_T(t, t'),
 M(u', t) and hom_U(u, u') with the blockwise differential; composition
 is lower-triangular 2x2 matrix multiplication driven by the two bullet
-actions of the bimodule.
+actions of the bimodule, so the product tables are read off T's and U's
+tables and the action images' columns, shifted by block offsets.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from . import linalg
 from .category import (
     DgCategoryPresentation,
     ZERO_OBJECT,
-    compose_from_products,
     validate_dg_category,
     with_zero_object,
 )
 from .complexes import DgModule, zero_dg_module
 from .errors import StructureError, ValidationFailure
-from .graded import DirectSum, Homog, basis_vector, homogeneous_basis
+from .graded import DirectSum, Homog, homogeneous_basis
 from .bimodule import validate_bimodule
 from .functors import functor_from_basis_images
 from .report import Report, first_mismatch
@@ -146,36 +146,9 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
         ds = sums[(p, p)]
         t_id = ds.inject(SLOT_T, 0, t_ext.ids[t])
         ids[p] = linalg.vec_add(field, t_id, ds.inject(SLOT_U, 0, u_ext.ids[u]))
-    presentation = DgCategoryPresentation(field, pair_of, hom, {}, ids, name=name)
+    tables = _lambda_products(t_ext, u_ext, bimodule, pair_of, sums)
+    presentation = DgCategoryPresentation(field, pair_of, hom, tables, ids, name=name)
     lam = LambdaCategory(t_cat, u_cat, bimodule, presentation, sums)
-
-    def matrix_product(p1, p2, p3, gdeg, gidx, fdeg, fidx):
-        # lower-triangular matrix multiplication; the m-block of the
-        # composite is m2 . t1 or u2 . m1, the two bullet actions
-        slot_g, lg = lam.slots[(p2, p3)][gdeg][gidx]
-        slot_f, lf = lam.slots[(p1, p2)][fdeg][fidx]
-        (t1, u1), (t2, u2), (t3, u3) = pair_of[p1], pair_of[p2], pair_of[p3]
-        n = gdeg + fdeg
-        if slot_g == slot_f == SLOT_T:
-            out = t_ext.compose_basis_coords(t1, t2, t3, gdeg, lg, fdeg, lf)
-            return sums[(p1, p3)].inject(SLOT_T, n, out)
-        if slot_g == slot_f == SLOT_U:
-            out = u_ext.compose_basis_coords(u1, u2, u3, gdeg, lg, fdeg, lf)
-            return sums[(p1, p3)].inject(SLOT_U, n, out)
-        if (slot_g, slot_f) == (SLOT_M, SLOT_T):
-            # m2 . t1 = (-1)^{|m2||t1|} M(1 (x) t1^op)(m2)
-            image = bimodule.right_images[(t1, t2, u3)][(fdeg, lf)]
-            out = image.apply(gdeg, basis_vector(image.source, gdeg, lg).coords)
-            out = linalg.vec_scale(field, field.sign(gdeg * fdeg), out)
-            return sums[(p1, p3)].inject(SLOT_M, n, out)
-        if (slot_g, slot_f) == (SLOT_U, SLOT_M):
-            # u2 . m1 = M(u2 (x) 1)(m1)
-            image = bimodule.left_images[(u2, u3, t1)][(gdeg, lg)]
-            out = image.apply(fdeg, basis_vector(image.source, fdeg, lf).coords)
-            return sums[(p1, p3)].inject(SLOT_M, n, out)
-        return (field.zero(),) * presentation.hom[(p1, p3)].dim(n)
-
-    compose_from_products(presentation, matrix_product)
     if validate:
         rep = validate_dg_category(presentation)
         if not rep.passed:
@@ -185,6 +158,43 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
                 rep,
             )
     return lam
+
+
+def _lambda_products(t_ext, u_ext, bimodule, pair_of, sums):
+    """Lambda's tables: (t2, m2, u2).(t1, m1, u1) = (t2.t1, m2.t1 + u2.m1,
+    u2.u1), from T's and U's tables and the action images' columns with
+    each index moved by its block's offset (the t-block's is 0)."""
+    field = t_ext.field
+    right, left = (
+        {key: {a: im.columns() for a, im in per.items()} for key, per in images.items()}
+        for images in (bimodule.right_images, bimodule.left_images)
+    )
+    tables = {}
+    for (p1, (t1, u1)), (p2, (t2, u2)), (p3, (t3, u3)) in product(
+        pair_of.items(), repeat=3
+    ):
+        off12, off23, off13 = (sums[key].offset for key in ((p1, p2), (p2, p3), (p1, p3)))
+        table = {f: dict(per_g) for f, per_g in t_ext.products(t1, t2, t3).items()}
+        for (fd, fi), per_g in u_ext.products(u1, u2, u3).items():
+            per_f = table.setdefault((fd, off12(SLOT_U, fd) + fi), {})
+            for (gd, gi), terms in per_g.items():
+                shift = off13(SLOT_U, fd + gd)
+                per_f[(gd, off23(SLOT_U, gd) + gi)] = tuple((r + shift, c) for r, c in terms)
+        # m2.t1 = (-1)^{|m2||t1|} M(1 (x) t1^op)(m2): a column of t1's image
+        for (fd, fi), columns in right.get((t1, t2, u3), {}).items():
+            for (gd, gi), column in columns.items():
+                shift, sgn = off13(SLOT_M, fd + gd), field.sign(gd * fd)
+                table.setdefault((fd, fi), {})[(gd, off23(SLOT_M, gd) + gi)] = tuple(
+                    (r + shift, field.mul(sgn, c)) for r, c in column
+                )
+        # u2.m1 = M(u2 (x) 1)(m1): a column of u2's image
+        for (gd, gi), columns in left.get((u2, u3, t1), {}).items():
+            g = (gd, off23(SLOT_U, gd) + gi)
+            for (fd, fi), column in columns.items():
+                shift, f = off13(SLOT_M, fd + gd), (fd, off12(SLOT_M, fd) + fi)
+                table.setdefault(f, {})[g] = tuple((r + shift, c) for r, c in column)
+        tables[(p1, p2, p3)] = table
+    return tables
 
 
 def lambda_leibniz_check(lam):

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import path_category
+from dgcat import linalg
 from dgcat.category import (
+    DgCategoryPresentation,
+    compose_from_products,
     one_object_category,
     opposite_category,
     tensor_category,
@@ -20,6 +23,7 @@ from dgcat.fixtures import (
     random_endo_category,
     trivial_category,
 )
+from dgcat.shipped import SHIPPED_BUILDERS
 
 QQ = Rationals()
 
@@ -165,6 +169,46 @@ def test_opposite_degree_zero_is_plain_reversal():
     f = opp.basis_element("x1", "x0", 0, 0)
     g = opp.basis_element("x2", "x1", 0, 0)
     assert opp.compose(f, g).coords == (Fraction(1),)
+
+
+def _per_pair_opposite_tables(cat):
+    """The opposite's tables as the per-pair rule gives them: each basis
+    pair composed densely in cat, twisted by (-1)^{|a||b|} and packed by
+    compose_from_products."""
+    field = cat.field
+    hom = {(a, b): cat.hom[(b, a)] for a in cat.objects for b in cat.objects}
+    opposite = DgCategoryPresentation(field, cat.objects, hom, {}, cat.ids)
+
+    def product(x, y, z, p, ib, q, ia):
+        out = cat.compose_basis_coords(z, y, x, q, ia, p, ib)
+        return linalg.vec_scale(field, field.sign(p * q), out)
+
+    compose_from_products(opposite, product)
+    return {key: opposite.products(*key) for key in itertools.product(cat.objects, repeat=3)}
+
+
+def test_opposite_tables_equal_the_per_pair_rule(theorem_fixtures):
+    """The transposed tables equal the per-pair rule on the shipped and the
+    theorem categories and triangular categories, over Q and F_5."""
+    cats = [
+        ws.categories[name] for ws in (b() for b in SHIPPED_BUILDERS.values())
+        for name in ("T", "U")
+    ]
+    for fx in theorem_fixtures:
+        cats += [fx["t_cat"], fx["u_cat"], fx["lambda"].presentation]
+    assert {str(cat.field) for cat in cats} == {str(QQ), str(PrimeField(5))}
+    odd = 0
+    for cat in cats:
+        opp = opposite_category(cat)
+        tables = {key: opp.products(*key) for key in itertools.product(cat.objects, repeat=3)}
+        assert tables == _per_pair_opposite_tables(cat), cat.name
+        odd += sum(
+            f[0] * g[0] % 2
+            for table in tables.values()
+            for f, per_g in table.items()
+            for g in per_g
+        )
+    assert odd > 0
 
 
 def test_opposite_is_built_once_per_product_tables():

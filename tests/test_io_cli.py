@@ -596,6 +596,32 @@ def test_input_that_g_cannot_be_built_from_exits_1_with_its_report(
         assert f"{title} is invalid, so G(" in err
 
 
+def test_comma_object_over_an_invalid_bimodule_exits_1_with_its_report(
+    tmp_path, capsys
+):
+    # The left action of the identity of u doubled: G(B) still builds, with
+    # G(B)(t) zero, so the f of o_can no longer fits it.  The bimodule is
+    # at fault, so every command stops with its report, not a shape error.
+    document = json.loads(fixture_text("exterior"))
+    document["bimodules"]["M"]["left_action"]["u"]["u"]["t"][0][5] = "2"
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(document), encoding="utf-8")
+    for command in ("validate", "check-equivalence"):
+        capsys.readouterr()
+        assert main([command, "--input", str(src)]) == 1
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["title"] == "bimodule M"
+        assert _failing(report) == ["t_slice[t]"]
+        assert "bimodule M is invalid, so G(B) is not defined" in err
+    # with a valid bimodule, an f of the wrong shape is still a shape error
+    document = json.loads(fixture_text("exterior"))
+    document["comma_objects"]["o_can"]["f"]["t"]["0"][0].append("1")
+    src.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["validate", "--input", str(src)]) == 2
+    assert "matrix has wrong shape" in capsys.readouterr().err
+
+
 def test_cli_validate_checks_a_large_unit_sparsely(tmp_path):
     # A module acting by zero on a 100000-dimensional value: an identity
     # matrix of that size would hold 10^10 entries, so only a check that

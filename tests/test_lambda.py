@@ -1,19 +1,34 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from dgcat import linalg
 from dgcat.bimodule import Bimodule
-from dgcat.category import validate_dg_category
+from dgcat.category import (
+    DgCategoryPresentation,
+    compose_from_products,
+    validate_dg_category,
+    with_zero_object,
+)
 from dgcat.errors import ValidationFailure
 from dgcat.fields import PrimeField, Rationals
-from dgcat.fixtures import random_theorem_fixture, zero_bimodule
+from dgcat.fixtures import random_axiom_fixture, random_theorem_fixture, zero_bimodule
 from dgcat.functors import representable_module, validate_dg_functor
-from dgcat.graded import Homog
-from dgcat.lambda_cat import build_lambda, lambda_leibniz_check, restrict_module
+from dgcat.graded import Homog, basis_vector
+from dgcat.lambda_cat import (
+    SLOT_M,
+    SLOT_T,
+    SLOT_U,
+    build_lambda,
+    lambda_leibniz_check,
+    restrict_module,
+)
+from dgcat.shipped import SHIPPED_BUILDERS
 from tests.test_bimodule import kkk_setup, random_setup, with_first_right_action_negated
 
 QQ = Rationals()
+F5 = PrimeField(5)
 
 
 def test_kkk_lambda_end_dims_and_table():
@@ -203,3 +218,104 @@ def test_restrict_on_random_lambda_representables():
         r1, r2 = validate_dg_functor(c1), validate_dg_functor(c2)
         assert r1.passed, r1.render()
         assert r2.passed, r2.render()
+
+
+def _oracle_tables(lam):
+    """Lambda's product tables as the per-pair rule gives them: every basis
+    pair of every object triple is multiplied as lower-triangular 2x2
+    matrices through the bullet actions, and the dense composites are
+    packed by compose_from_products."""
+    pres, bimodule = lam.presentation, lam.bimodule
+    field = pres.field
+    t_ext, u_ext = with_zero_object(lam.t_cat), with_zero_object(lam.u_cat)
+    pair_of = {p: tuple(p.split("|", 1)) for p in pres.objects}
+    sums, slots = lam.sums, lam.slots
+
+    def matrix_product(p1, p2, p3, gdeg, gidx, fdeg, fidx):
+        slot_g, lg = slots[(p2, p3)][gdeg][gidx]
+        slot_f, lf = slots[(p1, p2)][fdeg][fidx]
+        (t1, u1), (t2, u2), (t3, u3) = pair_of[p1], pair_of[p2], pair_of[p3]
+        n = gdeg + fdeg
+        if slot_g == slot_f == SLOT_T:
+            out = t_ext.compose_basis_coords(t1, t2, t3, gdeg, lg, fdeg, lf)
+            return sums[(p1, p3)].inject(SLOT_T, n, out)
+        if slot_g == slot_f == SLOT_U:
+            out = u_ext.compose_basis_coords(u1, u2, u3, gdeg, lg, fdeg, lf)
+            return sums[(p1, p3)].inject(SLOT_U, n, out)
+        if (slot_g, slot_f) == (SLOT_M, SLOT_T):
+            image = bimodule.right_images[(t1, t2, u3)][(fdeg, lf)]
+            out = image.apply(gdeg, basis_vector(image.source, gdeg, lg).coords)
+            out = linalg.vec_scale(field, field.sign(gdeg * fdeg), out)
+            return sums[(p1, p3)].inject(SLOT_M, n, out)
+        if (slot_g, slot_f) == (SLOT_U, SLOT_M):
+            image = bimodule.left_images[(u2, u3, t1)][(gdeg, lg)]
+            out = image.apply(fdeg, basis_vector(image.source, fdeg, lf).coords)
+            return sums[(p1, p3)].inject(SLOT_M, n, out)
+        return (field.zero(),) * pres.hom[(p1, p3)].dim(n)
+
+    oracle = DgCategoryPresentation(field, pres.objects, pres.hom, {}, pres.ids)
+    compose_from_products(oracle, matrix_product)
+    return _tables(oracle)
+
+
+def _tables(cat):
+    return {key: cat.products(*key) for key in itertools.product(cat.objects, repeat=3)}
+
+
+def _odd_sign_terms(lam):
+    """The number of table entries m.t with |m| and |t| both odd."""
+    pres = lam.presentation
+    count = 0
+    for p1, p2, p3 in itertools.product(pres.objects, repeat=3):
+        for f, per_g in pres.products(p1, p2, p3).items():
+            for g in per_g:
+                if f[0] % 2 and g[0] % 2:
+                    slot_f = lam.slots[(p1, p2)][f[0]][f[1]][0]
+                    slot_g = lam.slots[(p2, p3)][g[0]][g[1]][0]
+                    count += (slot_g, slot_f) == (SLOT_M, SLOT_T)
+    return count
+
+
+def _lambdas(theorem_fixtures):
+    for name, builder in SHIPPED_BUILDERS.items():
+        ws = builder()
+        yield name, (ws.categories["T"], ws.categories["U"], ws.bimodules["M"])
+    for fx in theorem_fixtures:
+        yield fx["name"], (fx["t_cat"], fx["u_cat"], fx["bimodule"])
+    for field, seed in itertools.product((QQ, F5), range(10)):
+        fx = random_axiom_fixture(seed, field)
+        yield f"axiom{seed}/{field}", (fx["t_cat"], fx["u_cat"], fx["bimodule"])
+
+
+def test_lambda_tables_equal_the_per_pair_rule(theorem_fixtures):
+    """The blockwise tables equal the per-pair matrix products on every
+    shipped, theorem and axiom instance, over Q and F_5."""
+    odd_signs, d_of_m = 0, set()
+    for name, inputs in _lambdas(theorem_fixtures):
+        lam = build_lambda(*inputs, validate=False)
+        assert _tables(lam.presentation) == _oracle_tables(lam), name
+        odd_signs += _odd_sign_terms(lam)
+        if any(not value.d.is_zero() for value in lam.bimodule.values.values()):
+            d_of_m.add(name)
+    # the sign (-1)^{|m||t|} is -1 on some entries, and contractible's
+    # bimodule has a nonzero differential
+    assert odd_signs > 0
+    assert "contractible" in d_of_m
+
+
+def test_build_lambda_reads_no_composite_pair_by_pair(monkeypatch):
+    """Work-count guard: the tables of Lambda are read off the tables of T
+    and U and the action images, and the validation of its inputs and of
+    Lambda reads tables too; no basis pair is composed on its own."""
+    fx = random_theorem_fixture(6, QQ, max_objects=2)
+    calls = []
+    compose_basis = DgCategoryPresentation.compose_basis
+
+    def counted(self, *args):
+        calls.append(args)
+        return compose_basis(self, *args)
+
+    monkeypatch.setattr(DgCategoryPresentation, "compose_basis", counted)
+    lam = build_lambda(fx["t_cat"], fx["u_cat"], fx["bimodule"])
+    assert len(lam.presentation.objects) == 6
+    assert calls == []
