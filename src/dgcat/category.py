@@ -37,13 +37,14 @@ opposite category, which opposite_category builds once per tables.  When
 it is False, validate_dg_category runs the scan over every basis triple,
 so the witness is the first failing triple in basis order as before.
 
-The opposite category transposes the tables with the sign (-1)^{|a||b|},
-the triangular category (lambda_cat) shifts T's, U's and the action
-columns by block offsets, and the rest give each basis pair's composite
-to compose_from_products (a tensor product with the sign (-1)^{|b2||a1|}
-of moving b2 past a1).  The unit laws are read off two tables, and the
-Leibniz and associativity sweeps skip the pairs without a term, whose
-both sides are zero.
+Every table is written from other tables, never by composing basis
+pairs one at a time: the opposite category transposes them with the sign
+(-1)^{|a||b|}, the triangular category (lambda_cat) shifts T's, U's and
+the action columns by block offsets, and the tensor category pairs each
+entry of one factor's table with each entry of the other's, with the
+sign (-1)^{|b2||a1|} of moving b2 past a1.  The unit laws are read off
+two tables, and the Leibniz and associativity sweeps skip the pairs
+without a term, whose both sides are zero.
 """
 
 from __future__ import annotations
@@ -164,14 +165,6 @@ class DgCategoryPresentation:
         in hom(x,z)^(gdeg+fdeg), read from products(x, y, z)."""
         return self._products[(x, y, z)].get((fdeg, fidx), {}).get((gdeg, gidx), ())
 
-    def compose_basis_coords(self, x, y, z, gdeg, gidx, fdeg, fidx):
-        """compose_basis as a dense coordinate vector in hom(x,z)^(gdeg+fdeg)."""
-        return linalg.dense_vector(
-            self.field,
-            self.compose_basis(x, y, z, gdeg, gidx, fdeg, fidx),
-            self.hom[(x, z)].dim(gdeg + fdeg),
-        )
-
     def element(self, source, target, degree, coords):
         coords = tuple(coords)
         if len(coords) != self.hom[(source, target)].dim(degree):
@@ -193,28 +186,6 @@ class DgCategoryPresentation:
 
     def identity(self, x):
         return HomElement(x, x, 0, self.ids[x])
-
-    def compose(self, g, f):
-        """g after f, extended bilinearly from the structure tensor."""
-        if f.target != g.source:
-            raise StructureError(
-                f"morphisms not composable: {f.source}->{f.target} then {g.source}->{g.target}"
-            )
-        field = self.field
-        n = g.degree + f.degree
-        out = [field.zero()] * self.hom[(f.source, g.target)].dim(n)
-        for gi, gval in enumerate(g.coords):
-            if field.is_zero(gval):
-                continue
-            for fi, fval in enumerate(f.coords):
-                if field.is_zero(fval):
-                    continue
-                weight = field.mul(gval, fval)
-                for r, coeff in self.compose_basis(
-                    f.source, f.target, g.target, g.degree, gi, f.degree, fi
-                ):
-                    out[r] = field.add(out[r], field.mul(weight, coeff))
-        return HomElement(f.source, g.target, n, tuple(out))
 
     def differential(self, e):
         out = self.hom[(e.source, e.target)].d.apply(e.degree, e.coords)
@@ -507,35 +478,6 @@ def _spanning_closure(cat):
     )
 
 
-def compose_from_products(cat, product):
-    """Install on cat the product tables given by product; returns cat.
-
-    product(x, y, z, gdeg, gidx, fdeg, fidx) is the coordinate vector in
-    hom(x, z)^(gdeg+fdeg) of the composite of the basis morphisms
-    (gdeg, gidx) of hom(y, z) and (fdeg, fidx) of hom(x, y); it is not
-    called when that space is zero.
-    """
-    field = cat.field
-    tables = {}
-    for x, y, z in itertools.product(cat.objects, repeat=3):
-        table = tables[(x, y, z)] = {}
-        pairs = itertools.product(cat.basis_elements(x, y), cat.basis_elements(y, z))
-        for f, g in pairs:
-            dim = cat.hom[(x, z)].dim(f[0] + g[0])
-            if not dim:
-                continue
-            out = product(x, y, z, *g, *f)
-            if len(out) != dim:
-                raise StructureError(
-                    f"composite in hom({x},{z}) has length {len(out)}, expected {dim}"
-                )
-            terms = tuple((r, c) for r, c in enumerate(out) if not field.is_zero(c))
-            if terms:
-                table.setdefault(f, {})[g] = terms
-    cat.set_products(tables)
-    return cat
-
-
 def opposite_category(cat):
     """Same objects, reversed homs, composition with the (-1)^{|a||b|} sign;
     built on first call and kept on cat until set_products."""
@@ -559,7 +501,13 @@ def opposite_category(cat):
 
 
 def tensor_category(cat_a, cat_b, name=None):
-    """Product objects, tensor-complex homs, interchange-signed composition."""
+    """Product objects, tensor-complex homs, interchange-signed composition.
+
+    (a2 (x) b2) . (a1 (x) b1) = (-1)^{|b2||a1|} (a2 . a1) (x) (b2 . b1), so
+    each entry (a1, a2) of A's table, paired with each entry (b1, b2) of
+    B's, is one entry of the product's table.  Distinct row pairs of the
+    two composites are distinct pure tensors, so no terms are summed.
+    """
     if cat_a.field != cat_b.field:
         raise StructureError("tensor product over mismatched fields")
     field = cat_a.field
@@ -577,20 +525,28 @@ def tensor_category(cat_a, cat_b, name=None):
         for p, (xa, xb) in pair_of.items()
     }
     hom = {key: tensor.module for key, tensor in hom_tensors.items()}
-    result = DgCategoryPresentation(field, pair_of, hom, {}, ids, name=name)
-
-    def product(p, q, r, gdeg, gidx, fdeg, fidx):
-        # (a2 (x) b2) . (a1 (x) b1) = (-1)^{|b2||a1|} (a2 . a1) (x) (b2 . b1)
+    tables = {}
+    for p, q, r in itertools.product(pair_of, repeat=3):
         (xa, xb), (ya, yb), (za, zb) = pair_of[p], pair_of[q], pair_of[r]
-        p2, ia2, ib2 = hom_tensors[(q, r)].basis(gdeg)[gidx]
-        p1, ia1, ib1 = hom_tensors[(p, q)].basis(fdeg)[fidx]
-        q2, q1 = gdeg - p2, fdeg - p1
-        alpha = cat_a.compose_basis_coords(xa, ya, za, p2, ia2, p1, ia1)
-        beta = cat_b.compose_basis_coords(xb, yb, zb, q2, ib2, q1, ib1)
-        out = hom_tensors[(p, r)].encode_pure(p2 + p1, alpha, q2 + q1, beta)
-        return linalg.vec_scale(field, field.sign(q2 * p1), out)
-
-    return compose_from_products(result, product)
+        f_index, g_index, gf_index = (
+            hom_tensors[key].index for key in ((p, q), (q, r), (p, r))
+        )
+        a_entries, b_entries = (
+            [(f, g, terms) for f, per_g in table.items() for g, terms in per_g.items()]
+            for table in (cat_a.products(xa, ya, za), cat_b.products(xb, yb, zb))
+        )
+        table = tables[(p, q, r)] = {}
+        for (a1, a2, a_terms), (b1, b2, b_terms) in itertools.product(a_entries, b_entries):
+            fdeg, gdeg = a1[0] + b1[0], a2[0] + b2[0]
+            f = (fdeg, f_index(fdeg)[(a1[0], a1[1], b1[1])])
+            g = (gdeg, g_index(gdeg)[(a2[0], a2[1], b2[1])])
+            rows, sgn = gf_index(fdeg + gdeg), field.sign(b2[0] * a1[0])
+            table.setdefault(f, {})[g] = tuple(
+                (rows[(a1[0] + a2[0], ra, rb)], field.mul(sgn, field.mul(ca, cb)))
+                for ra, ca in a_terms
+                for rb, cb in b_terms
+            )
+    return DgCategoryPresentation(field, pair_of, hom, tables, ids, name=name)
 
 
 def with_zero_object(cat, marker=ZERO_OBJECT):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from . import linalg
 from .errors import StructureError
 from .graded import GradedMap, GradedModule, map_from_action, zero_module
 
@@ -127,6 +126,10 @@ class _PairComplex:
     def basis(self, n):
         return self._basis.get(n, ())
 
+    def index(self, n):
+        """{(i, a, b): position} of the basis of degree n."""
+        return self._index.get(n, {})
+
 
 class HomComplex(_PairComplex):
     """Hom(M, N) as a dg K-module with the elementary-map basis."""
@@ -168,11 +171,6 @@ class HomComplex(_PairComplex):
         if gmap.source != self.source.carrier or gmap.target != self.target.carrier:
             raise StructureError("graded map does not belong to this hom complex")
         return tuple(gmap.entry(i, b, a) for i, a, b in self.basis(gmap.degree))
-
-    def decode_basis(self, n, k):
-        """The k-th elementary map of degree n."""
-        field = self.source.field
-        return self.decode(n, linalg.unit_vector(field, self.carrier.dim(n), k))
 
     def decode(self, n, vec):
         """The graded map of degree n with the given coordinates."""

@@ -1,37 +1,36 @@
 """Standard constructions and the seeded random fixture generator.
 
 Random dg-categories are built as endomorphism categories of randomly
-chosen dg K-modules: homs are Hom complexes and composition is actual
-composition of graded maps, so every axiom holds by construction while
-differentials and signs stay genuinely nonzero.  Distributions are
-documented on the generators; every random object is reproducible from
-its seed.
+chosen dg K-modules: homs are Hom complexes, whose elementary maps
+compose by one rule (_elementary_composites), so every axiom holds by
+construction while differentials and signs stay genuinely nonzero.  The
+same rule writes the Hom actions of hom_bimodule and hom_from_module.
+Distributions are documented on the generators; every random object is
+reproducible from its seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from . import linalg
 from .bimodule import Bimodule, g_on_objects
-from .category import (
-    DgCategoryPresentation,
-    compose_from_products,
-    one_object_category,
-)
+from .category import DgCategoryPresentation, one_object_category
 from .comma import CommaObject
 from .complexes import DgModule, HomComplex, dg_module
 from .functors import (
+    DgFunctor,
     dgnat_differential,
     dgnat_space,
     direct_sum_functors,
-    functor_from_basis_images,
+    images_from_entries,
     linear_combination,
     nat_to_flat,
     nat_unknowns,
     representable_module,
 )
-from .graded import GradedMap, GradedModule, identity_map, map_from_action
+from .graded import GradedMap, GradedModule
 from .lambda_cat import build_lambda
 
 # ---------------------------------------------------------------------------
@@ -60,22 +59,43 @@ def endomorphism_category(field, modules, name="End"):
     """Full sub-dg-category of dg K-modules on the given named modules.
 
     modules: ordered dict-like of name -> DgModule.  Homs are Hom
-    complexes; composition composes the decoded graded maps, making
-    every axiom true by construction.
+    complexes, the identities are the sums of the elementary maps
+    (i, a, a), and the tables are the composites of _elementary_composites,
+    so every axiom is true by construction.
     """
     names = tuple(modules)
-    hom_cx = {(x, y): HomComplex(modules[x], modules[y]) for x in names for y in names}
+    hom_cx = _hom_complexes(names, modules)
     hom = {key: hc.module for key, hc in hom_cx.items()}
-    ids = {x: hom_cx[(x, x)].encode(identity_map(modules[x].carrier)) for x in names}
-    cat = DgCategoryPresentation(field, names, hom, {}, ids, name=name)
+    one, zero = field.one(), field.zero()
+    ids = {
+        x: tuple(one if a == b else zero for _, a, b in hom_cx[(x, x)].basis(0))
+        for x in names
+    }
+    tables = {}
+    for x, y, z in itertools.product(names, repeat=3):
+        table = tables[(x, y, z)] = {}
+        pairs = _elementary_composites(hom_cx[(x, y)], hom_cx[(y, z)], hom_cx[(x, z)])
+        for f, g, (_, h) in pairs:
+            table.setdefault(f, {})[g] = ((h, one),)
+    return DgCategoryPresentation(field, names, hom, tables, ids, name=name), hom_cx
 
-    def product(x, y, z, gdeg, gidx, fdeg, fidx):
-        gmap = hom_cx[(y, z)].decode_basis(gdeg, gidx)
-        fmap = hom_cx[(x, y)].decode_basis(fdeg, fidx)
-        return hom_cx[(x, z)].encode(gmap.compose(fmap))
 
-    compose_from_products(cat, product)
-    return cat, hom_cx
+def _elementary_composites(first, second, product):
+    """(f, g, g.f) for every pair of elementary maps, f of first = Hom(L, M)
+    and g of second = Hom(M, N), whose composite is not zero.
+
+    Each is a (degree, index) of its Hom complex.  The elementary map
+    (i, a, b) of degree n followed by (i + n, b, c) is (i, a, c) of
+    product = Hom(L, N), with coefficient 1; every other pair composes to 0.
+    """
+    after = {}
+    for m in second.carrier.degrees():
+        for k, (j, b, c) in enumerate(second.basis(m)):
+            after.setdefault((j, b), []).append((m, k, c))
+    for n in first.carrier.degrees():
+        for k, (i, a, b) in enumerate(first.basis(n)):
+            for m, l, c in after.get((i + n, b), ()):
+                yield (n, k), (m, l), (n + m, product.index(n + m)[(i, a, c)])
 
 
 # ---------------------------------------------------------------------------
@@ -144,81 +164,61 @@ def hom_bimodule(u_cat, u_modules, t_cat, t_modules, name="M"):
     the left action postcomposes, the right action precomposes with the
     contravariant Koszul sign (-1)^{|t||m|}.
     """
-    field = u_cat.field
     value_hom = {
         (u, t): HomComplex(t_modules[t], u_modules[u])
         for u in u_cat.objects
         for t in t_cat.objects
     }
     values = {key: hc.module for key, hc in value_hom.items()}
-    u_hom_cx = _hom_complexes(u_cat, u_modules)
-    t_hom_cx = _hom_complexes(t_cat, t_modules)
-
+    u_hom_cx = _hom_complexes(u_cat.objects, u_modules)
+    t_hom_cx = _hom_complexes(t_cat.objects, t_modules)
     left_images = {
-        (u, u2, t): {
-            (m, k): _post_composition(
-                g_cx, value_hom[(u, t)], value_hom[(u2, t)], m, k
-            )
-            for m, k in u_cat.basis_elements(u, u2)
-        }
+        (u, u2, t): _post_composition(g_cx, value_hom[(u, t)], value_hom[(u2, t)])
         for (u, u2), g_cx in u_hom_cx.items()
         for t in t_cat.objects
     }
     right_images = {
-        (t, t2, u): {
-            (m, k): _pre_composition(
-                field, s_cx, value_hom[(u, t2)], value_hom[(u, t)], m, k
-            )
-            for m, k in t_cat.basis_elements(t, t2)
-        }
+        (t, t2, u): _pre_composition(s_cx, value_hom[(u, t2)], value_hom[(u, t)])
         for (t, t2), s_cx in t_hom_cx.items()
         for u in u_cat.objects
     }
     return Bimodule(u_cat, t_cat, values, left_images, right_images, name=name)
 
 
-def _hom_complexes(cat, modules):
-    return {
-        (x, y): HomComplex(modules[x], modules[y])
-        for x in cat.objects
-        for y in cat.objects
-    }
+def _hom_complexes(objects, modules):
+    pairs = itertools.product(objects, repeat=2)
+    return {(x, y): HomComplex(modules[x], modules[y]) for x, y in pairs}
 
 
-def _post_composition(g_cx, src, tgt, m, k):
-    """Hom(P, Q) -> Hom(P, Q'), j |-> g . j for the basis map g = (m, k) of
-    g_cx = Hom(Q, Q'); src and tgt are the two Hom complexes."""
-    g = g_cx.decode_basis(m, k)
+def _post_composition(g_cx, src, tgt):
+    """{g: Hom(P, Q) -> Hom(P, Q'), j |-> g . j} for the elementary maps g
+    of g_cx = Hom(Q, Q') that act by a nonzero map; src and tgt are the two
+    Hom complexes."""
+    one = src.carrier.field.one()
+    pairs = _elementary_composites(src, g_cx, tgt)
+    entries = ((g, (i, h, j, one)) for (i, j), g, (_, h) in pairs)
+    return images_from_entries(src.carrier, tgt.carrier, entries)
 
-    def column(i, j):
-        return tgt.encode(g.compose(src.decode_basis(i, j)))
 
-    return map_from_action(src.carrier, tgt.carrier, m, column)
-
-
-def _pre_composition(field, s_cx, src, tgt, m, k):
-    """Hom(P', Q) -> Hom(P, Q), j |-> (-1)^{m|j|} j . s for the basis map
-    s = (m, k) of s_cx = Hom(P, P'); src and tgt are the two Hom complexes."""
-    s = s_cx.decode_basis(m, k)
-
-    def column(i, j):
-        return tgt.encode(src.decode_basis(i, j).compose(s).scale(field.sign(m * i)))
-
-    return map_from_action(src.carrier, tgt.carrier, m, column)
+def _pre_composition(s_cx, src, tgt):
+    """{s: Hom(P', Q) -> Hom(P, Q), j |-> (-1)^{m|j|} j . s} for the
+    elementary maps s = (m, k) of s_cx = Hom(P, P') that act by a nonzero
+    map; src and tgt are the two Hom complexes."""
+    sign = src.carrier.field.sign
+    pairs = _elementary_composites(s_cx, src, tgt)
+    entries = ((s, (i, h, j, sign(s[0] * i))) for s, (i, j), (_, h) in pairs)
+    return images_from_entries(src.carrier, tgt.carrier, entries)
 
 
 def hom_from_module(u_cat, u_modules, z_module, name=None):
     """The dg U-module u |-> Hom(Z, Q_u) with post-composition action."""
     values = {u: HomComplex(z_module, u_modules[u]) for u in u_cat.objects}
-    u_hom_cx = _hom_complexes(u_cat, u_modules)
-    return functor_from_basis_images(
-        u_cat,
-        {u: values[u].module for u in u_cat.objects},
-        lambda u, u2, m, k: _post_composition(
-            u_hom_cx[(u, u2)], values[u], values[u2], m, k
-        ),
-        name=name or "Hom(Z,-)",
-    )
+    images = {
+        (u, u2): _post_composition(g_cx, values[u], values[u2])
+        for (u, u2), g_cx in _hom_complexes(u_cat.objects, u_modules).items()
+    }
+    on_objects = {u: hc.module for u, hc in values.items()}
+    return DgFunctor(u_cat, on_objects, images, name=name or "Hom(Z,-)")
 
 
 # ---------------------------------------------------------------------------

@@ -622,6 +622,18 @@ def action_from_basis_images(source, hom_cx, image):
     )
 
 
+def images_from_entries(source, target, entries):
+    """{(m, k): the degree-m map source -> target} from the pairs
+    ((m, k), (i, r, c, value)) of entries, one per entry of that image."""
+    by_basis = {}
+    for key, entry in entries:
+        by_basis.setdefault(key, []).append(entry)
+    return {
+        key: GradedMap.from_entries(source, target, key[0], es)
+        for key, es in by_basis.items()
+    }
+
+
 def functor_from_basis_images(base, on_objects, image, name):
     """The dg-functor with the given values whose action sends the basis
     morphism (m, k) of hom(x, y) to the graded map image(x, y, m, k)."""
@@ -634,52 +646,32 @@ def functor_from_basis_images(base, on_objects, image, name):
 
 
 def representable_module(cat, origin, name=None):
-    """The covariant module hom(origin, -) with post-composition action."""
-    return functor_from_basis_images(
-        cat,
-        {obj: cat.hom[(origin, obj)] for obj in cat.objects},
-        lambda y, z, m, k: _action_map(cat, origin, y, z, m, k),
-        name=name or f"h[{origin}]",
-    )
+    """The covariant module hom(origin, -) with post-composition action.
 
-
-def _action_map(cat, origin, y, z, m, k):
-    """hom(origin, y) -> hom(origin, z) by post-composition with basis (m, k)."""
-    return map_from_action(
-        cat.hom[(origin, y)].carrier,
-        cat.hom[(origin, z)].carrier,
-        m,
-        lambda i, j: cat.compose_basis_coords(origin, y, z, m, k, i, j),
-    )
+    The image of a basis morphism g of hom(y, z) has as column f, for each
+    basis morphism f of hom(origin, y), the composite g.f, read from
+    products(origin, y, z)[f][g].
+    """
+    values = {obj: cat.hom[(origin, obj)] for obj in cat.objects}
+    images = {}
+    for y, z in itertools.product(cat.objects, repeat=2):
+        entries = (
+            (g, (i, r, j, c))
+            for (i, j), per_g in cat.products(origin, y, z).items()
+            for g, terms in per_g.items()
+            for r, c in terms
+        )
+        source, target = values[y].carrier, values[z].carrier
+        images[(y, z)] = images_from_entries(source, target, entries)
+    return DgFunctor(cat, values, images, name=name or f"h[{origin}]")
 
 
 def yoneda_module(cat, origin, name=None):
-    """hom(-, origin) over the opposite category, with the Koszul sign.
-
-    The contravariant action sends a basis morphism f of degree m to
-    j |-> (-1)^{m |j|} j . f.
-    """
-    # a morphism x -> y in the opposite category is f: y -> x here
-    return functor_from_basis_images(
-        opposite_category(cat),
-        {obj: cat.hom[(obj, origin)] for obj in cat.objects},
-        lambda x, y, m, k: _yoneda_action_map(cat, origin, x, y, m, k),
-        name=name or f"y[{origin}]",
-    )
-
-
-def _yoneda_action_map(cat, origin, x, y, m, k):
-    field = cat.field
-
-    def column(i, j):
-        # j-th basis element of hom(x, origin)^i, precomposed with
-        # f = basis (m, k) of hom(y, x), signed by (-1)^{m i}.
-        dense = cat.compose_basis_coords(y, x, origin, i, j, m, k)
-        return linalg.vec_scale(field, field.sign(m * i), dense)
-
-    return map_from_action(
-        cat.hom[(x, origin)].carrier, cat.hom[(y, origin)].carrier, m, column
-    )
+    """hom(-, origin) over the opposite category, with the Koszul sign: the
+    representable module of origin there.  A basis morphism f of degree m
+    sends j to (-1)^{m |j|} j . f, the opposite's composite."""
+    name = name or f"y[{origin}]"
+    return representable_module(opposite_category(cat), origin, name=name)
 
 
 def direct_sum_functors(funs, name=None):

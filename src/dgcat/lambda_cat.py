@@ -257,9 +257,7 @@ def restrict_module(lam, module):
     def restrict(base, make_pair, slot, label):
         def image(x, y, m, k):
             p, q = make_pair(x), make_pair(y)
-            return module.map_of(
-                lam.hom_element(p, q, slot, base.basis_element(x, y, m, k))
-            )
+            return module.map_of_basis(p, q, m, lam.sums[(p, q)].offset(slot, m) + k)
 
         return functor_from_basis_images(
             base,

@@ -3,13 +3,19 @@
 Three shipped workspaces and eight seeded random instances over Q and
 F_5; built once per session because several criteria and the pinned
 report digests read the same instances.  path_category, zero_functor and
-identity_nat, which only tests use, live here too.
+identity_nat, which only tests use, live here too, and so does the dense
+per-pair composition the tests use as an oracle for the product tables:
+compose, compose_basis_coords and compose_from_products.
 """
+
+import itertools
 
 import pytest
 
-from dgcat.category import DgCategoryPresentation, compose_from_products
+from dgcat import linalg
+from dgcat.category import DgCategoryPresentation, HomElement
 from dgcat.complexes import dg_module
+from dgcat.errors import StructureError
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_theorem_fixture
 from dgcat.functors import DgFunctor, DgNatTransformation
@@ -19,6 +25,67 @@ from dgcat.shipped import SHIPPED_BUILDERS
 
 QQ = Rationals()
 F5 = PrimeField(5)
+
+
+def compose(cat, g, f):
+    """g after f in cat, extended bilinearly from its product tables."""
+    if f.target != g.source:
+        raise StructureError(
+            f"morphisms not composable: {f.source}->{f.target} then {g.source}->{g.target}"
+        )
+    field = cat.field
+    n = g.degree + f.degree
+    out = [field.zero()] * cat.hom[(f.source, g.target)].dim(n)
+    for gi, gval in enumerate(g.coords):
+        if field.is_zero(gval):
+            continue
+        for fi, fval in enumerate(f.coords):
+            if field.is_zero(fval):
+                continue
+            weight = field.mul(gval, fval)
+            for r, coeff in cat.compose_basis(
+                f.source, f.target, g.target, g.degree, gi, f.degree, fi
+            ):
+                out[r] = field.add(out[r], field.mul(weight, coeff))
+    return HomElement(f.source, g.target, n, tuple(out))
+
+
+def compose_basis_coords(cat, x, y, z, gdeg, gidx, fdeg, fidx):
+    """cat.compose_basis as a dense coordinate vector in hom(x,z)^(gdeg+fdeg)."""
+    return linalg.dense_vector(
+        cat.field,
+        cat.compose_basis(x, y, z, gdeg, gidx, fdeg, fidx),
+        cat.hom[(x, z)].dim(gdeg + fdeg),
+    )
+
+
+def compose_from_products(cat, product):
+    """Install on cat the product tables given by product; returns cat.
+
+    product(x, y, z, gdeg, gidx, fdeg, fidx) is the coordinate vector in
+    hom(x, z)^(gdeg+fdeg) of the composite of the basis morphisms
+    (gdeg, gidx) of hom(y, z) and (fdeg, fidx) of hom(x, y); it is not
+    called when that space is zero.
+    """
+    field = cat.field
+    tables = {}
+    for x, y, z in itertools.product(cat.objects, repeat=3):
+        table = tables[(x, y, z)] = {}
+        pairs = itertools.product(cat.basis_elements(x, y), cat.basis_elements(y, z))
+        for f, g in pairs:
+            dim = cat.hom[(x, z)].dim(f[0] + g[0])
+            if not dim:
+                continue
+            out = product(x, y, z, *g, *f)
+            if len(out) != dim:
+                raise StructureError(
+                    f"composite in hom({x},{z}) has length {len(out)}, expected {dim}"
+                )
+            terms = tuple((r, c) for r, c in enumerate(out) if not field.is_zero(c))
+            if terms:
+                table.setdefault(f, {})[g] = terms
+    cat.set_products(tables)
+    return cat
 
 
 def path_category(field, arrows, name="Path"):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import identity_nat, zero_functor
+from conftest import compose, identity_nat, zero_functor
 from dgcat.bimodule import (
     Bimodule,
     GModule,
@@ -177,7 +177,7 @@ def test_left_bullet_identity_and_functoriality():
                     e1 = U.basis_element(u, u2, d1, i1)
                     for d2, i2 in U.basis_elements(u2, u3):
                         e2 = U.basis_element(u2, u3, d2, i2)
-                        composite = U.compose(e2, e1)
+                        composite = compose(U, e2, e1)
                         for t in T.objects:
                             module = bim.value(u, t)
                             for deg in module.carrier.degrees():
@@ -417,7 +417,7 @@ def test_regular_bimodule_over_exterior_algebra():
 
         def inner(i, j):
             j_elem = t_cat.basis_element("t", "t", i, j)
-            composed = t_cat.compose(j_elem, t_elem)
+            composed = compose(t_cat, j_elem, t_elem)
             sgn = field.sign(m * i)
             return tuple(field.mul(sgn, v) for v in composed.coords)
 

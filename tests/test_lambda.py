@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import compose, compose_basis_coords, compose_from_products
 from dgcat import linalg
 from dgcat.bimodule import Bimodule
 from dgcat.category import (
     DgCategoryPresentation,
-    compose_from_products,
     validate_dg_category,
     with_zero_object,
 )
@@ -50,7 +50,7 @@ def test_kkk_lambda_end_dims_and_table():
     table = {}
     for gname, g in basis.items():
         for fname, f in basis.items():
-            table[(gname, fname)] = pres.compose(g, f).coords
+            table[(gname, fname)] = compose(pres, g, f).coords
     one = Fraction(1)
     zero3 = (Fraction(0),) * 3
     assert table[("t", "t")] == (one, Fraction(0), Fraction(0))
@@ -237,10 +237,10 @@ def _oracle_tables(lam):
         (t1, u1), (t2, u2), (t3, u3) = pair_of[p1], pair_of[p2], pair_of[p3]
         n = gdeg + fdeg
         if slot_g == slot_f == SLOT_T:
-            out = t_ext.compose_basis_coords(t1, t2, t3, gdeg, lg, fdeg, lf)
+            out = compose_basis_coords(t_ext, t1, t2, t3, gdeg, lg, fdeg, lf)
             return sums[(p1, p3)].inject(SLOT_T, n, out)
         if slot_g == slot_f == SLOT_U:
-            out = u_ext.compose_basis_coords(u1, u2, u3, gdeg, lg, fdeg, lf)
+            out = compose_basis_coords(u_ext, u1, u2, u3, gdeg, lg, fdeg, lf)
             return sums[(p1, p3)].inject(SLOT_U, n, out)
         if (slot_g, slot_f) == (SLOT_M, SLOT_T):
             image = bimodule.right_images[(t1, t2, u3)][(fdeg, lf)]

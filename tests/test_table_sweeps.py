@@ -17,6 +17,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import compose
 from dgcat import category
 from dgcat.category import (
     DgCategoryPresentation,
@@ -84,8 +85,8 @@ def _dense_units_witness(cat):
     for x, y in itertools.product(cat.objects, repeat=2):
         for degree, index in cat.basis_elements(x, y):
             f = cat.basis_element(x, y, degree, index)
-            left = cat.compose(cat.identity(y), f)
-            right = cat.compose(f, cat.identity(x))
+            left = compose(cat, cat.identity(y), f)
+            right = compose(cat, f, cat.identity(x))
             if left.coords != f.coords or right.coords != f.coords:
                 return {
                     "pair": [x, y],
