@@ -32,7 +32,7 @@ from .bimodule import (
     g_on_objects,
     validate_bimodule,
 )
-from .lambda_cat import build_lambda, lambda_leibniz_check, restrict_module
+from .lambda_cat import build_lambda, restrict_module
 from .comma import (
     CommaMorphism,
     CommaObject,
@@ -76,7 +76,6 @@ __all__ = [
     "g_on_morphisms",
     "validate_bimodule",
     "build_lambda",
-    "lambda_leibniz_check",
     "restrict_module",
     "CommaObject",
     "CommaMorphism",

@@ -9,8 +9,10 @@ the Koszul interchange sign; this is exactly the data equivalent to a
 dg-functor out of U (x) T^op.  validate_bimodule decides the interchange
 (-1)^{|alpha||beta|} R.L = L.R, with L = M(alpha (x) 1) and
 R = M(1 (x) beta^op), by one flat entry difference per basis pair
-(graded.first_nonzero_sum), and runs the scan that builds both routes as
-graded maps only when some pair fails, for its witness.
+(graded.first_nonzero_sum), and builds both routes as graded maps only
+for the first failing pair, as its witness.  The paper's bullets m . t
+and u . m are not built here: Lambda's product tables read them off the
+two families of images (lambda_cat).
 
 That functor's Leibniz rule needs no scan of its own once both one-sided
 actions are chain maps: with L = M(alpha (x) 1) and R = M(1 (x) beta^op),
@@ -35,7 +37,7 @@ import itertools
 from .category import opposite_category
 from .complexes import DgModule, zero_dg_module
 from .errors import InternalCheckError, StructureError, ValidationFailure
-from .graded import GradedModule, Homog, first_nonzero_sum, map_from_action
+from .graded import GradedModule, first_nonzero_sum, map_from_action
 from .functors import (
     DgFunctor,
     DgNatTransformation,
@@ -164,20 +166,6 @@ class Bimodule:
             )
         return self._slice_u[u]
 
-    def right_bullet(self, u, m, t_elem):
-        """m . t := (-1)^{|t||m|} M(1_u (x) t^op)(m) for m in M(u, target(t))."""
-        field = self.field
-        rmap = self.right_map(t_elem, u)
-        out = rmap.apply(m.degree, m.coords)
-        sgn = field.sign(t_elem.degree * m.degree)
-        return Homog(m.degree + t_elem.degree, tuple(field.mul(sgn, x) for x in out))
-
-    def left_bullet(self, u_elem, t, m):
-        """u . m := M(u (x) 1_t)(m) for m in M(source(u), t); no sign."""
-        lmap = self.left_map(u_elem, t)
-        out = lmap.apply(m.degree, m.coords)
-        return Homog(m.degree + u_elem.degree, out)
-
 
 def validate_bimodule(bim):
     """Slice functors, interchange sign, and the two-sided Leibniz identity.
@@ -205,7 +193,8 @@ def validate_bimodule(bim):
         )
         slices_chain_maps = slices_chain_maps and sub.check("chain_map").passed
 
-    witness = None if _interchanges(bim) else _interchange_witness(bim)
+    first = _first_uninterchanged_pair(bim)
+    witness = None if first is None else _interchange_witness(bim, *first)
     report.add("interchange_sign", witness is None, witness)
 
     witness = None
@@ -218,10 +207,11 @@ def validate_bimodule(bim):
     return report
 
 
-def _interchanges(bim):
-    """True iff (-1)^{|alpha||beta|} M(1 (x) beta^op).M(alpha (x) 1) =
-    M(alpha (x) 1).M(1 (x) beta^op) on every basis pair (alpha, beta); each
-    pair is one flat difference (graded.first_nonzero_sum)."""
+def _first_uninterchanged_pair(bim):
+    """The first (u, u2, t, t2, alpha, beta), over the object quadruples in
+    order and then the basis pairs, with (-1)^{|alpha||beta|}
+    M(1 (x) beta^op).M(alpha (x) 1) != M(alpha (x) 1).M(1 (x) beta^op), or
+    None; each pair is one flat difference (graded.first_nonzero_sum)."""
     U, T = bim.left_base, bim.right_base
     field = bim.field
     sign, minus_one = field.sign, field.neg(field.one())
@@ -237,33 +227,26 @@ def _interchanges(bim):
                 )
                 yield (u, u2, t, t2, a, b), terms
 
-    return first_nonzero_sum(field, sums()) is None
+    return first_nonzero_sum(field, sums())
 
 
-def _interchange_witness(bim):
-    """First basis pair (alpha, beta), over the object quadruples
-    (u, u2, t, t2) in order, whose two routes M(u, t2) -> M(u2, t) differ
-    by more than the sign (-1)^{|alpha||beta|}, or None."""
-    U, T = bim.left_base, bim.right_base
-    sign = bim.field.sign
-    for u, u2, t, t2 in itertools.product(U.objects, U.objects, T.objects, T.objects):
-        for (ud, ui), (td, ti) in itertools.product(
-            U.basis_elements(u, u2), T.basis_elements(t, t2)
-        ):
-            via_left_first = bim.right_images[(t, t2, u2)][(td, ti)].compose(
-                bim.left_images[(u, u2, t2)][(ud, ui)]
-            ).scale(sign(ud * td))
-            via_right_first = bim.left_images[(u, u2, t)][(ud, ui)].compose(
-                bim.right_images[(t, t2, u)][(td, ti)]
-            )
-            if via_left_first != via_right_first:
-                return {
-                    "u": [u, u2, ud, ui],
-                    "t": [t, t2, td, ti],
-                    "signed_t_after_u": fmt_graded_map(via_left_first),
-                    "u_after_t": fmt_graded_map(via_right_first),
-                }
-    return None
+def _interchange_witness(bim, u, u2, t, t2, alpha, beta):
+    """Both routes M(u, t2) -> M(u2, t) of the basis pair alpha of
+    hom_U(u, u2), beta of hom_T(t, t2), the first signed by
+    (-1)^{|alpha||beta|}."""
+    (ud, ui), (td, ti) = alpha, beta
+    via_left_first = bim.right_images[(t, t2, u2)][beta].compose(
+        bim.left_images[(u, u2, t2)][alpha]
+    ).scale(bim.field.sign(ud * td))
+    via_right_first = bim.left_images[(u, u2, t)][alpha].compose(
+        bim.right_images[(t, t2, u)][beta]
+    )
+    return {
+        "u": [u, u2, ud, ui],
+        "t": [t, t2, td, ti],
+        "signed_t_after_u": fmt_graded_map(via_left_first),
+        "u_after_t": fmt_graded_map(via_right_first),
+    }
 
 
 def _tensor_action(bim, alpha, beta):

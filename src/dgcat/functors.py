@@ -17,9 +17,10 @@ F(g.f) = F(g).F(f), with the composite read from the base's product
 table.  Each basis morphism phi, and each basis pair (f, g), is decided
 by one flat entry difference of the two sides (graded.first_nonzero_sum,
 chain_map_holds and _composition_sums), so no graded map is built or
-composed.  Only on a failure do the scans that build both sides run
-(_chain_map_witness, which builds the Hom complex of the pair's values,
-and _functoriality_witness), so every witness is the one they give.  The
+composed.  Only on a failure are both sides built: _chain_map_witness
+builds the Hom complex of the failing object pair's values, and
+_functoriality_witness builds F(g.f) and F(g).F(f) for the first failing
+basis pair, the key first_nonzero_sum returned.  The
 unit law reads the image of each identity entry by entry against the
 diagonal, with no identity matrix.
 
@@ -187,23 +188,17 @@ def validate_dg_functor(fun):
             break
     report.add("unit", witness is None, witness)
 
-    triples = list(itertools.product(base.objects, repeat=3))
     generators = base.spanning().generators if base.associative() else None
-    pairs = (
-        (x, y, z, g, f)
-        for x, y, z in triples
-        for f in (fun.images[(x, y)] if generators is None else generators[(x, y)])
-        for g in fun.images[(y, z)]
-    )
-    witness = None
-    if first_nonzero_sum(fun.field, _composition_sums(fun, pairs)) is not None:
-        for x, y, z in triples:
-            witness = _functoriality_witness(fun, x, y, z)
-            if witness:
-                break
-    if witness is None:  # every basis pair composes, so every spanning pair
+    field = fun.field
+    first = first_nonzero_sum(field, _composition_sums(fun, _basis_pairs(fun, generators)))
+    if first is not None and generators is not None:
+        # a generator pair fails, so some basis pair does: find the first
+        first = first_nonzero_sum(field, _composition_sums(fun, _basis_pairs(fun)))
+    if first is None:  # every basis pair composes, so every spanning pair
         fun._functorial_memo = (base.spanning(), True)
-    report.add("functoriality", witness is None, witness)
+        report.add("functoriality", True)
+    else:
+        report.add("functoriality", False, _functoriality_witness(fun, *first))
     return report
 
 
@@ -255,20 +250,35 @@ def _chain_map_witness(fun, x, y):
     }
 
 
-def _functoriality_witness(fun, x, y, z):
-    """First basis pair f of hom(x, y), g of hom(y, z), in basis order,
-    with F(g.f) != F(g).F(f), or None."""
-    for f in fun.images[(x, y)]:
-        for g in fun.images[(y, z)]:
-            image, composite = _functor_sides(fun, x, y, z, g, f)
-            if image != composite:
-                return {
-                    "objects": [x, y, z],
-                    "basis": [list(f), list(g)],
-                    "image_of_composite": fmt_graded_map(image),
-                    "composite_of_images": fmt_graded_map(composite),
-                }
-    return None
+def _basis_pairs(fun, generators=None):
+    """(x, y, z, g, f) for every object triple in order, f among the basis
+    morphisms of hom(x, y) (or its generators) and g of hom(y, z)."""
+    for x, y, z in itertools.product(fun.base.objects, repeat=3):
+        for f in fun.images[(x, y)] if generators is None else generators[(x, y)]:
+            for g in fun.images[(y, z)]:
+                yield x, y, z, g, f
+
+
+def _functoriality_witness(fun, x, y, z, g, f):
+    """Both sides of F(g.f) = F(g).F(f) at the basis pair f of hom(x, y),
+    g of hom(y, z); F(g.f) combines the images of hom(x, z) over the
+    composite's entries in base.products(x, y, z)."""
+    n = f[0] + g[0]
+    xz_images = fun.images[(x, z)]
+    terms = [
+        (c, xz_images[(n, r)])
+        for r, c in fun.base.products(x, y, z).get(f, {}).get(g, ())
+    ]
+    image = combination(
+        fun.on_objects[x].carrier, fun.on_objects[z].carrier, n, terms
+    )
+    composite = fun.images[(y, z)][g].compose(fun.images[(x, y)][f])
+    return {
+        "objects": [x, y, z],
+        "basis": [list(f), list(g)],
+        "image_of_composite": fmt_graded_map(image),
+        "composite_of_images": fmt_graded_map(composite),
+    }
 
 
 def _composition_sums(fun, pairs):
@@ -287,22 +297,6 @@ def _composition_sums(fun, pairs):
             for r, c in fun.base.products(x, y, z).get(f, {}).get(g, ())
         ]
         yield pair, terms
-
-
-def _functor_sides(fun, x, y, z, g, f):
-    """(F(g.f), F(g).F(f)) for basis morphisms f of hom(x, y) and g of
-    hom(y, z); F(g.f) combines the images of hom(x, z) over the
-    composite's entries in base.products(x, y, z)."""
-    n = f[0] + g[0]
-    xz_images = fun.images[(x, z)]
-    terms = [
-        (c, xz_images[(n, r)])
-        for r, c in fun.base.products(x, y, z).get(f, {}).get(g, ())
-    ]
-    image = combination(
-        fun.on_objects[x].carrier, fun.on_objects[z].carrier, n, terms
-    )
-    return image, fun.images[(y, z)][g].compose(fun.images[(x, y)][f])
 
 
 class DgNatTransformation:
@@ -332,9 +326,6 @@ class DgNatTransformation:
     @property
     def field(self):
         return self.source.field
-
-    def component(self, obj):
-        return self.components[obj]
 
     def is_zero(self):
         return all(c.is_zero() for c in self.components.values())

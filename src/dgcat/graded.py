@@ -480,14 +480,6 @@ class Homog:
     def is_zero(self, field):
         return all(field.is_zero(x) for x in self.coords)
 
-    def add(self, field, other):
-        if other.degree != self.degree or len(other.coords) != len(self.coords):
-            raise StructureError("cannot add inhomogeneous elements")
-        return Homog(self.degree, linalg.vec_add(field, self.coords, other.coords))
-
-    def scale(self, field, c):
-        return Homog(self.degree, linalg.vec_scale(field, c, self.coords))
-
 
 def basis_vector(module, degree, index):
     """The index-th basis element of module^degree, as a Homog."""

@@ -8,6 +8,11 @@ M(u', t) and hom_U(u, u') with the blockwise differential; composition
 is lower-triangular 2x2 matrix multiplication driven by the two bullet
 actions of the bimodule, so the product tables are read off T's and U's
 tables and the action images' columns, shifted by block offsets.
+
+The bullets' Leibniz rules d(m . t) = d(m) . t + (-1)^{|m|} m . d(t) and
+d(u . m) = d(u) . m + (-1)^{|u|} u . d(m) are the composition_chain_map
+axiom of Lambda on the basis pairs (m, t) and (u, m), so
+validate_dg_category decides them with the rest of Lambda's axioms.
 """
 
 from __future__ import annotations
@@ -23,10 +28,9 @@ from .category import (
 )
 from .complexes import DgModule, zero_dg_module
 from .errors import StructureError, ValidationFailure
-from .graded import DirectSum, Homog, homogeneous_basis
+from .graded import DirectSum
 from .bimodule import validate_bimodule
 from .functors import functor_from_basis_images
-from .report import Report, first_mismatch
 
 SLOT_T, SLOT_M, SLOT_U = 0, 1, 2
 
@@ -91,7 +95,7 @@ class LambdaCategory:
         return self.hom_element(p, q, SLOT_M, m)
 
 
-def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
+def build_lambda(t_cat, u_cat, bimodule, validate=True):
     """Construct the triangular matrix category; re-validates by default.
 
     Invalid inputs are refused with the upstream validation report.  The
@@ -129,7 +133,6 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
         return bimodule.value(u_obj, t_obj)
 
     pair_of = {f"{t}|{u}": (t, u) for t in t_ext.objects for u in u_ext.objects}
-    name = name or f"[[{t_cat.name},0],[{bimodule.name},{u_cat.name}]]"
 
     hom = {}
     sums = {}
@@ -147,6 +150,7 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True, name=None):
         t_id = ds.inject(SLOT_T, 0, t_ext.ids[t])
         ids[p] = linalg.vec_add(field, t_id, ds.inject(SLOT_U, 0, u_ext.ids[u]))
     tables = _lambda_products(t_ext, u_ext, bimodule, pair_of, sums)
+    name = f"[[{t_cat.name},0],[{bimodule.name},{u_cat.name}]]"
     presentation = DgCategoryPresentation(field, pair_of, hom, tables, ids, name=name)
     lam = LambdaCategory(t_cat, u_cat, bimodule, presentation, sums)
     if validate:
@@ -195,59 +199,6 @@ def _lambda_products(t_ext, u_ext, bimodule, pair_of, sums):
                 table.setdefault(f, {})[g] = tuple((r + shift, c) for r, c in column)
         tables[(p1, p2, p3)] = table
     return tables
-
-
-def lambda_leibniz_check(lam):
-    """Both bullet Leibniz identities on every homogeneous basis pair.
-
-    (a) d(m2 . t1) = d(m2) . t1 + (-1)^{|m2|} m2 . d(t1)
-    (b) d(u2 . m1) = d(u2) . m1 + (-1)^{|u2|} u2 . d(m1)
-    """
-    bim = lam.bimodule
-    field = lam.field
-    T, U = lam.t_cat, lam.u_cat
-    report = Report("bullet Leibniz")
-
-    def right_sides():
-        for t1, t2, u in product(T.objects, T.objects, U.objects):
-            module = bim.value(u, t2)
-            target = bim.value(u, t1)
-            for td, ti in T.basis_elements(t1, t2):
-                t_elem = T.basis_element(t1, t2, td, ti)
-                dt = T.differential(t_elem)
-                for mdeg, mi, m in homogeneous_basis(module.carrier):
-                    dm = Homog(mdeg + 1, module.d.apply(mdeg, m.coords))
-                    mt = bim.right_bullet(u, m, t_elem)
-                    m_dt = bim.right_bullet(u, m, dt).scale(field, field.sign(mdeg))
-                    yield (
-                        {"t": [t1, t2, td, ti], "m": [u, t2, mdeg, mi]},
-                        target.d.apply(mt.degree, mt.coords),
-                        bim.right_bullet(u, dm, t_elem).add(field, m_dt).coords,
-                    )
-
-    witness = first_mismatch(field, right_sides())
-    report.add("right_bullet_leibniz", witness is None, witness)
-
-    def left_sides():
-        for u1, u2, t in product(U.objects, U.objects, T.objects):
-            module = bim.value(u1, t)
-            target = bim.value(u2, t)
-            for ud, ui in U.basis_elements(u1, u2):
-                u_elem = U.basis_element(u1, u2, ud, ui)
-                du = U.differential(u_elem)
-                for mdeg, mi, m in homogeneous_basis(module.carrier):
-                    dm = Homog(mdeg + 1, module.d.apply(mdeg, m.coords))
-                    um = bim.left_bullet(u_elem, t, m)
-                    u_dm = bim.left_bullet(u_elem, t, dm).scale(field, field.sign(ud))
-                    yield (
-                        {"u": [u1, u2, ud, ui], "m": [u1, t, mdeg, mi]},
-                        target.d.apply(um.degree, um.coords),
-                        bim.left_bullet(du, t, m).add(field, u_dm).coords,
-                    )
-
-    witness = first_mismatch(field, left_sides())
-    report.add("left_bullet_leibniz", witness is None, witness)
-    return report
 
 
 def restrict_module(lam, module):

@@ -90,31 +90,6 @@ def fmt_vector(field_obj, vec):
     return [field_obj.format(x) for x in vec]
 
 
-def first_mismatch(field_obj, comparisons):
-    """The witness of the first (head, lhs, rhs) whose sides differ, or None.
-
-    The sides are coordinate vectors or graded maps of one shape.  Maps are
-    compared column by column, in source degree order and then by index;
-    the witness names the first differing column x = [degree, index] and
-    gives that column of each side.
-    """
-    for head, lhs, rhs in comparisons:
-        if lhs == rhs:
-            continue
-        if isinstance(lhs, tuple):
-            return {**head, **_sides(field_obj, lhs, rhs)}
-        for k in lhs.source.degrees():
-            columns = zip(zip(*lhs.block(k)), zip(*rhs.block(k)))
-            for cx, (left, right) in enumerate(columns):
-                if left != right:
-                    return {**head, "x": [k, cx], **_sides(field_obj, left, right)}
-    return None
-
-
-def _sides(field_obj, lhs, rhs):
-    return {"lhs": fmt_vector(field_obj, lhs), "rhs": fmt_vector(field_obj, rhs)}
-
-
 def fmt_graded_map(gmap):
     f = gmap.field
     return {

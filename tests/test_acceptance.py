@@ -20,9 +20,8 @@ from dgcat.category import (
 )
 from dgcat.comma import (
     CommaObject,
-    check_dot_leibniz,
+    build_coproduct_module,
     check_equivalence,
-    check_product_identities,
     validate_comma_object,
 )
 from dgcat.complexes import (
@@ -48,7 +47,7 @@ from dgcat.functors import (
     yoneda_module,
 )
 from dgcat.graded import GradedMap, identity_map
-from dgcat.lambda_cat import lambda_leibniz_check
+from dgcat.lambda_cat import build_lambda
 from dgcat.shipped import SHIPPED_BUILDERS
 from tests.test_complexes import tensor_differential_oracle
 
@@ -296,12 +295,10 @@ def test_criterion_2_sign_rules(theorem_fixtures):
 
 
 def test_criterion_3_triangular_category(theorem_fixtures):
-    """Lambda passes full validation plus both bullet Leibniz identities."""
+    """Lambda passes full validation; its composition_chain_map on the basis
+    pairs (m, t) and (u, m) is both bullet Leibniz identities."""
     for fx in theorem_fixtures:
-        lam = fx["lambda"]
-        report = validate_dg_category(lam.presentation)
-        assert report.passed, f"{fx['name']}: {report.render()}"
-        report = lambda_leibniz_check(lam)
+        report = validate_dg_category(fx["lambda"].presentation)
         assert report.passed, f"{fx['name']}: {report.render()}"
     print(
         f"\n[PASS] criterion 3: triangular matrix category valid on "
@@ -310,14 +307,16 @@ def test_criterion_3_triangular_category(theorem_fixtures):
 
 
 def test_criterion_4_action_product_identities(theorem_fixtures):
-    """The three product identities and the dot Leibniz rule, exactly."""
+    """The product identities and the dot Leibniz rule, exactly: the
+    coproduct module of each comma object is a dg Lambda-module.  Its
+    functoriality on the basis pairs (t, m) and (m, u) is the pair of
+    bullet compatibilities (distributivity is their sum), and its
+    chain_map on the m-blocks is the dot Leibniz rule."""
     count = 0
     for fx in theorem_fixtures:
         for obj in fx["comma_objects"]:
             assert validate_comma_object(obj).passed, fx["name"]
-            report = check_product_identities(obj)
-            assert report.passed, f"{fx['name']}: {report.render()}"
-            report = check_dot_leibniz(obj)
+            report = validate_dg_functor(build_coproduct_module(fx["lambda"], obj))
             assert report.passed, f"{fx['name']}: {report.render()}"
             count += 1
     print(f"\n[PASS] criterion 4: action product identities on {count} comma objects")
@@ -434,6 +433,10 @@ def _scaled_images(fun, pair, factor, degree=None):
 def _first_failure_is(report, name):
     failure = report.first_failure()
     return failure is not None and failure.name == name
+
+
+def _fails_only(report, name):
+    return [c.name for c in report.checks if not c.passed] == [name]
 
 
 def test_criterion_7_negative_controls():
@@ -634,9 +637,11 @@ def test_criterion_7_negative_controls():
     obj = CommaObject(bim, A, B, {"t": f_map}, name="not_closed")
     report = validate_comma_object(obj)
     results["comma_closed"] = _first_failure_is(report, "closed")
-    # the action of a structure map that is not closed breaks d(m . x)
-    report = check_dot_leibniz(obj)
-    results["comma_dot_leibniz"] = _first_failure_is(report, "dot_leibniz")
+    # the action of a structure map that is not closed breaks d(m . x),
+    # the chain-map axiom of the coproduct module
+    lam = build_lambda(t_cat, u_cat, bim, validate=False)
+    report = validate_dg_functor(build_coproduct_module(lam, obj))
+    results["comma_dot_leibniz"] = _fails_only(report, "chain_map")
 
     # comma naturality: closed but non-natural structure map over the
     # exterior algebra
@@ -659,9 +664,11 @@ def test_criterion_7_negative_controls():
     obj = CommaObject(bim, A, B, {"t": f_map}, name="not_natural")
     report = validate_comma_object(obj)
     results["comma_natural"] = _first_failure_is(report, "natural")
-    # the action of a structure map that is not natural breaks (m . t) . x
-    report = check_product_identities(obj)
-    results["comma_bullet_right"] = _first_failure_is(report, "bullet_right_compatible")
+    # the action of a structure map that is not natural breaks
+    # (m . t) . x = m . (t * x), functoriality of the coproduct module
+    lam = build_lambda(t_cat, u_cat, bim, validate=False)
+    report = validate_dg_functor(build_coproduct_module(lam, obj))
+    results["comma_bullet_right"] = _fails_only(report, "functoriality")
 
     # opposite category without the Koszul sign fails the chain-map axiom
     found = False

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,7 +35,7 @@ from dgcat.functors import (
     representable_module,
     validate_dg_functor,
 )
-from dgcat.graded import GradedMap, Homog
+from dgcat.graded import GradedMap
 
 QQ = Rationals()
 
@@ -138,88 +137,6 @@ def test_interchange_negative_control():
     u_cat, t_cat, u_modules, t_modules, bim, _ = random_setup(7)
     report = validate_bimodule(with_first_right_action_negated(bim))
     assert not report.passed
-
-
-def test_right_bullet_identity_and_zero():
-    u_cat, t_cat, _, _, bim = kkk_setup()
-    t_id = t_cat.identity("t0")
-    m = Homog(0, (Fraction(3),))
-    out = bim.right_bullet("u0", m, t_id)
-    assert out.degree == 0 and out.coords == (Fraction(3),)
-    zero = Homog(0, (Fraction(0),))
-    assert bim.right_bullet("u0", zero, t_id).is_zero(QQ)
-
-
-def test_left_bullet_identity_and_functoriality():
-    *_, bim, rng = random_setup(11)
-    field = QQ
-    U = bim.left_base
-    T = bim.right_base
-    for t in T.objects:
-        for u in U.objects:
-            ident = U.identity(u)
-            module = bim.value(u, t)
-            for deg in module.carrier.degrees():
-                for k in range(module.dim(deg)):
-                    m = Homog(
-                        deg,
-                        tuple(
-                            field.one() if i == k else field.zero()
-                            for i in range(module.dim(deg))
-                        ),
-                    )
-                    assert bim.left_bullet(ident, t, m).coords == m.coords
-    # composite: (u2 . u1) . m == u2 . (u1 . m) on basis elements
-    for u in U.objects:
-        for u2 in U.objects:
-            for u3 in U.objects:
-                for d1, i1 in U.basis_elements(u, u2):
-                    e1 = U.basis_element(u, u2, d1, i1)
-                    for d2, i2 in U.basis_elements(u2, u3):
-                        e2 = U.basis_element(u2, u3, d2, i2)
-                        composite = compose(U, e2, e1)
-                        for t in T.objects:
-                            module = bim.value(u, t)
-                            for deg in module.carrier.degrees():
-                                for k in range(module.dim(deg)):
-                                    m = Homog(
-                                        deg,
-                                        tuple(
-                                            field.one() if i == k else field.zero()
-                                            for i in range(module.dim(deg))
-                                        ),
-                                    )
-                                    via_two = bim.left_bullet(
-                                        e2, t, bim.left_bullet(e1, t, m)
-                                    )
-                                    via_one = bim.left_bullet(composite, t, m)
-                                    assert via_two.coords == via_one.coords
-
-
-def test_right_bullet_degree_one_sign():
-    # |m| = |t| = 1 must produce -M(1 (x) t^op)(m).
-    for seed in range(12):
-        *_, bim, _ = random_setup(seed, max_objects=1)
-        T = bim.right_base
-        found = False
-        for t in T.objects:
-            for t2 in T.objects:
-                for u in bim.left_base.objects:
-                    module = bim.value(u, t2)
-                    if module.dim(1) == 0 or T.hom[(t, t2)].dim(1) == 0:
-                        continue
-                    t_elem = T.basis_element(t, t2, 1, 0)
-                    m = Homog(1, tuple(
-                        QQ.one() if i == 0 else QQ.zero()
-                        for i in range(module.dim(1))
-                    ))
-                    raw = bim.right_map(t_elem, u).apply(1, m.coords)
-                    out = bim.right_bullet(u, m, t_elem)
-                    assert out.coords == tuple(QQ.neg(x) for x in raw)
-                    found = True
-        if found:
-            return
-    raise AssertionError("no fixture exercised the degree-1 sign")
 
 
 def bimodule_to_tensor_functor(bim):
@@ -437,12 +354,6 @@ def test_regular_bimodule_over_exterior_algebra():
     # x acts by right multiplication: 1 |-> x (sign +1 on degree 0)
     x_map = bim.right_map(t_cat.basis_element("t", "t", 1, 0), "u")
     assert x_map.block(0) == ((field.one(),),)
-
-
-def test_left_bullet_zero_element():
-    u_cat, t_cat, _, _, bim = kkk_setup()
-    zero = Homog(0, (Fraction(0),))
-    assert bim.left_bullet(u_cat.identity("u0"), "t0", zero).is_zero(QQ)
 
 
 def test_g_on_morphisms_identity_and_zero():

@@ -8,9 +8,7 @@ from dgcat.comma import (
     CommaMorphism,
     CommaObject,
     build_coproduct_module,
-    check_dot_leibniz,
     check_equivalence,
-    check_product_identities,
     comma_hom_space,
     comma_window,
     extract_comma_from_module,
@@ -29,7 +27,7 @@ from dgcat.functors import (
     validate_dg_functor,
 )
 from dgcat.graded import Homog, homogeneous_basis
-from dgcat.lambda_cat import build_lambda
+from dgcat.lambda_cat import SLOT_M, SLOT_T, SLOT_U, build_lambda
 from tests.test_bimodule import kkk_setup
 
 QQ = Rationals()
@@ -145,10 +143,22 @@ def test_dot_product_canonical_kkk():
 
 
 def test_product_identities_and_dot_leibniz_kkk():
+    """Lambda of kkk composes the m-block with both t and u, so the
+    functoriality of each coproduct module covers both bullet
+    compatibilities, and with chain_map (the dot Leibniz rule) it passes."""
     lam, obj, zero_obj = kkk_comma_setup()
+    pair = lam.object_name("t0", "u0")
+    slots = lam.slots[(pair, pair)]
+    kinds = {
+        (slots[g[0]][g[1]][0], slots[f[0]][f[1]][0])
+        for f, per_g in lam.presentation.products(pair, pair, pair).items()
+        for g in per_g
+    }
+    assert {(SLOT_M, SLOT_T), (SLOT_U, SLOT_M)} <= kinds
     for o in (obj, zero_obj):
-        assert check_product_identities(o).passed
-        assert check_dot_leibniz(o).passed
+        report = validate_dg_functor(build_coproduct_module(lam, o))
+        assert report.check("functoriality").passed, report.render()
+        assert report.check("chain_map").passed, report.render()
 
 
 def test_comma_hom_space_contains_identity():
@@ -304,8 +314,8 @@ def test_product_identities_on_random_fixture():
     fx = random_theorem_fixture(2, QQ)
     for obj in fx["comma_objects"]:
         assert validate_comma_object(obj).passed
-        assert check_product_identities(obj).passed
-        assert check_dot_leibniz(obj).passed
+        report = validate_dg_functor(build_coproduct_module(fx["lambda"], obj))
+        assert report.passed, report.render()
 
 
 def test_faithfulness_nonzero_morphism_has_nonzero_image():

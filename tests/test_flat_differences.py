@@ -7,9 +7,9 @@ basis pair are built as graded maps and compared.  The properties change
 one entry of one basis image of a dg-functor, or of one action image of a
 bimodule (+1, x2, -1 or set to zero; some changes leave the axiom true),
 and require the fast verdict, the reported witness and whether the
-witness scan ran to agree with the oracle.  The guard tests count the
-witness scans: none runs on valid inputs, and each runs on an input that
-fails its check.
+witness was built to agree with the oracle.  The guard tests count the
+calls that build witnesses: none runs on valid inputs, and each runs on
+an input that fails its check.
 """
 
 import contextlib
@@ -169,7 +169,7 @@ def _axiom_instance(field, seed):
 
 @contextlib.contextmanager
 def _scan_calls():
-    """Count the calls of the three witness scans, by name."""
+    """Count the calls of the three witness builders, by name."""
     scans = (
         (functors, "_functoriality_witness"),
         (functors, "_chain_map_witness"),
@@ -233,7 +233,7 @@ def test_functoriality_difference_matches_the_pairwise_scan(data, field):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), field=st.sampled_from(sorted(FIELDS)))
 def test_interchange_difference_matches_the_pairwise_scan(data, field):
-    """_interchanges holds iff the oracle finds no pair, and
+    """_first_uninterchanged_pair is the oracle's witness pair, and
     validate_bimodule reports the oracle's verdict and witness, running
     the scan only on a failure."""
     seed = data.draw(st.integers(0, 39), label="seed")
@@ -247,7 +247,12 @@ def test_interchange_difference_matches_the_pairwise_scan(data, field):
         bim = _bimodule_mutant(bim, side, spot, step)
     expected = _oracle_interchange_witness(bim)
 
-    assert bimodule._interchanges(bim) == (expected is None)
+    first = bimodule._first_uninterchanged_pair(bim)
+    if expected is None:
+        assert first is None
+    else:
+        (u, u2, *alpha), (t, t2, *beta) = expected["u"], expected["t"]
+        assert first == (u, u2, t, t2, tuple(alpha), tuple(beta))
     with _scan_calls() as calls:
         check = validate_bimodule(bim).check("interchange_sign")
     assert (check.passed, check.witness) == (expected is None, expected)

@@ -6,10 +6,12 @@ builders were merged into one helper; a refactor that keeps the outputs
 must keep them.  Each digest in HEAVY_REPORTS is the SHA-256 of the
 rendered check_equivalence report (seed 5) on one random theorem instance
 over Q, recorded before the exact solve path went sparse.  Each digest in
-IDENTITY_REPORTS is the SHA-256 of the rendered lambda_leibniz_check
-report of one theorem fixture of the acceptance suite followed by the
-check_product_identities and check_dot_leibniz reports of each of its
-comma objects, recorded before those checks compared whole graded maps.
+COPRODUCT_REPORTS is the SHA-256 of the rendered validate_dg_category
+report of Lambda of one theorem fixture of the acceptance suite followed
+by the validate_dg_functor report of the coproduct module of each of its
+comma objects; these are the checks of the bullet and dot-product
+identities, recorded before the special-case checkers of those
+identities were deleted.
 Each digest in BASIS_VECTORS is the SHA-256 of the flat basis vectors of
 dgnat_space between the coproduct modules and of comma_hom_space, for
 every ordered pair of comma objects and every degree of the window
@@ -50,9 +52,7 @@ from dgcat.cli import main
 from dgcat.complexes import HomComplex, TensorComplex
 from dgcat.comma import (
     build_coproduct_module,
-    check_dot_leibniz,
     check_equivalence,
-    check_product_identities,
     comma_hom_space,
     comma_window,
 )
@@ -71,7 +71,7 @@ from dgcat.functors import (
 )
 from dgcat.graded import GradedMap
 from dgcat.io_json import emit_category, render_document
-from dgcat.lambda_cat import build_lambda, lambda_leibniz_check
+from dgcat.lambda_cat import build_lambda
 from dgcat.linalg import dense_vector
 from dgcat.report import fmt_vector
 
@@ -152,31 +152,32 @@ def test_theorem_report_bytes_are_pinned(seed, max_objects):
     assert digest == HEAVY_REPORTS[(seed, max_objects)]
 
 
-# theorem fixture name -> SHA-256 of its identity reports, rendered and joined
-IDENTITY_REPORTS = {
-    "contractible": "7a6826e8769d6ede29508fc3b493081ac3d2892ba839980423401bce2b72f178",
-    "exterior": "7a6826e8769d6ede29508fc3b493081ac3d2892ba839980423401bce2b72f178",
-    "kkk": "3032adf1795a35841dade1566e433ed6cd05384c45dc4ad5354cb5a90115ab0d",
-    "random0": "0637346891aa48b0d1962a8cb724b269fcca6087d1794e4436804ffc8bd900c6",
-    "random1": "debd6ba5c89d06894edd8c89d4a52ee6c1372cdf427f94cf070682bd7d862c51",
-    "random2": "bc19533cf69acdbe0bac74b54bd41a533a6f0533b931f17aadbf3a80b6dcd233",
-    "random3": "76b96b136562c12210b5895622aae2d3c14bf2907e3c680990a04d9dbd0db912",
-    "random4": "228813b1a870b052956f35637e547629195a21f7c66c6103afce0951c56d3059",
-    "random5": "debd6ba5c89d06894edd8c89d4a52ee6c1372cdf427f94cf070682bd7d862c51",
-    "random6": "09795805123b4ac0a9b414f6bfe5e52c4201506df5a5668514c99d23724a1b61",
-    "random7": "ef36f1907a7ffce96ad463cfa13bb6f53ede1f01ece281d3edb2089138d95ca6",
+# theorem fixture name -> SHA-256 of the reports of Lambda and of its
+# coproduct modules, rendered and joined
+COPRODUCT_REPORTS = {
+    "contractible": "9bb8f8c049815a0da69144e39b3443b143505e0e8eab4f72e4611fc903112d34",
+    "exterior": "9bb8f8c049815a0da69144e39b3443b143505e0e8eab4f72e4611fc903112d34",
+    "kkk": "9bb8f8c049815a0da69144e39b3443b143505e0e8eab4f72e4611fc903112d34",
+    "random0": "a243cb4983a2cabf64a61a513fa651df9e1d59376406d91585893c4b0012f57f",
+    "random1": "da306be33345ed301baa17ed6045f2d3daef4020a84d2992e0ff32358c35a1bc",
+    "random2": "a243cb4983a2cabf64a61a513fa651df9e1d59376406d91585893c4b0012f57f",
+    "random3": "462ef5368a1561143f78a1cdeac8b1392dc3e31a48beb93d3a9f26ef02e46fe9",
+    "random4": "9221f976aa71c24dc8d0dd14a0323b80be8020993c88bc433e600910c5aa8f0f",
+    "random5": "462ef5368a1561143f78a1cdeac8b1392dc3e31a48beb93d3a9f26ef02e46fe9",
+    "random6": "2b0b77b3e3dbfb4092601f90f354914484291b15dc5549b73944c00f49200e9c",
+    "random7": "cd5471757b67a55cd28120779d5cefb2302841532162c59d0944eb9046696418",
 }
 
 
-@pytest.mark.parametrize("name", sorted(IDENTITY_REPORTS))
+@pytest.mark.parametrize("name", sorted(COPRODUCT_REPORTS))
 def test_identity_report_bytes_are_pinned(name, theorem_fixtures):
     (fx,) = [fx for fx in theorem_fixtures if fx["name"] == name]
-    text = lambda_leibniz_check(fx["lambda"]).render()
+    lam = fx["lambda"]
+    text = validate_dg_category(lam.presentation).render()
     for obj in fx["comma_objects"]:
-        text += check_product_identities(obj).render()
-        text += check_dot_leibniz(obj).render()
+        text += validate_dg_functor(build_coproduct_module(lam, obj)).render()
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == IDENTITY_REPORTS[name]
+    assert digest == COPRODUCT_REPORTS[name]
 
 
 # theorem fixture name -> SHA-256 of its DgNat and comma basis vectors

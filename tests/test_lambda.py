@@ -15,15 +15,15 @@ from dgcat.errors import ValidationFailure
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_axiom_fixture, random_theorem_fixture, zero_bimodule
 from dgcat.functors import representable_module, validate_dg_functor
-from dgcat.graded import Homog, basis_vector
+from dgcat.graded import basis_vector
 from dgcat.lambda_cat import (
     SLOT_M,
     SLOT_T,
     SLOT_U,
     build_lambda,
-    lambda_leibniz_check,
     restrict_module,
 )
+from dgcat.report import fmt_vector
 from dgcat.shipped import SHIPPED_BUILDERS
 from tests.test_bimodule import kkk_setup, random_setup, with_first_right_action_negated
 
@@ -105,17 +105,19 @@ def test_lambda_refuses_invalid_bimodule():
 
 
 def test_lambda_leibniz_identities():
+    """Both bullet Leibniz identities are Lambda's composition_chain_map on
+    the basis pairs (m, t) and (u, m)."""
     for seed in (0, 2, 5):
         u_cat, t_cat, u_modules, t_modules, bim, _ = random_setup(seed, max_objects=2)
         lam = build_lambda(t_cat, u_cat, bim, validate=False)
-        report = lambda_leibniz_check(lam)
-        assert report.passed, report.render()
+        report = validate_dg_category(lam.presentation)
+        assert report.check("composition_chain_map").passed, report.render()
 
 
 def test_lambda_leibniz_trivial_when_differentials_vanish():
     u_cat, t_cat, _, _, bim = kkk_setup()
     lam = build_lambda(t_cat, u_cat, bim)
-    assert lambda_leibniz_check(lam).passed
+    assert validate_dg_category(lam.presentation).check("composition_chain_map").passed
 
 
 def _doubled_odd_lambda():
@@ -142,47 +144,51 @@ def _doubled_odd_lambda():
     return build_lambda(fx["t_cat"], fx["u_cat"], bad, validate=False)
 
 
-def _first_left_leibniz_violation(lam):
-    """(u, m) of the first basis pair, in loop order, where
-    d(u . m) != d(u) . m + (-1)^{|u|} u . d(m)."""
-    bim = lam.bimodule
-    field = lam.field
-    U, T = lam.u_cat, lam.t_cat
-    for u1 in U.objects:
-        for u2 in U.objects:
-            for t in T.objects:
-                module = bim.value(u1, t)
-                for ud, ui in U.basis_elements(u1, u2):
-                    u_elem = U.basis_element(u1, u2, ud, ui)
-                    du = U.differential(u_elem)
-                    for mdeg in module.carrier.degrees():
-                        for mi in range(module.dim(mdeg)):
-                            m = Homog(mdeg, linalg.unit_vector(field, module.dim(mdeg), mi))
-                            dm = Homog(mdeg + 1, module.d.apply(mdeg, m.coords))
-                            um = bim.left_bullet(u_elem, t, m)
-                            lhs = bim.value(u2, t).d.apply(um.degree, um.coords)
-                            rhs = linalg.vec_add(
-                                field,
-                                bim.left_bullet(du, t, m).coords,
-                                linalg.vec_scale(
-                                    field,
-                                    field.sign(ud),
-                                    bim.left_bullet(u_elem, t, dm).coords,
-                                ),
-                            )
-                            if lhs != rhs:
-                                return [u1, u2, ud, ui], [u1, t, mdeg, mi]
+def _first_leibniz_violation(cat):
+    """The composition_chain_map witness of cat, from both sides of
+    d(g.f) = dg.f + (-1)^{|g|} g.df composed pair by pair (conftest.compose),
+    over the object triples in order and the basis pairs sorted by
+    (|g| + |f|, |g|, g index, f index)."""
+    field, d = cat.field, cat.differential
+
+    def order(gf):
+        (gd, gi), (fd, fi) = gf
+        return gd + fd, gd, gi, fi
+
+    for x, y, z in itertools.product(cat.objects, repeat=3):
+        pairs = itertools.product(cat.basis_elements(y, z), cat.basis_elements(x, y))
+        for g, f in sorted(pairs, key=order):
+            g_elem, f_elem = cat.basis_element(y, z, *g), cat.basis_element(x, y, *f)
+            lhs = d(compose(cat, g_elem, f_elem)).coords
+            g_df = compose(cat, g_elem, d(f_elem)).coords
+            rhs = linalg.vec_add(
+                field,
+                compose(cat, d(g_elem), f_elem).coords,
+                linalg.vec_scale(field, field.sign(g[0]), g_df),
+            )
+            if lhs != rhs:
+                return {
+                    "triple": [x, y, z],
+                    "basis": {"g": list(g), "f": list(f)},
+                    "comp_after_d": fmt_vector(field, rhs),
+                    "d_after_comp": fmt_vector(field, lhs),
+                }
     return None
 
 
 def test_lambda_leibniz_witness_is_the_first_violation():
+    """Doubling the odd action images breaks d(u . m) = d(u) . m +
+    (-1)^{|u|} u . d(m): Lambda fails composition_chain_map first, at a
+    u-block morphism after an m-block one, and the witness is the first
+    failing pair of a pair-by-pair oracle."""
     lam = _doubled_odd_lambda()
-    report = lambda_leibniz_check(lam)
-    failure = report.first_failure()
-    assert failure is not None and failure.name == "left_bullet_leibniz"
-    first = _first_left_leibniz_violation(lam)
-    assert first is not None
-    assert [failure.witness["u"], failure.witness["m"]] == list(first)
+    failure = validate_dg_category(lam.presentation).first_failure()
+    assert failure is not None and failure.name == "composition_chain_map"
+    assert failure.witness == _first_leibniz_violation(lam.presentation)
+    x, y, z = failure.witness["triple"]
+    (gd, gi), (fd, fi) = failure.witness["basis"]["g"], failure.witness["basis"]["f"]
+    assert lam.slots[(y, z)][gd][gi][0] == SLOT_U
+    assert lam.slots[(x, y)][fd][fi][0] == SLOT_M
 
 
 def test_restrict_representable_module():
