@@ -64,7 +64,8 @@ def endomorphism_category(field, modules, name="End"):
     so every axiom is true by construction.
     """
     names = tuple(modules)
-    hom_cx = _hom_complexes(names, modules)
+    pairs = itertools.product(names, repeat=2)
+    hom_cx = {(x, y): HomComplex(modules[x], modules[y]) for x, y in pairs}
     hom = {key: hc.module for key, hc in hom_cx.items()}
     one, zero = field.one(), field.zero()
     ids = {
@@ -157,37 +158,31 @@ def zero_bimodule(u_cat, t_cat, name="0"):
     return Bimodule(u_cat, t_cat, {}, {}, {}, name=name)
 
 
-def hom_bimodule(u_cat, u_modules, t_cat, t_modules, name="M"):
+def hom_bimodule(u_cat, u_cx, t_cat, t_cx, name="M"):
     """The bimodule M(u, t) = Hom(P_t, Q_u) over endomorphism categories.
 
-    u_cat/t_cat must be endomorphism categories of the named dg modules;
+    u_cx/t_cx are the Hom complexes of u_cat/t_cat, as
+    endomorphism_category returns them (Q_u is u_cx[(u, u)].source);
     the left action postcomposes, the right action precomposes with the
     contravariant Koszul sign (-1)^{|t||m|}.
     """
     value_hom = {
-        (u, t): HomComplex(t_modules[t], u_modules[u])
+        (u, t): HomComplex(t_cx[(t, t)].source, u_cx[(u, u)].source)
         for u in u_cat.objects
         for t in t_cat.objects
     }
     values = {key: hc.module for key, hc in value_hom.items()}
-    u_hom_cx = _hom_complexes(u_cat.objects, u_modules)
-    t_hom_cx = _hom_complexes(t_cat.objects, t_modules)
     left_images = {
         (u, u2, t): _post_composition(g_cx, value_hom[(u, t)], value_hom[(u2, t)])
-        for (u, u2), g_cx in u_hom_cx.items()
+        for (u, u2), g_cx in u_cx.items()
         for t in t_cat.objects
     }
     right_images = {
         (t, t2, u): _pre_composition(s_cx, value_hom[(u, t2)], value_hom[(u, t)])
-        for (t, t2), s_cx in t_hom_cx.items()
+        for (t, t2), s_cx in t_cx.items()
         for u in u_cat.objects
     }
     return Bimodule(u_cat, t_cat, values, left_images, right_images, name=name)
-
-
-def _hom_complexes(objects, modules):
-    pairs = itertools.product(objects, repeat=2)
-    return {(x, y): HomComplex(modules[x], modules[y]) for x, y in pairs}
 
 
 def _post_composition(g_cx, src, tgt):
@@ -210,12 +205,13 @@ def _pre_composition(s_cx, src, tgt):
     return images_from_entries(src.carrier, tgt.carrier, entries)
 
 
-def hom_from_module(u_cat, u_modules, z_module, name=None):
-    """The dg U-module u |-> Hom(Z, Q_u) with post-composition action."""
-    values = {u: HomComplex(z_module, u_modules[u]) for u in u_cat.objects}
+def hom_from_module(u_cat, u_cx, z_module, name=None):
+    """The dg U-module u |-> Hom(Z, Q_u) with post-composition action;
+    u_cx are the Hom complexes of u_cat, as in hom_bimodule."""
+    values = {u: HomComplex(z_module, u_cx[(u, u)].source) for u in u_cat.objects}
     images = {
         (u, u2): _post_composition(g_cx, values[u], values[u2])
-        for (u, u2), g_cx in _hom_complexes(u_cat.objects, u_modules).items()
+        for (u, u2), g_cx in u_cx.items()
     }
     on_objects = {u: hc.module for u, hc in values.items()}
     return DgFunctor(u_cat, on_objects, images, name=name or "Hom(Z,-)")
@@ -262,16 +258,16 @@ def random_axiom_fixture(seed, field):
     """
     rng = random.Random(seed)
     max_objects = 3 if seed % 5 == 0 else 2
-    u_cat, u_modules, _ = random_endo_category(rng, field, "U", max_objects=max_objects)
-    t_cat, t_modules, _ = random_endo_category(rng, field, "T", max_objects=max_objects)
+    u_cat, _, u_cx = random_endo_category(rng, field, "U", max_objects=max_objects)
+    t_cat, _, t_cx = random_endo_category(rng, field, "T", max_objects=max_objects)
     if seed % 7 == 0:
         bim = zero_bimodule(u_cat, t_cat)
     else:
-        bim = hom_bimodule(u_cat, u_modules, t_cat, t_modules)
+        bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx)
 
     a_module = representable_module(t_cat, rng.choice(t_cat.objects))
     if seed % 3 == 0:
-        b_module = hom_from_module(u_cat, u_modules, random_dg_module(rng, field))
+        b_module = hom_from_module(u_cat, u_cx, random_dg_module(rng, field))
     else:
         b_module = representable_module(u_cat, rng.choice(u_cat.objects))
     return {
@@ -287,14 +283,14 @@ def random_theorem_fixture(seed, field, max_objects=1):
     """A full instance for the equivalence suite: Lambda, comma objects,
     Lambda-modules.  Sizes stay minimal so exact solves remain fast."""
     rng = random.Random(seed)
-    u_cat, u_modules, _ = random_endo_category(rng, field, "U", max_objects=max_objects)
-    t_cat, t_modules, _ = random_endo_category(rng, field, "T", max_objects=max_objects)
-    bim = hom_bimodule(u_cat, u_modules, t_cat, t_modules)
+    u_cat, _, u_cx = random_endo_category(rng, field, "U", max_objects=max_objects)
+    t_cat, _, t_cx = random_endo_category(rng, field, "T", max_objects=max_objects)
+    bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx)
     lam = build_lambda(t_cat, u_cat, bim, validate=False)
 
     A = representable_module(t_cat, rng.choice(t_cat.objects))
     if seed % 3 == 1:
-        B = hom_from_module(u_cat, u_modules, random_dg_module(rng, field))
+        B = hom_from_module(u_cat, u_cx, random_dg_module(rng, field))
     else:
         B = representable_module(u_cat, rng.choice(u_cat.objects))
     zero_obj = CommaObject(bim, A, B, {}, name="o_zero")
@@ -303,12 +299,8 @@ def random_theorem_fixture(seed, field, max_objects=1):
     if max_objects == 1 and seed % 2 == 0:
         # a third object over different modules, so cross Hom spaces mix
         # distinct transformation spaces on both legs
-        A2 = hom_from_module(
-            t_cat, t_modules, random_dg_module(rng, field), name="A2"
-        )
-        B2 = hom_from_module(
-            u_cat, u_modules, random_dg_module(rng, field), name="B2"
-        )
+        A2 = hom_from_module(t_cat, t_cx, random_dg_module(rng, field), name="A2")
+        B2 = hom_from_module(u_cat, u_cx, random_dg_module(rng, field), name="B2")
         comma_objects.append(random_comma_object(rng, bim, A2, B2, name="o_mix"))
 
     origin = rng.choice(lam.presentation.objects)

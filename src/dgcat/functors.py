@@ -330,25 +330,6 @@ class DgNatTransformation:
     def is_zero(self):
         return all(c.is_zero() for c in self.components.values())
 
-    def add(self, other):
-        return DgNatTransformation(
-            self.source,
-            self.target,
-            self.degree,
-            {
-                obj: self.components[obj].add(other.components[obj])
-                for obj in self.components
-            },
-        )
-
-    def scale(self, c):
-        return DgNatTransformation(
-            self.source,
-            self.target,
-            self.degree,
-            {obj: comp.scale(c) for obj, comp in self.components.items()},
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, DgNatTransformation)

@@ -21,7 +21,7 @@ from dgcat.fixtures import random_theorem_fixture
 from dgcat.functors import DgFunctor, DgNatTransformation
 from dgcat.graded import identity_map
 from dgcat.lambda_cat import build_lambda
-from dgcat.shipped import SHIPPED_BUILDERS
+from dgcat.shipped import NAMES, shipped_workspace
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -127,8 +127,8 @@ def identity_nat(fun):
 @pytest.fixture(scope="session")
 def theorem_fixtures():
     fixtures = []
-    for name, builder in SHIPPED_BUILDERS.items():
-        ws = builder()
+    for name in NAMES:
+        ws = shipped_workspace(name)
         lam = build_lambda(
             ws.categories["T"], ws.categories["U"], ws.bimodules["M"], validate=False
         )

@@ -48,7 +48,7 @@ from dgcat.functors import (
 )
 from dgcat.graded import GradedMap, identity_map
 from dgcat.lambda_cat import build_lambda
-from dgcat.shipped import SHIPPED_BUILDERS
+from dgcat.shipped import NAMES, shipped_workspace
 from tests.test_complexes import tensor_differential_oracle
 
 QQ = Rationals()
@@ -63,8 +63,8 @@ def test_criterion_1_axiom_suite():
     """Shipped and 200 seeded random fixtures validate, in under 60 s."""
     started = time.monotonic()
     count = 0
-    for name, builder in SHIPPED_BUILDERS.items():
-        ws = builder()
+    for name in NAMES:
+        ws = shipped_workspace(name)
         for cat in ws.categories.values():
             assert validate_dg_category(cat).passed, name
         for bim in ws.bimodules.values():
@@ -439,6 +439,16 @@ def _fails_only(report, name):
     return [c.name for c in report.checks if not c.passed] == [name]
 
 
+def _one_object_bimodule(u_cat, t_cat, value_module):
+    """Bimodule over one-object categories whose degree-0 generators act
+    by the identity; higher-degree generators act by zero."""
+    identity = {(0, 0): identity_map(value_module.carrier)}
+    u, t = u_cat.objects[0], t_cat.objects[0]
+    return Bimodule(
+        u_cat, t_cat, {(u, t): value_module}, {(u, u, t): identity}, {(t, t, u): identity}
+    )
+
+
 def test_criterion_7_negative_controls():
     """Each axiom has a corrupted fixture failing there and no earlier."""
     field = QQ
@@ -582,11 +592,11 @@ def test_criterion_7_negative_controls():
 
     for seed in range(30):
         rng = _random2.Random(seed)
-        u_cat, u_modules, _ = random_endo_category(rng, field, "U", max_objects=2)
-        t_cat, t_modules, _ = random_endo_category(rng, field, "T", max_objects=2)
+        u_cat, _, u_cx = random_endo_category(rng, field, "U", max_objects=2)
+        t_cat, _, t_cx = random_endo_category(rng, field, "T", max_objects=2)
         if len(u_cat.objects) < 2 or len(t_cat.objects) < 2:
             continue
-        bim = hom_bimodule(u_cat, u_modules, t_cat, t_modules)
+        bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx)
         u_special, t_special = u_cat.objects[1], t_cat.objects[0]
 
         def conj(u, t):
@@ -612,8 +622,6 @@ def test_criterion_7_negative_controls():
     # comma closedness: structure map hitting a non-cycle
     t_cat = trivial_category(field, name="T", obj="t")
     u_cat = trivial_category(field, name="U", obj="u")
-    from dgcat.shipped import _one_object_bimodule
-
     value = dg_module(field, {0: 1}, {})
     bim = _one_object_bimodule(u_cat, t_cat, value)
     A = representable_module(t_cat, "t")
@@ -716,12 +724,12 @@ def _unsigned_opposite(cat):
 def test_criterion_8_determinism(tmp_path):
     """Identical inputs and seeds produce byte-identical reports."""
     from dgcat.cli import main
-    from dgcat.shipped import shipped_documents
+    from dgcat.io_json import emit_workspace, render_document
 
-    documents = shipped_documents()
-    assert documents == shipped_documents()
+    emitted = [render_document(emit_workspace(shipped_workspace("kkk"))) for _ in range(2)]
+    assert emitted[0] == emitted[1]
     src = tmp_path / "kkk.json"
-    src.write_text(documents["kkk"], encoding="utf-8")
+    src.write_text(emitted[0], encoding="utf-8")
     outputs = []
     for run in range(2):
         out = tmp_path / f"run{run}.json"

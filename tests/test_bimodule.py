@@ -1,6 +1,5 @@
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
@@ -36,6 +35,7 @@ from dgcat.functors import (
     validate_dg_functor,
 )
 from dgcat.graded import GradedMap
+from dgcat.shipped import FIXTURE_DIR, NAMES, shipped_workspace
 
 QQ = Rationals()
 
@@ -46,24 +46,20 @@ def k_module(field=QQ, degree=0):
 
 def kkk_setup(field=QQ):
     """U = T = endomorphism category of K; M = Hom(K, K) = K."""
-    u_cat, u_mods = endomorphism_category(field, {"u0": k_module(field)}, name="U")[0:2]
-    t_cat, t_mods = endomorphism_category(field, {"t0": k_module(field)}, name="T")[0:2]
-    u_cat, hom_u = endomorphism_category(field, {"u0": k_module(field)}, name="U")
-    t_cat, hom_t = endomorphism_category(field, {"t0": k_module(field)}, name="T")
-    u_modules = {"u0": k_module(field)}
-    t_modules = {"t0": k_module(field)}
-    bim = hom_bimodule(u_cat, u_modules, t_cat, t_modules, name="M")
-    return u_cat, t_cat, u_modules, t_modules, bim
+    u_cat, u_cx = endomorphism_category(field, {"u0": k_module(field)}, name="U")
+    t_cat, t_cx = endomorphism_category(field, {"t0": k_module(field)}, name="T")
+    bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx, name="M")
+    return u_cat, t_cat, u_cx, t_cx, bim
 
 
 def random_setup(seed, field=QQ, max_objects=2):
     rng = random.Random(seed)
     from dgcat.fixtures import random_endo_category
 
-    u_cat, u_modules, _ = random_endo_category(rng, field, "U", max_objects=max_objects)
-    t_cat, t_modules, _ = random_endo_category(rng, field, "T", max_objects=max_objects)
-    bim = hom_bimodule(u_cat, u_modules, t_cat, t_modules)
-    return u_cat, t_cat, u_modules, t_modules, bim, rng
+    u_cat, _, u_cx = random_endo_category(rng, field, "U", max_objects=max_objects)
+    t_cat, _, t_cx = random_endo_category(rng, field, "T", max_objects=max_objects)
+    bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx)
+    return u_cat, t_cat, u_cx, t_cx, bim, rng
 
 
 def with_first_right_action_negated(bim):
@@ -134,7 +130,7 @@ def test_images_of_the_wrong_shape_are_refused():
 def test_interchange_negative_control():
     # Corrupt one right-action sign; the interchange check must catch it
     # with a witness, while the slice functors can stay valid.
-    u_cat, t_cat, u_modules, t_modules, bim, _ = random_setup(7)
+    u_cat, t_cat, u_cx, t_cx, bim, _ = random_setup(7)
     report = validate_bimodule(with_first_right_action_negated(bim))
     assert not report.passed
 
@@ -188,7 +184,7 @@ def test_kkk_tensor_functor_roundtrip():
 
 
 def test_g_on_objects_kkk():
-    u_cat, t_cat, u_modules, t_modules, bim = kkk_setup()
+    u_cat, t_cat, u_cx, t_cx, bim = kkk_setup()
     B = representable_module(u_cat, "u0")
     gb = g_on_objects(bim, B)
     assert gb.functor.on_objects["t0"].carrier.dims() == {0: 1}
@@ -203,12 +199,12 @@ def test_g_on_objects_zero_module():
 
 
 def test_g_on_objects_is_built_once_per_value_of_b():
-    u_cat, t_cat, u_modules, t_modules, bim, rng = random_setup(4, max_objects=1)
+    u_cat, t_cat, u_cx, t_cx, bim, rng = random_setup(4, max_objects=1)
     B = representable_module(u_cat, u_cat.objects[0])
     gb = g_on_objects(bim, B)
     assert g_on_objects(bim, B) is gb
     assert g_on_objects(bim, DgFunctor(B.base, B.on_objects, B.images)) is gb
-    other = hom_from_module(u_cat, u_modules, random_dg_module(rng, QQ))
+    other = hom_from_module(u_cat, u_cx, random_dg_module(rng, QQ))
     assert other.on_objects != B.on_objects
     g_other = g_on_objects(bim, other)
     assert g_other is not gb and g_other.B is other
@@ -253,7 +249,7 @@ def test_check_equivalence_builds_g_once_per_module_value(name, monkeypatch, tmp
         init(self, bim, B)
 
     monkeypatch.setattr(GModule, "__init__", counted)
-    source = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.json"
+    source = FIXTURE_DIR / f"{name}.json"
     argv = ["check-equivalence", "--input", str(source), "--output", str(tmp_path / "r")]
     assert main(argv) == 0
     assert len(built) == 2, built
@@ -261,7 +257,7 @@ def test_check_equivalence_builds_g_once_per_module_value(name, monkeypatch, tmp
 
 def test_g_functor_validates_on_random_fixtures():
     for seed in (0, 5):
-        u_cat, t_cat, u_modules, t_modules, bim, rng = random_setup(seed, max_objects=1)
+        u_cat, t_cat, u_cx, t_cx, bim, rng = random_setup(seed, max_objects=1)
         B = representable_module(u_cat, u_cat.objects[0])
         gb = g_on_objects(bim, B)
         report = validate_dg_functor(gb.functor)
@@ -270,7 +266,7 @@ def test_g_functor_validates_on_random_fixtures():
 
 def test_g_identity_action_is_identity():
     # identity t acts with sign (-1)^{|eta| . 0} = +1 and tbar = id.
-    u_cat, t_cat, u_modules, t_modules, bim = kkk_setup()
+    u_cat, t_cat, u_cx, t_cx, bim = kkk_setup()
     B = representable_module(u_cat, "u0")
     gb = g_on_objects(bim, B)
     from dgcat.graded import identity_map
@@ -281,10 +277,10 @@ def test_g_identity_action_is_identity():
 
 def test_g_on_morphisms_validates():
     for seed in (1, 4):
-        u_cat, t_cat, u_modules, t_modules, bim, rng = random_setup(seed, max_objects=1)
+        u_cat, t_cat, u_cx, t_cx, bim, rng = random_setup(seed, max_objects=1)
         B = representable_module(u_cat, u_cat.objects[0])
         Zmod = random_dg_module(rng, QQ)
-        B2 = hom_from_module(u_cat, u_modules, Zmod)
+        B2 = hom_from_module(u_cat, u_cx, Zmod)
         assert validate_dg_functor(B2).passed
         gb = g_on_objects(bim, B)
         gb2 = g_on_objects(bim, B2)
@@ -298,7 +294,7 @@ def test_g_on_morphisms_validates():
 
 def test_g_commutes_with_differential_and_composition():
     # G is a dg-functor: G(d eps) = d G(eps), G(eps' . eps) = G(eps') . G(eps)
-    u_cat, t_cat, u_modules, t_modules, bim, rng = random_setup(9, max_objects=1)
+    u_cat, t_cat, u_cx, t_cx, bim, rng = random_setup(9, max_objects=1)
     from dgcat.functors import compose_nat
 
     B = representable_module(u_cat, u_cat.objects[0])
@@ -360,7 +356,7 @@ def test_g_on_morphisms_identity_and_zero():
     from dgcat.functors import DgNatTransformation
     from dgcat.graded import identity_map
 
-    u_cat, t_cat, u_modules, t_modules, bim = kkk_setup()
+    u_cat, t_cat, u_cx, t_cx, bim = kkk_setup()
     B = representable_module(u_cat, "u0")
     gb = g_on_objects(bim, B)
     ident = identity_nat(B)
@@ -494,12 +490,8 @@ def _leibniz_check(bim, monkeypatch):
 def test_leibniz_on_valid_bimodules_is_read_from_the_slices(
     theorem_fixtures, monkeypatch
 ):
-    from dgcat.io_json import parse_text
-
-    shipped = Path(__file__).resolve().parent.parent / "fixtures"
     bimodules = [(fx["name"], fx["bimodule"]) for fx in theorem_fixtures] + [
-        (path.name, parse_text(path.read_text()).bimodules["M"])
-        for path in sorted(shipped.glob("*.json"))
+        (name, shipped_workspace(name).bimodules["M"]) for name in NAMES
     ]
     for name, bim in bimodules:
         check, scanned = _leibniz_check(bim, monkeypatch)

@@ -22,7 +22,7 @@ from dgcat.fixtures import (
     random_endo_category,
     trivial_category,
 )
-from dgcat.shipped import SHIPPED_BUILDERS
+from dgcat.shipped import NAMES, shipped_workspace
 
 QQ = Rationals()
 
@@ -191,7 +191,7 @@ def test_opposite_tables_equal_the_per_pair_rule(theorem_fixtures):
     """The transposed tables equal the per-pair rule on the shipped and the
     theorem categories and triangular categories, over Q and F_5."""
     cats = [
-        ws.categories[name] for ws in (b() for b in SHIPPED_BUILDERS.values())
+        ws.categories[name] for ws in map(shipped_workspace, NAMES)
         for name in ("T", "U")
     ]
     for fx in theorem_fixtures:

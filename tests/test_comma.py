@@ -20,6 +20,7 @@ from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_theorem_fixture
 from dgcat.functors import (
     DgNatTransformation,
+    linear_combination,
     nat_to_flat,
     nat_unknowns,
     naturality_witness,
@@ -54,7 +55,7 @@ def is_comma_morphism(source, target, phi):
 
 
 def kkk_comma_setup():
-    u_cat, t_cat, u_modules, t_modules, bim = kkk_setup()
+    u_cat, t_cat, u_cx, t_cx, bim = kkk_setup()
     lam = build_lambda(t_cat, u_cat, bim, validate=False)
     A = representable_module(t_cat, "t0")
     B = representable_module(u_cat, "u0")
@@ -95,9 +96,9 @@ def test_non_closed_f_detected():
     field = QQ
     k = dg_module(field, {0: 1}, {})
     contractible = dg_module(field, {0: 1, 1: 1}, {0: [[field.one()]]})
-    u_cat, _ = endomorphism_category(field, {"u0": k}, name="U")
-    t_cat, _ = endomorphism_category(field, {"t0": contractible}, name="T")
-    bim = hom_bimodule(u_cat, {"u0": k}, t_cat, {"t0": contractible})
+    u_cat, u_cx = endomorphism_category(field, {"u0": k}, name="U")
+    t_cat, t_cx = endomorphism_category(field, {"t0": contractible}, name="T")
+    bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx)
     A = representable_module(t_cat, "t0")
     B = representable_module(u_cat, "u0")
     gb = g_on_objects(bim, B)
@@ -348,9 +349,9 @@ def test_prime_two_is_permitted_and_flagged(tmp_path):
     from dgcat.cli import main
     from dgcat.fields import PrimeField
     from dgcat.io_json import emit_workspace, render_document
-    from dgcat.shipped import kkk_workspace
+    from dgcat.shipped import shipped_workspace
 
-    ws = kkk_workspace(PrimeField(2))
+    ws = shipped_workspace("kkk", PrimeField(2))
     src = tmp_path / "kkk2.json"
     src.write_text(render_document(emit_workspace(ws)), encoding="utf-8")
     out = tmp_path / "report.json"
@@ -498,7 +499,9 @@ def test_functor_laws_fail_for_every_seed_when_f_is_wrong_on_one_basis_morphism(
         image = f_on_morphisms(lam, source, target, phi)
         if (source.name, target.name, phi.degree) == hom_of_b:
             coeff = QQ.div(getattr(phi, leg).components[obj].entry(i, r, c), value)
-            image = image.add(f_on_morphisms(lam, source, target, b).scale(coeff))
+            image = linear_combination(
+                (QQ.one(), coeff), (image, f_on_morphisms(lam, source, target, b))
+            )
         return image
 
     monkeypatch.setattr(dgcat.comma, "f_on_morphisms", wrong_on_b)

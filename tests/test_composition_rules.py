@@ -171,9 +171,9 @@ def test_hom_actions_equal_the_dense_build():
     entries carry the sign -1 of an odd m|j|."""
     odd_signs = 0
     for field, t_modules, u_modules, z_module in _elementary_instances():
-        t_cat, _ = endomorphism_category(field, t_modules, name="T")
-        u_cat, _ = endomorphism_category(field, u_modules, name="U")
-        bim = hom_bimodule(u_cat, u_modules, t_cat, t_modules)
+        t_cat, t_cx = endomorphism_category(field, t_modules, name="T")
+        u_cat, u_cx = endomorphism_category(field, u_modules, name="U")
+        bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx)
         P, Q = t_modules, u_modules
         for (u, u2, t), images in bim.left_images.items():
             cxs = HomComplex(Q[u], Q[u2]), HomComplex(P[t], Q[u]), HomComplex(P[t], Q[u2])
@@ -185,7 +185,7 @@ def test_hom_actions_equal_the_dense_build():
                 assert images[(m, k)] == _dense_pre_composition(*cxs, m, k)
                 odd_signs += sum(m * i % 2 for i, _, _, _ in images[(m, k)].entries())
         Z = z_module
-        for (u, u2), images in hom_from_module(u_cat, u_modules, Z).images.items():
+        for (u, u2), images in hom_from_module(u_cat, u_cx, Z).images.items():
             cxs = HomComplex(Q[u], Q[u2]), HomComplex(Z, Q[u]), HomComplex(Z, Q[u2])
             for m, k in images:
                 assert images[(m, k)] == _dense_post_composition(*cxs, m, k)
@@ -264,9 +264,9 @@ def test_builders_compose_no_basis_pair_densely(monkeypatch):
     counted(HomComplex, "encode")
     field, t_modules, u_modules, z_module = list(_elementary_instances())[1]
     t_cat, t_cx = endomorphism_category(field, t_modules, name="T")
-    u_cat, _ = endomorphism_category(field, u_modules, name="U")
-    hom_bimodule(u_cat, u_modules, t_cat, t_modules)
-    hom_from_module(u_cat, u_modules, z_module)
+    u_cat, u_cx = endomorphism_category(field, u_modules, name="U")
+    hom_bimodule(u_cat, u_cx, t_cat, t_cx)
+    hom_from_module(u_cat, u_cx, z_module)
     prod = tensor_category(t_cat, u_cat)
     for cat in (t_cat, prod):
         for origin in cat.objects:

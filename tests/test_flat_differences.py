@@ -15,7 +15,6 @@ an input that fails its check.
 import contextlib
 import functools
 import itertools
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +29,12 @@ from dgcat.functors import DgFunctor, representable_module, validate_dg_functor
 from dgcat.graded import GradedMap, combination, first_nonzero_sum
 from dgcat.lambda_cat import build_lambda
 from dgcat.report import fmt_graded_map
+from dgcat.shipped import FIXTURE_DIR
 from tests.test_golden import _theorem_modules, _whole_map_chain_map
 
 FIELDS = {"Q": Rationals(), "F5": PrimeField(5)}
 STEPS = ("+1", "x2", "-1", "0")
-SHIPPED = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+SHIPPED = sorted(FIXTURE_DIR.glob("*.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dgcat.functors import (
     dgnat_space,
     dgnat_window,
     direct_sum_functors,
+    linear_combination,
     naturality_witness,
     representable_module,
     validate_dg_functor,
@@ -123,7 +124,7 @@ def test_dgnat_linearity_within_degree():
     for n in dgnat_window(fun, fun):
         _, _, nats = dgnat_space(fun, fun, n)
         if len(nats) >= 2:
-            combo = nats[0].scale(Fraction(3)).add(nats[1].scale(Fraction(-2)))
+            combo = linear_combination((Fraction(3), Fraction(-2)), nats[:2])
             assert naturality_witness(combo) is None
 
 
@@ -185,10 +186,12 @@ def test_compose_nat_leibniz():
     for nu in pool[:4]:
         for eta in pool[:4]:
             lhs = dgnat_differential(compose_nat(nu, eta))
-            rhs = compose_nat(dgnat_differential(nu), eta).add(
-                compose_nat(nu, dgnat_differential(eta)).scale(
-                    field.sign(nu.degree)
-                )
+            rhs = linear_combination(
+                (field.one(), field.sign(nu.degree)),
+                (
+                    compose_nat(dgnat_differential(nu), eta),
+                    compose_nat(nu, dgnat_differential(eta)),
+                ),
             )
             assert lhs == rhs
 

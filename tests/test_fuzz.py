@@ -13,13 +13,12 @@ import copy
 import io
 import json
 import sys
-from pathlib import Path
 
 import pytest
 
 from dgcat import cli
+from dgcat.shipped import NAMES, shipped_text
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DELETE = object()
 MUTATIONS = (None, True, -1, 1.5, "x", [], {}, "no_such_name", DELETE)
 
@@ -79,9 +78,9 @@ def run_cli(command, text):
         sys.stdin = saved
 
 
-@pytest.mark.parametrize("name", ["kkk", "exterior", "contractible"])
+@pytest.mark.parametrize("name", NAMES)
 def test_single_leaf_mutants_exit_cleanly(name):
-    doc = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+    doc = json.loads(shipped_text(name))
     escaped = []
     paths = list(leaf_paths(doc))
     assert len(paths) > 100
@@ -99,9 +98,9 @@ def test_single_leaf_mutants_exit_cleanly(name):
     assert not escaped, escaped[:5]
 
 
-@pytest.mark.parametrize("name", ["kkk", "exterior", "contractible"])
+@pytest.mark.parametrize("name", NAMES)
 def test_renamed_key_mutants_exit_cleanly(name):
-    doc = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+    doc = json.loads(shipped_text(name))
     escaped = []
     paths = list(key_paths(doc))
     assert len(paths) > 50

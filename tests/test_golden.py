@@ -42,7 +42,6 @@ import io
 import itertools
 import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -74,8 +73,7 @@ from dgcat.io_json import emit_category, render_document
 from dgcat.lambda_cat import build_lambda
 from dgcat.linalg import dense_vector
 from dgcat.report import fmt_vector
-
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+from dgcat.shipped import FIXTURE_DIR
 
 COMMANDS = {
     "validate": ["validate"],

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -16,24 +15,12 @@ from dgcat.io_json import (
     parse_text,
     render_document,
 )
-from dgcat.shipped import SHIPPED_BUILDERS, shipped_documents
-
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def fixture_text(name):
-    return (FIXTURE_DIR / f"{name}.json").read_text(encoding="utf-8")
-
-
-def test_shipped_files_match_builders():
-    documents = shipped_documents()
-    for name, text in documents.items():
-        assert fixture_text(name) == text
+from dgcat.shipped import FIXTURE_DIR, NAMES, shipped_text
 
 
 def test_parse_emit_roundtrip_is_canonical():
-    for name in SHIPPED_BUILDERS:
-        text = fixture_text(name)
+    for name in NAMES:
+        text = shipped_text(name)
         workspace = parse_text(text)
         emitted = render_document(emit_workspace(workspace))
         assert emitted == text
@@ -42,7 +29,7 @@ def test_parse_emit_roundtrip_is_canonical():
 
 
 def test_parse_rejects_bad_scalar():
-    text = fixture_text("kkk").replace('"1"', '"1.5"', 1)
+    text = shipped_text("kkk").replace('"1"', '"1.5"', 1)
     with pytest.raises(StructureError):
         parse_text(text)
 
@@ -185,7 +172,7 @@ def _set_fixture_refs(doc, key, value):
     ],
 )
 def test_parse_rejects_malformed_entry_with_its_path(edit, path, tmp_path):
-    document = json.loads(fixture_text("kkk"))
+    document = json.loads(shipped_text("kkk"))
     edit(document)
     with pytest.raises(StructureError) as info:
         parse_text(json.dumps(document))
@@ -198,7 +185,7 @@ def test_parse_rejects_malformed_entry_with_its_path(edit, path, tmp_path):
 
 @pytest.mark.parametrize("value", ["1/2", "-1/2", "3"])
 def test_parse_accepts_reduced_scalars(value):
-    document = json.loads(fixture_text("kkk"))
+    document = json.loads(shipped_text("kkk"))
     _set_identity(document, value)
     parse_text(json.dumps(document))
 
@@ -212,7 +199,7 @@ def test_parse_accepts_reduced_scalars(value):
     ids=["listed_twice", "cancelling"],
 )
 def test_parse_sums_comp_entries_at_one_position(entries, emitted):
-    document = json.loads(fixture_text("kkk"))
+    document = json.loads(shipped_text("kkk"))
     document["categories"]["T"]["comp"]["t"]["t"]["t"] = entries
     category = emit_workspace(parse_text(json.dumps(document)))["categories"]["T"]
     comp = category.get("comp")
@@ -265,9 +252,9 @@ def run_cli(args, tmp_path, stdin_text=None):
 
 
 def test_cli_validate_shipped(tmp_path):
-    for name in SHIPPED_BUILDERS:
+    for name in NAMES:
         src = tmp_path / f"{name}.json"
-        src.write_text(fixture_text(name), encoding="utf-8")
+        src.write_text(shipped_text(name), encoding="utf-8")
         code, text = run_cli(["validate", "--input", str(src)], tmp_path)
         assert code == 0, text
         report = json.loads(text)
@@ -278,7 +265,7 @@ def test_cli_validate_negative_control(tmp_path):
     # corrupt the exterior fixture so that x . x = 1 is claimed, which is a
     # degree violation caught as a structural error at parse time; instead
     # corrupt an identity coordinate, a mathematical failure
-    document = json.loads(fixture_text("kkk"))
+    document = json.loads(shipped_text("kkk"))
     document["categories"]["T"]["id"]["t"] = ["2"]
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(document), encoding="utf-8")
@@ -290,9 +277,9 @@ def test_cli_validate_negative_control(tmp_path):
 
 
 def test_cli_check_equivalence_shipped(tmp_path):
-    for name in SHIPPED_BUILDERS:
+    for name in NAMES:
         src = tmp_path / f"{name}.json"
-        src.write_text(fixture_text(name), encoding="utf-8")
+        src.write_text(shipped_text(name), encoding="utf-8")
         code, text = run_cli(
             ["check-equivalence", "--input", str(src), "--seed", "7"], tmp_path
         )
@@ -304,7 +291,7 @@ def test_cli_check_equivalence_shipped(tmp_path):
 
 def test_cli_check_equivalence_deterministic(tmp_path):
     src = tmp_path / "kkk.json"
-    src.write_text(fixture_text("kkk"), encoding="utf-8")
+    src.write_text(shipped_text("kkk"), encoding="utf-8")
     _, first = run_cli(
         ["check-equivalence", "--input", str(src), "--seed", "11"], tmp_path
     )
@@ -337,7 +324,7 @@ def test_cli_check_equivalence_validates_and_builds_once(tmp_path, monkeypatch):
     for module in (dgcat.cli, dgcat.io_json):
         monkeypatch.setattr(module, "build_lambda", counted_build)
     src = tmp_path / "kkk.json"
-    src.write_text(fixture_text("kkk"), encoding="utf-8")
+    src.write_text(shipped_text("kkk"), encoding="utf-8")
     code, _ = run_cli(["check-equivalence", "--input", str(src)], tmp_path)
     assert code == 0
     assert calls == {"validate": ["T", "U", "[[T,0],[M,U]]"], "build": 1}
@@ -346,7 +333,7 @@ def test_cli_check_equivalence_validates_and_builds_once(tmp_path, monkeypatch):
 def test_cli_check_equivalence_rejects_degree_window(tmp_path, capsys):
     """The option is gone: argparse refuses it with exit 2."""
     src = tmp_path / "kkk.json"
-    src.write_text(fixture_text("kkk"), encoding="utf-8")
+    src.write_text(shipped_text("kkk"), encoding="utf-8")
     with pytest.raises(SystemExit) as info:
         main(["check-equivalence", "--input", str(src), "--degree-window", "0:0"])
     assert info.value.code == 2
@@ -354,7 +341,7 @@ def test_cli_check_equivalence_rejects_degree_window(tmp_path, capsys):
 
 
 def test_cli_corrupted_composition_fails_at_lambda_validation(tmp_path):
-    document = json.loads(fixture_text("kkk"))
+    document = json.loads(shipped_text("kkk"))
     # flip the sign of the only composition entry in T
     entry = document["categories"]["T"]["comp"]["t"]["t"]["t"][0]
     entry[5] = "-1"
@@ -371,7 +358,7 @@ def test_cli_corrupted_composition_fails_at_lambda_validation(tmp_path):
 
 def test_cli_oppose_and_tensor_roundtrip(tmp_path):
     src = tmp_path / "exterior.json"
-    src.write_text(fixture_text("exterior"), encoding="utf-8")
+    src.write_text(shipped_text("exterior"), encoding="utf-8")
     code, text = run_cli(
         ["oppose", "--input", str(src), "--category", "T"], tmp_path
     )
@@ -393,9 +380,9 @@ def test_cli_oppose_and_tensor_roundtrip(tmp_path):
 
 
 def test_cli_lambda_emission_roundtrips(tmp_path):
-    for name in SHIPPED_BUILDERS:
+    for name in NAMES:
         src = tmp_path / f"{name}.json"
-        src.write_text(fixture_text(name), encoding="utf-8")
+        src.write_text(shipped_text(name), encoding="utf-8")
         code, text = run_cli(
             [
                 "lambda",
@@ -432,7 +419,7 @@ def test_cli_lambda_emission_roundtrips(tmp_path):
 
 def test_cli_lambda_kkk_dims(tmp_path):
     src = tmp_path / "kkk.json"
-    src.write_text(fixture_text("kkk"), encoding="utf-8")
+    src.write_text(shipped_text("kkk"), encoding="utf-8")
     code, text = run_cli(
         ["lambda", "--input", str(src), "--t", "T", "--u", "U", "--bimodule", "M"],
         tmp_path,
@@ -446,7 +433,7 @@ def test_cli_lambda_kkk_dims(tmp_path):
 
 def test_cli_unknown_name_is_structural(tmp_path):
     src = tmp_path / "kkk.json"
-    src.write_text(fixture_text("kkk"), encoding="utf-8")
+    src.write_text(shipped_text("kkk"), encoding="utf-8")
     code = main(
         [
             "oppose",
@@ -480,7 +467,7 @@ def test_seed_is_refused_where_no_report_records_it(argv, capsys):
 
 def test_console_entry_point(tmp_path):
     src = tmp_path / "kkk.json"
-    src.write_text(fixture_text("kkk"), encoding="utf-8")
+    src.write_text(shipped_text("kkk"), encoding="utf-8")
     proc = subprocess.run(
         [
             sys.executable,
@@ -507,7 +494,7 @@ def _failing(report):
 def test_cli_check_equivalence_refuses_an_invalid_comma_module(tmp_path, capsys):
     # The identity of A acts by 2 in degree 1, so A breaks the unit law and
     # functoriality; both comma objects of the fixture are built over A.
-    document = json.loads(fixture_text("exterior"))
+    document = json.loads(shipped_text("exterior"))
     document["modules"]["A"]["on_hom"]["t"]["t"][1][5] = "2"
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(document), encoding="utf-8")
@@ -602,7 +589,7 @@ def test_comma_object_over_an_invalid_bimodule_exits_1_with_its_report(
     # The left action of the identity of u doubled: G(B) still builds, with
     # G(B)(t) zero, so the f of o_can no longer fits it.  The bimodule is
     # at fault, so every command stops with its report, not a shape error.
-    document = json.loads(fixture_text("exterior"))
+    document = json.loads(shipped_text("exterior"))
     document["bimodules"]["M"]["left_action"]["u"]["u"]["t"][0][5] = "2"
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(document), encoding="utf-8")
@@ -615,7 +602,7 @@ def test_comma_object_over_an_invalid_bimodule_exits_1_with_its_report(
         assert _failing(report) == ["t_slice[t]"]
         assert "bimodule M is invalid, so G(B) is not defined" in err
     # with a valid bimodule, an f of the wrong shape is still a shape error
-    document = json.loads(fixture_text("exterior"))
+    document = json.loads(shipped_text("exterior"))
     document["comma_objects"]["o_can"]["f"]["t"]["0"][0].append("1")
     src.write_text(json.dumps(document), encoding="utf-8")
     assert main(["validate", "--input", str(src)]) == 2
@@ -626,7 +613,7 @@ def test_cli_validate_checks_a_large_unit_sparsely(tmp_path):
     # A module acting by zero on a 100000-dimensional value: an identity
     # matrix of that size would hold 10^10 entries, so only a check that
     # reads the image of the identity entry by entry finishes here.
-    document = json.loads(fixture_text("kkk"))
+    document = json.loads(shipped_text("kkk"))
     del document["comma_objects"], document["fixtures"]
     document["modules"]["A"] = {
         "base": "T",
@@ -687,7 +674,7 @@ def _drop_fixtures_and_rename_comma_objects(doc):
 )
 def test_parse_rejects_an_undefined_key_with_its_object_path(edit, path, tmp_path):
     # Read as an absent entry, a misspelt key would leave its data unchecked.
-    document = json.loads(fixture_text("exterior"))
+    document = json.loads(shipped_text("exterior"))
     edit(document)
     with pytest.raises(StructureError) as info:
         parse_text(json.dumps(document))

@@ -24,7 +24,7 @@ from dgcat.lambda_cat import (
     restrict_module,
 )
 from dgcat.report import fmt_vector
-from dgcat.shipped import SHIPPED_BUILDERS
+from dgcat.shipped import NAMES, shipped_workspace
 from tests.test_bimodule import kkk_setup, random_setup, with_first_right_action_negated
 
 QQ = Rationals()
@@ -83,13 +83,13 @@ def test_zero_bimodule_block_diagonal():
 
 def test_lambda_validates_on_random_fixtures():
     for seed in (0, 3):
-        u_cat, t_cat, u_modules, t_modules, bim, _ = random_setup(seed, max_objects=1)
+        u_cat, t_cat, u_cx, t_cx, bim, _ = random_setup(seed, max_objects=1)
         lam = build_lambda(t_cat, u_cat, bim)
         assert validate_dg_category(lam.presentation).passed
 
 
 def test_lambda_validates_f5():
-    u_cat, t_cat, u_modules, t_modules, bim, _ = random_setup(
+    u_cat, t_cat, u_cx, t_cx, bim, _ = random_setup(
         1, field=PrimeField(5), max_objects=1
     )
     lam = build_lambda(t_cat, u_cat, bim)
@@ -97,7 +97,7 @@ def test_lambda_validates_f5():
 
 
 def test_lambda_refuses_invalid_bimodule():
-    u_cat, t_cat, u_modules, t_modules, bim, _ = random_setup(7, max_objects=1)
+    u_cat, t_cat, u_cx, t_cx, bim, _ = random_setup(7, max_objects=1)
     bim = with_first_right_action_negated(bim)
     with pytest.raises(ValidationFailure) as exc:
         build_lambda(t_cat, u_cat, bim)
@@ -108,7 +108,7 @@ def test_lambda_leibniz_identities():
     """Both bullet Leibniz identities are Lambda's composition_chain_map on
     the basis pairs (m, t) and (u, m)."""
     for seed in (0, 2, 5):
-        u_cat, t_cat, u_modules, t_modules, bim, _ = random_setup(seed, max_objects=2)
+        u_cat, t_cat, u_cx, t_cx, bim, _ = random_setup(seed, max_objects=2)
         lam = build_lambda(t_cat, u_cat, bim, validate=False)
         report = validate_dg_category(lam.presentation)
         assert report.check("composition_chain_map").passed, report.render()
@@ -215,7 +215,7 @@ def test_restrict_zero_module():
 
 
 def test_restrict_on_random_lambda_representables():
-    u_cat, t_cat, u_modules, t_modules, bim, rng = random_setup(4, max_objects=1)
+    u_cat, t_cat, u_cx, t_cx, bim, rng = random_setup(4, max_objects=1)
     lam = build_lambda(t_cat, u_cat, bim, validate=False)
     pres = lam.presentation
     for origin in pres.objects:
@@ -283,8 +283,8 @@ def _odd_sign_terms(lam):
 
 
 def _lambdas(theorem_fixtures):
-    for name, builder in SHIPPED_BUILDERS.items():
-        ws = builder()
+    for name in NAMES:
+        ws = shipped_workspace(name)
         yield name, (ws.categories["T"], ws.categories["U"], ws.bimodules["M"])
     for fx in theorem_fixtures:
         yield fx["name"], (fx["t_cat"], fx["u_cat"], fx["bimodule"])

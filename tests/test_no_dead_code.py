@@ -31,11 +31,20 @@ ALLOWED = {
     "fields.Rationals.div": (
         "field interface: the benchmark's field-op count wraps every op, div included"
     ),
+    "fixtures.exterior_category": "tests build the exterior algebra example from it",
     "fixtures.random_axiom_fixture": "bench/documents.py and the tests draw instances from it",
     "fixtures.random_theorem_fixture": "bench/documents.py and the tests draw instances from it",
+    "fixtures.trivial_category": "tests build the one-object category K from it",
+    "graded.identity_map": "tests build identity actions and transformations from it",
+    "io_json.emit_workspace": (
+        "bench/documents.py emits its generated documents with it, and the "
+        "tests check that parsing then emitting keeps the bytes"
+    ),
     "linalg.vec_scale": "the tests' sign oracles scale coordinate vectors with it",
     "report.Report.failures": "tests list the failing checks of a report with it",
-    "shipped.shipped_documents": "tests compare the shipped fixture files with it",
+    "shipped.contractible_workspace": "bench/documents.py reads it by name",
+    "shipped.exterior_workspace": "bench/documents.py reads it by name",
+    "shipped.kkk_workspace": "bench/documents.py reads it by name",
 }
 
 
