@@ -37,10 +37,10 @@ F(phi) once per comma basis morphism and compares F(d phi) with d F(phi)
 for each, and F(psi . phi) with F(psi) . F(phi) for each composable pair
 of basis morphisms, so no morphism is sampled.  F is evaluated once per
 distinct comma morphism value (a composite or differential equal to a
-basis morphism reads that morphism's image), and the composites of a
-group of pairs come from one stacked product per object
-(graded.MapStack), so the cost follows the distinct data, not the
-number of pairs.
+basis morphism reads that morphism's image), and each composite, of a
+leg or of two images, is one compose_graded per object on the stored
+nonzero entries, so its cost follows the nonzero data, not the block
+sizes.
 """
 
 from __future__ import annotations
@@ -70,11 +70,10 @@ from .graded import (
     DirectSum,
     GradedMap,
     Homog,
-    MapStack,
     basis_vector,
+    compose_graded,
     homogeneous_basis,
     map_from_action,
-    maps_key,
     place_blocks,
 )
 from .lambda_cat import SLOT_T, SLOT_U, restrict_module
@@ -156,7 +155,7 @@ def validate_comma_object(obj):
     if not d_nat.is_zero():
         for t, comp in sorted(d_nat.components.items()):
             if not comp.is_zero():
-                witness = {"object": t, "degree": min(comp.blocks)}
+                witness = {"object": t, "degree": comp.support()[0]}
                 break
     report.add("closed", witness is None, witness)
     witness = naturality_witness(nat)
@@ -549,12 +548,10 @@ def _functor_law_witnesses(lam, comma_objects, coproducts, images):
 
     images maps (i, j, n) to the pairs (phi, F(phi)) over the degree-n
     comma basis o_i -> o_j.  F runs once per distinct value: the memo is
-    keyed on (i, j, degree, blocks of every alpha and beta component)
-    and starts from images, so a composite or a differential equal to a
-    basis morphism reads its image.  The composites psi . phi of both
-    legs, and F(psi) . F(phi), at each object come from one MapStack.after
-    per (i, j, n1): every basis morphism psi out of o_j, of any target and
-    degree (stacked once per j), after every phi in images[(i, j, n1)].
+    keyed on (i, j, degree, the alpha and the beta components) and starts
+    from images, so a composite or a differential equal to a basis
+    morphism reads its image.  Every composite, of a leg or of the images,
+    is one sparse compose_graded per object.
     """
     objects = {
         "alpha": lam.bimodule.right_base.objects,
@@ -565,21 +562,18 @@ def _functor_law_witnesses(lam, comma_objects, coproducts, images):
 
     def legs(phi):
         return [
-            [getattr(phi, leg).components[obj] for obj in objects[leg]]
+            tuple(getattr(phi, leg).components[obj] for obj in objects[leg])
             for leg in ("alpha", "beta")
         ]
 
-    def value_key(i, j, degree, alphas, betas):
-        return i, j, degree, maps_key(alphas), maps_key(betas)
-
     memo = {
-        value_key(i, j, n, *legs(phi)): image
+        (i, j, n, *legs(phi)): image
         for (i, j, n), mapped in images.items()
         for phi, image in mapped
     }
 
     def f_by_value(i, j, degree, alphas, betas):
-        key = value_key(i, j, degree, alphas, betas)
+        key = (i, j, degree, alphas, betas)
         if key not in memo:
             src, tgt = comma_objects[i], comma_objects[j]
             alpha = DgNatTransformation(
@@ -601,74 +595,24 @@ def _functor_law_witnesses(lam, comma_objects, coproducts, images):
                 return True
         return False
 
-    functors = {
-        "alpha": [obj.A for obj in comma_objects],
-        "beta": [obj.B for obj in comma_objects],
-        "image": coproducts,
-    }
-
-    def stack(x, leg, obj, keys):
-        """The MapStack of the components at obj of one leg (or of the
-        image) of the basis morphisms of images[key] out of o_x, in order."""
-        return MapStack(
-            functors[leg][x].on_objects[obj].carrier,
-            [
-                (image if leg == "image" else getattr(phi, leg)).components[obj]
-                for key in keys
-                for phi, image in images[key]
-            ],
-        )
-
-    # the basis morphisms out of o_j, of all targets and degrees, in images
-    # order; those of images[(j, k, n)] start at row rows[(j, k, n)]
-    out_keys = {j: [] for j in range(len(comma_objects))}
-    rows, count = {}, [0] * len(comma_objects)
-    for key, mapped in images.items():
-        out_keys[key[0]].append(key)
-        rows[key] = count[key[0]]
-        count[key[0]] += len(mapped)
-    out_stacks = {}
-
-    def out_stack(j, leg, obj):
-        if (j, leg, obj) not in out_stacks:
-            out_stacks[j, leg, obj] = stack(j, leg, obj, out_keys[j])
-        return out_stacks[j, leg, obj]
-
-    def composites(i, j, n1):
-        """{leg: per object, [[psi . phi for phi in images[(i, j, n1)]] for
-        every psi out of o_j]}, at the leg (or the image) of each."""
-        return {
-            leg: [
-                out_stack(j, leg, obj).after(stack(i, leg, obj, [(i, j, n1)]))
-                for obj in objects[leg]
-            ]
-            for leg in ("alpha", "beta", "image")
-        }
-
     def composition_witness(i, j):
-        """The first failing group (i, j, k, n1, n2), by k, n1 and n2."""
+        """The first failing group (i, j, k, n1, n2), by k, n1 and n2; in a
+        group, psi runs over images[(j, k, n2)], then phi over images[(i, j, n1)]."""
         window = comma_window(comma_objects[i], comma_objects[j])
-        by_n1 = {n1: composites(i, j, n1) for n1 in window if images[(i, j, n1)]}
         for k, tgt in enumerate(comma_objects):
             for n1, n2 in product(window, comma_window(comma_objects[j], tgt)):
-                firsts, seconds = images[(i, j, n1)], images[(j, k, n2)]
-                if not firsts or not seconds:
-                    continue
-                legs_of = by_n1[n1]
-                for a, b in product(
-                    range(rows[j, k, n2], rows[j, k, n2] + len(seconds)),
-                    range(len(firsts)),
+                for (psi, f_psi), (phi, f_phi) in product(
+                    images[(j, k, n2)], images[(i, j, n1)]
                 ):
-                    lhs = f_by_value(
-                        i,
-                        k,
-                        n1 + n2,
-                        [per_t[a][b] for per_t in legs_of["alpha"]],
-                        [per_u[a][b] for per_u in legs_of["beta"]],
+                    alphas, betas = (
+                        tuple(map(compose_graded, second, first))
+                        for second, first in zip(legs(psi), legs(phi))
                     )
+                    lhs = f_by_value(i, k, n1 + n2, alphas, betas)
                     if lhs.degree != n1 + n2 or any(
-                        lhs.components[p] != per_p[a][b]
-                        for p, per_p in zip(objects["image"], legs_of["image"])
+                        lhs.components[p]
+                        != compose_graded(f_psi.components[p], f_phi.components[p])
+                        for p in objects["image"]
                     ):
                         return {
                             "objects": [names[i], names[j], names[k]],

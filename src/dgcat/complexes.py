@@ -45,10 +45,7 @@ class DgModule:
 
     def d_squared_witness(self):
         """First degree where d . d has a nonzero block, or None."""
-        dd = self.d.compose(self.d)
-        if dd.blocks:
-            return min(dd.blocks)
-        return None
+        return next(iter(self.d.compose(self.d).support()), None)
 
     def dim(self, n):
         return self.carrier.dim(n)
@@ -150,20 +147,18 @@ class HomComplex(_PairComplex):
         out = [field.zero()] * self.carrier.dim(n + 1)
         index = self._index.get(n + 1, {})
         # d_N after the elementary map: column b of d_N at degree i + n.
-        dn = self.target.d.block(i + n)
         for b2 in range(self.target.dim(i + n + 1)):
             key = (i, a, b2)
-            if key in index and not field.is_zero(dn[b2][b]):
-                out[index[key]] = field.add(out[index[key]], dn[b2][b])
+            x = self.target.d.entry(i + n, b2, b)
+            if key in index and not field.is_zero(x):
+                out[index[key]] = field.add(out[index[key]], x)
         # minus (-1)^n times the elementary map after d_M: row a of d_M at i - 1.
         sgn = field.neg(field.sign(n))
-        dm = self.source.d.block(i - 1)
         for a2 in range(self.source.dim(i - 1)):
             key = (i - 1, a2, b)
-            if key in index and not field.is_zero(dm[a][a2]):
-                out[index[key]] = field.add(
-                    out[index[key]], field.mul(sgn, dm[a][a2])
-                )
+            x = self.source.d.entry(i - 1, a, a2)
+            if key in index and not field.is_zero(x):
+                out[index[key]] = field.add(out[index[key]], field.mul(sgn, x))
         return out
 
     def encode(self, gmap):
@@ -205,19 +200,17 @@ class TensorComplex(_PairComplex):
         j = n - i
         out = [field.zero()] * self.carrier.dim(n + 1)
         index = self._index.get(n + 1, {})
-        dl = self.left.d.block(i)
         for a2 in range(self.left.dim(i + 1)):
             key = (i + 1, a2, b)
-            if key in index and not field.is_zero(dl[a2][a]):
-                out[index[key]] = field.add(out[index[key]], dl[a2][a])
+            x = self.left.d.entry(i, a2, a)
+            if key in index and not field.is_zero(x):
+                out[index[key]] = field.add(out[index[key]], x)
         sgn = field.sign(i)
-        dr = self.right.d.block(j)
         for b2 in range(self.right.dim(j + 1)):
             key = (i, a, b2)
-            if key in index and not field.is_zero(dr[b2][b]):
-                out[index[key]] = field.add(
-                    out[index[key]], field.mul(sgn, dr[b2][b])
-                )
+            x = self.right.d.entry(j, b2, b)
+            if key in index and not field.is_zero(x):
+                out[index[key]] = field.add(out[index[key]], field.mul(sgn, x))
         return out
 
     def encode_pure(self, i, left_vec, j, right_vec):

@@ -143,11 +143,11 @@ def random_dg_module(rng, field, max_dim=RANDOM_MAX_DIM, max_span=RANDOM_MAX_DEG
 
 
 def random_endo_category(rng, field, name, max_objects=2):
-    """Endomorphism category of 1..max_objects random dg modules."""
+    """Endomorphism category of 1..max_objects random dg modules, with its
+    Hom complexes, as endomorphism_category returns them."""
     count = rng.randint(1, max_objects)
     modules = {f"{name.lower()}{i}": random_dg_module(rng, field) for i in range(count)}
-    cat, hom_cx = endomorphism_category(field, modules, name=name)
-    return cat, modules, hom_cx
+    return endomorphism_category(field, modules, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +258,8 @@ def random_axiom_fixture(seed, field):
     """
     rng = random.Random(seed)
     max_objects = 3 if seed % 5 == 0 else 2
-    u_cat, _, u_cx = random_endo_category(rng, field, "U", max_objects=max_objects)
-    t_cat, _, t_cx = random_endo_category(rng, field, "T", max_objects=max_objects)
+    u_cat, u_cx = random_endo_category(rng, field, "U", max_objects=max_objects)
+    t_cat, t_cx = random_endo_category(rng, field, "T", max_objects=max_objects)
     if seed % 7 == 0:
         bim = zero_bimodule(u_cat, t_cat)
     else:
@@ -283,8 +283,8 @@ def random_theorem_fixture(seed, field, max_objects=1):
     """A full instance for the equivalence suite: Lambda, comma objects,
     Lambda-modules.  Sizes stay minimal so exact solves remain fast."""
     rng = random.Random(seed)
-    u_cat, _, u_cx = random_endo_category(rng, field, "U", max_objects=max_objects)
-    t_cat, _, t_cx = random_endo_category(rng, field, "T", max_objects=max_objects)
+    u_cat, u_cx = random_endo_category(rng, field, "U", max_objects=max_objects)
+    t_cat, t_cx = random_endo_category(rng, field, "T", max_objects=max_objects)
     bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx)
     lam = build_lambda(t_cat, u_cat, bim, validate=False)
 

@@ -2,31 +2,36 @@
 
 A GradedModule is a finitely supported map degree -> dimension; a basis
 vector is named by its degree and its index there.  A GradedMap of
-degree n is a sparse family of blocks, one row-major matrix per source
-degree i, sending degree i to i + n; an absent block is the zero block.
+degree n sends source degree i to target degree i + n; its block at i is
+the matrix of that component, with rows indexed by the target basis and
+columns by the source basis.
 
-This module is the one place that knows that layout.  Elsewhere a map is
-built from its (i, r, c, value) entries with GradedMap.from_entries (or
-column by column with map_from_action, or from sub-maps with
-place_blocks), and read with GradedMap.entries, which yields the nonzero
-entries (GradedMap.columns groups them by column), or GradedMap.entry,
-which reads one.
+This module is the one place that knows how a map is stored: as its
+nonzero entries only, in the private slot _nonzeros = {i: {r: {c: v}}},
+kept in (i, r, c) order with no zero entry, no empty row and no empty
+block.  Elsewhere a map is built from its (i, r, c, value) entries with
+GradedMap.from_entries (or column by column with map_from_action, or
+from sub-maps with place_blocks), and read with GradedMap.entries (the
+nonzero entries), GradedMap.columns (the same, grouped by column),
+GradedMap.entry (one entry), GradedMap.apply (the image of a vector),
+GradedMap.support (the source degrees with a nonzero block) or
+GradedMap.block (the one dense view, for rank, kernels, reports and
+files).  A map of one nonzero entry takes one entry's memory, whatever
+the sizes of its blocks.
 
-Invariant: every stored block is a tuple of row tuples of shape
-(target.dim(i + degree), source.dim(i)), none is zero, and they are kept
-in degree order, so maps are equal exactly when their data are.
-GradedMap(...), from_entries and map_from_action take blocks from
-outside or from callbacks, so they check shapes and drop zero blocks.
-add, sub, scale, compose_graded, MapStack.after, combination and
-place_blocks derive a map from maps that hold the invariant and build it
-once, already in final form, through GradedMap._built: scaling by zero
-gives the zero map, and a block that cancels in a composite or a sum is
-dropped.
+Invariant: the stored entries hold the order and have no zeros, so maps
+are equal exactly when their data are.  GradedMap(...) takes dense
+blocks from outside and checks their shapes; from_entries and
+map_from_action take entries from outside or from callbacks.  add, sub,
+scale, compose_graded, combination and place_blocks derive a map from
+maps that hold the invariant and build it through GradedMap._built:
+scaling by zero gives the zero map, and an entry that cancels in a
+composite or a sum is dropped.
 
 An identity between sums of maps and of composites, checked once per
 basis pair of some category, is decided by first_nonzero_sum: each sum
-is added up entry by entry from the blocks into one flat dict, with no
-map built, and is zero iff every entry is.
+is added up entry by entry into one flat dict, with no map built, and
+is zero iff every entry is.
 """
 
 from __future__ import annotations
@@ -97,21 +102,21 @@ def zero_module(field):
 class GradedMap:
     """Degree-homogeneous linear map between graded modules.
 
-    blocks[i] is the matrix of the component source^i -> target^(i+degree);
-    blocks with a zero-dimensional side or all-zero entries are dropped at
-    construction, so equality is plain data equality.
+    The entry at row r, column c of the block at source degree i is the
+    coefficient of target basis vector r of degree i + degree in the
+    image of source basis vector c of degree i.  Only the nonzero entries
+    are stored (see the module docstring), so equality is plain data
+    equality.
     """
 
-    __slots__ = ("source", "target", "degree", "blocks")
+    __slots__ = ("source", "target", "degree", "_nonzeros", "_hash")
 
     def __init__(self, source, target, degree, blocks):
+        """The map with the given dense blocks {i: rows}; an absent block
+        is zero, and every block must have the shape of its degree."""
         if source.field != target.field:
             raise StructureError("source and target live over different fields")
-        self.source = source
-        self.target = target
-        self.degree = degree
-        field = source.field
-        clean = {}
+        dense = {}
         for i, block in blocks.items():
             nr, nc = len(block), len(block[0]) if block else 0
             want = (target.dim(i + degree), source.dim(i))
@@ -119,19 +124,19 @@ class GradedMap:
                 raise StructureError(
                     f"block at degree {i} has shape {(nr, nc)}, expected {want}"
                 )
-            if nr == 0 or nc == 0:
-                continue
-            if linalg.is_zero_matrix(field, block):
-                continue
-            clean[i] = linalg.freeze(block)
-        self.blocks = dict(sorted(clean.items()))
+            dense[i] = {r: dict(enumerate(row)) for r, row in enumerate(block)}
+        self.source, self.target, self.degree = source, target, degree
+        self._nonzeros = _normal(source.field.is_zero, dense)
+        self._hash = None
 
     @classmethod
-    def _built(cls, source, target, degree, blocks):
-        """The map with the given blocks, which already hold the module
-        invariant: frozen, of the right shape, none zero, in degree order."""
+    def _built(cls, source, target, degree, nonzeros):
+        """The map with the given nonzero entries {i: {r: {c: v}}}, which
+        already hold the module invariant."""
         out = object.__new__(cls)
-        out.source, out.target, out.degree, out.blocks = source, target, degree, blocks
+        out.source, out.target, out.degree = source, target, degree
+        out._nonzeros = nonzeros
+        out._hash = None
         return out
 
     @classmethod
@@ -140,28 +145,24 @@ class GradedMap:
         column c of the block at source degree i.  Entries at one position
         are summed; every position no entry names is zero."""
         field = source.field
-        blocks = {}
+        is_zero, add, zero = field.is_zero, field.add, field.zero()
+        acc = {}
         for i, r, c, value in entries:
-            if field.is_zero(value):
+            if is_zero(value):
                 continue
-            block = blocks.get(i)
-            if block is None:
-                block = blocks[i] = [
-                    [field.zero()] * source.dim(i)
-                    for _ in range(target.dim(i + degree))
-                ]
-            block[r][c] = field.add(block[r][c], value)
-        return cls(source, target, degree, blocks)
+            if not (0 <= r < target.dim(i + degree) and 0 <= c < source.dim(i)):
+                raise StructureError(f"entry {(i, r, c)} lies outside its block")
+            row = acc.setdefault(i, {}).setdefault(r, {})
+            row[c] = add(row.get(c, zero), value)
+        return cls._built(source, target, degree, _normal(is_zero, acc))
 
     def entries(self):
         """The nonzero entries (i, r, c, value), by source degree i, then
         row r, then column c."""
-        is_zero = self.field.is_zero
-        for i, block in self.blocks.items():
-            for r, row in enumerate(block):
-                for c, value in enumerate(row):
-                    if not is_zero(value):
-                        yield i, r, c, value
+        for i, rows in self._nonzeros.items():
+            for r, row in rows.items():
+                for c, value in row.items():
+                    yield i, r, c, value
 
     def columns(self):
         """{(i, c): ((r, value), ...)}: the nonzero entries of every column
@@ -173,17 +174,27 @@ class GradedMap:
 
     def entry(self, i, r, c):
         """Row r, column c of the block at source degree i."""
-        block = self.blocks.get(i)
-        return self.field.zero() if block is None else block[r][c]
+        row = self._nonzeros.get(i, {}).get(r)
+        zero = self.field.zero()
+        return zero if row is None else row.get(c, zero)
+
+    def support(self):
+        """The source degrees whose block is nonzero, in order."""
+        return tuple(self._nonzeros)
 
     @property
     def field(self):
         return self.source.field
 
     def block(self, i):
-        if i in self.blocks:
-            return self.blocks[i]
-        return linalg.zeros(self.field, self.target.dim(i + self.degree), self.source.dim(i))
+        """The dense block at source degree i: a tuple of row tuples."""
+        zero = self.field.zero()
+        rows = self._nonzeros.get(i, {})
+        ncols = self.source.dim(i)
+        return tuple(
+            tuple(rows.get(r, {}).get(c, zero) for c in range(ncols))
+            for r in range(self.target.dim(i + self.degree))
+        )
 
     def apply(self, i, vec):
         """Image of a degree-i coordinate vector; lands in degree i + degree."""
@@ -191,15 +202,20 @@ class GradedMap:
             raise StructureError(
                 f"vector length {len(vec)} != source dimension {self.source.dim(i)} at degree {i}"
             )
-        tdim = self.target.dim(i + self.degree)
-        if tdim == 0:
-            return ()
-        if i not in self.blocks:
-            return (self.field.zero(),) * tdim
-        return linalg.mat_vec(self.field, self.blocks[i], vec)
+        field = self.field
+        is_zero, add, mul = field.is_zero, field.add, field.mul
+        out = [field.zero()] * self.target.dim(i + self.degree)
+        for r, row in self._nonzeros.get(i, {}).items():
+            acc = out[r]
+            for c, value in row.items():
+                x = vec[c]
+                if not is_zero(x):
+                    acc = add(acc, mul(value, x))
+            out[r] = acc
+        return tuple(out)
 
     def is_zero(self):
-        return not self.blocks
+        return not self._nonzeros
 
     def compose(self, other):
         return compose_graded(self, other)
@@ -215,37 +231,52 @@ class GradedMap:
         return combination(self.source, self.target, self.degree, terms)
 
     def scale(self, c):
-        field = self.field
-        out = {} if field.is_zero(c) else {
-            i: linalg.mat_scale(field, c, b) for i, b in self.blocks.items()
-        }
-        return GradedMap._built(self.source, self.target, self.degree, out)
+        return combination(self.source, self.target, self.degree, ((c, self),))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GradedMap)
             and self.source == other.source
             and self.target == other.target
             and self.degree == other.degree
-            and self.blocks == other.blocks
+            and self._nonzeros == other._nonzeros
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.degree, tuple(self.blocks)))
+        if self._hash is None:
+            key = (self.source, self.target, self.degree, tuple(self.entries()))
+            self._hash = hash(key)
+        return self._hash
 
     def __repr__(self):
-        return f"GradedMap(degree={self.degree}, blocks at {list(self.blocks)})"
+        return f"GradedMap(degree={self.degree}, blocks at {list(self._nonzeros)})"
+
+
+def _normal(is_zero, acc):
+    """{i: {r: {c: v}}} in (i, r, c) order, with zero entries, empty rows
+    and empty blocks dropped."""
+    out = {}
+    for i in sorted(acc):
+        rows = {}
+        for r in sorted(acc[i]):
+            row = {c: v for c, v in sorted(acc[i][r].items()) if not is_zero(v)}
+            if row:
+                rows[r] = row
+        if rows:
+            out[i] = rows
+    return out
 
 
 def zero_map(source, target, degree):
-    return GradedMap(source, target, degree, {})
+    return GradedMap._built(source, target, degree, {})
 
 
 def identity_map(module):
-    blocks = {
-        i: linalg.identity(module.field, module.dim(i)) for i in module.degrees()
+    one = module.field.one()
+    nonzeros = {
+        i: {r: {r: one} for r in range(module.dim(i))} for i in module.degrees()
     }
-    return GradedMap(module, module, 0, blocks)
+    return GradedMap._built(module, module, 0, nonzeros)
 
 
 def compose_graded(g, f):
@@ -253,98 +284,25 @@ def compose_graded(g, f):
     if f.target != g.source:
         raise StructureError("maps are not composable: target/source mismatch")
     field = f.field
+    is_zero, add, mul = field.is_zero, field.add, field.mul
     out = {}
-    for i, block in f.blocks.items():
-        after = g.blocks.get(i + f.degree)
-        if after is not None:
-            prod = linalg.mat_mul(field, after, block)
-            if not linalg.is_zero_matrix(field, prod):
-                out[i] = prod
+    for i, f_rows in f._nonzeros.items():
+        g_rows = g._nonzeros.get(i + f.degree)
+        if g_rows is None:
+            continue
+        block = {}
+        for r, g_row in g_rows.items():
+            acc = {}
+            for s, w in g_row.items():
+                for c, v in f_rows.get(s, {}).items():
+                    x = mul(w, v)
+                    acc[c] = add(acc[c], x) if c in acc else x
+            row = {c: v for c, v in sorted(acc.items()) if not is_zero(v)}
+            if row:
+                block[r] = row
+        if block:
+            out[i] = block
     return GradedMap._built(f.source, g.target, f.degree + g.degree, out)
-
-
-def maps_key(maps):
-    """A hashable key of a sequence of maps: the degree and blocks of each.
-
-    Two sequences of maps with the same sources and targets have equal
-    keys exactly when the maps are equal (GradedMap's own hash reads only
-    the block degrees)."""
-    return tuple((m.degree, tuple(m.blocks.items())) for m in maps)
-
-
-class MapStack:
-    """Maps out of one graded module, of any targets and degrees, laid out
-    once per source degree i for MapStack.after: the blocks at i of the
-    maps that have one, one above another (tall) or side by side (wide,
-    for maps that share a target and a degree)."""
-
-    __slots__ = ("source", "maps", "_talls", "_wides")
-
-    def __init__(self, source, maps):
-        self.source = source
-        self.maps = tuple(maps)
-        if any(m.source != source for m in self.maps):
-            raise StructureError("cannot stack maps out of different modules")
-        self._talls, self._wides = {}, {}
-
-    def _blocks(self, i):
-        present = [k for k, m in enumerate(self.maps) if i in m.blocks]
-        return present, [self.maps[k].blocks[i] for k in present]
-
-    def _tall(self, i):
-        if i not in self._talls:
-            present, blocks = self._blocks(i)
-            self._talls[i] = present, tuple(row for block in blocks for row in block)
-        return self._talls[i]
-
-    def _wide(self, i):
-        if i not in self._wides:
-            present, blocks = self._blocks(i)
-            self._wides[i] = present, tuple(
-                tuple(x for row in rows for x in row) for rows in zip(*blocks)
-            )
-        return self._wides[i]
-
-    def after(self, fs):
-        """[[g . f for f in fs.maps] for g in self.maps], as compose_graded
-        gives them pair by pair, for maps fs of one target, self.source, and
-        one degree n.  One linalg.mat_mul per source degree i: the tall
-        matrix of the g blocks at i + n times the wide matrix of the f
-        blocks at i, whose sub-block in the rows of g_a and the columns of
-        f_b is the block of g_a . f_b."""
-        n = fs.maps[0].degree if fs.maps else 0
-        if any(f.target != self.source or f.degree != n for f in fs.maps):
-            raise StructureError("maps are not composable: target/source mismatch")
-        field = fs.source.field
-        is_zero = field.is_zero
-        blocks = {}  # (a, b): the nonzero blocks of g_a . f_b
-        for i in fs.source.degrees():
-            f_present, wide = fs._wide(i)
-            g_present, tall = self._tall(i + n) if f_present else ((), ())
-            if not g_present:
-                continue
-            prod = linalg.mat_mul(field, tall, wide)
-            nc, start = fs.source.dim(i), 0
-            for a in g_present:
-                g = self.maps[a]
-                rows = prod[start : start + g.target.dim(i + n + g.degree)]
-                start += len(rows)
-                live = {
-                    c // nc for row in rows for c, x in enumerate(row) if not is_zero(x)
-                }
-                for fb in live:
-                    block = tuple(row[fb * nc : (fb + 1) * nc] for row in rows)
-                    blocks.setdefault((a, f_present[fb]), {})[i] = block
-        out, zero = [], None
-        for g in self.maps:  # one zero map per run of maps of one shape
-            degree = n + g.degree
-            if zero is None or zero.target is not g.target or zero.degree != degree:
-                zero = GradedMap._built(fs.source, g.target, degree, {})
-            out.append([zero] * len(fs.maps))
-        for (a, b), found in blocks.items():
-            g = self.maps[a]
-            out[a][b] = GradedMap._built(fs.source, g.target, n + g.degree, found)
-        return out
 
 
 def combination(source, target, degree, terms):
@@ -356,28 +314,20 @@ def combination(source, target, degree, terms):
     for c, m in terms:
         if (m.source, m.target, m.degree) != (source, target, degree):
             raise StructureError("cannot combine maps of different shapes")
-        if m.blocks and not is_zero(c):
+        if m._nonzeros and not is_zero(c):
             live.append((c, m))
     if len(live) == 1 and live[0][0] == one:
         return live[0][1]
-    sums, summed = {}, set()
+    acc = {}
     for c, m in live:
-        for i, block in m.blocks.items():
-            acc = sums.get(i)
-            if acc is None:
-                sums[i] = [[mul(c, x) for x in row] for row in block]
-                continue
-            summed.add(i)
-            for arow, row in zip(acc, block):
-                for k, x in enumerate(row):
-                    if not is_zero(x):
-                        arow[k] = add(arow[k], mul(c, x))
-    blocks = {}
-    for i in sorted(sums):
-        block = linalg.freeze(sums[i])
-        if i not in summed or not linalg.is_zero_matrix(field, block):
-            blocks[i] = block
-    return GradedMap._built(source, target, degree, blocks)
+        for i, rows in m._nonzeros.items():
+            block = acc.setdefault(i, {})
+            for r, row in rows.items():
+                out = block.setdefault(r, {})
+                for k, v in row.items():
+                    x = mul(c, v)
+                    out[k] = add(out[k], x) if k in out else x
+    return GradedMap._built(source, target, degree, _normal(is_zero, acc))
 
 
 def first_nonzero_sum(field, sums):
@@ -387,8 +337,8 @@ def first_nonzero_sum(field, sums):
     A term is (c, m) for c * m or (c, g, f) for c * (g . f); every term of
     one sum is a map of one source, target and degree.  A sum is added up
     entry by entry into one flat {(i, row, col): value} dict, read off the
-    blocks, so no map is built and nothing is composed; it is zero iff
-    every entry is.  sums is read lazily, so the sums after the first
+    stored entries, so no map is built and nothing is composed; it is zero
+    iff every entry is.  sums is read lazily, so the sums after the first
     nonzero one are never formed.
     """
     add, mul, is_zero = field.add, field.mul, field.is_zero
@@ -399,27 +349,21 @@ def first_nonzero_sum(field, sums):
             c = term[0]
             scaled = c != one
             if len(term) == 2:
-                for i, block in term[1].blocks.items():
-                    for r, row in enumerate(block):
-                        for k, v in enumerate(row):
-                            if not is_zero(v):
-                                x, at = mul(c, v) if scaled else v, (i, r, k)
-                                acc[at] = add(acc[at], x) if at in acc else x
+                for i, r, k, v in term[1].entries():
+                    x, at = mul(c, v) if scaled else v, (i, r, k)
+                    acc[at] = add(acc[at], x) if at in acc else x
                 continue
             g, f = term[1], term[2]
-            for i, f_block in f.blocks.items():
-                g_block = g.blocks.get(i + f.degree)
-                if g_block is None:
+            for i, f_rows in f._nonzeros.items():
+                g_rows = g._nonzeros.get(i + f.degree)
+                if g_rows is None:
                     continue
-                for r, g_row in enumerate(g_block):
-                    for s, w in enumerate(g_row):
-                        if is_zero(w):
-                            continue
+                for r, g_row in g_rows.items():
+                    for s, w in g_row.items():
                         cw = mul(c, w) if scaled else w
-                        for k, v in enumerate(f_block[s]):
-                            if not is_zero(v):
-                                x, at = mul(cw, v), (i, r, k)
-                                acc[at] = add(acc[at], x) if at in acc else x
+                        for k, v in f_rows.get(s, {}).items():
+                            x, at = mul(cw, v), (i, r, k)
+                            acc[at] = add(acc[at], x) if at in acc else x
         if not all(map(is_zero, acc.values())):
             return key
     return None
@@ -431,43 +375,37 @@ def map_from_action(source, target, degree, action):
     action(i, k) must return the image coordinates (length target.dim(i +
     degree)) of the k-th basis vector of source^i.
     """
-    field = source.field
-    blocks = {}
+    is_zero = source.field.is_zero
+    acc = {}
     for i in source.degrees():
         rows = target.dim(i + degree)
-        cols = source.dim(i)
         if rows == 0:
             continue
-        block = [[field.zero()] * cols for _ in range(rows)]
-        for k in range(cols):
+        block = acc[i] = {}
+        for k in range(source.dim(i)):
             image = action(i, k)
             if len(image) != rows:
                 raise StructureError(
                     f"action at degree {i} returned length {len(image)}, expected {rows}"
                 )
             for r, x in enumerate(image):
-                block[r][k] = x
-        blocks[i] = block
-    return GradedMap(source, target, degree, blocks)
+                if not is_zero(x):
+                    block.setdefault(r, {})[k] = x
+    return GradedMap._built(source, target, degree, _normal(is_zero, acc))
 
 
 def kernel(f):
     """Degreewise exact kernel with its inclusion map."""
     field = f.field
-    dims = {}
-    incl_blocks = {}
+    dims, entries = {}, []
     for i in f.source.degrees():
-        n = f.source.dim(i)
-        basis = linalg.nullspace(field, f.block(i), ncols=n)
-        if not basis:
-            continue
-        dims[i] = len(basis)
-        incl_blocks[i] = tuple(
-            tuple(vec[r] for vec in basis) for r in range(n)
-        )
-    ker = GradedModule(f.source.field, dims)
-    incl = GradedMap(ker, f.source, 0, incl_blocks)
-    return ker, incl
+        rows = list(f._nonzeros.get(i, {}).values())
+        basis = linalg.nullspace(field, rows, ncols=f.source.dim(i))
+        if basis:
+            dims[i] = len(basis)
+            entries += [(i, r, k, x) for k, vec in enumerate(basis) for r, x in enumerate(vec)]
+    ker = GradedModule(field, dims)
+    return ker, GradedMap.from_entries(ker, f.source, 0, entries)
 
 
 @dataclass(frozen=True)
@@ -545,20 +483,15 @@ def place_blocks(source, target, degree, pieces):
         if (tp, sp) in placed:
             raise StructureError(f"two maps for parts {(tp, sp)}")
         placed.add((tp, sp))
-    field = src.field
-    blocks = {}
-    for i in src.degrees():
-        subs = [(tp, sp, m.blocks[i]) for tp, sp, m in pieces if i in m.blocks]
-        if not subs:
-            continue
-        block = [[field.zero()] * src.dim(i) for _ in range(tgt.dim(i + degree))]
-        for tp, sp, sub in subs:
+    acc = {}
+    for tp, sp, m in pieces:
+        for i, rows in m._nonzeros.items():
             ro, co = tgt_offset(tp, i + degree), src_offset(sp, i)
-            for r, row in enumerate(sub):
-                block[ro + r][co : co + len(row)] = row
-        # the pieces fill disjoint sub-blocks, and each placed one is nonzero
-        blocks[i] = linalg.freeze(block)
-    return GradedMap._built(src, tgt, degree, blocks)
+            block = acc.setdefault(i, {})
+            for r, row in rows.items():
+                block.setdefault(ro + r, {}).update((co + c, v) for c, v in row.items())
+    # the pieces fill disjoint sub-blocks, so no entry is written twice
+    return GradedMap._built(src, tgt, degree, _normal(src.field.is_zero, acc))
 
 
 def _as_sum(module):

@@ -80,7 +80,7 @@ def _modules(modules):
 def emit_dg_module(module):
     field = module.field
     out = {"dims": {str(d): module.dim(d) for d in module.carrier.degrees()}}
-    d = {str(i): fmt_matrix(field, block) for i, block in module.d.blocks.items()}
+    d = {str(i): fmt_matrix(field, module.d.block(i)) for i in module.d.support()}
     return _put(out, "d", d)
 
 
@@ -143,9 +143,9 @@ def emit_module(fun, base_ref):
 
 def emit_comma_object(obj, refs):
     f_blocks = {
-        (t, str(k)): fmt_matrix(obj.field, block)
+        (t, str(k)): fmt_matrix(obj.field, obj.f[t].block(k))
         for t in obj.bimodule.right_base.objects
-        for k, block in obj.f[t].blocks.items()
+        for k in obj.f[t].support()
     }
     return _put(dict(refs), "f", _nested(f_blocks))
 

@@ -1,7 +1,7 @@
 """Exact linear algebra over a coefficient field.
 
-Matrices are tuples of row tuples; entry [r][c] is the coefficient of
-source basis vector c in target basis vector r.  Rank, kernels and
+A dense matrix is a sequence of rows; entry [r][c] is the coefficient
+of source basis vector c in target basis vector r.  Rank, kernels and
 linear systems go through one sparse exact elimination on
 {column: value} rows.  All routines are deterministic: the reduced row
 echelon form is unique, so no pivoting choice can change a result.
@@ -10,22 +10,6 @@ echelon form is unique, so no pivoting choice can change a result.
 from __future__ import annotations
 
 from .errors import StructureError
-
-
-def freeze(rows):
-    return tuple(tuple(row) for row in rows)
-
-
-def zeros(field, nrows, ncols):
-    z = field.zero()
-    return tuple((z,) * ncols for _ in range(nrows))
-
-
-def identity(field, n):
-    z, o = field.zero(), field.one()
-    return tuple(
-        tuple(o if i == j else z for j in range(n)) for i in range(n)
-    )
 
 
 def unit_vector(field, n, k):
@@ -42,52 +26,8 @@ def dense_vector(field, entries, n):
     return tuple(out)
 
 
-def shape(mat):
-    return (len(mat), len(mat[0]) if mat else 0)
-
-
 def is_zero_matrix(field, mat):
     return all(field.is_zero(x) for row in mat for x in row)
-
-
-def mat_scale(field, c, a):
-    return tuple(tuple(field.mul(c, x) for x in row) for row in a)
-
-
-def mat_mul(field, a, b):
-    """a . b, by rows i of a, then k, then the nonzero entries of row k of b."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise StructureError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    is_zero, add, mul = field.is_zero, field.add, field.mul
-    z = field.zero()
-    b_rows = [[(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in b]
-    out = []
-    for arow in a:
-        row = [z] * cb
-        for x, b_row in zip(arow, b_rows):
-            if b_row and not is_zero(x):
-                for j, y in b_row:
-                    row[j] = add(row[j], mul(x, y))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_vec(field, a, v):
-    nr, nc = shape(a)
-    if len(v) != nc:
-        raise StructureError(f"matrix is {nr}x{nc}, vector has length {len(v)}")
-    z = field.zero()
-    out = []
-    for i in range(nr):
-        acc = z
-        row = a[i]
-        for k, x in enumerate(v):
-            if not field.is_zero(x):
-                acc = field.add(acc, field.mul(row[k], x))
-        out.append(acc)
-    return tuple(out)
 
 
 def vec_add(field, u, v):

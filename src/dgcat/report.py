@@ -94,5 +94,5 @@ def fmt_graded_map(gmap):
     f = gmap.field
     return {
         "degree": gmap.degree,
-        "blocks": {str(i): fmt_matrix(f, b) for i, b in sorted(gmap.blocks.items())},
+        "blocks": {str(i): fmt_matrix(f, gmap.block(i)) for i in gmap.support()},
     }

@@ -5,7 +5,9 @@ F_5; built once per session because several criteria and the pinned
 report digests read the same instances.  path_category, zero_functor and
 identity_nat, which only tests use, live here too, and so does the dense
 per-pair composition the tests use as an oracle for the product tables:
-compose, compose_basis_coords and compose_from_products.
+compose, compose_basis_coords and compose_from_products, and the dense
+blocks of a graded map that tests rebuild with one entry changed,
+dense_blocks.
 """
 
 import itertools
@@ -48,6 +50,12 @@ def compose(cat, g, f):
             ):
                 out[r] = field.add(out[r], field.mul(weight, coeff))
     return HomElement(f.source, g.target, n, tuple(out))
+
+
+def dense_blocks(gmap):
+    """{i: block} of the nonzero blocks of a graded map, each a dense
+    tuple of row tuples."""
+    return {i: gmap.block(i) for i in gmap.support()}
 
 
 def compose_basis_coords(cat, x, y, z, gdeg, gidx, fdeg, fidx):

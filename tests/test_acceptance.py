@@ -592,8 +592,8 @@ def test_criterion_7_negative_controls():
 
     for seed in range(30):
         rng = _random2.Random(seed)
-        u_cat, _, u_cx = random_endo_category(rng, field, "U", max_objects=2)
-        t_cat, _, t_cx = random_endo_category(rng, field, "T", max_objects=2)
+        u_cat, u_cx = random_endo_category(rng, field, "U", max_objects=2)
+        t_cat, t_cx = random_endo_category(rng, field, "T", max_objects=2)
         if len(u_cat.objects) < 2 or len(t_cat.objects) < 2:
             continue
         bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx)

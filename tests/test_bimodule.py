@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import compose, identity_nat, zero_functor
+from conftest import compose, dense_blocks, identity_nat, zero_functor
 from dgcat.bimodule import (
     Bimodule,
     GModule,
@@ -56,8 +56,8 @@ def random_setup(seed, field=QQ, max_objects=2):
     rng = random.Random(seed)
     from dgcat.fixtures import random_endo_category
 
-    u_cat, _, u_cx = random_endo_category(rng, field, "U", max_objects=max_objects)
-    t_cat, _, t_cx = random_endo_category(rng, field, "T", max_objects=max_objects)
+    u_cat, u_cx = random_endo_category(rng, field, "U", max_objects=max_objects)
+    t_cat, t_cx = random_endo_category(rng, field, "T", max_objects=max_objects)
     bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx)
     return u_cat, t_cat, u_cx, t_cx, bim, rng
 
@@ -223,7 +223,7 @@ def test_g_on_objects_refuses_an_invalid_b_on_every_call():
     bim = fx["bimodule"]
     B = fx["comma_objects"][2].B
     value = B.on_objects["u0"]
-    blocks = {k: [list(row) for row in block] for k, block in value.d.blocks.items()}
+    blocks = {k: [list(row) for row in block] for k, block in dense_blocks(value.d).items()}
     blocks[-3][0][1] = QQ.from_int(3)
     d = GradedMap(value.carrier, value.carrier, 1, blocks)
     bad = DgFunctor(
@@ -422,7 +422,7 @@ def _bumped(gmap, i, row, col):
     field = gmap.field
     block = [list(r) for r in gmap.block(i)]
     block[row][col] = field.add(block[row][col], field.one())
-    return GradedMap(gmap.source, gmap.target, gmap.degree, {**gmap.blocks, i: block})
+    return GradedMap(gmap.source, gmap.target, gmap.degree, {**dense_blocks(gmap), i: block})
 
 
 def _entries(gmap):

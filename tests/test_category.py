@@ -66,7 +66,7 @@ def test_endomorphism_category_validates():
     rng = random.Random(5)
     for seed in range(6):
         rng = random.Random(seed)
-        cat, _, _ = random_endo_category(rng, QQ, "E")
+        cat, _ = random_endo_category(rng, QQ, "E")
         report = validate_dg_category(cat)
         assert report.passed, report.render()
 
@@ -74,7 +74,7 @@ def test_endomorphism_category_validates():
 def test_endomorphism_category_validates_f5():
     for seed in range(4):
         rng = random.Random(seed)
-        cat, _, _ = random_endo_category(rng, PrimeField(5), "E")
+        cat, _ = random_endo_category(rng, PrimeField(5), "E")
         report = validate_dg_category(cat)
         assert report.passed, report.render()
 
@@ -130,7 +130,7 @@ def test_associativity_negative_control_path():
 def test_opposite_sign_rule():
     # |a| = |b| = 1 forces b.op . a.op = -(a . b).op.
     rng = random.Random(11)
-    cat, _, _ = random_endo_category(rng, QQ, "E", max_objects=2)
+    cat, _ = random_endo_category(rng, QQ, "E", max_objects=2)
     opp = opposite_category(cat)
     field = QQ
     for x in cat.objects:
@@ -153,7 +153,7 @@ def test_opposite_sign_rule():
 
 def test_opposite_validates_and_involutes():
     rng = random.Random(13)
-    cat, _, _ = random_endo_category(rng, QQ, "E", max_objects=2)
+    cat, _ = random_endo_category(rng, QQ, "E", max_objects=2)
     opp = opposite_category(cat)
     assert validate_dg_category(opp).passed
     double = opposite_category(opp)
@@ -234,8 +234,8 @@ def test_opposite_is_built_once_per_product_tables():
 
 def test_tensor_category_validates_and_has_pair_objects():
     rng = random.Random(17)
-    cat_a, _, _ = random_endo_category(rng, QQ, "A", max_objects=1)
-    cat_b, _, _ = random_endo_category(rng, QQ, "B", max_objects=2)
+    cat_a, _ = random_endo_category(rng, QQ, "A", max_objects=1)
+    cat_b, _ = random_endo_category(rng, QQ, "B", max_objects=2)
     prod = tensor_category(cat_a, cat_b)
     assert len(prod.objects) == len(cat_a.objects) * len(cat_b.objects)
     assert validate_dg_category(prod).passed
@@ -323,7 +323,8 @@ def test_chain_map_condition_equals_leibniz_rule():
     found_nonzero_d = False
     for seed in range(8):
         rng = random.Random(seed)
-        cat, modules, _ = random_endo_category(rng, field, "E", max_objects=2)
+        cat, hom_cx = random_endo_category(rng, field, "E", max_objects=2)
+        modules = {x: hom_cx[(x, x)].source for x in cat.objects}
         if all(m.d.is_zero() for m in modules.values()):
             continue
         found_nonzero_d = True

@@ -17,7 +17,7 @@ QQ = Rationals()
 
 
 def qmat(rows):
-    return linalg.freeze([[Fraction(x) for x in row] for row in rows])
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def is_closed_degree_zero(source, target, f):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_blocks
 from dgcat import bimodule, functors
 from dgcat.bimodule import Bimodule, validate_bimodule
 from dgcat.cli import main
@@ -115,7 +116,7 @@ def _with_entry(gmap, i, row, col, step):
     """gmap with the entry (row, col) of its block at degree i changed."""
     block = [list(r) for r in gmap.block(i)]
     block[row][col] = _changed(gmap.field, block[row][col], step)
-    return GradedMap(gmap.source, gmap.target, gmap.degree, {**gmap.blocks, i: block})
+    return GradedMap(gmap.source, gmap.target, gmap.degree, {**dense_blocks(gmap), i: block})
 
 
 def _spots(table):

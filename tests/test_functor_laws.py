@@ -1,8 +1,8 @@
 """check_equivalence's functor laws against the per-pair scan they replaced.
 
 The report evaluates F once per distinct comma morphism value and forms
-psi . phi and F(psi) . F(phi) with stacked products (graded.MapStack),
-many basis pairs at a time.  The oracle below is the earlier scan, which
+psi . phi and F(psi) . F(phi) object by object with compose_graded on
+the stored nonzero entries.  The oracle below is the earlier scan, which
 built both sides of each law whole for every comma basis morphism and
 every composable basis pair; both must give the same verdicts and the
 same first witnesses, also when F is wrong on one value.
@@ -29,7 +29,6 @@ from dgcat.functors import (
     dgnat_differential,
     dgnat_window,
 )
-from dgcat.graded import maps_key
 
 QQ = Rationals()
 LAWS = ("functor_commutes_with_differential", "functor_commutes_with_composition")
@@ -111,8 +110,10 @@ def report_witnesses(fx):
 def value_of(phi):
     return (
         phi.degree,
-        maps_key(phi.alpha.components.values()),
-        maps_key(phi.beta.components.values()),
+        *(
+            tuple(tuple(m.entries()) for m in leg.components.values())
+            for leg in (phi.alpha, phi.beta)
+        ),
     )
 
 

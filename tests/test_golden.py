@@ -45,7 +45,7 @@ import random
 
 import pytest
 
-from conftest import path_category
+from conftest import dense_blocks, path_category
 from dgcat.category import opposite_category, tensor_category, validate_dg_category
 from dgcat.cli import main
 from dgcat.complexes import HomComplex, TensorComplex
@@ -465,7 +465,7 @@ def _bump_image(fun, key, rng):
     row, col = rng.randrange(target.dim(i + m)), rng.randrange(source.dim(i))
     block = [list(r) for r in image.block(i)]
     block[row][col] = fun.field.add(block[row][col], fun.field.one())
-    bumped = GradedMap(source, target, m, {**image.blocks, i: block})
+    bumped = GradedMap(source, target, m, {**dense_blocks(image), i: block})
     images = {**fun.images, key: {**fun.images[key], (m, k): bumped}}
     return DgFunctor(fun.base, fun.on_objects, images, name=fun.name)
 

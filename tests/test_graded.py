@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_blocks
 from dgcat import linalg
 from dgcat.errors import StructureError
 from dgcat.fields import PrimeField, Rationals
@@ -13,14 +15,12 @@ from dgcat.graded import (
     DirectSum,
     GradedMap,
     GradedModule,
-    MapStack,
     combination,
     compose_graded,
     first_nonzero_sum,
     identity_map,
     kernel,
     map_from_action,
-    maps_key,
     place_blocks,
     zero_map,
 )
@@ -30,7 +30,7 @@ F5 = PrimeField(5)
 
 
 def qmat(rows):
-    return linalg.freeze([[Fraction(x) for x in row] for row in rows])
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def random_module(rng, field, max_dim=3, lo=-2, hi=2):
@@ -73,21 +73,25 @@ def test_map_entries_build_and_read_blocks():
         [(1, 0, 0, Fraction(3)), (0, 1, 0, Fraction(1)), (0, 1, 0, Fraction(1, 2)),
          (0, 0, 1, Fraction(2)), (0, 0, 0, Fraction(0))],
     )
-    assert f.blocks == {0: qmat([[0, 2], [Fraction(3, 2), 0]]), 1: qmat([[3]])}
+    assert dense_blocks(f) == {0: qmat([[0, 2], [Fraction(3, 2), 0]]), 1: qmat([[3]])}
+    assert f.support() == (0, 1)
     assert list(f.entries()) == [
         (0, 0, 1, 2),
         (0, 1, 0, Fraction(3, 2)),
         (1, 0, 0, 3),
     ]
     g = GradedMap.from_entries(src, tgt, 1, [(0, 0, 0, Fraction(1))])
-    assert 1 not in g.blocks
+    assert g.support() == (0,)
     assert g.entry(1, 0, 0) == 0
-    assert 1 not in g.blocks
     assert g.entry(0, 0, 0) == 1
+    assert g.block(1) == ((0,),)
     cancelled = GradedMap.from_entries(
         src, tgt, 1, [(0, 0, 0, Fraction(1)), (0, 0, 0, Fraction(-1))]
     )
     assert cancelled.is_zero()
+    for outside in [(0, 2, 0), (0, -1, 0), (0, 0, 2), (1, 1, 0), (2, 0, 0)]:
+        with pytest.raises(StructureError):
+            GradedMap.from_entries(src, tgt, 1, [(*outside, Fraction(1))])
 
 
 def test_map_shape_validation():
@@ -296,13 +300,32 @@ def dense_placed(field, source, target, degree, pieces):
 
 
 def assert_built_like_checked(got, source, target, degree, dense):
+    """got equals the checked map of the dense blocks and is stored as
+    their nonzero entries: entries() in (i, r, c) order with no zero, and
+    support() the degrees whose dense block is nonzero."""
+    field = got.field
     want = GradedMap(source, target, degree, dense)
     assert (got.source, got.target, got.degree) == (source, target, degree)
-    assert got.blocks == want.blocks
-    assert list(got.blocks) == list(want.blocks)
-    for block in got.blocks.values():
+    assert got == want and hash(got) == hash(want)
+    nonzero = [
+        (i, r, c, v)
+        for i, block in sorted(dense.items())
+        for r, row in enumerate(block)
+        for c, v in enumerate(row)
+        if not field.is_zero(v)
+    ]
+    assert list(got.entries()) == nonzero
+    assert got.support() == tuple(
+        i for i, block in sorted(dense.items()) if not linalg.is_zero_matrix(field, block)
+    )
+    for i in source.degrees():
+        block = got.block(i)
         assert type(block) is tuple and all(type(row) is tuple for row in block)
-        assert not linalg.is_zero_matrix(got.field, block)
+        rows, cols = target.dim(i + degree), source.dim(i)
+        assert block == tuple(
+            tuple(dense[i][r]) if i in dense else (field.zero(),) * cols
+            for r in range(rows)
+        )
 
 
 @settings(deadline=None)
@@ -326,6 +349,13 @@ def test_derived_maps_equal_checked_dense_maps(data):
     check(maps[0].scale(field.zero()), [])
     check(combination(a, b, n, list(zip(coeffs, maps))), list(zip(coeffs, dense)))
     check(linear_combination(coeffs, maps), list(zip(coeffs, dense)))
+    # entries out of order, and summed where two maps share a position
+    both = [*maps[1].entries(), *maps[0].entries()]
+    check(GradedMap.from_entries(a, b, n, both), [(one, dense[0]), (one, dense[1])])
+    check(
+        map_from_action(a, b, n, lambda i, k: [row[k] for row in maps[2].block(i)]),
+        [(one, dense[2])],
+    )
 
     g_dense = data.draw(dense_map(field, b, c, m))
     g = GradedMap(b, c, m, g_dense)
@@ -380,37 +410,23 @@ def test_cancelling_blocks_are_dropped():
     m = GradedModule(QQ, {0: 2})
     row = GradedMap(m, GradedModule(QQ, {0: 1}), 0, {0: qmat([[1, 1]])})
     column = GradedMap(GradedModule(QQ, {0: 1}), m, 0, {0: qmat([[1], [-1]])})
-    assert compose_graded(row, column).blocks == {}
-    assert combination(m, m, 0, [(1, identity_map(m)), (-1, identity_map(m))]).blocks == {}
+    assert compose_graded(row, column).support() == ()
+    assert combination(m, m, 0, [(1, identity_map(m)), (-1, identity_map(m))]).support() == ()
 
 
 @settings(deadline=None)
 @given(st.data())
-def test_stacked_composites_equal_pairwise_compose(data):
+def test_compose_graded_equals_the_dense_product(data):
     # small_module leaves degrees out, so blocks go absent and middle
-    # degrees are zero-dimensional; entries in {-1, 0, 1} often cancel;
-    # the maps g leave b for two targets at two degrees
+    # degrees are zero-dimensional; entries in {-1, 0, 1} often cancel
     field = data.draw(st.sampled_from([QQ, F5]))
-    a, b, c, e = (data.draw(small_module(field)) for _ in range(4))
-    n = data.draw(st.integers(-1, 1))
-    fs = [
-        GradedMap(a, b, n, data.draw(dense_map(field, a, b, n)))
-        for _ in range(data.draw(st.integers(0, 3)))
-    ]
-    gs = []
-    for target in (c, e):
-        m = data.draw(st.integers(-1, 1))
-        gs += [
-            GradedMap(b, target, m, data.draw(dense_map(field, b, target, m)))
-            for _ in range(data.draw(st.integers(0, 2)))
-        ]
-    got = MapStack(b, gs).after(MapStack(a, fs))
-    assert len(got) == len(gs)
-    for g, row in zip(gs, got):
-        assert len(row) == len(fs)
-        for f, gf in zip(fs, row):
-            want = compose_graded(g, f)
-            assert_built_like_checked(gf, a, g.target, n + g.degree, want.blocks)
+    a, b, c = (data.draw(small_module(field)) for _ in range(3))
+    n, m = data.draw(st.integers(-1, 1)), data.draw(st.integers(-1, 1))
+    f_dense = data.draw(dense_map(field, a, b, n))
+    g_dense = data.draw(dense_map(field, b, c, m))
+    got = compose_graded(GradedMap(b, c, m, g_dense), GradedMap(a, b, n, f_dense))
+    want = dense_product(field, g_dense, f_dense, a, b, c, n, m)
+    assert_built_like_checked(got, a, c, n + m, want)
 
 
 @settings(deadline=None)
@@ -459,40 +475,45 @@ def test_first_nonzero_sum_is_the_first_sum_not_the_zero_map(data):
     assert first_nonzero_sum(field, lazily()) == want
 
 
-def test_stacked_composites_absent_blocks_empty_middle_and_cancellation():
+def test_compose_graded_absent_blocks_empty_middle_and_cancellation():
     a = GradedModule(QQ, {0: 1, 1: 1})
     b = GradedModule(QQ, {0: 2})  # b^1 = 0: nothing passes through degree 1
     c = GradedModule(QQ, {0: 1, 1: 1})
-    fs = [
-        GradedMap(a, b, 0, {0: qmat([[1], [1]])}),
-        zero_map(a, b, 0),
-        GradedMap(a, b, 0, {0: qmat([[1], [-1]])}),
-    ]
-    gs = [
-        GradedMap(b, c, 0, {0: qmat([[1, -1]])}),
-        zero_map(b, c, 0),
-        GradedMap(b, c, 1, {0: qmat([[0, 3]])}),
-    ]
-    got = MapStack(b, gs).after(MapStack(a, fs))
-    assert [[gf.blocks for gf in row] for row in got] == [
-        [{}, {}, {0: qmat([[2]])}],
-        [{}, {}, {}],
-        [{0: qmat([[3]])}, {}, {0: qmat([[-3]])}],
-    ]
-    for g, row in zip(gs, got):
-        assert row == [compose_graded(g, f) for f in fs]
+    f = GradedMap(a, b, 0, {0: qmat([[1], [1]])})
+    cancels = GradedMap(b, c, 0, {0: qmat([[1, -1]])})
+    shifts = GradedMap(b, c, 1, {0: qmat([[0, 3]])})
+    assert compose_graded(cancels, f).support() == ()
+    assert dense_blocks(compose_graded(shifts, f)) == {0: qmat([[3]])}
+    assert compose_graded(shifts, zero_map(a, b, 0)).is_zero()
     with pytest.raises(StructureError):
-        MapStack(a, [fs[0], zero_map(b, b, 0)])
-    with pytest.raises(StructureError):
-        MapStack(b, gs).after(MapStack(a, [fs[0], zero_map(a, b, 1)]))
-    with pytest.raises(StructureError):
-        MapStack(a, fs).after(MapStack(a, fs))
+        compose_graded(f, f)
 
 
-def test_maps_key_reads_the_entries_not_only_the_block_degrees():
+def test_maps_are_hashed_and_compared_by_their_entries():
     m = GradedModule(QQ, {0: 1})
     one, two = (GradedMap(m, m, 0, {0: qmat([[x]])}) for x in (1, 2))
-    assert hash(one) == hash(two) and one != two
-    assert maps_key([one]) != maps_key([two])
-    same = [identity_map(m), two.add(zero_map(m, m, 0))]
-    assert maps_key([one, two]) == maps_key(same)
+    memo = {(one, two): "a", (two, one): "b"}
+    assert memo[(identity_map(m), two.add(zero_map(m, m, 0)))] == "a"
+    assert memo[(two.scale(1), one)] == "b"
+
+
+def test_a_map_of_one_entry_is_stored_in_the_size_of_one_entry():
+    # a dense 120 x 120 block takes more than 100 KB; one nonzero entry
+    # of it, and the composite of two such maps, take under 16 KB each
+    m = GradedModule(QQ, {0: 120})
+
+    def allocated(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_entry = [(0, 3, 5, Fraction(2))]
+    f = GradedMap.from_entries(m, m, 0, one_entry)
+    g = GradedMap.from_entries(m, m, 0, [(0, 7, 3, Fraction(3))])
+    assert allocated(lambda: GradedMap.from_entries(m, m, 0, one_entry)) < 16_000
+    assert allocated(lambda: compose_graded(g, f)) < 16_000
+    assert list(compose_graded(g, f).entries()) == [(0, 7, 5, 6)]
+    assert allocated(lambda: f.block(0)) > 100_000

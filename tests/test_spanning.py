@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_nat
+from conftest import dense_blocks, identity_nat
 from dgcat import functors, linalg
 from dgcat.category import (
     DgCategoryPresentation,
@@ -279,7 +279,7 @@ def _bumped_image(fun, key, rng):
     row, col = rng.randrange(target.dim(i + m)), rng.randrange(source.dim(i))
     block = [list(r) for r in image.block(i)]
     block[row][col] = fun.field.add(block[row][col], fun.field.one())
-    bumped = GradedMap(source, target, m, {**image.blocks, i: block})
+    bumped = GradedMap(source, target, m, {**dense_blocks(image), i: block})
     images = {**fun.images, key: {**fun.images[key], (m, k): bumped}}
     return DgFunctor(fun.base, fun.on_objects, images, name=fun.name), (m, k)
 

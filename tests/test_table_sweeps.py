@@ -17,7 +17,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compose
+from conftest import compose, dense_blocks
 from dgcat import category
 from dgcat.category import (
     DgCategoryPresentation,
@@ -183,7 +183,7 @@ def _with_d_entry(cat, key, i, r, c, step):
     module = cat.hom[key]
     block = [list(row) for row in module.d.block(i)]
     block[r][c] = _changed(cat.field, block[r][c], step)
-    d = GradedMap(module.carrier, module.carrier, 1, {**module.d.blocks, i: block})
+    d = GradedMap(module.carrier, module.carrier, 1, {**dense_blocks(module.d), i: block})
     hom = {**cat.hom, key: DgModule(module.carrier, d, check=False)}
     return DgCategoryPresentation(cat.field, cat.objects, hom, _tables(cat), cat.ids)
 
