@@ -46,10 +46,10 @@ from .functors import (
     dgnat_differential,
     dgnat_space,
     dgnat_window,
-    encode_nat_in_basis,
     functor_from_basis_images,
     image_of,
     linear_combination,
+    nat_coordinates,
     validate_dg_functor,
 )
 from .report import Report, fmt_graded_map
@@ -298,8 +298,6 @@ class GModule:
         self.B = B
         field = bim.field
         T = bim.right_base
-        self.keys = {}
-        self.basis_vectors = {}
         self.nat_basis = {}
         dims_per_object = {}
         for t in T.objects:
@@ -307,10 +305,7 @@ class GModule:
             window = dgnat_window(slice_t, B)
             dims = {}
             for n in window:
-                keys, vecs, nats = dgnat_space(slice_t, B, n)
-                self.keys[(t, n)] = keys
-                self.basis_vectors[(t, n)] = vecs
-                self.nat_basis[(t, n)] = nats
+                nats = self.nat_basis[(t, n)] = dgnat_space(slice_t, B, n)
                 if nats:
                     dims[n] = len(nats)
             dims_per_object[t] = dims
@@ -340,14 +335,7 @@ class GModule:
 
     def encode(self, t, n, nat):
         """Carrier coordinates of a transformation, or None if outside."""
-        keys = self.keys.get((t, n))
-        if keys is None:
-            flat_zero = all(c.is_zero() for c in nat.components.values())
-            return () if flat_zero else None
-        slice_t = self.bimodule.slice_t(t)
-        return encode_nat_in_basis(
-            slice_t, self.B, n, keys, self.basis_vectors[(t, n)], nat
-        )
+        return nat_coordinates(self.nat_basis.get((t, n), []), nat)
 
     def encode_or_raise(self, t, n, nat, what):
         """Carrier coordinates of a transformation that lies in G(B)(t)^n by

@@ -54,15 +54,14 @@ from .complexes import DgModule, zero_dg_module
 from .errors import StructureError
 from .functors import (
     DgNatTransformation,
+    _solve_families,
     dgnat_differential,
     dgnat_space,
     dgnat_window,
-    encode_nat_in_basis,
     functor_from_basis_images,
     image_of,
-    nat_from_flat,
+    nat_coordinates,
     nat_unknowns,
-    naturality_rows,
     naturality_witness,
     square_rows,
 )
@@ -208,26 +207,13 @@ def comma_hom_space(source, target, n):
     defined; since the structure maps have degree zero, the Koszul-signed
     variant (-1)^{n |f|} coincides with it.
     """
-    bim = source.bimodule
-    field = bim.field
-    a_keys = nat_unknowns(source.A, target.A, n)
-    b_keys = nat_unknowns(source.B, target.B, n)
-    tagged = [("a",) + k for k in a_keys] + [("b",) + k for k in b_keys]
-
-    def rows():
-        yield from naturality_rows(source.A, target.A, n, "a")
-        yield from naturality_rows(source.B, target.B, n, "b")
-        yield from _square_rows(source, target, n)
-
-    solutions = linalg.solve_linear(field, tagged, rows())
-    morphisms = []
-    for vec in solutions:
-        a_part = vec[: len(a_keys)]
-        b_part = vec[len(a_keys) :]
-        alpha = nat_from_flat(source.A, target.A, n, a_keys, a_part)
-        beta = nat_from_flat(source.B, target.B, n, b_keys, b_part)
-        morphisms.append(CommaMorphism(n, alpha, beta))
-    return morphisms
+    families = [("a", source.A, target.A), ("b", source.B, target.B)]
+    return [
+        CommaMorphism(n, alpha, beta)
+        for alpha, beta in _solve_families(
+            families, n, _square_rows(source, target, n)
+        )
+    ]
 
 
 def comma_differential(phi):
@@ -476,7 +462,7 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
             witness = None
             for n in window:
                 comma_basis = comma_hom_space(src, tgt, n)
-                keys_l, vecs_l, nats_l = dgnat_space(f_src, f_tgt, n)
+                nats_l = dgnat_space(f_src, f_tgt, n)
                 mapped = images[(i, j, n)] = [
                     (phi, f_on_morphisms(lam, f_src, f_tgt, phi))
                     for phi in comma_basis
@@ -490,10 +476,7 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
                         "lambda_dim": len(nats_l),
                     }
                     continue
-                columns = [
-                    encode_nat_in_basis(f_src, f_tgt, n, keys_l, vecs_l, image)
-                    for _, image in mapped
-                ]
+                columns = [nat_coordinates(nats_l, image) for _, image in mapped]
                 if None in columns:  # some F(phi) is not a transformation
                     index = columns.index(None)
                     witness = witness or {"degree": n, "not_natural": index}

@@ -26,8 +26,6 @@ from .functors import (
     direct_sum_functors,
     images_from_entries,
     linear_combination,
-    nat_to_flat,
-    nat_unknowns,
     representable_module,
 )
 from .graded import GradedMap, GradedModule
@@ -222,20 +220,21 @@ def hom_from_module(u_cat, u_cx, z_module, name=None):
 
 
 def closed_structure_maps(A, fun):
-    """Basis of closed degree-0 transformations A -> fun (e.g. G(B))."""
+    """Basis of closed degree-0 transformations A -> fun (e.g. G(B)): the
+    combinations of the dgnat_space basis in the kernel of the rows
+    {basis index k: entry of d(nats[k])}, one per entry (object, i, r, c)."""
     field = A.base.field
-    _, _, nats = dgnat_space(A, fun, 0)
-    if not nats:
-        return []
-    keys1 = nat_unknowns(A, fun, 1)
-    columns = [
-        nat_to_flat(A, fun, 1, keys1, dgnat_differential(nat)) for nat in nats
+    nats = dgnat_space(A, fun, 0)
+    rows = {}
+    for k, nat in enumerate(nats):
+        for obj, comp in dgnat_differential(nat).components.items():
+            for i, r, c, value in comp.entries():
+                rows.setdefault((obj, i, r, c), {})[k] = value
+    combos = linalg.nullspace(field, rows.values(), len(nats))
+    return [
+        linear_combination(combo.values(), [nats[k] for k in combo])
+        for combo in combos
     ]
-    mat = tuple(
-        tuple(columns[i][r] for i in range(len(nats))) for r in range(len(keys1))
-    )
-    combos = linalg.nullspace(field, mat, ncols=len(nats))
-    return [linear_combination(combo, nats) for combo in combos]
 
 
 def random_comma_object(rng, bim, A, B, name="o"):

@@ -6,7 +6,9 @@ acts by.  A general morphism acts by the linear combination of these
 images.  A transformation of degree n is a family of degree-n graded
 maps whose naturality squares commute up to (-1)^{nm} against degree-m
 morphisms; dgnat_space computes an exact basis of these by a single
-linear solve over the block entries.  Every square of the form
+linear solve over the block entries, read from the solver's sparse
+kernel vectors straight into transformations, and nat_coordinates reads
+coordinates in that basis off the basis itself.  Every square of the form
 g . X = +-Y . f with unknown maps X and Y, here and in the comma
 category, is turned into rows by one helper, square_rows.
 
@@ -525,23 +527,6 @@ def naturality_rows(F, G, n, tag):
                 )
 
 
-def nat_from_flat(F, G, n, keys, vec):
-    entries = {obj: [] for obj in F.base.objects}
-    for (obj, i, r, c), value in zip(keys, vec):
-        entries[obj].append((i, r, c, value))
-    components = {
-        obj: GradedMap.from_entries(
-            F.on_objects[obj].carrier, G.on_objects[obj].carrier, n, entries[obj]
-        )
-        for obj in F.base.objects
-    }
-    return DgNatTransformation(F, G, n, components)
-
-
-def nat_to_flat(F, G, n, keys, nat):
-    return tuple(nat.components[obj].entry(i, r, c) for obj, i, r, c in keys)
-
-
 def linear_combination(coeffs, items):
     """The sum of c * item over the pairs of coeffs and items (transformations
     or graded maps), or None when there are no pairs."""
@@ -559,27 +544,61 @@ def linear_combination(coeffs, items):
     return DgNatTransformation(first.source, first.target, first.degree, components)
 
 
-def dgnat_space(F, G, n):
-    """Exact basis of the degree-n transformation space.
+def _solve_families(families, n, rows=()):
+    """Exact basis of the degree-n solutions of one linear system over the
+    unknowns of the (tag, F, G) families, tagged as naturality_rows tags
+    them: each family's naturality rows, then rows.  Each sparse solution
+    is read into a tuple of transformations F -> G, one per family."""
+    keys = [(tag,) + k for tag, F, G in families for k in nat_unknowns(F, G, n)]
+    naturality = [naturality_rows(F, G, n, tag) for tag, F, G in families]
+    field = families[0][1].field
+    solutions = []
+    for vec in linalg.solve_linear(field, keys, itertools.chain(*naturality, rows)):
+        entries = {tag: {} for tag, _, _ in families}
+        for index, value in vec.items():
+            tag, obj, i, r, c = keys[index]
+            entries[tag].setdefault(obj, []).append((i, r, c, value))
+        nats = []
+        for tag, F, G in families:
+            components = {
+                obj: GradedMap.from_entries(
+                    F.on_objects[obj].carrier, G.on_objects[obj].carrier, n, es
+                )
+                for obj, es in entries[tag].items()
+            }
+            nats.append(DgNatTransformation(F, G, n, components))
+        solutions.append(tuple(nats))
+    return solutions
 
-    Returns (basis keys, flat solution vectors, transformations); every
-    solution satisfies every naturality constraint exactly.
+
+def dgnat_space(F, G, n):
+    """Exact basis of the degree-n transformations F -> G.
+
+    Each basis transformation is natural exactly, and is one at its last
+    nonzero entry (objects in base order, then (i, r, c): nat_unknowns'
+    order), its free column, where the others are zero.
     """
     if F.base is not G.base and F.base.objects != G.base.objects:
         raise StructureError("functors live over different bases")
-    field = F.base.field
-    keys = nat_unknowns(F, G, n)
-    tagged = [("n",) + k for k in keys]
-    rows = naturality_rows(F, G, n, "n")
-    solutions = linalg.solve_linear(field, tagged, rows)
-    nats = [nat_from_flat(F, G, n, keys, vec) for vec in solutions]
-    return keys, solutions, nats
+    return [nat for (nat,) in _solve_families([("n", F, G)], n)]
 
 
-def encode_nat_in_basis(F, G, n, keys, basis_vectors, nat):
-    """Coordinates of a transformation in a dgnat basis; None if outside."""
-    target = nat_to_flat(F, G, n, keys, nat)
-    return linalg.nullspace_coordinates(F.base.field, basis_vectors, target)
+def nat_coordinates(basis, nat):
+    """Coordinates of nat in a dgnat_space basis: nat's entries at the basis
+    elements' free columns, returned only if they rebuild nat, else None
+    (so an empty basis gives () for a zero nat and None for any other)."""
+    if not basis:
+        return () if nat.is_zero() else None
+    objects = list(reversed(nat.source.base.objects))
+    coords = []
+    for b in basis:
+        obj = next(o for o in objects if not b.components[o].is_zero())
+        i, r, c, _ = list(b.components[obj].entries())[-1]
+        coords.append(nat.components[obj].entry(i, r, c))
+    for obj, comp in nat.components.items():
+        if linear_combination(coords, [b.components[obj] for b in basis]) != comp:
+            return None
+    return tuple(coords)
 
 
 # ---------------------------------------------------------------------------

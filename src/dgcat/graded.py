@@ -403,7 +403,7 @@ def kernel(f):
         basis = linalg.nullspace(field, rows, ncols=f.source.dim(i))
         if basis:
             dims[i] = len(basis)
-            entries += [(i, r, k, x) for k, vec in enumerate(basis) for r, x in enumerate(vec)]
+            entries += [(i, r, k, x) for k, vec in enumerate(basis) for r, x in vec.items()]
     ker = GradedModule(field, dims)
     return ker, GradedMap.from_entries(ker, f.source, 0, entries)
 

@@ -65,12 +65,9 @@ class Echelon:
         self.pivots = {}
 
     def add(self, row):
-        """Add a dense sequence or {column: value} dict; True iff the rank rose."""
+        """Add a {column: value} row of nonzero values; True iff the rank rose."""
         field, pivots = self.field, self.pivots
-        if isinstance(row, dict):
-            row = dict(row)
-        else:
-            row = {c: x for c, x in enumerate(row) if not field.is_zero(x)}
+        row = dict(row)
         for c in [c for c in row if c in pivots]:
             _eliminate(field, row, c, pivots[c])
         if not row:
@@ -100,54 +97,26 @@ def _rref(field, rows):
 
 
 def rank(field, mat):
-    return len(_rref(field, mat))
+    """Rank of a dense matrix."""
+    rows = ({c: x for c, x in enumerate(row) if not field.is_zero(x)} for row in mat)
+    return len(_rref(field, rows))
 
 
-def nullspace(field, mat, ncols=None):
-    """Deterministic basis of the right kernel.
-
-    Rows as for _rref; dict rows need ncols.  Each basis vector has a
-    single free column set to one, and that column is its last nonzero
-    entry; free columns are taken in ascending order.
-    """
-    if ncols is None:
-        if not mat:
-            raise StructureError("nullspace of empty matrix needs ncols")
-        ncols = len(mat[0])
-    pivots = _rref(field, mat)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [field.zero()] * ncols
+def nullspace(field, rows, ncols):
+    """Deterministic basis of the right kernel of {column: value} rows of
+    nonzero values over ncols columns, one vector per free column in
+    ascending order.  A vector is the dict of its nonzero entries in
+    column order: a one at its free column, which is its last entry, after
+    minus the reduced rows' values there at their pivot columns."""
+    pivots = _rref(field, rows)
+    basis = {fc: {} for fc in range(ncols) if fc not in pivots}
+    for pc in sorted(pivots):
+        for fc, x in pivots[pc].items():
+            if fc != pc:
+                basis[fc][pc] = field.neg(x)
+    for fc, vec in basis.items():
         vec[fc] = field.one()
-        for pc, row in pivots.items():
-            if fc in row:
-                vec[pc] = field.neg(row[fc])
-        basis.append(tuple(vec))
-    return basis
-
-
-def nullspace_coordinates(field, basis, target):
-    """Coordinates of target in a basis returned by nullspace, or None.
-
-    The coordinate on each basis vector is the target's entry at that
-    vector's free column (its last nonzero entry); the coordinates are
-    returned only if they rebuild the target exactly.
-    """
-    coords = []
-    rebuilt = [field.zero()] * len(target)
-    for vec in basis:
-        fc = max(j for j, x in enumerate(vec) if not field.is_zero(x))
-        c = target[fc]
-        coords.append(c)
-        if not field.is_zero(c):
-            for j, x in enumerate(vec):
-                if not field.is_zero(x):
-                    rebuilt[j] = field.add(rebuilt[j], field.mul(c, x))
-    if any(not field.is_zero(field.sub(x, y)) for x, y in zip(rebuilt, target)):
-        return None
-    return tuple(coords)
+    return list(basis.values())
 
 
 def solve_linear(field, unknowns, constraints):
@@ -157,7 +126,8 @@ def solve_linear(field, unknowns, constraints):
     constraints: iterable of {name: coefficient} mappings, each meaning
     sum(coeff * value(name)) == 0.  Referencing an undeclared unknown is
     a structural error.  Zero and duplicate rows are dropped, so rank is
-    counted once per independent constraint.
+    counted once per independent constraint.  Returns nullspace's sparse
+    basis, each vector keyed by positions in unknowns.
     """
     unknowns = list(unknowns)
     index = {}

@@ -7,7 +7,8 @@ identity_nat, which only tests use, live here too, and so does the dense
 per-pair composition the tests use as an oracle for the product tables:
 compose, compose_basis_coords and compose_from_products, and the dense
 blocks of a graded map that tests rebuild with one entry changed,
-dense_blocks.
+dense_blocks.  The flat layout of a transformation, one entry per
+nat_unknowns key, is a test oracle too: nat_to_flat and nat_from_flat.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from dgcat.errors import StructureError
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_theorem_fixture
 from dgcat.functors import DgFunctor, DgNatTransformation
-from dgcat.graded import identity_map
+from dgcat.graded import GradedMap, identity_map
 from dgcat.lambda_cat import build_lambda
 from dgcat.shipped import NAMES, shipped_workspace
 
@@ -130,6 +131,26 @@ def identity_nat(fun):
         0,
         {obj: identity_map(fun.on_objects[obj].carrier) for obj in fun.base.objects},
     )
+
+
+def nat_to_flat(F, G, n, keys, nat):
+    """The entries of a degree-n transformation F -> G at the (object, i, r,
+    c) keys, as one dense tuple."""
+    return tuple(nat.components[obj].entry(i, r, c) for obj, i, r, c in keys)
+
+
+def nat_from_flat(F, G, n, keys, vec):
+    """The degree-n transformation F -> G with entry vec[k] at keys[k]."""
+    entries = {obj: [] for obj in F.base.objects}
+    for (obj, i, r, c), value in zip(keys, vec):
+        entries[obj].append((i, r, c, value))
+    components = {
+        obj: GradedMap.from_entries(
+            F.on_objects[obj].carrier, G.on_objects[obj].carrier, n, entries[obj]
+        )
+        for obj in F.base.objects
+    }
+    return DgNatTransformation(F, G, n, components)
 
 
 @pytest.fixture(scope="session")

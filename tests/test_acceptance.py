@@ -386,8 +386,11 @@ def _direct_module_hom_dims(bim, B):
                                         row[index[(i + m, r, s)]],
                                         field.mul(sgn, nb[s][c]),
                                     )
-                            if any(not field.is_zero(x) for x in row):
-                                rows.append(tuple(row))
+                            nonzero = {
+                                k: x for k, x in enumerate(row) if not field.is_zero(x)
+                            }
+                            if nonzero:
+                                rows.append(nonzero)
         basis = linalg.nullspace(field, rows, ncols=len(unknowns))
         if basis:
             dims[n] = len(basis)

@@ -285,7 +285,7 @@ def test_g_on_morphisms_validates():
         gb = g_on_objects(bim, B)
         gb2 = g_on_objects(bim, B2)
         for n in dgnat_window(B, B2):
-            _, _, nats = dgnat_space(B, B2, n)
+            nats = dgnat_space(B, B2, n)
             for eps in nats[:2]:
                 g_eps = g_on_morphisms(bim, gb, gb2, eps)
                 assert g_eps.degree == eps.degree
@@ -300,7 +300,7 @@ def test_g_commutes_with_differential_and_composition():
     B = representable_module(u_cat, u_cat.objects[0])
     gb = g_on_objects(bim, B)
     for n in dgnat_window(B, B):
-        _, _, nats = dgnat_space(B, B, n)
+        nats = dgnat_space(B, B, n)
         for eps in nats[:2]:
             g_eps = g_on_morphisms(bim, gb, gb, eps)
             lhs = g_on_morphisms(bim, gb, gb, dgnat_differential(eps))

@@ -1,8 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 
-from conftest import identity_nat, zero_functor
+from conftest import identity_nat, nat_to_flat, zero_functor
 from dgcat import linalg
+from dgcat.cli import main
 from dgcat.bimodule import g_on_objects
 from dgcat.comma import (
     CommaMorphism,
@@ -21,7 +24,6 @@ from dgcat.fixtures import random_theorem_fixture
 from dgcat.functors import (
     DgNatTransformation,
     linear_combination,
-    nat_to_flat,
     nat_unknowns,
     naturality_witness,
     representable_module,
@@ -29,6 +31,7 @@ from dgcat.functors import (
 )
 from dgcat.graded import Homog, homogeneous_basis
 from dgcat.lambda_cat import SLOT_M, SLOT_T, SLOT_U, build_lambda
+from dgcat.shipped import shipped_text
 from tests.test_bimodule import kkk_setup
 
 QQ = Rationals()
@@ -536,3 +539,47 @@ def test_signed_square_variant_fails_on_a_structure_map_of_nonzero_degree():
     checks = {c.name: c for c in report.checks}
     assert not checks["signed_square_variant"].passed
     assert checks["signed_square_variant"].witness == {"object": "o_can", "t": "t0"}
+
+
+# ---------------------------------------------------------------------------
+# work count on a wide instance
+
+# SHA-256 of the check-equivalence report of the width-8 kkk document,
+# recorded while kernel bases were still dense vectors
+WIDTH_8_REPORT = "ae9ca716f3fa1229469d71499c6db77855cada8c5f631b779a1fdc67e16df856"
+
+
+def _wide_kkk(n):
+    """kkk with A = K^n in degree 0, its identity action listed, and o_zero
+    the only comma object: the comma Hom space of o_zero has n^2 + 1
+    dimensions, and every kernel basis vector of its solves is wide."""
+    doc = json.loads(shipped_text("kkk"))
+    doc["modules"]["A"]["on_objects"]["t"]["dims"] = {"0": n}
+    doc["modules"]["A"]["on_hom"]["t"]["t"] = [[0, 0, 0, j, j, "1"] for j in range(n)]
+    doc["fixtures"]["main"]["comma_objects"] = ["o_zero"]
+    del doc["comma_objects"]["o_can"]
+    return doc
+
+
+def test_wide_kernel_bases_store_only_their_nonzeros(monkeypatch, tmp_path, capsys):
+    """Kernel vectors hold their nonzero entries only: on the width-8 kkk
+    check, fewer than two per vector, where a dense vector holds one per
+    unknown.  A work count, not a timing; the report bytes are pinned.
+    When written, 133 vectors stored 198 entries, against 13,720 dense."""
+    src = tmp_path / "kkk8.json"
+    src.write_text(json.dumps(_wide_kkk(8)), encoding="utf-8")
+    counts = []
+    nullspace = linalg.nullspace
+
+    def counted(field, rows, ncols):
+        basis = nullspace(field, rows, ncols)
+        counts.append((len(basis), sum(map(len, basis)), len(basis) * ncols))
+        return basis
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    assert main(["check-equivalence", "--input", str(src)]) == 0
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == WIDTH_8_REPORT
+    vectors, stored, dense = map(sum, zip(*counts))
+    assert vectors > 100 and dense > 50 * vectors, (vectors, dense)
+    assert stored < 2 * vectors, (vectors, stored)

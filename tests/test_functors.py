@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
-from conftest import identity_nat, zero_functor
+from conftest import identity_nat, nat_from_flat, nat_to_flat, zero_functor
+from dgcat.comma import build_coproduct_module
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     endomorphism_category,
@@ -19,13 +21,17 @@ from dgcat.functors import (
     dgnat_window,
     direct_sum_functors,
     linear_combination,
+    nat_coordinates,
+    nat_unknowns,
     naturality_witness,
     representable_module,
     validate_dg_functor,
     yoneda_module,
 )
+from dgcat.linalg import unit_vector
 
 QQ = Rationals()
+F5 = PrimeField(5)
 
 
 def test_zero_functor_validates():
@@ -77,17 +83,17 @@ def test_dgnat_space_zero_functors():
     cat = exterior_category(QQ)
     zero = zero_functor(cat)
     for n in range(-2, 3):
-        _, _, nats = dgnat_space(zero, zero, n)
+        nats = dgnat_space(zero, zero, n)
         assert nats == []
 
 
 def test_dgnat_space_trivial_base_scalars():
     cat = trivial_category(QQ)
     fun = representable_module(cat, "*")
-    keys, vecs, nats = dgnat_space(fun, fun, 0)
+    nats = dgnat_space(fun, fun, 0)
     assert len(nats) == 1
     assert list(dgnat_window(fun, fun)) == [0]
-    _, _, nats1 = dgnat_space(fun, fun, 1)
+    nats1 = dgnat_space(fun, fun, 1)
     assert nats1 == []
 
 
@@ -100,8 +106,8 @@ def test_dgnat_space_disjoint_supports_is_zero():
     # representable-style explicit action
     high = DgFunctor(cat, {"*": dg_module(QQ, {5: 1}, {})}, {})
     # shape-forced: no degree-0 transformation can exist between them
-    keys, _, _ = dgnat_space(low, high, 0)
-    assert keys == [] or len(keys) == 0
+    assert nat_unknowns(low, high, 0) == []
+    assert dgnat_space(low, high, 0) == []
 
 
 def test_dgnat_solutions_satisfy_naturality_exactly():
@@ -111,7 +117,7 @@ def test_dgnat_solutions_satisfy_naturality_exactly():
         funs = [representable_module(cat, obj) for obj in cat.objects]
         F, G = funs[0], funs[-1]
         for n in dgnat_window(F, G):
-            _, _, nats = dgnat_space(F, G, n)
+            nats = dgnat_space(F, G, n)
             for nat in nats:
                 assert naturality_witness(nat) is None
 
@@ -122,7 +128,7 @@ def test_dgnat_linearity_within_degree():
     cat, _ = random_endo_category(rng, QQ, "E", max_objects=2)
     fun = representable_module(cat, cat.objects[0])
     for n in dgnat_window(fun, fun):
-        _, _, nats = dgnat_space(fun, fun, n)
+        nats = dgnat_space(fun, fun, n)
         if len(nats) >= 2:
             combo = linear_combination((Fraction(3), Fraction(-2)), nats[:2])
             assert naturality_witness(combo) is None
@@ -135,8 +141,7 @@ def test_dgnat_differential_closure_and_square_zero():
         F = representable_module(cat, cat.objects[0])
         G = representable_module(cat, cat.objects[-1])
         for n in dgnat_window(F, G):
-            keys1, vecs1, _ = dgnat_space(F, G, n + 1)
-            _, _, nats = dgnat_space(F, G, n)
+            nats = dgnat_space(F, G, n)
             for nat in nats:
                 d_nat = dgnat_differential(nat)
                 # closure: d maps DgNat^n into DgNat^{n+1}
@@ -159,7 +164,7 @@ def test_compose_nat_unital_and_associative():
     window = list(dgnat_window(fun, fun))
     pool = []
     for n in window:
-        _, _, nats = dgnat_space(fun, fun, n)
+        nats = dgnat_space(fun, fun, n)
         pool.extend(nats)
     ident = identity_nat(fun)
     for nat in pool:
@@ -180,7 +185,7 @@ def test_compose_nat_leibniz():
     F = representable_module(cat, cat.objects[0])
     pool = []
     for n in dgnat_window(F, F):
-        _, _, nats = dgnat_space(F, F, n)
+        nats = dgnat_space(F, F, n)
         pool.extend(nats)
     field = QQ
     for nu in pool[:4]:
@@ -200,7 +205,7 @@ def test_compose_nat_degree_one_pair_natural():
     rng = random.Random(33)
     cat, _ = random_endo_category(rng, QQ, "E", max_objects=1)
     fun = representable_module(cat, cat.objects[0])
-    _, _, nats = dgnat_space(fun, fun, 1)
+    nats = dgnat_space(fun, fun, 1)
     for a in nats:
         for b in nats:
             composite = compose_nat(a, b)
@@ -259,7 +264,7 @@ def test_functors_over_f5():
     fun = representable_module(cat, cat.objects[0])
     assert validate_dg_functor(fun).passed
     for n in dgnat_window(fun, fun):
-        _, _, nats = dgnat_space(fun, fun, n)
+        nats = dgnat_space(fun, fun, n)
         for nat in nats:
             assert naturality_witness(nat) is None
 
@@ -292,3 +297,85 @@ def test_dgnat_differential_single_component_evaluation():
     # with |alpha| = -1 the sign -(-1)^{-1} = +1 leaves alpha . d_M
     assert d_eta.components["*"] == alpha.compose(contractible.d)
     assert not d_eta.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# nat_coordinates against the dense rule it replaced
+
+
+def _dense_coordinates(field, vectors, target):
+    """Coordinates of the flat target in the flat basis vectors, or None:
+    each coordinate is the target's entry at its vector's free column,
+    the vector's last nonzero entry, and they are returned only if they
+    rebuild the target exactly."""
+    coords = []
+    rebuilt = [field.zero()] * len(target)
+    for vec in vectors:
+        fc = max(j for j, x in enumerate(vec) if not field.is_zero(x))
+        c = target[fc]
+        coords.append(c)
+        if not field.is_zero(c):
+            for j, x in enumerate(vec):
+                if not field.is_zero(x):
+                    rebuilt[j] = field.add(rebuilt[j], field.mul(c, x))
+    if any(not field.is_zero(field.sub(x, y)) for x, y in zip(rebuilt, target)):
+        return None
+    return tuple(coords)
+
+
+def _transformation_spaces(fx):
+    """(F, G, n, basis) for every (t, n) carrier space of each distinct G(B)
+    of fx's comma objects, and for every degree of the window between each
+    ordered pair of their coproduct Lambda-modules."""
+    bim = fx["bimodule"]
+    seen = set()
+    for obj in fx["comma_objects"]:
+        if id(obj.gB) not in seen:
+            seen.add(id(obj.gB))
+            for (t, n), basis in obj.gB.nat_basis.items():
+                yield bim.slice_t(t), obj.B, n, basis
+    modules = [build_coproduct_module(fx["lambda"], o) for o in fx["comma_objects"]]
+    for F, G in itertools.product(modules, repeat=2):
+        for n in dgnat_window(F, G):
+            yield F, G, n, dgnat_space(F, G, n)
+
+
+def test_nat_coordinates_match_the_dense_rule(theorem_fixtures):
+    """Each basis transformation gives its unit vector, a random combination
+    its coefficients, and that combination with one entry bumped off a free
+    column lies outside the span: nat_coordinates and the dense rule agree
+    on all three, on every G(B) and Lambda-side space."""
+    rng = random.Random(0)
+    fields = set()
+    spaces = units = bumped = 0
+    for fx in theorem_fixtures:
+        field = fx["lambda"].field
+        fields.add(field)
+        for F, G, n, basis in _transformation_spaces(fx):
+            keys = nat_unknowns(F, G, n)
+            vectors = [nat_to_flat(F, G, n, keys, nat) for nat in basis]
+
+            def both(flat):
+                nat = nat_from_flat(F, G, n, keys, flat)
+                return nat_coordinates(basis, nat), _dense_coordinates(field, vectors, flat)
+
+            for k, vec in enumerate(vectors):
+                unit = unit_vector(field, len(basis), k)
+                assert both(vec) == (unit, unit)
+                units += 1
+            coeffs = tuple(field.from_int(rng.randint(-3, 3)) for _ in basis)
+            flat = [field.zero()] * len(keys)
+            for c, vec in zip(coeffs, vectors):
+                flat = [field.add(x, field.mul(c, y)) for x, y in zip(flat, vec)]
+            assert both(tuple(flat)) == (coeffs, coeffs)
+            free = {max(j for j, x in enumerate(v) if not field.is_zero(x)) for v in vectors}
+            others = [j for j in range(len(keys)) if j not in free]
+            if others:
+                j = rng.choice(others)
+                flat[j] = field.add(flat[j], field.one())
+                assert both(tuple(flat)) == (None, None)
+                bumped += 1
+            spaces += 1
+    assert fields == {QQ, F5}
+    # 443 spaces, 432 basis elements and 425 bumped families when written
+    assert spaces >= 400 and units >= 400 and bumped >= 400, (spaces, units, bumped)

@@ -12,8 +12,9 @@ by the validate_dg_functor report of the coproduct module of each of its
 comma objects; these are the checks of the bullet and dot-product
 identities, recorded before the special-case checkers of those
 identities were deleted.
-Each digest in BASIS_VECTORS is the SHA-256 of the flat basis vectors of
-dgnat_space between the coproduct modules and of comma_hom_space, for
+Each digest in BASIS_VECTORS is the SHA-256 of the flat basis vectors
+(conftest.nat_to_flat) of dgnat_space between the coproduct modules and
+of comma_hom_space, for
 every ordered pair of comma objects and every degree of the window
 check_equivalence scans, on one theorem fixture; each digest in
 EMITTED_CATEGORIES is the SHA-256 of the rendered emit_category document
@@ -45,7 +46,7 @@ import random
 
 import pytest
 
-from conftest import dense_blocks, path_category
+from conftest import dense_blocks, nat_to_flat, path_category
 from dgcat.category import opposite_category, tensor_category, validate_dg_category
 from dgcat.cli import main
 from dgcat.complexes import HomComplex, TensorComplex
@@ -63,7 +64,6 @@ from dgcat.functors import (
     chain_map_holds,
     dgnat_space,
     dgnat_window,
-    nat_to_flat,
     nat_unknowns,
     representable_module,
     validate_dg_functor,
@@ -200,7 +200,11 @@ def _basis_text(fx):
         for tgt, f_tgt in zip(objects, coproducts):
             window = set(comma_window(src, tgt)) | set(dgnat_window(f_src, f_tgt))
             for n in sorted(window):
-                _, lambda_vecs, _ = dgnat_space(f_src, f_tgt, n)
+                l_keys = nat_unknowns(f_src, f_tgt, n)
+                lambda_vecs = [
+                    nat_to_flat(f_src, f_tgt, n, l_keys, nat)
+                    for nat in dgnat_space(f_src, f_tgt, n)
+                ]
                 a_keys = nat_unknowns(src.A, tgt.A, n)
                 b_keys = nat_unknowns(src.B, tgt.B, n)
                 comma_vecs = [

@@ -5,12 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import nat_from_flat, nat_to_flat
 from dgcat import linalg
 from dgcat.comma import build_coproduct_module
+from dgcat.complexes import dg_module
 from dgcat.errors import StructureError
 from dgcat.fields import PrimeField, Rationals, field_from_descriptor
-from dgcat.fixtures import random_theorem_fixture
-from dgcat.functors import dgnat_space, dgnat_window
+from dgcat.fixtures import random_theorem_fixture, trivial_category
+from dgcat.functors import (
+    DgFunctor,
+    dgnat_space,
+    dgnat_window,
+    nat_coordinates,
+    nat_unknowns,
+)
+from dgcat.linalg import dense_vector
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -83,36 +92,52 @@ def test_rref_and_rank():
 
 
 def test_nullspace_satisfies_system():
-    mat = ((Fraction(1), Fraction(1), Fraction(0)),)
-    basis = linalg.nullspace(QQ, mat)
+    rows = [{0: Fraction(1), 1: Fraction(1)}]
+    basis = linalg.nullspace(QQ, rows, 3)
     assert len(basis) == 2
     for vec in basis:
-        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in mat)
+        assert all(sum(a * vec.get(c, 0) for c, a in row.items()) == 0 for row in rows)
 
 
-def test_nullspace_coordinates_in_and_out_of_span():
-    # kernel of x + y - z: free columns 1 and 2
-    basis = linalg.nullspace(QQ, [(1, 1, -1)], ncols=3)
-    assert basis == [(-1, 1, 0), (1, 0, 1)]
-    assert linalg.nullspace_coordinates(QQ, basis, (1, 2, 3)) == (2, 3)
-    assert linalg.nullspace_coordinates(QQ, basis, (0, 1, 0)) is None
-    assert linalg.nullspace_coordinates(QQ, [], (Fraction(0),)) == ()
-    assert linalg.nullspace_coordinates(QQ, [], (Fraction(1),)) is None
+def _column_pair(field, rows):
+    """A dg-functor pair over K whose degree-0 transformations are the
+    columns K -> K^rows, and their unknown keys: one per row."""
+    cat = trivial_category(field)
+    F = DgFunctor(cat, {"*": dg_module(field, {0: 1}, {})}, {})
+    G = DgFunctor(cat, {"*": dg_module(field, {0: rows}, {})}, {})
+    return F, G, nat_unknowns(F, G, 0)
 
 
-def test_nullspace_coordinates_of_a_consistent_system():
-    mat = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(0)))
-    basis = linalg.nullspace(QQ, mat)
-    assert basis == [(-1, 1)]
-    coords = linalg.nullspace_coordinates(QQ, basis, (Fraction(-2), Fraction(2)))
+def test_nat_coordinates_in_and_out_of_span():
+    # kernel of x + y - z: free columns 1 and 2, each the last entry of its
+    # vector and a one there
+    basis = linalg.nullspace(QQ, [{0: 1, 1: 1, 2: -1}], 3)
+    assert basis == [{0: -1, 1: 1}, {0: 1, 2: 1}]
+    assert [list(vec.items())[-1] for vec in basis] == [(1, 1), (2, 1)]
+    F, G, keys = _column_pair(QQ, 3)
+    nats = [nat_from_flat(F, G, 0, keys, dense_vector(QQ, v.items(), 3)) for v in basis]
+    assert nat_coordinates(nats, nat_from_flat(F, G, 0, keys, (1, 2, 3))) == (2, 3)
+    assert nat_coordinates(nats, nat_from_flat(F, G, 0, keys, (0, 1, 0))) is None
+    zero = nat_from_flat(F, G, 0, keys, (0, 0, 0))
+    assert nat_coordinates([], zero) == ()
+    assert nat_coordinates([], nat_from_flat(F, G, 0, keys, (1, 0, 0))) is None
+
+
+def test_nat_coordinates_of_a_consistent_system():
+    # a zero row adds no constraint
+    basis = linalg.nullspace(QQ, [{0: Fraction(1), 1: Fraction(1)}, {}], 2)
+    assert basis == [{0: -1, 1: 1}]
+    F, G, keys = _column_pair(QQ, 2)
+    nats = [nat_from_flat(F, G, 0, keys, (-1, 1))]
+    coords = nat_coordinates(nats, nat_from_flat(F, G, 0, keys, (-2, 2)))
     assert coords == (2,)
-    assert linalg.nullspace_coordinates(QQ, basis, (Fraction(0), Fraction(1))) is None
+    assert nat_coordinates(nats, nat_from_flat(F, G, 0, keys, (0, 1))) is None
 
 
 def test_solve_linear_one_equation():
     basis = linalg.solve_linear(QQ, ["x", "y"], [{"x": Fraction(1), "y": Fraction(1)}])
     assert len(basis) == 1
-    x, y = basis[0]
+    x, y = dense_vector(QQ, basis[0].items(), 2)
     assert x + y == 0 and (x, y) != (0, 0)
 
 
@@ -135,7 +160,7 @@ def test_solve_linear_undeclared_unknown():
 def test_solve_linear_over_f5():
     basis = linalg.solve_linear(F5, ["x", "y"], [{"x": 2, "y": 3}])
     assert len(basis) == 1
-    x, y = basis[0]
+    x, y = dense_vector(F5, basis[0].items(), 2)
     assert (2 * x + 3 * y) % 5 == 0
 
 
@@ -210,22 +235,30 @@ def _combine(field, coeffs, basis, ncols):
 def test_sparse_solve_matches_dense_reference(name, data):
     field, rows, ncols, vector = data.draw(sparse_system(name))
     expected = reference_nullspace(field, rows, ncols)
-    assert linalg.nullspace(field, rows, ncols=ncols) == expected
+    sparse = [{c: x for c, x in enumerate(row) if not field.is_zero(x)} for row in rows]
+    basis = linalg.nullspace(field, sparse, ncols)
+    assert [dense_vector(field, vec.items(), ncols) for vec in basis] == expected
+    for vec, dense in zip(basis, expected):
+        # no zero is stored, and the last entry is a one at the free column
+        assert not any(field.is_zero(x) for x in vec.values())
+        free = max(c for c, x in enumerate(dense) if not field.is_zero(x))
+        assert list(vec.items())[-1] == (free, field.one())
+        assert list(vec) == sorted(vec)
     assert linalg.rank(field, rows) == ncols - len(expected)
     names = [f"x{c}" for c in range(ncols)]
-    constraints = [
-        {names[c]: x for c, x in enumerate(row) if not field.is_zero(x)} for row in rows
-    ]
-    assert linalg.solve_linear(field, names, constraints) == expected
+    constraints = [{names[c]: x for c, x in row.items()} for row in sparse]
+    assert linalg.solve_linear(field, names, constraints) == basis
 
+    F, G, keys = _column_pair(field, ncols)
+    nats = [nat_from_flat(F, G, 0, keys, vec) for vec in expected]
     coeffs = data.draw(st.lists(SCALARS[name], min_size=len(expected), max_size=len(expected)))
-    inside = _combine(field, coeffs, expected, ncols)
-    assert linalg.nullspace_coordinates(field, expected, inside) == tuple(coeffs)
+    inside = nat_from_flat(F, G, 0, keys, _combine(field, coeffs, expected, ncols))
+    assert nat_coordinates(nats, inside) == tuple(coeffs)
 
     in_kernel = all(
         field.is_zero(sum(field.mul(a, x) for a, x in zip(row, vector))) for row in rows
     )
-    coords = linalg.nullspace_coordinates(field, expected, vector)
+    coords = nat_coordinates(nats, nat_from_flat(F, G, 0, keys, vector))
     if in_kernel:
         assert _combine(field, coords, expected, ncols) == vector
     else:
@@ -264,8 +297,9 @@ def test_dgnat_basis_entries_are_int_or_fraction():
     for F in modules:
         for G in modules:
             for n in dgnat_window(F, G):
-                _, vectors, _ = dgnat_space(F, G, n)
-                for vec in vectors:
+                keys = nat_unknowns(F, G, n)
+                for nat in dgnat_space(F, G, n):
+                    vec = nat_to_flat(F, G, n, keys, nat)
                     assert all(_is_q_scalar(x) for x in vec), vec
                     checked += len(vec)
     assert checked > 0

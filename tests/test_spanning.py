@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_blocks, identity_nat
+from conftest import dense_blocks, identity_nat, nat_from_flat, nat_to_flat
 from dgcat import functors, linalg
 from dgcat.category import (
     DgCategoryPresentation,
@@ -35,8 +35,6 @@ from dgcat.functors import (
     DgNatTransformation,
     dgnat_space,
     dgnat_window,
-    nat_from_flat,
-    nat_to_flat,
     nat_unknowns,
     naturality_witness,
     representable_module,
@@ -353,8 +351,9 @@ def _naturality_answers(pairs):
     out = []
     for F, G in pairs:
         for n in dgnat_window(F, G):
-            keys, vectors, nats = dgnat_space(F, G, n)
-            out.append((n, keys, vectors))
+            keys = nat_unknowns(F, G, n)
+            nats = dgnat_space(F, G, n)
+            out.append((n, keys, [nat_to_flat(F, G, n, keys, nat) for nat in nats]))
             out.extend(naturality_witness(nat) for nat in nats)
             unknowns = nat_unknowns(F, G, n)
             for i in range(min(4, len(unknowns))):
@@ -450,15 +449,15 @@ def test_unchecked_generator_rows_give_a_larger_space(theorem_fixtures):
             continue
         identity = DgNatTransformation(bad, fun, 0, identity_nat(fun).components)
         with _all_basis():
-            _, full, _ = dgnat_space(bad, fun, 0)
+            full = dgnat_space(bad, fun, 0)
             full_witness = naturality_witness(identity)
-        _, guarded, _ = dgnat_space(bad, fun, 0)
+        guarded = dgnat_space(bad, fun, 0)
         assert guarded == full
         assert full_witness is not None
         assert naturality_witness(identity) == full_witness
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(DgFunctor, "functorial_on", lambda self, spanning: True)
-            _, forced, _ = dgnat_space(bad, fun, 0)
+            forced = dgnat_space(bad, fun, 0)
             assert naturality_witness(identity) is None
         assert len(forced) > len(full)
         checked += 1
