@@ -16,15 +16,15 @@ two inclusions and reads f off the action of the corner morphisms; the
 comparison map assembled from the two inclusion images is checked to be
 a closed natural isomorphism at every object.
 
-For a homogeneous m the dot product is a graded map A(t) -> B(u) of x,
-built once per basis m (CommaObject.dot_map).  Evaluated at a basis m of
-M(u, t)^j, the comma square reads m .' alpha(x) = (-1)^{nj} beta(m . x),
-that is
-
-    target.dot_map(u, t, m) . alpha_t = (-1)^{nj} beta_u . source.dot_map(u, t, m);
-
-the comma Hom system takes its rows from functors.square_rows on these
-maps, and the coproduct module acts by them on the m-blocks of Lambda.
+For the i-th basis element m of M(u, t)^j the dot product is a graded
+map A(t) -> B(u) of x.  CommaObject.dot(u, t) builds those of one (u, t)
+from the nonzero entries of f_t and of G(B)'s basis transformations, and
+CommaObject.m_actions keeps them.  With m_j = m_actions[(u, t)][(j, i)]
+of the source and m_j' of the target, the comma square at m reads
+m .' alpha(x) = (-1)^{nj} beta(m . x), that is
+m_j' . alpha_t = (-1)^{nj} beta_u . m_j; the comma Hom system takes its
+rows from functors.square_rows on these maps, and the coproduct module
+acts by them on the m-blocks of Lambda.
 So the paper's identities for the dot product are the functor axioms of
 that module, checked by validate_dg_functor on basis morphisms: its
 chain_map on the m-blocks is the dot Leibniz rule
@@ -46,6 +46,7 @@ sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from . import linalg
@@ -59,7 +60,7 @@ from .functors import (
     dgnat_space,
     dgnat_window,
     functor_from_basis_images,
-    image_of,
+    images_from_entries,
     nat_coordinates,
     nat_unknowns,
     naturality_witness,
@@ -68,14 +69,12 @@ from .functors import (
 from .graded import (
     DirectSum,
     GradedMap,
-    Homog,
-    basis_vector,
     compose_graded,
-    homogeneous_basis,
     map_from_action,
     place_blocks,
+    zero_map,
 )
-from .lambda_cat import SLOT_T, SLOT_U, restrict_module
+from .lambda_cat import SLOT_M, SLOT_T, SLOT_U, restrict_module
 from .report import Report
 
 
@@ -98,8 +97,6 @@ class CommaObject:
             if comp.degree != 0 or comp.source != src or comp.target != tgt:
                 raise StructureError(f"structure map at {t} has the wrong shape")
             self.f[t] = comp
-        self._f_images = {}
-        self._dot_images = {}
 
     @property
     def field(self):
@@ -108,40 +105,39 @@ class CommaObject:
     def f_nat(self):
         return DgNatTransformation(self.A, self.gB.functor, 0, self.f)
 
-    def f_of(self, t, x):
-        """f_t(x): M_t -> B for a homogeneous x in A(t), decoded once per (t, x)."""
-        key = (t, x.degree, x.coords)
-        if key not in self._f_images:
-            coords = self.f[t].apply(x.degree, x.coords)
-            self._f_images[key] = self.gB.decode(t, x.degree, coords)
-        return self._f_images[key]
+    @cached_property
+    def m_actions(self):
+        """{(u, t): self.dot(u, t)} for every pair of objects, built once."""
+        bim = self.bimodule
+        return {
+            (u, t): self.dot(u, t)
+            for u in bim.left_base.objects
+            for t in bim.right_base.objects
+        }
 
-    def dot(self, u, t, m, x):
-        """m . x = (-1)^{|x||m|} [f_t(x)]_u(m) in B(u)."""
+    def dot(self, u, t):
+        """{(j, i): the graded map A(t) -> B(u), x |-> m . x, for the i-th
+        basis element m of M(u, t)^j}, zero where m acts by zero.
+
+        m . x = (-1)^{|x||m|} [f_t(x)]_u(m): an entry (k, a, c, v) of f_t
+        and an entry (j, r, i, w) of component u of the basis
+        transformation a of G(B)(t)^k add (-1)^{jk} v w at (k, r, c) of
+        the (j, i) map."""
         field = self.field
-        nat = self.f_of(t, x)
-        out = nat.components[u].apply(m.degree, m.coords)
-        sgn = field.sign(m.degree * x.degree)
-        return Homog(m.degree + x.degree, tuple(field.mul(sgn, v) for v in out))
-
-    def dot_map(self, u, t, m):
-        """The graded map A(t) -> B(u), x |-> m . x, for a homogeneous m in
-        M(u, t): the combination of the maps of the basis of M(u, t), each
-        built once from dot."""
         src = self.A.on_objects[t].carrier
         tgt = self.B.on_objects[u].carrier
-        if (u, t) not in self._dot_images:
-            xs = {(k, cx): x for k, cx, x in homogeneous_basis(src)}
-            self._dot_images[(u, t)] = {
-                (r, i): map_from_action(
-                    src,
-                    tgt,
-                    r,
-                    lambda k, cx, _m=m_i: self.dot(u, t, _m, xs[k, cx]).coords,
-                )
-                for r, i, m_i in homogeneous_basis(self.bimodule.value(u, t).carrier)
-            }
-        return image_of(self._dot_images[(u, t)], src, tgt, m)
+        entries = (
+            ((j, i), (k, r, c, field.mul(field.sign(j * k), field.mul(v, w))))
+            for k, a, c, v in self.f[t].entries()
+            for j, r, i, w in self.gB.nat_basis[(t, k)][a].components[u].entries()
+        )
+        images = images_from_entries(src, tgt, entries)
+        m_carrier = self.bimodule.value(u, t).carrier
+        return {
+            (j, i): images[(j, i)] if (j, i) in images else zero_map(src, tgt, j)
+            for j in m_carrier.degrees()
+            for i in range(m_carrier.dim(j))
+        }
 
 
 def validate_comma_object(obj):
@@ -188,14 +184,10 @@ def _square_rows(source, target, n):
     A(t) -> B'(u) of x."""
     bim = source.bimodule
     for t, u in product(bim.right_base.objects, bim.left_base.objects):
-        for j, _, m in homogeneous_basis(bim.value(u, t).carrier):
+        target_maps = target.m_actions[(u, t)]
+        for (j, i), m_map in source.m_actions[(u, t)].items():
             yield from square_rows(
-                target.dot_map(u, t, m),
-                ("a", t),
-                source.dot_map(u, t, m),
-                ("b", u),
-                n,
-                bim.field.sign(n * j),
+                target_maps[(j, i)], ("a", t), m_map, ("b", u), n, bim.field.sign(n * j)
             )
 
 
@@ -262,8 +254,7 @@ def build_coproduct_module(lam, obj, name=None):
         elif slot == SLOT_U:
             piece = (1, 1, obj.B.map_of_basis(u1, u2, r, local))
         else:
-            m = basis_vector(obj.bimodule.value(u2, t1), r, local)
-            piece = (1, 0, obj.dot_map(u2, t1, m))
+            piece = (1, 0, obj.m_actions[(u2, t1)][(r, local)])
         return place_blocks(sums[p], sums[q], r, [piece])
 
     module = functor_from_basis_images(pres, on_objects, image, name=name)
@@ -298,50 +289,45 @@ def f_on_morphisms(lam, source_module, target_module, phi):
 def extract_comma_from_module(lam, module, name=None):
     """(C1, f, C2) with [f_t(x)]_u(m) = (-1)^{|x||m|} C(mbar)(x).
 
-    G(C2) comes from g_on_objects, so a C2 with the values and basis
-    images of a B already used with this bimodule reuses its G(B)."""
+    The corner morphism mbar: (t, 0) -> (0, u) of the i-th basis element
+    of M(u, t)^j acts on C1(t) -> C2(u); its entry (k, r, c, v) puts
+    (-1)^{kj} v at (j, r, i) of component u of f_t(x_c), for x_c the c-th
+    basis element of C1(t)^k.  G(C2) comes from g_on_objects, so a C2 with
+    the values and basis images of a B already used with this bimodule
+    reuses its G(B)."""
     bim = lam.bimodule
     field = lam.field
+    marker = lam.zero_marker
     c1, c2 = restrict_module(lam, module)
     g_c2 = g_on_objects(bim, c2)
-    corner_cache = {}
-
-    def corner(t, u, j):
-        key = (t, u, j)
-        if key not in corner_cache:
-            maps = []
-            for cm in range(bim.value(u, t).dim(j)):
-                mbar = lam.m_bar(t, u, basis_vector(bim.value(u, t), j, cm))
-                maps.append(module.map_of(mbar))
-            corner_cache[key] = maps
-        return corner_cache[key]
 
     f = {}
     for t in bim.right_base.objects:
-        src = c1.on_objects[t].carrier
-        tgt = g_c2.functor.on_objects[t].carrier
+        p = lam.object_name(t, marker)
+        images = {}  # (k, c): {u: entries of component u of f_t(x_c)}
+        for u in bim.left_base.objects:
+            q = lam.object_name(marker, u)
+            m_carrier = bim.value(u, t).carrier
+            for j in m_carrier.degrees():
+                offset = lam.sums[(p, q)].offset(SLOT_M, j)
+                for i in range(m_carrier.dim(j)):
+                    corner = module.map_of_basis(p, q, j, offset + i)
+                    for k, r, c, v in corner.entries():
+                        per_u = images.setdefault((k, c), {}).setdefault(u, [])
+                        per_u.append((j, r, i, field.mul(field.sign(k * j), v)))
 
-        def column(k, cx, _t=t, _src=src):
-            x = linalg.unit_vector(field, _src.dim(k), cx)
-            components = {}
-            for u in bim.left_base.objects:
-                m_carrier = bim.value(u, _t).carrier
-                c2_carrier = c2.on_objects[u].carrier
-                entries = (
-                    (j, r, cm, field.mul(field.sign(k * j), v))
-                    for j in m_carrier.degrees()
-                    if c2_carrier.dim(j + k)
-                    for cm, cmap in enumerate(corner(_t, u, j))
-                    for r, v in enumerate(cmap.apply(k, x))
+        def column(k, c, _t=t, _images=images):
+            components = {
+                u: GradedMap.from_entries(
+                    bim.value(u, _t).carrier, c2.on_objects[u].carrier, k, entries
                 )
-                components[u] = GradedMap.from_entries(
-                    m_carrier, c2_carrier, k, entries
-                )
-            candidate = DgNatTransformation(
-                bim.slice_t(_t), c2, k, components
-            )
+                for u, entries in _images.get((k, c), {}).items()
+            }
+            candidate = DgNatTransformation(bim.slice_t(_t), c2, k, components)
             return g_c2.encode_or_raise(_t, k, candidate, "corner action")
 
+        src = c1.on_objects[t].carrier
+        tgt = g_c2.functor.on_objects[t].carrier
         f[t] = map_from_action(src, tgt, 0, column)
     return CommaObject(bim, c1, c2, f, name=name or f"extract({module.name})")
 

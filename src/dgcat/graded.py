@@ -36,8 +36,6 @@ is zero iff every entry is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .errors import StructureError
 
@@ -406,30 +404,6 @@ def kernel(f):
             entries += [(i, r, k, x) for k, vec in enumerate(basis) for r, x in vec.items()]
     ker = GradedModule(field, dims)
     return ker, GradedMap.from_entries(ker, f.source, 0, entries)
-
-
-@dataclass(frozen=True)
-class Homog:
-    """A homogeneous element: a degree and its coordinate vector."""
-
-    degree: int
-    coords: tuple
-
-    def is_zero(self, field):
-        return all(field.is_zero(x) for x in self.coords)
-
-
-def basis_vector(module, degree, index):
-    """The index-th basis element of module^degree, as a Homog."""
-    return Homog(degree, linalg.unit_vector(module.field, module.dim(degree), index))
-
-
-def homogeneous_basis(module):
-    """(degree, index, basis element) for every basis vector of a graded
-    module, in degree order and then by index."""
-    for deg in module.degrees():
-        for i in range(module.dim(deg)):
-            yield deg, i, basis_vector(module, deg, i)
 
 
 class DirectSum:

@@ -88,12 +88,6 @@ class LambdaCategory:
         q = self.object_name(t_obj, u_obj)
         return self.hom_element(p, q, SLOT_U, self.u_cat.identity(u_obj))
 
-    def m_bar(self, t_obj, u_obj, m):
-        """[[0, 0], [m, 0]]: (t, 0) -> (0, u) of degree |m|, m in M(u, t)."""
-        p = self.object_name(t_obj, self.zero_marker)
-        q = self.object_name(self.zero_marker, u_obj)
-        return self.hom_element(p, q, SLOT_M, m)
-
 
 def build_lambda(t_cat, u_cat, bimodule, validate=True):
     """Construct the triangular matrix category; re-validates by default.

@@ -9,6 +9,10 @@ compose, compose_basis_coords and compose_from_products, and the dense
 blocks of a graded map that tests rebuild with one entry changed,
 dense_blocks.  The flat layout of a transformation, one entry per
 nat_unknowns key, is a test oracle too: nat_to_flat and nat_from_flat.
+So are the two translations between comma objects and Lambda-modules
+made one basis vector at a time, which the package builds from entries:
+raw_dot and dot_by_vectors for CommaObject.dot, extract_by_columns for
+comma.extract_comma_from_module.
 """
 
 import itertools
@@ -16,14 +20,15 @@ import itertools
 import pytest
 
 from dgcat import linalg
+from dgcat.bimodule import g_on_objects
 from dgcat.category import DgCategoryPresentation, HomElement
 from dgcat.complexes import dg_module
 from dgcat.errors import StructureError
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_theorem_fixture
 from dgcat.functors import DgFunctor, DgNatTransformation
-from dgcat.graded import GradedMap, identity_map
-from dgcat.lambda_cat import build_lambda
+from dgcat.graded import GradedMap, identity_map, map_from_action
+from dgcat.lambda_cat import SLOT_M, build_lambda, restrict_module
 from dgcat.shipped import NAMES, shipped_workspace
 
 QQ = Rationals()
@@ -153,29 +158,105 @@ def nat_from_flat(F, G, n, keys, vec):
     return DgNatTransformation(F, G, n, components)
 
 
+def raw_dot(obj, u, t, j, i, k, c):
+    """[f_t(x)]_u(m) in B(u)^{j+k}, for m the i-th basis element of
+    M(u, t)^j and x the c-th of A(t)^k: f_t(x) is decoded in G(B)(t)^k
+    and its component at u applied to m."""
+    field = obj.field
+    x = linalg.unit_vector(field, obj.A.on_objects[t].carrier.dim(k), c)
+    nat = obj.gB.decode(t, k, obj.f[t].apply(k, x))
+    m = linalg.unit_vector(field, obj.bimodule.value(u, t).carrier.dim(j), i)
+    return nat.components[u].apply(j, m)
+
+
+def dot_by_vectors(obj, u, t):
+    """obj.dot(u, t) by the per-vector rule: the (j, i) map sends the c-th
+    basis element x of A(t)^k to m . x = (-1)^{jk} raw_dot(obj, u, t, j,
+    i, k, c), in the basis order of M(u, t)."""
+    field = obj.field
+    src, tgt = obj.A.on_objects[t].carrier, obj.B.on_objects[u].carrier
+    m_carrier = obj.bimodule.value(u, t).carrier
+
+    def dot_map(j, i):
+        def image(k, c):
+            raw = raw_dot(obj, u, t, j, i, k, c)
+            return linalg.vec_scale(field, field.sign(j * k), raw)
+
+        return map_from_action(src, tgt, j, image)
+
+    return {
+        (j, i): dot_map(j, i)
+        for j in m_carrier.degrees()
+        for i in range(m_carrier.dim(j))
+    }
+
+
+def extract_by_columns(lam, module):
+    """{t: f_t} of extract_comma_from_module(lam, module) by the per-column
+    rule: for the c-th basis element x of C1(t)^k, [f_t(x)]_u(m) =
+    (-1)^{|x||m|} C(mbar)(x), with mbar: (t, 0) -> (0, u) the Lambda
+    element of each basis element m of M(u, t)^j, and f_t(x) encoded in
+    G(C2)(t)^k."""
+    bim, field, pres = lam.bimodule, lam.field, lam.presentation
+    c1, c2 = restrict_module(lam, module)
+    g_c2 = g_on_objects(bim, c2)
+
+    def corner_image(t, u, j, i, k, x):
+        p, q = lam.object_name(t, lam.zero_marker), lam.object_name(lam.zero_marker, u)
+        m = linalg.unit_vector(field, bim.value(u, t).carrier.dim(j), i)
+        mbar = pres.element(p, q, j, lam.sums[(p, q)].inject(SLOT_M, j, m))
+        return module.map_of(mbar).apply(k, x)
+
+    def column(t, k, c):
+        x = linalg.unit_vector(field, c1.on_objects[t].carrier.dim(k), c)
+        components = {}
+        for u in bim.left_base.objects:
+            m_carrier = bim.value(u, t).carrier
+            entries = [
+                (j, r, i, field.mul(field.sign(k * j), v))
+                for j in m_carrier.degrees()
+                for i in range(m_carrier.dim(j))
+                for r, v in enumerate(corner_image(t, u, j, i, k, x))
+            ]
+            components[u] = GradedMap.from_entries(
+                m_carrier, c2.on_objects[u].carrier, k, entries
+            )
+        nat = DgNatTransformation(bim.slice_t(t), c2, k, components)
+        return g_c2.encode_or_raise(t, k, nat, "corner action")
+
+    return {
+        t: map_from_action(
+            c1.on_objects[t].carrier,
+            g_c2.functor.on_objects[t].carrier,
+            0,
+            lambda k, c, _t=t: column(_t, k, c),
+        )
+        for t in bim.right_base.objects
+    }
+
+
+def shipped_theorem_fixture(name, field=None):
+    """The theorem instance of a shipped example: o_can and o_zero, and the
+    Lambda-module C; a given field replaces the file's own."""
+    ws = shipped_workspace(name, field)
+    lam = build_lambda(
+        ws.categories["T"], ws.categories["U"], ws.bimodules["M"], validate=False
+    )
+    return {
+        "name": name,
+        "seed": 0,
+        "t_cat": ws.categories["T"],
+        "u_cat": ws.categories["U"],
+        "bimodule": ws.bimodules["M"],
+        "lambda": lam,
+        "comma_objects": [ws.comma_objects["o_can"], ws.comma_objects["o_zero"]],
+        "lambda_modules": [ws.modules["C"]],
+    }
+
+
 @pytest.fixture(scope="session")
 def theorem_fixtures():
-    fixtures = []
-    for name in NAMES:
-        ws = shipped_workspace(name)
-        lam = build_lambda(
-            ws.categories["T"], ws.categories["U"], ws.bimodules["M"], validate=False
-        )
-        fixtures.append(
-            {
-                "name": name,
-                "seed": 0,
-                "t_cat": ws.categories["T"],
-                "u_cat": ws.categories["U"],
-                "bimodule": ws.bimodules["M"],
-                "lambda": lam,
-                "comma_objects": [
-                    ws.comma_objects["o_can"],
-                    ws.comma_objects["o_zero"],
-                ],
-                "lambda_modules": [ws.modules["C"]],
-            }
-        )
+    fixtures = [shipped_theorem_fixture(name) for name in NAMES]
     specs = [
         (0, QQ, 1),
         (1, QQ, 1),

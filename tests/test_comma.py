@@ -1,12 +1,23 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from conftest import identity_nat, nat_to_flat, zero_functor
+import pytest
+
+from conftest import (
+    dot_by_vectors,
+    extract_by_columns,
+    identity_nat,
+    nat_to_flat,
+    raw_dot,
+    shipped_theorem_fixture,
+    zero_functor,
+)
 from dgcat import linalg
 from dgcat.cli import main
-from dgcat.bimodule import g_on_objects
+from dgcat.bimodule import GModule, g_on_objects
 from dgcat.comma import (
     CommaMorphism,
     CommaObject,
@@ -29,12 +40,13 @@ from dgcat.functors import (
     representable_module,
     validate_dg_functor,
 )
-from dgcat.graded import Homog, homogeneous_basis
+from dgcat.graded import GradedMap, identity_map
 from dgcat.lambda_cat import SLOT_M, SLOT_T, SLOT_U, build_lambda
-from dgcat.shipped import shipped_text
+from dgcat.shipped import NAMES, shipped_text
 from tests.test_bimodule import kkk_setup
 
 QQ = Rationals()
+F5 = PrimeField(5)
 
 
 def is_comma_morphism(source, target, phi):
@@ -49,9 +61,10 @@ def is_comma_morphism(source, target, phi):
     field = bim.field
     for t, u in product(bim.right_base.objects, bim.left_base.objects):
         alpha, beta = phi.alpha.components[t], phi.beta.components[u]
-        for j, _, m in homogeneous_basis(bim.value(u, t).carrier):
-            lhs = target.dot_map(u, t, m).compose(alpha)
-            rhs = beta.compose(source.dot_map(u, t, m))
+        target_maps = target.m_actions[(u, t)]
+        for (j, i), m_map in source.m_actions[(u, t)].items():
+            lhs = target_maps[(j, i)].compose(alpha)
+            rhs = beta.compose(m_map)
             if lhs != rhs.scale(field.sign(phi.degree * j)):
                 return False
     return True
@@ -65,8 +78,6 @@ def kkk_comma_setup():
     gb = g_on_objects(bim, B)
     # G(B)(t0) is one-dimensional in degree 0; the canonical structure map
     # sends the generator of A(t0) = K to the generator transformation.
-    from dgcat.graded import GradedMap
-
     f_map = GradedMap(
         A.on_objects["t0"].carrier,
         gb.functor.on_objects["t0"].carrier,
@@ -107,8 +118,6 @@ def test_non_closed_f_detected():
     gb = g_on_objects(bim, B)
     # G(B)(t0) = Hom(M_t0, B): M_t0 = Hom(contractible, K), so the carrier is
     # two-dimensional across degrees 0 and 1 with a nonzero differential.
-    from dgcat.graded import GradedMap
-
     carrier = gb.functor.on_objects["t0"].carrier
     src = A.on_objects["t0"].carrier
     candidates = []
@@ -130,20 +139,25 @@ def test_non_closed_f_detected():
 
 
 def test_dot_product_zero_cases():
+    # o_zero's f is zero, and so is every f over a zero B: each basis m of
+    # M(u0, t0) acts by the zero map
     lam, obj, zero_obj = kkk_comma_setup()
-    m = Homog(0, (Fraction(0),))
-    x = Homog(0, (Fraction(1),))
-    assert obj.dot("u0", "t0", m, x).is_zero(QQ)
-    assert zero_obj.dot("u0", "t0", Homog(0, (Fraction(1),)), x).is_zero(QQ)
+    u_cat, t_cat, _, _, bim = kkk_setup()
+    A = representable_module(t_cat, "t0")
+    zero_b = CommaObject(bim, A, zero_functor(u_cat), {})
+    for o in (zero_obj, zero_b):
+        maps = o.dot("u0", "t0")
+        assert list(maps) == [(0, 0)]
+        assert maps[(0, 0)].degree == 0 and maps[(0, 0)].is_zero()
 
 
 def test_dot_product_canonical_kkk():
+    # f sends the generator of A(t0) = K to the generator transformation,
+    # so the generator m of M(u0, t0) = K acts by the identity of K
     lam, obj, _ = kkk_comma_setup()
-    m = Homog(0, (Fraction(2),))
-    x = Homog(0, (Fraction(3),))
-    out = obj.dot("u0", "t0", m, x)
-    assert out.degree == 0
-    assert out.coords == (Fraction(6),)
+    maps = obj.dot("u0", "t0")
+    assert maps == {(0, 0): identity_map(obj.A.on_objects["t0"].carrier)}
+    assert maps[(0, 0)].target == obj.B.on_objects["u0"].carrier
 
 
 def test_product_identities_and_dot_leibniz_kkk():
@@ -188,10 +202,8 @@ def test_every_comma_hom_basis_morphism_is_a_comma_morphism(theorem_fixtures):
                     assert is_comma_morphism(src, tgt, phi), (fx["name"], n)
                     for t, u in product(bim.right_base.objects, bim.left_base.objects):
                         beta = phi.beta.components[u]
-                        for j, _, m in homogeneous_basis(bim.value(u, t).carrier):
-                            if n * j % 2 and not beta.compose(
-                                src.dot_map(u, t, m)
-                            ).is_zero():
+                        for (j, _), m_map in src.m_actions[(u, t)].items():
+                            if n * j % 2 and not beta.compose(m_map).is_zero():
                                 signed.add(fx["name"])
     assert "random0" in signed
 
@@ -371,41 +383,86 @@ def test_prime_two_is_permitted_and_flagged(tmp_path):
 
 
 def test_dot_product_sign_on_degree_one_pair():
-    # |m| = |x| = 1: the dot product is minus the raw component evaluation
-    fx = random_theorem_fixture(6, QQ)
-    found = False
-    for obj in fx["comma_objects"]:
-        bim = obj.bimodule
-        for u in bim.left_base.objects:
-            for t in bim.right_base.objects:
-                if bim.value(u, t).dim(1) and obj.A.on_objects[t].dim(1):
-                    m = Homog(1, tuple(
-                        QQ.one() if i == 0 else QQ.zero()
-                        for i in range(bim.value(u, t).dim(1))
-                    ))
-                    x = Homog(1, tuple(
-                        QQ.one() if i == 0 else QQ.zero()
-                        for i in range(obj.A.on_objects[t].dim(1))
-                    ))
-                    raw = obj.f_of(t, x).components[u].apply(1, m.coords)
-                    signed = obj.dot(u, t, m, x)
-                    assert signed.coords == tuple(QQ.neg(v) for v in raw)
-                    found = True
-    if not found:
-        # fall back to the exterior shipped fixture which always has
-        # degree-1 elements on the A side but a degree-0 bimodule; the
-        # sign statement is then vacuous there, so force a direct case
-        from dgcat.fixtures import random_theorem_fixture as rtf
+    # |m| |x| odd: m . x is minus the raw component evaluation [f_t(x)]_u(m).
+    # random0's o_rand has nonzero such values at (u0, t0), at (|m|, |x|) =
+    # (1, -1) and (-1, 1), so a dropped sign changes some compared value.
+    fx = random_theorem_fixture(0, QQ)
+    (obj,) = [o for o in fx["comma_objects"] if o.name == "o_rand"]
+    src = obj.A.on_objects["t0"].carrier
+    nonzero = 0
+    for (j, i), m_map in obj.dot("u0", "t0").items():
+        for k in src.degrees():
+            if not j * k % 2:
+                continue
+            for c in range(src.dim(k)):
+                raw = raw_dot(obj, "u0", "t0", j, i, k, c)
+                assert [m_map.entry(k, r, c) for r in range(len(raw))] == [
+                    QQ.neg(v) for v in raw
+                ], (j, i, k, c)
+                nonzero += sum(1 for v in raw if v)
+    assert nonzero
 
-        for seed in range(8, 20):
-            fx = rtf(seed, QQ)
-            for obj in fx["comma_objects"]:
-                bim = obj.bimodule
-                for u in bim.left_base.objects:
-                    for t in bim.right_base.objects:
-                        if bim.value(u, t).dim(1) and obj.A.on_objects[t].dim(1):
-                            found = True
-    assert found
+
+@pytest.fixture(scope="module")
+def shipped_f5_fixtures():
+    return [shipped_theorem_fixture(name, F5) for name in NAMES]
+
+
+def test_dot_equals_the_per_vector_rule(theorem_fixtures, shipped_f5_fixtures):
+    """CommaObject.dot, built from entries, equals m . x = (-1)^{|x||m|}
+    [f_t(x)]_u(m) evaluated one basis m and one basis x at a time, map by
+    map and in the basis order of M(u, t), on every comma object."""
+    for fx in theorem_fixtures + shipped_f5_fixtures:
+        bim = fx["lambda"].bimodule
+        for obj in fx["comma_objects"]:
+            for t, u in product(bim.right_base.objects, bim.left_base.objects):
+                expected = list(dot_by_vectors(obj, u, t).items())
+                assert list(obj.dot(u, t).items()) == expected, (fx["name"], obj.name)
+
+
+def test_extract_equals_the_per_column_rule(theorem_fixtures, shipped_f5_fixtures):
+    """extract_comma_from_module, read off the corner actions' entries,
+    equals the rule applied to one basis vector x of C1(t) at a time, on
+    every coproduct module and Lambda-module of every instance."""
+    for fx in theorem_fixtures + shipped_f5_fixtures:
+        lam = fx["lambda"]
+        coproducts = [build_coproduct_module(lam, o) for o in fx["comma_objects"]]
+        for module in coproducts + fx["lambda_modules"]:
+            extracted = extract_comma_from_module(lam, module)
+            assert extracted.f == extract_by_columns(lam, module), (
+                fx["name"],
+                module.name,
+            )
+
+
+def test_check_equivalence_applies_no_map_to_a_vector(monkeypatch):
+    """Both translations run on entries: check_equivalence on random0, 3, 6
+    and 7 applies no graded map to a vector and decodes no element of any
+    G(B).  A work count, not a timing; the per-vector path made 1,790
+    applications and 172 decodes here."""
+    instances = [
+        random_theorem_fixture(seed, field, max_objects=max_objects)
+        for seed, field, max_objects in ((0, QQ, 1), (3, F5, 1), (6, QQ, 2), (7, F5, 2))
+    ]
+    counts = Counter()
+    apply, decode = GradedMap.apply, GModule.decode
+
+    def counted_apply(self, *args):
+        counts["apply"] += 1
+        return apply(self, *args)
+
+    def counted_decode(self, *args):
+        counts["decode"] += 1
+        return decode(self, *args)
+
+    monkeypatch.setattr(GradedMap, "apply", counted_apply)
+    monkeypatch.setattr(GModule, "decode", counted_decode)
+    for fx in instances:
+        report = check_equivalence(
+            fx["lambda"], fx["comma_objects"], fx["lambda_modules"], seed=fx["seed"]
+        )
+        assert report.passed, report.render()
+    assert counts == Counter(), counts
 
 
 def test_restrict_coproduct_recovers_module_actions():
@@ -427,8 +484,6 @@ def test_restrict_coproduct_recovers_module_actions():
 def test_phi_components_identity_on_coproduct_form():
     # for a module already of block form, the comparison map is the
     # identity matrix in the stable bases
-    from dgcat.graded import identity_map
-
     lam, obj, _ = kkk_comma_setup()
     module = build_coproduct_module(lam, obj)
     nat, report = phi_iso(lam, module)
@@ -530,8 +585,6 @@ def test_functor_laws_fail_for_every_seed_when_f_is_wrong_on_one_basis_morphism(
 def test_signed_square_variant_fails_on_a_structure_map_of_nonzero_degree():
     # CommaObject refuses such a map, so it is swapped in afterwards; the
     # check reads the degrees instead of asserting PASS.
-    from dgcat.graded import GradedMap
-
     lam, obj, zero_obj = kkk_comma_setup()
     f_t0 = obj.f["t0"]
     obj.f["t0"] = GradedMap(f_t0.source, f_t0.target, 1, {})

@@ -15,7 +15,6 @@ from dgcat.errors import ValidationFailure
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_axiom_fixture, random_theorem_fixture, zero_bimodule
 from dgcat.functors import representable_module, validate_dg_functor
-from dgcat.graded import basis_vector
 from dgcat.lambda_cat import (
     SLOT_M,
     SLOT_T,
@@ -250,12 +249,12 @@ def _oracle_tables(lam):
             return sums[(p1, p3)].inject(SLOT_U, n, out)
         if (slot_g, slot_f) == (SLOT_M, SLOT_T):
             image = bimodule.right_images[(t1, t2, u3)][(fdeg, lf)]
-            out = image.apply(gdeg, basis_vector(image.source, gdeg, lg).coords)
+            out = image.apply(gdeg, linalg.unit_vector(field, image.source.dim(gdeg), lg))
             out = linalg.vec_scale(field, field.sign(gdeg * fdeg), out)
             return sums[(p1, p3)].inject(SLOT_M, n, out)
         if (slot_g, slot_f) == (SLOT_U, SLOT_M):
             image = bimodule.left_images[(u2, u3, t1)][(gdeg, lg)]
-            out = image.apply(fdeg, basis_vector(image.source, fdeg, lf).coords)
+            out = image.apply(fdeg, linalg.unit_vector(field, image.source.dim(fdeg), lf))
             return sums[(p1, p3)].inject(SLOT_M, n, out)
         return (field.zero(),) * pres.hom[(p1, p3)].dim(n)
 

@@ -21,6 +21,10 @@ import dgcat
 SRC = Path(__file__).resolve().parent.parent / "src" / "dgcat"
 
 ALLOWED = {
+    "bimodule.GModule.decode": (
+        "the benchmark tracer patches it by name, and the tests' per-vector "
+        "dot oracle (conftest.raw_dot) decodes with it"
+    ),
     "category.DgCategoryPresentation.compose_basis": (
         "the benchmark tracer times it as a span of its own, and the tests' "
         "dense composition oracle (conftest.compose) reads it"
@@ -30,6 +34,10 @@ ALLOWED = {
     ),
     "fields.Rationals.div": (
         "field interface: the benchmark's field-op count wraps every op, div included"
+    ),
+    "complexes.HomComplex.decode": (
+        "the benchmark tracer patches it by name, and the Hom complex tests "
+        "decode with it"
     ),
     "fixtures.exterior_category": "tests build the exterior algebra example from it",
     "fixtures.random_axiom_fixture": "bench/documents.py and the tests draw instances from it",
