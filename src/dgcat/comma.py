@@ -33,18 +33,26 @@ basis pairs (t, m) and (m, u) is (m . t) . x = m . (t * x) and
 (u . m) . x = u <> (m . x).
 
 The functor laws are exact in the same way: check_equivalence computes
-F(phi) once per comma basis morphism and compares F(d phi) with d F(phi)
-for each, and F(psi . phi) with F(psi) . F(phi) for each composable pair
-of basis morphisms, so no morphism is sampled.  F is evaluated once per
-distinct comma morphism value (a composite or differential equal to a
-basis morphism reads that morphism's image), and each composite, of a
-leg or of two images, is one compose_graded per object on the stored
-nonzero entries, so its cost follows the nonzero data, not the block
-sizes.
+F(phi) once per comma basis morphism and takes F as these images
+extended linearly, as every DgFunctor is, so F of any comma morphism is
+sum c_b F(b) over its coordinates c in the comma basis, read at the
+basis elements' free columns and kept only if they rebuild it.  The law
+F(d phi) = d F(phi) is decided for each basis morphism, and
+F(psi . phi) = F(psi) . F(phi) for each basis morphism psi after each
+generator of the comma category on the supplied objects: the phi that
+F composes with for every psi are closed under sums and composites, and
+the generators, chosen in basis order by the rule of
+category._spanning_closure, reach every basis morphism.  Each law is one
+flat entry difference per Lambda-object (graded.first_nonzero_sum), so
+no morphism is sampled and F is never evaluated on a composite.  If
+either law fails there, the scan over every basis morphism and every
+composable pair of basis morphisms, with F evaluated once per distinct
+value, finds the witnesses.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -70,6 +78,7 @@ from .graded import (
     DirectSum,
     GradedMap,
     compose_graded,
+    first_nonzero_sum,
     map_from_action,
     place_blocks,
     zero_map,
@@ -410,10 +419,12 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
     structure map on the nose; F(d phi) = d F(phi) on every comma basis
     morphism and F(psi . phi) = F(psi) . F(phi) on every composable pair of
     basis morphisms, which by linearity is F being a dg-functor on the
-    supplied objects.  Both laws run after the full_faithful loop, with F
-    evaluated once per distinct value (_functor_law_witnesses); a witness
-    names the first failing (pair, degree) or group of pairs (objects,
-    degrees).  The seed is only recorded in the report.
+    supplied objects.  Both laws run after the full_faithful loop on its
+    images, F extended linearly, with composition decided on the pairs
+    whose phi is a generator of the comma category (_laws_on_generators);
+    on a failure the scan over every pair finds the witnesses, which name
+    the first failing (pair, degree) or group of pairs (objects, degrees).
+    The seed is only recorded in the report.
     """
     field = lam.field
     report = Report("dg-equivalence", seed=seed)
@@ -516,11 +527,167 @@ def _functor_law_witnesses(lam, comma_objects, coproducts, images):
     F(psi . phi) = F(psi) . F(phi), by group (i, j, k, n1, n2), or None.
 
     images maps (i, j, n) to the pairs (phi, F(phi)) over the degree-n
-    comma basis o_i -> o_j.  F runs once per distinct value: the memo is
-    keyed on (i, j, degree, the alpha and the beta components) and starts
-    from images, so a composite or a differential equal to a basis
-    morphism reads its image.  Every composite, of a leg or of the images,
-    is one sparse compose_graded per object.
+    comma basis o_i -> o_j.  F is these images extended linearly, as every
+    DgFunctor is: F of any comma morphism is sum c_b F(b) over its
+    coordinates c in the basis.  _laws_on_generators decides both laws;
+    when it does not pass, for any reason, _per_pair_witnesses scans every
+    basis morphism and composable pair, so every witness is the scan's.
+    """
+    if _laws_on_generators(lam, coproducts, images) is not None:
+        return None, None
+    return _per_pair_witnesses(lam, comma_objects, coproducts, images)
+
+
+def _laws_on_generators(lam, coproducts, images):
+    """(generators, law pairs checked) when F, images extended linearly,
+    commutes with d on every comma basis morphism and with composition on
+    every pair (psi, g) of a basis morphism psi after a generator g; else
+    None.
+
+    The lemma: the phi with F(psi . phi) = F(psi) . F(phi) for every psi
+    are closed under sums and composites, for g and h among them give
+    F(psi . g . h) = F(psi . g) . F(h) = F(psi) . F(g) . F(h) =
+    F(psi) . F(g . h).  Generators are chosen in basis order as in
+    category._spanning_closure: a basis morphism is reached once its unit
+    vector lies in the span, one Echelon per (i, k, n) in comma-basis
+    coordinates, of the generators and of the composites psi . g of a
+    reached psi after a generator g, and each one not yet reached is
+    kept.  So the law on the pairs (psi, g) gives it on every pair, and
+    each composite the closure needs is one of those pairs.
+
+    A comma morphism's coordinates are its entries at the basis elements'
+    free columns (each one's last nonzero entry in _solve_families'
+    unknown order), found through one index per (i, j, n) from its own
+    nonzero entries, and kept only if they rebuild it.  Each law is then
+    one flat entry difference per Lambda-object p
+    (graded.first_nonzero_sum): F(psi)_p . F(g)_p - sum c_b F(b)_p with c
+    the coordinates of psi . g, and d_p . F(phi)_p - (-1)^n F(phi)_p . d_p
+    - sum c_b F(b)_p with c those of d phi.  F itself is never evaluated.
+    """
+    field = lam.field
+    one, neg, sign = field.one(), field.neg, field.sign
+    bim = lam.bimodule
+    leg_objects = [("alpha", t) for t in bim.right_base.objects]
+    leg_objects += [("beta", u) for u in bim.left_base.objects]
+    points = lam.presentation.objects
+    ds = [[c.on_objects[p].d for p in points] for c in coproducts]
+    # per (i, j, n): each basis morphism's leg maps in unknown order and its
+    # images F(b)_p, and the index {free column: basis index}
+    legs, fs, free = {}, {}, {}
+    for key, mapped in images.items():
+        legs[key] = [
+            tuple(getattr(phi, leg).components[obj] for leg, obj in leg_objects)
+            for phi, _ in mapped
+        ]
+        fs[key] = [tuple(image.components[p] for p in points) for _, image in mapped]
+        index = free[key] = {}
+        for b, value in enumerate(legs[key]):
+            at = max(at for at, comp in enumerate(value) if not comp.is_zero())
+            *_, (i, r, c, _) = value[at].entries()
+            index[(at, i, r, c)] = b
+
+    def coordinates(key, value):
+        """{b: c_b} of the comma morphism with leg maps value in the basis
+        images[key], or None if they do not rebuild it."""
+        index, basis = free.get(key, {}), legs.get(key, ())
+        coords = {}
+        for at, comp in enumerate(value):
+            for i, r, c, v in comp.entries():
+                b = index.get((at, i, r, c))
+                if b is not None:
+                    coords[b] = v
+        sums = (
+            (at, [(one, comp)] + [(neg(c), basis[b][at]) for b, c in coords.items()])
+            for at, comp in enumerate(value)
+        )
+        return coords if first_nonzero_sum(field, sums) is None else None
+
+    def holds(key, coords, leads):
+        """True iff leads[at] - sum c_b F(b)_at, with F(b) over the basis
+        images[key], adds up to zero at every Lambda-object at."""
+        images_at = fs.get(key, ())
+        sums = (
+            (at, lead + [(neg(c), images_at[b][at]) for b, c in coords.items()])
+            for at, lead in enumerate(leads)
+        )
+        return first_nonzero_sum(field, sums) is None
+
+    for (i, j, n), mapped in images.items():
+        for (phi, _), f_phi in zip(mapped, fs[(i, j, n)]):
+            d_phi = comma_differential(phi)
+            d_value = tuple(
+                getattr(d_phi, leg).components[obj] for leg, obj in leg_objects
+            )
+            coords = coordinates((i, j, n + 1), d_value)
+            leads = [
+                [(one, d_target, image), (neg(sign(n)), image, d_source)]
+                for d_target, image, d_source in zip(ds[j], f_phi, ds[i])
+            ]
+            if coords is None or not holds((i, j, n + 1), coords, leads):
+                return None
+
+    echelons = {}
+    reached, queue = set(), deque()
+    generators, pairs = [], 0
+    # per object: the processed basis morphisms out of it, generators into it
+    out_of, into = {}, {}
+
+    def grow(key, row):
+        """Add row to the span in images[key]; queue what it reaches."""
+        echelon = echelons.setdefault(key, linalg.Echelon(field))
+        if len(echelon.pivots) == len(legs[key]) or not echelon.add(row):
+            return
+        for b in range(len(legs[key])):
+            if (key, b) not in reached and echelon.has_unit(b):
+                reached.add((key, b))
+                queue.append((key, b))
+
+    def composes(psi, g):
+        """True iff F(psi . g) = F(psi) . F(g); the composite's coordinates
+        grow the span."""
+        nonlocal pairs
+        pairs += 1
+        ((_, k, n2), x), ((i, _, n1), y) = psi, g
+        key = (i, k, n1 + n2)
+        value = tuple(map(compose_graded, legs[psi[0]][x], legs[g[0]][y]))
+        coords = coordinates(key, value)
+        if coords is None:
+            return False
+        if coords:
+            grow(key, coords)
+        leads = [[(one, f_psi, f_g)] for f_psi, f_g in zip(fs[psi[0]][x], fs[g[0]][y])]
+        return holds(key, coords, leads)
+
+    for key in images:
+        for a in range(len(legs[key])):
+            if (key, a) in reached:
+                continue
+            generators.append((key, a))
+            grow(key, {a: one})
+            while queue:
+                b = queue.popleft()
+                (p, q, _), _ = b
+                if not all(composes(b, g) for g in into.get(p, ())):
+                    return None
+                if b == generators[-1]:  # no other generator is ever queued
+                    if not all(composes(psi, b) for psi in out_of.get(q, ())):
+                        return None
+                    if p == q and not composes(b, b):
+                        return None
+                    into.setdefault(q, []).append(b)
+                out_of.setdefault(p, []).append(b)
+    return tuple(generators), pairs
+
+
+def _per_pair_witnesses(lam, comma_objects, coproducts, images):
+    """The functor-law witnesses of the scan over every comma basis
+    morphism and every composable pair of them.
+
+    F runs once per distinct value: the memo is keyed on (i, j, degree,
+    the alpha and the beta components) and starts from images, so a
+    composite or a differential equal to a basis morphism reads its image.
+    Every composite, of a leg or of the images, is one sparse
+    compose_graded per object.
     """
     objects = {
         "alpha": lam.bimodule.right_base.objects,

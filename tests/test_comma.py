@@ -636,3 +636,36 @@ def test_wide_kernel_bases_store_only_their_nonzeros(monkeypatch, tmp_path, caps
     vectors, stored, dense = map(sum, zip(*counts))
     assert vectors > 100 and dense > 50 * vectors, (vectors, dense)
     assert stored < 2 * vectors, (vectors, stored)
+
+
+def test_wide_functor_laws_run_on_generators(monkeypatch, tmp_path, capsys):
+    """The functor laws on the width-8 kkk check: F runs once per comma
+    basis morphism, and composition is decided on the pairs of a basis
+    morphism after a generator only.  A work count, not a timing; the
+    report bytes are pinned.  When written, 16 of the 65 basis morphisms
+    were generators, so 1,040 pairs were checked where the per-pair scan
+    visits 65^2 = 4,225."""
+    import dgcat.comma
+
+    src = tmp_path / "kkk8.json"
+    src.write_text(json.dumps(_wide_kkk(8)), encoding="utf-8")
+    calls, runs = [], []
+    f_on_morphisms = dgcat.comma.f_on_morphisms
+    laws_on_generators = dgcat.comma._laws_on_generators
+
+    def counted_f(*args):
+        calls.append(args)
+        return f_on_morphisms(*args)
+
+    def recorded(*args):
+        runs.append(laws_on_generators(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(dgcat.comma, "f_on_morphisms", counted_f)
+    monkeypatch.setattr(dgcat.comma, "_laws_on_generators", recorded)
+    assert main(["check-equivalence", "--input", str(src)]) == 0
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == WIDTH_8_REPORT
+    ((generators, pairs),) = runs
+    assert (len(calls), len(generators), pairs) == (65, 16, 1040)
+    assert pairs == len(generators) * len(calls) < len(calls) ** 2 // 4
