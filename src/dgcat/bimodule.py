@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import itertools
 
+from . import linalg
 from .category import opposite_category
 from .complexes import DgModule, zero_dg_module
 from .errors import InternalCheckError, StructureError, ValidationFailure
 from .graded import GradedModule, first_nonzero_sum, map_from_action
 from .functors import (
+    Basis,
     DgFunctor,
     DgNatTransformation,
     basis_images,
@@ -49,7 +51,6 @@ from .functors import (
     functor_from_basis_images,
     image_of,
     linear_combination,
-    nat_coordinates,
     validate_dg_functor,
 )
 from .report import Report, fmt_graded_map
@@ -291,7 +292,7 @@ def _leibniz_witness(bim, u, u2, t, t2):
 
 
 class GModule:
-    """G(B) over T together with the transformation bases of its carriers."""
+    """G(B) over T together with nat_basis, the Basis of each carrier."""
 
     def __init__(self, bim, B):
         self.bimodule = bim
@@ -335,7 +336,10 @@ class GModule:
 
     def encode(self, t, n, nat):
         """Carrier coordinates of a transformation, or None if outside."""
-        return nat_coordinates(self.nat_basis.get((t, n), []), nat)
+        basis = self.nat_basis.get((t, n), Basis(self.bimodule.field))
+        coords = basis.coordinates(tuple(nat.components.values()))
+        if coords is not None:
+            return linalg.dense_vector(basis.field, coords.items(), len(basis))
 
     def encode_or_raise(self, t, n, nat, what):
         """Carrier coordinates of a transformation that lies in G(B)(t)^n by

@@ -427,8 +427,9 @@ def _spanning_closure(cat):
     one not yet reached is kept as a generator.  A basis morphism is
     reached once its unit vector lies in the span of the generators'
     unit vectors and the composites of reached pairs; one Echelon per
-    hom(x, z)^n holds that span, and a pair is recorded only if its
-    composite raised the rank.  Each reached morphism is composed on both
+    hom(x, z)^n holds that span and names the unit vectors each rise
+    brings in, and a pair is recorded only if its composite raised the
+    rank.  Each reached morphism is composed on both
     sides with every morphism reached before it, and with itself.
     """
     field = cat.field
@@ -441,15 +442,14 @@ def _spanning_closure(cat):
 
     def grow(x, y, n, row):
         """Add row to the span in hom(x, y)^n; True iff the rank rose."""
-        dim = cat.hom[(x, y)].dim(n)
         echelon = echelons.setdefault((x, y, n), linalg.Echelon(field))
-        if len(echelon.pivots) == dim or not echelon.add(row):
+        if len(echelon.pivots) == cat.hom[(x, y)].dim(n):
             return False
-        for k in range(dim):
-            if (x, y, (n, k)) not in reached and echelon.has_unit(k):
-                reached.add((x, y, (n, k)))
-                queue.append((x, y, (n, k)))
-        return True
+        units = echelon.add(row)
+        for k in units or ():
+            reached.add((x, y, (n, k)))
+            queue.append((x, y, (n, k)))
+        return units is not None
 
     def compose(x, y, z, g, f):
         terms = cat._products[(x, y, z)].get(f, {}).get(g, ())

@@ -35,8 +35,9 @@ basis pairs (t, m) and (m, u) is (m . t) . x = m . (t * x) and
 The functor laws are exact in the same way: check_equivalence computes
 F(phi) once per comma basis morphism and takes F as these images
 extended linearly, as every DgFunctor is, so F of any comma morphism is
-sum c_b F(b) over its coordinates c in the comma basis, read at the
-basis elements' free columns and kept only if they rebuild it.  The law
+sum c_b F(b) over its coordinates c in the comma basis, which the Basis
+of comma_hom_space reads at the free columns indexed by the solve and
+keeps only if they rebuild it.  The law
 F(d phi) = d F(phi) is decided for each basis morphism, and
 F(psi . phi) = F(psi) . F(phi) for each basis morphism psi after each
 generator of the comma category on the supplied objects: the phi that
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 from . import linalg
@@ -62,6 +63,7 @@ from .bimodule import g_on_objects
 from .complexes import DgModule, zero_dg_module
 from .errors import StructureError
 from .functors import (
+    Basis,
     DgNatTransformation,
     _solve_families,
     dgnat_differential,
@@ -69,7 +71,6 @@ from .functors import (
     dgnat_window,
     functor_from_basis_images,
     images_from_entries,
-    nat_coordinates,
     nat_unknowns,
     naturality_witness,
     square_rows,
@@ -201,7 +202,7 @@ def _square_rows(source, target, n):
 
 
 def comma_hom_space(source, target, n):
-    """Exact basis of degree-n comma morphisms (alpha, beta).
+    """The Basis of degree-n comma morphisms (alpha, beta), alpha's legs first.
 
     One joint linear solve: naturality for alpha over T, naturality for
     beta over U, and the square constraint.  The square is strict as
@@ -209,12 +210,8 @@ def comma_hom_space(source, target, n):
     variant (-1)^{n |f|} coincides with it.
     """
     families = [("a", source.A, target.A), ("b", source.B, target.B)]
-    return [
-        CommaMorphism(n, alpha, beta)
-        for alpha, beta in _solve_families(
-            families, n, _square_rows(source, target, n)
-        )
-    ]
+    rows = _square_rows(source, target, n)
+    return _solve_families(families, n, partial(CommaMorphism, n), rows)
 
 
 def comma_differential(phi):
@@ -429,7 +426,8 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
     field = lam.field
     report = Report("dg-equivalence", seed=seed)
     coproducts = [build_coproduct_module(lam, o) for o in comma_objects]
-    images = {}  # (i, j, n): [(phi, F(phi))] over the degree-n comma basis
+    bases = {}  # (i, j, n): the degree-n comma Basis o_i -> o_j
+    images = {}  # (i, j, n): [(phi, F(phi))] over that basis
 
     for i, src in enumerate(comma_objects):
         for j, tgt in enumerate(comma_objects):
@@ -458,7 +456,7 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
             lambda_dims = {}
             witness = None
             for n in window:
-                comma_basis = comma_hom_space(src, tgt, n)
+                comma_basis = bases[(i, j, n)] = comma_hom_space(src, tgt, n)
                 nats_l = dgnat_space(f_src, f_tgt, n)
                 mapped = images[(i, j, n)] = [
                     (phi, f_on_morphisms(lam, f_src, f_tgt, phi))
@@ -473,11 +471,17 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
                         "lambda_dim": len(nats_l),
                     }
                     continue
-                columns = [nat_coordinates(nats_l, image) for _, image in mapped]
+                columns = [
+                    nats_l.coordinates(tuple(image.components.values()))
+                    for _, image in mapped
+                ]
                 if None in columns:  # some F(phi) is not a transformation
                     index = columns.index(None)
                     witness = witness or {"degree": n, "not_natural": index}
-                elif comma_basis and linalg.rank(field, columns) != len(comma_basis):
+                elif comma_basis and linalg.rank(
+                    field,
+                    [linalg.dense_vector(field, c.items(), len(nats_l)) for c in columns],
+                ) != len(comma_basis):
                     # the rank of the coordinate columns is that of the induced map
                     witness = witness or {"degree": n, "kernel": "nontrivial"}
             report.dimensions[f"comma[{label}]"] = comma_dims
@@ -514,7 +518,9 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
         _, sub = phi_iso(lam, module)
         report.extend(sub, prefix=f"iso[{module.name}].")
 
-    d_witness, witness = _functor_law_witnesses(lam, comma_objects, coproducts, images)
+    d_witness, witness = _functor_law_witnesses(
+        lam, comma_objects, coproducts, bases, images
+    )
     report.add("functor_commutes_with_differential", d_witness is None, d_witness)
     report.add("functor_commutes_with_composition", witness is None, witness)
 
@@ -522,27 +528,26 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
     return report
 
 
-def _functor_law_witnesses(lam, comma_objects, coproducts, images):
+def _functor_law_witnesses(lam, comma_objects, coproducts, bases, images):
     """The first failures of F(d phi) = d F(phi), by (i, j, n), and of
     F(psi . phi) = F(psi) . F(phi), by group (i, j, k, n1, n2), or None.
 
-    images maps (i, j, n) to the pairs (phi, F(phi)) over the degree-n
-    comma basis o_i -> o_j.  F is these images extended linearly, as every
-    DgFunctor is: F of any comma morphism is sum c_b F(b) over its
-    coordinates c in the basis.  _laws_on_generators decides both laws;
-    when it does not pass, for any reason, _per_pair_witnesses scans every
-    basis morphism and composable pair, so every witness is the scan's.
+    bases maps (i, j, n) to the degree-n comma Basis o_i -> o_j, and images
+    to the pairs (phi, F(phi)) over it.  F is these images extended
+    linearly, as every DgFunctor is: F of any comma morphism is sum c_b F(b)
+    over its coordinates c.  _laws_on_generators decides both laws; when it
+    does not pass, for any reason, _per_pair_witnesses scans every basis
+    morphism and composable pair, so every witness is the scan's.
     """
-    if _laws_on_generators(lam, coproducts, images) is not None:
+    if _laws_on_generators(lam, coproducts, bases, images) is not None:
         return None, None
     return _per_pair_witnesses(lam, comma_objects, coproducts, images)
 
 
-def _laws_on_generators(lam, coproducts, images):
+def _laws_on_generators(lam, coproducts, bases, images):
     """(generators, law pairs checked) when F, images extended linearly,
     commutes with d on every comma basis morphism and with composition on
-    every pair (psi, g) of a basis morphism psi after a generator g; else
-    None.
+    every pair (psi, g) of a basis morphism psi after a generator g, else None.
 
     The lemma: the phi with F(psi . phi) = F(psi) . F(phi) for every psi
     are closed under sums and composites, for g and h among them give
@@ -551,56 +556,28 @@ def _laws_on_generators(lam, coproducts, images):
     category._spanning_closure: a basis morphism is reached once its unit
     vector lies in the span, one Echelon per (i, k, n) in comma-basis
     coordinates, of the generators and of the composites psi . g of a
-    reached psi after a generator g, and each one not yet reached is
-    kept.  So the law on the pairs (psi, g) gives it on every pair, and
+    reached psi after a generator g (Echelon.add names the unit vectors
+    each rise brings in), and each one not yet reached is kept.  So the law on the pairs (psi, g) gives it on every pair, and
     each composite the closure needs is one of those pairs.
 
-    A comma morphism's coordinates are its entries at the basis elements'
-    free columns (each one's last nonzero entry in _solve_families'
-    unknown order), found through one index per (i, j, n) from its own
-    nonzero entries, and kept only if they rebuild it.  Each law is then
-    one flat entry difference per Lambda-object p
-    (graded.first_nonzero_sum): F(psi)_p . F(g)_p - sum c_b F(b)_p with c
-    the coordinates of psi . g, and d_p . F(phi)_p - (-1)^n F(phi)_p . d_p
-    - sum c_b F(b)_p with c those of d phi.  F itself is never evaluated.
+    A comma morphism's coordinates are read by bases[(i, j, n)].coordinates
+    at the free columns indexed by the solve (an empty Basis outside the
+    window).  Each law is then one flat entry difference per
+    Lambda-object p (graded.first_nonzero_sum): F(psi)_p . F(g)_p
+    - sum c_b F(b)_p with c the coordinates of psi . g, composed leg by
+    leg, and d_p . F(phi)_p - (-1)^n F(phi)_p . d_p - sum c_b F(b)_p with
+    c those of d phi.  F itself is never evaluated.
     """
     field = lam.field
     one, neg, sign = field.one(), field.neg, field.sign
-    bim = lam.bimodule
-    leg_objects = [("alpha", t) for t in bim.right_base.objects]
-    leg_objects += [("beta", u) for u in bim.left_base.objects]
+    empty = Basis(field)
     points = lam.presentation.objects
     ds = [[c.on_objects[p].d for p in points] for c in coproducts]
-    # per (i, j, n): each basis morphism's leg maps in unknown order and its
-    # images F(b)_p, and the index {free column: basis index}
-    legs, fs, free = {}, {}, {}
-    for key, mapped in images.items():
-        legs[key] = [
-            tuple(getattr(phi, leg).components[obj] for leg, obj in leg_objects)
-            for phi, _ in mapped
-        ]
-        fs[key] = [tuple(image.components[p] for p in points) for _, image in mapped]
-        index = free[key] = {}
-        for b, value in enumerate(legs[key]):
-            at = max(at for at, comp in enumerate(value) if not comp.is_zero())
-            *_, (i, r, c, _) = value[at].entries()
-            index[(at, i, r, c)] = b
-
-    def coordinates(key, value):
-        """{b: c_b} of the comma morphism with leg maps value in the basis
-        images[key], or None if they do not rebuild it."""
-        index, basis = free.get(key, {}), legs.get(key, ())
-        coords = {}
-        for at, comp in enumerate(value):
-            for i, r, c, v in comp.entries():
-                b = index.get((at, i, r, c))
-                if b is not None:
-                    coords[b] = v
-        sums = (
-            (at, [(one, comp)] + [(neg(c), basis[b][at]) for b, c in coords.items()])
-            for at, comp in enumerate(value)
-        )
-        return coords if first_nonzero_sum(field, sums) is None else None
+    # per (i, j, n): each basis morphism's images F(b)_p
+    fs = {
+        key: [tuple(image.components[p] for p in points) for _, image in mapped]
+        for key, mapped in images.items()
+    }
 
     def holds(key, coords, leads):
         """True iff leads[at] - sum c_b F(b)_at, with F(b) over the basis
@@ -615,10 +592,8 @@ def _laws_on_generators(lam, coproducts, images):
     for (i, j, n), mapped in images.items():
         for (phi, _), f_phi in zip(mapped, fs[(i, j, n)]):
             d_phi = comma_differential(phi)
-            d_value = tuple(
-                getattr(d_phi, leg).components[obj] for leg, obj in leg_objects
-            )
-            coords = coordinates((i, j, n + 1), d_value)
+            d_legs = (*d_phi.alpha.components.values(), *d_phi.beta.components.values())
+            coords = bases.get((i, j, n + 1), empty).coordinates(d_legs)
             leads = [
                 [(one, d_target, image), (neg(sign(n)), image, d_source)]
                 for d_target, image, d_source in zip(ds[j], f_phi, ds[i])
@@ -633,14 +608,13 @@ def _laws_on_generators(lam, coproducts, images):
     out_of, into = {}, {}
 
     def grow(key, row):
-        """Add row to the span in images[key]; queue what it reaches."""
+        """Add row to the span in bases[key]; queue what it reaches."""
         echelon = echelons.setdefault(key, linalg.Echelon(field))
-        if len(echelon.pivots) == len(legs[key]) or not echelon.add(row):
+        if len(echelon.pivots) == len(bases[key]):
             return
-        for b in range(len(legs[key])):
-            if (key, b) not in reached and echelon.has_unit(b):
-                reached.add((key, b))
-                queue.append((key, b))
+        for b in echelon.add(row) or ():
+            reached.add((key, b))
+            queue.append((key, b))
 
     def composes(psi, g):
         """True iff F(psi . g) = F(psi) . F(g); the composite's coordinates
@@ -649,8 +623,8 @@ def _laws_on_generators(lam, coproducts, images):
         pairs += 1
         ((_, k, n2), x), ((i, _, n1), y) = psi, g
         key = (i, k, n1 + n2)
-        value = tuple(map(compose_graded, legs[psi[0]][x], legs[g[0]][y]))
-        coords = coordinates(key, value)
+        value = tuple(map(compose_graded, bases[psi[0]].legs[x], bases[g[0]].legs[y]))
+        coords = bases.get(key, empty).coordinates(value)
         if coords is None:
             return False
         if coords:
@@ -658,8 +632,8 @@ def _laws_on_generators(lam, coproducts, images):
         leads = [[(one, f_psi, f_g)] for f_psi, f_g in zip(fs[psi[0]][x], fs[g[0]][y])]
         return holds(key, coords, leads)
 
-    for key in images:
-        for a in range(len(legs[key])):
+    for key, basis in bases.items():
+        for a in range(len(basis)):
             if (key, a) in reached:
                 continue
             generators.append((key, a))

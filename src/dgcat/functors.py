@@ -7,10 +7,11 @@ images.  A transformation of degree n is a family of degree-n graded
 maps whose naturality squares commute up to (-1)^{nm} against degree-m
 morphisms; dgnat_space computes an exact basis of these by a single
 linear solve over the block entries, read from the solver's sparse
-kernel vectors straight into transformations, and nat_coordinates reads
-coordinates in that basis off the basis itself.  Every square of the form
-g . X = +-Y . f with unknown maps X and Y, here and in the comma
-category, is turned into rows by one helper, square_rows.
+kernel vectors straight into a Basis, which indexes each element's free
+column as it is solved; Basis.coordinates reads them off a family's own
+entries and rebuilds it from the elements they name.  Every square of
+the form g . X = +-Y . f with unknown maps X and Y, here and in the
+comma category, is turned into rows by one helper, square_rows.
 
 validate_dg_functor checks the action on basis morphisms only, where
 linearity puts both axioms: F(d phi) = d F(phi), that is
@@ -544,15 +545,50 @@ def linear_combination(coeffs, items):
     return DgNatTransformation(first.source, first.target, first.degree, components)
 
 
-def _solve_families(families, n, rows=()):
-    """Exact basis of the degree-n solutions of one linear system over the
+class Basis(list):
+    """A solved basis: the elements in solve order, legs[b] element b's
+    component maps as one flat tuple in unknown order (family, then object
+    in base order), and free = {(leg position, i, r, c): b}, each element's
+    free column, where it is one and the others zero.  Basis(field) is empty."""
+
+    def __init__(self, field):
+        super().__init__()
+        self.field = field
+        self.legs = []
+        self.free = {}
+
+    def coordinates(self, value):
+        """{b: c_b} of a flat tuple of leg maps: its entries at the free
+        columns, if sum c_b legs[b] rebuilds every leg (one first_nonzero_sum
+        pass, reading only the elements named), else None.  So an empty
+        basis gives {} for a zero value and None for any other."""
+        field, legs = self.field, self.legs
+        one, neg = field.one(), field.neg
+        coords = {}
+        for at, comp in enumerate(value):
+            for i, r, c, v in comp.entries():
+                b = self.free.get((at, i, r, c))
+                if b is not None:
+                    coords[b] = v
+        sums = (
+            (at, [(one, comp)] + [(neg(c), legs[b][at]) for b, c in coords.items()])
+            for at, comp in enumerate(value)
+        )
+        return coords if first_nonzero_sum(field, sums) is None else None
+
+
+def _solve_families(families, n, element, rows=()):
+    """The Basis of the degree-n solutions of one linear system over the
     unknowns of the (tag, F, G) families, tagged as naturality_rows tags
     them: each family's naturality rows, then rows.  Each sparse solution
-    is read into a tuple of transformations F -> G, one per family."""
+    is read into one transformation F -> G per family, and element(*those)
+    is its basis element.  The solution's last entry is its free column
+    (linalg.nullspace), so the free-column index is built here, once."""
     keys = [(tag,) + k for tag, F, G in families for k in nat_unknowns(F, G, n)]
     naturality = [naturality_rows(F, G, n, tag) for tag, F, G in families]
     field = families[0][1].field
-    solutions = []
+    positions = [(tag, obj) for tag, F, _ in families for obj in F.base.objects]
+    basis = Basis(field)
     for vec in linalg.solve_linear(field, keys, itertools.chain(*naturality, rows)):
         entries = {tag: {} for tag, _, _ in families}
         for index, value in vec.items():
@@ -567,12 +603,15 @@ def _solve_families(families, n, rows=()):
                 for obj, es in entries[tag].items()
             }
             nats.append(DgNatTransformation(F, G, n, components))
-        solutions.append(tuple(nats))
-    return solutions
+        tag, obj, i, r, c = keys[next(reversed(vec))]
+        basis.free[(positions.index((tag, obj)), i, r, c)] = len(basis)
+        basis.legs.append(tuple(m for nat in nats for m in nat.components.values()))
+        basis.append(element(*nats))
+    return basis
 
 
 def dgnat_space(F, G, n):
-    """Exact basis of the degree-n transformations F -> G.
+    """The Basis of the degree-n transformations F -> G.
 
     Each basis transformation is natural exactly, and is one at its last
     nonzero entry (objects in base order, then (i, r, c): nat_unknowns'
@@ -580,25 +619,7 @@ def dgnat_space(F, G, n):
     """
     if F.base is not G.base and F.base.objects != G.base.objects:
         raise StructureError("functors live over different bases")
-    return [nat for (nat,) in _solve_families([("n", F, G)], n)]
-
-
-def nat_coordinates(basis, nat):
-    """Coordinates of nat in a dgnat_space basis: nat's entries at the basis
-    elements' free columns, returned only if they rebuild nat, else None
-    (so an empty basis gives () for a zero nat and None for any other)."""
-    if not basis:
-        return () if nat.is_zero() else None
-    objects = list(reversed(nat.source.base.objects))
-    coords = []
-    for b in basis:
-        obj = next(o for o in objects if not b.components[o].is_zero())
-        i, r, c, _ = list(b.components[obj].entries())[-1]
-        coords.append(nat.components[obj].entry(i, r, c))
-    for obj, comp in nat.components.items():
-        if linear_combination(coords, [b.components[obj] for b in basis]) != comp:
-            return None
-    return tuple(coords)
+    return _solve_families([("n", F, G)], n, lambda nat: nat)
 
 
 # ---------------------------------------------------------------------------

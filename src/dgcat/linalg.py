@@ -65,26 +65,27 @@ class Echelon:
         self.pivots = {}
 
     def add(self, row):
-        """Add a {column: value} row of nonzero values; True iff the rank rose."""
+        """Add a {column: value} row of nonzero values: None if the rank
+        stays, else, sorted, the columns whose unit vector the row space
+        holds only now, which in reduced form are the pivots of the new row
+        if it has one entry and of each earlier row cut to one entry."""
         field, pivots = self.field, self.pivots
         row = dict(row)
         for c in [c for c in row if c in pivots]:
             _eliminate(field, row, c, pivots[c])
         if not row:
-            return False
+            return None
         p = min(row)
         inv = field.inv(row[p])
         row = {j: field.mul(inv, x) for j, x in row.items()}
-        for other in pivots.values():
+        units = [p] if len(row) == 1 else []
+        for q, other in pivots.items():
             if p in other:
                 _eliminate(field, other, p, row)
+                if len(other) == 1:
+                    units.append(q)
         pivots[p] = row
-        return True
-
-    def has_unit(self, k):
-        """True iff the k-th unit vector lies in the row space: in reduced
-        form that is exactly when k is a pivot whose row is that unit."""
-        return len(self.pivots.get(k, ())) == 1
+        return sorted(units)
 
 
 def _rref(field, rows):

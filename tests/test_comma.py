@@ -669,3 +669,48 @@ def test_wide_functor_laws_run_on_generators(monkeypatch, tmp_path, capsys):
     ((generators, pairs),) = runs
     assert (len(calls), len(generators), pairs) == (65, 16, 1040)
     assert pairs == len(generators) * len(calls) < len(calls) ** 2 // 4
+
+
+def test_wide_coordinate_reads_touch_only_the_live_basis_elements(
+    monkeypatch, tmp_path, capsys
+):
+    """One coordinate read in a solved basis reads the maps of the basis
+    elements with a nonzero coordinate only, never all N of them: on the
+    width-8 kkk check, every Basis.coordinates call is recorded with the
+    basis elements whose maps it read (entries, entry, is_zero or
+    columns).  A work count, not a timing; the report bytes are pinned.
+    When written, 1,105 of the 1,182 reads were in a 65-element basis,
+    each with at most one nonzero coordinate."""
+    import dgcat.functors
+
+    src = tmp_path / "kkk8.json"
+    src.write_text(json.dumps(_wide_kkk(8)), encoding="utf-8")
+    touched, reads = set(), []
+    for name in ("entries", "entry", "is_zero", "columns"):
+        method = getattr(GradedMap, name)
+
+        def recorded(self, *args, _method=method):
+            touched.add(id(self))
+            return _method(self, *args)
+
+        monkeypatch.setattr(GradedMap, name, recorded)
+    coordinates = dgcat.functors.Basis.coordinates
+
+    def counted(basis, value):
+        touched.clear()
+        coords = coordinates(basis, value)
+        read = touched - {id(m) for m in value}
+        elements = {
+            b for b, legs in enumerate(basis.legs) if read & {id(m) for m in legs}
+        }
+        reads.append((len(basis), coords, elements))
+        return coords
+
+    monkeypatch.setattr(dgcat.functors.Basis, "coordinates", counted)
+    assert main(["check-equivalence", "--input", str(src)]) == 0
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == WIDTH_8_REPORT
+    for size, coords, elements in reads:
+        assert coords is not None and elements <= set(coords), (size, coords, elements)
+    wide = [coords for size, coords, _ in reads if size == 65]
+    assert len(wide) > 1000 and max(map(len, wide)) < 65, (len(wide), len(reads))

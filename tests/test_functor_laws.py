@@ -26,16 +26,18 @@ from dgcat.comma import (
     comma_hom_space,
     comma_window,
 )
-from dgcat.fields import Rationals
+from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_theorem_fixture
 from dgcat.functors import (
     DgNatTransformation,
     compose_nat,
     dgnat_differential,
     dgnat_window,
+    linear_combination,
 )
 
 QQ = Rationals()
+F5 = PrimeField(5)
 LAWS = ("functor_commutes_with_differential", "functor_commutes_with_composition")
 HEAVY = [(0, 1), (3, 1), (6, 2), (7, 2)]
 
@@ -266,3 +268,64 @@ def test_f_runs_once_per_comma_basis_morphism(monkeypatch, seed):
     monkeypatch.setattr(dgcat.comma, "f_on_morphisms", counted)
     assert report_witnesses(fx) == {name: None for name in LAWS}
     assert calls == basis
+
+
+def legs_of(phi):
+    return (*phi.alpha.components.values(), *phi.beta.components.values())
+
+
+def closed_non_boundary(fx):
+    """(i, j, phi, its free column (leg position, i, r, c)) for the first
+    comma basis morphism phi, in basis order, with d phi = 0 at which no
+    basis differential of the degree below has a nonzero coordinate: the
+    entry of each at phi's free column, its last nonzero leg entry."""
+    lam, objs = fx["lambda"], fx["comma_objects"]
+    coproducts = [build_coproduct_module(lam, o) for o in objs]
+    bases = comma_bases(lam, objs, coproducts)
+    for (i, j, n), basis in bases.items():
+        for phi in basis:
+            if not all(m.is_zero() for m in legs_of(comma_differential(phi))):
+                continue
+            at, (deg, r, c, _) = [
+                (at, entry) for at, m in enumerate(legs_of(phi)) for entry in m.entries()
+            ][-1]
+            if all(
+                legs_of(comma_differential(psi))[at].entry(deg, r, c) == 0
+                for psi in bases.get((i, j, n - 1), [])
+            ):
+                return i, j, phi, (at, deg, r, c)
+    raise AssertionError("no closed comma basis morphism outside the boundaries")
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_f_doubled_where_the_differential_law_cannot_see(monkeypatch, field):
+    """F' = F + c_phi F(phi), with c_phi the coordinate along a closed basis
+    morphism phi that no basis differential reaches, is F doubled on phi and
+    linear.  F'(d psi) = d F'(psi) holds for every psi, since d phi = 0 and
+    no d psi has a phi coordinate, so only the composition law can catch
+    it: the generator path must fail there, and the report gives the
+    per-pair scan's witness, with no exception."""
+    fx = random_theorem_fixture(5, field)
+    lam, objs = fx["lambda"], fx["comma_objects"]
+    i, j, phi, (at, deg, r, c) = closed_non_boundary(fx)
+    names = module_names(fx, i, j)
+    f_on_morphisms = dgcat.comma.f_on_morphisms
+
+    def doubled(lam, source, target, chi):
+        image = f_on_morphisms(lam, source, target, chi)
+        if [source.name, target.name] == names and chi.degree == phi.degree:
+            coeff = legs_of(chi)[at].entry(deg, r, c)
+            image = linear_combination(
+                (field.one(), coeff), (image, f_on_morphisms(lam, source, target, phi))
+            )
+        return image
+
+    monkeypatch.setattr(dgcat.comma, "f_on_morphisms", doubled)
+    want = oracle_witnesses(lam, objs)
+    assert want == {
+        LAWS[0]: None,
+        LAWS[1]: {"objects": ["o_zero"] * 3, "degrees": [-2, 0]},
+    }
+    report = check_equivalence(lam, objs, fx["lambda_modules"])
+    failed = {ch.name: ch.witness for ch in report.checks if not ch.passed}
+    assert failed == {LAWS[1]: want[LAWS[1]], "equivalence_verified": None}

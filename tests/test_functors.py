@@ -21,14 +21,13 @@ from dgcat.functors import (
     dgnat_window,
     direct_sum_functors,
     linear_combination,
-    nat_coordinates,
     nat_unknowns,
     naturality_witness,
     representable_module,
     validate_dg_functor,
     yoneda_module,
 )
-from dgcat.linalg import unit_vector
+from dgcat.linalg import dense_vector, unit_vector
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -300,7 +299,7 @@ def test_dgnat_differential_single_component_evaluation():
 
 
 # ---------------------------------------------------------------------------
-# nat_coordinates against the dense rule it replaced
+# Basis.coordinates against the dense rule
 
 
 def _dense_coordinates(field, vectors, target):
@@ -340,11 +339,11 @@ def _transformation_spaces(fx):
             yield F, G, n, dgnat_space(F, G, n)
 
 
-def test_nat_coordinates_match_the_dense_rule(theorem_fixtures):
+def test_basis_coordinates_match_the_dense_rule(theorem_fixtures):
     """Each basis transformation gives its unit vector, a random combination
     its coefficients, and that combination with one entry bumped off a free
-    column lies outside the span: nat_coordinates and the dense rule agree
-    on all three, on every G(B) and Lambda-side space."""
+    column lies outside the span: Basis.coordinates, densified, and the
+    dense rule agree on all three, on every G(B) and Lambda-side space."""
     rng = random.Random(0)
     fields = set()
     spaces = units = bumped = 0
@@ -357,7 +356,10 @@ def test_nat_coordinates_match_the_dense_rule(theorem_fixtures):
 
             def both(flat):
                 nat = nat_from_flat(F, G, n, keys, flat)
-                return nat_coordinates(basis, nat), _dense_coordinates(field, vectors, flat)
+                coords = basis.coordinates(tuple(nat.components.values()))
+                if coords is not None:
+                    coords = dense_vector(field, coords.items(), len(basis))
+                return coords, _dense_coordinates(field, vectors, flat)
 
             for k, vec in enumerate(vectors):
                 unit = unit_vector(field, len(basis), k)

@@ -13,10 +13,11 @@ from dgcat.errors import StructureError
 from dgcat.fields import PrimeField, Rationals, field_from_descriptor
 from dgcat.fixtures import random_theorem_fixture, trivial_category
 from dgcat.functors import (
+    Basis,
     DgFunctor,
+    _solve_families,
     dgnat_space,
     dgnat_window,
-    nat_coordinates,
     nat_unknowns,
 )
 from dgcat.linalg import dense_vector
@@ -108,30 +109,54 @@ def _column_pair(field, rows):
     return F, G, nat_unknowns(F, G, 0)
 
 
-def test_nat_coordinates_in_and_out_of_span():
+def _kernel_basis(field, rows, ncols):
+    """(F, G, keys, basis): _column_pair(field, ncols), and the Basis that
+    _solve_families reads off the kernel of rows, {column: value} dicts
+    over its ncols unknowns, passed as extra rows."""
+    F, G, keys = _column_pair(field, ncols)
+    tagged = [("n",) + key for key in keys]
+    constraints = [{tagged[c]: x for c, x in row.items()} for row in rows]
+    return F, G, keys, _solve_families([("n", F, G)], 0, lambda nat: nat, constraints)
+
+
+def _coordinates(basis, F, G, keys, flat):
+    nat = nat_from_flat(F, G, 0, keys, flat)
+    return basis.coordinates(tuple(nat.components.values()))
+
+
+def _flat_elements(basis, F, G, keys):
+    return [nat_to_flat(F, G, 0, keys, nat) for nat in basis]
+
+
+def test_basis_coordinates_in_and_out_of_span():
     # kernel of x + y - z: free columns 1 and 2, each the last entry of its
     # vector and a one there
-    basis = linalg.nullspace(QQ, [{0: 1, 1: 1, 2: -1}], 3)
-    assert basis == [{0: -1, 1: 1}, {0: 1, 2: 1}]
-    assert [list(vec.items())[-1] for vec in basis] == [(1, 1), (2, 1)]
-    F, G, keys = _column_pair(QQ, 3)
-    nats = [nat_from_flat(F, G, 0, keys, dense_vector(QQ, v.items(), 3)) for v in basis]
-    assert nat_coordinates(nats, nat_from_flat(F, G, 0, keys, (1, 2, 3))) == (2, 3)
-    assert nat_coordinates(nats, nat_from_flat(F, G, 0, keys, (0, 1, 0))) is None
-    zero = nat_from_flat(F, G, 0, keys, (0, 0, 0))
-    assert nat_coordinates([], zero) == ()
-    assert nat_coordinates([], nat_from_flat(F, G, 0, keys, (1, 0, 0))) is None
+    rows = [{0: 1, 1: 1, 2: -1}]
+    kernel = linalg.nullspace(QQ, rows, 3)
+    assert kernel == [{0: -1, 1: 1}, {0: 1, 2: 1}]
+    assert [list(vec.items())[-1] for vec in kernel] == [(1, 1), (2, 1)]
+    F, G, keys, basis = _kernel_basis(QQ, rows, 3)
+    assert _flat_elements(basis, F, G, keys) == [(-1, 1, 0), (1, 0, 1)]
+    # the index is (leg position, degree, row, column): rows 1 and 2
+    assert basis.free == {(0, 0, 1, 0): 0, (0, 0, 2, 0): 1}
+    assert _coordinates(basis, F, G, keys, (1, 2, 3)) == {0: 2, 1: 3}
+    assert _coordinates(basis, F, G, keys, (0, 1, 0)) is None
+    # a trivial kernel: zero gives no coordinates, anything else None
+    F, G, keys, empty = _kernel_basis(QQ, [{0: 1}, {1: 1}, {2: 1}], 3)
+    assert empty == [] and empty.legs == [] and empty.free == {}
+    for basis in (empty, Basis(QQ)):
+        assert _coordinates(basis, F, G, keys, (0, 0, 0)) == {}
+        assert _coordinates(basis, F, G, keys, (1, 0, 0)) is None
 
 
-def test_nat_coordinates_of_a_consistent_system():
+def test_basis_coordinates_of_a_consistent_system():
     # a zero row adds no constraint
-    basis = linalg.nullspace(QQ, [{0: Fraction(1), 1: Fraction(1)}, {}], 2)
-    assert basis == [{0: -1, 1: 1}]
-    F, G, keys = _column_pair(QQ, 2)
-    nats = [nat_from_flat(F, G, 0, keys, (-1, 1))]
-    coords = nat_coordinates(nats, nat_from_flat(F, G, 0, keys, (-2, 2)))
-    assert coords == (2,)
-    assert nat_coordinates(nats, nat_from_flat(F, G, 0, keys, (0, 1))) is None
+    rows = [{0: Fraction(1), 1: Fraction(1)}, {}]
+    assert linalg.nullspace(QQ, rows, 2) == [{0: -1, 1: 1}]
+    F, G, keys, basis = _kernel_basis(QQ, rows, 2)
+    assert _flat_elements(basis, F, G, keys) == [(-1, 1)]
+    assert _coordinates(basis, F, G, keys, (-2, 2)) == {0: 2}
+    assert _coordinates(basis, F, G, keys, (0, 1)) is None
 
 
 def test_solve_linear_one_equation():
@@ -249,20 +274,44 @@ def test_sparse_solve_matches_dense_reference(name, data):
     constraints = [{names[c]: x for c, x in row.items()} for row in sparse]
     assert linalg.solve_linear(field, names, constraints) == basis
 
-    F, G, keys = _column_pair(field, ncols)
-    nats = [nat_from_flat(F, G, 0, keys, vec) for vec in expected]
+    F, G, keys, solved = _kernel_basis(field, sparse, ncols)
+    assert _flat_elements(solved, F, G, keys) == expected
     coeffs = data.draw(st.lists(SCALARS[name], min_size=len(expected), max_size=len(expected)))
-    inside = nat_from_flat(F, G, 0, keys, _combine(field, coeffs, expected, ncols))
-    assert nat_coordinates(nats, inside) == tuple(coeffs)
+    inside = _combine(field, coeffs, expected, ncols)
+    nonzero = {b: c for b, c in enumerate(coeffs) if not field.is_zero(c)}
+    assert _coordinates(solved, F, G, keys, inside) == nonzero
 
     in_kernel = all(
         field.is_zero(sum(field.mul(a, x) for a, x in zip(row, vector))) for row in rows
     )
-    coords = nat_coordinates(nats, nat_from_flat(F, G, 0, keys, vector))
+    coords = _coordinates(solved, F, G, keys, vector)
     if in_kernel:
-        assert _combine(field, coords, expected, ncols) == vector
+        dense = dense_vector(field, coords.items(), len(expected))
+        assert _combine(field, dense, expected, ncols) == vector
     else:
         assert coords is None
+
+
+@pytest.mark.parametrize("name", ["Q", "F5"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_echelon_add_names_the_unit_vectors_it_brings_in(name, data):
+    """Echelon.add returns None iff the rank stays, and else, sorted, the
+    columns whose unit vector the row space holds now and did not before:
+    in reduced form, those whose pivot row is that unit."""
+    field, rows, _, _ = data.draw(sparse_system(name))
+    echelon = linalg.Echelon(field)
+
+    def units():
+        return {k for k, row in echelon.pivots.items() if len(row) == 1}
+
+    for row in rows:
+        before, rank = units(), len(echelon.pivots)
+        added = echelon.add({c: x for c, x in enumerate(row) if not field.is_zero(x)})
+        if len(echelon.pivots) == rank:
+            assert added is None and units() == before
+        else:
+            assert added == sorted(units() - before) and before <= units()
 
 
 # ---------------------------------------------------------------------------

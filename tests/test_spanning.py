@@ -113,7 +113,7 @@ def _replayed(cat, spanning):
             (x, y, (n, k))
             for (x, y, n), echelon in echelons.items()
             for k in range(cat.hom[(x, y)].dim(n))
-            if echelon.has_unit(k)
+            if len(echelon.pivots.get(k, ())) == 1
         }
         if now == reached:
             return reached
