@@ -158,6 +158,26 @@ def nat_from_flat(F, G, n, keys, vec):
     return DgNatTransformation(F, G, n, components)
 
 
+def dense_coordinates(field, vectors, target):
+    """Coordinates of the flat target in the flat basis vectors, or None:
+    each coordinate is the target's entry at its vector's free column,
+    the vector's last nonzero entry, and they are returned only if they
+    rebuild the target exactly."""
+    coords = []
+    rebuilt = [field.zero()] * len(target)
+    for vec in vectors:
+        fc = max(j for j, x in enumerate(vec) if not field.is_zero(x))
+        c = target[fc]
+        coords.append(c)
+        if not field.is_zero(c):
+            for j, x in enumerate(vec):
+                if not field.is_zero(x):
+                    rebuilt[j] = field.add(rebuilt[j], field.mul(c, x))
+    if any(not field.is_zero(field.sub(x, y)) for x, y in zip(rebuilt, target)):
+        return None
+    return tuple(coords)
+
+
 def raw_dot(obj, u, t, j, i, k, c):
     """[f_t(x)]_u(m) in B(u)^{j+k}, for m the i-th basis element of
     M(u, t)^j and x the c-th of A(t)^k: f_t(x) is decoded in G(B)(t)^k

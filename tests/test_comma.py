@@ -594,6 +594,44 @@ def test_signed_square_variant_fails_on_a_structure_map_of_nonzero_degree():
     assert checks["signed_square_variant"].witness == {"object": "o_can", "t": "t0"}
 
 
+@pytest.mark.parametrize("seed,field", [(0, QQ), (1, F5)], ids=["Q", "F5"])
+def test_roundtrip_fails_in_the_report_when_the_dot_sign_is_dropped(
+    monkeypatch, seed, field
+):
+    # CommaObject.dot without its sign (-1)^{jk}: the coproduct's corner
+    # actions then leave G(B), so reading f back from them raises
+    # InternalCheckError, which the report turns into a roundtrip FAIL
+    # while the other stages still run.  f = 0 at seeds 2, 4 and 7, where
+    # this mutant cannot show.
+    dot = CommaObject.dot
+
+    def unsigned(self, u, t):
+        sign, mul = self.field.sign, self.field.mul
+        return {
+            (j, i): GradedMap.from_entries(
+                m.source,
+                m.target,
+                j,
+                [(k, r, c, mul(sign(j * k), v)) for k, r, c, v in m.entries()],
+            )
+            for (j, i), m in dot(self, u, t).items()
+        }
+
+    monkeypatch.setattr(CommaObject, "dot", unsigned)
+    fx = random_theorem_fixture(seed, field)
+    report = check_equivalence(fx["lambda"], fx["comma_objects"], fx["lambda_modules"])
+    roundtrips = [ch for ch in report.checks if ch.name.startswith("roundtrip[")]
+    assert len(roundtrips) == len(fx["comma_objects"])
+    failed = [ch for ch in roundtrips if not ch.passed]
+    assert failed and all(
+        ch.witness["error"].startswith("corner action left the transformations")
+        for ch in failed
+    )
+    later = {"functor_commutes_with_differential", "functor_commutes_with_composition"}
+    assert later <= {ch.name for ch in report.checks}
+    assert not report.passed
+
+
 # ---------------------------------------------------------------------------
 # work count on a wide instance
 

@@ -1,4 +1,4 @@
-"""check_equivalence's functor laws against the per-pair scan they replaced.
+"""check_equivalence's functor laws against a scan over every pair.
 
 The report takes F as its images on the comma basis, extended linearly,
 and decides F(d phi) = d F(phi) on every basis morphism phi and
@@ -6,11 +6,14 @@ F(psi . g) = F(psi) . F(g) on every basis morphism psi after a
 generator g of the comma category, one flat entry difference per
 Lambda-object; the laws on the generators give them on every pair, since
 the phi that F composes with are closed under sums and composites.  When
-that does not pass, the report's witnesses come from the earlier scan.
-The oracle below is that scan, which built both sides of each law whole
-for every comma basis morphism and every composable basis pair, F
-evaluated on each value; both must give the same verdicts and the same
-first witnesses, also when F is wrong on one basis morphism.
+that does not pass, the report runs the same two checks on every basis
+morphism and every composable pair of basis morphisms for the witnesses,
+so F is never evaluated off the basis.  The oracle below takes the same
+definition of F without the report's Basis: F(x) = sum c_b F(b), with
+x's coordinates c found by dense elimination on its flat entries, and it
+builds both sides of each law whole for every comma basis morphism and
+every composable basis pair; both must give the same verdicts and the
+same first witnesses, also when F is wrong on one basis morphism.
 """
 
 from itertools import product
@@ -18,6 +21,7 @@ from itertools import product
 import pytest
 
 import dgcat.comma
+from conftest import dense_coordinates, nat_to_flat
 from dgcat.comma import (
     CommaMorphism,
     build_coproduct_module,
@@ -34,6 +38,7 @@ from dgcat.functors import (
     dgnat_differential,
     dgnat_window,
     linear_combination,
+    nat_unknowns,
 )
 
 QQ = Rationals()
@@ -63,24 +68,50 @@ def comma_bases(lam, comma_objects, coproducts):
 
 
 def oracle_witnesses(lam, comma_objects):
-    """The two functor-law witnesses of the per-pair scan, F read from
-    dgcat.comma at each call."""
+    """The two functor-law witnesses of the scan over every pair, F read
+    from dgcat.comma on each comma basis morphism and extended linearly:
+    F(x) = sum c_b F(b), with c the coordinates dense_coordinates finds for
+    x's alpha and beta entries, flattened over nat_unknowns, in the flat
+    basis vectors; F(x) is None when x has none, which fails its law."""
+    field = lam.field
     coproducts = [build_coproduct_module(lam, o) for o in comma_objects]
+    bases = comma_bases(lam, comma_objects, coproducts)
+
+    def flat(i, j, phi):
+        src, tgt = comma_objects[i], comma_objects[j]
+        return tuple(
+            x
+            for F, G, nat in ((src.A, tgt.A, phi.alpha), (src.B, tgt.B, phi.beta))
+            for x in nat_to_flat(F, G, phi.degree, nat_unknowns(F, G, phi.degree), nat)
+        )
+
+    vectors = {
+        (i, j, n): [flat(i, j, phi) for phi in basis]
+        for (i, j, n), basis in bases.items()
+    }
+    images = {
+        (i, j, n): [
+            dgcat.comma.f_on_morphisms(lam, coproducts[i], coproducts[j], phi)
+            for phi in basis
+        ]
+        for (i, j, n), basis in bases.items()
+    }
 
     def f(i, j, phi):
-        return dgcat.comma.f_on_morphisms(lam, coproducts[i], coproducts[j], phi)
+        key = (i, j, phi.degree)
+        coords = dense_coordinates(field, vectors.get(key, []), flat(i, j, phi))
+        if coords is None:
+            return None
+        zero = DgNatTransformation(coproducts[i], coproducts[j], phi.degree, {})
+        return linear_combination((field.one(), *coords), (zero, *images.get(key, ())))
 
-    images = {
-        key: [(phi, f(key[0], key[1], phi)) for phi in basis]
-        for key, basis in comma_bases(lam, comma_objects, coproducts).items()
-    }
     d_witness = next(
         (
             {"pair": [comma_objects[i].name, comma_objects[j].name], "degree": n}
-            for (i, j, n), mapped in images.items()
+            for (i, j, n), basis in bases.items()
             if any(
                 f(i, j, comma_differential(phi)) != dgnat_differential(image)
-                for phi, image in mapped
+                for phi, image in zip(basis, images[(i, j, n)])
             )
         ),
         None,
@@ -91,7 +122,8 @@ def oracle_witnesses(lam, comma_objects):
             src, mid, tgt = comma_objects[i], comma_objects[j], comma_objects[k]
             for n1, n2 in product(comma_window(src, mid), comma_window(mid, tgt)):
                 for (phi, f_phi), (psi, f_psi) in product(
-                    images[(i, j, n1)], images[(j, k, n2)]
+                    zip(bases[(i, j, n1)], images[(i, j, n1)]),
+                    zip(bases[(j, k, n2)], images[(j, k, n2)]),
                 ):
                     lhs = f(i, k, compose_comma(psi, phi))
                     if lhs != compose_nat(f_psi, f_phi):
@@ -181,9 +213,9 @@ def test_functor_laws_match_the_per_pair_scan_on_the_heavy_set(seed, max_objects
     assert report_witnesses(fx) == want
 
 
-def test_f_wrong_on_a_basis_morphism_served_as_a_composite(monkeypatch):
-    fx = random_theorem_fixture(1, QQ)
-    objs = fx["comma_objects"]
+def wrong_on_a_served_composite(monkeypatch, fx):
+    """Patch F wrong on the first comma basis morphism, in the scan's order,
+    that is the composite of a basis pair and neither of the two."""
     i, k, chi = next(
         (i, k, chi)
         for i, k, phi, psi, composite, basis in basis_composites(fx)
@@ -192,7 +224,12 @@ def test_f_wrong_on_a_basis_morphism_served_as_a_composite(monkeypatch):
         and value_of(chi) not in (value_of(phi), value_of(psi))
     )
     wrong_on(monkeypatch, *module_names(fx, i, k), value_of(chi))
-    want = oracle_witnesses(fx["lambda"], objs)
+
+
+def test_f_wrong_on_a_basis_morphism_served_as_a_composite(monkeypatch):
+    fx = random_theorem_fixture(1, QQ)
+    wrong_on_a_served_composite(monkeypatch, fx)
+    want = oracle_witnesses(fx["lambda"], fx["comma_objects"])
     assert want == {
         LAWS[0]: None,
         LAWS[1]: {"objects": ["o_zero"] * 3, "degrees": [-1, 1]},
@@ -218,9 +255,11 @@ def law_generators(monkeypatch, fx):
 
 
 def test_f_wrong_on_a_basis_morphism_that_is_no_generator(monkeypatch):
-    """F is wrong on the first basis morphism, in basis order, that is no
-    generator, so the closure reaches it only through composites: the
-    generator path fails, and the report gives the scan's witnesses."""
+    """F is wrong on the first basis morphism chi, in basis order, that is
+    no generator, so the closure reaches it only through composites: the
+    generator path fails, and the report gives the scan's witnesses.  F
+    extended linearly also fails F(d phi) = d F(phi) one degree below chi,
+    at a basis morphism phi whose d phi has a chi coordinate."""
     fx = random_theorem_fixture(36, QQ)
     lam, objs = fx["lambda"], fx["comma_objects"]
     generators = law_generators(monkeypatch, fx)
@@ -234,30 +273,28 @@ def test_f_wrong_on_a_basis_morphism_that_is_no_generator(monkeypatch):
     wrong_on(monkeypatch, *module_names(fx, i, j), value_of(chi))
     want = oracle_witnesses(lam, objs)
     assert want == {
-        LAWS[0]: None,
+        LAWS[0]: {"pair": ["o_rand", "o_mix"], "degree": -3},
         LAWS[1]: {"objects": ["o_rand", "o_zero", "o_mix"], "degrees": [0, -2]},
     }
     assert report_witnesses(fx) == want
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 36])
-def test_f_runs_once_per_comma_basis_morphism(monkeypatch, seed):
-    """A PASS reads F on the comma basis only: the full_faithful loop maps
-    each basis morphism once, and the functor laws evaluate F on no
-    composite and no differential, so the generator path passed and the
-    per-pair scan never ran.  Seed 0 has odd-degree basis morphisms phi
-    with F(phi) . d nonzero, where a wrong sign in the differential law
-    would send the check to the scan."""
-    fx = random_theorem_fixture(seed, QQ)
+def basis_values(fx):
+    """(source, target, value) of every comma basis morphism, in the order
+    check_equivalence's full_faithful loop maps them."""
     lam, objs = fx["lambda"], fx["comma_objects"]
     coproducts = [build_coproduct_module(lam, o) for o in objs]
     names = [c.name for c in coproducts]
-    basis = [
+    return [
         (names[i], names[j], value_of(phi))
         for (i, j, _), phis in comma_bases(lam, objs, coproducts).items()
         for phi in phis
     ]
 
+
+def f_calls(monkeypatch, fx):
+    """The report's functor-law witnesses and the (source, target, value)
+    of every call check_equivalence makes to F, as F is patched now."""
     calls = []
     f_on_morphisms = dgcat.comma.f_on_morphisms
 
@@ -266,8 +303,18 @@ def test_f_runs_once_per_comma_basis_morphism(monkeypatch, seed):
         return f_on_morphisms(lam, source, target, phi)
 
     monkeypatch.setattr(dgcat.comma, "f_on_morphisms", counted)
-    assert report_witnesses(fx) == {name: None for name in LAWS}
-    assert calls == basis
+    return report_witnesses(fx), calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 36])
+def test_f_runs_once_per_comma_basis_morphism(monkeypatch, seed):
+    """A PASS reads F on the comma basis only: the full_faithful loop maps
+    each basis morphism once, and the functor laws evaluate F on no
+    composite and no differential.  Seed 0 has odd-degree basis morphisms
+    phi with F(phi) . d nonzero, where a wrong sign in the differential law
+    would fail the check."""
+    fx = random_theorem_fixture(seed, QQ)
+    assert f_calls(monkeypatch, fx) == ({name: None for name in LAWS}, basis_values(fx))
 
 
 def legs_of(phi):
@@ -297,16 +344,10 @@ def closed_non_boundary(fx):
     raise AssertionError("no closed comma basis morphism outside the boundaries")
 
 
-@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
-def test_f_doubled_where_the_differential_law_cannot_see(monkeypatch, field):
-    """F' = F + c_phi F(phi), with c_phi the coordinate along a closed basis
-    morphism phi that no basis differential reaches, is F doubled on phi and
-    linear.  F'(d psi) = d F'(psi) holds for every psi, since d phi = 0 and
-    no d psi has a phi coordinate, so only the composition law can catch
-    it: the generator path must fail there, and the report gives the
-    per-pair scan's witness, with no exception."""
-    fx = random_theorem_fixture(5, field)
-    lam, objs = fx["lambda"], fx["comma_objects"]
+def doubled_where_the_differential_law_cannot_see(monkeypatch, fx):
+    """Patch F to F' = F + c_phi F(phi), with c_phi the coordinate along
+    the closed basis morphism phi of closed_non_boundary."""
+    field = fx["lambda"].field
     i, j, phi, (at, deg, r, c) = closed_non_boundary(fx)
     names = module_names(fx, i, j)
     f_on_morphisms = dgcat.comma.f_on_morphisms
@@ -321,6 +362,19 @@ def test_f_doubled_where_the_differential_law_cannot_see(monkeypatch, field):
         return image
 
     monkeypatch.setattr(dgcat.comma, "f_on_morphisms", doubled)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_f_doubled_where_the_differential_law_cannot_see(monkeypatch, field):
+    """F' = F + c_phi F(phi), with c_phi the coordinate along a closed basis
+    morphism phi that no basis differential reaches, is F doubled on phi and
+    linear.  F'(d psi) = d F'(psi) holds for every psi, since d phi = 0 and
+    no d psi has a phi coordinate, so only the composition law can catch
+    it: the generator path must fail there, and the report gives the
+    scan's witness, with no exception."""
+    fx = random_theorem_fixture(5, field)
+    lam, objs = fx["lambda"], fx["comma_objects"]
+    doubled_where_the_differential_law_cannot_see(monkeypatch, fx)
     want = oracle_witnesses(lam, objs)
     assert want == {
         LAWS[0]: None,
@@ -329,3 +383,29 @@ def test_f_doubled_where_the_differential_law_cannot_see(monkeypatch, field):
     report = check_equivalence(lam, objs, fx["lambda_modules"])
     failed = {ch.name: ch.witness for ch in report.checks if not ch.passed}
     assert failed == {LAWS[1]: want[LAWS[1]], "equivalence_verified": None}
+
+
+@pytest.mark.parametrize(
+    "seed,wrong,witness",
+    [
+        (
+            5,
+            doubled_where_the_differential_law_cannot_see,
+            {"objects": ["o_zero"] * 3, "degrees": [-2, 0]},
+        ),
+        (1, wrong_on_a_served_composite, {"objects": ["o_zero"] * 3, "degrees": [-1, 1]}),
+    ],
+    ids=["doubled", "wrong_on"],
+)
+def test_f_runs_once_per_comma_basis_morphism_on_a_fail(
+    monkeypatch, seed, wrong, witness
+):
+    """A FAIL reads F on the comma basis only, too: the witness scan runs
+    the generator path's two checks on every pair, so F runs once per
+    comma basis morphism, in the full_faithful loop, and on nothing else."""
+    fx = random_theorem_fixture(seed, QQ)
+    wrong(monkeypatch, fx)
+    assert f_calls(monkeypatch, fx) == (
+        {LAWS[0]: None, LAWS[1]: witness},
+        basis_values(fx),
+    )

@@ -2,7 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import identity_nat, nat_from_flat, nat_to_flat, zero_functor
+from conftest import (
+    dense_coordinates,
+    identity_nat,
+    nat_from_flat,
+    nat_to_flat,
+    zero_functor,
+)
 from dgcat.comma import build_coproduct_module
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
@@ -302,26 +308,6 @@ def test_dgnat_differential_single_component_evaluation():
 # Basis.coordinates against the dense rule
 
 
-def _dense_coordinates(field, vectors, target):
-    """Coordinates of the flat target in the flat basis vectors, or None:
-    each coordinate is the target's entry at its vector's free column,
-    the vector's last nonzero entry, and they are returned only if they
-    rebuild the target exactly."""
-    coords = []
-    rebuilt = [field.zero()] * len(target)
-    for vec in vectors:
-        fc = max(j for j, x in enumerate(vec) if not field.is_zero(x))
-        c = target[fc]
-        coords.append(c)
-        if not field.is_zero(c):
-            for j, x in enumerate(vec):
-                if not field.is_zero(x):
-                    rebuilt[j] = field.add(rebuilt[j], field.mul(c, x))
-    if any(not field.is_zero(field.sub(x, y)) for x, y in zip(rebuilt, target)):
-        return None
-    return tuple(coords)
-
-
 def _transformation_spaces(fx):
     """(F, G, n, basis) for every (t, n) carrier space of each distinct G(B)
     of fx's comma objects, and for every degree of the window between each
@@ -359,7 +345,7 @@ def test_basis_coordinates_match_the_dense_rule(theorem_fixtures):
                 coords = basis.coordinates(tuple(nat.components.values()))
                 if coords is not None:
                     coords = dense_vector(field, coords.items(), len(basis))
-                return coords, _dense_coordinates(field, vectors, flat)
+                return coords, dense_coordinates(field, vectors, flat)
 
             for k, vec in enumerate(vectors):
                 unit = unit_vector(field, len(basis), k)
