@@ -25,17 +25,20 @@ difference h.(g.f) - (h.g).f is summed for every h at once into one flat
 pair passes iff every entry is zero (_first_unassociative_pair).  Only
 the first failing pair's sides are summed per h again, for the witness.
 
-It is also decided on a generating set.  spanning() visits the
-basis morphisms in (x, y, degree, index) order and keeps as a generator
-each one not yet reached from earlier ones by sums and composites (one
-incremental echelon form per hom(x, z)^n, over the category's field); the
-pairs whose composites reached the rest are the spanning pairs.  The f
-with h.(g.f) = (h.g).f for all g, h are closed under sums and composites,
-so checking f on the generators decides associativity; associative()
-keeps that verdict, and set_products clears it with the spanning and the
-opposite category, which opposite_category builds once per tables.  When
-it is False, validate_dg_category runs the scan over every basis triple,
-so the witness is the first failing triple in basis order as before.
+It is also decided on a generating set, which spanning() takes from
+generator_closure, the one rule that also picks the comma category's
+generators for check-equivalence's functor laws: basis morphisms are
+visited in (x, y, degree, index) order, and each one not reached from
+earlier generators by sums and composites psi . g of a reached psi
+after a generator g is kept (one incremental echelon form per hom
+space, over the field); the pairs whose composites raised the rank are
+the spanning pairs.  The f with h.(g.f) = (h.g).f for all g, h are
+closed under sums and composites, so checking f on the generators
+decides associativity; associative() keeps that verdict, and
+set_products clears it with the spanning and the opposite category,
+which opposite_category builds once per tables.  When it is False,
+validate_dg_category runs the scan over every basis triple, so the
+witness is the first failing triple in basis order as before.
 
 Every table is written from other tables, never by composing basis
 pairs one at a time: the opposite category transposes them with the sign
@@ -137,9 +140,29 @@ class DgCategoryPresentation:
 
     def spanning(self):
         """The generators and spanning pairs of the product tables (see
-        Spanning), computed on first call and kept until set_products."""
+        Spanning) by generator_closure, composites read from the tables
+        with zero coefficients dropped; kept until set_products."""
         if self._spanning is None:
-            self._spanning = _spanning_closure(self)
+            field, keys = self.field, tuple(itertools.product(self.objects, repeat=2))
+            spaces = {
+                (x, y, n): self.hom[(x, y)].dim(n)
+                for x, y in keys
+                for n in self.hom[(x, y)].carrier.degrees()
+            }
+
+            def compose(psi, g):
+                ((y, z, m), i), ((x, _, n), j) = psi, g
+                terms = self._products[(x, y, z)].get((n, j), {}).get((m, i), ())
+                return {r: c for r, c in terms if not field.is_zero(c)}
+
+            found, pairs = generator_closure(field, spaces, compose)
+            generators = {key: [] for key in keys}
+            for (x, y, n), k in found:
+                generators[(x, y)].append((n, k))
+            self._spanning = Spanning(
+                {key: tuple(gens) for key, gens in generators.items()},
+                tuple((x, y, z, (m, i), (n, j)) for ((y, z, m), i), ((x, _, n), j) in pairs),
+            )
         return self._spanning
 
     def associative(self):
@@ -420,62 +443,70 @@ class Spanning:
     pairs: tuple
 
 
-def _spanning_closure(cat):
-    """The Spanning of cat, over its field.
+def generator_closure(field, spaces, compose):
+    """(generators, pairs) of the basis morphisms of spaces under the
+    composites compose gives, or None.
 
-    Basis morphisms are visited in (x, y, degree, index) order, and each
-    one not yet reached is kept as a generator.  A basis morphism is
-    reached once its unit vector lies in the span of the generators'
-    unit vectors and the composites of reached pairs; one Echelon per
-    hom(x, z)^n holds that span and names the unit vectors each rise
-    brings in, and a pair is recorded only if its composite raised the
-    rank.  Each reached morphism is composed on both
-    sides with every morphism reached before it, and with itself.
+    spaces is {(source, target, degree): dim} in visiting order; a basis
+    morphism is (key, index).  Each one not yet reached when visited is
+    kept as a generator.  One Echelon per space holds the span of the
+    generators' unit vectors and of the composites psi . g of a reached
+    psi after a generator g, and names the basis morphisms each rise
+    reaches; a full space takes no more rows.  Each reached psi is
+    composed after each generator g exactly once, a generator after
+    itself included.  compose(psi, g) gives the nonzero coordinates of
+    psi . g in space (source of g, target of psi, |g| + |psi|), or None
+    when the pair fails the property being proved, which ends the closure
+    with None.  pairs are the (psi, g) whose composite raised the rank,
+    both reached before it: a property that holds on the generators, is
+    kept by sums and passes from psi and g to psi . g on each pair holds
+    on every basis morphism.
     """
-    field = cat.field
-    echelons = {}
-    reached = set()
-    done = {key: [] for key in itertools.product(cat.objects, repeat=2)}
-    generators = {key: [] for key in done}
-    pairs = []
+    echelons = {key: linalg.Echelon(field) for key in spaces}
     queue = deque()
+    generators, pairs = [], []
+    # per object: the reached morphisms processed out of it, the generators into it
+    out_of, into = {}, {}
 
-    def grow(x, y, n, row):
-        """Add row to the span in hom(x, y)^n; True iff the rank rose."""
-        echelon = echelons.setdefault((x, y, n), linalg.Echelon(field))
-        if len(echelon.pivots) == cat.hom[(x, y)].dim(n):
+    def grow(key, row):
+        """Add row to the span of space key and queue the basis morphisms
+        it reaches; True iff the rank rose."""
+        echelon = echelons[key]
+        if len(echelon.pivots) == spaces[key]:
             return False
         units = echelon.add(row)
-        for k in units or ():
-            reached.add((x, y, (n, k)))
-            queue.append((x, y, (n, k)))
+        queue.extend((key, b) for b in units or ())
         return units is not None
 
-    def compose(x, y, z, g, f):
-        terms = cat._products[(x, y, z)].get(f, {}).get(g, ())
-        row = {r: c for r, c in terms if not field.is_zero(c)}
-        if row and grow(x, z, f[0] + g[0], row):
-            pairs.append((x, y, z, g, f))
+    def closed(psi, g):
+        """False iff compose(psi, g) fails; a composite that raises the
+        rank records the pair."""
+        coords = compose(psi, g)
+        if coords is None:
+            return False
+        ((_, target, m), _), ((source, _, n), _) = psi, g
+        if coords and grow((source, target, n + m), coords):
+            pairs.append((psi, g))
+        return True
 
-    for x, y in itertools.product(cat.objects, repeat=2):
-        for a in cat.basis_elements(x, y):
-            if (x, y, a) in reached:
+    for key, dim in spaces.items():
+        pivots = echelons[key].pivots
+        for a in range(dim):
+            if len(pivots.get(a, ())) == 1:  # reached: its unit vector is a pivot row
                 continue
-            generators[(x, y)].append(a)
-            grow(x, y, a[0], {a[1]: field.one()})
+            generators.append((key, a))
+            grow(key, {a: field.one()})
             while queue:
-                p, q, b = queue.popleft()
-                for r in cat.objects:
-                    for c in done[(q, r)]:
-                        compose(p, q, r, c, b)
-                    for c in done[(r, p)]:
-                        compose(r, p, q, b, c)
-                if p == q:
-                    compose(p, p, p, b, b)
-                done[(p, q)].append(b)
-    return Spanning(
-        {key: tuple(gens) for key, gens in generators.items()}, tuple(pairs)
-    )
+                b = queue.popleft()
+                (p, q, _), _ = b
+                todo = [(b, g) for g in into.get(p, ())]
+                if b == generators[-1]:  # no other generator is ever queued
+                    todo += [(psi, b) for psi in out_of.get(q, ())] + [(b, b)] * (p == q)
+                    into.setdefault(q, []).append(b)
+                if not all(closed(psi, g) for psi, g in todo):
+                    return None
+                out_of.setdefault(p, []).append(b)
+    return tuple(generators), tuple(pairs)
 
 
 def opposite_category(cat):

@@ -19,7 +19,14 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import StructureError
-from .graded import GradedMap, GradedModule, map_from_action, zero_module
+from .graded import (
+    DirectSum,
+    GradedMap,
+    GradedModule,
+    map_from_action,
+    place_blocks,
+    zero_module,
+)
 
 
 class DgModule:
@@ -75,6 +82,15 @@ def zero_dg_module(field):
 def dg_module(field, dims, d_blocks, check=True):
     carrier = GradedModule(field, dims)
     return DgModule(carrier, GradedMap(carrier, carrier, 1, d_blocks), check=check)
+
+
+def direct_sum(parts):
+    """(DirectSum of the carriers, DgModule) of dg modules, with the
+    blockwise differential."""
+    parts = tuple(parts)
+    ds = DirectSum([part.carrier for part in parts])
+    d = place_blocks(ds, ds, 1, [(k, k, part.d) for k, part in enumerate(parts)])
+    return ds, DgModule(ds.module, d, check=False)
 
 
 def hom_differential(source, target, f):

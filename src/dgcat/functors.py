@@ -48,10 +48,9 @@ import itertools
 
 from . import linalg
 from .category import opposite_category
-from .complexes import DgModule, HomComplex, hom_differential, zero_dg_module
+from .complexes import HomComplex, direct_sum, hom_differential, zero_dg_module
 from .errors import StructureError
 from .graded import (
-    DirectSum,
     GradedMap,
     combination,
     first_nonzero_sum,
@@ -690,14 +689,9 @@ def direct_sum_functors(funs, name=None):
     """Objectwise direct sum of dg-functors over a common base."""
     funs = list(funs)
     base = funs[0].base
-    sums = {}
-    on_objects = {}
+    sums, on_objects = {}, {}
     for obj in base.objects:
-        parts = [f.on_objects[obj] for f in funs]
-        ds = DirectSum([p.carrier for p in parts])
-        diff = ds.block_diag([p.d for p in parts], degree=1)
-        sums[obj] = ds
-        on_objects[obj] = DgModule(ds.module, diff, check=False)
+        sums[obj], on_objects[obj] = direct_sum(f.on_objects[obj] for f in funs)
 
     def image(x, y, m, k):
         maps = [f.map_of_basis(x, y, m, k) for f in funs]

@@ -433,12 +433,6 @@ class DirectSum:
             out[off + k] = x
         return tuple(out)
 
-    def block_diag(self, maps, degree=0):
-        """Blockwise endomorphism from per-part maps of a common degree."""
-        if len(maps) != len(self.parts):
-            raise StructureError("one map per part required")
-        return place_blocks(self, self, degree, [(k, k, m) for k, m in enumerate(maps)])
-
 
 def place_blocks(source, target, degree, pieces):
     """The map source -> target of the given degree, zero outside the pieces.

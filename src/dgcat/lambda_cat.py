@@ -26,9 +26,8 @@ from .category import (
     validate_dg_category,
     with_zero_object,
 )
-from .complexes import DgModule, zero_dg_module
+from .complexes import direct_sum, zero_dg_module
 from .errors import StructureError, ValidationFailure
-from .graded import DirectSum
 from .bimodule import validate_bimodule
 from .functors import functor_from_basis_images
 
@@ -128,15 +127,11 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True):
 
     pair_of = {f"{t}|{u}": (t, u) for t in t_ext.objects for u in u_ext.objects}
 
-    hom = {}
-    sums = {}
+    hom, sums = {}, {}
     for p, (t1, u1) in pair_of.items():
         for q, (t2, u2) in pair_of.items():
             parts = [t_ext.hom[(t1, t2)], value_ext(u2, t1), u_ext.hom[(u1, u2)]]
-            ds = DirectSum([part.carrier for part in parts])
-            diff = ds.block_diag([part.d for part in parts], degree=1)
-            hom[(p, q)] = DgModule(ds.module, diff, check=False)
-            sums[(p, q)] = ds
+            sums[(p, q)], hom[(p, q)] = direct_sum(parts)
 
     ids = {}
     for p, (t, u) in pair_of.items():

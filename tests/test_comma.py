@@ -632,6 +632,67 @@ def test_roundtrip_fails_in_the_report_when_the_dot_sign_is_dropped(
     assert not report.passed
 
 
+class _CornersUnsigned:
+    """A Lambda-module whose corner actions carry an extra (-1)^{kj} on
+    each entry (k, r, c, v) of the action of a degree-j m-block basis
+    morphism; read back by extract_comma_from_module, whose sign then
+    cancels, it is the reverse direction without its sign."""
+
+    def __init__(self, lam, module):
+        marker = lam.zero_marker
+        self._module = module
+        self._corners = {
+            (lam.object_name(t, marker), lam.object_name(marker, u))
+            for t in lam.t_cat.objects
+            for u in lam.u_cat.objects
+        }
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+    def map_of_basis(self, p, q, j, index):
+        m = self._module.map_of_basis(p, q, j, index)
+        if (p, q) not in self._corners:
+            return m
+        sign, mul = m.field.sign, m.field.mul
+        return GradedMap.from_entries(
+            m.source,
+            m.target,
+            m.degree,
+            [(k, r, c, mul(sign(k * j), v)) for k, r, c, v in m.entries()],
+        )
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_iso_fails_in_the_report_when_the_extract_sign_is_dropped(monkeypatch, field):
+    # extract_comma_from_module without its sign (-1)^{kj}: the corner
+    # actions of a supplied Lambda-module then leave G(C2), and phi_iso's
+    # InternalCheckError becomes an iso[<module>] FAIL while the other
+    # stages still run
+    import dgcat.comma
+
+    extract = dgcat.comma.extract_comma_from_module
+
+    def unsigned(lam, module, name=None):
+        return extract(lam, _CornersUnsigned(lam, module), name)
+
+    monkeypatch.setattr(dgcat.comma, "extract_comma_from_module", unsigned)
+    laws = {"functor_commutes_with_differential", "functor_commutes_with_composition"}
+    for seed in (0, 1, 3, 6):
+        fx = random_theorem_fixture(seed, field)
+        report = check_equivalence(fx["lambda"], fx["comma_objects"], fx["lambda_modules"])
+        isos = {f"iso[{module.name}]" for module in fx["lambda_modules"]}
+        failed = [ch for ch in report.checks if ch.name in isos]
+        assert failed, seed
+        assert all(
+            not ch.passed
+            and ch.witness["error"].startswith("corner action left the transformations")
+            for ch in failed
+        )
+        assert laws <= {ch.name for ch in report.checks}
+        assert not report.passed
+
+
 # ---------------------------------------------------------------------------
 # work count on a wide instance
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_blocks
 from dgcat import linalg
+from dgcat.complexes import dg_module, direct_sum
 from dgcat.errors import StructureError
 from dgcat.fields import PrimeField, Rationals
 from dgcat.functors import linear_combination
@@ -220,13 +221,13 @@ def test_direct_sum_offsets_and_injections():
 
 
 def test_block_diag_map():
-    a = GradedModule(QQ, {0: 1})
-    b = GradedModule(QQ, {0: 1})
-    ds = DirectSum([a, b])
-    fa = GradedMap(a, a, 0, {0: qmat([[2]])})
-    fb = GradedMap(b, b, 0, {0: qmat([[3]])})
-    m = ds.block_diag([fa, fb])
-    assert m.block(0) == qmat([[2, 0], [0, 3]])
+    a = dg_module(QQ, {0: 1, 1: 1}, {0: qmat([[2]])})
+    b = dg_module(QQ, {0: 1, 1: 2}, {0: qmat([[3], [5]])})
+    ds, module = direct_sum([a, b])
+    assert ds.parts == (a.carrier, b.carrier)
+    assert module.carrier == ds.module
+    assert module.d.block(0) == qmat([[2, 0], [0, 3], [0, 5]])
+    assert module.d.support() == (0,)
 
 
 # Property test: every map graded.py derives from clean maps equals the
