@@ -8,11 +8,13 @@ acts by their linear combination.  The two families must commute up to
 the Koszul interchange sign; this is exactly the data equivalent to a
 dg-functor out of U (x) T^op.  validate_bimodule decides the interchange
 (-1)^{|alpha||beta|} R.L = L.R, with L = M(alpha (x) 1) and
-R = M(1 (x) beta^op), by one flat entry difference per basis pair
-(graded.first_nonzero_sum), and builds both routes as graded maps only
-for the first failing pair, as its witness.  The paper's bullets m . t
-and u . m are not built here: Lambda's product tables read them off the
-two families of images (lambda_cat).
+R = M(1 (x) beta^op), per basis pair (alpha, beta): _interchange_sides
+gives both routes as terms read from left_images and right_images,
+_first_failure finds the first pair whose sides differ, each one flat
+entry difference (graded.first_nonzero_sum), and has _pair_witness
+build the two sides of that pair as graded maps, as its witness.  The
+paper's bullets m . t and u . m are not built here: Lambda's product
+tables read them off the two families of images (lambda_cat).
 
 That functor's Leibniz rule needs no scan of its own once both one-sided
 actions are chain maps: with L = M(alpha (x) 1) and R = M(1 (x) beta^op),
@@ -20,7 +22,9 @@ actions are chain maps: with L = M(alpha (x) 1) and R = M(1 (x) beta^op),
 of the slices give [d, L] = M(d alpha (x) 1) and [d, R] = M(1 (x) d beta^op)
 on every basis morphism.  validate_bimodule reads the two-sided Leibniz
 verdict off them and scans the basis pairs for a witness only when a
-slice fails its chain-map check.
+slice fails its chain-map check, by the same scan and witness builder
+over _leibniz_sides, which read d alpha and d beta from the columns of
+the hom differentials.
 
 G sends a dg U-module B to the dg T-module T |-> Hom(M_T, B), with a
 morphism t acting by eta |-> (-1)^{|eta||t|} eta . tbar where tbar is
@@ -38,7 +42,7 @@ from . import linalg
 from .category import opposite_category
 from .complexes import DgModule, zero_dg_module
 from .errors import InternalCheckError, StructureError, ValidationFailure
-from .graded import GradedModule, first_nonzero_sum, map_from_action
+from .graded import GradedModule, combination, first_nonzero_sum, map_from_action
 from .functors import (
     Basis,
     DgFunctor,
@@ -49,7 +53,6 @@ from .functors import (
     dgnat_space,
     dgnat_window,
     functor_from_basis_images,
-    image_of,
     linear_combination,
     validate_dg_functor,
 )
@@ -118,24 +121,6 @@ class Bimodule:
     def value(self, u, t):
         return self.values[(u, t)]
 
-    def left_map(self, u_elem, t):
-        """M(u (x) 1_t): M(source(u), t) -> M(target(u), t)."""
-        return image_of(
-            self.left_images[(u_elem.source, u_elem.target, t)],
-            self.values[(u_elem.source, t)].carrier,
-            self.values[(u_elem.target, t)].carrier,
-            u_elem,
-        )
-
-    def right_map(self, t_elem, u):
-        """M(1_u (x) t^op): M(u, target(t)) -> M(u, source(t))."""
-        return image_of(
-            self.right_images[(t_elem.source, t_elem.target, u)],
-            self.values[(u, t_elem.target)].carrier,
-            self.values[(u, t_elem.source)].carrier,
-            t_elem,
-        )
-
     def slice_t(self, t):
         """The dg U-module M_t: U |-> M(U, t)."""
         if t not in self._slice_t:
@@ -194,97 +179,86 @@ def validate_bimodule(bim):
         )
         slices_chain_maps = slices_chain_maps and sub.check("chain_map").passed
 
-    first = _first_uninterchanged_pair(bim)
-    witness = None if first is None else _interchange_witness(bim, *first)
+    names = ("signed_t_after_u", "u_after_t")
+    witness = _first_failure(bim, _interchange_sides(bim), 0, names)
     report.add("interchange_sign", witness is None, witness)
 
     witness = None
     if not slices_chain_maps:
-        for quadruple in itertools.product(U.objects, U.objects, T.objects, T.objects):
-            witness = _leibniz_witness(bim, *quadruple)
-            if witness:
-                break
+        witness = _first_failure(bim, _leibniz_sides(bim), 1, ("lhs", "rhs"))
     report.add("two_sided_leibniz", witness is None, witness)
     return report
 
 
-def _first_uninterchanged_pair(bim):
-    """The first (u, u2, t, t2, alpha, beta), over the object quadruples in
-    order and then the basis pairs, with (-1)^{|alpha||beta|}
-    M(1 (x) beta^op).M(alpha (x) 1) != M(alpha (x) 1).M(1 (x) beta^op), or
-    None; each pair is one flat difference (graded.first_nonzero_sum)."""
-    U, T = bim.left_base, bim.right_base
+def _interchange_sides(bim):
+    """sides(u, u2, t, t2, alpha, beta): (-1)^{|alpha||beta|}
+    M(1 (x) beta^op).M(alpha (x) 1) and M(alpha (x) 1).M(1 (x) beta^op) as
+    terms, for the basis pair alpha of hom_U(u, u2), beta of hom_T(t, t2)."""
+    one, sign = bim.field.one(), bim.field.sign
+    lefts, rights = bim.left_images, bim.right_images
+
+    def sides(u, u2, t, t2, alpha, beta):
+        signed = sign(alpha[0] * beta[0])
+        lhs = [(signed, rights[(t, t2, u2)][beta], lefts[(u, u2, t2)][alpha])]
+        return lhs, [(one, lefts[(u, u2, t)][alpha], rights[(t, t2, u)][beta])]
+
+    return sides
+
+
+def _leibniz_sides(bim):
+    """sides(u, u2, t, t2, alpha, beta): M(d alpha (x) beta) +
+    (-1)^{|alpha|} M(alpha (x) d beta) and d.M(alpha (x) beta) -
+    (-1)^{|alpha|+|beta|} M(alpha (x) beta).d as terms, for the basis pair
+    alpha of hom_U(u, u2), beta of hom_T(t, t2), with
+    M(alpha (x) beta) = M(alpha (x) 1).M(1 (x) beta^op) and d alpha, d beta
+    read from the columns of the hom differentials."""
     field = bim.field
-    sign, minus_one = field.sign, field.neg(field.one())
+    one, neg, mul, sign = field.one(), field.neg, field.mul, field.sign
+    d_u = {key: hom.d.columns() for key, hom in bim.left_base.hom.items()}
+    d_t = {key: hom.d.columns() for key, hom in bim.right_base.hom.items()}
 
-    def sums():
-        for u, u2, t, t2 in itertools.product(U.objects, U.objects, T.objects, T.objects):
-            lefts_t2, lefts_t = bim.left_images[(u, u2, t2)], bim.left_images[(u, u2, t)]
-            rights_u2, rights_u = bim.right_images[(t, t2, u2)], bim.right_images[(t, t2, u)]
-            for a, b in itertools.product(lefts_t, rights_u):
-                terms = (
-                    (sign(a[0] * b[0]), rights_u2[b], lefts_t2[a]),
-                    (minus_one, lefts_t[a], rights_u[b]),
-                )
-                yield (u, u2, t, t2, a, b), terms
+    def sides(u, u2, t, t2, alpha, beta):
+        lefts, rights = bim.left_images[(u, u2, t)], bim.right_images[(t, t2, u)]
+        left, right = lefts[alpha], rights[beta]
+        lhs = [(c, lefts[(alpha[0] + 1, r)], right) for r, c in d_u[(u, u2)].get(alpha, ())]
+        lhs += [
+            (mul(sign(alpha[0]), c), left, rights[(beta[0] + 1, r)])
+            for r, c in d_t[(t, t2)].get(beta, ())
+        ]
+        action, sgn = left.compose(right), neg(sign(alpha[0] + beta[0]))
+        d_source, d_target = bim.values[(u, t2)].d, bim.values[(u2, t)].d
+        return lhs, [(one, d_target, action), (sgn, action, d_source)]
 
-    return first_nonzero_sum(field, sums())
+    return sides
 
 
-def _interchange_witness(bim, u, u2, t, t2, alpha, beta):
-    """Both routes M(u, t2) -> M(u2, t) of the basis pair alpha of
-    hom_U(u, u2), beta of hom_T(t, t2), the first signed by
-    (-1)^{|alpha||beta|}."""
-    (ud, ui), (td, ti) = alpha, beta
-    via_left_first = bim.right_images[(t, t2, u2)][beta].compose(
-        bim.left_images[(u, u2, t2)][alpha]
-    ).scale(bim.field.sign(ud * td))
-    via_right_first = bim.left_images[(u, u2, t)][alpha].compose(
-        bim.right_images[(t, t2, u)][beta]
+def _first_failure(bim, sides, shift, names):
+    """The witness of the first (u, u2, t, t2, alpha, beta), over the object
+    quadruples in order and then the basis pairs, whose two sides differ,
+    or None; each pair is one flat difference (graded.first_nonzero_sum)."""
+    U, T = bim.left_base, bim.right_base
+    keys = (
+        (u, u2, t, t2, alpha, beta)
+        for u, u2, t, t2 in itertools.product(U.objects, U.objects, T.objects, T.objects)
+        for alpha, beta in itertools.product(
+            bim.left_images[(u, u2, t)], bim.right_images[(t, t2, u)]
+        )
     )
-    return {
-        "u": [u, u2, ud, ui],
-        "t": [t, t2, td, ti],
-        "signed_t_after_u": fmt_graded_map(via_left_first),
-        "u_after_t": fmt_graded_map(via_right_first),
-    }
+    first = first_nonzero_sum(bim.field, ((key, *sides(*key)) for key in keys))
+    return None if first is None else _pair_witness(bim, sides, first, shift, names)
 
 
-def _tensor_action(bim, alpha, beta):
-    """M(alpha (x) beta^op) := M(alpha (x) 1) . M(1 (x) beta^op).
-
-    alpha: U-morphism u -> u2, beta: T-morphism t -> t2; the composite
-    maps M(u, t2) to M(u2, t).
-    """
-    return bim.left_map(alpha, beta.source).compose(bim.right_map(beta, alpha.source))
-
-
-def _leibniz_witness(bim, u, u2, t, t2):
-    """Check M(da (x) b) + (-1)^|a| M(a (x) db) = d.M(a (x) b) -
-    (-1)^{|a|+|b|} M(a (x) b).d on basis pairs."""
-    field = bim.field
-    U, T = bim.left_base, bim.right_base
-    for ud, ui in U.basis_elements(u, u2):
-        alpha = U.basis_element(u, u2, ud, ui)
-        d_alpha = U.differential(alpha)
-        for td, ti in T.basis_elements(t, t2):
-            beta = T.basis_element(t, t2, td, ti)
-            d_beta = T.differential(beta)
-            lhs = _tensor_action(bim, d_alpha, beta).add(
-                _tensor_action(bim, alpha, d_beta).scale(field.sign(ud))
-            )
-            action = _tensor_action(bim, alpha, beta)
-            rhs = bim.values[(u2, t)].d.compose(action).sub(
-                action.compose(bim.values[(u, t2)].d).scale(field.sign(ud + td))
-            )
-            if lhs != rhs:
-                return {
-                    "u": [u, u2, ud, ui],
-                    "t": [t, t2, td, ti],
-                    "lhs": fmt_graded_map(lhs),
-                    "rhs": fmt_graded_map(rhs),
-                }
-    return None
+def _pair_witness(bim, sides, key, shift, names):
+    """Both sides at key = (u, u2, t, t2, alpha, beta), built from their
+    terms as maps M(u, t2) -> M(u2, t) of degree |alpha| + |beta| + shift,
+    under the two names."""
+    u, u2, t, t2, alpha, beta = key
+    source, target = bim.values[(u, t2)].carrier, bim.values[(u2, t)].carrier
+    degree = alpha[0] + beta[0] + shift
+    lhs, rhs = (
+        fmt_graded_map(combination(source, target, degree, side)) for side in sides(*key)
+    )
+    return {"u": [u, u2, *alpha], "t": [t, t2, *beta], names[0]: lhs, names[1]: rhs}
 
 
 # ---------------------------------------------------------------------------

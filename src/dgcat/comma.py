@@ -38,17 +38,18 @@ extended linearly, as every DgFunctor is, so F of any comma morphism is
 sum c_b F(b) over its coordinates c in the comma basis, which the Basis
 of comma_hom_space reads at the free columns indexed by the solve and
 keeps only if they rebuild it.  The law
-F(d phi) = d F(phi) is decided for each basis morphism, and
+F(d phi) = d F(phi) is decided for each basis morphism, once, and
 F(psi . phi) = F(psi) . F(phi) for each basis morphism psi after each
 generator of the comma category on the supplied objects: the phi that
 F composes with for every psi are closed under sums and composites, and
 the generators, chosen in basis order by category.generator_closure
 (the one-sided rule of a presentation's spanning()), reach every basis
 morphism.  Each law is one flat entry difference per Lambda-object
-(graded.first_nonzero_sum), so no morphism is sampled.  If either law
-fails there, the same two checks run on every basis morphism and every
-composable pair of basis morphisms for the witnesses, so F is never
-evaluated off the basis.
+(graded.first_nonzero_sum), so no morphism is sampled.  If the closure
+fails, the composition check runs on every composable pair of basis
+morphisms for the witness, so F is never evaluated off the basis.  The
+comparison map is closed when d_C . phi_p = phi_p . d_p at every
+Lambda-object p, decided by the same flat difference.
 """
 
 from __future__ import annotations
@@ -179,12 +180,6 @@ def comma_window(source, target):
     degrees = set(dgnat_window(source.A, target.A))
     degrees.update(dgnat_window(source.B, target.B))
     return sorted(degrees)
-
-
-def comma_unknown_count(source, target, n):
-    return len(nat_unknowns(source.A, target.A, n)) + len(
-        nat_unknowns(source.B, target.B, n)
-    )
 
 
 def _square_rows(source, target, n):
@@ -375,14 +370,13 @@ def phi_iso(lam, module):
             break
     report.add("invertible_at_every_object", witness is None, witness)
 
-    witness = None
-    for p in pres.objects:
-        lhs = module.on_objects[p].d.compose(components[p])
-        rhs = components[p].compose(coproduct.on_objects[p].d)
-        if lhs != rhs:
-            witness = {"object": p}
-            break
-    report.add("closed", witness is None, witness)
+    one = field.one()
+    sums = (
+        (p, [(one, module.on_objects[p].d, comp)], [(one, comp, coproduct.on_objects[p].d)])
+        for p, comp in components.items()
+    )
+    first = first_nonzero_sum(field, sums)
+    report.add("closed", first is None, None if first is None else {"object": first})
 
     nat = DgNatTransformation(coproduct, module, 0, components)
     nat_witness = naturality_witness(nat)
@@ -413,9 +407,9 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
     basis morphisms, which by linearity is F being a dg-functor on the
     supplied objects.  Both laws run after the full_faithful loop on its
     images, F extended linearly, with composition decided on the pairs
-    whose phi is a generator of the comma category (_laws_on_generators);
-    on a failure the same two checks run on every pair for the witnesses,
-    which name the first failing (pair, degree) or group of pairs
+    whose phi is a generator of the comma category and, only when that
+    fails, on every pair for the witness (_functor_law_witnesses); the
+    witnesses name the first failing (pair, degree) or group of pairs
     (objects, degrees), so F is evaluated in the full_faithful loop only.
     A roundtrip or comparison iso whose corner actions leave G(B) FAILs
     with the error as its witness, and the remaining checks still run.
@@ -434,16 +428,12 @@ def check_equivalence(lam, comma_objects, lambda_modules, seed=0):
             window = sorted(
                 set(comma_window(src, tgt)) | set(dgnat_window(f_src, f_tgt))
             )
-            if window:
-                below, above = window[0] - 1, window[-1] + 1
-                outside_zero = (
-                    comma_unknown_count(src, tgt, below) == 0
-                    and comma_unknown_count(src, tgt, above) == 0
-                    and not nat_unknowns(f_src, f_tgt, below)
-                    and not nat_unknowns(f_src, f_tgt, above)
-                )
-            else:
-                outside_zero = True
+            families = ((src.A, tgt.A), (src.B, tgt.B), (f_src, f_tgt))
+            outside_zero = not window or not any(
+                nat_unknowns(F, G, n)
+                for F, G in families
+                for n in (window[0] - 1, window[-1] + 1)
+            )
             report.add(
                 f"window_boundaries[{label}]",
                 outside_zero,
@@ -546,15 +536,20 @@ def _functor_law_witnesses(lam, comma_objects, coproducts, bases, images):
     Two checks evaluate the laws, each one flat entry difference per
     Lambda-object p (graded.first_nonzero_sum), and fail where the
     coordinates are None:
-    d_law(key, b) is d_p . F(phi)_p - (-1)^n F(phi)_p . d_p - sum c_b F(b)_p
-    for phi basis morphism b of bases[key] and c the coordinates of d phi;
-    composes(psi, g), for basis morphisms given as (key, index), is
-    F(psi)_p . F(g)_p - sum c_b F(b)_p with c those of psi . g, composed leg
+    d_law(key, b) decides d_p . F(phi)_p - (-1)^n F(phi)_p . d_p =
+    sum c_b F(b)_p for phi basis morphism b of bases[key] and c the
+    coordinates of d phi, and runs on every basis morphism, by key;
+    composes(psi, g), for basis morphisms given as (key, index), decides
+    F(psi)_p . F(g)_p = sum c_b F(b)_p with c those of psi . g, composed leg
     by leg, and returns c where the law holds, else None.
-    _laws_on_generators runs them on the generator pairs; when that does not
-    pass, for any reason, the same two checks run on every basis morphism,
-    by key, and on every composable pair of basis morphisms, by group, so
-    F is never evaluated off the basis.
+
+    Composition is decided by category.generator_closure over the comma
+    bases in (i, j, n) order, which composes each reached psi after each
+    generator g once.  The phi with F(psi . phi) = F(psi) . F(phi) for every
+    psi are closed under sums and composites (F(psi . g . h) =
+    F(psi . g) . F(h) = F(psi) . F(g . h)), so the law on those pairs gives
+    it on every pair, whatever the d law does.  When the closure fails,
+    composes runs on every composable pair, by group, for the witness.
     """
     field = lam.field
     one, neg, sign = field.one(), field.neg, field.sign
@@ -568,13 +563,13 @@ def _functor_law_witnesses(lam, comma_objects, coproducts, bases, images):
     }
 
     def holds(key, coords, leads):
-        """True iff leads[at] - sum c_b F(b)_at, with F(b) over the basis
-        images[key], adds up to zero at every Lambda-object at."""
+        """True iff leads[at] = sum c_b F(b)_at, with F(b) over the basis
+        images[key], at every Lambda-object at."""
         if coords is None:
             return False
         images_at = fs.get(key, ())
         sums = (
-            (at, lead + [(neg(c), images_at[b][at]) for b, c in coords.items()])
+            (at, lead, [(c, images_at[b][at]) for b, c in coords.items()])
             for at, lead in enumerate(leads)
         )
         return first_nonzero_sum(field, sums) is None
@@ -599,8 +594,6 @@ def _functor_law_witnesses(lam, comma_objects, coproducts, bases, images):
         leads = [[(one, f_psi, f_g)] for f_psi, f_g in zip(fs[psi[0]][x], fs[g[0]][y])]
         return coords if holds(key, coords, leads) else None
 
-    if _laws_on_generators(field, bases, d_law, composes) is not None:
-        return None, None
     names = [obj.name for obj in comma_objects]
     d_witness = next(
         (
@@ -610,6 +603,9 @@ def _functor_law_witnesses(lam, comma_objects, coproducts, bases, images):
         ),
         None,
     )
+    spaces = {key: len(basis) for key, basis in bases.items()}
+    if generator_closure(field, spaces, composes) is not None:
+        return d_witness, None
     witness = next(
         (
             {"objects": [names[i], names[j], names[k]], "degrees": [n1, n2]}
@@ -628,32 +624,3 @@ def _functor_law_witnesses(lam, comma_objects, coproducts, bases, images):
         None,
     )
     return d_witness, witness
-
-
-def _laws_on_generators(field, bases, d_law, composes):
-    """(generators, law pairs checked) when d_law holds on every comma basis
-    morphism and composes on every pair (psi, g) of a basis morphism psi
-    after a generator g, else None.
-
-    The lemma: the phi with F(psi . phi) = F(psi) . F(phi) for every psi
-    are closed under sums and composites, for g and h among them give
-    F(psi . g . h) = F(psi . g) . F(h) = F(psi) . F(g) . F(h) =
-    F(psi) . F(g . h).  The generators and pairs are those of
-    category.generator_closure over the comma bases in (i, j, n) order, its
-    one-sided rule composing each reached psi after each generator g once,
-    with the coordinates of psi . g that composes returns where the law
-    holds.  So the law on the pairs (psi, g) gives it on every pair, and
-    each composite the closure needs is one of those pairs.
-    """
-    if not all(d_law(key, b) for key, basis in bases.items() for b in range(len(basis))):
-        return None
-    checked = 0
-
-    def counted(psi, g):
-        nonlocal checked
-        checked += 1
-        return composes(psi, g)
-
-    spaces = {key: len(basis) for key, basis in bases.items()}
-    closure = generator_closure(field, spaces, counted)
-    return None if closure is None else (closure[0], checked)

@@ -22,10 +22,13 @@ by one flat entry difference of the two sides (graded.first_nonzero_sum,
 chain_map_holds and _composition_sums), so no graded map is built or
 composed.  Only on a failure are both sides built: _chain_map_witness
 builds the Hom complex of the failing object pair's values, and
-_functoriality_witness builds F(g.f) and F(g).F(f) for the first failing
-basis pair, the key first_nonzero_sum returned.  The
+_functoriality_witness combines the terms _composition_sums decided for
+the first failing basis pair, the key first_nonzero_sum returned.  The
 unit law reads the image of each identity entry by entry against the
-diagonal, with no identity matrix.
+diagonal, with no identity matrix.  Naturality is decided the same way:
+_naturality_sides gives the two sides of the square of one basis
+morphism as terms, first_nonzero_sum finds the first that differ, and
+the witness is those two sides built by graded.combination.
 
 Two checks read the base's generators (DgCategoryPresentation.spanning).
 Over an associative base the f with F(g.f) = F(g).F(f) for all g are
@@ -200,7 +203,7 @@ def validate_dg_functor(fun):
         fun._functorial_memo = (base.spanning(), True)
         report.add("functoriality", True)
     else:
-        report.add("functoriality", False, _functoriality_witness(fun, *first))
+        report.add("functoriality", False, _functoriality_witness(fun, first))
     return report
 
 
@@ -228,14 +231,15 @@ def chain_map_holds(fun, x, y):
     d_source, d_target = fun.on_objects[x].d, fun.on_objects[y].d
     images = fun.images[(x, y)]
     d_columns = fun.base.hom[(x, y)].d.columns()
-
-    def sums():
-        for (m, k), image in images.items():
-            terms = [(one, d_target, image), (neg(sign(m)), image, d_source)]
-            terms += [(neg(c), images[(m + 1, r)]) for r, c in d_columns.get((m, k), ())]
-            yield (m, k), terms
-
-    return first_nonzero_sum(field, sums()) is None
+    sums = (
+        (
+            (m, k),
+            [(one, d_target, image), (neg(sign(m)), image, d_source)],
+            [(c, images[(m + 1, r)]) for r, c in d_columns.get((m, k), ())],
+        )
+        for (m, k), image in images.items()
+    )
+    return first_nonzero_sum(field, sums) is None
 
 
 def _chain_map_witness(fun, x, y):
@@ -261,44 +265,34 @@ def _basis_pairs(fun, generators=None):
                 yield x, y, z, g, f
 
 
-def _functoriality_witness(fun, x, y, z, g, f):
-    """Both sides of F(g.f) = F(g).F(f) at the basis pair f of hom(x, y),
-    g of hom(y, z); F(g.f) combines the images of hom(x, z) over the
-    composite's entries in base.products(x, y, z)."""
+def _functoriality_witness(fun, pair):
+    """Both sides of F(g).F(f) = F(g.f) at the basis pair (x, y, z, g, f),
+    built from the terms _composition_sums decides."""
+    x, y, z, g, f = pair
+    ((_, composite, image),) = _composition_sums(fun, [pair])
+    source, target = fun.on_objects[x].carrier, fun.on_objects[z].carrier
     n = f[0] + g[0]
-    xz_images = fun.images[(x, z)]
-    terms = [
-        (c, xz_images[(n, r)])
-        for r, c in fun.base.products(x, y, z).get(f, {}).get(g, ())
-    ]
-    image = combination(
-        fun.on_objects[x].carrier, fun.on_objects[z].carrier, n, terms
-    )
-    composite = fun.images[(y, z)][g].compose(fun.images[(x, y)][f])
     return {
         "objects": [x, y, z],
         "basis": [list(f), list(g)],
-        "image_of_composite": fmt_graded_map(image),
-        "composite_of_images": fmt_graded_map(composite),
+        "image_of_composite": fmt_graded_map(combination(source, target, n, image)),
+        "composite_of_images": fmt_graded_map(combination(source, target, n, composite)),
     }
 
 
 def _composition_sums(fun, pairs):
-    """(pair, terms) per basis pair (x, y, z, g, f) of pairs, for
-    graded.first_nonzero_sum: the terms of F(g).F(f) - F(g.f), with the
-    composite g.f read from base.products(x, y, z)."""
-    field = fun.field
-    neg, one = field.neg, field.one()
+    """(pair, F(g).F(f), F(g.f)) as terms per basis pair (x, y, z, g, f) of
+    pairs, for graded.first_nonzero_sum, with the composite g.f read from
+    base.products(x, y, z)."""
+    one = fun.field.one()
     for pair in pairs:
         x, y, z, g, f = pair
         xz_images = fun.images[(x, z)]
         n = f[0] + g[0]
-        terms = [(one, fun.images[(y, z)][g], fun.images[(x, y)][f])]
-        terms += [
-            (neg(c), xz_images[(n, r)])
+        yield pair, [(one, fun.images[(y, z)][g], fun.images[(x, y)][f])], [
+            (c, xz_images[(n, r)])
             for r, c in fun.base.products(x, y, z).get(f, {}).get(g, ())
         ]
-        yield pair, terms
 
 
 class DgNatTransformation:
@@ -373,31 +367,38 @@ def _natural_generators(F, G):
     return None
 
 
+def _naturality_sides(nat, x, y, m, k):
+    """G(a).eta_x and (-1)^{nm} eta_y.F(a) as terms, for the k-th basis
+    morphism a of hom(x, y)^m."""
+    F, G, n, eta = nat.source, nat.target, nat.degree, nat.components
+    lhs = [(F.field.one(), G.map_of_basis(x, y, m, k), eta[x])]
+    return lhs, [(F.field.sign(n * m), eta[y], F.map_of_basis(x, y, m, k))]
+
+
 def _naturality_witness(nat, generators=None):
     """First basis morphism of generators (default: all) violating graded
-    naturality, or None."""
-    F, G = nat.source, nat.target
-    base = F.base
-    field = base.field
-    n = nat.degree
-    for x in base.objects:
-        for y in base.objects:
-            basis = (
-                base.basis_elements(x, y) if generators is None else generators[(x, y)]
-            )
-            for m, k in basis:
-                f_map = F.map_of_basis(x, y, m, k)
-                g_map = G.map_of_basis(x, y, m, k)
-                lhs = g_map.compose(nat.components[x])
-                rhs = nat.components[y].compose(f_map).scale(field.sign(n * m))
-                if lhs != rhs:
-                    return {
-                        "pair": [x, y],
-                        "basis": [m, k],
-                        "G_f_after_eta": fmt_graded_map(lhs),
-                        "signed_eta_after_F_f": fmt_graded_map(rhs),
-                    }
-    return None
+    naturality, with both sides of its square, or None."""
+    base = nat.source.base
+    keys = (
+        (x, y, m, k)
+        for x, y in itertools.product(base.objects, repeat=2)
+        for m, k in (
+            base.basis_elements(x, y) if generators is None else generators[(x, y)]
+        )
+    )
+    first = first_nonzero_sum(
+        base.field, ((key, *_naturality_sides(nat, *key)) for key in keys)
+    )
+    if first is None:
+        return None
+    x, y, m, k = first
+    source = nat.source.on_objects[x].carrier
+    target = nat.target.on_objects[y].carrier
+    lhs, rhs = (
+        fmt_graded_map(combination(source, target, nat.degree + m, side))
+        for side in _naturality_sides(nat, *first)
+    )
+    return {"pair": [x, y], "basis": [m, k], "G_f_after_eta": lhs, "signed_eta_after_F_f": rhs}
 
 
 def compose_nat(nu, eta):
@@ -562,7 +563,7 @@ class Basis(list):
         pass, reading only the elements named), else None.  So an empty
         basis gives {} for a zero value and None for any other."""
         field, legs = self.field, self.legs
-        one, neg = field.one(), field.neg
+        one = field.one()
         coords = {}
         for at, comp in enumerate(value):
             for i, r, c, v in comp.entries():
@@ -570,7 +571,7 @@ class Basis(list):
                 if b is not None:
                     coords[b] = v
         sums = (
-            (at, [(one, comp)] + [(neg(c), legs[b][at]) for b, c in coords.items()])
+            (at, [(one, comp)], [(c, legs[b][at]) for b, c in coords.items()])
             for at, comp in enumerate(value)
         )
         return coords if first_nonzero_sum(field, sums) is None else None

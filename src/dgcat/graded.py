@@ -28,13 +28,16 @@ maps that hold the invariant and build it through GradedMap._built:
 scaling by zero gives the zero map, and an entry that cancels in a
 composite or a sum is dropped.
 
-An identity between sums of maps and of composites, checked once per
-basis pair of some category, is decided by first_nonzero_sum: each sum
-is added up entry by entry into one flat dict, with no map built, and
-is zero iff every entry is.
+An identity lhs = rhs between sums of maps and of composites is decided
+by first_nonzero_sum: lhs - rhs is added up entry by entry into one flat
+dict, with no map built, and the sides are equal iff every entry is
+zero.  Its witness is each side built by combination from the same
+terms.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from . import linalg
 from .errors import StructureError
@@ -304,12 +307,14 @@ def compose_graded(g, f):
 
 
 def combination(source, target, degree, terms):
-    """The sum of c * m over the (c, m) pairs of terms, each m a map
-    source -> target of the given degree, built in one pass."""
+    """The sum of the terms, each (c, m) for c * m or (c, g, f) for
+    c * (g . f), a map source -> target of the given degree, built in one
+    pass (a composite is built first)."""
     field = source.field
     is_zero, add, mul, one = field.is_zero, field.add, field.mul, field.one()
     live = []
-    for c, m in terms:
+    for term in terms:
+        c, m = term[0], term[1] if len(term) == 2 else compose_graded(*term[1:])
         if (m.source, m.target, m.degree) != (source, target, degree):
             raise StructureError("cannot combine maps of different shapes")
         if m._nonzeros and not is_zero(c):
@@ -329,39 +334,41 @@ def combination(source, target, degree, terms):
 
 
 def first_nonzero_sum(field, sums):
-    """The key of the first (key, terms) pair of sums whose terms add up to
-    a nonzero map, or None.
+    """The key of the first (key, lhs, rhs) triple of sums whose two sides
+    differ, or None.
 
-    A term is (c, m) for c * m or (c, g, f) for c * (g . f); every term of
-    one sum is a map of one source, target and degree.  A sum is added up
-    entry by entry into one flat {(i, row, col): value} dict, read off the
-    stored entries, so no map is built and nothing is composed; it is zero
-    iff every entry is.  sums is read lazily, so the sums after the first
-    nonzero one are never formed.
+    A side is a list of terms, each (c, m) for c * m or (c, g, f) for
+    c * (g . f), every term of one triple a map of one source, target and
+    degree.  lhs - rhs is added up entry by entry into one flat
+    {(i, row, col): value} dict, read off the stored entries and with the
+    coefficients of rhs negated on the way, so no map is built and nothing
+    is composed; the sides are equal iff every entry is zero.  sums is read
+    lazily, so the triples after the first unequal one are never formed.
     """
-    add, mul, is_zero = field.add, field.mul, field.is_zero
+    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
     one = field.one()
-    for key, terms in sums:
+    for key, lhs, rhs in sums:
         acc = {}
-        for term in terms:
-            c = term[0]
-            scaled = c != one
-            if len(term) == 2:
-                for i, r, k, v in term[1].entries():
-                    x, at = mul(c, v) if scaled else v, (i, r, k)
-                    acc[at] = add(acc[at], x) if at in acc else x
-                continue
-            g, f = term[1], term[2]
-            for i, f_rows in f._nonzeros.items():
-                g_rows = g._nonzeros.get(i + f.degree)
-                if g_rows is None:
+        for negate, side in ((False, lhs), (True, rhs)):
+            for term in side:
+                c = neg(term[0]) if negate else term[0]
+                scaled = c != one
+                if len(term) == 2:
+                    for i, r, k, v in term[1].entries():
+                        x, at = mul(c, v) if scaled else v, (i, r, k)
+                        acc[at] = add(acc[at], x) if at in acc else x
                     continue
-                for r, g_row in g_rows.items():
-                    for s, w in g_row.items():
-                        cw = mul(c, w) if scaled else w
-                        for k, v in f_rows.get(s, {}).items():
-                            x, at = mul(cw, v), (i, r, k)
-                            acc[at] = add(acc[at], x) if at in acc else x
+                g, f = term[1], term[2]
+                for i, f_rows in f._nonzeros.items():
+                    g_rows = g._nonzeros.get(i + f.degree)
+                    if g_rows is None:
+                        continue
+                    for r, g_row in g_rows.items():
+                        for s, w in g_row.items():
+                            cw = mul(c, w) if scaled else w
+                            for k, v in f_rows.get(s, {}).items():
+                                x, at = mul(cw, v), (i, r, k)
+                                acc[at] = add(acc[at], x) if at in acc else x
         if not all(map(is_zero, acc.values())):
             return key
     return None
@@ -418,12 +425,19 @@ class DirectSum:
             if part.field != field:
                 raise StructureError("direct sum parts over different fields")
         degrees = {d for p in parts for d in p.degrees()}
-        dims = {deg: sum(p.dim(deg) for p in parts) for deg in degrees}
+        # _offsets[degree][k]: the dimension of parts 0..k-1 at degree
+        self._offsets = {
+            deg: tuple(itertools.accumulate((p.dim(deg) for p in parts), initial=0))
+            for deg in degrees
+        }
         self.parts = parts
-        self.module = GradedModule(field, dims)
+        self.module = GradedModule(
+            field, {deg: offsets[-1] for deg, offsets in self._offsets.items()}
+        )
 
     def offset(self, part_index, degree):
-        return sum(p.dim(degree) for p in self.parts[:part_index])
+        offsets = self._offsets.get(degree)
+        return 0 if offsets is None else offsets[part_index]
 
     def inject(self, part_index, degree, vec):
         field = self.module.field

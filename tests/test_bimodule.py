@@ -30,6 +30,7 @@ from dgcat.functors import (
     dgnat_space,
     dgnat_window,
     functor_from_basis_images,
+    image_of,
     naturality_witness,
     representable_module,
     validate_dg_functor,
@@ -135,6 +136,20 @@ def test_interchange_negative_control():
     assert not report.passed
 
 
+def left_action(bim, alpha, t):
+    """M(alpha (x) 1_t): M(source(alpha), t) -> M(target(alpha), t)."""
+    u, u2 = alpha.source, alpha.target
+    images = bim.left_images[(u, u2, t)]
+    return image_of(images, bim.values[(u, t)].carrier, bim.values[(u2, t)].carrier, alpha)
+
+
+def right_action(bim, beta, u):
+    """M(1_u (x) beta^op): M(u, target(beta)) -> M(u, source(beta))."""
+    t, t2 = beta.source, beta.target
+    images = bim.right_images[(t, t2, u)]
+    return image_of(images, bim.values[(u, t2)].carrier, bim.values[(u, t)].carrier, beta)
+
+
 def bimodule_to_tensor_functor(bim):
     """The bimodule as a module over U (x) T^op, the basis morphism
     alpha (x) beta^op acting by M(alpha (x) 1) . M(1 (x) beta^op).
@@ -160,7 +175,7 @@ def bimodule_to_tensor_functor(bim):
         alpha = U.basis_element(u, u2, ud, uidx)
         # hom_{T^op}(t, t2) = hom_T(t2, t): basis is beta: t2 -> t
         beta = T.basis_element(t2, t, n - ud, tidx)
-        return bim.left_map(alpha, t2).compose(bim.right_map(beta, u))
+        return left_action(bim, alpha, t2).compose(right_action(bim, beta, u))
 
     return functor_from_basis_images(
         base,
@@ -348,7 +363,7 @@ def test_regular_bimodule_over_exterior_algebra():
     report = validate_bimodule(bim)
     assert report.passed, report.render()
     # x acts by right multiplication: 1 |-> x (sign +1 on degree 0)
-    x_map = bim.right_map(t_cat.basis_element("t", "t", 1, 0), "u")
+    x_map = right_action(bim, t_cat.basis_element("t", "t", 1, 0), "u")
     assert x_map.block(0) == ((field.one(),),)
 
 
@@ -384,8 +399,8 @@ def _oracle_leibniz_witness(bim):
     U, T = bim.left_base, bim.right_base
 
     def action(alpha, beta):
-        left = bim.left_map(alpha, beta.source)
-        return left.compose(bim.right_map(beta, alpha.source))
+        left = left_action(bim, alpha, beta.source)
+        return left.compose(right_action(bim, beta, alpha.source))
 
     for u, u2, t, t2 in itertools.product(U.objects, U.objects, T.objects, T.objects):
         for ud, ui in U.basis_elements(u, u2):
@@ -471,20 +486,47 @@ def _first_chain_map_breaking_mutant(theorem_fixtures, side):
 
 
 def _leibniz_check(bim, monkeypatch):
-    """(two_sided_leibniz check of validate_bimodule, _leibniz_witness calls)."""
+    """(two_sided_leibniz check of validate_bimodule, basis pairs whose
+    Leibniz sides were read)."""
     from dgcat import bimodule
 
     calls = []
-    scan = bimodule._leibniz_witness
+    leibniz_sides = bimodule._leibniz_sides
 
-    def counted(*args):
-        calls.append(args)
-        return scan(*args)
+    def counted(bim):
+        sides = leibniz_sides(bim)
+
+        def counted_sides(*key):
+            calls.append(key)
+            return sides(*key)
+
+        return counted_sides
 
     with monkeypatch.context() as mp:
-        mp.setattr(bimodule, "_leibniz_witness", counted)
+        mp.setattr(bimodule, "_leibniz_sides", counted)
         report = validate_bimodule(bim)
     return report.check("two_sided_leibniz"), len(calls)
+
+
+def test_leibniz_scan_matches_the_whole_map_rule(theorem_fixtures):
+    """The two-sided Leibniz scan, run unconditionally, gives the oracle's
+    verdict and witness on every theorem fixture's bimodule and on a
+    sample of its single-entry mutants (a left or right image or a
+    value's differential), over Q and F_5."""
+    from dgcat import bimodule
+
+    rng = random.Random(0)
+    verdicts, fields = set(), set()
+    for fx in theorem_fixtures:
+        bim = fx["bimodule"]
+        fields.add(bim.field)
+        mutants = [m for side in ("left", "right", "d") for m in _action_mutants(bim, side)]
+        for mutant in [bim, *rng.sample(mutants, min(10, len(mutants)))]:
+            sides = bimodule._leibniz_sides(mutant)
+            want = _oracle_leibniz_witness(mutant)
+            assert bimodule._first_failure(mutant, sides, 1, ("lhs", "rhs")) == want
+            verdicts.add(want is None)
+    assert verdicts == {True, False} and fields == {QQ, PrimeField(5)}
 
 
 def test_leibniz_on_valid_bimodules_is_read_from_the_slices(

@@ -750,18 +750,26 @@ def test_wide_functor_laws_run_on_generators(monkeypatch, tmp_path, capsys):
     src.write_text(json.dumps(_wide_kkk(8)), encoding="utf-8")
     calls, runs = [], []
     f_on_morphisms = dgcat.comma.f_on_morphisms
-    laws_on_generators = dgcat.comma._laws_on_generators
+    generator_closure = dgcat.comma.generator_closure
 
     def counted_f(*args):
         calls.append(args)
         return f_on_morphisms(*args)
 
-    def recorded(*args):
-        runs.append(laws_on_generators(*args))
-        return runs[-1]
+    def recorded(field, spaces, compose):
+        """(generators, pairs checked) of the comma category's closure."""
+        checked = []
+
+        def counted(psi, g):
+            checked.append((psi, g))
+            return compose(psi, g)
+
+        closure = generator_closure(field, spaces, counted)
+        runs.append((closure[0], len(checked)))
+        return closure
 
     monkeypatch.setattr(dgcat.comma, "f_on_morphisms", counted_f)
-    monkeypatch.setattr(dgcat.comma, "_laws_on_generators", recorded)
+    monkeypatch.setattr(dgcat.comma, "generator_closure", recorded)
     assert main(["check-equivalence", "--input", str(src)]) == 0
     report = capsys.readouterr().out
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == WIDTH_8_REPORT

@@ -241,14 +241,14 @@ def law_generators(monkeypatch, fx):
     """The generators that check_equivalence's functor laws run on, as
     (i, j, n, basis index), from one unpatched run."""
     seen = []
-    laws_on_generators = dgcat.comma._laws_on_generators
+    generator_closure = dgcat.comma.generator_closure
 
     def recorded(*args):
-        seen.append(laws_on_generators(*args))
+        seen.append(generator_closure(*args))
         return seen[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(dgcat.comma, "_laws_on_generators", recorded)
+        patch.setattr(dgcat.comma, "generator_closure", recorded)
         check_equivalence(fx["lambda"], fx["comma_objects"], fx["lambda_modules"])
     ((generators, _),) = seen
     return [(*key, b) for key, b in generators]
@@ -383,6 +383,41 @@ def test_f_doubled_where_the_differential_law_cannot_see(monkeypatch, field):
     report = check_equivalence(lam, objs, fx["lambda_modules"])
     failed = {ch.name: ch.witness for ch in report.checks if not ch.passed}
     assert failed == {LAWS[1]: want[LAWS[1]], "equivalence_verified": None}
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_f_scaled_by_degree_fails_the_differential_law_only(monkeypatch, field):
+    """F'(phi) = 2^{|phi|} F(phi) still composes, since degrees add, but
+    F'(d phi) = 2 d F'(phi), so only the differential law fails.  The
+    generator closure alone decides composition, and passes, while the
+    one scan of the differential law gives its witness; both verdicts are
+    the oracle's."""
+    fx = random_theorem_fixture(3, field)
+    lam, objs = fx["lambda"], fx["comma_objects"]
+    f_on_morphisms = dgcat.comma.f_on_morphisms
+    two = field.from_int(2)
+
+    def scaled(lam, source, target, phi):
+        image = f_on_morphisms(lam, source, target, phi)
+        c = field.one()
+        for _ in range(abs(phi.degree)):
+            c = field.mul(c, two if phi.degree > 0 else field.inv(two))
+        comps = {p: comp.scale(c) for p, comp in image.components.items()}
+        return DgNatTransformation(source, target, image.degree, comps)
+
+    monkeypatch.setattr(dgcat.comma, "f_on_morphisms", scaled)
+    closures = []
+    generator_closure = dgcat.comma.generator_closure
+
+    def recorded(*args):
+        closures.append(generator_closure(*args))
+        return closures[-1]
+
+    monkeypatch.setattr(dgcat.comma, "generator_closure", recorded)
+    want = oracle_witnesses(lam, objs)
+    assert want == {LAWS[0]: {"pair": ["o_zero", "o_zero"], "degree": -2}, LAWS[1]: None}
+    assert report_witnesses(fx) == want
+    assert len(closures) == 1 and closures[0] is not None
 
 
 @pytest.mark.parametrize(

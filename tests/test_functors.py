@@ -18,6 +18,7 @@ from dgcat.fixtures import (
     random_endo_category,
     trivial_category,
 )
+from dgcat import functors
 from dgcat.functors import (
     DgFunctor,
     DgNatTransformation,
@@ -33,7 +34,9 @@ from dgcat.functors import (
     validate_dg_functor,
     yoneda_module,
 )
+from dgcat.graded import GradedMap
 from dgcat.linalg import dense_vector, unit_vector
+from dgcat.report import fmt_graded_map
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -367,3 +370,75 @@ def test_basis_coordinates_match_the_dense_rule(theorem_fixtures):
     assert fields == {QQ, F5}
     # 443 spaces, 432 basis elements and 425 bumped families when written
     assert spaces >= 400 and units >= 400 and bumped >= 400, (spaces, units, bumped)
+
+
+# ---------------------------------------------------------------------------
+# naturality decided by the flat difference against the whole-map rule
+
+
+def _oracle_naturality_witness(nat, generators=None):
+    """The whole-map rule: per basis morphism a of generators (default:
+    all), G(a).eta_x and (-1)^{nm} eta_y.F(a) built as graded maps and
+    compared; the first that differ, or None."""
+    F, G = nat.source, nat.target
+    base = F.base
+    n = nat.degree
+    for x in base.objects:
+        for y in base.objects:
+            basis = (
+                base.basis_elements(x, y) if generators is None else generators[(x, y)]
+            )
+            for m, k in basis:
+                lhs = G.map_of_basis(x, y, m, k).compose(nat.components[x])
+                rhs = nat.components[y].compose(F.map_of_basis(x, y, m, k))
+                rhs = rhs.scale(base.field.sign(n * m))
+                if lhs != rhs:
+                    return {
+                        "pair": [x, y],
+                        "basis": [m, k],
+                        "G_f_after_eta": fmt_graded_map(lhs),
+                        "signed_eta_after_F_f": fmt_graded_map(rhs),
+                    }
+    return None
+
+
+def _perturbed(nat, key, value):
+    """nat with value added at the entry key = (object, i, r, c)."""
+    obj, i, r, c = key
+    comp = nat.components[obj]
+    entries = [*comp.entries(), (i, r, c, value)]
+    components = {
+        **nat.components,
+        obj: GradedMap.from_entries(comp.source, comp.target, comp.degree, entries),
+    }
+    return DgNatTransformation(nat.source, nat.target, nat.degree, components)
+
+
+def test_naturality_witness_equals_the_whole_map_rule(theorem_fixtures):
+    """On every basis transformation of the (slice, B) spaces of G(B) and
+    of the coproduct Lambda-module spaces of the theorem fixtures, each as
+    it is and with one entry changed by +1 or -1 at a random unknown,
+    naturality_witness, and the scan on the generators where it applies,
+    give the whole-map rule's verdict and witness, over Q and F_5."""
+    rng = random.Random(0)
+    fields, natural, unnatural, on_generators = set(), 0, 0, 0
+    for fx in theorem_fixtures[3:]:
+        field = fx["lambda"].field
+        fields.add(field)
+        spaces = list(_transformation_spaces(fx))
+        for F, G, n, basis in rng.sample(spaces, min(4, len(spaces))):
+            keys = nat_unknowns(F, G, n)
+            generators = functors._natural_generators(F, G)
+            for nat in basis[:3]:
+                step = field.from_int(rng.choice((1, -1)))
+                for family in (nat, _perturbed(nat, rng.choice(keys), step)):
+                    want = _oracle_naturality_witness(family)
+                    assert naturality_witness(family) == want
+                    natural += want is None
+                    unnatural += want is not None
+                    if generators is not None:
+                        got = functors._naturality_witness(family, generators)
+                        assert got == _oracle_naturality_witness(family, generators)
+                        on_generators += 1
+    assert fields == {QQ, F5}
+    assert natural and unnatural and on_generators, (natural, unnatural, on_generators)

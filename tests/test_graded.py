@@ -433,12 +433,14 @@ def test_compose_graded_equals_the_dense_product(data):
 @settings(deadline=None)
 @given(st.data())
 def test_first_nonzero_sum_is_the_first_sum_not_the_zero_map(data):
-    """Sums of terms c * m and c * (g . f), with c in -2..2, against their
-    totals built by combination and compose_graded.  About half of the sums
-    get minus their own total as one more term, so they are zero by
-    cancellation between terms of any coefficient.  No sum after the first
-    nonzero one is read."""
+    """Triples (key, lhs, rhs) of sides of terms c * m and c * (g . f), with
+    c in -2..2, against the totals of their sides built by combination:
+    the key of the first triple whose totals differ.  About half of the
+    triples get lhs's own total as rhs, so their sides are equal, by
+    cancellation between terms of any coefficient, and nonzero whenever
+    that total is.  No triple after the first unequal one is read."""
     field = data.draw(st.sampled_from([QQ, F5]))
+    one = field.one()
     # every degree of -1..1 present, so that most composites are nonzero
     a, b, c = (
         GradedModule(field, {d: data.draw(st.integers(1, 2)) for d in (-1, 0, 1)})
@@ -449,31 +451,35 @@ def test_first_nonzero_sum_is_the_first_sum_not_the_zero_map(data):
     def draw_map(source, target, degree):
         return GradedMap(source, target, degree, data.draw(dense_map(field, source, target, degree)))
 
-    sums = []
-    for key in range(3):
-        terms, values = [], []
+    def draw_side():
+        terms = []
         for _ in range(data.draw(st.integers(0, 3))):
             coeff = field.from_int(data.draw(st.integers(-2, 2)))
             if data.draw(st.booleans()):
                 terms.append((coeff, draw_map(a, c, n + m)))
-                values.append((coeff, terms[-1][1]))
             else:
-                g, f = draw_map(b, c, m), draw_map(a, b, n)
-                terms.append((coeff, g, f))
-                values.append((coeff, compose_graded(g, f)))
-        total = combination(a, c, n + m, values)
+                terms.append((coeff, draw_map(b, c, m), draw_map(a, b, n)))
+        return terms, combination(a, c, n + m, terms)
+
+    triples = []
+    for key in range(3):
+        (lhs, lhs_total), (rhs, rhs_total) = draw_side(), draw_side()
         if data.draw(st.booleans()):
-            terms.append((field.neg(field.one()), total))
-            total = zero_map(a, c, n + m)
-        sums.append((key, terms, total))
-    want = next((key for key, _, total in sums if not total.is_zero()), None)
+            rhs, rhs_total = [(one, lhs_total)], lhs_total
+        triples.append((key, lhs, rhs, lhs_total != rhs_total))
+    want = next((key for key, _, _, differ in triples if differ), None)
 
     def lazily():
-        for key, terms, _ in sums:
-            yield key, terms
-            assert key != want, "a sum after the first nonzero one was read"
+        for key, lhs, rhs, _ in triples:
+            yield key, lhs, rhs
+            assert key != want, "a triple after the first unequal one was read"
 
     assert first_nonzero_sum(field, lazily()) == want
+    # equal nonzero sides: 2 * id + (id . id) = 3 * id, and its mirror
+    ident, two = identity_map(a), field.from_int(2)
+    lhs, rhs = [(two, ident), (one, ident, ident)], [(field.from_int(3), ident)]
+    assert first_nonzero_sum(field, [("equal", lhs, rhs), ("mirror", rhs, lhs)]) is None
+    assert first_nonzero_sum(field, [("unequal", lhs, [(two, ident)])]) == "unequal"
 
 
 def test_compose_graded_absent_blocks_empty_middle_and_cancellation():

@@ -25,6 +25,9 @@ ALLOWED = {
         "the benchmark tracer patches it by name, and the tests' per-vector "
         "dot oracle (conftest.raw_dot) decodes with it"
     ),
+    "category.DgCategoryPresentation.basis_element": (
+        "the tests build basis morphisms with it, as elements to act by"
+    ),
     "category.DgCategoryPresentation.compose_basis": (
         "the benchmark tracer times it as a span of its own, and the tests' "
         "dense composition oracle (conftest.compose) reads it"
