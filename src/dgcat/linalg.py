@@ -34,10 +34,6 @@ def vec_add(field, u, v):
     return tuple(field.add(x, y) for x, y in zip(u, v))
 
 
-def vec_scale(field, c, v):
-    return tuple(field.mul(c, x) for x in v)
-
-
 def _eliminate(field, row, c, pivot_row):
     """row - row[c] * pivot_row in place; column c drops out."""
     f = row.pop(c)

@@ -8,7 +8,15 @@ import itertools
 import json
 import time
 
-from conftest import compose, compose_from_products, path_category
+from conftest import (
+    compose,
+    compose_from_products,
+    opposite_tables,
+    path_category,
+    product_tables,
+    tensor_differential_oracle,
+    tensor_tables,
+)
 from dgcat import linalg
 from dgcat.bimodule import Bimodule, validate_bimodule
 from dgcat.category import (
@@ -49,14 +57,9 @@ from dgcat.functors import (
 from dgcat.graded import GradedMap, identity_map
 from dgcat.lambda_cat import build_lambda
 from dgcat.shipped import NAMES, shipped_workspace
-from tests.test_complexes import tensor_differential_oracle
 
 QQ = Rationals()
 F5 = PrimeField(5)
-
-
-def _unit(field, n, k):
-    return tuple(field.one() if i == k else field.zero() for i in range(n))
 
 
 def test_criterion_1_axiom_suite():
@@ -95,112 +98,20 @@ def test_criterion_1_axiom_suite():
 
 
 def _opposite_sign_holds(cat):
-    field = cat.field
     opp = opposite_category(cat)
-    if not validate_dg_category(opp).passed:
-        return False
-    for x in cat.objects:
-        for y in cat.objects:
-            for z in cat.objects:
-                for bd, bi in cat.basis_elements(z, y):
-                    b = cat.basis_element(z, y, bd, bi)
-                    for ad, ai in cat.basis_elements(y, x):
-                        a = cat.basis_element(y, x, ad, ai)
-                        want = tuple(
-                            field.mul(field.sign(ad * bd), v)
-                            for v in compose(cat, a, b).coords
-                        )
-                        got = compose(
-                            opp,
-                            opp.basis_element(y, z, bd, bi),
-                            opp.basis_element(x, y, ad, ai),
-                        ).coords
-                        if got != want:
-                            return False
-    double = opposite_category(opp)
-    return all(
-        double.products(*key) == cat.products(*key)
-        for key in itertools.product(cat.objects, repeat=3)
+    return (
+        validate_dg_category(opp).passed
+        and product_tables(opp) == opposite_tables(cat)
+        and product_tables(opposite_category(opp)) == product_tables(cat)
     )
 
 
 def _tensor_sign_holds(cat_a, cat_b):
-    field = cat_a.field
     prod = tensor_category(cat_a, cat_b)
-    if not validate_dg_category(prod).passed:
-        return False
-    pair_of = {}
-    for xa in cat_a.objects:
-        for xb in cat_b.objects:
-            pair_of[f"({xa},{xb})"] = (xa, xb)
-    for p in prod.objects:
-        for q in prod.objects:
-            for r in prod.objects:
-                xa, xb = pair_of[p]
-                ya, yb = pair_of[q]
-                za, zb = pair_of[r]
-                g_tensor = TensorComplex(
-                    cat_a.hom[(ya, za)], cat_b.hom[(yb, zb)]
-                )
-                f_tensor = TensorComplex(
-                    cat_a.hom[(xa, ya)], cat_b.hom[(xb, yb)]
-                )
-                out_tensor = TensorComplex(
-                    cat_a.hom[(xa, za)], cat_b.hom[(xb, zb)]
-                )
-                for p2, a2 in cat_a.basis_elements(ya, za):
-                    for q2, b2 in cat_b.basis_elements(yb, zb):
-                        g = prod.element(
-                            q,
-                            r,
-                            p2 + q2,
-                            g_tensor.encode_pure(
-                                p2,
-                                _unit(field, cat_a.hom[(ya, za)].dim(p2), a2),
-                                q2,
-                                _unit(field, cat_b.hom[(yb, zb)].dim(q2), b2),
-                            ),
-                        )
-                        for p1, a1 in cat_a.basis_elements(xa, ya):
-                            for q1, b1 in cat_b.basis_elements(xb, yb):
-                                f = prod.element(
-                                    p,
-                                    q,
-                                    p1 + q1,
-                                    f_tensor.encode_pure(
-                                        p1,
-                                        _unit(
-                                            field,
-                                            cat_a.hom[(xa, ya)].dim(p1),
-                                            a1,
-                                        ),
-                                        q1,
-                                        _unit(
-                                            field,
-                                            cat_b.hom[(xb, yb)].dim(q1),
-                                            b1,
-                                        ),
-                                    ),
-                                )
-                                got = compose(prod, g, f).coords
-                                alpha = compose(
-                                    cat_a,
-                                    cat_a.basis_element(ya, za, p2, a2),
-                                    cat_a.basis_element(xa, ya, p1, a1),
-                                )
-                                beta = compose(
-                                    cat_b,
-                                    cat_b.basis_element(yb, zb, q2, b2),
-                                    cat_b.basis_element(xb, yb, q1, b1),
-                                )
-                                want = out_tensor.encode_pure(
-                                    p2 + p1, alpha.coords, q2 + q1, beta.coords
-                                )
-                                sgn = field.sign(q2 * p1)
-                                want = tuple(field.mul(sgn, v) for v in want)
-                                if got != want:
-                                    return False
-    return True
+    return (
+        validate_dg_category(prod).passed
+        and product_tables(prod) == tensor_tables(prod, cat_a, cat_b)[0]
+    )
 
 
 def _complex_differentials_match(module_a, module_b):
@@ -208,7 +119,7 @@ def _complex_differentials_match(module_a, module_b):
     hc = HomComplex(module_a, module_b)
     for n in hc.module.carrier.degrees():
         for k in range(hc.module.dim(n)):
-            vec = _unit(field, hc.module.dim(n), k)
+            vec = linalg.unit_vector(field, hc.module.dim(n), k)
             got = hc.decode(n + 1, hc.module.d.apply(n, vec))
             want = hom_differential(module_a, module_b, hc.decode(n, vec))
             if got != want:
@@ -218,8 +129,8 @@ def _complex_differentials_match(module_a, module_b):
         for j in module_b.carrier.degrees():
             for a in range(module_a.dim(i)):
                 for b in range(module_b.dim(j)):
-                    x = _unit(field, module_a.dim(i), a)
-                    y = _unit(field, module_b.dim(j), b)
+                    x = linalg.unit_vector(field, module_a.dim(i), a)
+                    y = linalg.unit_vector(field, module_b.dim(j), b)
                     got = tc.module.d.apply(i + j, tc.encode_pure(i, x, j, y))
                     want = tensor_differential_oracle(tc, i, x, j, y)
                     if got != want:

@@ -3,7 +3,18 @@ import random
 
 import pytest
 
-from conftest import compose, dense_blocks, identity_nat, zero_functor
+from conftest import (
+    bimodule_with_entry,
+    compose,
+    entry_spots,
+    identity_nat,
+    k_module,
+    kkk_setup,
+    random_setup,
+    with_entry,
+    with_first_right_action_negated,
+    zero_functor,
+)
 from dgcat.bimodule import (
     Bimodule,
     GModule,
@@ -13,12 +24,10 @@ from dgcat.bimodule import (
 )
 from dgcat.category import opposite_category, tensor_category
 from dgcat.cli import main
-from dgcat.complexes import DgModule, TensorComplex, dg_module
+from dgcat.complexes import DgModule, TensorComplex
 from dgcat.errors import StructureError, ValidationFailure
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
-    endomorphism_category,
-    hom_bimodule,
     hom_from_module,
     random_dg_module,
     random_theorem_fixture,
@@ -39,47 +48,6 @@ from dgcat.graded import GradedMap
 from dgcat.shipped import FIXTURE_DIR, NAMES, shipped_workspace
 
 QQ = Rationals()
-
-
-def k_module(field=QQ, degree=0):
-    return dg_module(field, {degree: 1}, {})
-
-
-def kkk_setup(field=QQ):
-    """U = T = endomorphism category of K; M = Hom(K, K) = K."""
-    u_cat, u_cx = endomorphism_category(field, {"u0": k_module(field)}, name="U")
-    t_cat, t_cx = endomorphism_category(field, {"t0": k_module(field)}, name="T")
-    bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx, name="M")
-    return u_cat, t_cat, u_cx, t_cx, bim
-
-
-def random_setup(seed, field=QQ, max_objects=2):
-    rng = random.Random(seed)
-    from dgcat.fixtures import random_endo_category
-
-    u_cat, u_cx = random_endo_category(rng, field, "U", max_objects=max_objects)
-    t_cat, t_cx = random_endo_category(rng, field, "T", max_objects=max_objects)
-    bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx)
-    return u_cat, t_cat, u_cx, t_cx, bim, rng
-
-
-def with_first_right_action_negated(bim):
-    """A copy of bim, built through the constructor, whose first right
-    action table with a nonzero image acts with the opposite sign."""
-    right = dict(bim.right_images)
-    nonzero = [
-        key
-        for key, images in right.items()
-        if any(not image.is_zero() for image in images.values())
-    ]
-    assert nonzero
-    right[nonzero[0]] = {
-        basis: image.scale(bim.field.from_int(-1))
-        for basis, image in right[nonzero[0]].items()
-    }
-    return Bimodule(
-        bim.left_base, bim.right_base, bim.values, bim.left_images, right, name=bim.name
-    )
 
 
 def test_kkk_bimodule_validates():
@@ -238,9 +206,7 @@ def test_g_on_objects_refuses_an_invalid_b_on_every_call():
     bim = fx["bimodule"]
     B = fx["comma_objects"][2].B
     value = B.on_objects["u0"]
-    blocks = {k: [list(row) for row in block] for k, block in dense_blocks(value.d).items()}
-    blocks[-3][0][1] = QQ.from_int(3)
-    d = GradedMap(value.carrier, value.carrier, 1, blocks)
+    d = with_entry(value.d, (-3, 0, 1))
     bad = DgFunctor(
         B.base, {"u0": DgModule(value.carrier, d, check=False)}, B.images, name="Bbad"
     )
@@ -432,49 +398,15 @@ def _slices_are_chain_maps(bim):
     return all(validate_dg_functor(s).check("chain_map").passed for s in slices)
 
 
-def _bumped(gmap, i, row, col):
-    """gmap with the entry (row, col) of its block at degree i plus one."""
-    field = gmap.field
-    block = [list(r) for r in gmap.block(i)]
-    block[row][col] = field.add(block[row][col], field.one())
-    return GradedMap(gmap.source, gmap.target, gmap.degree, {**dense_blocks(gmap), i: block})
-
-
-def _entries(gmap):
-    """Every (degree, row, column) position of gmap's blocks, in order."""
-    for i in gmap.source.degrees():
-        for row in range(gmap.target.dim(i + gmap.degree)):
-            for col in range(gmap.source.dim(i)):
-                yield i, row, col
-
-
 def _action_mutants(bim, side):
     """Bimodules equal to bim but for one entry of one left ("left") or
     right ("right") basis image, or of one value's differential ("d")."""
-    parts = {"d": bim.values, "left": bim.left_images, "right": bim.right_images}
-    table = parts[side]
-    for key, entry in sorted(table.items()):
-        if side == "d":
-            bumps = (
-                DgModule(entry.carrier, _bumped(entry.d, *spot), check=False)
-                for spot in _entries(entry.d)
-            )
-        else:
-            bumps = (
-                {**entry, basis: _bumped(image, *spot)}
-                for basis, image in sorted(entry.items())
-                for spot in _entries(image)
-            )
-        for bad in bumps:
-            mutant = {**parts, side: {**table, key: bad}}
-            yield Bimodule(
-                bim.left_base,
-                bim.right_base,
-                mutant["d"],
-                mutant["left"],
-                mutant["right"],
-                name=bim.name,
-            )
+    if side == "d":
+        spots = entry_spots({key: value.d for key, value in bim.values.items()})
+    else:
+        spots = entry_spots(bim.left_images if side == "left" else bim.right_images)
+    for spot in spots:
+        yield bimodule_with_entry(bim, side, spot)
 
 
 def _first_chain_map_breaking_mutant(theorem_fixtures, side):

@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import compose, compose_basis_coords, compose_from_products, path_category
-from dgcat import linalg
+from conftest import (
+    compose,
+    leibniz_witness,
+    opposite_tables,
+    path_category,
+    product_tables,
+)
 from dgcat.category import (
-    DgCategoryPresentation,
     one_object_category,
     opposite_category,
     tensor_category,
@@ -131,24 +135,7 @@ def test_opposite_sign_rule():
     # |a| = |b| = 1 forces b.op . a.op = -(a . b).op.
     rng = random.Random(11)
     cat, _ = random_endo_category(rng, QQ, "E", max_objects=2)
-    opp = opposite_category(cat)
-    field = QQ
-    for x in cat.objects:
-        for y in cat.objects:
-            for z in cat.objects:
-                for bd, bi in cat.basis_elements(z, y):
-                    b = cat.basis_element(z, y, bd, bi)
-                    for ad, ai in cat.basis_elements(y, x):
-                        a = cat.basis_element(y, x, ad, ai)
-                        composed = compose(cat, a, b)
-                        sgn = field.sign(ad * bd)
-                        want = tuple(field.mul(sgn, v) for v in composed.coords)
-                        got = compose(
-                            opp,
-                            opp.basis_element(y, z, bd, bi),
-                            opp.basis_element(x, y, ad, ai),
-                        )
-                        assert got.coords == want
+    assert product_tables(opposite_category(cat)) == opposite_tables(cat)
 
 
 def test_opposite_validates_and_involutes():
@@ -171,22 +158,6 @@ def test_opposite_degree_zero_is_plain_reversal():
     assert compose(opp, f, g).coords == (Fraction(1),)
 
 
-def _per_pair_opposite_tables(cat):
-    """The opposite's tables as the per-pair rule gives them: each basis
-    pair composed densely in cat, twisted by (-1)^{|a||b|} and packed by
-    compose_from_products."""
-    field = cat.field
-    hom = {(a, b): cat.hom[(b, a)] for a in cat.objects for b in cat.objects}
-    opposite = DgCategoryPresentation(field, cat.objects, hom, {}, cat.ids)
-
-    def product(x, y, z, p, ib, q, ia):
-        out = compose_basis_coords(cat, z, y, x, q, ia, p, ib)
-        return linalg.vec_scale(field, field.sign(p * q), out)
-
-    compose_from_products(opposite, product)
-    return {key: opposite.products(*key) for key in itertools.product(cat.objects, repeat=3)}
-
-
 def test_opposite_tables_equal_the_per_pair_rule(theorem_fixtures):
     """The transposed tables equal the per-pair rule on the shipped and the
     theorem categories and triangular categories, over Q and F_5."""
@@ -200,8 +171,8 @@ def test_opposite_tables_equal_the_per_pair_rule(theorem_fixtures):
     odd = 0
     for cat in cats:
         opp = opposite_category(cat)
-        tables = {key: opp.products(*key) for key in itertools.product(cat.objects, repeat=3)}
-        assert tables == _per_pair_opposite_tables(cat), cat.name
+        tables = product_tables(opp)
+        assert tables == opposite_tables(cat), cat.name
         odd += sum(
             f[0] * g[0] % 2
             for table in tables.values()
@@ -329,22 +300,5 @@ def test_chain_map_condition_equals_leibniz_rule():
             continue
         found_nonzero_d = True
         assert validate_dg_category(cat).passed
-        for x in cat.objects:
-            for y in cat.objects:
-                for z in cat.objects:
-                    for fd, fi in cat.basis_elements(x, y):
-                        f = cat.basis_element(x, y, fd, fi)
-                        df = cat.differential(f)
-                        for gd, gi in cat.basis_elements(y, z):
-                            g = cat.basis_element(y, z, gd, gi)
-                            dg = cat.differential(g)
-                            lhs = cat.differential(compose(cat, g, f))
-                            sgn = field.sign(gd)
-                            first = compose(cat, dg, f).coords
-                            second = compose(cat, g, df).coords
-                            rhs = tuple(
-                                field.add(a, field.mul(sgn, b))
-                                for a, b in zip(first, second)
-                            )
-                            assert lhs.coords == rhs
+        assert leibniz_witness(cat) is None
     assert found_nonzero_d

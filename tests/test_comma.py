@@ -10,6 +10,7 @@ from conftest import (
     dot_by_vectors,
     extract_by_columns,
     identity_nat,
+    kkk_setup,
     nat_to_flat,
     raw_dot,
     shipped_theorem_fixture,
@@ -43,7 +44,6 @@ from dgcat.functors import (
 from dgcat.graded import GradedMap, identity_map
 from dgcat.lambda_cat import SLOT_M, SLOT_T, SLOT_U, build_lambda
 from dgcat.shipped import NAMES, shipped_text
-from tests.test_bimodule import kkk_setup
 
 QQ = Rationals()
 F5 = PrimeField(5)

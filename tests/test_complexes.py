@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from conftest import k_module, tensor_differential_oracle
 from dgcat import linalg
 from dgcat.fields import PrimeField, Rationals
 from dgcat.graded import GradedMap, GradedModule
@@ -25,28 +26,6 @@ def is_closed_degree_zero(source, target, f):
     if f.degree != 0:
         return False
     return hom_differential(source, target, f).is_zero()
-
-
-def tensor_differential_oracle(tcx, i, left_vec, j, right_vec):
-    """Right-hand side of the tensor Leibniz rule, computed independently.
-
-    Returns the coordinates of d(x (x) y) = d(x) (x) y + (-1)^i x (x) d(y)
-    at degree i + j + 1 without touching the assembled differential matrix.
-    """
-    field = tcx.left.field
-    dx = tcx.left.d.apply(i, left_vec)
-    dy = tcx.right.d.apply(j, right_vec)
-    first = tcx.encode_pure(i + 1, dx, j, right_vec)
-    second = tcx.encode_pure(i, left_vec, j + 1, dy)
-    sgn = field.sign(i)
-    return tuple(
-        field.add(u, field.mul(sgn, v)) for u, v in zip(first, second)
-    )
-
-
-def k_module(field=QQ, degree=0):
-    """K concentrated in one degree, zero differential."""
-    return dg_module(field, {degree: 1}, {})
 
 
 def contractible(field=QQ):

@@ -14,10 +14,15 @@ builders make, which must be none.
 import itertools
 import random
 
-from conftest import compose_basis_coords, compose_from_products
+from conftest import (
+    compose_basis_coords,
+    compose_from_products,
+    product_tables,
+    tensor_tables,
+)
 from dgcat import linalg
 from dgcat.category import DgCategoryPresentation, tensor_category
-from dgcat.complexes import HomComplex, TensorComplex
+from dgcat.complexes import HomComplex
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     endomorphism_category,
@@ -33,10 +38,6 @@ QQ = Rationals()
 F5 = PrimeField(5)
 
 
-def _tables(cat):
-    return {key: cat.products(*key) for key in itertools.product(cat.objects, repeat=3)}
-
-
 def _has_odd_morphism(cat):
     return any(
         m % 2 for x, y in itertools.product(cat.objects, repeat=2)
@@ -48,32 +49,6 @@ def _has_odd_morphism(cat):
 # tensor_category
 
 
-def _per_pair_tensor_tables(prod, cat_a, cat_b):
-    """prod's tables as the per-pair rule gives them: each basis pair's
-    factors composed densely in A and in B, tensored, signed by
-    (-1)^{|b2||a1|} and packed by compose_from_products."""
-    field = prod.field
-    pair_of = {f"({xa},{xb})": (xa, xb) for xa in cat_a.objects for xb in cat_b.objects}
-    tensors = {
-        (p, q): TensorComplex(cat_a.hom[(xa, ya)], cat_b.hom[(xb, yb)])
-        for p, (xa, xb) in pair_of.items()
-        for q, (ya, yb) in pair_of.items()
-    }
-
-    def product(p, q, r, gdeg, gidx, fdeg, fidx):
-        (xa, xb), (ya, yb), (za, zb) = pair_of[p], pair_of[q], pair_of[r]
-        p2, ia2, ib2 = tensors[(q, r)].basis(gdeg)[gidx]
-        p1, ia1, ib1 = tensors[(p, q)].basis(fdeg)[fidx]
-        q2, q1 = gdeg - p2, fdeg - p1
-        alpha = compose_basis_coords(cat_a, xa, ya, za, p2, ia2, p1, ia1)
-        beta = compose_basis_coords(cat_b, xb, yb, zb, q2, ib2, q1, ib1)
-        out = tensors[(p, r)].encode_pure(p2 + p1, alpha, q2 + q1, beta)
-        return linalg.vec_scale(field, field.sign(q2 * p1), out)
-
-    oracle = DgCategoryPresentation(field, prod.objects, prod.hom, {}, prod.ids)
-    return _tables(compose_from_products(oracle, product)), tensors
-
-
 def test_tensor_tables_equal_the_per_pair_rule():
     """On axiom categories where both factors have odd-degree morphisms,
     over Q and F_5; some entries carry the sign -1 of an odd |b2||a1|."""
@@ -83,8 +58,8 @@ def test_tensor_tables_equal_the_per_pair_rule():
         cat_a, cat_b = fx["t_cat"], fx["u_cat"]
         assert _has_odd_morphism(cat_a) and _has_odd_morphism(cat_b)
         prod = tensor_category(cat_a, cat_b)
-        oracle, tensors = _per_pair_tensor_tables(prod, cat_a, cat_b)
-        assert _tables(prod) == oracle, (str(field), seed)
+        oracle, tensors = tensor_tables(prod, cat_a, cat_b)
+        assert product_tables(prod) == oracle, (str(field), seed)
         for (p, q, r), table in oracle.items():
             for (fdeg, fidx), per_g in table.items():
                 a1 = tensors[(p, q)].basis(fdeg)[fidx][0]
@@ -113,7 +88,7 @@ def _dense_endomorphism_tables(cat, hom_cx):
         return hom_cx[(x, z)].encode(g.compose(f))
 
     oracle = DgCategoryPresentation(cat.field, cat.objects, cat.hom, {}, cat.ids)
-    return _tables(compose_from_products(oracle, product))
+    return product_tables(compose_from_products(oracle, product))
 
 
 def _dense_post_composition(g_cx, src, tgt, m, k):
@@ -160,7 +135,7 @@ def test_endomorphism_tables_equal_the_dense_build():
     for field, t_modules, u_modules, _ in _elementary_instances():
         for modules in (t_modules, u_modules):
             cat, hom_cx = endomorphism_category(field, modules)
-            assert _tables(cat) == _dense_endomorphism_tables(cat, hom_cx)
+            assert product_tables(cat) == _dense_endomorphism_tables(cat, hom_cx)
             for x, module in modules.items():
                 assert cat.ids[x] == hom_cx[(x, x)].encode(identity_map(module.carrier))
 
@@ -214,7 +189,7 @@ def _dense_yoneda_image(cat, origin, x, y, m, k):
 
     def column(i, j):
         dense = compose_basis_coords(cat, y, x, origin, i, j, m, k)
-        return linalg.vec_scale(field, field.sign(m * i), dense)
+        return tuple(field.mul(field.sign(m * i), v) for v in dense)
 
     source, target = cat.hom[(x, origin)].carrier, cat.hom[(y, origin)].carrier
     return map_from_action(source, target, m, column)

@@ -20,21 +20,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_blocks
+from conftest import (
+    bimodule_with_entry,
+    entry_spots,
+    theorem_modules,
+    whole_map_chain_map,
+    with_image_entry,
+)
 from dgcat import bimodule, functors
-from dgcat.bimodule import Bimodule, validate_bimodule
+from dgcat.bimodule import validate_bimodule
 from dgcat.cli import main
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_axiom_fixture
-from dgcat.functors import DgFunctor, representable_module, validate_dg_functor
-from dgcat.graded import GradedMap, combination, first_nonzero_sum
+from dgcat.functors import representable_module, validate_dg_functor
+from dgcat.graded import combination, first_nonzero_sum
 from dgcat.lambda_cat import build_lambda
 from dgcat.report import fmt_graded_map
 from dgcat.shipped import FIXTURE_DIR
-from tests.test_golden import _theorem_modules, _whole_map_chain_map
 
 FIELDS = {"Q": Rationals(), "F5": PrimeField(5)}
-STEPS = ("+1", "x2", "-1", "0")
+STEPS = (1, "x2", -1, "zero")
 SHIPPED = sorted(FIXTURE_DIR.glob("*.json"))
 
 
@@ -98,60 +103,6 @@ def _oracle_interchange_witness(bim):
     return None
 
 
-# ---------------------------------------------------------------------------
-# single-entry changes
-
-
-def _changed(field, value, step):
-    if step == "+1":
-        return field.add(value, field.one())
-    if step == "x2":
-        return field.mul(value, field.from_int(2))
-    if step == "-1":
-        return field.sub(value, field.one())
-    return field.zero()
-
-
-def _with_entry(gmap, i, row, col, step):
-    """gmap with the entry (row, col) of its block at degree i changed."""
-    block = [list(r) for r in gmap.block(i)]
-    block[row][col] = _changed(gmap.field, block[row][col], step)
-    return GradedMap(gmap.source, gmap.target, gmap.degree, {**dense_blocks(gmap), i: block})
-
-
-def _spots(table):
-    """(key, basis, i, row, col) for every entry position of every image
-    in table, a {key: {basis: graded map}} dict."""
-    for key, images in sorted(table.items()):
-        for basis, image in sorted(images.items()):
-            for i in image.source.degrees():
-                for row in range(image.target.dim(i + image.degree)):
-                    for col in range(image.source.dim(i)):
-                        yield key, basis, i, row, col
-
-
-def _changed_table(table, spot, step):
-    key, basis, i, row, col = spot
-    image = _with_entry(table[key][basis], i, row, col, step)
-    return {**table, key: {**table[key], basis: image}}
-
-
-def _functor_mutant(fun, spot, step):
-    images = _changed_table(fun.images, spot, step)
-    return DgFunctor(fun.base, fun.on_objects, images, name=fun.name)
-
-
-def _bimodule_mutant(bim, side, spot, step):
-    left, right = bim.left_images, bim.right_images
-    if side == "left":
-        left = _changed_table(left, spot, step)
-    else:
-        right = _changed_table(right, spot, step)
-    return Bimodule(
-        bim.left_base, bim.right_base, bim.values, left, right, name=bim.name
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _axiom_instance(field, seed):
     """(bimodule, functors) of one axiom fixture: its two modules, a slice
@@ -207,10 +158,10 @@ def test_functoriality_difference_matches_the_pairwise_scan(data, field):
     functorial_on agrees with the oracle sides on the spanning pairs."""
     seed = data.draw(st.integers(0, 39), label="seed")
     fun = data.draw(st.sampled_from(_axiom_instance(field, seed)[1]), label="functor")
-    spots = list(_spots(fun.images))
+    spots = list(entry_spots(fun.images))
     if spots:
         spot = data.draw(st.sampled_from(spots), label="entry")
-        fun = _functor_mutant(fun, spot, data.draw(st.sampled_from(STEPS), label="step"))
+        fun = with_image_entry(fun, spot, data.draw(st.sampled_from(STEPS), label="step"))
     expected = _oracle_functoriality_witness(fun)
 
     base = fun.base
@@ -247,11 +198,11 @@ def test_interchange_difference_matches_the_pairwise_scan(data, field):
     bim = _axiom_instance(field, seed)[0]
     side = data.draw(st.sampled_from(["left", "right"]), label="side")
     table = bim.left_images if side == "left" else bim.right_images
-    spots = list(_spots(table))
+    spots = list(entry_spots(table))
     if spots:
         spot = data.draw(st.sampled_from(spots), label="entry")
         step = data.draw(st.sampled_from(STEPS), label="step")
-        bim = _bimodule_mutant(bim, side, spot, step)
+        bim = bimodule_with_entry(bim, side, spot, step)
     expected = _oracle_interchange_witness(bim)
 
     sides = bimodule._interchange_sides(bim)
@@ -271,7 +222,7 @@ def test_valid_inputs_run_no_witness_scan(theorem_fixtures, capsys):
         for fx in theorem_fixtures:
             assert validate_bimodule(fx["bimodule"]).passed, fx["name"]
             lam = fx["lambda"].presentation
-            funs = [*_theorem_modules(fx), representable_module(lam, lam.objects[0])]
+            funs = [*theorem_modules(fx), representable_module(lam, lam.objects[0])]
             for fun in funs:
                 assert validate_dg_functor(fun).passed, (fx["name"], fun.name)
         for path in SHIPPED:
@@ -283,9 +234,9 @@ def test_valid_inputs_run_no_witness_scan(theorem_fixtures, capsys):
 
 def _first_functor_mutant(theorem_fixtures, fails):
     for fx in theorem_fixtures:
-        for fun in _theorem_modules(fx):
-            for spot in _spots(fun.images):
-                mutant = _functor_mutant(fun, spot, "+1")
+        for fun in theorem_modules(fx):
+            for spot in entry_spots(fun.images):
+                mutant = with_image_entry(fun, spot)
                 if fails(mutant):
                     return mutant
     raise AssertionError("no single-entry change fails the check")
@@ -296,8 +247,8 @@ def _first_bimodule_mutant(theorem_fixtures):
         bim = fx["bimodule"]
         for side in ("left", "right"):
             table = bim.left_images if side == "left" else bim.right_images
-            for spot in _spots(table):
-                mutant = _bimodule_mutant(bim, side, spot, "+1")
+            for spot in entry_spots(table):
+                mutant = bimodule_with_entry(bim, side, spot)
                 if _oracle_interchange_witness(mutant) is not None:
                     return mutant
     raise AssertionError("no single-entry change breaks the interchange")
@@ -305,7 +256,7 @@ def _first_bimodule_mutant(theorem_fixtures):
 
 def _breaks_chain_map(fun):
     return not all(
-        _whole_map_chain_map(fun, x, y)
+        whole_map_chain_map(fun, x, y)
         for x, y in itertools.product(fun.base.objects, repeat=2)
     )
 

@@ -7,6 +7,7 @@ from conftest import (
     identity_nat,
     nat_from_flat,
     nat_to_flat,
+    with_entry,
     zero_functor,
 )
 from dgcat.comma import build_coproduct_module
@@ -34,7 +35,6 @@ from dgcat.functors import (
     validate_dg_functor,
     yoneda_module,
 )
-from dgcat.graded import GradedMap
 from dgcat.linalg import dense_vector, unit_vector
 from dgcat.report import fmt_graded_map
 
@@ -402,18 +402,6 @@ def _oracle_naturality_witness(nat, generators=None):
     return None
 
 
-def _perturbed(nat, key, value):
-    """nat with value added at the entry key = (object, i, r, c)."""
-    obj, i, r, c = key
-    comp = nat.components[obj]
-    entries = [*comp.entries(), (i, r, c, value)]
-    components = {
-        **nat.components,
-        obj: GradedMap.from_entries(comp.source, comp.target, comp.degree, entries),
-    }
-    return DgNatTransformation(nat.source, nat.target, nat.degree, components)
-
-
 def test_naturality_witness_equals_the_whole_map_rule(theorem_fixtures):
     """On every basis transformation of the (slice, B) spaces of G(B) and
     of the coproduct Lambda-module spaces of the theorem fixtures, each as
@@ -430,8 +418,13 @@ def test_naturality_witness_equals_the_whole_map_rule(theorem_fixtures):
             keys = nat_unknowns(F, G, n)
             generators = functors._natural_generators(F, G)
             for nat in basis[:3]:
-                step = field.from_int(rng.choice((1, -1)))
-                for family in (nat, _perturbed(nat, rng.choice(keys), step)):
+                step = rng.choice((1, -1))
+                obj, *entry = rng.choice(keys)
+                component = with_entry(nat.components[obj], entry, step)
+                perturbed = DgNatTransformation(
+                    nat.source, nat.target, nat.degree, {**nat.components, obj: component}
+                )
+                for family in (nat, perturbed):
                     want = _oracle_naturality_witness(family)
                     assert naturality_witness(family) == want
                     natural += want is None

@@ -46,7 +46,17 @@ import random
 
 import pytest
 
-from conftest import dense_blocks, nat_to_flat, path_category
+from conftest import (
+    associativity_witness,
+    axiom_categories,
+    draw_image_spot,
+    nat_to_flat,
+    path_category,
+    theorem_modules,
+    whole_map_chain_map,
+    with_image_entry,
+    with_table_coordinate,
+)
 from dgcat.category import opposite_category, tensor_category, validate_dg_category
 from dgcat.cli import main
 from dgcat.complexes import HomComplex, TensorComplex
@@ -59,8 +69,6 @@ from dgcat.comma import (
 from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_axiom_fixture, random_theorem_fixture
 from dgcat.functors import (
-    DgFunctor,
-    action_from_basis_images,
     chain_map_holds,
     dgnat_space,
     dgnat_window,
@@ -68,11 +76,8 @@ from dgcat.functors import (
     representable_module,
     validate_dg_functor,
 )
-from dgcat.graded import GradedMap
 from dgcat.io_json import emit_category, render_document
 from dgcat.lambda_cat import build_lambda
-from dgcat.linalg import dense_vector
-from dgcat.report import fmt_vector
 from dgcat.shipped import FIXTURE_DIR
 
 COMMANDS = {
@@ -281,19 +286,12 @@ CORRUPTED_REPORTS = {
 LAMBDA_TRIPLES = 6
 
 
-def _axiom_categories(field, seed):
-    fx = random_axiom_fixture(seed, FIELDS[field])
-    lam = build_lambda(fx["t_cat"], fx["u_cat"], fx["bimodule"], validate=False)
-    return {"T": fx["t_cat"], "U": fx["u_cat"], "Lambda": lam.presentation}
-
-
 def _bump(cat, key, rng):
-    """The product table of key with one coordinate of one composite plus
-    one, or None when the triple composes into zero spaces only.  The
-    position is drawn as (degree, row, column) of the matrix of composition
-    out of the tensor complex hom(y,z) (x) hom(x,y)."""
+    """The spot of one coordinate of one composite of the triple key, or
+    None when it composes into zero spaces only.  The position is drawn as
+    (degree, row, column) of the matrix of composition out of the tensor
+    complex hom(y,z) (x) hom(x,y)."""
     x, y, z = key
-    field = cat.field
     source = TensorComplex(cat.hom[(y, z)], cat.hom[(x, y)])
     target = cat.hom[(x, z)].carrier
     degrees = [n for n in source.carrier.degrees() if target.dim(n)]
@@ -302,37 +300,21 @@ def _bump(cat, key, rng):
     n = rng.choice(degrees)
     row, col = rng.randrange(target.dim(n)), rng.randrange(source.carrier.dim(n))
     gdeg, gidx, fidx = source.basis(n)[col]
-    entries = {
-        (f, g, r): c
-        for f, per_g in cat.products(*key).items()
-        for g, terms in per_g.items()
-        for r, c in terms
-    }
-    bumped = ((n - gdeg, fidx), (gdeg, gidx), row)
-    entries[bumped] = field.add(entries.get(bumped, field.zero()), field.one())
-    table = {}
-    for (f, g, r), c in sorted(entries.items()):
-        if not field.is_zero(c):
-            per_g = table.setdefault(f, {})
-            per_g[g] = per_g.get(g, ()) + ((r, c),)
-    return table
+    return key, (n - gdeg, fidx), (gdeg, gidx), row
 
 
 def _corrupted(field, seed, label):
-    """(cat, report) per bumped triple; cat stays corrupted until the next
-    step, so a caller can inspect it."""
-    cat = _axiom_categories(field, seed)[label]
-    original = {
-        key: cat.products(*key) for key in itertools.product(cat.objects, repeat=3)
-    }
+    """(cat, report) per bumped triple: cat with one coordinate plus one."""
+    cat = axiom_categories(FIELDS[field], seed)[label]
     rng = random.Random(f"{field}/{seed}/{label}")
-    bumps = [(key, _bump(cat, key, rng)) for key in sorted(original)]
-    bumps = [(key, bad) for key, bad in bumps if bad is not None]
+    keys = sorted(itertools.product(cat.objects, repeat=3))
+    spots = [_bump(cat, key, rng) for key in keys]
+    spots = [spot for spot in spots if spot is not None]
     if label == "Lambda":
-        bumps = rng.sample(bumps, min(LAMBDA_TRIPLES, len(bumps)))
-    for key, bad in bumps:
-        cat.set_products({**original, key: bad})
-        yield cat, validate_dg_category(cat)
+        spots = rng.sample(spots, min(LAMBDA_TRIPLES, len(spots)))
+    for spot in spots:
+        bad = with_table_coordinate(cat, spot)
+        yield bad, validate_dg_category(bad)
 
 
 @functools.lru_cache(maxsize=None)
@@ -360,63 +342,11 @@ def test_corrupted_reports_cover_both_composition_axioms():
     }
 
 
-def _reference_compose_basis(cat, x, y, z, gdeg, gidx, fdeg, fidx):
-    """The composite of two basis morphisms, read off the product table."""
-    return cat.products(x, y, z).get((fdeg, fidx), {}).get((gdeg, gidx), ())
-
-
-def _sparse_then(cat, x, y, z, gdeg, gidx, sparse, sdeg):
-    """Sparse composite basis(gdeg, gidx) . (sparse vector at degree sdeg)."""
-    field = cat.field
-    acc = {}
-    for fi, fval in sparse:
-        for r, coeff in _reference_compose_basis(cat, x, y, z, gdeg, gidx, sdeg, fi):
-            acc[r] = field.add(acc.get(r, field.zero()), field.mul(fval, coeff))
-    return {k: v for k, v in acc.items() if not field.is_zero(v)}
-
-
-def _sparse_after(cat, x, y, z, sparse, sdeg, fdeg, fidx):
-    """Sparse composite (sparse vector at degree sdeg) . basis(fdeg, fidx)."""
-    field = cat.field
-    acc = {}
-    for gi, gval in sparse:
-        for r, coeff in _reference_compose_basis(cat, x, y, z, sdeg, gi, fdeg, fidx):
-            acc[r] = field.add(acc.get(r, field.zero()), field.mul(gval, coeff))
-    return {k: v for k, v in acc.items() if not field.is_zero(v)}
-
-
-def _reference_associativity_witness(cat):
-    """The first basis triple (f, g, h) where h.(g.f) != (h.g).f, found
-    pair by pair over every object quadruple."""
-    field = cat.field
-    for x, y, z, w in itertools.product(cat.objects, repeat=4):
-        for fd, fi in cat.basis_elements(x, y):
-            for gd, gi in cat.basis_elements(y, z):
-                gf = _reference_compose_basis(cat, x, y, z, gd, gi, fd, fi)
-                for hd, hi in cat.basis_elements(z, w):
-                    hg = _reference_compose_basis(cat, y, z, w, hd, hi, gd, gi)
-                    left = _sparse_then(cat, x, z, w, hd, hi, gf, gd + fd)
-                    right = _sparse_after(cat, x, y, w, hg, hd + gd, fd, fi)
-                    if left != right:
-                        dim = cat.hom[(x, w)].dim(fd + gd + hd)
-                        return {
-                            "objects": [x, y, z, w],
-                            "basis": [[fd, fi], [gd, gi], [hd, hi]],
-                            "h_after_gf": fmt_vector(
-                                field, dense_vector(field, left.items(), dim)
-                            ),
-                            "hg_after_f": fmt_vector(
-                                field, dense_vector(field, right.items(), dim)
-                            ),
-                        }
-    return None
-
-
 @pytest.mark.parametrize("field,seed,label", sorted(CORRUPTED_REPORTS))
 def test_associativity_witness_matches_pairwise_sweep(field, seed, label):
     for cat, report in _corrupted(field, seed, label):
         (check,) = [c for c in report.checks if c.name == "associativity"]
-        assert check.witness == _reference_associativity_witness(cat)
+        assert check.witness == associativity_witness(cat)
 
 
 # (field, axiom fixture seed, module) -> SHA-256 of the joined reports
@@ -451,38 +381,15 @@ def _axiom_modules(field, seed):
     }
 
 
-def _bump_image(fun, key, rng):
-    """fun with one entry of one basis image on the object pair key plus
-    one, or None when every image of the pair is between zero spaces."""
-    x, y = key
-    source, target = fun.on_objects[x].carrier, fun.on_objects[y].carrier
-    spots = [
-        (basis, i)
-        for basis in sorted(fun.images[key])
-        for i in source.degrees()
-        if target.dim(i + basis[0])
-    ]
-    if not spots:
-        return None
-    (m, k), i = rng.choice(spots)
-    image = fun.images[key][(m, k)]
-    row, col = rng.randrange(target.dim(i + m)), rng.randrange(source.dim(i))
-    block = [list(r) for r in image.block(i)]
-    block[row][col] = fun.field.add(block[row][col], fun.field.one())
-    bumped = GradedMap(source, target, m, {**dense_blocks(image), i: block})
-    images = {**fun.images, key: {**fun.images[key], (m, k): bumped}}
-    return DgFunctor(fun.base, fun.on_objects, images, name=fun.name)
-
-
 def _corrupted_modules(field, seed, label):
     """One functor per object pair, each with one bumped basis image."""
     fun = _axiom_modules(field, seed)[label]
     rng = random.Random(f"{field}/{seed}/{label}")
-    bumps = [_bump_image(fun, key, rng) for key in sorted(fun.images)]
-    bumps = [bad for bad in bumps if bad is not None]
+    spots = [draw_image_spot(fun, key, rng) for key in sorted(fun.images)]
+    spots = [spot for spot in spots if spot is not None]
     if label == "Lambda":
-        bumps = rng.sample(bumps, min(LAMBDA_PAIRS, len(bumps)))
-    return bumps
+        spots = rng.sample(spots, min(LAMBDA_PAIRS, len(spots)))
+    return [with_image_entry(fun, spot) for spot in spots]
 
 
 @functools.lru_cache(maxsize=None)
@@ -510,34 +417,14 @@ def test_corrupted_module_reports_cover_both_functor_axioms():
     }
 
 
-def _whole_map_chain_map(fun, x, y):
-    """The chain-map test on hom(x, y) as one comparison of graded maps
-    into the Hom complex of the values: action.d == d.action."""
-    hc = HomComplex(fun.on_objects[x], fun.on_objects[y])
-    hom = fun.base.hom[(x, y)]
-    images = fun.images[(x, y)]
-    action = action_from_basis_images(hom.carrier, hc, lambda m, k: images[(m, k)])
-    return action.compose(hom.d) == hc.module.d.compose(action)
-
-
-def _theorem_modules(fx):
-    bim = fx["bimodule"]
-    yield from fx["lambda_modules"]
-    for obj in fx["comma_objects"]:
-        yield obj.A
-        yield obj.B
-    yield from (bim.slice_t(t) for t in fx["t_cat"].objects)
-    yield from (bim.slice_u(u) for u in fx["u_cat"].objects)
-
-
 def test_basis_chain_map_check_matches_whole_map_test(theorem_fixtures):
-    funs = [f for fx in theorem_fixtures for f in _theorem_modules(fx)]
+    funs = [f for fx in theorem_fixtures for f in theorem_modules(fx)]
     for key in sorted(CORRUPTED_MODULE_REPORTS):
         funs.extend(_corrupted_modules(*key))
     verdicts = []
     for fun in funs:
         for x, y in itertools.product(fun.base.objects, repeat=2):
             verdict = chain_map_holds(fun, x, y)
-            assert verdict == _whole_map_chain_map(fun, x, y), (fun.name, x, y)
+            assert verdict == whole_map_chain_map(fun, x, y), (fun.name, x, y)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts

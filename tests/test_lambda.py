@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import compose, compose_basis_coords, compose_from_products
+from conftest import (
+    compose,
+    compose_basis_coords,
+    compose_from_products,
+    kkk_setup,
+    leibniz_witness,
+    product_tables,
+    random_setup,
+    with_first_right_action_negated,
+    zero_functor,
+)
 from dgcat import linalg
 from dgcat.bimodule import Bimodule
 from dgcat.category import (
@@ -22,9 +32,7 @@ from dgcat.lambda_cat import (
     build_lambda,
     restrict_module,
 )
-from dgcat.report import fmt_vector
 from dgcat.shipped import NAMES, shipped_workspace
-from tests.test_bimodule import kkk_setup, random_setup, with_first_right_action_negated
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -143,38 +151,6 @@ def _doubled_odd_lambda():
     return build_lambda(fx["t_cat"], fx["u_cat"], bad, validate=False)
 
 
-def _first_leibniz_violation(cat):
-    """The composition_chain_map witness of cat, from both sides of
-    d(g.f) = dg.f + (-1)^{|g|} g.df composed pair by pair (conftest.compose),
-    over the object triples in order and the basis pairs sorted by
-    (|g| + |f|, |g|, g index, f index)."""
-    field, d = cat.field, cat.differential
-
-    def order(gf):
-        (gd, gi), (fd, fi) = gf
-        return gd + fd, gd, gi, fi
-
-    for x, y, z in itertools.product(cat.objects, repeat=3):
-        pairs = itertools.product(cat.basis_elements(y, z), cat.basis_elements(x, y))
-        for g, f in sorted(pairs, key=order):
-            g_elem, f_elem = cat.basis_element(y, z, *g), cat.basis_element(x, y, *f)
-            lhs = d(compose(cat, g_elem, f_elem)).coords
-            g_df = compose(cat, g_elem, d(f_elem)).coords
-            rhs = linalg.vec_add(
-                field,
-                compose(cat, d(g_elem), f_elem).coords,
-                linalg.vec_scale(field, field.sign(g[0]), g_df),
-            )
-            if lhs != rhs:
-                return {
-                    "triple": [x, y, z],
-                    "basis": {"g": list(g), "f": list(f)},
-                    "comp_after_d": fmt_vector(field, rhs),
-                    "d_after_comp": fmt_vector(field, lhs),
-                }
-    return None
-
-
 def test_lambda_leibniz_witness_is_the_first_violation():
     """Doubling the odd action images breaks d(u . m) = d(u) . m +
     (-1)^{|u|} u . d(m): Lambda fails composition_chain_map first, at a
@@ -183,7 +159,7 @@ def test_lambda_leibniz_witness_is_the_first_violation():
     lam = _doubled_odd_lambda()
     failure = validate_dg_category(lam.presentation).first_failure()
     assert failure is not None and failure.name == "composition_chain_map"
-    assert failure.witness == _first_leibniz_violation(lam.presentation)
+    assert failure.witness == leibniz_witness(lam.presentation)
     x, y, z = failure.witness["triple"]
     (gd, gi), (fd, fi) = failure.witness["basis"]["g"], failure.witness["basis"]["f"]
     assert lam.slots[(y, z)][gd][gi][0] == SLOT_U
@@ -205,8 +181,6 @@ def test_restrict_representable_module():
 
 
 def test_restrict_zero_module():
-    from conftest import zero_functor
-
     u_cat, t_cat, _, _, bim = kkk_setup()
     lam = build_lambda(t_cat, u_cat, bim)
     c1, c2 = restrict_module(lam, zero_functor(lam.presentation))
@@ -250,7 +224,7 @@ def _oracle_tables(lam):
         if (slot_g, slot_f) == (SLOT_M, SLOT_T):
             image = bimodule.right_images[(t1, t2, u3)][(fdeg, lf)]
             out = image.apply(gdeg, linalg.unit_vector(field, image.source.dim(gdeg), lg))
-            out = linalg.vec_scale(field, field.sign(gdeg * fdeg), out)
+            out = tuple(field.mul(field.sign(gdeg * fdeg), v) for v in out)
             return sums[(p1, p3)].inject(SLOT_M, n, out)
         if (slot_g, slot_f) == (SLOT_U, SLOT_M):
             image = bimodule.left_images[(u2, u3, t1)][(gdeg, lg)]
@@ -260,11 +234,7 @@ def _oracle_tables(lam):
 
     oracle = DgCategoryPresentation(field, pres.objects, pres.hom, {}, pres.ids)
     compose_from_products(oracle, matrix_product)
-    return _tables(oracle)
-
-
-def _tables(cat):
-    return {key: cat.products(*key) for key in itertools.product(cat.objects, repeat=3)}
+    return product_tables(oracle)
 
 
 def _odd_sign_terms(lam):
@@ -298,7 +268,7 @@ def test_lambda_tables_equal_the_per_pair_rule(theorem_fixtures):
     odd_signs, d_of_m = 0, set()
     for name, inputs in _lambdas(theorem_fixtures):
         lam = build_lambda(*inputs, validate=False)
-        assert _tables(lam.presentation) == _oracle_tables(lam), name
+        assert product_tables(lam.presentation) == _oracle_tables(lam), name
         odd_signs += _odd_sign_terms(lam)
         if any(not value.d.is_zero() for value in lam.bimodule.values.values()):
             d_of_m.add(name)

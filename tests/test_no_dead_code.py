@@ -30,7 +30,7 @@ ALLOWED = {
     ),
     "category.DgCategoryPresentation.compose_basis": (
         "the benchmark tracer times it as a span of its own, and the tests' "
-        "dense composition oracle (conftest.compose) reads it"
+        "dense basis composite (conftest.compose_basis_coords) reads it"
     ),
     "fields.PrimeField.div": (
         "field interface: the benchmark's field-op count wraps every op, div included"
@@ -39,8 +39,9 @@ ALLOWED = {
         "field interface: the benchmark's field-op count wraps every op, div included"
     ),
     "complexes.HomComplex.decode": (
-        "the benchmark tracer patches it by name, and the Hom complex tests "
-        "decode with it"
+        "the benchmark tracer patches it by name, and the tests' Hom "
+        "differential oracles (test_acceptance._complex_differentials_match, "
+        "test_composition_rules._decode_basis) decode with it"
     ),
     "fixtures.exterior_category": "tests build the exterior algebra example from it",
     "fixtures.random_axiom_fixture": "bench/documents.py and the tests draw instances from it",
@@ -51,7 +52,6 @@ ALLOWED = {
         "bench/documents.py emits its generated documents with it, and the "
         "tests check that parsing then emitting keeps the bytes"
     ),
-    "linalg.vec_scale": "the tests' sign oracles scale coordinate vectors with it",
     "report.Report.failures": "tests list the failing checks of a report with it",
     "shipped.contractible_workspace": "bench/documents.py reads it by name",
     "shipped.exterior_workspace": "bench/documents.py reads it by name",

@@ -17,7 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_blocks, identity_nat, nat_from_flat, nat_to_flat
+from conftest import (
+    associativity_witness,
+    axiom_categories,
+    draw_image_spot,
+    identity_nat,
+    nat_from_flat,
+    nat_to_flat,
+    presentation_with,
+    table_spots,
+    with_image_entry,
+    with_table_coordinate,
+)
 from dgcat import functors, linalg
 from dgcat.category import (
     DgCategoryPresentation,
@@ -40,9 +51,6 @@ from dgcat.functors import (
     representable_module,
     validate_dg_functor,
 )
-from dgcat.graded import GradedMap
-from dgcat.lambda_cat import build_lambda
-from tests.test_golden import _reference_associativity_witness
 
 QQ = Rationals()
 F5 = PrimeField(5)
@@ -65,23 +73,6 @@ def _all_basis():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DgCategoryPresentation, "spanning", _every_basis_morphism)
         yield
-
-
-def _copy(cat, tables=None):
-    """A new presentation of cat, with some product tables replaced."""
-    products = {
-        key: cat.products(*key) for key in itertools.product(cat.objects, repeat=3)
-    }
-    products.update(tables or {})
-    return DgCategoryPresentation(
-        cat.field, cat.objects, cat.hom, products, cat.ids, name=cat.name
-    )
-
-
-def _axiom_categories(field, seed):
-    fx = random_axiom_fixture(seed, field)
-    lam = build_lambda(fx["t_cat"], fx["u_cat"], fx["bimodule"], validate=False)
-    return fx["t_cat"], fx["u_cat"], lam.presentation
 
 
 def _basis(cat):
@@ -123,9 +114,9 @@ def _replayed(cat, spanning):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 79), field=st.sampled_from([QQ, F5]))
 def test_closure_reaches_every_basis_morphism(seed, field):
-    for cat in _axiom_categories(field, seed):
+    for cat in axiom_categories(field, seed).values():
         spanning = cat.spanning()
-        assert _copy(cat).spanning() == spanning
+        assert presentation_with(cat).spanning() == spanning
         assert _replayed(cat, spanning) == _basis(cat)
         # the generators' unit vectors and the pairs' composites are
         # independent in each hom(x, y)^n, and there are dim of them
@@ -158,36 +149,8 @@ def test_closure_skips_zero_coefficients_in_a_table():
     assert spanning.pairs == ()
 
 
-def _bumped_table(cat, key, rng):
-    """(table, f): the product table of key with one coefficient of the
-    composite of some pair (f, g) plus one, or None."""
-    x, y, z = key
-    spots = [
-        (f, g, r)
-        for f in cat.basis_elements(x, y)
-        for g in cat.basis_elements(y, z)
-        for r in range(cat.hom[(x, z)].dim(f[0] + g[0]))
-    ]
-    if not spots:
-        return None
-    f, g, r = rng.choice(spots)
-    field = cat.field
-    table = {f2: dict(per_g) for f2, per_g in cat.products(*key).items()}
-    terms = dict(table.get(f, {}).get(g, ()))
-    terms[r] = field.add(terms.get(r, field.zero()), field.one())
-    table.setdefault(f, {})[g] = tuple(
-        (s, c) for s, c in sorted(terms.items()) if not field.is_zero(c)
-    )
-    return table, f
-
-
 # mutants per category; a triangular category has hundreds of triples
 SAMPLE = 4
-
-
-def _failed(report, name):
-    (check,) = [c for c in report.checks if c.name == name]
-    return check.witness is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,27 +165,12 @@ def test_first_unassociative_pair_is_the_pairwise_sweeps_first(data, field):
     seed = data.draw(st.integers(0, 79), label="seed")
     fx = random_axiom_fixture(seed, field)
     cat = fx[data.draw(st.sampled_from(["t_cat", "u_cat"]), label="category")]
-    spots = [
-        (key, f, g, r)
-        for key in itertools.product(cat.objects, repeat=3)
-        for f in cat.basis_elements(*key[:2])
-        for g in cat.basis_elements(*key[1:])
-        for r in range(cat.hom[(key[0], key[2])].dim(f[0] + g[0]))
-    ]
+    spots = list(table_spots(cat))
     if spots:
-        key, f, g, r = data.draw(st.sampled_from(spots), label="entry")
-        step = data.draw(st.sampled_from([1, 2, -1, None]), label="step")
-        table = {f2: dict(per_g) for f2, per_g in cat.products(*key).items()}
-        terms = dict(table.get(f, {}).get(g, ()))
-        if step is None:
-            terms[r] = field.zero()
-        else:
-            terms[r] = field.add(terms.get(r, field.zero()), field.from_int(step))
-        table.setdefault(f, {})[g] = tuple(
-            (s, c) for s, c in sorted(terms.items()) if not field.is_zero(c)
-        )
-        cat = _copy(cat, {key: table})
-    expected = _reference_associativity_witness(cat)
+        spot = data.draw(st.sampled_from(spots), label="entry")
+        step = data.draw(st.sampled_from([1, 2, -1, "zero"]), label="step")
+        cat = with_table_coordinate(cat, spot, step)
+    expected = associativity_witness(cat)
     for quadruple in itertools.product(cat.objects, repeat=4):
         pair = _first_unassociative_pair(
             cat, *quadruple, cat.basis_elements(*quadruple[:2])
@@ -241,45 +189,23 @@ def test_associativity_fallback_keeps_the_full_scan_report():
     kinds = set()
     for field, seed in itertools.product((QQ, F5), range(2)):
         rng = random.Random(f"assoc/{field}/{seed}")
-        for cat in _axiom_categories(field, seed):
+        for cat in axiom_categories(field, seed).values():
             generators = cat.spanning().generators
             keys = list(itertools.product(cat.objects, repeat=3))
             for key in rng.sample(keys, min(SAMPLE, len(keys))):
-                bumped = _bumped_table(cat, key, rng)
-                if bumped is None:
+                spots = list(table_spots(cat, keys=[key]))
+                if not spots:
                     continue
-                table, f = bumped
-                bad = _copy(cat, {key: table})
+                spot = rng.choice(spots)
+                f = spot[1]
+                bad = with_table_coordinate(cat, spot)
                 fast = validate_dg_category(bad)
                 with _all_basis():
-                    full = validate_dg_category(_copy(bad))
+                    full = validate_dg_category(presentation_with(bad))
                 assert fast.render() == full.render()
-                if _failed(fast, "associativity"):
+                if fast.check("associativity").witness is not None:
                     kinds.add(f in generators[key[:2]])
     assert kinds == {True, False}
-
-
-def _bumped_image(fun, key, rng):
-    """(functor, basis morphism): fun with one entry of the image of that
-    basis morphism of hom(key) plus one, or None."""
-    x, y = key
-    source, target = fun.on_objects[x].carrier, fun.on_objects[y].carrier
-    spots = [
-        (basis, i)
-        for basis in sorted(fun.images[key])
-        for i in source.degrees()
-        if target.dim(i + basis[0])
-    ]
-    if not spots:
-        return None
-    (m, k), i = rng.choice(spots)
-    image = fun.images[key][(m, k)]
-    row, col = rng.randrange(target.dim(i + m)), rng.randrange(source.dim(i))
-    block = [list(r) for r in image.block(i)]
-    block[row][col] = fun.field.add(block[row][col], fun.field.one())
-    bumped = GradedMap(source, target, m, {**dense_blocks(image), i: block})
-    images = {**fun.images, key: {**fun.images[key], (m, k): bumped}}
-    return DgFunctor(fun.base, fun.on_objects, images, name=fun.name), (m, k)
 
 
 def test_functoriality_fallback_keeps_the_full_scan_report():
@@ -289,21 +215,21 @@ def test_functoriality_fallback_keeps_the_full_scan_report():
     kinds = set()
     for field, seed in itertools.product((QQ, F5), range(2)):
         rng = random.Random(f"functor/{field}/{seed}")
-        t_cat, _, lam_cat = _axiom_categories(field, seed)
-        for cat in (t_cat, lam_cat):
+        cats = axiom_categories(field, seed)
+        for cat in (cats["T"], cats["Lambda"]):
             fun = representable_module(cat, cat.objects[0])
             assert fun.base.associative()
             keys = sorted(fun.images)
             for key in rng.sample(keys, min(SAMPLE, len(keys))):
-                bumped = _bumped_image(fun, key, rng)
-                if bumped is None:
+                spot = draw_image_spot(fun, key, rng)
+                if spot is None:
                     continue
-                bad, a = bumped
+                bad, a = with_image_entry(fun, spot), spot[1]
                 fast = validate_dg_functor(bad)
                 with _all_basis():
                     full = validate_dg_functor(bad)
                 assert fast.render() == full.render()
-                if _failed(fast, "functoriality"):
+                if fast.check("functoriality").witness is not None:
                     kinds.add(a in fun.base.spanning().generators[key])
     assert kinds == {True, False}
 
@@ -312,14 +238,14 @@ def test_functoriality_over_a_non_associative_base_is_the_full_scan():
     rng = random.Random("non-associative")
     seen = 0
     for field in (QQ, F5):
-        _, _, lam_cat = _axiom_categories(field, 1)
+        lam_cat = axiom_categories(field, 1)["Lambda"]
         fun = representable_module(lam_cat, lam_cat.objects[0])
         keys = list(itertools.product(lam_cat.objects, repeat=3))
         for key in rng.sample(keys, 3):
-            bumped = _bumped_table(lam_cat, key, rng)
-            if bumped is None:
+            spots = list(table_spots(lam_cat, keys=[key]))
+            if not spots:
                 continue
-            base = _copy(lam_cat, {key: bumped[0]})
+            base = with_table_coordinate(lam_cat, rng.choice(spots))
             if base.associative():
                 continue
             moved = DgFunctor(base, fun.on_objects, fun.images, name=fun.name)
@@ -334,7 +260,7 @@ def test_functoriality_over_a_non_associative_base_is_the_full_scan():
 def test_a_functoriality_pass_answers_functorial_on(monkeypatch):
     """A PASS covers every basis pair, so the spanning pairs are not
     checked again."""
-    cat = _axiom_categories(QQ, 1)[2]
+    cat = axiom_categories(QQ, 1)["Lambda"]
     fun = representable_module(cat, cat.objects[0])
     assert validate_dg_functor(fun).passed
     monkeypatch.setattr(functors, "_composition_sums", None)
