@@ -118,12 +118,16 @@ class DgCategoryPresentation:
         self._products = {}
         for x, y, z in itertools.product(self.objects, repeat=3):
             table = products.get((x, y, z), {})
+            if table:
+                f_dims, g_dims, out_dims = (
+                    self.hom[pair].carrier.dims() for pair in ((x, y), (y, z), (x, z))
+                )
             for f, per_g in table.items():
                 for g, terms in per_g.items():
-                    dim = self.hom[(x, z)].dim(f[0] + g[0])
+                    dim = out_dims.get(f[0] + g[0], 0)
                     if not (
-                        0 <= f[1] < self.hom[(x, y)].dim(f[0])
-                        and 0 <= g[1] < self.hom[(y, z)].dim(g[0])
+                        0 <= f[1] < f_dims.get(f[0], 0)
+                        and 0 <= g[1] < g_dims.get(g[0], 0)
                         and all(0 <= r < dim for r, _ in terms)
                     ):
                         raise StructureError(

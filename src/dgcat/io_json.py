@@ -22,15 +22,30 @@ instead of reading as an absent entry.  The writer builds every nested
 table with _nested from tuple-keyed entries and stores it with _put,
 which drops empty data.
 
+The reader reads each entry list once.  A row's JSON path is formatted
+only when the row is refused.  Each parse_document call keeps one scalar
+table, {text: value}, so each distinct scalar text of the document is
+parsed and checked once; the table is dropped when the call returns, and
+nothing is kept between documents.
+
 Emission is canonical: keys sorted, entries sorted, zero data dropped,
 two-space indentation.  emit(parse(emit(x))) == emit(x) byte for byte.
+render_document (and Report.render) write text byte-identical to the
+standard library's json dumps with indent 2 and sorted keys, plus a
+final newline, in one recursive pass (_json_text): string keys and
+values go through json.encoder.encode_basestring_ascii, a list of
+strings is one join, and a sparse entry row (a list of five ints and a
+string, the format's only row shape) is one % template per indentation
+level.  A float is refused with TypeError: dgcat never writes one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from itertools import product
+from json.encoder import encode_basestring_ascii as _quote
 
 from .bimodule import Bimodule, g_on_objects, refuse_invalid_g_inputs
 from .category import DgCategoryPresentation
@@ -151,7 +166,73 @@ def emit_comma_object(obj, refs):
 
 
 def render_document(document):
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return _json_text(document, "\n") + "\n"
+
+
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+@functools.cache
+def _row_template(inner):
+    """The % template of a sparse entry row on the line that starts with
+    inner (a newline and the row's indentation)."""
+    at = inner + "  "
+    return "[" + (at + "%d,") * 5 + at + "%s" + inner + "]"
+
+
+def _json_key(key):
+    """A dict key as the standard encoder writes it (a str subclass, or an
+    int, bool or None key turned into a string); a float key is refused."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is True or key is False or key is None:
+        return '"' + _CONSTANTS[key] + '"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, bool or None, not {type(key).__name__}")
+
+
+def _json_text(value, nl):
+    """The canonical JSON text of value (see the module docstring), nl
+    being the newline and indentation of the line value starts on."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        if all(type(x) is str for x in value):
+            items = map(_quote, value)
+        else:
+            row, items = _row_template(inner), []
+            for x in value:
+                if type(x) is list and len(x) == 6:
+                    a, b, c, d, e, text = x
+                    if type(a) is type(b) is type(c) is type(d) is type(e) is int and (
+                        type(text) is str
+                    ):
+                        items.append(row % (a, b, c, d, e, _quote(text)))
+                        continue
+                items.append(_json_text(x, inner))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        items = [
+            (_quote(key) if type(key) is str else _json_key(key))
+            + ": "
+            + _json_text(value[key], inner)
+            for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if value is True or value is False or value is None:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        raise TypeError(f"dgcat writes no float: {value!r}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -261,45 +342,58 @@ def _lambda_refs(data, workspace, path):
     return data["t"], data["u"], data["bimodule"]
 
 
-def _entries(field, entries, path, layout):
-    """The rows of a sparse entry list, each five ints and then a scalar
-    string, as (*ints, scalar, path of the row)."""
-    for pos, entry in enumerate(_list(entries, path, "a list of entries")):
-        at = f"{path}[{pos}]"
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 6
-            or any(type(v) is not int for v in entry[:5])
-        ):
-            raise StructureError(f"{at}: expected {layout} with integer indices")
-        yield (*entry[:5], _scalar(field, entry[5], at), at)
+class _Scalars(dict):
+    """The scalar table of one document: {text: value}, each distinct
+    scalar text read once; a fraction must be in lowest terms."""
+
+    def __init__(self, field):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, text):
+        value = self.field.parse(text)
+        num, _, den = text.partition("/")
+        if den and math.gcd(int(num), int(den)) != 1:
+            raise StructureError(f"fraction not in lowest terms: {text!r}")
+        self[text] = value
+        return value
 
 
-def _scalar(field, text, path):
-    """A scalar string; a fraction must be in lowest terms."""
-    if not isinstance(text, str):
-        raise StructureError(f"{path}: expected a scalar string, got {text!r}")
+def _scalar(scalars, text, path, pos=None):
+    """The value of a scalar string; a refusal names path, or row pos of
+    the entry list at path."""
     try:
-        value = field.parse(text)
+        if isinstance(text, str):
+            return scalars[text]
+        raise StructureError(f"expected a scalar string, got {text!r}")
     except StructureError as exc:
-        raise StructureError(f"{path}: {exc}") from None
-    num, _, den = text.partition("/")
-    if den and math.gcd(int(num), int(den)) != 1:
-        raise StructureError(f"{path}: fraction not in lowest terms: {text!r}")
-    return value
+        at = path if pos is None else f"{path}[{pos}]"
+        raise StructureError(f"{at}: {exc}") from None
 
 
-def parse_matrix(field, rows, path, shape):
+def _entries(scalars, entries, path, layout):
+    """The rows of a sparse entry list, each five ints and then a scalar
+    string, as (*ints, scalar, position of the row)."""
+    for pos, entry in enumerate(_list(entries, path, "a list of entries")):
+        if isinstance(entry, list) and len(entry) == 6:
+            a, b, c, d, e, text = entry
+            if type(a) is type(b) is type(c) is type(d) is type(e) is int:
+                yield a, b, c, d, e, _scalar(scalars, text, path, pos), pos
+                continue
+        raise StructureError(f"{path}[{pos}]: expected {layout} with integer indices")
+
+
+def parse_matrix(scalars, rows, path, shape):
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise StructureError(f"{path}: expected a matrix (list of rows)")
     if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
         raise StructureError(
             f"{path}: matrix has wrong shape, expected {shape[0]}x{shape[1]}"
         )
-    return tuple(tuple(_scalar(field, x, path) for x in row) for row in rows)
+    return tuple(tuple(_scalar(scalars, x, path) for x in row) for row in rows)
 
 
-def parse_dg_module(field, data, path):
+def parse_dg_module(scalars, data, path):
     data = _dict(data, path, ("dims", "labels", "d"))
     dims = {}
     for deg, dim, at in _degrees(data.get("dims", {}), f"{path}.dims"):
@@ -311,9 +405,9 @@ def parse_dg_module(field, data, path):
         count, dim = len(_names(names, at)), dims.get(deg)
         if dim and count != dim:
             raise StructureError(f"{at}: {count} labels for dimension {dim}")
-    carrier = GradedModule(field, dims)
+    carrier = GradedModule(scalars.field, dims)
     blocks = {
-        i: parse_matrix(field, rows, at, (carrier.dim(i + 1), carrier.dim(i)))
+        i: parse_matrix(scalars, rows, at, (carrier.dim(i + 1), carrier.dim(i)))
         for i, rows, at in _degrees(data.get("d", {}), f"{path}.d")
     }
     d = GradedMap(carrier, carrier, 1, blocks)
@@ -322,44 +416,45 @@ def parse_dg_module(field, data, path):
     return DgModule(carrier, d, check=False)
 
 
-def parse_category(field, name, data, path):
+def parse_category(scalars, name, data, path):
     data = _dict(data, path, ("objects", "hom", "comp", "id"))
     objects = _names(data.get("objects"), f"{path}.objects")
     hom = {
-        pair: parse_dg_module(field, module, at)
+        pair: parse_dg_module(scalars, module, at)
         for pair, module, at in _table(
             data.get("hom", {}), f"{path}.hom", objects, objects
         )
     }
     ids = {
-        x: tuple(_scalar(field, v, at) for v in _list(vec, at, "a list of scalars"))
+        x: tuple(_scalar(scalars, v, at) for v in _list(vec, at, "a list of scalars"))
         for (x,), vec, at in _table(data.get("id", {}), f"{path}.id", objects)
     }
-    cat = DgCategoryPresentation(field, objects, hom, {}, ids, name=name)
+    cat = DgCategoryPresentation(scalars.field, objects, hom, {}, ids, name=name)
     comp = _table(data.get("comp", {}), f"{path}.comp", objects, objects, objects)
     cat.set_products(
         {
-            triple: _parse_products(field, cat, *triple, entries, at)
+            triple: _parse_products(scalars, cat, *triple, entries, at)
             for triple, entries, at in comp
         }
     )
     return cat
 
 
-def _parse_products(field, cat, x, y, z, entries, path):
+def _parse_products(scalars, cat, x, y, z, entries, path):
     """The product table of one triple.  Entries at one position are
     summed and a zero sum is left out."""
+    field = scalars.field
+    g_dims, f_dims, out_dims = (
+        cat.hom[pair].carrier.dims() for pair in ((y, z), (x, y), (x, z))
+    )
     sums = {}
-    for gdeg, gidx, fdeg, fidx, row, value, at in _entries(
-        field, entries, path, "[gdeg, gidx, fdeg, fidx, out, coeff]"
+    for gdeg, gidx, fdeg, fidx, row, value, pos in _entries(
+        scalars, entries, path, "[gdeg, gidx, fdeg, fidx, out, coeff]"
     ):
-        if not (
-            0 <= gidx < cat.hom[(y, z)].dim(gdeg)
-            and 0 <= fidx < cat.hom[(x, y)].dim(fdeg)
-        ):
-            raise StructureError(f"{at}: no such basis pair")
-        if not 0 <= row < cat.hom[(x, z)].dim(gdeg + fdeg):
-            raise StructureError(f"{at}: output index out of range")
+        if not (0 <= gidx < g_dims.get(gdeg, 0) and 0 <= fidx < f_dims.get(fdeg, 0)):
+            raise StructureError(f"{path}[{pos}]: no such basis pair")
+        if not 0 <= row < out_dims.get(gdeg + fdeg, 0):
+            raise StructureError(f"{path}[{pos}]: output index out of range")
         key = ((fdeg, fidx), (gdeg, gidx), row)
         sums[key] = field.add(sums[key], value) if key in sums else value
     table = {}
@@ -370,17 +465,21 @@ def _parse_products(field, cat, x, y, z, entries, path):
     return table
 
 
-def _parse_action_images(field, hom, source, target, entries, path):
+def _parse_action_images(scalars, hom, source, target, entries, path):
     """The images source -> target an action table gives, keyed by the
     basis morphism (hdeg, hidx) of the hom carrier they act for."""
+    hom_dims, src_dims, tgt_dims = hom.dims(), source.dims(), target.dims()
     per_basis = {}
-    for hdeg, hidx, srcdeg, row, col, value, at in _entries(
-        field, entries, path, "[hdeg, hidx, srcdeg, row, col, coeff]"
+    for hdeg, hidx, srcdeg, row, col, value, pos in _entries(
+        scalars, entries, path, "[hdeg, hidx, srcdeg, row, col, coeff]"
     ):
-        if not 0 <= hidx < hom.dim(hdeg):
-            raise StructureError(f"{at}: morphism index out of range")
-        if not (0 <= col < source.dim(srcdeg) and 0 <= row < target.dim(srcdeg + hdeg)):
-            raise StructureError(f"{at}: block entry out of range")
+        if not 0 <= hidx < hom_dims.get(hdeg, 0):
+            raise StructureError(f"{path}[{pos}]: morphism index out of range")
+        if not (
+            0 <= col < src_dims.get(srcdeg, 0)
+            and 0 <= row < tgt_dims.get(srcdeg + hdeg, 0)
+        ):
+            raise StructureError(f"{path}[{pos}]: block entry out of range")
         per_basis.setdefault((hdeg, hidx), []).append((srcdeg, row, col, value))
     return {
         (hdeg, hidx): GradedMap.from_entries(source, target, hdeg, parsed)
@@ -388,7 +487,7 @@ def _parse_action_images(field, hom, source, target, entries, path):
     }
 
 
-def parse_bimodule(field, name, data, workspace, path):
+def parse_bimodule(scalars, name, data, workspace, path):
     data = _dict(
         data, path, ("left", "right", "values", "left_action", "right_action")
     )
@@ -397,12 +496,12 @@ def parse_bimodule(field, name, data, workspace, path):
         for key in ("left", "right")
     )
     U, T = left_base.objects, right_base.objects
-    values = {(u, t): zero_dg_module(field) for u in U for t in T}
+    values = {(u, t): zero_dg_module(scalars.field) for u in U for t in T}
     for pair, module, at in _table(data.get("values", {}), f"{path}.values", U, T):
-        values[pair] = parse_dg_module(field, module, at)
+        values[pair] = parse_dg_module(scalars, module, at)
     left = {
         (u, u2, t): _parse_action_images(
-            field,
+            scalars,
             left_base.hom[(u, u2)].carrier,
             values[(u, t)].carrier,
             values[(u2, t)].carrier,
@@ -415,7 +514,7 @@ def parse_bimodule(field, name, data, workspace, path):
     }
     right = {
         (t, t2, u): _parse_action_images(
-            field,
+            scalars,
             right_base.hom[(t, t2)].carrier,
             values[(u, t2)].carrier,
             values[(u, t)].carrier,
@@ -429,7 +528,7 @@ def parse_bimodule(field, name, data, workspace, path):
     return Bimodule(left_base, right_base, values, left, right, name=name)
 
 
-def parse_module(field, name, data, workspace, path):
+def parse_module(scalars, name, data, workspace, path):
     data = _dict(data, path, ("base", "on_objects", "on_hom"))
     base_ref = data.get("base")
     if isinstance(base_ref, dict) and set(base_ref) == {"lambda"}:
@@ -438,14 +537,14 @@ def parse_module(field, name, data, workspace, path):
         base = workspace.lambda_for(*_lambda_refs(ref, workspace, at)).presentation
     else:
         base = _ref(base_ref, workspace.categories, f"{path}.base", "category")
-    on_objects = {obj: zero_dg_module(field) for obj in base.objects}
+    on_objects = {obj: zero_dg_module(scalars.field) for obj in base.objects}
     for (obj,), module, at in _table(
         data.get("on_objects", {}), f"{path}.on_objects", base.objects
     ):
-        on_objects[obj] = parse_dg_module(field, module, at)
+        on_objects[obj] = parse_dg_module(scalars, module, at)
     images = {
         (x, y): _parse_action_images(
-            field,
+            scalars,
             base.hom[(x, y)].carrier,
             on_objects[x].carrier,
             on_objects[y].carrier,
@@ -459,7 +558,7 @@ def parse_module(field, name, data, workspace, path):
     return DgFunctor(base, on_objects, images, name=name), base_ref
 
 
-def parse_comma_object(field, name, data, workspace, path):
+def parse_comma_object(scalars, name, data, workspace, path):
     data = _dict(data, path, ("bimodule", "module_t", "module_u", "f"))
     refs = {}
     for key in ("bimodule", "module_t", "module_u"):
@@ -486,7 +585,7 @@ def parse_comma_object(field, name, data, workspace, path):
             src = A.on_objects[t].carrier
             tgt = gb.functor.on_objects[t].carrier
             blocks = {
-                k: parse_matrix(field, rows, at_k, (tgt.dim(k), src.dim(k)))
+                k: parse_matrix(scalars, rows, at_k, (tgt.dim(k), src.dim(k)))
                 for k, rows, at_k in _degrees(per_degree, at)
             }
             f[t] = GradedMap(src, tgt, 0, blocks)
@@ -521,20 +620,21 @@ def parse_document(document):
     except StructureError as exc:
         raise StructureError(f"$.field: {exc}") from None
     workspace = Workspace(field)
+    scalars = _Scalars(field)
 
     def section(key):
         return _table(document.get(key, {}), f"$.{key}", None)
 
     for (name,), data, at in section("categories"):
-        workspace.categories[name] = parse_category(field, name, data, at)
+        workspace.categories[name] = parse_category(scalars, name, data, at)
     for (name,), data, at in section("bimodules"):
-        workspace.bimodules[name] = parse_bimodule(field, name, data, workspace, at)
+        workspace.bimodules[name] = parse_bimodule(scalars, name, data, workspace, at)
     for (name,), data, at in section("modules"):
-        fun, base_ref = parse_module(field, name, data, workspace, at)
+        fun, base_ref = parse_module(scalars, name, data, workspace, at)
         workspace.modules[name] = fun
         workspace.module_bases[name] = base_ref
     for (name,), data, at in section("comma_objects"):
-        obj, refs = parse_comma_object(field, name, data, workspace, at)
+        obj, refs = parse_comma_object(scalars, name, data, workspace, at)
         workspace.comma_objects[name] = obj
         workspace.comma_refs[name] = refs
     for (name,), data, at in section("fixtures"):

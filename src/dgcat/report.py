@@ -2,12 +2,14 @@
 
 A report is an ordered list of named checks.  Witness payloads are
 plain JSON-ready values so reports serialize byte-identically for
-identical inputs.
+identical inputs.  Report.render writes with the document writer of
+io_json: the text of the standard library's json dumps with indent 2 and
+sorted keys, plus a final newline.  A float raises TypeError; no check
+writes one.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -79,7 +81,10 @@ class Report:
         return out
 
     def render(self):
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        # io_json imports this module, so its writer is imported here
+        from .io_json import _json_text
+
+        return _json_text(self.to_json(), "\n") + "\n"
 
 
 def fmt_matrix(field_obj, mat):

@@ -3,7 +3,7 @@ test modules share.  No test module imports another.  A simplification
 that keeps the rule it deletes as a test oracle adds it here, not to a
 test file.
 
-Instances: k_module, kkk_setup, random_setup,
+Instances: qmat, k_module, kkk_setup, random_setup,
 with_first_right_action_negated, path_category, zero_functor,
 identity_nat, axiom_categories (T, U and Lambda of an axiom fixture),
 shipped_theorem_fixture, the session fixture theorem_fixtures (built once:
@@ -31,6 +31,7 @@ and with_table_coordinate for product tables; presentation_with.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -58,6 +59,11 @@ F5 = PrimeField(5)
 
 # ---------------------------------------------------------------------------
 # instances
+
+
+def qmat(rows):
+    """A dense matrix over Q from rows of ints or fraction strings."""
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def k_module(field=QQ, degree=0):

@@ -9,6 +9,8 @@ import json
 import time
 
 from conftest import (
+    F5,
+    QQ,
     compose,
     compose_from_products,
     opposite_tables,
@@ -38,7 +40,6 @@ from dgcat.complexes import (
     dg_module,
     hom_differential,
 )
-from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     endomorphism_category,
     exterior_category,
@@ -57,9 +58,6 @@ from dgcat.functors import (
 from dgcat.graded import GradedMap, identity_map
 from dgcat.lambda_cat import build_lambda
 from dgcat.shipped import NAMES, shipped_workspace
-
-QQ = Rationals()
-F5 = PrimeField(5)
 
 
 def test_criterion_1_axiom_suite():

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from conftest import (
+    F5,
+    QQ,
     bimodule_with_entry,
     compose,
     entry_spots,
@@ -26,7 +28,6 @@ from dgcat.category import opposite_category, tensor_category
 from dgcat.cli import main
 from dgcat.complexes import DgModule, TensorComplex
 from dgcat.errors import StructureError, ValidationFailure
-from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     hom_from_module,
     random_dg_module,
@@ -46,8 +47,6 @@ from dgcat.functors import (
 )
 from dgcat.graded import GradedMap
 from dgcat.shipped import FIXTURE_DIR, NAMES, shipped_workspace
-
-QQ = Rationals()
 
 
 def test_kkk_bimodule_validates():
@@ -71,7 +70,7 @@ def test_random_hom_bimodules_validate():
 
 
 def test_hom_bimodule_validates_f5():
-    *_, bim, _ = random_setup(2, field=PrimeField(5))
+    *_, bim, _ = random_setup(2, field=F5)
     assert validate_bimodule(bim).passed
 
 
@@ -458,7 +457,7 @@ def test_leibniz_scan_matches_the_whole_map_rule(theorem_fixtures):
             want = _oracle_leibniz_witness(mutant)
             assert bimodule._first_failure(mutant, sides, 1, ("lhs", "rhs")) == want
             verdicts.add(want is None)
-    assert verdicts == {True, False} and fields == {QQ, PrimeField(5)}
+    assert verdicts == {True, False} and fields == {QQ, F5}
 
 
 def test_leibniz_on_valid_bimodules_is_read_from_the_slices(

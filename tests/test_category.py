@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    F5,
+    QQ,
     compose,
     leibniz_witness,
     opposite_tables,
@@ -20,15 +22,12 @@ from dgcat.category import (
 )
 from dgcat.complexes import dg_module
 from dgcat.errors import StructureError
-from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     exterior_category,
     random_endo_category,
     trivial_category,
 )
 from dgcat.shipped import NAMES, shipped_workspace
-
-QQ = Rationals()
 
 
 def _unit_and_x_table(c):
@@ -78,7 +77,7 @@ def test_endomorphism_category_validates():
 def test_endomorphism_category_validates_f5():
     for seed in range(4):
         rng = random.Random(seed)
-        cat, _ = random_endo_category(rng, PrimeField(5), "E")
+        cat, _ = random_endo_category(rng, F5, "E")
         report = validate_dg_category(cat)
         assert report.passed, report.render()
 
@@ -167,7 +166,7 @@ def test_opposite_tables_equal_the_per_pair_rule(theorem_fixtures):
     ]
     for fx in theorem_fixtures:
         cats += [fx["t_cat"], fx["u_cat"], fx["lambda"].presentation]
-    assert {str(cat.field) for cat in cats} == {str(QQ), str(PrimeField(5))}
+    assert {str(cat.field) for cat in cats} == {str(QQ), str(F5)}
     odd = 0
     for cat in cats:
         opp = opposite_category(cat)
@@ -288,8 +287,6 @@ def test_chain_map_condition_equals_leibniz_rule():
     # equivalent to the Leibniz rule d(g . f) = d(g) . f + (-1)^{|g|} g . d(f)
     # on homogeneous basis pairs: verify the rule holds on categories that
     # passed the chain-map check, with nonzero differentials in play.
-    import random
-
     field = QQ
     found_nonzero_d = False
     for seed in range(8):

@@ -7,6 +7,8 @@ from itertools import product
 import pytest
 
 from conftest import (
+    F5,
+    QQ,
     dot_by_vectors,
     extract_by_columns,
     identity_nat,
@@ -31,7 +33,7 @@ from dgcat.comma import (
     phi_iso,
     validate_comma_object,
 )
-from dgcat.fields import PrimeField, Rationals
+from dgcat.fields import PrimeField
 from dgcat.fixtures import random_theorem_fixture
 from dgcat.functors import (
     DgNatTransformation,
@@ -44,9 +46,6 @@ from dgcat.functors import (
 from dgcat.graded import GradedMap, identity_map
 from dgcat.lambda_cat import SLOT_M, SLOT_T, SLOT_U, build_lambda
 from dgcat.shipped import NAMES, shipped_text
-
-QQ = Rationals()
-F5 = PrimeField(5)
 
 
 def is_comma_morphism(source, target, phi):
@@ -319,7 +318,7 @@ def test_random_theorem_fixture_q():
 
 
 def test_random_theorem_fixture_f5():
-    fx = random_theorem_fixture(1, PrimeField(5))
+    fx = random_theorem_fixture(1, F5)
     report = check_equivalence(
         fx["lambda"], fx["comma_objects"], fx["lambda_modules"], seed=fx["seed"]
     )

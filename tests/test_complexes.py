@@ -1,9 +1,8 @@
 import random
 from fractions import Fraction
 
-from conftest import k_module, tensor_differential_oracle
+from conftest import F5, QQ, k_module, qmat, tensor_differential_oracle
 from dgcat import linalg
-from dgcat.fields import PrimeField, Rationals
 from dgcat.graded import GradedMap, GradedModule
 from dgcat.complexes import (
     DgModule,
@@ -13,12 +12,6 @@ from dgcat.complexes import (
     hom_differential,
     zero_dg_module,
 )
-
-QQ = Rationals()
-
-
-def qmat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def is_closed_degree_zero(source, target, f):
@@ -237,7 +230,7 @@ def test_closedness_decided_by_exact_computation():
 
 
 def test_zero_dg_module_and_f5_complexes():
-    field = PrimeField(5)
+    field = F5
     z = zero_dg_module(field)
     assert z.is_zero()
     rng = random.Random(31)

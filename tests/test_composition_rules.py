@@ -15,6 +15,8 @@ import itertools
 import random
 
 from conftest import (
+    F5,
+    QQ,
     compose_basis_coords,
     compose_from_products,
     product_tables,
@@ -23,7 +25,6 @@ from conftest import (
 from dgcat import linalg
 from dgcat.category import DgCategoryPresentation, tensor_category
 from dgcat.complexes import HomComplex
-from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     endomorphism_category,
     hom_bimodule,
@@ -33,9 +34,6 @@ from dgcat.fixtures import (
 )
 from dgcat.functors import representable_module, yoneda_module
 from dgcat.graded import identity_map, map_from_action
-
-QQ = Rationals()
-F5 = PrimeField(5)
 
 
 def _has_odd_morphism(cat):

@@ -21,7 +21,7 @@ from itertools import product
 import pytest
 
 import dgcat.comma
-from conftest import dense_coordinates, nat_to_flat
+from conftest import F5, QQ, dense_coordinates, nat_to_flat
 from dgcat.comma import (
     CommaMorphism,
     build_coproduct_module,
@@ -30,7 +30,6 @@ from dgcat.comma import (
     comma_hom_space,
     comma_window,
 )
-from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_theorem_fixture
 from dgcat.functors import (
     DgNatTransformation,
@@ -41,8 +40,6 @@ from dgcat.functors import (
     nat_unknowns,
 )
 
-QQ = Rationals()
-F5 = PrimeField(5)
 LAWS = ("functor_commutes_with_differential", "functor_commutes_with_composition")
 HEAVY = [(0, 1), (3, 1), (6, 2), (7, 2)]
 

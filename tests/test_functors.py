@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 from conftest import (
+    F5,
+    QQ,
     dense_coordinates,
     identity_nat,
     nat_from_flat,
@@ -11,7 +13,6 @@ from conftest import (
     zero_functor,
 )
 from dgcat.comma import build_coproduct_module
-from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import (
     endomorphism_category,
     exterior_category,
@@ -37,9 +38,6 @@ from dgcat.functors import (
 )
 from dgcat.linalg import dense_vector, unit_vector
 from dgcat.report import fmt_graded_map
-
-QQ = Rationals()
-F5 = PrimeField(5)
 
 
 def test_zero_functor_validates():
@@ -267,7 +265,7 @@ def test_direct_sum_functors_validates():
 
 def test_functors_over_f5():
     rng = random.Random(51)
-    field = PrimeField(5)
+    field = F5
     cat, _ = random_endo_category(rng, field, "E", max_objects=2)
     fun = representable_module(cat, cat.objects[0])
     assert validate_dg_functor(fun).passed

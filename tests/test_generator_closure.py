@@ -13,14 +13,11 @@ from collections import deque
 
 import pytest
 
+from conftest import F5, QQ
 from dgcat import linalg
 from dgcat.category import generator_closure, opposite_category
-from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_axiom_fixture
 from dgcat.lambda_cat import build_lambda
-
-QQ = Rationals()
-F5 = PrimeField(5)
 
 
 def two_sided_generators(cat):

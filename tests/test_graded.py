@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_blocks
+from conftest import F5, QQ, dense_blocks, qmat
 from dgcat import linalg
 from dgcat.complexes import dg_module, direct_sum
 from dgcat.errors import StructureError
-from dgcat.fields import PrimeField, Rationals
 from dgcat.functors import linear_combination
 from dgcat.graded import (
     DirectSum,
@@ -25,13 +24,6 @@ from dgcat.graded import (
     place_blocks,
     zero_map,
 )
-
-QQ = Rationals()
-F5 = PrimeField(5)
-
-
-def qmat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def random_module(rng, field, max_dim=3, lo=-2, hi=2):
@@ -144,7 +136,7 @@ def test_compose_associative_on_random_triples():
 
 def test_compose_associative_over_f5():
     rng = random.Random(11)
-    field = PrimeField(5)
+    field = F5
     for _ in range(10):
         a = random_module(rng, field, max_dim=2)
         b = random_module(rng, field, max_dim=2)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgcat.cli import build_parser, main
 from dgcat.errors import StructureError
@@ -15,7 +17,59 @@ from dgcat.io_json import (
     parse_text,
     render_document,
 )
+from dgcat.report import Report
 from dgcat.shipped import FIXTURE_DIR, NAMES, shipped_text
+
+
+def _oracle(value):
+    """The standard library's canonical text, which render_document must match."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€😀'), st.characters())
+)
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+_LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _TEXT)
+# sparse entry rows, and 6-element lists that break the row shape
+_ROWS = st.one_of(
+    st.tuples(*[_INTS] * 5, _TEXT).map(list),
+    st.lists(_LEAVES, min_size=6, max_size=6),
+    st.tuples(st.booleans(), *[_INTS] * 4, _TEXT).map(list),
+    st.tuples(*[_INTS] * 5, st.one_of(st.none(), _INTS)).map(list),
+)
+_VALUES = st.recursive(
+    st.one_of(_LEAVES, _ROWS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(_TEXT, max_size=4),
+        st.dictionaries(_TEXT, inner, max_size=5),
+        st.dictionaries(_INTS, inner, max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_writer_matches_the_standard_encoder(value):
+    assert render_document(value) == _oracle(value)
+
+
+def test_writer_sorts_and_quotes_int_keys_as_the_standard_encoder():
+    value = {10: "a", 2: [1, 2, 3, 4, 5, "x"], -1: {3: None, 1: True}}
+    assert render_document(value) == _oracle(value)
+    assert list(json.loads(render_document(value))) == ["-1", "2", "10"]
+
+
+def test_writer_refuses_a_float():
+    with pytest.raises(TypeError):
+        render_document({"x": [1, 2, 3, 4, 5, 0.5]})
+    report = Report("floats")
+    report.add("ratio", True, witness={"ratio": 0.5})
+    with pytest.raises(TypeError):
+        report.render()
 
 
 def test_parse_emit_roundtrip_is_canonical():
@@ -64,6 +118,11 @@ def _set_t_hom(doc, key, value):
 
 def _set_fixture_refs(doc, key, value):
     doc["fixtures"]["main"][key] = value
+
+
+def _append_row(table, key, row):
+    """table[key] with row appended after its valid first row."""
+    table[key] = table[key] + [row]
 
 
 @pytest.mark.parametrize(
@@ -139,6 +198,30 @@ def _set_fixture_refs(doc, key, value):
             "$.modules.C.base.lambda.u:",
         ),
         (lambda doc: doc["modules"]["A"].update(base=["T"]), "$.modules.A.base:"),
+        (
+            lambda doc: _append_row(
+                doc["categories"]["T"]["comp"]["t"]["t"], "t", [0, 0, 0, 0, 1, "1"]
+            ),
+            "$.categories.T.comp.t.t.t[1]: output index out of range",
+        ),
+        (
+            lambda doc: doc["bimodules"]["M"]["right_action"]["t"]["t"].update(
+                u=[[0, 0, 0, 0, 0, "1/2"], [0, 0, 0, 0, 0, "2/4"]]
+            ),
+            "$.bimodules.M.right_action.t.t.u[1]: fraction not in lowest terms",
+        ),
+        (
+            lambda doc: _append_row(
+                doc["modules"]["A"]["on_hom"]["t"], "t", [0, 1, 0, 0, 0, "1"]
+            ),
+            "$.modules.A.on_hom.t.t[1]: morphism index out of range",
+        ),
+        (
+            lambda doc: _append_row(
+                doc["modules"]["B"]["on_hom"]["u"], "u", [0, 0, 0, 1, 0, "1"]
+            ),
+            "$.modules.B.on_hom.u.u[1]: block entry out of range",
+        ),
     ],
     ids=[
         "zero_denominator",
@@ -169,6 +252,10 @@ def _set_fixture_refs(doc, key, value):
         "list_lambda_category",
         "unknown_lambda_category",
         "list_module_base",
+        "comp_output_index_in_second_row",
+        "unreduced_right_action_after_its_reduced_form",
+        "on_hom_morphism_index_in_second_row",
+        "on_hom_block_entry_in_second_row",
     ],
 )
 def test_parse_rejects_malformed_entry_with_its_path(edit, path, tmp_path):
@@ -204,6 +291,24 @@ def test_parse_sums_comp_entries_at_one_position(entries, emitted):
     category = emit_workspace(parse_text(json.dumps(document)))["categories"]["T"]
     comp = category.get("comp")
     assert comp == (None if emitted is None else {"t": {"t": {"t": emitted}}})
+
+
+def test_scalar_text_is_read_afresh_in_each_document():
+    """The scalar table lives for one document: "3" and "7" read over Q do
+    not carry into the next document, read over F_5."""
+    document = json.loads(shipped_text("kkk"))
+    table = document["categories"]["T"]["comp"]["t"]["t"]
+    table["t"] = [[0, 0, 0, 0, 0, "3"], [0, 0, 0, 0, 0, "7"]]
+    over_q = parse_text(json.dumps(document)).categories["T"]
+    assert over_q.products("t", "t", "t") == {(0, 0): {(0, 0): ((0, 10),)}}
+    document["field"] = {"Fp": 5}
+    with pytest.raises(StructureError) as info:
+        parse_text(json.dumps(document))
+    refused = "$.categories.T.comp.t.t.t[1]: F_5 scalar out of range"
+    assert str(info.value).startswith(refused)
+    table["t"] = [[0, 0, 0, 0, 0, "3"], [0, 0, 0, 0, 0, "4"]]
+    over_f5 = parse_text(json.dumps(document)).categories["T"]
+    assert over_f5.products("t", "t", "t") == {(0, 0): {(0, 0): ((0, 2),)}}
 
 
 def test_parse_rejects_bad_json():

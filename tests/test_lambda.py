@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    F5,
+    QQ,
     compose,
     compose_basis_coords,
     compose_from_products,
@@ -22,7 +24,6 @@ from dgcat.category import (
     with_zero_object,
 )
 from dgcat.errors import ValidationFailure
-from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_axiom_fixture, random_theorem_fixture, zero_bimodule
 from dgcat.functors import representable_module, validate_dg_functor
 from dgcat.lambda_cat import (
@@ -33,9 +34,6 @@ from dgcat.lambda_cat import (
     restrict_module,
 )
 from dgcat.shipped import NAMES, shipped_workspace
-
-QQ = Rationals()
-F5 = PrimeField(5)
 
 
 def test_kkk_lambda_end_dims_and_table():
@@ -97,7 +95,7 @@ def test_lambda_validates_on_random_fixtures():
 
 def test_lambda_validates_f5():
     u_cat, t_cat, u_cx, t_cx, bim, _ = random_setup(
-        1, field=PrimeField(5), max_objects=1
+        1, field=F5, max_objects=1
     )
     lam = build_lambda(t_cat, u_cat, bim)
     assert validate_dg_category(lam.presentation).passed

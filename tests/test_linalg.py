@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nat_from_flat, nat_to_flat
+from conftest import F5, QQ, nat_from_flat, nat_to_flat
 from dgcat import linalg
 from dgcat.comma import build_coproduct_module
 from dgcat.complexes import dg_module
 from dgcat.errors import StructureError
-from dgcat.fields import PrimeField, Rationals, field_from_descriptor
+from dgcat.fields import PrimeField, field_from_descriptor
 from dgcat.fixtures import random_theorem_fixture, trivial_category
 from dgcat.functors import (
     Basis,
@@ -21,9 +21,6 @@ from dgcat.functors import (
     nat_unknowns,
 )
 from dgcat.linalg import dense_vector
-
-QQ = Rationals()
-F5 = PrimeField(5)
 
 
 def test_field_axioms_spot():

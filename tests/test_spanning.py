@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    F5,
+    QQ,
     associativity_witness,
     axiom_categories,
     draw_image_spot,
@@ -39,7 +41,6 @@ from dgcat.category import (
 )
 from dgcat.comma import build_coproduct_module, comma_hom_space, comma_window
 from dgcat.complexes import dg_module
-from dgcat.fields import PrimeField, Rationals
 from dgcat.fixtures import random_axiom_fixture
 from dgcat.functors import (
     DgFunctor,
@@ -51,9 +52,6 @@ from dgcat.functors import (
     representable_module,
     validate_dg_functor,
 )
-
-QQ = Rationals()
-F5 = PrimeField(5)
 
 
 def _every_basis_morphism(cat):

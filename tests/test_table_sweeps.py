@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    F5,
+    QQ,
     associativity_witness,
     axiom_categories,
     entry_spots,
@@ -33,10 +35,6 @@ from conftest import (
 from dgcat import category
 from dgcat.category import validate_dg_category
 from dgcat.complexes import DgModule
-from dgcat.fields import PrimeField, Rationals
-
-QQ = Rationals()
-F5 = PrimeField(5)
 
 
 def _assert_sweeps_agree(cat):
