@@ -13,32 +13,36 @@ Validation checks, in order: differentials square to zero, composition
 is a degree-0 chain map, identities are cycles, unit laws, and
 associativity on homogeneous basis triples.  All checks extend to
 arbitrary morphisms by bilinearity, and the signs involved depend only on
-degrees, so basis tuples decide everything.  The chain-map axiom is
-checked as the Leibniz rule d(g.f) = dg.f + (-1)^{|g|} g.df on the basis
-pairs (g, f), sorted by (|g|+|f|, |g|, g index, f index), the pure-tensor
-order of hom(y,z) (x) hom(x,y); the first failing pair and its two sides
-are the witness.
+degrees, so basis tuples decide everything.
 
-Associativity is decided one basis pair (f, g) at a time: the
-difference h.(g.f) - (h.g).f is summed for every h at once into one flat
-{(h, coordinate): value} dict over the terms the tables hold, and the
-pair passes iff every entry is zero (_first_unassociative_pair).  Only
-the first failing pair's sides are summed per h again, for the witness.
+Both composition axioms are decided by one sparse contraction of the
+tables, which reads only nonzero composites and writes one flat
+difference dict; the axiom holds iff every entry is zero, and the least
+failing key names the witness, whose two sides alone are then summed.
+The chain-map axiom is the Leibniz rule d(g.f) = dg.f + (-1)^{|g|} g.df:
+per object triple, _leibniz_defect writes d(g.f) - dg.f - (-1)^{|g|} g.df
+keyed (g, f, coordinate), and the witness is the least failing pair by
+(|g|+|f|, |g|, g index, f index), the pure-tensor order of
+hom(y,z) (x) hom(x,y).  Associativity: per object quadruple, _associator
+writes h.(g.f) - (h.g).f keyed (f, g, h, coordinate), the left side
+through products(x, z, w) and the right side through an index of
+products(y, z, w) by composite row, built once per sweep; the witness is
+the least failing (f, g) in basis order, then the least failing h.
 
-It is also decided on a generating set, which spanning() takes from
-generator_closure, the one rule that also picks the comma category's
-generators for check-equivalence's functor laws: basis morphisms are
-visited in (x, y, degree, index) order, and each one not reached from
-earlier generators by sums and composites psi . g of a reached psi
-after a generator g is kept (one incremental echelon form per hom
-space, over the field); the pairs whose composites raised the rank are
-the spanning pairs.  The f with h.(g.f) = (h.g).f for all g, h are
-closed under sums and composites, so checking f on the generators
+Associativity is also decided on a generating set, which spanning()
+takes from generator_closure, the one rule that also picks the comma
+category's generators for check-equivalence's functor laws: basis
+morphisms are visited in (x, y, degree, index) order, and each one not
+reached from earlier generators by sums and composites psi . g of a
+reached psi after a generator g is kept (one incremental echelon form
+per hom space, over the field); the pairs whose composites raised the
+rank are the spanning pairs.  The f with h.(g.f) = (h.g).f for all g, h
+are closed under sums and composites, so checking f on the generators
 decides associativity; associative() keeps that verdict, and
 set_products clears it with the spanning and the opposite category,
 which opposite_category builds once per tables.  When it is False,
-validate_dg_category runs the scan over every basis triple, so the
-witness is the first failing triple in basis order as before.
+validate_dg_category contracts every basis f of each quadruple in order,
+so the witness is the first failing triple in basis order.
 
 Every table is written from other tables, never by composing basis
 pairs one at a time: the opposite category transposes them with the sign
@@ -46,8 +50,8 @@ pairs one at a time: the opposite category transposes them with the sign
 the action columns by block offsets, and the tensor category pairs each
 entry of one factor's table with each entry of the other's, with the
 sign (-1)^{|b2||a1|} of moving b2 past a1.  The unit laws are read off
-two tables, and the Leibniz and associativity sweeps skip the pairs
-without a term, whose both sides are zero.
+two tables, and the two contractions never visit a tuple without a term,
+whose both sides are zero.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .complexes import TensorComplex, zero_dg_module
-from .errors import InternalCheckError, StructureError
+from .errors import StructureError
 from .report import Report, fmt_vector
 
 ZERO_OBJECT = "@0"
@@ -176,14 +180,17 @@ class DgCategoryPresentation:
         The f with h.(g.f) = (h.g).f for all g and h are closed under sums
         and composites: for such f1, f2, h.(g.(f2.f1)) = h.((g.f2).f1) =
         (h.(g.f2)).f1 = ((h.g).f2).f1 = (h.g).(f2.f1).  Each generator f is
-        checked by one difference per basis pair (f, g), summed for all h.
+        checked by one contraction of the tables per object quadruple
+        (_associator), which holds iff every entry it writes is zero.
         """
         if self._associative is None:
-            generators = self.spanning().generators
-            self._associative = not any(
-                _first_unassociative_pair(self, x, y, z, w, generators[(x, y)])
+            generators, by_row = self.spanning().generators, _composites_by_row(self)
+            is_zero = self.field.is_zero
+            self._associative = all(
+                is_zero(v)
                 for x, y, z, w in itertools.product(self.objects, repeat=4)
                 if generators[(x, y)]
+                for v in _associator(self, x, y, z, w, generators[(x, y)], by_row).values()
             )
         return self._associative
 
@@ -256,10 +263,9 @@ def validate_dg_category(cat):
 
     witness = None
     if not cat.associative():
-        for x, y, z, w in itertools.product(cat.objects, repeat=4):
-            witness = _associativity_witness(cat, x, y, z, w)
-            if witness:
-                break
+        by_row, quadruples = _composites_by_row(cat), itertools.product(cat.objects, repeat=4)
+        found = (_associativity_witness(cat, by_row, *q) for q in quadruples)
+        witness = next(filter(None, found), None)
     report.add("associativity", witness is None, witness)
     return report
 
@@ -279,57 +285,71 @@ def _fmt_sparse(field, acc, dim):
     return fmt_vector(field, linalg.dense_vector(field, acc.items(), dim))
 
 
-def _leibniz_pairs(gf_of, d_f, d_g):
-    """The basis pairs (g, f) of one triple, in _chain_map_witness's order,
-    with a term in gf_of for g.f, g.f' (f' a term of df) or g'.f (g' a
-    term of dg); both Leibniz sides are zero at every other pair.  d_f and
-    d_g are the differential columns of hom(x, y) and hom(y, z)."""
-    pairs = {(g, f) for f, per_g in gf_of.items() for g in per_g}
-    for f, column in d_f.items():
-        for s, _ in column:
-            pairs.update((g, f) for g in gf_of.get((f[0] + 1, s), ()))
-    g_sources = {}
-    for g, column in d_g.items():
-        for s, _ in column:
-            g_sources.setdefault((g[0] + 1, s), []).append(g)
+def _leibniz_defect(cat, d_cols, x, y, z):
+    """d(g.f) - dg.f - (-1)^{|g|} g.df for every basis pair (g, f) of one
+    triple, as {(g, f, coordinate): value} over the entries a table term
+    reaches, zero where its terms cancel; no entry is written for a pair
+    with no term.  d_cols holds the sparse differential columns of every
+    hom; a term g'.f of dg.f is found through the reversed columns of
+    hom(y, z)."""
+    gf_of = cat.products(x, y, z)
+    if not gf_of:
+        return {}
+    field = cat.field
+    add, sub, mul, zero = field.add, field.sub, field.mul, field.zero()
+    d_f, d_gf = d_cols[(x, y)], d_cols[(x, z)]
+    d_into = {}  # g' -> [(g, c)]: dg has the term c g'
+    for g, column in d_cols[(y, z)].items():
+        for s, c in column:
+            d_into.setdefault((g[0] + 1, s), []).append((g, c))
+    diff = {}
     for f, per_g in gf_of.items():
-        for g2 in per_g:
-            pairs.update((g, f) for g in g_sources.get(g2, ()))
-    return sorted(pairs, key=lambda gf: (gf[0][0] + gf[1][0], gf[0][0], gf[0][1], gf[1][1]))
+        for g, terms in per_g.items():
+            for r, c in terms:
+                for t, v in d_gf.get((f[0] + g[0], r), ()):
+                    key = g, f, t
+                    diff[key] = add(diff.get(key, zero), mul(c, v))
+            for g0, c in d_into.get(g, ()):
+                for r, v in terms:
+                    key = g0, f, r
+                    diff[key] = sub(diff.get(key, zero), mul(c, v))
+    for f, column in d_f.items():
+        for s, c in column:
+            for g, terms in gf_of.get((f[0] + 1, s), {}).items():
+                c_g = mul(field.sign(g[0]), c)
+                for r, v in terms:
+                    key = g, f, r
+                    diff[key] = sub(diff.get(key, zero), mul(c_g, v))
+    return diff
 
 
 def _chain_map_witness(cat, d_cols, x, y, z):
-    """First basis pair (g, f) of the triple, sorted by (|g|+|f|, |g|,
-    g index, f index), with d(g.f) != dg.f + (-1)^{|g|} g.df, or None.
-
-    d_cols holds the sparse columns of every hom differential; only the
-    _leibniz_pairs are visited.
-    """
+    """The least basis pair (g, f) of the triple by (|g|+|f|, |g|,
+    g index, f index), the pure-tensor order of hom(y,z) (x) hom(x,y),
+    with d(g.f) != dg.f + (-1)^{|g|} g.df, and both sides; or None."""
     field = cat.field
-    gf_of = cat.products(x, y, z)
-    d_f, d_g, d_gf = d_cols[(x, y)], d_cols[(y, z)], d_cols[(x, z)]
-    for g, f in _leibniz_pairs(gf_of, d_f, d_g):
-        n, gdeg = f[0] + g[0], g[0]
-        gfs = gf_of.get(f, {})
-        lhs, rhs = {}, {}
-        for r, c in gfs.get(g, ()):
-            _add_scaled(field, lhs, c, d_gf.get((n, r), ()))
-        for s, c in d_g.get(g, ()):
-            _add_scaled(field, rhs, c, gfs.get((gdeg + 1, s), ()))
-        sgn = field.sign(gdeg)
-        for s, c in d_f.get(f, ()):
-            terms = gf_of.get((f[0] + 1, s), {}).get(g, ())
-            _add_scaled(field, rhs, field.mul(sgn, c), terms)
-        lhs, rhs = _nonzero(field, lhs), _nonzero(field, rhs)
-        if lhs != rhs:
-            dim = cat.hom[(x, z)].dim(n + 1)
-            return {
-                "triple": [x, y, z],
-                "basis": {"g": list(g), "f": list(f)},
-                "comp_after_d": _fmt_sparse(field, rhs, dim),
-                "d_after_comp": _fmt_sparse(field, lhs, dim),
-            }
-    return None
+    diff = _leibniz_defect(cat, d_cols, x, y, z)
+    failing = [(g, f) for (g, f, _), v in diff.items() if not field.is_zero(v)]
+    if not failing:
+        return None
+    g, f = min(failing, key=lambda gf: (gf[0][0] + gf[1][0], gf[0][0], gf[0][1], gf[1][1]))
+    gf_of, n, gdeg = cat.products(x, y, z), f[0] + g[0], g[0]
+    gfs = gf_of.get(f, {})
+    lhs, rhs = {}, {}
+    for r, c in gfs.get(g, ()):
+        _add_scaled(field, lhs, c, d_cols[(x, z)].get((n, r), ()))
+    for s, c in d_cols[(y, z)].get(g, ()):
+        _add_scaled(field, rhs, c, gfs.get((gdeg + 1, s), ()))
+    sgn = field.sign(gdeg)
+    for s, c in d_cols[(x, y)].get(f, ()):
+        _add_scaled(field, rhs, field.mul(sgn, c), gf_of.get((f[0] + 1, s), {}).get(g, ()))
+    dim = cat.hom[(x, z)].dim(n + 1)
+    return {
+        "triple": [x, y, z],
+        "basis": {"g": list(g), "f": list(f)},
+        "comp_after_d": _fmt_sparse(field, rhs, dim),
+        "d_after_comp": _fmt_sparse(field, lhs, dim),
+    }
 
 
 def _unit_witness(cat, x, y, f):
@@ -353,80 +373,72 @@ def _unit_witness(cat, x, y, f):
     }
 
 
-def _first_unassociative_pair(cat, x, y, z, w, fs):
-    """First basis pair (f, g), f running over fs in order and g over the
-    basis of hom(y, z), with h.(g.f) != (h.g).f for some basis h of
-    hom(z, w), or None.
+def _composites_by_row(cat):
+    """{(y, z, w): {u: [(g, h, c)]}}: per object triple, for each basis
+    morphism u of hom(y, w), the basis pairs (g, h) whose composite h.g
+    has the coefficient c at u."""
+    index = {}
+    for triple, table in cat._products.items():
+        by_row = index[triple] = {}
+        for g, per_h in table.items():
+            for h, terms in per_h.items():
+                for s, c in terms:
+                    by_row.setdefault((g[0] + h[0], s), []).append((g, h, c))
+    return index
 
-    The difference h.(g.f) - (h.g).f of one pair is summed for all h at
-    once into one flat {(h, coordinate): value} dict, over the terms the
-    product tables hold (none for some pairs); the pair fails iff an entry
-    is nonzero.
+
+def _associator(cat, x, y, z, w, fs, by_row):
+    """h.(g.f) - (h.g).f for f over fs and every basis g of hom(y, z) and
+    h of hom(z, w), as {(f, g, h, coordinate): value} over the entries a
+    table term reaches, zero where its terms cancel.
+
+    The left side contracts products(x, y, z)[f] with products(x, z, w);
+    the right side joins each term u.f of products(x, y, w)[f] with the
+    pairs (g, h) of by_row = _composites_by_row(cat) whose h.g has a term
+    at u.  No entry is written for a triple with no term.
     """
-    if cat.hom[(x, w)].is_zero():
-        return None
     field = cat.field
-    add, sub, mul, is_zero = field.add, field.sub, field.mul, field.is_zero
-    zero = field.zero()
-    gf_of = cat.products(x, y, z)
-    h_gf_of = cat.products(x, z, w)
-    hg_of = cat.products(y, z, w)
-    hg_f_of = cat.products(x, y, w)
-    g_basis = tuple(cat.basis_elements(y, z))
+    add, sub, mul, zero = field.add, field.sub, field.mul, field.zero()
+    gf_of, h_gf_of, hg_f_of = (cat.products(*t) for t in ((x, y, z), (x, z, w), (x, y, w)))
+    hg_by_row = by_row[(y, z, w)]
+    diff = {}
     for f in fs:
-        gfs, hg_fs = gf_of.get(f, {}), hg_f_of.get(f, {})
-        if not gfs and not hg_fs:
-            continue
-        for g in g_basis:
-            if g not in gfs and g not in hg_of:
-                continue
-            diff = {}
-            for r, c in gfs.get(g, ()):
-                for h, terms in h_gf_of.get((f[0] + g[0], r), {}).items():
-                    for s, v in terms:
-                        diff[h, s] = add(diff.get((h, s), zero), mul(c, v))
-            for h, hg in hg_of.get(g, {}).items():
-                for s, c in hg:
-                    for r, v in hg_fs.get((h[0] + g[0], s), ()):
-                        diff[h, r] = sub(diff.get((h, r), zero), mul(c, v))
-            if not all(map(is_zero, diff.values())):
-                return f, g
-    return None
+        for g, terms in gf_of.get(f, {}).items():
+            for r, c in terms:
+                for h, h_terms in h_gf_of.get((f[0] + g[0], r), {}).items():
+                    for s, v in h_terms:
+                        key = f, g, h, s
+                        diff[key] = add(diff.get(key, zero), mul(c, v))
+        for u, terms in hg_f_of.get(f, {}).items():
+            for g, h, c in hg_by_row.get(u, ()):
+                for r, v in terms:
+                    key = f, g, h, r
+                    diff[key] = sub(diff.get(key, zero), mul(c, v))
+    return diff
 
 
-def _associativity_witness(cat, x, y, z, w):
-    """First basis triple (f, g, h) with h.(g.f) != (h.g).f, in basis order.
-
-    _first_unassociative_pair finds the pair (f, g); both sides are then
-    summed per h for that pair only, and h is the first in sorted order
-    whose sides differ.
-    """
-    pair = _first_unassociative_pair(cat, x, y, z, w, cat.basis_elements(x, y))
-    if pair is None:
-        return None
-    f, g = pair
+def _associativity_witness(cat, by_row, x, y, z, w):
+    """The least basis triple (f, g, h) of the quadruple, in basis order,
+    with h.(g.f) != (h.g).f, and both sides; or None."""
     field = cat.field
-    hg_fs = cat.products(x, y, w).get(f, {})
+    diff = _associator(cat, x, y, z, w, cat.basis_elements(x, y), by_row)
+    failing = [(f, g, h) for (f, g, h, _), v in diff.items() if not field.is_zero(v)]
+    if not failing:
+        return None
+    f, g, h = min(failing)
     left, right = {}, {}
     for r, c in cat.products(x, y, z).get(f, {}).get(g, ()):
-        for h, terms in cat.products(x, z, w).get((f[0] + g[0], r), {}).items():
-            _add_scaled(field, left.setdefault(h, {}), c, terms)
-    for h, hg in cat.products(y, z, w).get(g, {}).items():
-        acc = right.setdefault(h, {})
-        for s, c in hg:
-            _add_scaled(field, acc, c, hg_fs.get((h[0] + g[0], s), ()))
-    for h in sorted(left.keys() | right.keys()):
-        lhs = _nonzero(field, left.get(h, {}))
-        rhs = _nonzero(field, right.get(h, {}))
-        if lhs != rhs:
-            dim = cat.hom[(x, w)].dim(f[0] + g[0] + h[0])
-            return {
-                "objects": [x, y, z, w],
-                "basis": [list(f), list(g), list(h)],
-                "h_after_gf": _fmt_sparse(field, lhs, dim),
-                "hg_after_f": _fmt_sparse(field, rhs, dim),
-            }
-    raise InternalCheckError(f"no h fails for the unassociative pair {(f, g)}")
+        _add_scaled(field, left, c, cat.products(x, z, w).get((f[0] + g[0], r), {}).get(h, ()))
+    hg_fs = cat.products(x, y, w).get(f, {})
+    for s, c in cat.products(y, z, w).get(g, {}).get(h, ()):
+        _add_scaled(field, right, c, hg_fs.get((g[0] + h[0], s), ()))
+    dim = cat.hom[(x, w)].dim(f[0] + g[0] + h[0])
+    return {
+        "objects": [x, y, z, w],
+        "basis": [list(f), list(g), list(h)],
+        "h_after_gf": _fmt_sparse(field, left, dim),
+        "hg_after_f": _fmt_sparse(field, right, dim),
+    }
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ from dgcat import functors, linalg
 from dgcat.category import (
     DgCategoryPresentation,
     Spanning,
-    _first_unassociative_pair,
+    _associator,
+    _composites_by_row,
     one_object_category,
     validate_dg_category,
 )
@@ -153,13 +154,13 @@ SAMPLE = 4
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), field=st.sampled_from([QQ, F5]))
-def test_first_unassociative_pair_is_the_pairwise_sweeps_first(data, field):
+def test_associator_finds_the_pairwise_sweeps_first_pair(data, field):
     """One coordinate of one composite of T or U is moved by 1, 2 or -1, or
     set to zero; some such changes leave the category associative, as they
     cancel between the two sides of each triple they reach.  On each object
-    quadruple before the one of the pairwise sweep's witness the kernel
-    finds no pair, on that one it finds the witness's (f, g), and
-    associative() holds iff the sweep finds nothing."""
+    quadruple before the one of the pairwise sweep's witness the associator
+    has no nonzero entry, on that one its least failing (f, g) is the
+    witness's, and associative() holds iff the sweep finds nothing."""
     seed = data.draw(st.integers(0, 79), label="seed")
     fx = random_axiom_fixture(seed, field)
     cat = fx[data.draw(st.sampled_from(["t_cat", "u_cat"]), label="category")]
@@ -169,14 +170,14 @@ def test_first_unassociative_pair_is_the_pairwise_sweeps_first(data, field):
         step = data.draw(st.sampled_from([1, 2, -1, "zero"]), label="step")
         cat = with_table_coordinate(cat, spot, step)
     expected = associativity_witness(cat)
+    by_row = _composites_by_row(cat)
     for quadruple in itertools.product(cat.objects, repeat=4):
-        pair = _first_unassociative_pair(
-            cat, *quadruple, cat.basis_elements(*quadruple[:2])
-        )
+        diff = _associator(cat, *quadruple, cat.basis_elements(*quadruple[:2]), by_row)
+        failing = sorted((f, g) for (f, g, _, _), v in diff.items() if not field.is_zero(v))
         if expected is not None and list(quadruple) == expected["objects"]:
-            assert [list(pair[0]), list(pair[1])] == expected["basis"][:2]
+            assert [list(failing[0][0]), list(failing[0][1])] == expected["basis"][:2]
             break
-        assert pair is None, quadruple
+        assert not failing, quadruple
     assert cat.associative() == (expected is None)
 
 

@@ -1,16 +1,18 @@
 """The axiom sweeps of validate_dg_category against the full sweeps.
 
-The Leibniz rule is checked only on the basis pairs with a term on some
-side (_leibniz_pairs), the unit laws from the identities' nonzero
-coordinates and the tables, and associativity skips a basis morphism f
-with no composite and a pair (f, g) with nothing to sum.  The oracles
-are the kit's full sweeps (conftest.leibniz_witness, units_witness and
-associativity_witness): every basis pair of a triple in sorted order for
-the Leibniz rule, composites with the identities for the unit laws, and
-every triple (f, g, h) for associativity.  A pair the
-fast sweeps skip has both sides zero, so verdicts and witnesses agree on
-every category, valid or not; the properties below change one table
-coordinate or one differential entry and compare.
+The Leibniz rule and associativity are each decided by one contraction
+of the product tables, per object triple (_leibniz_defect) and per
+object quadruple (_associator), which writes only the entries a table
+term reaches; the unit laws are read from the identities' nonzero
+coordinates and the tables.  The oracles are the kit's full sweeps
+(conftest.leibniz_witness, units_witness and associativity_witness):
+every basis pair of a triple in sorted order for the Leibniz rule,
+composites with the identities for the unit laws, and every triple
+(f, g, h) for associativity.  A pair or triple the contractions never
+reach has both sides zero, so verdicts and witnesses agree on every
+category, valid or not; the properties below change one table
+coordinate or one differential entry and compare, and the work-count
+guards check that the contractions reach exactly the tuples with a term.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from conftest import (
     F5,
     QQ,
+    after,
     associativity_witness,
     axiom_categories,
     entry_spots,
@@ -28,6 +31,7 @@ from conftest import (
     leibniz_witness,
     presentation_with,
     table_spots,
+    through,
     units_witness,
     with_entry,
     with_table_coordinate,
@@ -87,44 +91,88 @@ def test_sweeps_match_the_full_sweeps_after_one_change(
     _assert_sweeps_agree(cat)
 
 
-def _has_term(gf_of, d_f, d_g, g, f):
-    """Some side of the Leibniz rule at (g, f) has a table term: g.f, g.f'
-    for a term f' of df, or g'.f for a term g' of dg."""
+def _has_term(gf_of, d_f, d_g, d_gf, g, f):
+    """Some side of the Leibniz rule at (g, f) has a table term: d(r) for
+    a term r of g.f, g.f' for a term f' of df, or g'.f for a term g' of
+    dg."""
     per_g = gf_of.get(f, {})
+    n = f[0] + g[0]
     return (
-        g in per_g
+        any(d_gf.get((n, r)) for r, _ in per_g.get(g, ()))
         or any(g in gf_of.get((f[0] + 1, s), {}) for s, _ in d_f.get(f, ()))
         or any((g[0] + 1, s) in per_g for s, _ in d_g.get(g, ()))
     )
 
 
-def test_leibniz_visits_exactly_the_pairs_with_a_term(monkeypatch):
+def test_leibniz_writes_exactly_the_pairs_with_a_term(monkeypatch):
     """Work-count guard: on the triangular category of axiom seed 1 over Q,
-    the Leibniz sweep visits every basis pair with a table term on some
-    side and no other, fewer than a third of all pairs."""
+    the Leibniz contraction writes an entry for every basis pair with a
+    table term on some side and for no other pair, fewer than a third of
+    all pairs (1,080 of 7,056 when written)."""
     cat = axiom_categories(QQ, 1)["Lambda"]
-    visited = []
-    sweep_pairs = category._leibniz_pairs
+    written = {}
+    defect = category._leibniz_defect
 
-    def recorded(*args):
-        visited.append(sweep_pairs(*args))
-        return visited[-1]
+    def recorded(cat, d_cols, *triple):
+        written[triple] = defect(cat, d_cols, *triple)
+        return written[triple]
 
-    monkeypatch.setattr(category, "_leibniz_pairs", recorded)
+    monkeypatch.setattr(category, "_leibniz_defect", recorded)
     assert validate_dg_category(cat).passed
     triples = list(itertools.product(cat.objects, repeat=3))
-    assert len(visited) == len(triples)
-    total = 0
-    for (x, y, z), pairs in zip(triples, visited):
+    assert list(written) == triples
+    total = visited = 0
+    for x, y, z in triples:
         every = leibniz_pairs(cat, x, y, z)
         total += len(every)
-        gf_of, d_f, d_g = (
-            cat.products(x, y, z),
-            cat.hom[(x, y)].d.columns(),
-            cat.hom[(y, z)].d.columns(),
-        )
-        assert pairs == [gf for gf in every if _has_term(gf_of, d_f, d_g, *gf)]
-    assert 0 < 3 * sum(map(len, visited)) < total
+        columns = [cat.hom[key].d.columns() for key in ((x, y), (y, z), (x, z))]
+        pairs = {(g, f) for g, f, _ in written[(x, y, z)]}
+        assert pairs == {gf for gf in every if _has_term(cat.products(x, y, z), *columns, *gf)}
+        visited += len(pairs)
+    assert 0 < 3 * visited < total
+
+
+def test_associativity_writes_exactly_the_triples_with_a_term(monkeypatch):
+    """Work-count guard: on the triangular category of axiom seed 1 over Q,
+    associative() writes an entry for every basis triple (f, g, h), f a
+    generator, with a table term on some side, h.(g.f) or (h.g).f, and
+    for no other triple.  The triples with a term are found through the
+    kit's after and through, one basis morphism at a time.  They were
+    3,996 of the 74,571 generator x basis x basis triples (5.4%) when
+    written; the guard allows up to 6%."""
+    cat = axiom_categories(QQ, 1)["Lambda"]
+    written = set()
+    associator = category._associator
+
+    def recorded(cat, x, y, z, w, fs, by_row):
+        diff = associator(cat, x, y, z, w, fs, by_row)
+        written.update((x, y, z, w, f, g, h) for f, g, h, _ in diff)
+        return diff
+
+    monkeypatch.setattr(category, "_associator", recorded)
+    assert cat.associative()
+    field, one = cat.field, cat.field.one()
+    generators = cat.spanning().generators
+    expected, total = set(), 0
+    for x, y, z, w in itertools.product(cat.objects, repeat=4):
+        g_basis, h_basis = list(cat.basis_elements(y, z)), list(cat.basis_elements(z, w))
+        total += len(generators[(x, y)]) * len(g_basis) * len(h_basis)
+        for f in generators[(x, y)]:
+            g_f = after(cat, x, y, z, (f[0], {f[1]: one}))
+            k_f = after(cat, x, y, w, (f[0], {f[1]: one}))
+            for g in g_basis:
+                n, h_g = f[0] + g[0], after(cat, y, z, w, (g[0], {g[1]: one}))
+                left = {
+                    h for r in g_f.get(g, {}) for h in after(cat, x, z, w, (n, {r: one}))
+                }
+                right = {
+                    h
+                    for h, hg in h_g.items()
+                    if any(through(field, k_f, (g[0] + h[0], {s: one})) for s in hg)
+                }
+                expected.update((x, y, z, w, f, g, h) for h in left | right)
+    assert written == expected
+    assert 0 < len(written) < 0.06 * total
 
 
 def _reached_only_through(cat, side):
