@@ -38,9 +38,10 @@ reached psi after a generator g is kept (one incremental echelon form
 per hom space, over the field); the pairs whose composites raised the
 rank are the spanning pairs.  The f with h.(g.f) = (h.g).f for all g, h
 are closed under sums and composites, so checking f on the generators
-decides associativity; associative() keeps that verdict, and
-set_products clears it with the spanning and the opposite category,
-which opposite_category builds once per tables.  When it is False,
+decides associativity.  A presentation's tables are given to its
+constructor and never replaced, so spanning(), associative() and
+opposite_category each build their answer once per presentation, on
+first use, and keep it.  When associative() is False,
 validate_dg_category contracts every basis f of each quadruple in order,
 so the witness is the first failing triple in basis order.
 
@@ -82,7 +83,10 @@ class HomElement:
 
 
 class DgCategoryPresentation:
-    """Objects, hom dg-modules, product tables, identity coordinates."""
+    """Objects, hom dg-modules, product tables, identity coordinates.
+
+    The tables, keyed by object triple (a missing triple has no nonzero
+    composite), are checked against the hom dimensions and never replaced."""
 
     def __init__(self, field, objects, hom, products, ids, name="C"):
         self.field = field
@@ -99,26 +103,6 @@ class DgCategoryPresentation:
                 if module.field != field:
                     raise StructureError(f"hom({x},{y}) over the wrong field")
                 self.hom[(x, y)] = module
-        self.set_products(products)
-        self.ids = {}
-        for x in self.objects:
-            vec = ids.get(x)
-            dim0 = self.hom[(x, x)].dim(0)
-            if vec is None:
-                if dim0 != 0:
-                    raise StructureError(f"missing identity coordinates for {x}")
-                vec = ()
-            vec = tuple(vec)
-            if len(vec) != dim0:
-                raise StructureError(
-                    f"identity of {x} has length {len(vec)}, expected {dim0}"
-                )
-            self.ids[x] = vec
-
-    def set_products(self, products):
-        """Install product tables, keyed by object triple (a missing triple
-        has no nonzero composite); a basis morphism or row out of range
-        is refused."""
         self._products = {}
         for x, y, z in itertools.product(self.objects, repeat=3):
             table = products.get((x, y, z), {})
@@ -138,9 +122,21 @@ class DgCategoryPresentation:
                             f"product table for ({x},{y},{z}) has the wrong shape"
                         )
             self._products[(x, y, z)] = table
-        self._spanning = None
-        self._associative = None
-        self._opposite = None
+        self._spanning = self._associative = self._opposite = None
+        self.ids = {}
+        for x in self.objects:
+            vec = ids.get(x)
+            dim0 = self.hom[(x, x)].dim(0)
+            if vec is None:
+                if dim0 != 0:
+                    raise StructureError(f"missing identity coordinates for {x}")
+                vec = ()
+            vec = tuple(vec)
+            if len(vec) != dim0:
+                raise StructureError(
+                    f"identity of {x} has length {len(vec)}, expected {dim0}"
+                )
+            self.ids[x] = vec
 
     def products(self, x, y, z):
         """The product table of one triple: {f: {g: ((row, coeff), ...)}}."""
@@ -149,7 +145,7 @@ class DgCategoryPresentation:
     def spanning(self):
         """The generators and spanning pairs of the product tables (see
         Spanning) by generator_closure, composites read from the tables
-        with zero coefficients dropped; kept until set_products."""
+        with zero coefficients dropped; built on first call and kept."""
         if self._spanning is None:
             field, keys = self.field, tuple(itertools.product(self.objects, repeat=2))
             spaces = {
@@ -175,7 +171,7 @@ class DgCategoryPresentation:
 
     def associative(self):
         """True iff h.(g.f) = (h.g).f on every basis triple, decided on the
-        triples whose f is a generator and kept until set_products.
+        triples whose f is a generator; decided on first call and kept.
 
         The f with h.(g.f) = (h.g).f for all g and h are closed under sums
         and composites: for such f1, f2, h.(g.(f2.f1)) = h.((g.f2).f1) =
@@ -527,7 +523,7 @@ def generator_closure(field, spaces, compose):
 
 def opposite_category(cat):
     """Same objects, reversed homs, composition with the (-1)^{|a||b|} sign;
-    built on first call and kept on cat until set_products."""
+    built on first call and kept on cat."""
     if cat._opposite is not None:
         return cat._opposite
     field = cat.field
@@ -596,13 +592,12 @@ def tensor_category(cat_a, cat_b, name=None):
     return DgCategoryPresentation(field, pair_of, hom, tables, ids, name=name)
 
 
-def with_zero_object(cat, marker=ZERO_OBJECT):
-    """Adjoin a formal object with all-zero hom spaces."""
-    if marker in cat.objects:
-        raise StructureError(f"object name {marker!r} is reserved")
-    objects = cat.objects + (marker,)
-    ids = dict(cat.ids)
-    ids[marker] = ()
+def with_zero_object(cat):
+    """Adjoin the formal object ZERO_OBJECT with all-zero hom spaces."""
+    if ZERO_OBJECT in cat.objects:
+        raise StructureError(f"object name {ZERO_OBJECT!r} is reserved")
+    objects = cat.objects + (ZERO_OBJECT,)
+    ids = {**cat.ids, ZERO_OBJECT: ()}
     return DgCategoryPresentation(
         cat.field, objects, cat.hom, cat._products, ids, name=f"{cat.name}+0"
     )

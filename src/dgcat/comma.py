@@ -237,13 +237,11 @@ def build_coproduct_module(lam, obj, name=None):
         return zero_val if u == marker else obj.B.on_objects[u]
 
     sums, on_objects = {}, {}
-    for p in pres.objects:
-        t, u = lam.split_name(p)
+    for p, (t, u) in lam.pairs.items():
         sums[p], on_objects[p] = direct_sum([a_val(t), b_val(u)])
 
     def image(p, q, r, k):
-        t1, u1 = lam.split_name(p)
-        t2, u2 = lam.split_name(q)
+        (t1, u1), (t2, u2) = lam.pairs[p], lam.pairs[q]
         slot, local = lam.slots[(p, q)][r][k]
         if slot == SLOT_T:
             piece = (0, 0, obj.A.map_of_basis(t1, t2, r, local))
@@ -261,10 +259,8 @@ def build_coproduct_module(lam, obj, name=None):
 def f_on_morphisms(lam, source_module, target_module, phi):
     """alpha (+) beta as a transformation between coproduct modules."""
     marker = lam.zero_marker
-    pres = lam.presentation
     components = {}
-    for p in pres.objects:
-        t, u = lam.split_name(p)
+    for p, (t, u) in lam.pairs.items():
         src_sum = source_module._coproduct_sums[p]
         tgt_sum = target_module._coproduct_sums[p]
         pieces = []
@@ -343,8 +339,7 @@ def phi_iso(lam, module):
     report = Report(f"comparison iso for {module.name}")
 
     components = {}
-    for p in pres.objects:
-        t, u = lam.split_name(p)
+    for p, (t, u) in lam.pairs.items():
         ds = coproduct._coproduct_sums[p]
         tgt = module.on_objects[p].carrier
         pieces = []

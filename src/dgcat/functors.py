@@ -95,23 +95,20 @@ class DgFunctor:
             for x in base.objects
             for y in base.objects
         }
-        self._functorial_memo = None
+        self._functorial = None
 
     @property
     def field(self):
         return self.base.field
 
-    def functorial_on(self, spanning):
-        """True iff F(g.f) = F(g).F(f) on every pair of spanning.pairs, a
-        Spanning of the base; the verdict is kept for the last spanning
-        asked about, and a functoriality PASS of validate_dg_functor sets
-        it to True."""
-        memo = self._functorial_memo
-        if memo is None or memo[0] is not spanning:
-            sums = _composition_sums(self, spanning.pairs)
-            verdict = first_nonzero_sum(self.field, sums) is None
-            memo = self._functorial_memo = (spanning, verdict)
-        return memo[1]
+    def functorial_on(self):
+        """True iff F(g.f) = F(g).F(f) on every spanning pair of the base
+        (base.spanning(), fixed with the base); the verdict is kept, and a
+        functoriality PASS of validate_dg_functor sets it to True."""
+        if self._functorial is None:
+            sums = _composition_sums(self, self.base.spanning().pairs)
+            self._functorial = first_nonzero_sum(self.field, sums) is None
+        return self._functorial
 
     def map_of(self, element):
         """The graded map F(element): F(source) -> F(target)."""
@@ -124,9 +121,6 @@ class DgFunctor:
 
     def map_of_basis(self, x, y, degree, index):
         return self.images[(x, y)][(degree, index)]
-
-    def is_zero(self):
-        return all(m.is_zero() for m in self.on_objects.values())
 
     def __repr__(self):
         return f"DgFunctor({self.name} over {self.base.name})"
@@ -200,7 +194,7 @@ def validate_dg_functor(fun):
         # a generator pair fails, so some basis pair does: find the first
         first = first_nonzero_sum(field, _composition_sums(fun, _basis_pairs(fun)))
     if first is None:  # every basis pair composes, so every spanning pair
-        fun._functorial_memo = (base.spanning(), True)
+        fun._functorial = True
         report.add("functoriality", True)
     else:
         report.add("functoriality", False, _functoriality_witness(fun, first))
@@ -361,9 +355,8 @@ def _natural_generators(F, G):
     base = F.base
     if G.base is not base:
         return None
-    spanning = base.spanning()
-    if F.functorial_on(spanning) and G.functorial_on(spanning):
-        return spanning.generators
+    if F.functorial_on() and G.functorial_on():
+        return base.spanning().generators
     return None
 
 

@@ -221,11 +221,6 @@ class GradedMap:
     def compose(self, other):
         return compose_graded(self, other)
 
-    def add(self, other):
-        one = self.field.one()
-        terms = ((one, self), (one, other))
-        return combination(self.source, self.target, self.degree, terms)
-
     def sub(self, other):
         one = self.field.one()
         terms = ((one, self), (self.field.neg(one), other))

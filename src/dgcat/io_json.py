@@ -429,23 +429,21 @@ def parse_category(scalars, name, data, path):
         x: tuple(_scalar(scalars, v, at) for v in _list(vec, at, "a list of scalars"))
         for (x,), vec, at in _table(data.get("id", {}), f"{path}.id", objects)
     }
-    cat = DgCategoryPresentation(scalars.field, objects, hom, {}, ids, name=name)
     comp = _table(data.get("comp", {}), f"{path}.comp", objects, objects, objects)
-    cat.set_products(
-        {
-            triple: _parse_products(scalars, cat, *triple, entries, at)
-            for triple, entries, at in comp
-        }
-    )
-    return cat
+    products = {
+        triple: _parse_products(scalars, hom, *triple, entries, at)
+        for triple, entries, at in comp
+    }
+    return DgCategoryPresentation(scalars.field, objects, hom, products, ids, name=name)
 
 
-def _parse_products(scalars, cat, x, y, z, entries, path):
-    """The product table of one triple.  Entries at one position are
-    summed and a zero sum is left out."""
+def _parse_products(scalars, hom, x, y, z, entries, path):
+    """The product table of one triple, checked against the parsed hom
+    modules (a pair missing from hom is zero).  Entries at one position
+    are summed and a zero sum is left out."""
     field = scalars.field
     g_dims, f_dims, out_dims = (
-        cat.hom[pair].carrier.dims() for pair in ((y, z), (x, y), (x, z))
+        hom[pair].carrier.dims() if pair in hom else {} for pair in ((y, z), (x, y), (x, z))
     )
     sums = {}
     for gdeg, gidx, fdeg, fidx, row, value, pos in _entries(

@@ -37,11 +37,13 @@ SLOT_T, SLOT_M, SLOT_U = 0, 1, 2
 class LambdaCategory:
     """The presentation plus block bookkeeping for the three hom slots."""
 
-    def __init__(self, t_cat, u_cat, bimodule, presentation, sums):
+    def __init__(self, t_cat, u_cat, bimodule, presentation, pairs, sums):
         self.t_cat = t_cat
         self.u_cat = u_cat
         self.bimodule = bimodule
         self.presentation = presentation
+        # pairs[p]: the (T-object, U-object) pair that object p of Lambda is
+        self.pairs = pairs
         # sums[(p, q)]: hom(p, q) as the DirectSum (t-block, m-block, u-block)
         self.sums = sums
         # slots[(p, q)][degree][index]: (slot, local index) of a basis element
@@ -64,10 +66,6 @@ class LambdaCategory:
 
     def object_name(self, t_obj, u_obj):
         return f"{t_obj}|{u_obj}"
-
-    def split_name(self, name):
-        t_obj, u_obj = name.split("|", 1)
-        return t_obj, u_obj
 
     def hom_element(self, p, q, slot, elem):
         """The morphism p -> q whose slot block is elem (a homogeneous
@@ -141,7 +139,7 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True):
     tables = _lambda_products(t_ext, u_ext, bimodule, pair_of, sums)
     name = f"[[{t_cat.name},0],[{bimodule.name},{u_cat.name}]]"
     presentation = DgCategoryPresentation(field, pair_of, hom, tables, ids, name=name)
-    lam = LambdaCategory(t_cat, u_cat, bimodule, presentation, sums)
+    lam = LambdaCategory(t_cat, u_cat, bimodule, presentation, pair_of, sums)
     if validate:
         rep = validate_dg_category(presentation)
         if not rep.passed:

@@ -270,7 +270,8 @@ def compose_basis_coords(cat, x, y, z, gdeg, gidx, fdeg, fidx):
 
 
 def compose_from_products(cat, product):
-    """Install on cat the product tables given by product; returns cat.
+    """A new presentation of cat's objects, homs and identities, built
+    with the product tables given by product (cat's own are not read).
 
     product(x, y, z, gdeg, gidx, fdeg, fidx) is the coordinate vector in
     hom(x, z)^(gdeg+fdeg) of the composite of the basis morphisms
@@ -294,8 +295,7 @@ def compose_from_products(cat, product):
             terms = tuple((r, c) for r, c in enumerate(out) if not field.is_zero(c))
             if terms:
                 table.setdefault(f, {})[g] = terms
-    cat.set_products(tables)
-    return cat
+    return presentation_with(cat, tables)
 
 
 def opposite_tables(cat):

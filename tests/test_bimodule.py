@@ -45,7 +45,7 @@ from dgcat.functors import (
     representable_module,
     validate_dg_functor,
 )
-from dgcat.graded import GradedMap
+from dgcat.graded import GradedMap, combination
 from dgcat.shipped import FIXTURE_DIR, NAMES, shipped_workspace
 
 
@@ -374,9 +374,9 @@ def _oracle_leibniz_witness(bim):
             for td, ti in T.basis_elements(t, t2):
                 beta = T.basis_element(t, t2, td, ti)
                 d_beta = T.differential(beta)
-                lhs = action(d_alpha, beta).add(
-                    action(alpha, d_beta).scale(field.sign(ud))
-                )
+                first = action(d_alpha, beta)
+                terms = [(field.one(), first), (field.sign(ud), action(alpha, d_beta))]
+                lhs = combination(first.source, first.target, first.degree, terms)
                 both = action(alpha, beta)
                 rhs = bim.values[(u2, t)].d.compose(both).sub(
                     both.compose(bim.values[(u, t2)].d).scale(field.sign(ud + td))

@@ -11,6 +11,7 @@ from conftest import (
     leibniz_witness,
     opposite_tables,
     path_category,
+    presentation_with,
     product_tables,
 )
 from dgcat.category import (
@@ -116,10 +117,8 @@ def test_associativity_negative_control_path():
     # Corrupting the middle composite of a 3-arrow path category breaks
     # associativity without touching units, chain map, or differentials.
     field = QQ
-    cat = path_category(field, 3)
     bad = {(0, 0): {(0, 0): ((0, Fraction(2)),)}}
-    tables = {t: cat.products(*t) for t in itertools.product(cat.objects, repeat=3)}
-    cat.set_products({**tables, ("x0", "x2", "x3"): bad})
+    cat = presentation_with(path_category(field, 3), {("x0", "x2", "x3"): bad})
     report = validate_dg_category(cat)
     by_name = {c.name: c for c in report.checks}
     assert by_name["d_squared"].passed
@@ -182,23 +181,21 @@ def test_opposite_tables_equal_the_per_pair_rule(theorem_fixtures):
 
 
 def test_opposite_is_built_once_per_product_tables():
-    # Doubling the composite x0 -> x2 -> x3 of the path category through
-    # set_products gives a new opposite, whose x3 -> x2 -> x0 follows it.
+    # The path category with its composite x0 -> x2 -> x3 doubled has its
+    # own opposite, whose x3 -> x2 -> x0 follows it.
     cat = path_category(QQ, 3)
-    opp = opposite_category(cat)
-    assert opposite_category(cat) is opp
+    doubled = {(0, 0): {(0, 0): ((0, Fraction(2)),)}}
+    other = presentation_with(cat, {("x0", "x2", "x3"): doubled})
 
     def op_composite(op):
         g = op.basis_element("x2", "x0", 0, 0)
         f = op.basis_element("x3", "x2", 0, 0)
         return compose(op, g, f).coords
 
+    opp, again = opposite_category(cat), opposite_category(other)
+    assert opposite_category(cat) is opp and opposite_category(other) is again
+    assert again is not opp
     assert op_composite(opp) == (Fraction(1),)
-    tables = {t: cat.products(*t) for t in itertools.product(cat.objects, repeat=3)}
-    doubled = {(0, 0): {(0, 0): ((0, Fraction(2)),)}}
-    cat.set_products({**tables, ("x0", "x2", "x3"): doubled})
-    again = opposite_category(cat)
-    assert again is not opp and opposite_category(cat) is again
     assert op_composite(again) == (Fraction(2),)
 
 

@@ -281,7 +281,7 @@ def test_extract_from_zero_module():
     lam, *_ = kkk_comma_setup()
     back = extract_comma_from_module(lam, zero_functor(lam.presentation))
     assert validate_comma_object(back).passed
-    assert back.A.is_zero() and back.B.is_zero()
+    assert all(m.is_zero() for m in (*back.A.on_objects.values(), *back.B.on_objects.values()))
 
 
 def test_phi_iso_on_representable():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import product_tables
+from dgcat.category import DgCategoryPresentation
 from dgcat.cli import build_parser, main
 from dgcat.errors import StructureError
 from dgcat.fields import Rationals
@@ -291,6 +293,25 @@ def test_parse_sums_comp_entries_at_one_position(entries, emitted):
     category = emit_workspace(parse_text(json.dumps(document)))["categories"]["T"]
     comp = category.get("comp")
     assert comp == (None if emitted is None else {"t": {"t": {"t": emitted}}})
+
+
+def test_each_parsed_category_is_constructed_once_with_its_tables(monkeypatch):
+    """Each category of a document is built by one construction, which is
+    given the parsed product tables: none is built empty and filled later."""
+    built = []
+    init = DgCategoryPresentation.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self, product_tables(self)))
+
+    monkeypatch.setattr(DgCategoryPresentation, "__init__", recorded)
+    categories = parse_text(shipped_text("exterior")).categories
+    parsed = [(cat, tables) for cat, tables in built if cat.name in categories]
+    assert sorted(cat.name for cat, _ in parsed) == sorted(categories)
+    for cat, tables in parsed:
+        assert cat is categories[cat.name] and tables == product_tables(cat)
+        assert any(tables.values())
 
 
 def test_scalar_text_is_read_afresh_in_each_document():
