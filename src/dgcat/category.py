@@ -17,33 +17,38 @@ degrees, so basis tuples decide everything.
 
 Both composition axioms are decided by one sparse contraction of the
 tables, which reads only nonzero composites and writes one flat
-difference dict; the axiom holds iff every entry is zero, and the least
-failing key names the witness, whose two sides alone are then summed.
+difference dict, summed with the native operators (dgcat.fields); the
+axiom holds iff every entry is zero, and the least failing key names the
+witness, whose two sides alone are then summed, in field arithmetic.
 The chain-map axiom is the Leibniz rule d(g.f) = dg.f + (-1)^{|g|} g.df:
 per object triple, _leibniz_defect writes d(g.f) - dg.f - (-1)^{|g|} g.df
-keyed (g, f, coordinate), and the witness is the least failing pair by
-(|g|+|f|, |g|, g index, f index), the pure-tensor order of
-hom(y,z) (x) hom(x,y).  Associativity: per object quadruple, _associator
-writes h.(g.f) - (h.g).f keyed (f, g, h, coordinate), the left side
-through products(x, z, w) and the right side through an index of
-products(y, z, w) by composite row, built once per sweep; the witness is
-the least failing (f, g) in basis order, then the least failing h.
+keyed (g, f, coordinate) for the f it is given, and the witness is the
+least failing pair by (|g|+|f|, |g|, g index, f index), the pure-tensor
+order of hom(y,z) (x) hom(x,y).  Associativity: per object quadruple,
+_associator writes h.(g.f) - (h.g).f keyed (f, g, h, coordinate) for the
+f it is given, the left side through products(x, z, w) and the right
+side through an index of products(y, z, w) by composite row, built once
+per sweep; the witness is the least failing (f, g) in basis order, then
+the least failing h.
 
-Associativity is also decided on a generating set, which spanning()
-takes from generator_closure, the one rule that also picks the comma
-category's generators for check-equivalence's functor laws: basis
-morphisms are visited in (x, y, degree, index) order, and each one not
-reached from earlier generators by sums and composites psi . g of a
-reached psi after a generator g is kept (one incremental echelon form
-per hom space, over the field); the pairs whose composites raised the
-rank are the spanning pairs.  The f with h.(g.f) = (h.g).f for all g, h
-are closed under sums and composites, so checking f on the generators
-decides associativity.  A presentation's tables are given to its
-constructor and never replaced, so spanning(), associative() and
-opposite_category each build their answer once per presentation, on
-first use, and keep it.  When associative() is False,
-validate_dg_category contracts every basis f of each quadruple in order,
-so the witness is the first failing triple in basis order.
+Both axioms and the unit laws are also decided on a generating set,
+which spanning() takes from generator_closure, the one rule that also
+picks the comma category's generators for check-equivalence's functor
+laws: basis morphisms are visited in (x, y, degree, index) order, and
+each one not reached from earlier generators by sums and composites
+psi . g of a reached psi after a generator g is kept (one incremental
+echelon form per hom space, over the field); the pairs whose composites
+raised the rank are the spanning pairs.  The f with h.(g.f) = (h.g).f
+for all g, h are closed under sums and composites, so the generator f
+decide associativity (associative()).  Under associativity the same
+holds for the f with the Leibniz rule for every g (leibniz()) and for
+the f with 1.f = f = f.1, since 1.(psi.g) = (1.psi).g and
+(psi.g).1 = psi.(g.1).  A presentation's tables are given to its
+constructor and never replaced, so spanning(), associative(), leibniz()
+and opposite_category each build their answer once per presentation, on
+first use, and keep it.  When a verdict is False, or a generator fails
+the unit laws, validate_dg_category scans every basis tuple in order,
+so each witness is the first failing tuple in basis order.
 
 Every table is written from other tables, never by composing basis
 pairs one at a time: the opposite category transposes them with the sign
@@ -122,7 +127,7 @@ class DgCategoryPresentation:
                             f"product table for ({x},{y},{z}) has the wrong shape"
                         )
             self._products[(x, y, z)] = table
-        self._spanning = self._associative = self._opposite = None
+        self._spanning = self._associative = self._leibniz = self._opposite = None
         self.ids = {}
         for x in self.objects:
             vec = ids.get(x)
@@ -190,6 +195,31 @@ class DgCategoryPresentation:
             )
         return self._associative
 
+    def leibniz(self):
+        """True iff associative() holds and d(g.f) = dg.f + (-1)^{|g|} g.df
+        on every basis pair whose f is a generator, so on every basis pair;
+        decided on first call and kept.
+
+        Under associativity the f with the Leibniz rule for every g are
+        closed under sums and composites: for such f1, f2,
+        d(g.(f2.f1)) = d(g.f2).f1 + (-1)^{|g|+|f2|} (g.f2).df1
+        = dg.(f2.f1) + (-1)^{|g|} g.(df2.f1 + (-1)^{|f2|} f2.df1), and the
+        last bracket is d(f2.f1).  Each generator f is checked by one
+        contraction of the tables per object triple (_leibniz_defect).
+        """
+        if self._leibniz is None:
+            self._leibniz = self.associative()
+            if self._leibniz:
+                generators, d_cols = self.spanning().generators, _d_columns(self)
+                is_zero = self.field.is_zero
+                self._leibniz = all(
+                    is_zero(v)
+                    for x, y, z in itertools.product(self.objects, repeat=3)
+                    if generators[(x, y)]
+                    for v in _leibniz_defect(self, d_cols, x, y, z, generators[(x, y)]).values()
+                )
+        return self._leibniz
+
     def compose_basis(self, x, y, z, gdeg, gidx, fdeg, fidx):
         """Sparse composite of two basis morphisms: ((index, coeff), ...)
         in hom(x,z)^(gdeg+fdeg), read from products(x, y, z)."""
@@ -226,7 +256,10 @@ def validate_dg_category(cat):
     """Total axiom report: every axiom is checked even after a failure.
 
     Per axiom the witness is the first violating basis tuple together
-    with both sides' coordinate vectors.
+    with both sides' coordinate vectors.  The composition axioms and the
+    unit laws are decided on the generators when their closure argument
+    holds (leibniz(), associative()); otherwise, or when a generator
+    fails, every basis tuple is scanned for the witness.
     """
     field = cat.field
     report = Report(f"dg-category {cat.name}")
@@ -239,9 +272,11 @@ def validate_dg_category(cat):
             break
     report.add("d_squared", witness is None, witness)
 
-    d_cols = {key: hom.d.columns() for key, hom in cat.hom.items()}
-    triples = itertools.product(cat.objects, repeat=3)
-    witness = next(filter(None, (_chain_map_witness(cat, d_cols, *t) for t in triples)), None)
+    witness = None
+    if not cat.leibniz():
+        d_cols, triples = _d_columns(cat), itertools.product(cat.objects, repeat=3)
+        found = (_chain_map_witness(cat, d_cols, *t) for t in triples)
+        witness = next(filter(None, found), None)
     report.add("composition_chain_map", witness is None, witness)
 
     witness = None
@@ -252,9 +287,12 @@ def validate_dg_category(cat):
             break
     report.add("identity_closed", witness is None, witness)
 
-    pairs = itertools.product(cat.objects, repeat=2)
-    units = (_unit_witness(cat, x, y, f) for x, y in pairs for f in cat.basis_elements(x, y))
-    witness = next(filter(None, units), None)
+    # 1.(psi.g) = (1.psi).g and (psi.g).1 = psi.(g.1): under associativity
+    # the unit laws pass from psi and g to psi.g, so the generators decide them
+    generators = cat.spanning().generators if cat.associative() else None
+    witness = _first_unit_witness(cat, generators)
+    if witness is not None and generators is not None:
+        witness = _first_unit_witness(cat)
     report.add("units", witness is None, witness)
 
     witness = None
@@ -264,6 +302,11 @@ def validate_dg_category(cat):
         witness = next(filter(None, found), None)
     report.add("associativity", witness is None, witness)
     return report
+
+
+def _d_columns(cat):
+    """The sparse differential columns of every hom, {(x, y): columns}."""
+    return {key: hom.d.columns() for key, hom in cat.hom.items()}
 
 
 def _add_scaled(field, acc, c, entries):
@@ -281,41 +324,39 @@ def _fmt_sparse(field, acc, dim):
     return fmt_vector(field, linalg.dense_vector(field, acc.items(), dim))
 
 
-def _leibniz_defect(cat, d_cols, x, y, z):
-    """d(g.f) - dg.f - (-1)^{|g|} g.df for every basis pair (g, f) of one
-    triple, as {(g, f, coordinate): value} over the entries a table term
-    reaches, zero where its terms cancel; no entry is written for a pair
-    with no term.  d_cols holds the sparse differential columns of every
-    hom; a term g'.f of dg.f is found through the reversed columns of
-    hom(y, z)."""
+def _leibniz_defect(cat, d_cols, x, y, z, fs):
+    """d(g.f) - dg.f - (-1)^{|g|} g.df for f over fs and every basis g of
+    hom(y, z), as {(g, f, coordinate): value} over the entries a table
+    term reaches, zero where its terms cancel; no entry is written for a
+    pair with no term.  d_cols holds the sparse differential columns of
+    every hom (_d_columns); a term g'.f of dg.f is found through the
+    reversed columns of hom(y, z).  The entries are summed with the native
+    operators, so only field.is_zero reads them (see dgcat.fields)."""
     gf_of = cat.products(x, y, z)
     if not gf_of:
         return {}
-    field = cat.field
-    add, sub, mul, zero = field.add, field.sub, field.mul, field.zero()
     d_f, d_gf = d_cols[(x, y)], d_cols[(x, z)]
     d_into = {}  # g' -> [(g, c)]: dg has the term c g'
     for g, column in d_cols[(y, z)].items():
         for s, c in column:
             d_into.setdefault((g[0] + 1, s), []).append((g, c))
     diff = {}
-    for f, per_g in gf_of.items():
-        for g, terms in per_g.items():
+    for f in fs:
+        for g, terms in gf_of.get(f, {}).items():
             for r, c in terms:
                 for t, v in d_gf.get((f[0] + g[0], r), ()):
                     key = g, f, t
-                    diff[key] = add(diff.get(key, zero), mul(c, v))
+                    diff[key] = diff.get(key, 0) + c * v
             for g0, c in d_into.get(g, ()):
                 for r, v in terms:
                     key = g0, f, r
-                    diff[key] = sub(diff.get(key, zero), mul(c, v))
-    for f, column in d_f.items():
-        for s, c in column:
+                    diff[key] = diff.get(key, 0) - c * v
+        for s, c in d_f.get(f, ()):
             for g, terms in gf_of.get((f[0] + 1, s), {}).items():
-                c_g = mul(field.sign(g[0]), c)
+                c_g = -c if g[0] % 2 else c
                 for r, v in terms:
                     key = g, f, r
-                    diff[key] = sub(diff.get(key, zero), mul(c_g, v))
+                    diff[key] = diff.get(key, 0) - c_g * v
     return diff
 
 
@@ -324,7 +365,7 @@ def _chain_map_witness(cat, d_cols, x, y, z):
     g index, f index), the pure-tensor order of hom(y,z) (x) hom(x,y),
     with d(g.f) != dg.f + (-1)^{|g|} g.df, and both sides; or None."""
     field = cat.field
-    diff = _leibniz_defect(cat, d_cols, x, y, z)
+    diff = _leibniz_defect(cat, d_cols, x, y, z, cat.basis_elements(x, y))
     failing = [(g, f) for (g, f, _), v in diff.items() if not field.is_zero(v)]
     if not failing:
         return None
@@ -346,6 +387,18 @@ def _chain_map_witness(cat, d_cols, x, y, z):
         "comp_after_d": _fmt_sparse(field, rhs, dim),
         "d_after_comp": _fmt_sparse(field, lhs, dim),
     }
+
+
+def _first_unit_witness(cat, generators=None):
+    """The witness of the first basis morphism f, over the object pairs in
+    order and f among generators[(x, y)] (default: every basis morphism),
+    with 1_y.f != f or f.1_x != f; or None."""
+    found = (
+        _unit_witness(cat, x, y, f)
+        for x, y in itertools.product(cat.objects, repeat=2)
+        for f in (cat.basis_elements(x, y) if generators is None else generators[(x, y)])
+    )
+    return next(filter(None, found), None)
 
 
 def _unit_witness(cat, x, y, f):
@@ -391,10 +444,10 @@ def _associator(cat, x, y, z, w, fs, by_row):
     The left side contracts products(x, y, z)[f] with products(x, z, w);
     the right side joins each term u.f of products(x, y, w)[f] with the
     pairs (g, h) of by_row = _composites_by_row(cat) whose h.g has a term
-    at u.  No entry is written for a triple with no term.
+    at u.  No entry is written for a triple with no term.  The entries are
+    summed with the native operators, so only field.is_zero reads them
+    (see dgcat.fields).
     """
-    field = cat.field
-    add, sub, mul, zero = field.add, field.sub, field.mul, field.zero()
     gf_of, h_gf_of, hg_f_of = (cat.products(*t) for t in ((x, y, z), (x, z, w), (x, y, w)))
     hg_by_row = by_row[(y, z, w)]
     diff = {}
@@ -404,12 +457,12 @@ def _associator(cat, x, y, z, w, fs, by_row):
                 for h, h_terms in h_gf_of.get((f[0] + g[0], r), {}).items():
                     for s, v in h_terms:
                         key = f, g, h, s
-                        diff[key] = add(diff.get(key, zero), mul(c, v))
+                        diff[key] = diff.get(key, 0) + c * v
         for u, terms in hg_f_of.get(f, {}).items():
             for g, h, c in hg_by_row.get(u, ()):
                 for r, v in terms:
                     key = f, g, h, r
-                    diff[key] = sub(diff.get(key, zero), mul(c, v))
+                    diff[key] = diff.get(key, 0) - c * v
     return diff
 
 

@@ -24,7 +24,7 @@ from .io_json import (
     parse_text,
     render_document,
 )
-from .lambda_cat import build_lambda
+from .lambda_cat import refuse_invalid_inputs, validate_lambda
 from .report import Report
 
 EXIT_OK = 0
@@ -111,7 +111,9 @@ def cmd_lambda(args):
     workspace = parse_text(_read_input(args.input))
     t, u = (_named(workspace.categories, key, "category") for key in (args.t, args.u))
     bimodule = _named(workspace.bimodules, args.bimodule, "bimodule")
-    lam = build_lambda(t, u, bimodule, validate=True)
+    refuse_invalid_inputs(t, u, bimodule)
+    lam = workspace.lambda_for(args.t, args.u, args.bimodule)
+    validate_lambda(lam.presentation)
     name = args.name or f"lambda.{args.t}.{args.bimodule}.{args.u}"
     return _write_category(args, workspace, name, lam.presentation)
 
@@ -168,14 +170,7 @@ def cmd_check_equivalence(args):
             raise ValidationFailure(f"comma object module {name!r} is invalid", sub)
 
     lam = workspace.lambda_for(fixture["t"], fixture["u"], fixture["bimodule"])
-    sub = validate_dg_category(lam.presentation)
-    if not sub.passed:
-        raise ValidationFailure(
-            "triangular matrix category failed its own validation "
-            "(internal inconsistency)",
-            sub,
-        )
-    report.extend(sub, prefix="lambda.")
+    report.extend(validate_lambda(lam.presentation), prefix="lambda.")
 
     comma_objects = [workspace.comma_objects[r] for r in fixture["comma_objects"]]
     lambda_modules = [workspace.modules[r] for r in fixture["lambda_modules"]]

@@ -4,6 +4,16 @@ Scalars are plain Python values (an `int` or a `fractions.Fraction` for
 Q, whole numbers kept as `int`; ints in [0, p) for F_p); the field object
 supplies the arithmetic.  Nothing in this package ever touches floating
 point.
+
+A kernel that only asks whether sums of products are zero may add,
+subtract and multiply scalars with the native operators `+`, `-` and `*`
+and ask `is_zero` once per sum: Q's add, sub and mul are those
+operators, F_p's are those operators followed by reduction mod p, which
+commutes with them, and F_p's `is_zero` reads the residue.  Such a sum
+is never divided (no `/`), and any value that is reported, such as a
+witness's sides, is computed with the field's own operations.  The
+contractions of category (_associator, _leibniz_defect) and
+graded.first_nonzero_sum sum this way.
 """
 
 from __future__ import annotations

@@ -30,10 +30,15 @@ _naturality_sides gives the two sides of the square of one basis
 morphism as terms, first_nonzero_sum finds the first that differ, and
 the witness is those two sides built by graded.combination.
 
-Two checks read the base's generators (DgCategoryPresentation.spanning).
+Three checks read the base's generators (DgCategoryPresentation.spanning).
 Over an associative base the f with F(g.f) = F(g).F(f) for all g are
 closed under sums and composites, so functoriality is decided for f among
-the generators when base.associative() holds.  For F and G over the same
+the generators when base.associative() holds.  validate_dg_functor
+decides functoriality first (the report keeps its order); when it passes
+and the base is Leibniz (base.leibniz()), the phi with F(d phi) = d F(phi)
+are closed under sums and composites, as F(d(psi.g)) = F(d psi)F(g) +
+(-1)^{|psi|} F(psi)F(dg) = d(F(psi)F(g)), so chain_map_holds is asked for
+the generators only.  For F and G over the same
 presentation object that both satisfy F(g.f) = F(g).F(f) on the spanning
 pairs (checked once per functor and kept, or settled by a functoriality
 PASS), naturality along generators
@@ -160,6 +165,8 @@ def validate_dg_functor(fun):
     The chain-map witness is the first object pair whose action fails
     chain_map_holds, with both sides as maps into the Hom complex; the
     functoriality witness is the first basis pair with F(g.f) != F(g).F(f).
+    Functoriality is decided first, as the chain-map rule is decided on
+    the generators when it passes over a Leibniz base.
     """
     base = fun.base
     report = Report(f"dg-functor {fun.name}")
@@ -172,11 +179,22 @@ def validate_dg_functor(fun):
             break
     report.add("values_d_squared", witness is None, witness)
 
-    witness = None
-    for x, y in itertools.product(base.objects, repeat=2):
-        if not chain_map_holds(fun, x, y):
-            witness = _chain_map_witness(fun, x, y)
-            break
+    field = fun.field
+    generators = base.spanning().generators if base.associative() else None
+    first = first_nonzero_sum(field, _composition_sums(fun, _basis_pairs(fun, generators)))
+    if first is not None and generators is not None:
+        # a generator pair fails, so some basis pair does: find the first
+        first = first_nonzero_sum(field, _composition_sums(fun, _basis_pairs(fun)))
+    if first is None:  # every basis pair composes, so every spanning pair
+        fun._functorial = True
+
+    # a functorial action over a Leibniz base: the generators decide the
+    # chain-map rule (module docstring)
+    generators = base.spanning().generators if first is None and base.leibniz() else None
+    failing = _chain_map_failure(fun, generators)
+    if failing is not None and generators is not None:
+        failing = _chain_map_failure(fun)
+    witness = None if failing is None else _chain_map_witness(fun, *failing)
     report.add("chain_map", witness is None, witness)
 
     witness = None
@@ -187,14 +205,7 @@ def validate_dg_functor(fun):
             break
     report.add("unit", witness is None, witness)
 
-    generators = base.spanning().generators if base.associative() else None
-    field = fun.field
-    first = first_nonzero_sum(field, _composition_sums(fun, _basis_pairs(fun, generators)))
-    if first is not None and generators is not None:
-        # a generator pair fails, so some basis pair does: find the first
-        first = first_nonzero_sum(field, _composition_sums(fun, _basis_pairs(fun)))
-    if first is None:  # every basis pair composes, so every spanning pair
-        fun._functorial = True
+    if first is None:
         report.add("functoriality", True)
     else:
         report.add("functoriality", False, _functoriality_witness(fun, first))
@@ -213,12 +224,12 @@ def _is_identity(gmap):
     return diagonal == gmap.source.total_dim()
 
 
-def chain_map_holds(fun, x, y):
+def chain_map_holds(fun, x, y, basis):
     """True iff F(d phi) = d F(phi) in Hom(F x, F y) for every basis
-    morphism phi of hom(x, y), that is, iff the action of hom(x, y) is a
-    chain map.  Per phi, d_N.F(phi) - (-1)^{|phi|} F(phi).d_M minus the
-    images over the column of d at phi is one flat difference, which must
-    vanish (graded.first_nonzero_sum)."""
+    morphism phi (degree, index) of hom(x, y) in basis.  Per phi,
+    d_N.F(phi) - (-1)^{|phi|} F(phi).d_M minus the images over the column
+    of d at phi is one flat difference, which must vanish
+    (graded.first_nonzero_sum)."""
     field = fun.field
     neg, sign = field.neg, field.sign
     one = field.one()
@@ -227,13 +238,28 @@ def chain_map_holds(fun, x, y):
     d_columns = fun.base.hom[(x, y)].d.columns()
     sums = (
         (
-            (m, k),
-            [(one, d_target, image), (neg(sign(m)), image, d_source)],
-            [(c, images[(m + 1, r)]) for r, c in d_columns.get((m, k), ())],
+            phi,
+            [(one, d_target, images[phi]), (neg(sign(phi[0])), images[phi], d_source)],
+            [(c, images[(phi[0] + 1, r)]) for r, c in d_columns.get(phi, ())],
         )
-        for (m, k), image in images.items()
+        for phi in basis
     )
     return first_nonzero_sum(field, sums) is None
+
+
+def _chain_map_failure(fun, generators=None):
+    """The first object pair (x, y) whose action fails chain_map_holds on
+    the basis morphisms of hom(x, y), or on generators[(x, y)]; or None."""
+    return next(
+        (
+            (x, y)
+            for x, y in itertools.product(fun.base.objects, repeat=2)
+            if not chain_map_holds(
+                fun, x, y, fun.images[(x, y)] if generators is None else generators[(x, y)]
+            )
+        ),
+        None,
+    )
 
 
 def _chain_map_witness(fun, x, y):

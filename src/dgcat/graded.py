@@ -339,19 +339,20 @@ def first_nonzero_sum(field, sums):
     coefficients of rhs negated on the way, so no map is built and nothing
     is composed; the sides are equal iff every entry is zero.  sums is read
     lazily, so the triples after the first unequal one are never formed.
+    The entries are summed with the native operators, so only
+    field.is_zero reads them (see dgcat.fields).
     """
-    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
-    one = field.one()
+    is_zero = field.is_zero
     for key, lhs, rhs in sums:
         acc = {}
         for negate, side in ((False, lhs), (True, rhs)):
             for term in side:
-                c = neg(term[0]) if negate else term[0]
-                scaled = c != one
+                c = -term[0] if negate else term[0]
+                scaled = c != 1
                 if len(term) == 2:
                     for i, r, k, v in term[1].entries():
-                        x, at = mul(c, v) if scaled else v, (i, r, k)
-                        acc[at] = add(acc[at], x) if at in acc else x
+                        x, at = c * v if scaled else v, (i, r, k)
+                        acc[at] = acc[at] + x if at in acc else x
                     continue
                 g, f = term[1], term[2]
                 for i, f_rows in f._nonzeros.items():
@@ -360,10 +361,10 @@ def first_nonzero_sum(field, sums):
                         continue
                     for r, g_row in g_rows.items():
                         for s, w in g_row.items():
-                            cw = mul(c, w) if scaled else w
+                            cw = c * w if scaled else w
                             for k, v in f_rows.get(s, {}).items():
-                                x, at = mul(cw, v), (i, r, k)
-                                acc[at] = add(acc[at], x) if at in acc else x
+                                x, at = cw * v, (i, r, k)
+                                acc[at] = acc[at] + x if at in acc else x
         if not all(map(is_zero, acc.values())):
             return key
     return None

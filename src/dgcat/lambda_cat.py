@@ -86,13 +86,22 @@ class LambdaCategory:
         return self.hom_element(p, q, SLOT_U, self.u_cat.identity(u_obj))
 
 
-def build_lambda(t_cat, u_cat, bimodule, validate=True):
-    """Construct the triangular matrix category; re-validates by default.
+def refuse_invalid_inputs(t_cat, u_cat, bimodule):
+    """Refuse inputs Lambda is not defined for: StructureError for a
+    bimodule over other bases or an object name that clashes with the pair
+    encoding, then ValidationFailure with the report of the first invalid
+    one of T, U and M."""
+    _refuse_unpairable(t_cat, u_cat, bimodule)
+    for cat in (t_cat, u_cat):
+        rep = validate_dg_category(cat)
+        if not rep.passed:
+            raise ValidationFailure(f"input dg-category {cat.name} is invalid", rep)
+    rep = validate_bimodule(bimodule)
+    if not rep.passed:
+        raise ValidationFailure("input bimodule is invalid", rep)
 
-    Invalid inputs are refused with the upstream validation report.  The
-    re-validation of the output can be skipped for large fixtures, but the
-    executable check is the point, so it defaults to on.
-    """
+
+def _refuse_unpairable(t_cat, u_cat, bimodule):
     if bimodule.left_base is not u_cat or bimodule.right_base is not t_cat:
         if (
             bimodule.left_base.objects != u_cat.objects
@@ -102,16 +111,34 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True):
     for obj in t_cat.objects + u_cat.objects:
         if "|" in obj or obj == ZERO_OBJECT:
             raise StructureError(f"object name {obj!r} clashes with pair encoding")
+
+
+def validate_lambda(presentation):
+    """The report of Lambda's own validation; a failure is an internal
+    inconsistency of the construction, raised as ValidationFailure."""
+    rep = validate_dg_category(presentation)
+    if not rep.passed:
+        raise ValidationFailure(
+            "triangular matrix category failed its own validation "
+            "(internal inconsistency)",
+            rep,
+        )
+    return rep
+
+
+def build_lambda(t_cat, u_cat, bimodule, validate=True):
+    """Construct the triangular matrix category; re-validates by default.
+
+    Invalid inputs are refused with the upstream validation report
+    (refuse_invalid_inputs), and the output is validated (validate_lambda).
+    The command line validates the inputs and Lambda itself, around the
+    one Lambda its workspace builds (Workspace.lambda_for), so it builds
+    with validate=False.
+    """
     if validate:
-        for cat in (t_cat, u_cat):
-            rep = validate_dg_category(cat)
-            if not rep.passed:
-                raise ValidationFailure(
-                    f"input dg-category {cat.name} is invalid", rep
-                )
-        rep = validate_bimodule(bimodule)
-        if not rep.passed:
-            raise ValidationFailure("input bimodule is invalid", rep)
+        refuse_invalid_inputs(t_cat, u_cat, bimodule)
+    else:
+        _refuse_unpairable(t_cat, u_cat, bimodule)
 
     field = t_cat.field
     t_ext = with_zero_object(t_cat)
@@ -141,13 +168,7 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True):
     presentation = DgCategoryPresentation(field, pair_of, hom, tables, ids, name=name)
     lam = LambdaCategory(t_cat, u_cat, bimodule, presentation, pair_of, sums)
     if validate:
-        rep = validate_dg_category(presentation)
-        if not rep.passed:
-            raise ValidationFailure(
-                "triangular matrix category failed its own validation "
-                "(internal inconsistency)",
-                rep,
-            )
+        validate_lambda(presentation)
     return lam
 
 

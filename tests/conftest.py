@@ -745,14 +745,15 @@ def with_table_coordinate(cat, spot, step=1):
     return presentation_with(cat, tables={key: table})
 
 
-def presentation_with(cat, tables=None, hom=None):
-    """A new presentation of cat with the product tables of some triples
-    and the hom modules of some pairs replaced."""
+def presentation_with(cat, tables=None, hom=None, ids=None):
+    """A new presentation of cat with the product tables of some triples,
+    the hom modules of some pairs and the identities of some objects
+    replaced."""
     return DgCategoryPresentation(
         cat.field,
         cat.objects,
         {**cat.hom, **(hom or {})},
         {**product_tables(cat), **(tables or {})},
-        cat.ids,
+        {**cat.ids, **(ids or {})},
         name=cat.name,
     )

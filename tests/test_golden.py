@@ -424,7 +424,7 @@ def test_basis_chain_map_check_matches_whole_map_test(theorem_fixtures):
     verdicts = []
     for fun in funs:
         for x, y in itertools.product(fun.base.objects, repeat=2):
-            verdict = chain_map_holds(fun, x, y)
+            verdict = chain_map_holds(fun, x, y, fun.images[(x, y)])
             assert verdict == whole_map_chain_map(fun, x, y), (fun.name, x, y)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts

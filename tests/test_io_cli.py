@@ -447,11 +447,39 @@ def test_cli_check_equivalence_validates_and_builds_once(tmp_path, monkeypatch):
 
     for module in (dgcat.cli, dgcat.lambda_cat):
         monkeypatch.setattr(module, "validate_dg_category", counted_validate)
-    for module in (dgcat.cli, dgcat.io_json):
-        monkeypatch.setattr(module, "build_lambda", counted_build)
+    monkeypatch.setattr(dgcat.io_json, "build_lambda", counted_build)
     src = tmp_path / "kkk.json"
     src.write_text(shipped_text("kkk"), encoding="utf-8")
     code, _ = run_cli(["check-equivalence", "--input", str(src)], tmp_path)
+    assert code == 0
+    assert calls == {"validate": ["T", "U", "[[T,0],[M,U]]"], "build": 1}
+
+
+def test_cli_lambda_validates_and_builds_once(tmp_path, monkeypatch):
+    """T, U and Lambda are each validated once, and the one Lambda the
+    workspace builds while parsing the document's Lambda-modules is the
+    one written."""
+    import dgcat.io_json
+    import dgcat.lambda_cat
+
+    calls = {"validate": [], "build": 0}
+    validate = dgcat.lambda_cat.validate_dg_category
+    build = dgcat.lambda_cat.build_lambda
+
+    def counted_validate(cat):
+        calls["validate"].append(cat.name)
+        return validate(cat)
+
+    def counted_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dgcat.lambda_cat, "validate_dg_category", counted_validate)
+    monkeypatch.setattr(dgcat.io_json, "build_lambda", counted_build)
+    src = tmp_path / "kkk.json"
+    src.write_text(shipped_text("kkk"), encoding="utf-8")
+    argv = ["lambda", "--input", str(src), "--t", "T", "--u", "U", "--bimodule", "M"]
+    code, _ = run_cli(argv, tmp_path)
     assert code == 0
     assert calls == {"validate": ["T", "U", "[[T,0],[M,U]]"], "build": 1}
 

@@ -22,16 +22,21 @@ from conftest import (
     QQ,
     associativity_witness,
     axiom_categories,
+    bimodule_with_entry,
+    changed,
     draw_image_spot,
+    entry_spots,
     identity_nat,
     nat_from_flat,
     nat_to_flat,
     presentation_with,
     table_spots,
+    with_entry,
     with_image_entry,
     with_table_coordinate,
 )
-from dgcat import functors, linalg
+from dgcat import bimodule, category, functors, linalg
+from dgcat.bimodule import Bimodule, validate_bimodule
 from dgcat.category import (
     DgCategoryPresentation,
     Spanning,
@@ -41,7 +46,7 @@ from dgcat.category import (
     validate_dg_category,
 )
 from dgcat.comma import build_coproduct_module, comma_hom_space, comma_window
-from dgcat.complexes import dg_module
+from dgcat.complexes import DgModule, dg_module
 from dgcat.fixtures import random_axiom_fixture
 from dgcat.functors import (
     DgFunctor,
@@ -65,13 +70,40 @@ def _every_basis_morphism(cat):
     )
 
 
+# the verdicts a presentation or a functor keeps once decided
+_VERDICTS = {
+    DgCategoryPresentation: ("_associative", "_leibniz"),
+    DgFunctor: ("_functorial",),
+}
+
+
 @contextlib.contextmanager
 def _all_basis():
     """spanning() lists every basis morphism as a generator and no pair, so
-    every fast path reads every basis morphism: the full scan."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DgCategoryPresentation, "spanning", _every_basis_morphism)
-        yield
+    every fast path reads every basis morphism: the full scan.
+
+    A verdict kept inside rests on that stand-in (functorial_on() finds no
+    pair to check, so it holds), so every verdict written inside is
+    cleared on the way out and is decided again when next asked."""
+    written = []
+
+    def recording(names):
+        def setattr_(self, name, value):
+            if name in names:
+                written.append((self, name))
+            object.__setattr__(self, name, value)
+
+        return setattr_
+
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DgCategoryPresentation, "spanning", _every_basis_morphism)
+            for cls, names in _VERDICTS.items():
+                mp.setattr(cls, "__setattr__", recording(names))
+            yield
+    finally:
+        for obj, name in written:
+            setattr(obj, name, None)
 
 
 def _basis(cat):
@@ -267,6 +299,230 @@ def test_a_functoriality_pass_answers_functorial_on(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the Leibniz rule, the unit laws, a functor's chain-map rule and a
+# bimodule's interchange on generators, against the all-basis scans
+
+
+def _with_d_entry(module, spot):
+    """module with the entry (degree, row, column) of its differential
+    bumped by one."""
+    return DgModule(module.carrier, with_entry(module.d, spot), check=False)
+
+
+def _d_spots(cat):
+    """(object pair, degree, row, column) of every entry of every hom
+    differential of cat."""
+    return [(key, *spot) for key in sorted(cat.hom) for spot in entry_spots(cat.hom[key].d)]
+
+
+def test_leibniz_fallback_keeps_the_full_scan_report():
+    """One entry of one hom differential is bumped, so the tables stay
+    associative and leibniz() contracts generator f only; with the bumped
+    column's basis morphism a generator or not, the generator contraction
+    catches the defect and the full scan writes the report."""
+    kinds = set()
+    for field, seed in itertools.product((QQ, F5), range(2)):
+        rng = random.Random(f"leibniz/{field}/{seed}")
+        for cat in axiom_categories(field, seed).values():
+            generators = cat.spanning().generators
+            spots = _d_spots(cat)
+            for key, i, row, col in rng.sample(spots, min(SAMPLE, len(spots))):
+                bad = presentation_with(cat, hom={key: _with_d_entry(cat.hom[key], (i, row, col))})
+                fast = validate_dg_category(bad)
+                with _all_basis():
+                    full = validate_dg_category(presentation_with(bad))
+                assert fast.render() == full.render()
+                if bad.associative() and not fast.check("composition_chain_map").passed:
+                    kinds.add((i, col) in generators[key])
+    assert kinds == {True, False}
+
+
+def test_units_fallback_keeps_the_full_scan_report():
+    """One coordinate of one identity is bumped, so the tables stay
+    associative and the unit laws are checked on the generators; with the
+    bumped coordinate's basis morphism a generator or not, the generator
+    check catches the defect and the full scan writes the report."""
+    kinds = set()
+    for field, seed in itertools.product((QQ, F5), range(2)):
+        rng = random.Random(f"units/{field}/{seed}")
+        for cat in axiom_categories(field, seed).values():
+            generators = cat.spanning().generators
+            spots = [(x, k) for x in cat.objects for k in range(len(cat.ids[x]))]
+            for x, k in rng.sample(spots, min(SAMPLE, len(spots))):
+                coords = list(cat.ids[x])
+                coords[k] = changed(field, coords[k], 1)
+                bad = presentation_with(cat, ids={x: tuple(coords)})
+                fast = validate_dg_category(bad)
+                with _all_basis():
+                    full = validate_dg_category(presentation_with(bad))
+                assert fast.render() == full.render()
+                assert bad.associative()
+                if not fast.check("units").passed:
+                    kinds.add((0, k) in generators[(x, x)])
+    assert kinds == {True, False}
+
+
+def test_chain_map_fallback_keeps_the_full_scan_report():
+    """One entry of one value's differential of a representable module
+    h[o] is bumped, so its action stays functorial and its base Leibniz,
+    and chain_map is checked on the generators.  The basis of h[o](x) is
+    that of hom(o, x); with the bumped column's basis morphism a generator
+    or not, the generator check catches the defect and the full scan
+    writes the report."""
+    kinds = set()
+    for field, seed in itertools.product((QQ, F5), range(2)):
+        rng = random.Random(f"chain/{field}/{seed}")
+        cats = axiom_categories(field, seed)
+        for cat in (cats["T"], cats["Lambda"]):
+            assert cat.leibniz()
+            generators = cat.spanning().generators
+            fun = representable_module(cat, cat.objects[0])
+            values = fun.on_objects
+            spots = [(x, *spot) for x in cat.objects for spot in entry_spots(values[x].d)]
+            for x, i, row, col in rng.sample(spots, min(SAMPLE, len(spots))):
+                moved = {**values, x: _with_d_entry(values[x], (i, row, col))}
+                bad = DgFunctor(cat, moved, fun.images, name=fun.name)
+                fast = validate_dg_functor(bad)
+                with _all_basis():
+                    full = validate_dg_functor(bad)
+                assert fast.render() == full.render()
+                assert fast.check("functoriality").passed
+                if not fast.check("chain_map").passed:
+                    kinds.add((i, col) in generators[(cat.objects[0], x)])
+    assert kinds == {True, False}
+
+
+def test_chain_map_over_a_non_leibniz_base_is_the_full_scan(monkeypatch):
+    """Precondition control: with one hom differential entry of the base
+    bumped, the base is not Leibniz although the action still composes,
+    and chain_map_holds reads every basis morphism."""
+    rng = random.Random("non-leibniz")
+    read = []
+    holds = functors.chain_map_holds
+
+    def recorded(fun, x, y, basis):
+        basis = tuple(basis)
+        read.append(basis == tuple(fun.images[(x, y)]))
+        return holds(fun, x, y, basis)
+
+    seen = 0
+    for field in (QQ, F5):
+        cat = axiom_categories(field, 1)["Lambda"]
+        fun = representable_module(cat, cat.objects[0])
+        for key, *spot in rng.sample(_d_spots(cat), 6):
+            base = presentation_with(cat, hom={key: _with_d_entry(cat.hom[key], spot)})
+            if base.leibniz():
+                continue
+            moved = DgFunctor(base, fun.on_objects, fun.images, name=fun.name)
+            with monkeypatch.context() as mp:
+                mp.setattr(functors, "chain_map_holds", recorded)
+                fast = validate_dg_functor(moved)
+            with _all_basis():
+                full = validate_dg_functor(moved)
+            assert fast.render() == full.render()
+            assert fast.check("functoriality").passed
+            seen += 1
+    assert seen and read and all(read)
+
+
+def _gauged(bim, u0, t0):
+    """bim with M(u0, t0) rescaled by 2 against the left action only: the
+    left image of alpha: u -> u2 at t times lambda(u2, t) / lambda(u, t),
+    lambda 2 at (u0, t0) and 1 elsewhere.  Each t-slice is conjugated by
+    an automorphism of its values, so every slice stays a functor; the
+    right action is unchanged, so the interchange fails on the pairs
+    whose alpha enters or leaves u0 at t0 and whose two sides are not
+    zero."""
+    field = bim.field
+    scale = {(u, t): field.from_int(2 if (u, t) == (u0, t0) else 1) for u, t in bim.values}
+    left = {
+        (u, u2, t): {
+            alpha: image.scale(field.div(scale[(u2, t)], scale[(u, t)]))
+            for alpha, image in images.items()
+        }
+        for (u, u2, t), images in bim.left_images.items()
+    }
+    return Bimodule(
+        bim.left_base, bim.right_base, bim.values, left, bim.right_images, name=bim.name
+    )
+
+
+def test_interchange_fallback_keeps_the_full_scan_report():
+    """Two kinds of change, each report the all-basis one.  One entry of
+    one left or right image is bumped, at a generator of its category or
+    not.  And M(u0, t0) is rescaled against the left action (_gauged):
+    every slice stays functorial, so the interchange is checked on
+    generator pairs, fails there, and the full scan writes the report."""
+    kinds, gauged = set(), 0
+    # seed 10 has two objects on each side, which a rescaling needs to show
+    for field, seed in itertools.product((QQ, F5), (1, 10)):
+        rng = random.Random(f"interchange/{field}/{seed}")
+        bim = random_axiom_fixture(seed, field)["bimodule"]
+        U, T = bim.left_base, bim.right_base
+        generators = {"left": U.spanning().generators, "right": T.spanning().generators}
+        changes = []
+        for side, images in (("left", bim.left_images), ("right", bim.right_images)):
+            spots = list(entry_spots(images))
+            for spot in rng.sample(spots, min(SAMPLE, len(spots))):
+                (a, b, _), basis = spot[:2]
+                kind = basis in generators[side][(a, b)]
+                changes.append((kind, bimodule_with_entry(bim, side, spot)))
+        changes += [(None, _gauged(bim, u0, t0)) for u0, t0 in bim.values]
+        for kind, bad in changes:
+            fast = validate_bimodule(bad)
+            with _all_basis():
+                full = validate_bimodule(bad)
+            assert fast.render() == full.render()
+            if fast.check("interchange_sign").passed:
+                continue
+            if kind is None:
+                assert all(
+                    validate_dg_functor(s).check("functoriality").passed
+                    for s in [*map(bad.slice_t, T.objects), *map(bad.slice_u, U.objects)]
+                )
+                gauged += 1
+            else:
+                kinds.add(kind)
+    assert kinds == {True, False}
+    assert gauged
+
+
+def test_interchange_with_a_slice_not_functorial_is_the_full_scan(monkeypatch):
+    """Precondition control: with one entry of one left or right image
+    bumped so that a slice fails functoriality, the interchange reads
+    every basis pair."""
+    rng = random.Random("slice-not-functorial")
+    calls = []
+    first_failure = bimodule._first_failure
+
+    def recorded(bim, sides, shift, names, generators=None):
+        if shift == 0:
+            calls.append(generators)
+        return first_failure(bim, sides, shift, names, generators)
+
+    seen = 0
+    for field in (QQ, F5):
+        bim = random_axiom_fixture(1, field)["bimodule"]
+        for side, images in (("left", bim.left_images), ("right", bim.right_images)):
+            for spot in rng.sample(list(entry_spots(images)), 4):
+                bad = bimodule_with_entry(bim, side, spot)
+                calls.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(bimodule, "_first_failure", recorded)
+                    fast = validate_bimodule(bad)
+                U, T = bad.left_base, bad.right_base
+                slices = [*map(bad.slice_t, T.objects), *map(bad.slice_u, U.objects)]
+                if all(validate_dg_functor(s).check("functoriality").passed for s in slices):
+                    continue
+                with _all_basis():
+                    full = validate_bimodule(bad)
+                assert fast.render() == full.render()
+                assert calls == [None]
+                seen += 1
+    assert seen
+
+
+# ---------------------------------------------------------------------------
 # naturality on generators against the all-basis rows
 
 
@@ -338,6 +594,27 @@ def test_naturality_on_generators_matches_all_basis_on_axiom_fixtures(seed):
         assert fast == full
 
 
+def test_no_verdict_kept_inside_all_basis_outlives_it(monkeypatch):
+    """Inside _all_basis a functor with one image off the generators
+    doubled composes on every spanning pair (there are none); outside it
+    does not.  The presentation's associativity and Leibniz verdicts
+    decided inside are decided again outside."""
+    cat = presentation_with(axiom_categories(QQ, 1)["Lambda"])
+    bad = _doubled_off_generators(representable_module(cat, cat.objects[0]))
+    with _all_basis():
+        assert bad.functorial_on()
+        assert cat.associative() and cat.leibniz()
+    assert not bad.functorial_on()
+    contracted = []
+    for name in ("_associator", "_leibniz_defect"):
+        kernel = getattr(category, name)
+        monkeypatch.setattr(
+            category, name, lambda *a, _k=kernel, _n=name: contracted.append(_n) or _k(*a)
+        )
+    assert cat.associative() and cat.leibniz()
+    assert set(contracted) == {"_associator", "_leibniz_defect"}
+
+
 def _doubled_off_generators(fun):
     """fun with the image of one non-generator basis morphism doubled: a
     basis morphism in the composite of a spanning pair, acting by a
@@ -373,12 +650,10 @@ def test_unchecked_generator_rows_give_a_larger_space(theorem_fixtures):
         if bad is None:
             continue
         identity = DgNatTransformation(bad, fun, 0, identity_nat(fun).components)
-        # bad keeps its functoriality verdict, so it is asked on the real base first
-        guarded = dgnat_space(bad, fun, 0)
         with _all_basis():
             full = dgnat_space(bad, fun, 0)
             full_witness = naturality_witness(identity)
-        assert guarded == full
+        assert dgnat_space(bad, fun, 0) == full
         assert full_witness is not None
         assert naturality_witness(identity) == full_witness
         with pytest.MonkeyPatch.context() as mp:

@@ -106,30 +106,38 @@ def _has_term(gf_of, d_f, d_g, d_gf, g, f):
 
 def test_leibniz_writes_exactly_the_pairs_with_a_term(monkeypatch):
     """Work-count guard: on the triangular category of axiom seed 1 over Q,
-    the Leibniz contraction writes an entry for every basis pair with a
-    table term on some side and for no other pair, fewer than a third of
-    all pairs (1,080 of 7,056 when written)."""
+    leibniz() contracts each object triple whose hom(x, y) has a generator
+    once, and writes an entry for every basis pair (g, f), f a generator,
+    with a table term on some side, and for no other pair: 255 of the
+    7,056 basis pairs when written (the scan over every f writes 1,080);
+    the guard allows up to 5%.  The PASS is read from the verdict, so
+    validation makes no other contraction."""
     cat = axiom_categories(QQ, 1)["Lambda"]
     written = {}
     defect = category._leibniz_defect
 
-    def recorded(cat, d_cols, *triple):
-        written[triple] = defect(cat, d_cols, *triple)
-        return written[triple]
+    def recorded(cat, d_cols, x, y, z, fs):
+        written[(x, y, z)] = defect(cat, d_cols, x, y, z, fs)
+        return written[(x, y, z)]
 
     monkeypatch.setattr(category, "_leibniz_defect", recorded)
     assert validate_dg_category(cat).passed
+    generators = cat.spanning().generators
     triples = list(itertools.product(cat.objects, repeat=3))
-    assert list(written) == triples
+    assert list(written) == [t for t in triples if generators[t[:2]]]
     total = visited = 0
     for x, y, z in triples:
         every = leibniz_pairs(cat, x, y, z)
         total += len(every)
         columns = [cat.hom[key].d.columns() for key in ((x, y), (y, z), (x, z))]
-        pairs = {(g, f) for g, f, _ in written[(x, y, z)]}
-        assert pairs == {gf for gf in every if _has_term(cat.products(x, y, z), *columns, *gf)}
+        pairs = {(g, f) for g, f, _ in written.get((x, y, z), {})}
+        assert pairs == {
+            (g, f)
+            for g, f in every
+            if f in generators[(x, y)] and _has_term(cat.products(x, y, z), *columns, g, f)
+        }
         visited += len(pairs)
-    assert 0 < 3 * visited < total
+    assert 0 < 20 * visited < total
 
 
 def test_associativity_writes_exactly_the_triples_with_a_term(monkeypatch):
