@@ -17,7 +17,11 @@ every slice passes functoriality, L and R are functors, so the
 interchange passes from (alpha, beta) and (psi, beta) to
 (psi.alpha, beta), and likewise in beta: the pairs of a generator of U
 and a generator of T decide it, and every pair is scanned only when a
-slice fails functoriality or a generator pair fails.  The
+slice fails functoriality.  The scan is object-quadruple-major with
+(u, u2) before (t, t2), then alpha-major, so by the order lemma
+(dgcat.category) in alpha at the first failing pair's beta, and then in
+beta at its alpha, the first failing pair is a pair of generators: the
+generator scan finds the witness a scan of every pair finds.  The
 paper's bullets m . t and u . m are not built here: Lambda's product
 tables read them off the two families of images (lambda_cat).
 
@@ -186,17 +190,16 @@ def validate_bimodule(bim):
         slices_functorial = slices_functorial and sub.check("functoriality").passed
 
     names, sides = ("signed_t_after_u", "u_after_t"), _interchange_sides(bim)
-    generators = None
+    bases = U.basis, T.basis
     if slices_functorial:
-        generators = U.spanning().generators, T.spanning().generators
-    witness = _first_failure(bim, sides, 0, names, generators)
-    if witness is not None and generators is not None:
-        witness = _first_failure(bim, sides, 0, names)
+        bases = U.spanning().generators, T.spanning().generators
+    witness = _first_failure(bim, sides, 0, names, bases)
     report.add("interchange_sign", witness is None, witness)
 
     witness = None
     if not slices_chain_maps:
-        witness = _first_failure(bim, _leibniz_sides(bim), 1, ("lhs", "rhs"))
+        leibniz = _leibniz_sides(bim)
+        witness = _first_failure(bim, leibniz, 1, ("lhs", "rhs"), (U.basis, T.basis))
     report.add("two_sided_leibniz", witness is None, witness)
     return report
 
@@ -243,22 +246,17 @@ def _leibniz_sides(bim):
     return sides
 
 
-def _first_failure(bim, sides, shift, names, generators=None):
+def _first_failure(bim, sides, shift, names, bases):
     """The witness of the first (u, u2, t, t2, alpha, beta), over the object
-    quadruples in order and then the basis pairs, whose two sides differ,
-    or None; each pair is one flat difference (graded.first_nonzero_sum).
-    Given generators = (U's, T's), alpha and beta run over those only."""
+    quadruples in order and then the pairs of alpha in bases[0][(u, u2)]
+    and beta in bases[1][(t, t2)], whose two sides differ, or None; each
+    pair is one flat difference (graded.first_nonzero_sum)."""
     U, T = bim.left_base, bim.right_base
-
-    def bases(u, u2, t, t2):
-        if generators is None:
-            return bim.left_images[(u, u2, t)], bim.right_images[(t, t2, u)]
-        return generators[0][(u, u2)], generators[1][(t, t2)]
-
+    u_basis, t_basis = bases
     keys = (
         (u, u2, t, t2, alpha, beta)
         for u, u2, t, t2 in itertools.product(U.objects, U.objects, T.objects, T.objects)
-        for alpha, beta in itertools.product(*bases(u, u2, t, t2))
+        for alpha, beta in itertools.product(u_basis[(u, u2)], t_basis[(t, t2)])
     )
     first = first_nonzero_sum(bim.field, ((key, *sides(*key)) for key in keys))
     return None if first is None else _pair_witness(bim, sides, first, shift, names)

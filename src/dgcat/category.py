@@ -38,17 +38,26 @@ laws: basis morphisms are visited in (x, y, degree, index) order, and
 each one not reached from earlier generators by sums and composites
 psi . g of a reached psi after a generator g is kept (one incremental
 echelon form per hom space, over the field); the pairs whose composites
-raised the rank are the spanning pairs.  The f with h.(g.f) = (h.g).f
-for all g, h are closed under sums and composites, so the generator f
-decide associativity (associative()).  Under associativity the same
-holds for the f with the Leibniz rule for every g (leibniz()) and for
-the f with 1.f = f = f.1, since 1.(psi.g) = (1.psi).g and
-(psi.g).1 = psi.(g.1).  A presentation's tables are given to its
+raised the rank are the spanning pairs.  The constructor lists each
+hom's basis morphisms in that visiting order, once (basis).
+
+The order lemma: a non-generator is reached only from generators visited
+before it, so for a property closed under sums and composites the first
+basis morphism in visiting order that fails it is a generator.  A scan
+of the generators in that order therefore finds the same first failure,
+and the same witness, as a scan of every basis morphism.
+
+The f with h.(g.f) = (h.g).f for all g, h are closed under sums and
+composites, so the generator f decide associativity (associative()).
+Under associativity the same holds for the f with the Leibniz rule for
+every g (leibniz()) and for the f with 1.f = f = f.1, since
+1.(psi.g) = (1.psi).g and (psi.g).1 = psi.(g.1): validate_dg_category
+scans the unit laws once, over the generators when associative() holds
+and over the basis otherwise.  A presentation's tables are given to its
 constructor and never replaced, so spanning(), associative(), leibniz()
 and opposite_category each build their answer once per presentation, on
-first use, and keep it.  When a verdict is False, or a generator fails
-the unit laws, validate_dg_category scans every basis tuple in order,
-so each witness is the first failing tuple in basis order.
+first use, and keep it.  A verdict names no witness, so when one is
+False validate_dg_category contracts every basis f for it.
 
 Every table is written from other tables, never by composing basis
 pairs one at a time: the opposite category transposes them with the sign
@@ -91,7 +100,9 @@ class DgCategoryPresentation:
     """Objects, hom dg-modules, product tables, identity coordinates.
 
     The tables, keyed by object triple (a missing triple has no nonzero
-    composite), are checked against the hom dimensions and never replaced."""
+    composite), are checked against the hom dimensions and never replaced.
+    basis[(x, y)] lists the basis morphisms (degree, index) of hom(x, y)
+    in the visiting order of generator_closure, keys in that order too."""
 
     def __init__(self, field, objects, hom, products, ids, name="C"):
         self.field = field
@@ -128,6 +139,10 @@ class DgCategoryPresentation:
                         )
             self._products[(x, y, z)] = table
         self._spanning = self._associative = self._leibniz = self._opposite = None
+        self.basis = {
+            key: tuple((n, k) for n in module.carrier.degrees() for k in range(module.dim(n)))
+            for key, module in self.hom.items()
+        }
         self.ids = {}
         for x in self.objects:
             vec = ids.get(x)
@@ -239,11 +254,6 @@ class DgCategoryPresentation:
             source, target, degree, linalg.unit_vector(self.field, dim, index)
         )
 
-    def basis_elements(self, source, target):
-        for degree in self.hom[(source, target)].carrier.degrees():
-            for index in range(self.hom[(source, target)].dim(degree)):
-                yield degree, index
-
     def identity(self, x):
         return HomElement(x, x, 0, self.ids[x])
 
@@ -258,8 +268,9 @@ def validate_dg_category(cat):
     Per axiom the witness is the first violating basis tuple together
     with both sides' coordinate vectors.  The composition axioms and the
     unit laws are decided on the generators when their closure argument
-    holds (leibniz(), associative()); otherwise, or when a generator
-    fails, every basis tuple is scanned for the witness.
+    holds (leibniz(), associative()); a False verdict has every basis
+    tuple scanned for the witness, and a failing unit law is witnessed by
+    its first failing generator (the order lemma, module docstring).
     """
     field = cat.field
     report = Report(f"dg-category {cat.name}")
@@ -289,10 +300,8 @@ def validate_dg_category(cat):
 
     # 1.(psi.g) = (1.psi).g and (psi.g).1 = psi.(g.1): under associativity
     # the unit laws pass from psi and g to psi.g, so the generators decide them
-    generators = cat.spanning().generators if cat.associative() else None
-    witness = _first_unit_witness(cat, generators)
-    if witness is not None and generators is not None:
-        witness = _first_unit_witness(cat)
+    basis = cat.spanning().generators if cat.associative() else cat.basis
+    witness = _first_unit_witness(cat, basis)
     report.add("units", witness is None, witness)
 
     witness = None
@@ -365,7 +374,7 @@ def _chain_map_witness(cat, d_cols, x, y, z):
     g index, f index), the pure-tensor order of hom(y,z) (x) hom(x,y),
     with d(g.f) != dg.f + (-1)^{|g|} g.df, and both sides; or None."""
     field = cat.field
-    diff = _leibniz_defect(cat, d_cols, x, y, z, cat.basis_elements(x, y))
+    diff = _leibniz_defect(cat, d_cols, x, y, z, cat.basis[(x, y)])
     failing = [(g, f) for (g, f, _), v in diff.items() if not field.is_zero(v)]
     if not failing:
         return None
@@ -389,15 +398,11 @@ def _chain_map_witness(cat, d_cols, x, y, z):
     }
 
 
-def _first_unit_witness(cat, generators=None):
+def _first_unit_witness(cat, basis):
     """The witness of the first basis morphism f, over the object pairs in
-    order and f among generators[(x, y)] (default: every basis morphism),
-    with 1_y.f != f or f.1_x != f; or None."""
-    found = (
-        _unit_witness(cat, x, y, f)
-        for x, y in itertools.product(cat.objects, repeat=2)
-        for f in (cat.basis_elements(x, y) if generators is None else generators[(x, y)])
-    )
+    order and f among basis[(x, y)], with 1_y.f != f or f.1_x != f; or
+    None."""
+    found = (_unit_witness(cat, x, y, f) for x, y in cat.basis for f in basis[(x, y)])
     return next(filter(None, found), None)
 
 
@@ -470,7 +475,7 @@ def _associativity_witness(cat, by_row, x, y, z, w):
     """The least basis triple (f, g, h) of the quadruple, in basis order,
     with h.(g.f) != (h.g).f, and both sides; or None."""
     field = cat.field
-    diff = _associator(cat, x, y, z, w, cat.basis_elements(x, y), by_row)
+    diff = _associator(cat, x, y, z, w, cat.basis[(x, y)], by_row)
     failing = [(f, g, h) for (f, g, h, _), v in diff.items() if not field.is_zero(v)]
     if not failing:
         return None

@@ -285,7 +285,7 @@ def random_theorem_fixture(seed, field, max_objects=1):
     u_cat, u_cx = random_endo_category(rng, field, "U", max_objects=max_objects)
     t_cat, t_cx = random_endo_category(rng, field, "T", max_objects=max_objects)
     bim = hom_bimodule(u_cat, u_cx, t_cat, t_cx)
-    lam = build_lambda(t_cat, u_cat, bim, validate=False)
+    lam = build_lambda(t_cat, u_cat, bim)
 
     A = representable_module(t_cat, rng.choice(t_cat.objects))
     if seed % 3 == 1:

@@ -33,21 +33,24 @@ the witness is those two sides built by graded.combination.
 Three checks read the base's generators (DgCategoryPresentation.spanning).
 Over an associative base the f with F(g.f) = F(g).F(f) for all g are
 closed under sums and composites, so functoriality is decided for f among
-the generators when base.associative() holds.  validate_dg_functor
-decides functoriality first (the report keeps its order); when it passes
-and the base is Leibniz (base.leibniz()), the phi with F(d phi) = d F(phi)
-are closed under sums and composites, as F(d(psi.g)) = F(d psi)F(g) +
+the generators when base.associative() holds; its scan is
+object-triple-major, so a failing generator pair has every basis pair
+scanned for the first failing one.  validate_dg_functor decides
+functoriality first (the report keeps its order); when it passes and the
+base is Leibniz (base.leibniz()), the phi with F(d phi) = d F(phi) are
+closed under sums and composites, as F(d(psi.g)) = F(d psi)F(g) +
 (-1)^{|psi|} F(psi)F(dg) = d(F(psi)F(g)), so chain_map_holds is asked for
-the generators only.  For F and G over the same
-presentation object that both satisfy F(g.f) = F(g).F(f) on the spanning
-pairs (checked once per functor and kept, or settled by a functoriality
-PASS), naturality along generators
-gives naturality along every morphism: naturality_rows then writes the
-squares of the generators only, which leaves the solution space, its
-reduced row echelon form and every basis unchanged, and
-naturality_witness checks the generators first.  Whenever a precondition
-does not hold or a generator check fails, the scan over every basis
-morphism or pair runs, so every witness is the one it was.
+the generators only.  For F and G over the same presentation object that
+both satisfy F(g.f) = F(g).F(f) on the spanning pairs (checked once per
+functor and kept, or settled by a functoriality PASS), naturality along
+generators gives naturality along every morphism: naturality_rows then
+writes the squares of the generators only, which leaves the solution
+space, its reduced row echelon form and every basis unchanged, and
+naturality_witness scans the generators only.  Otherwise the basis table
+(DgCategoryPresentation.basis) is scanned.  The chain-map and naturality
+scans visit basis morphisms in visiting order, so by the order lemma
+(dgcat.category) the first failing generator is the first failing basis
+morphism, and each witness is the one a scan of the basis finds.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ def basis_images(base, x, y, source, target, given, what):
             raise StructureError(f"{what} has the wrong shape")
     return {
         (m, k): given[(m, k)] if (m, k) in given else zero_map(source, target, m)
-        for m, k in base.basis_elements(x, y)
+        for m, k in base.basis[(x, y)]
     }
 
 
@@ -180,20 +183,20 @@ def validate_dg_functor(fun):
     report.add("values_d_squared", witness is None, witness)
 
     field = fun.field
-    generators = base.spanning().generators if base.associative() else None
-    first = first_nonzero_sum(field, _composition_sums(fun, _basis_pairs(fun, generators)))
-    if first is not None and generators is not None:
-        # a generator pair fails, so some basis pair does: find the first
-        first = first_nonzero_sum(field, _composition_sums(fun, _basis_pairs(fun)))
+    basis = base.spanning().generators if base.associative() else base.basis
+    first = first_nonzero_sum(field, _composition_sums(fun, _basis_pairs(fun, basis)))
+    if first is not None and base.associative():
+        # a generator pair fails, so some basis pair does; the scan is
+        # object-triple-major, so the first failing pair's f need not be a
+        # generator: find it among every basis pair
+        first = first_nonzero_sum(field, _composition_sums(fun, _basis_pairs(fun, base.basis)))
     if first is None:  # every basis pair composes, so every spanning pair
         fun._functorial = True
 
     # a functorial action over a Leibniz base: the generators decide the
     # chain-map rule (module docstring)
-    generators = base.spanning().generators if first is None and base.leibniz() else None
-    failing = _chain_map_failure(fun, generators)
-    if failing is not None and generators is not None:
-        failing = _chain_map_failure(fun)
+    basis = base.spanning().generators if first is None and base.leibniz() else base.basis
+    failing = _chain_map_failure(fun, basis)
     witness = None if failing is None else _chain_map_witness(fun, *failing)
     report.add("chain_map", witness is None, witness)
 
@@ -247,19 +250,11 @@ def chain_map_holds(fun, x, y, basis):
     return first_nonzero_sum(field, sums) is None
 
 
-def _chain_map_failure(fun, generators=None):
+def _chain_map_failure(fun, basis):
     """The first object pair (x, y) whose action fails chain_map_holds on
-    the basis morphisms of hom(x, y), or on generators[(x, y)]; or None."""
-    return next(
-        (
-            (x, y)
-            for x, y in itertools.product(fun.base.objects, repeat=2)
-            if not chain_map_holds(
-                fun, x, y, fun.images[(x, y)] if generators is None else generators[(x, y)]
-            )
-        ),
-        None,
-    )
+    basis[(x, y)]; or None."""
+    pairs = itertools.product(fun.base.objects, repeat=2)
+    return next((key for key in pairs if not chain_map_holds(fun, *key, basis[key])), None)
 
 
 def _chain_map_witness(fun, x, y):
@@ -276,12 +271,12 @@ def _chain_map_witness(fun, x, y):
     }
 
 
-def _basis_pairs(fun, generators=None):
-    """(x, y, z, g, f) for every object triple in order, f among the basis
-    morphisms of hom(x, y) (or its generators) and g of hom(y, z)."""
+def _basis_pairs(fun, basis):
+    """(x, y, z, g, f) for every object triple in order, f among basis[(x, y)]
+    and g among the basis morphisms of hom(y, z)."""
     for x, y, z in itertools.product(fun.base.objects, repeat=3):
-        for f in fun.images[(x, y)] if generators is None else generators[(x, y)]:
-            for g in fun.images[(y, z)]:
+        for f in basis[(x, y)]:
+            for g in fun.base.basis[(y, z)]:
                 yield x, y, z, g, f
 
 
@@ -358,32 +353,23 @@ class DgNatTransformation:
 
 
 def naturality_witness(nat):
-    """First basis morphism violating graded naturality, or None.
-
-    Naturality is checked on the generators first when _natural_generators
-    allows it; any failure there, and every other case, runs the scan
-    over all basis morphisms, which finds the witness."""
-    generators = _natural_generators(nat.source, nat.target)
-    if generators is not None and _naturality_witness(nat, generators) is None:
-        return None
-    return _naturality_witness(nat)
+    """First basis morphism violating graded naturality, or None: the
+    first failing one of _natural_basis, which is the first failing basis
+    morphism (the order lemma, dgcat.category)."""
+    return _naturality_witness(nat, _natural_basis(nat.source, nat.target))
 
 
-def _natural_generators(F, G):
-    """The generators of the common base of F and G, {(x, y): basis
-    morphisms}, when a family natural on them is natural on every
-    morphism; else None.
-
-    That holds when F and G are over the same presentation object and
-    both compose on its spanning pairs: naturality along a and along b
-    then gives it along b.a, and sums keep it.
+def _natural_basis(F, G):
+    """The basis morphisms, {(x, y): basis morphisms}, whose naturality
+    squares decide naturality F -> G: the generators of the common base
+    when F and G are over the same presentation object and both compose
+    on its spanning pairs (naturality along a and along b then gives it
+    along b.a, and sums keep it); else F's base's basis.
     """
     base = F.base
-    if G.base is not base:
-        return None
-    if F.functorial_on() and G.functorial_on():
+    if G.base is base and F.functorial_on() and G.functorial_on():
         return base.spanning().generators
-    return None
+    return base.basis
 
 
 def _naturality_sides(nat, x, y, m, k):
@@ -394,16 +380,14 @@ def _naturality_sides(nat, x, y, m, k):
     return lhs, [(F.field.sign(n * m), eta[y], F.map_of_basis(x, y, m, k))]
 
 
-def _naturality_witness(nat, generators=None):
-    """First basis morphism of generators (default: all) violating graded
-    naturality, with both sides of its square, or None."""
+def _naturality_witness(nat, basis):
+    """First basis morphism of basis, {(x, y): basis morphisms}, violating
+    graded naturality, with both sides of its square, or None."""
     base = nat.source.base
     keys = (
         (x, y, m, k)
         for x, y in itertools.product(base.objects, repeat=2)
-        for m, k in (
-            base.basis_elements(x, y) if generators is None else generators[(x, y)]
-        )
+        for m, k in basis[(x, y)]
     )
     first = first_nonzero_sum(
         base.field, ((key, *_naturality_sides(nat, *key)) for key in keys)
@@ -521,22 +505,19 @@ def naturality_rows(F, G, n, tag):
 
     Unknowns are tagged (tag, object, source degree, row, col).  Rows are
     the square G(a) . eta_x = (-1)^{nm} eta_y . F(a) for every homogeneous
-    basis morphism a: x -> y of degree m, or only for the generators when
-    _natural_generators allows it: the solution space, hence the reduced
-    row echelon form and every basis read from it, is the same.  The
-    solver deduplicates.  The square of an identity adds nothing: F and G
-    act linearly, so its rows are combinations of the degree-0 basis
-    squares of hom(x, x).
+    basis morphism a: x -> y of degree m of _natural_basis, only the
+    generators when it allows: the solution space, hence the reduced row
+    echelon form and every basis read from it, is the same.  The solver
+    deduplicates.  The square of an identity adds nothing: F and G act
+    linearly, so its rows are combinations of the degree-0 basis squares
+    of hom(x, x).
     """
     base = F.base
     field = base.field
-    generators = _natural_generators(F, G)
+    basis = _natural_basis(F, G)
     for x in base.objects:
         for y in base.objects:
-            basis = (
-                base.basis_elements(x, y) if generators is None else generators[(x, y)]
-            )
-            for m, k in basis:
+            for m, k in basis[(x, y)]:
                 yield from square_rows(
                     G.map_of_basis(x, y, m, k),
                     (tag, x),
@@ -669,7 +650,7 @@ def functor_from_basis_images(base, on_objects, image, name):
     """The dg-functor with the given values whose action sends the basis
     morphism (m, k) of hom(x, y) to the graded map image(x, y, m, k)."""
     images = {
-        (x, y): {(m, k): image(x, y, m, k) for m, k in base.basis_elements(x, y)}
+        (x, y): {(m, k): image(x, y, m, k) for m, k in base.basis[(x, y)]}
         for x in base.objects
         for y in base.objects
     }

@@ -257,10 +257,7 @@ class Workspace:
         key = (t_name, u_name, m_name)
         if key not in self._lambdas:
             self._lambdas[key] = build_lambda(
-                self.categories[t_name],
-                self.categories[u_name],
-                self.bimodules[m_name],
-                validate=False,
+                self.categories[t_name], self.categories[u_name], self.bimodules[m_name]
             )
         return self._lambdas[key]
 

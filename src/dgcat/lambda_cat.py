@@ -126,19 +126,16 @@ def validate_lambda(presentation):
     return rep
 
 
-def build_lambda(t_cat, u_cat, bimodule, validate=True):
-    """Construct the triangular matrix category; re-validates by default.
+def build_lambda(t_cat, u_cat, bimodule):
+    """Construct the triangular matrix category.
 
-    Invalid inputs are refused with the upstream validation report
-    (refuse_invalid_inputs), and the output is validated (validate_lambda).
-    The command line validates the inputs and Lambda itself, around the
-    one Lambda its workspace builds (Workspace.lambda_for), so it builds
-    with validate=False.
+    Only inputs that cannot be paired are refused here (StructureError).
+    A caller that needs valid inputs and a valid Lambda asks
+    refuse_invalid_inputs before and validate_lambda after, as the command
+    line does around the one Lambda its workspace builds
+    (Workspace.lambda_for).
     """
-    if validate:
-        refuse_invalid_inputs(t_cat, u_cat, bimodule)
-    else:
-        _refuse_unpairable(t_cat, u_cat, bimodule)
+    _refuse_unpairable(t_cat, u_cat, bimodule)
 
     field = t_cat.field
     t_ext = with_zero_object(t_cat)
@@ -166,10 +163,7 @@ def build_lambda(t_cat, u_cat, bimodule, validate=True):
     tables = _lambda_products(t_ext, u_ext, bimodule, pair_of, sums)
     name = f"[[{t_cat.name},0],[{bimodule.name},{u_cat.name}]]"
     presentation = DgCategoryPresentation(field, pair_of, hom, tables, ids, name=name)
-    lam = LambdaCategory(t_cat, u_cat, bimodule, presentation, pair_of, sums)
-    if validate:
-        validate_lambda(presentation)
-    return lam
+    return LambdaCategory(t_cat, u_cat, bimodule, presentation, pair_of, sums)
 
 
 def _lambda_products(t_ext, u_ext, bimodule, pair_of, sums):

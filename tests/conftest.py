@@ -50,7 +50,13 @@ from dgcat.fixtures import (
 )
 from dgcat.functors import DgFunctor, DgNatTransformation, action_from_basis_images
 from dgcat.graded import GradedMap, identity_map, map_from_action
-from dgcat.lambda_cat import SLOT_M, build_lambda, restrict_module
+from dgcat.lambda_cat import (
+    SLOT_M,
+    build_lambda,
+    refuse_invalid_inputs,
+    restrict_module,
+    validate_lambda,
+)
 from dgcat.shipped import NAMES, shipped_workspace
 
 QQ = Rationals()
@@ -142,11 +148,21 @@ def identity_nat(fun):
     )
 
 
+def validated_lambda(t_cat, u_cat, bim):
+    """Lambda as the command line builds it: invalid inputs refused
+    (refuse_invalid_inputs), then Lambda built and validated
+    (validate_lambda)."""
+    refuse_invalid_inputs(t_cat, u_cat, bim)
+    lam = build_lambda(t_cat, u_cat, bim)
+    validate_lambda(lam.presentation)
+    return lam
+
+
 def axiom_categories(field, seed):
     """{"T", "U", "Lambda"}: the categories of one axiom fixture and the
     presentation of their triangular category."""
     fx = random_axiom_fixture(seed, field)
-    lam = build_lambda(fx["t_cat"], fx["u_cat"], fx["bimodule"], validate=False)
+    lam = build_lambda(fx["t_cat"], fx["u_cat"], fx["bimodule"])
     return {"T": fx["t_cat"], "U": fx["u_cat"], "Lambda": lam.presentation}
 
 
@@ -154,9 +170,7 @@ def shipped_theorem_fixture(name, field=None):
     """The theorem instance of a shipped example: o_can and o_zero, and the
     Lambda-module C; a given field replaces the file's own."""
     ws = shipped_workspace(name, field)
-    lam = build_lambda(
-        ws.categories["T"], ws.categories["U"], ws.bimodules["M"], validate=False
-    )
+    lam = build_lambda(ws.categories["T"], ws.categories["U"], ws.bimodules["M"])
     return {
         "name": name,
         "seed": 0,
@@ -282,7 +296,7 @@ def compose_from_products(cat, product):
     tables = {}
     for x, y, z in itertools.product(cat.objects, repeat=3):
         table = tables[(x, y, z)] = {}
-        pairs = itertools.product(cat.basis_elements(x, y), cat.basis_elements(y, z))
+        pairs = itertools.product(cat.basis[(x, y)], cat.basis[(y, z)])
         for f, g in pairs:
             dim = cat.hom[(x, z)].dim(f[0] + g[0])
             if not dim:
@@ -356,7 +370,7 @@ def _formatted(field, coords, dim):
 def leibniz_pairs(cat, x, y, z):
     """Every basis pair (g, f) of the triple, g of hom(y, z) and f of
     hom(x, y), sorted by (|g| + |f|, |g|, g index, f index)."""
-    pairs = itertools.product(cat.basis_elements(y, z), cat.basis_elements(x, y))
+    pairs = itertools.product(cat.basis[(y, z)], cat.basis[(x, y)])
     return sorted(pairs, key=lambda gf: (gf[0][0] + gf[1][0], gf[0][0], gf[0][1], gf[1][1]))
 
 
@@ -413,7 +427,7 @@ def units_witness(cat):
     }
     for x, y in itertools.product(cat.objects, repeat=2):
         after_id = after(cat, x, x, y, ids[x])
-        for f in cat.basis_elements(x, y):
+        for f in cat.basis[(x, y)]:
             fe = (f[0], {f[1]: one})
             left = through(field, after(cat, x, y, y, fe), ids[y])
             right = after_id.get(f, {})
@@ -429,17 +443,13 @@ def units_witness(cat):
     return None
 
 
-def associativity_witness(cat, generators=None):
+def associativity_witness(cat, fs):
     """The associativity witness: the first basis triple (f, g, h), over
-    the object quadruples in order, f over generators[(x, y)] (default:
-    every basis morphism) and g and h over the bases in order, with
+    the object quadruples in order, f over fs[(x, y)] (cat.basis for every
+    basis morphism) and g and h over the bases in order, with
     h.(g.f) != (h.g).f, and both sides; or None.  Its (f, g) is the first
     pair with h.(g.f) != (h.g).f for some h."""
     field, one = cat.field, cat.field.one()
-    basis = {
-        key: tuple(cat.basis_elements(*key))
-        for key in itertools.product(cat.objects, repeat=2)
-    }
     rows = {}  # after(b) of each basis morphism b, kept for the whole scan
 
     def row(x, y, z, b):
@@ -448,9 +458,9 @@ def associativity_witness(cat, generators=None):
         return rows[(x, y, z, b)]
 
     for x, y, z, w in itertools.product(cat.objects, repeat=4):
-        for f in basis[(x, y)] if generators is None else generators[(x, y)]:
+        for f in fs[(x, y)]:
             g_f, k_f = row(x, y, z, f), row(x, y, w, f)
-            for g in basis[(y, z)]:
+            for g in cat.basis[(y, z)]:
                 gf, h_g = g_f.get(g), row(y, z, w, g)
                 if not gf and not h_g:
                     continue  # both sides are zero for every h
@@ -718,8 +728,8 @@ def table_spots(cat, terms=False, keys=None):
                     for r, _ in composite_terms:
                         yield key, f, g, r
             continue
-        for f in cat.basis_elements(x, y):
-            for g in cat.basis_elements(y, z):
+        for f in cat.basis[(x, y)]:
+            for g in cat.basis[(y, z)]:
                 for r in range(cat.hom[(x, z)].dim(f[0] + g[0])):
                     yield key, f, g, r
 

@@ -316,7 +316,7 @@ def test_regular_bimodule_over_exterior_algebra():
 
         return map_from_action(value.carrier, value.carrier, m, inner)
 
-    right = {(m, k): right_image(m, k) for m, k in t_cat.basis_elements("t", "t")}
+    right = {(m, k): right_image(m, k) for m, k in t_cat.basis[("t", "t")]}
     bim = Bimodule(
         u_cat,
         t_cat,
@@ -368,10 +368,10 @@ def _oracle_leibniz_witness(bim):
         return left.compose(right_action(bim, beta, alpha.source))
 
     for u, u2, t, t2 in itertools.product(U.objects, U.objects, T.objects, T.objects):
-        for ud, ui in U.basis_elements(u, u2):
+        for ud, ui in U.basis[(u, u2)]:
             alpha = U.basis_element(u, u2, ud, ui)
             d_alpha = U.differential(alpha)
-            for td, ti in T.basis_elements(t, t2):
+            for td, ti in T.basis[(t, t2)]:
                 beta = T.basis_element(t, t2, td, ti)
                 d_beta = T.differential(beta)
                 first = action(d_alpha, beta)
@@ -455,7 +455,8 @@ def test_leibniz_scan_matches_the_whole_map_rule(theorem_fixtures):
         for mutant in [bim, *rng.sample(mutants, min(10, len(mutants)))]:
             sides = bimodule._leibniz_sides(mutant)
             want = _oracle_leibniz_witness(mutant)
-            assert bimodule._first_failure(mutant, sides, 1, ("lhs", "rhs")) == want
+            bases = mutant.left_base.basis, mutant.right_base.basis
+            assert bimodule._first_failure(mutant, sides, 1, ("lhs", "rhs"), bases) == want
             verdicts.add(want is None)
     assert verdicts == {True, False} and fields == {QQ, F5}
 

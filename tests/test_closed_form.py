@@ -15,6 +15,7 @@ the Lambda-modules, must equal these numbers.
 
 import pytest
 
+from conftest import validated_lambda
 from dgcat.bimodule import Bimodule, g_on_objects
 from dgcat.category import one_object_category
 from dgcat.comma import CommaObject, check_equivalence, validate_comma_object
@@ -22,7 +23,6 @@ from dgcat.complexes import dg_module
 from dgcat.fields import PrimeField, Rationals
 from dgcat.functors import DgNatTransformation, representable_module
 from dgcat.graded import GradedMap, map_from_action
-from dgcat.lambda_cat import build_lambda
 
 
 def multiplication(field, n, shift):
@@ -75,7 +75,7 @@ def comma_object_x_to_the(bim, A, B, k):
 @pytest.mark.parametrize("n", [3, 6])
 def test_comma_hom_dimensions_equal_the_closed_form(field, n):
     bim, A, B = instance(field, n)
-    lam = build_lambda(bim.right_base, bim.left_base, bim)
+    lam = validated_lambda(bim.right_base, bim.left_base, bim)
     o_zero = CommaObject(bim, A, B, {}, name="o_zero")
     for k in range(n):
         o_k = comma_object_x_to_the(bim, A, B, k)

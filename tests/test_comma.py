@@ -71,7 +71,7 @@ def is_comma_morphism(source, target, phi):
 
 def kkk_comma_setup():
     u_cat, t_cat, u_cx, t_cx, bim = kkk_setup()
-    lam = build_lambda(t_cat, u_cat, bim, validate=False)
+    lam = build_lambda(t_cat, u_cat, bim)
     A = representable_module(t_cat, "t0")
     B = representable_module(u_cat, "u0")
     gb = g_on_objects(bim, B)

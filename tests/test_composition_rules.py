@@ -39,7 +39,7 @@ from dgcat.graded import identity_map, map_from_action
 def _has_odd_morphism(cat):
     return any(
         m % 2 for x, y in itertools.product(cat.objects, repeat=2)
-        for m, _ in cat.basis_elements(x, y)
+        for m, _ in cat.basis[(x, y)]
     )
 
 
@@ -203,11 +203,11 @@ def test_representable_and_yoneda_images_equal_the_dense_columns(theorem_fixture
         for origin in cat.objects:
             cova, contra = representable_module(cat, origin), yoneda_module(cat, origin)
             for x, y in pairs:
-                for m, k in cat.basis_elements(x, y):
+                for m, k in cat.basis[(x, y)]:
                     want = _dense_representable_image(cat, origin, x, y, m, k)
                     assert cova.map_of_basis(x, y, m, k) == want
                 # a morphism x -> y of the opposite is (m, k) of hom(y, x)
-                for m, k in cat.basis_elements(y, x):
+                for m, k in cat.basis[(y, x)]:
                     want = _dense_yoneda_image(cat, origin, x, y, m, k)
                     assert contra.map_of_basis(x, y, m, k) == want
 

@@ -15,6 +15,7 @@ an input that fails its check.
 import contextlib
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -81,11 +82,18 @@ def _oracle_functoriality_witness(fun):
 def _oracle_interchange_witness(bim):
     """The first basis pair (alpha, beta), over the object quadruples in
     order, whose two routes differ by more than (-1)^{|alpha||beta|}."""
+    return next(_oracle_interchange_failures(bim), None)
+
+
+def _oracle_interchange_failures(bim):
+    """The witness of every basis pair (alpha, beta) whose two routes
+    differ by more than (-1)^{|alpha||beta|}: over the object quadruples
+    in order, then alpha-major."""
     U, T = bim.left_base, bim.right_base
     sign = bim.field.sign
     for u, u2, t, t2 in itertools.product(U.objects, U.objects, T.objects, T.objects):
         for (ud, ui), (td, ti) in itertools.product(
-            U.basis_elements(u, u2), T.basis_elements(t, t2)
+            U.basis[(u, u2)], T.basis[(t, t2)]
         ):
             via_left_first = bim.right_images[(t, t2, u2)][(td, ti)].compose(
                 bim.left_images[(u, u2, t2)][(ud, ui)]
@@ -94,13 +102,12 @@ def _oracle_interchange_witness(bim):
                 bim.right_images[(t, t2, u)][(td, ti)]
             )
             if via_left_first != via_right_first:
-                return {
+                yield {
                     "u": [u, u2, ud, ui],
                     "t": [t, t2, td, ti],
                     "signed_t_after_u": fmt_graded_map(via_left_first),
                     "u_after_t": fmt_graded_map(via_right_first),
                 }
-    return None
 
 
 @functools.lru_cache(maxsize=None)
@@ -109,7 +116,7 @@ def _axiom_instance(field, seed):
     of each side and a representable Lambda-module."""
     fx = random_axiom_fixture(seed, FIELDS[field])
     bim = fx["bimodule"]
-    lam = build_lambda(fx["t_cat"], fx["u_cat"], bim, validate=False).presentation
+    lam = build_lambda(fx["t_cat"], fx["u_cat"], bim).presentation
     funs = (
         *fx["modules"],
         bim.slice_t(fx["t_cat"].objects[0]),
@@ -206,7 +213,8 @@ def test_interchange_difference_matches_the_pairwise_scan(data, field):
     expected = _oracle_interchange_witness(bim)
 
     sides = bimodule._interchange_sides(bim)
-    assert bimodule._first_failure(bim, sides, 0, INTERCHANGE_NAMES) == expected
+    bases = bim.left_base.basis, bim.right_base.basis
+    assert bimodule._first_failure(bim, sides, 0, INTERCHANGE_NAMES, bases) == expected
     with _scan_calls() as calls:
         check = validate_bimodule(bim).check("interchange_sign")
     assert (check.passed, check.witness) == (expected is None, expected)
@@ -215,6 +223,31 @@ def test_interchange_difference_matches_the_pairwise_scan(data, field):
 
 # ---------------------------------------------------------------------------
 # the witness scans run only on failures
+
+
+def test_interchange_witness_is_the_first_failing_pair_alpha_major():
+    """With one left and one right image entry bumped, the failing pairs
+    of an object quadruple need not be all pairs of some alphas and some
+    betas, so the first failing pair alpha-major need not be the first
+    beta-major.  validate_bimodule reports the first alpha-major, as the
+    oracle does, and some instances tell the two orders apart."""
+    rng = random.Random("alpha-major")
+    apart = 0
+    for field, seed in itertools.product(sorted(FIELDS), range(6)):
+        bim = _axiom_instance(field, seed)[0]
+        lefts, rights = list(entry_spots(bim.left_images)), list(entry_spots(bim.right_images))
+        for _ in range(4 if lefts and rights else 0):
+            bad = bimodule_with_entry(bim, "left", rng.choice(lefts))
+            bad = bimodule_with_entry(bad, "right", rng.choice(rights))
+            failures = list(_oracle_interchange_failures(bad))
+            want = failures[0] if failures else None
+            assert validate_bimodule(bad).check("interchange_sign").witness == want
+            quadruple = None if want is None else want["u"][:2] + want["t"][:2]
+            apart += any(
+                w["u"][:2] + w["t"][:2] == quadruple and w["t"][2:] < want["t"][2:]
+                for w in failures
+            )
+    assert apart
 
 
 def test_valid_inputs_run_no_witness_scan(theorem_fixtures, capsys):

@@ -374,19 +374,16 @@ def test_basis_coordinates_match_the_dense_rule(theorem_fixtures):
 # naturality decided by the flat difference against the whole-map rule
 
 
-def _oracle_naturality_witness(nat, generators=None):
-    """The whole-map rule: per basis morphism a of generators (default:
-    all), G(a).eta_x and (-1)^{nm} eta_y.F(a) built as graded maps and
-    compared; the first that differ, or None."""
+def _oracle_naturality_witness(nat, basis):
+    """The whole-map rule: per basis morphism a of basis, {(x, y): basis
+    morphisms}, G(a).eta_x and (-1)^{nm} eta_y.F(a) built as graded maps
+    and compared; the first that differ, or None."""
     F, G = nat.source, nat.target
     base = F.base
     n = nat.degree
     for x in base.objects:
         for y in base.objects:
-            basis = (
-                base.basis_elements(x, y) if generators is None else generators[(x, y)]
-            )
-            for m, k in basis:
+            for m, k in basis[(x, y)]:
                 lhs = G.map_of_basis(x, y, m, k).compose(nat.components[x])
                 rhs = nat.components[y].compose(F.map_of_basis(x, y, m, k))
                 rhs = rhs.scale(base.field.sign(n * m))
@@ -404,8 +401,10 @@ def test_naturality_witness_equals_the_whole_map_rule(theorem_fixtures):
     """On every basis transformation of the (slice, B) spaces of G(B) and
     of the coproduct Lambda-module spaces of the theorem fixtures, each as
     it is and with one entry changed by +1 or -1 at a random unknown,
-    naturality_witness, and the scan on the generators where it applies,
-    give the whole-map rule's verdict and witness, over Q and F_5."""
+    naturality_witness, which scans the generators where they decide
+    naturality, gives the whole-map rule's verdict and witness over every
+    basis morphism, over Q and F_5; and _naturality_witness over
+    _natural_basis, generators or basis, gives the rule's over it."""
     rng = random.Random(0)
     fields, natural, unnatural, on_generators = set(), 0, 0, 0
     for fx in theorem_fixtures[3:]:
@@ -414,7 +413,7 @@ def test_naturality_witness_equals_the_whole_map_rule(theorem_fixtures):
         spaces = list(_transformation_spaces(fx))
         for F, G, n, basis in rng.sample(spaces, min(4, len(spaces))):
             keys = nat_unknowns(F, G, n)
-            generators = functors._natural_generators(F, G)
+            scanned = functors._natural_basis(F, G)
             for nat in basis[:3]:
                 step = rng.choice((1, -1))
                 obj, *entry = rng.choice(keys)
@@ -423,13 +422,12 @@ def test_naturality_witness_equals_the_whole_map_rule(theorem_fixtures):
                     nat.source, nat.target, nat.degree, {**nat.components, obj: component}
                 )
                 for family in (nat, perturbed):
-                    want = _oracle_naturality_witness(family)
+                    want = _oracle_naturality_witness(family, F.base.basis)
                     assert naturality_witness(family) == want
                     natural += want is None
                     unnatural += want is not None
-                    if generators is not None:
-                        got = functors._naturality_witness(family, generators)
-                        assert got == _oracle_naturality_witness(family, generators)
-                        on_generators += 1
+                    got = functors._naturality_witness(family, scanned)
+                    assert got == _oracle_naturality_witness(family, scanned)
+                    on_generators += scanned is not F.base.basis
     assert fields == {QQ, F5}
     assert natural and unnatural and on_generators, (natural, unnatural, on_generators)

@@ -47,7 +47,7 @@ def two_sided_generators(cat):
             grow(x, z, f[0] + g[0], row)
 
     for x, y in itertools.product(cat.objects, repeat=2):
-        for a in cat.basis_elements(x, y):
+        for a in cat.basis[(x, y)]:
             if (x, y, a) in reached:
                 continue
             generators[(x, y)].append(a)
@@ -89,7 +89,7 @@ def test_one_sided_rule_keeps_the_two_sided_generators(field):
     for seed in range(40):
         fx = random_axiom_fixture(seed, field)
         t_cat, u_cat = fx["t_cat"], fx["u_cat"]
-        lam = build_lambda(t_cat, u_cat, fx["bimodule"], validate=False)
+        lam = build_lambda(t_cat, u_cat, fx["bimodule"])
         for cat in (t_cat, u_cat, opposite_category(t_cat), lam.presentation):
             assert cat.spanning().generators == two_sided_generators(cat), (seed, cat.name)
 

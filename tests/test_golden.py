@@ -253,7 +253,7 @@ def _constructions(kind, field, seed):
         return [opposite_category(t_cat), opposite_category(u_cat)]
     if kind == "tensor":
         return [tensor_category(t_cat, u_cat)]
-    return [build_lambda(t_cat, u_cat, fx["bimodule"], validate=False).presentation]
+    return [build_lambda(t_cat, u_cat, fx["bimodule"]).presentation]
 
 
 @pytest.mark.parametrize("kind,field,seed", sorted(EMITTED_CATEGORIES))
@@ -346,7 +346,7 @@ def test_corrupted_reports_cover_both_composition_axioms():
 def test_associativity_witness_matches_pairwise_sweep(field, seed, label):
     for cat, report in _corrupted(field, seed, label):
         (check,) = [c for c in report.checks if c.name == "associativity"]
-        assert check.witness == associativity_witness(cat)
+        assert check.witness == associativity_witness(cat, cat.basis)
 
 
 # (field, axiom fixture seed, module) -> SHA-256 of the joined reports
@@ -373,7 +373,7 @@ def _axiom_modules(field, seed):
     """A module, a bimodule slice and a representable Lambda-module of one
     axiom fixture."""
     fx = random_axiom_fixture(seed, FIELDS[field])
-    lam = build_lambda(fx["t_cat"], fx["u_cat"], fx["bimodule"], validate=False)
+    lam = build_lambda(fx["t_cat"], fx["u_cat"], fx["bimodule"])
     return {
         "module": fx["modules"][1],
         "slice": fx["bimodule"].slice_u(fx["u_cat"].objects[0]),

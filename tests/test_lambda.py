@@ -13,6 +13,7 @@ from conftest import (
     leibniz_witness,
     product_tables,
     random_setup,
+    validated_lambda,
     with_first_right_action_negated,
     zero_functor,
 )
@@ -42,7 +43,7 @@ def test_kkk_lambda_end_dims_and_table():
     # table e_t e_t = e_t, e_m e_t = e_m, e_u e_m = e_m, e_u e_u = e_u and
     # all other products zero (hand-checked oracle).
     u_cat, t_cat, _, _, bim = kkk_setup()
-    lam = build_lambda(t_cat, u_cat, bim)
+    lam = validated_lambda(t_cat, u_cat, bim)
     pres = lam.presentation
     pair = lam.object_name("t0", "u0")
     end = pres.hom[(pair, pair)]
@@ -69,7 +70,7 @@ def test_kkk_lambda_end_dims_and_table():
 
 def test_lambda_identity_is_diagonal():
     u_cat, t_cat, _, _, bim = kkk_setup()
-    lam = build_lambda(t_cat, u_cat, bim)
+    lam = validated_lambda(t_cat, u_cat, bim)
     pair = lam.object_name("t0", "u0")
     ident = lam.presentation.identity(pair)
     assert ident.coords == (Fraction(1), Fraction(0), Fraction(1))
@@ -77,7 +78,7 @@ def test_lambda_identity_is_diagonal():
 
 def test_zero_bimodule_block_diagonal():
     u_cat, t_cat, _, _, _ = kkk_setup()
-    lam = build_lambda(t_cat, u_cat, zero_bimodule(u_cat, t_cat))
+    lam = validated_lambda(t_cat, u_cat, zero_bimodule(u_cat, t_cat))
     pres = lam.presentation
     pair = lam.object_name("t0", "u0")
     end = pres.hom[(pair, pair)]
@@ -89,7 +90,7 @@ def test_zero_bimodule_block_diagonal():
 def test_lambda_validates_on_random_fixtures():
     for seed in (0, 3):
         u_cat, t_cat, u_cx, t_cx, bim, _ = random_setup(seed, max_objects=1)
-        lam = build_lambda(t_cat, u_cat, bim)
+        lam = validated_lambda(t_cat, u_cat, bim)
         assert validate_dg_category(lam.presentation).passed
 
 
@@ -97,7 +98,7 @@ def test_lambda_validates_f5():
     u_cat, t_cat, u_cx, t_cx, bim, _ = random_setup(
         1, field=F5, max_objects=1
     )
-    lam = build_lambda(t_cat, u_cat, bim)
+    lam = validated_lambda(t_cat, u_cat, bim)
     assert validate_dg_category(lam.presentation).passed
 
 
@@ -105,7 +106,7 @@ def test_lambda_refuses_invalid_bimodule():
     u_cat, t_cat, u_cx, t_cx, bim, _ = random_setup(7, max_objects=1)
     bim = with_first_right_action_negated(bim)
     with pytest.raises(ValidationFailure) as exc:
-        build_lambda(t_cat, u_cat, bim)
+        validated_lambda(t_cat, u_cat, bim)
     assert exc.value.report is not None
 
 
@@ -114,14 +115,14 @@ def test_lambda_leibniz_identities():
     the basis pairs (m, t) and (u, m)."""
     for seed in (0, 2, 5):
         u_cat, t_cat, u_cx, t_cx, bim, _ = random_setup(seed, max_objects=2)
-        lam = build_lambda(t_cat, u_cat, bim, validate=False)
+        lam = build_lambda(t_cat, u_cat, bim)
         report = validate_dg_category(lam.presentation)
         assert report.check("composition_chain_map").passed, report.render()
 
 
 def test_lambda_leibniz_trivial_when_differentials_vanish():
     u_cat, t_cat, _, _, bim = kkk_setup()
-    lam = build_lambda(t_cat, u_cat, bim)
+    lam = validated_lambda(t_cat, u_cat, bim)
     assert validate_dg_category(lam.presentation).check("composition_chain_map").passed
 
 
@@ -146,7 +147,7 @@ def _doubled_odd_lambda():
         doubled(bim.left_images),
         doubled(bim.right_images),
     )
-    return build_lambda(fx["t_cat"], fx["u_cat"], bad, validate=False)
+    return build_lambda(fx["t_cat"], fx["u_cat"], bad)
 
 
 def test_lambda_leibniz_witness_is_the_first_violation():
@@ -167,7 +168,7 @@ def test_lambda_leibniz_witness_is_the_first_violation():
 def test_restrict_representable_module():
     # C = hom((t0,u0), -): C1(t) = hom_T(t0, t), C2(u) = M(u, t0) + hom_U(u0, u)
     u_cat, t_cat, _, _, bim = kkk_setup()
-    lam = build_lambda(t_cat, u_cat, bim)
+    lam = validated_lambda(t_cat, u_cat, bim)
     pres = lam.presentation
     origin = lam.object_name("t0", "u0")
     module = representable_module(pres, origin)
@@ -180,14 +181,14 @@ def test_restrict_representable_module():
 
 def test_restrict_zero_module():
     u_cat, t_cat, _, _, bim = kkk_setup()
-    lam = build_lambda(t_cat, u_cat, bim)
+    lam = validated_lambda(t_cat, u_cat, bim)
     c1, c2 = restrict_module(lam, zero_functor(lam.presentation))
     assert all(m.is_zero() for m in (*c1.on_objects.values(), *c2.on_objects.values()))
 
 
 def test_restrict_on_random_lambda_representables():
     u_cat, t_cat, u_cx, t_cx, bim, rng = random_setup(4, max_objects=1)
-    lam = build_lambda(t_cat, u_cat, bim, validate=False)
+    lam = build_lambda(t_cat, u_cat, bim)
     pres = lam.presentation
     for origin in pres.objects:
         module = representable_module(pres, origin)
@@ -264,7 +265,7 @@ def test_lambda_tables_equal_the_per_pair_rule(theorem_fixtures):
     shipped, theorem and axiom instance, over Q and F_5."""
     odd_signs, d_of_m = 0, set()
     for name, inputs in _lambdas(theorem_fixtures):
-        lam = build_lambda(*inputs, validate=False)
+        lam = build_lambda(*inputs)
         assert product_tables(lam.presentation) == _oracle_tables(lam), name
         odd_signs += _odd_sign_terms(lam)
         if any(not value.d.is_zero() for value in lam.bimodule.values.values()):
@@ -288,6 +289,6 @@ def test_build_lambda_reads_no_composite_pair_by_pair(monkeypatch):
         return compose_basis(self, *args)
 
     monkeypatch.setattr(DgCategoryPresentation, "compose_basis", counted)
-    lam = build_lambda(fx["t_cat"], fx["u_cat"], fx["bimodule"])
+    lam = validated_lambda(fx["t_cat"], fx["u_cat"], fx["bimodule"])
     assert len(lam.presentation.objects) == 6
     assert calls == []

@@ -2,11 +2,16 @@
 
 DgCategoryPresentation.spanning() keeps some basis morphisms as
 generators and records the basis pairs whose composites reach the rest.
-Associativity, functoriality and naturality are decided on the generators
-when their preconditions hold, and by the scan over every basis morphism
-otherwise or on a failure.  Each test here compares an answer with the
-all-basis one, computed with spanning() replaced by every basis morphism
-as a generator and no spanning pair, which is exactly the full scan.
+The composition axioms, the unit laws, functoriality, a functor's
+chain-map rule, the interchange and naturality are decided on the
+generators when their preconditions hold, and by the scan over every
+basis morphism otherwise.  A False associativity or Leibniz verdict and
+a failing functoriality scan are followed by the scan over every basis
+morphism; the other laws' witnesses are the first failing generator's
+(the order lemma, dgcat.category).  Each test here compares an answer
+with the all-basis one, computed with spanning() replaced by every basis
+morphism as a generator and no spanning pair, which is exactly the full
+scan.
 """
 
 import contextlib
@@ -61,13 +66,7 @@ from dgcat.functors import (
 
 
 def _every_basis_morphism(cat):
-    return Spanning(
-        {
-            (x, y): tuple(cat.basis_elements(x, y))
-            for x, y in itertools.product(cat.objects, repeat=2)
-        },
-        (),
-    )
+    return Spanning(cat.basis, ())
 
 
 # the verdicts a presentation or a functor keeps once decided
@@ -107,11 +106,7 @@ def _all_basis():
 
 
 def _basis(cat):
-    return {
-        (x, y, b)
-        for x, y in itertools.product(cat.objects, repeat=2)
-        for b in cat.basis_elements(x, y)
-    }
+    return {(x, y, b) for (x, y), basis in cat.basis.items() for b in basis}
 
 
 def _replayed(cat, spanning):
@@ -201,10 +196,10 @@ def test_associator_finds_the_pairwise_sweeps_first_pair(data, field):
         spot = data.draw(st.sampled_from(spots), label="entry")
         step = data.draw(st.sampled_from([1, 2, -1, "zero"]), label="step")
         cat = with_table_coordinate(cat, spot, step)
-    expected = associativity_witness(cat)
+    expected = associativity_witness(cat, cat.basis)
     by_row = _composites_by_row(cat)
     for quadruple in itertools.product(cat.objects, repeat=4):
-        diff = _associator(cat, *quadruple, cat.basis_elements(*quadruple[:2]), by_row)
+        diff = _associator(cat, *quadruple, cat.basis[quadruple[:2]], by_row)
         failing = sorted((f, g) for (f, g, _, _), v in diff.items() if not field.is_zero(v))
         if expected is not None and list(quadruple) == expected["objects"]:
             assert [list(failing[0][0]), list(failing[0][1])] == expected["basis"][:2]
@@ -341,7 +336,8 @@ def test_units_fallback_keeps_the_full_scan_report():
     """One coordinate of one identity is bumped, so the tables stay
     associative and the unit laws are checked on the generators; with the
     bumped coordinate's basis morphism a generator or not, the generator
-    check catches the defect and the full scan writes the report."""
+    check catches the defect and its first failing generator's witness
+    is the full scan's."""
     kinds = set()
     for field, seed in itertools.product((QQ, F5), range(2)):
         rng = random.Random(f"units/{field}/{seed}")
@@ -367,8 +363,8 @@ def test_chain_map_fallback_keeps_the_full_scan_report():
     h[o] is bumped, so its action stays functorial and its base Leibniz,
     and chain_map is checked on the generators.  The basis of h[o](x) is
     that of hom(o, x); with the bumped column's basis morphism a generator
-    or not, the generator check catches the defect and the full scan
-    writes the report."""
+    or not, the generator check catches the defect and its first failing
+    object pair is the full scan's."""
     kinds = set()
     for field, seed in itertools.product((QQ, F5), range(2)):
         rng = random.Random(f"chain/{field}/{seed}")
@@ -452,7 +448,8 @@ def test_interchange_fallback_keeps_the_full_scan_report():
     one left or right image is bumped, at a generator of its category or
     not.  And M(u0, t0) is rescaled against the left action (_gauged):
     every slice stays functorial, so the interchange is checked on
-    generator pairs, fails there, and the full scan writes the report."""
+    generator pairs, fails there, and its first failing generator pair's
+    witness is the full scan's."""
     kinds, gauged = set(), 0
     # seed 10 has two objects on each side, which a rescaling needs to show
     for field, seed in itertools.product((QQ, F5), (1, 10)):
@@ -495,10 +492,10 @@ def test_interchange_with_a_slice_not_functorial_is_the_full_scan(monkeypatch):
     calls = []
     first_failure = bimodule._first_failure
 
-    def recorded(bim, sides, shift, names, generators=None):
+    def recorded(bim, sides, shift, names, bases):
         if shift == 0:
-            calls.append(generators)
-        return first_failure(bim, sides, shift, names, generators)
+            calls.append(bases)
+        return first_failure(bim, sides, shift, names, bases)
 
     seen = 0
     for field in (QQ, F5):
@@ -517,9 +514,88 @@ def test_interchange_with_a_slice_not_functorial_is_the_full_scan(monkeypatch):
                 with _all_basis():
                     full = validate_bimodule(bad)
                 assert fast.render() == full.render()
-                assert calls == [None]
+                assert len(calls) == 1 and calls[0][0] is U.basis and calls[0][1] is T.basis
                 seen += 1
     assert seen
+
+
+@contextlib.contextmanager
+def _counted(module, name):
+    """The argument tuples of every call of module.name inside."""
+    calls, scan = [], getattr(module, name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, lambda *args: calls.append(args) or scan(*args))
+        yield calls
+
+
+def _perturbed_families(fun, rng):
+    """Natural families fun -> fun, each a basis transformation of a
+    degree in the window with one entry moved by 1."""
+    for n in dgnat_window(fun, fun):
+        keys = nat_unknowns(fun, fun, n)
+        for nat in dgnat_space(fun, fun, n)[:2]:
+            obj, *entry = rng.choice(keys)
+            component = with_entry(nat.components[obj], entry)
+            yield DgNatTransformation(fun, fun, n, {**nat.components, obj: component})
+
+
+def test_each_law_on_generators_is_scanned_once_per_report():
+    """On failing documents the unit laws, a functor's chain-map rule,
+    the interchange and naturality are each scanned once per report, over
+    the generators, and the report is the all-basis one: a bumped
+    identity coordinate, a bumped value differential of h[o], _gauged
+    bimodules and perturbed natural families."""
+    rng = random.Random("one-scan")
+    failed = {"units": 0, "chain_map": 0, "interchange": 0, "naturality": 0}
+    for field in (QQ, F5):
+        cats = axiom_categories(field, 1)
+        for cat in cats.values():
+            for x in (x for x in cat.objects if cat.ids[x]):
+                coords, k = list(cat.ids[x]), rng.randrange(len(cat.ids[x]))
+                coords[k] = changed(field, coords[k], 1)
+                bad = presentation_with(cat, ids={x: tuple(coords)})
+                with _counted(category, "_first_unit_witness") as calls:
+                    fast = validate_dg_category(bad)
+                with _all_basis():
+                    full = validate_dg_category(presentation_with(bad))
+                assert fast.render() == full.render()
+                assert [basis for _, basis in calls] == [bad.spanning().generators]
+                failed["units"] += not fast.check("units").passed
+        cat = cats["Lambda"]
+        fun = representable_module(cat, cat.objects[0])
+        spots = [(x, *spot) for x in cat.objects for spot in entry_spots(fun.on_objects[x].d)]
+        for x, *spot in rng.sample(spots, min(SAMPLE, len(spots))):
+            moved = {**fun.on_objects, x: _with_d_entry(fun.on_objects[x], spot)}
+            bad = DgFunctor(cat, moved, fun.images, name=fun.name)
+            with _counted(functors, "_chain_map_failure") as calls:
+                fast = validate_dg_functor(bad)
+            with _all_basis():
+                full = validate_dg_functor(bad)
+            assert fast.render() == full.render()
+            assert [basis for _, basis in calls] == [cat.spanning().generators]
+            failed["chain_map"] += not fast.check("chain_map").passed
+        for family in _perturbed_families(fun, rng):
+            with _counted(functors, "_naturality_witness") as calls:
+                fast = naturality_witness(family)
+            with _all_basis():
+                full = naturality_witness(family)
+            assert fast == full
+            assert [basis for _, basis in calls] == [cat.spanning().generators]
+            failed["naturality"] += fast is not None
+        # seed 10 has two objects on each side, which a rescaling needs to show
+        bim = random_axiom_fixture(10, field)["bimodule"]
+        U, T = bim.left_base, bim.right_base
+        for u0, t0 in bim.values:
+            bad = _gauged(bim, u0, t0)
+            with _counted(bimodule, "_first_failure") as calls:
+                fast = validate_bimodule(bad)
+            with _all_basis():
+                full = validate_bimodule(bad)
+            assert fast.render() == full.render()
+            scans = [bases for _, _, shift, _, bases in calls if shift == 0]
+            assert scans == [(U.spanning().generators, T.spanning().generators)]
+            failed["interchange"] += not fast.check("interchange_sign").passed
+    assert all(failed.values()), failed
 
 
 # ---------------------------------------------------------------------------
