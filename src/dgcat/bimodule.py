@@ -37,10 +37,13 @@ the hom differentials.
 
 G sends a dg U-module B to the dg T-module T |-> Hom(M_T, B), with a
 morphism t acting by eta |-> (-1)^{|eta||t|} eta . tbar where tbar is
-the right action of t between slice functors.  G(B) depends only on M
-and B, so g_on_objects builds it once per bimodule and value of B (its
-values and basis images) and every caller asks it; nothing else
-constructs a GModule.
+the right action of t between slice functors.  G(B) is a GModule, a
+DgFunctor over T, and one column rule, GModule.map_into, builds G(B)'s
+differential (from d eta), its T-action ((-1)^{nm} eta . tbar), G(eps)
+(eps . eta) and the structure map read off a Lambda-module
+(comma.extract_comma_from_module).  G(B) depends only on M and B, so
+g_on_objects builds it once per bimodule and value of B (its values and
+basis images) and every caller asks it; nothing else constructs a GModule.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from .functors import (
     dgnat_differential,
     dgnat_space,
     dgnat_window,
-    functor_from_basis_images,
     linear_combination,
     validate_dg_functor,
 )
@@ -279,41 +281,39 @@ def _pair_witness(bim, sides, key, shift, names):
 # the functor G
 
 
-class GModule:
-    """G(B) over T together with nat_basis, the Basis of each carrier."""
+class GModule(DgFunctor):
+    """G(B) as a DgFunctor over T, with nat_basis[(t, n)] the Basis of
+    G(B)(t)^n, the degree-n transformations M_t -> B."""
 
     def __init__(self, bim, B):
         self.bimodule = bim
         self.B = B
-        field = bim.field
         T = bim.right_base
         self.nat_basis = {}
-        dims_per_object = {}
+        self._carriers = {}  # G(B)(t)'s carrier, needed before its values
         for t in T.objects:
             slice_t = bim.slice_t(t)
-            window = dgnat_window(slice_t, B)
             dims = {}
-            for n in window:
+            for n in dgnat_window(slice_t, B):
                 nats = self.nat_basis[(t, n)] = dgnat_space(slice_t, B, n)
                 if nats:
                     dims[n] = len(nats)
-            dims_per_object[t] = dims
+            self._carriers[t] = GradedModule(bim.field, dims)
         on_objects = {}
-        for t in T.objects:
-            carrier = GradedModule(field, dims_per_object[t])
-            diff = map_from_action(
-                carrier, carrier, 1, lambda n, k, _t=t: self._d_column(_t, n, k)
-            )
-            on_objects[t] = DgModule(carrier, diff, check=False)
-        self._on_objects = on_objects
-        self.functor = functor_from_basis_images(
-            T, on_objects, self._action_map, name=f"G({B.name})"
-        )
+        for t, carrier in self._carriers.items():
 
-    def _d_column(self, t, n, k):
-        """Differential of a basis transformation, in the basis one degree up."""
-        nat = self.nat_basis[(t, n)][k]
-        return self.encode_or_raise(t, n + 1, dgnat_differential(nat), "differential")
+            def d_family(n, k, t=t):
+                d_eta = dgnat_differential(self.nat_basis[(t, n)][k])
+                return tuple(d_eta.components.values())
+
+            d = self.map_into(carrier, t, 1, d_family, "differential")
+            on_objects[t] = DgModule(carrier, d, check=False)
+        images = {
+            (t, t2): {(m, k): self._action_map(t, t2, m, k) for m, k in T.basis[(t, t2)]}
+            for t in T.objects
+            for t2 in T.objects
+        }
+        super().__init__(T, on_objects, images, name=f"G({B.name})")
 
     def decode(self, t, n, vec):
         """The transformation M_t -> B with the given carrier coordinates."""
@@ -322,47 +322,45 @@ class GModule:
             out = DgNatTransformation(self.bimodule.slice_t(t), self.B, n, {})
         return out
 
-    def encode(self, t, n, nat):
-        """Carrier coordinates of a transformation, or None if outside."""
+    def encode(self, t, n, family):
+        """Carrier coordinates of the transformation M_t -> B of degree n
+        with the given components, in U-object order, or None if outside."""
         basis = self.nat_basis.get((t, n), Basis(self.bimodule.field))
-        coords = basis.coordinates(tuple(nat.components.values()))
+        coords = basis.coordinates(family)
         if coords is not None:
             return linalg.dense_vector(basis.field, coords.items(), len(basis))
 
-    def encode_or_raise(self, t, n, nat, what):
-        """Carrier coordinates of a transformation that lies in G(B)(t)^n by
-        construction; InternalCheckError, naming what built it, if not."""
-        coords = self.encode(t, n, nat)
-        if coords is None:
-            raise InternalCheckError(
-                f"{what} left the transformations {self.bimodule.name}_{t} -> "
-                f"{self.B.name} of degree {n}"
-            )
-        return coords
+    def map_into(self, source, t, degree, family, what):
+        """The map source -> G(B)(t) of the given degree whose column k of
+        source^n is encode(t, n + degree, family(n, k)); InternalCheckError,
+        naming what built the family, where that lies outside G(B)(t)."""
+
+        def column(n, k):
+            coords = self.encode(t, n + degree, family(n, k))
+            if coords is None:
+                raise InternalCheckError(
+                    f"{what} left the transformations {self.bimodule.name}_{t} -> "
+                    f"{self.B.name} of degree {n + degree}"
+                )
+            return coords
+
+        return map_from_action(source, self._carriers[t], degree, column)
 
     def _action_map(self, t, t2, m, k):
-        """G(B)(t basis element): eta |-> (-1)^{|eta||t|} eta . tbar."""
+        """G(B)(t basis element): eta |-> (-1)^{|eta||t|} eta . tbar, where
+        tbar: M_{t2} -> M_t has components M(1_u (x) t^op)."""
         bim = self.bimodule
-        field = bim.field
-        src = self._on_objects[t].carrier
-        tgt = self._on_objects[t2].carrier
-        # tbar: M_{t2} -> M_t has components M(1_u (x) t^op)
-        tbar_components = {
-            u: bim.right_images[(t, t2, u)][(m, k)] for u in bim.left_base.objects
-        }
+        sign = bim.field.sign
+        tbar = [bim.right_images[(t, t2, u)][(m, k)] for u in bim.left_base.objects]
 
-        def column(n, j):
-            eta = self.nat_basis[(t, n)][j]
-            composed = {
-                u: eta.components[u].compose(tbar_components[u])
-                for u in bim.left_base.objects
-            }
-            candidate = DgNatTransformation(bim.slice_t(t2), self.B, n + m, composed)
-            coords = self.encode_or_raise(t2, n + m, candidate, "composite with tbar")
-            sgn = field.sign(n * m)
-            return tuple(field.mul(sgn, x) for x in coords)
+        def family(n, j):
+            eta = self.nat_basis[(t, n)][j].components.values()
+            return tuple(
+                combination(bar.source, comp.target, n + m, [(sign(n * m), comp, bar)])
+                for comp, bar in zip(eta, tbar)
+            )
 
-        return map_from_action(src, tgt, m, column)
+        return self.map_into(self._carriers[t], t2, m, family, "composite with tbar")
 
 
 def g_on_objects(bim, B):
@@ -400,21 +398,15 @@ def refuse_invalid_g_inputs(bim, B):
 
 
 def g_on_morphisms(bim, g_source, g_target, eps):
-    """G(eps): postcomposition by eps, a transformation G(B) -> G(B')."""
-    T = bim.right_base
-    degree = eps.degree
+    """G(eps): postcomposition by eps, a transformation G(B) -> G(B') whose
+    component at t is g_target.map_into on the components of eps . eta."""
     components = {}
-    for t in T.objects:
-        src = g_source.functor.on_objects[t].carrier
-        tgt = g_target.functor.on_objects[t].carrier
+    for t in bim.right_base.objects:
 
-        def column(n, j, _t=t):
-            eta = g_source.nat_basis[(_t, n)][j]
-            return g_target.encode_or_raise(
-                _t, n + degree, compose_nat(eps, eta), "postcomposition"
-            )
+        def family(n, j, t=t):
+            composite = compose_nat(eps, g_source.nat_basis[(t, n)][j])
+            return tuple(composite.components.values())
 
-        components[t] = map_from_action(src, tgt, degree, column)
-    return DgNatTransformation(
-        g_source.functor, g_target.functor, degree, components
-    )
+        source = g_source.on_objects[t].carrier
+        components[t] = g_target.map_into(source, t, eps.degree, family, "postcomposition")
+    return DgNatTransformation(g_source, g_target, eps.degree, components)

@@ -4,7 +4,8 @@ Every command reads one presentation file and writes either a canonical
 presentation file or a JSON report to --output (default stdout).  Output
 bytes are deterministic for identical inputs and seeds; timing goes to
 stderr only.  Exit codes: 0 all checks passed, 1 a mathematical check
-failed, 2 structural or parse failure.
+failed, 2 structural or parse failure, or an input that cannot be read or
+an output that cannot be written (one stderr line names which).
 """
 
 from __future__ import annotations
@@ -33,18 +34,24 @@ EXIT_STRUCTURE = 2
 
 
 def _read_input(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StructureError(f"cannot read input: {exc}") from None
 
 
 def _write_output(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise StructureError(f"cannot write output: {exc}") from None
 
 
 def _char_two_note(field):
@@ -174,12 +181,6 @@ def cmd_check_equivalence(args):
 
     comma_objects = [workspace.comma_objects[r] for r in fixture["comma_objects"]]
     lambda_modules = [workspace.modules[r] for r in fixture["lambda_modules"]]
-    for module in lambda_modules:
-        if module.base.objects != lam.presentation.objects:
-            raise StructureError(
-                f"module {module.name!r} is not over the fixture's lambda category"
-            )
-
     equivalence = check_equivalence(
         lam, comma_objects, lambda_modules, seed=args.seed
     )
@@ -258,9 +259,6 @@ def main(argv=None):
         if exc.report is not None:
             sys.stdout.write(exc.report.render())
         return EXIT_MATH_FAIL
-    except FileNotFoundError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE
     elapsed = time.monotonic() - started
     print(f"wall time: {elapsed:.3f}s", file=sys.stderr)
     return code

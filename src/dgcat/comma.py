@@ -62,7 +62,7 @@ from . import linalg
 from .bimodule import g_on_objects
 from .category import generator_closure
 from .complexes import direct_sum, zero_dg_module
-from .errors import InternalCheckError, StructureError
+from .errors import InternalCheckError
 from .functors import (
     Basis,
     DgNatTransformation,
@@ -80,7 +80,6 @@ from .graded import (
     GradedMap,
     compose_graded,
     first_nonzero_sum,
-    map_from_action,
     place_blocks,
     zero_map,
 )
@@ -89,7 +88,8 @@ from .report import Report
 
 
 class CommaObject:
-    """(A, f, B) with the computed G(B) and f stored componentwise."""
+    """(A, f, B) with the computed G(B), the structure map f_nat: A -> G(B)
+    and f its components."""
 
     def __init__(self, bim, A, B, f, name="o"):
         self.bimodule = bim
@@ -97,23 +97,12 @@ class CommaObject:
         self.B = B
         self.name = name
         self.gB = g_on_objects(bim, B)
-        self.f = {}
-        for t in bim.right_base.objects:
-            comp = f.get(t)
-            src = A.on_objects[t].carrier
-            tgt = self.gB.functor.on_objects[t].carrier
-            if comp is None:
-                comp = GradedMap(src, tgt, 0, {})
-            if comp.degree != 0 or comp.source != src or comp.target != tgt:
-                raise StructureError(f"structure map at {t} has the wrong shape")
-            self.f[t] = comp
+        self.f_nat = DgNatTransformation(A, self.gB, 0, f)
+        self.f = self.f_nat.components
 
     @property
     def field(self):
         return self.bimodule.field
-
-    def f_nat(self):
-        return DgNatTransformation(self.A, self.gB.functor, 0, self.f)
 
     @cached_property
     def m_actions(self):
@@ -153,7 +142,7 @@ class CommaObject:
 def validate_comma_object(obj):
     """Degree zero, closedness, and strict naturality of the structure map."""
     report = Report(f"comma object {obj.name}")
-    nat = obj.f_nat()
+    nat = obj.f_nat
     report.add("degree_zero", nat.degree == 0)
     d_nat = dgnat_differential(nat)
     witness = None
@@ -284,9 +273,10 @@ def extract_comma_from_module(lam, module, name=None):
     The corner morphism mbar: (t, 0) -> (0, u) of the i-th basis element
     of M(u, t)^j acts on C1(t) -> C2(u); its entry (k, r, c, v) puts
     (-1)^{kj} v at (j, r, i) of component u of f_t(x_c), for x_c the c-th
-    basis element of C1(t)^k.  G(C2) comes from g_on_objects, so a C2 with
-    the values and basis images of a B already used with this bimodule
-    reuses its G(B)."""
+    basis element of C1(t)^k.  Those entries, one map per U-object, are the
+    family G(C2).map_into encodes as the column of x_c.  G(C2) comes from
+    g_on_objects, so a C2 with the values and basis images of a B already
+    used with this bimodule reuses its G(B)."""
     bim = lam.bimodule
     field = lam.field
     marker = lam.zero_marker
@@ -308,19 +298,16 @@ def extract_comma_from_module(lam, module, name=None):
                         per_u = images.setdefault((k, c), {}).setdefault(u, [])
                         per_u.append((j, r, i, field.mul(field.sign(k * j), v)))
 
-        def column(k, c, _t=t, _images=images):
-            components = {
-                u: GradedMap.from_entries(
-                    bim.value(u, _t).carrier, c2.on_objects[u].carrier, k, entries
+        def family(k, c, _t=t, _images=images):
+            per_u = _images.get((k, c), {})
+            return tuple(
+                GradedMap.from_entries(
+                    bim.value(u, _t).carrier, c2.on_objects[u].carrier, k, per_u.get(u, ())
                 )
-                for u, entries in _images.get((k, c), {}).items()
-            }
-            candidate = DgNatTransformation(bim.slice_t(_t), c2, k, components)
-            return g_c2.encode_or_raise(_t, k, candidate, "corner action")
+                for u in bim.left_base.objects
+            )
 
-        src = c1.on_objects[t].carrier
-        tgt = g_c2.functor.on_objects[t].carrier
-        f[t] = map_from_action(src, tgt, 0, column)
+        f[t] = g_c2.map_into(c1.on_objects[t].carrier, t, 0, family, "corner action")
     return CommaObject(bim, c1, c2, f, name=name or f"extract({module.name})")
 
 

@@ -240,7 +240,7 @@ def closed_structure_maps(A, fun):
 def random_comma_object(rng, bim, A, B, name="o"):
     """A comma object with a random closed degree-0 structure map."""
     field = bim.field
-    closed = closed_structure_maps(A, g_on_objects(bim, B).functor)
+    closed = closed_structure_maps(A, g_on_objects(bim, B))
     # the golden pins fix these draws: one per closed map, in order
     coeffs = [field.from_int(rng.randint(-2, 2)) for _ in closed]
     chosen = linear_combination(coeffs, closed)

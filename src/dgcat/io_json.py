@@ -416,6 +416,11 @@ def parse_dg_module(scalars, data, path):
 def parse_category(scalars, name, data, path):
     data = _dict(data, path, ("objects", "hom", "comp", "id"))
     objects = _names(data.get("objects"), f"{path}.objects")
+    seen = set()
+    for x in objects:
+        if x in seen:
+            raise StructureError(f"{path}.objects: duplicate object name {x!r}")
+        seen.add(x)
     hom = {
         pair: parse_dg_module(scalars, module, at)
         for pair, module, at in _table(
@@ -578,7 +583,7 @@ def parse_comma_object(scalars, name, data, workspace, path):
             data.get("f", {}), f"{path}.f", bim.right_base.objects
         ):
             src = A.on_objects[t].carrier
-            tgt = gb.functor.on_objects[t].carrier
+            tgt = gb.on_objects[t].carrier
             blocks = {
                 k: parse_matrix(scalars, rows, at_k, (tgt.dim(k), src.dim(k)))
                 for k, rows, at_k in _degrees(per_degree, at)
@@ -592,6 +597,9 @@ def parse_comma_object(scalars, name, data, workspace, path):
 
 
 def parse_fixture(name, data, workspace, path):
+    """The fixture's names.  Each comma object must be over the fixture's
+    bimodule, and each Lambda-module over the fixture's Lambda: its base
+    is {"lambda": the fixture's t, u and bimodule}."""
     data = _dict(data, path, _FIXTURE_KEYS)
     out = {"name": name}
     out["t"], out["u"], out["bimodule"] = _lambda_refs(data, workspace, path)
@@ -602,6 +610,18 @@ def parse_fixture(name, data, workspace, path):
         out[key] = _names(data.get(key, []), f"{path}.{key}")
         for ref in out[key]:
             _ref(ref, table, f"{path}.{key}", kind)
+    for ref in out["comma_objects"]:
+        if workspace.comma_refs[ref]["bimodule"] != out["bimodule"]:
+            raise StructureError(
+                f"{path}.comma_objects: object {ref!r} is not over the fixture's bimodule"
+            )
+    lam_base = {"lambda": {key: out[key] for key in ("t", "u", "bimodule")}}
+    for ref in out["lambda_modules"]:
+        if workspace.module_bases[ref] != lam_base:
+            raise StructureError(
+                f"{path}.lambda_modules: module {ref!r} is not over the "
+                "fixture's lambda category"
+            )
     return out
 
 
@@ -642,6 +662,8 @@ def parse_text(text):
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise StructureError("invalid JSON: the input nests too deeply to parse") from None
     return parse_document(document)
 
 

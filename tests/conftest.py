@@ -580,7 +580,7 @@ def extract_by_columns(lam, module):
 
     def column(t, k, c):
         x = linalg.unit_vector(field, c1.on_objects[t].carrier.dim(k), c)
-        components = {}
+        components = []
         for u in bim.left_base.objects:
             m_carrier = bim.value(u, t).carrier
             entries = [
@@ -589,16 +589,17 @@ def extract_by_columns(lam, module):
                 for i in range(m_carrier.dim(j))
                 for r, v in enumerate(corner_image(t, u, j, i, k, x))
             ]
-            components[u] = GradedMap.from_entries(
-                m_carrier, c2.on_objects[u].carrier, k, entries
+            components.append(
+                GradedMap.from_entries(m_carrier, c2.on_objects[u].carrier, k, entries)
             )
-        nat = DgNatTransformation(bim.slice_t(t), c2, k, components)
-        return g_c2.encode_or_raise(t, k, nat, "corner action")
+        coords = g_c2.encode(t, k, tuple(components))
+        assert coords is not None, f"the corner action at {t} left G(C2)({t})^{k}"
+        return coords
 
     return {
         t: map_from_action(
             c1.on_objects[t].carrier,
-            g_c2.functor.on_objects[t].carrier,
+            g_c2.on_objects[t].carrier,
             0,
             lambda k, c, _t=t: column(_t, k, c),
         )

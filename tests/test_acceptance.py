@@ -316,7 +316,7 @@ def test_criterion_6_algebra_corollary(theorem_fixtures):
         t = bim.right_base.objects[0]
         u = bim.left_base.objects[0]
         for obj in fx["comma_objects"]:
-            g_dims = obj.gB.functor.on_objects[t].carrier.dims()
+            g_dims = obj.gB.on_objects[t].carrier.dims()
             direct = _direct_module_hom_dims(bim, obj.B)
             assert g_dims == direct, (fx["name"], g_dims, direct)
             # when the algebra is K itself, the module-hom complex is the
@@ -546,7 +546,7 @@ def test_criterion_7_negative_controls():
     gb = g_on_objects(bim, B)
     f_map = GradedMap(
         A.on_objects["t"].carrier,
-        gb.functor.on_objects["t"].carrier,
+        gb.on_objects["t"].carrier,
         0,
         {0: [[field.one()]]},
     )
@@ -575,7 +575,7 @@ def test_criterion_7_negative_controls():
     assert validate_dg_functor(B).passed
     gb = g_on_objects(bim, B)
     src = A.on_objects["t"].carrier
-    tgt = gb.functor.on_objects["t"].carrier
+    tgt = gb.on_objects["t"].carrier
     f_map = GradedMap(src, tgt, 0, {0: [[field.one()]], 1: [[field.one()]]})
     obj = CommaObject(bim, A, B, {"t": f_map}, name="not_natural")
     report = validate_comma_object(obj)

@@ -25,6 +25,7 @@ from dgcat.bimodule import (
     validate_bimodule,
 )
 from dgcat.category import opposite_category, tensor_category
+from dgcat.comma import extract_comma_from_module
 from dgcat.cli import main
 from dgcat.complexes import DgModule, TensorComplex
 from dgcat.errors import StructureError, ValidationFailure
@@ -169,15 +170,15 @@ def test_g_on_objects_kkk():
     u_cat, t_cat, u_cx, t_cx, bim = kkk_setup()
     B = representable_module(u_cat, "u0")
     gb = g_on_objects(bim, B)
-    assert gb.functor.on_objects["t0"].carrier.dims() == {0: 1}
-    report = validate_dg_functor(gb.functor)
+    assert gb.on_objects["t0"].carrier.dims() == {0: 1}
+    report = validate_dg_functor(gb)
     assert report.passed, report.render()
 
 
 def test_g_on_objects_zero_module():
     u_cat, t_cat, *_ , bim = kkk_setup()
     gb = g_on_objects(bim, zero_functor(u_cat))
-    assert all(m.is_zero() for m in gb.functor.on_objects.values())
+    assert all(m.is_zero() for m in gb.on_objects.values())
 
 
 def test_g_on_objects_is_built_once_per_value_of_b():
@@ -240,8 +241,44 @@ def test_g_functor_validates_on_random_fixtures():
         u_cat, t_cat, u_cx, t_cx, bim, rng = random_setup(seed, max_objects=1)
         B = representable_module(u_cat, u_cat.objects[0])
         gb = g_on_objects(bim, B)
-        report = validate_dg_functor(gb.functor)
+        report = validate_dg_functor(gb)
         assert report.passed, report.render()
+
+
+def test_g_of_b_is_a_dg_functor_on_the_theorem_fixtures(theorem_fixtures):
+    fields = set()
+    for fx in theorem_fixtures:
+        bim = fx["bimodule"]
+        for obj in fx["comma_objects"]:
+            gb = g_on_objects(bim, obj.B)
+            assert isinstance(gb, DgFunctor) and gb is obj.gB
+            assert gb.base is bim.right_base
+            report = validate_dg_functor(gb)
+            assert report.passed, (fx["name"], obj.name, report.render())
+            fields.add(bim.field.characteristic)
+    assert fields == {0, 5}
+
+
+def test_every_map_into_g_of_b_is_built_by_map_into(monkeypatch):
+    # G(B)'s differential and action, G(eps) and the structure map read
+    # off a Lambda-module all go through GModule.map_into
+    seen = []
+    map_into = GModule.map_into
+
+    def spy(self, source, t, degree, family, what):
+        seen.append(what)
+        return map_into(self, source, t, degree, family, what)
+
+    monkeypatch.setattr(GModule, "map_into", spy)
+    workspace = shipped_workspace("kkk")
+    assert {"differential", "composite with tbar"} <= set(seen)
+    bim, B = workspace.bimodules["M"], workspace.modules["B"]
+    gb = g_on_objects(bim, B)
+    g_on_morphisms(bim, gb, gb, identity_nat(B))
+    assert seen[-1] == "postcomposition"
+    lam = workspace.lambda_for("T", "U", "M")
+    extract_comma_from_module(lam, workspace.modules["C"])
+    assert seen[-1] == "corner action"
 
 
 def test_g_identity_action_is_identity():
@@ -251,8 +288,8 @@ def test_g_identity_action_is_identity():
     gb = g_on_objects(bim, B)
     from dgcat.graded import identity_map
 
-    image = gb.functor.map_of(t_cat.identity("t0"))
-    assert image == identity_map(gb.functor.on_objects["t0"].carrier)
+    image = gb.map_of(t_cat.identity("t0"))
+    assert image == identity_map(gb.on_objects["t0"].carrier)
 
 
 def test_g_on_morphisms_validates():
@@ -343,7 +380,7 @@ def test_g_on_morphisms_identity_and_zero():
     g_ident = g_on_morphisms(bim, gb, gb, ident)
     for t in t_cat.objects:
         assert g_ident.components[t] == identity_map(
-            gb.functor.on_objects[t].carrier
+            gb.on_objects[t].carrier
         )
     zero = DgNatTransformation(B, B, 0, {})
     assert g_on_morphisms(bim, gb, gb, zero).is_zero()

@@ -21,7 +21,7 @@ from dgcat.category import one_object_category
 from dgcat.comma import CommaObject, check_equivalence, validate_comma_object
 from dgcat.complexes import dg_module
 from dgcat.fields import PrimeField, Rationals
-from dgcat.functors import DgNatTransformation, representable_module
+from dgcat.functors import representable_module
 from dgcat.graded import GradedMap, map_from_action
 
 
@@ -62,11 +62,11 @@ def comma_object_x_to_the(bim, A, B, k):
     g_of_b = g_on_objects(bim, B)
 
     def column(i, a):
-        shift = {"u": multiplication(field, n, a + k)} if a + k < n else {}
-        return g_of_b.encode("t", 0, DgNatTransformation(bim.slice_t("t"), B, 0, shift))
+        # x^(a+k) = 0 when a + k >= n, and multiplication is then zero
+        return g_of_b.encode("t", 0, (multiplication(field, n, a + k),))
 
     src = A.on_objects["t"].carrier
-    tgt = g_of_b.functor.on_objects["t"].carrier
+    tgt = g_of_b.on_objects["t"].carrier
     f = {"t": map_from_action(src, tgt, 0, column)}
     return CommaObject(bim, A, B, f, name=f"o_{k}")
 

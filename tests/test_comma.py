@@ -79,7 +79,7 @@ def kkk_comma_setup():
     # sends the generator of A(t0) = K to the generator transformation.
     f_map = GradedMap(
         A.on_objects["t0"].carrier,
-        gb.functor.on_objects["t0"].carrier,
+        gb.on_objects["t0"].carrier,
         0,
         {0: [[QQ.one()]]},
     )
@@ -117,7 +117,7 @@ def test_non_closed_f_detected():
     gb = g_on_objects(bim, B)
     # G(B)(t0) = Hom(M_t0, B): M_t0 = Hom(contractible, K), so the carrier is
     # two-dimensional across degrees 0 and 1 with a nonzero differential.
-    carrier = gb.functor.on_objects["t0"].carrier
+    carrier = gb.on_objects["t0"].carrier
     src = A.on_objects["t0"].carrier
     candidates = []
     for k_deg in src.degrees():

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -127,6 +128,44 @@ def _append_row(table, key, row):
     table[key] = table[key] + [row]
 
 
+def _second_bimodule(doc, dim, right):
+    """doc with the bimodule N over (U, right): dimension dim at (u, t) in
+    degree 0, on which u and t act by the identity."""
+    identity = [[0, 0, 0, i, i, "1"] for i in range(dim)]
+    doc["bimodules"]["N"] = {
+        "left": "U",
+        "right": right,
+        "values": {"u": {"t": {"dims": {"0": dim}}}},
+        "left_action": {"u": {"u": {"t": identity}}},
+        "right_action": {"t": {"t": {"u": identity}}},
+    }
+
+
+def _comma_object_over_a_wider_bimodule(doc):
+    """o_n over N, whose value at (u, t) is twice as wide as M's, in main."""
+    _second_bimodule(doc, 2, "T")
+    doc["comma_objects"]["o_n"] = {"bimodule": "N", "module_t": "A", "module_u": "B"}
+    doc["fixtures"]["main"]["comma_objects"].append("o_n")
+
+
+def _comma_object_over_a_copy_of_t(doc):
+    """o_n over N over T2, a copy of T, and A2 over T2, in main."""
+    doc["categories"]["T2"] = doc["categories"]["T"]
+    doc["modules"]["A2"] = dict(doc["modules"]["A"], base="T2")
+    _second_bimodule(doc, 1, "T2")
+    o_can = doc["comma_objects"]["o_can"]
+    doc["comma_objects"]["o_n"] = dict(o_can, bimodule="N", module_t="A2")
+    doc["fixtures"]["main"]["comma_objects"].append("o_n")
+
+
+def _lambda_module_over_another_lambda(doc):
+    """C2 over the Lambda of N, a copy of M, in main."""
+    _second_bimodule(doc, 1, "T")
+    lam = {"lambda": {"t": "T", "u": "U", "bimodule": "N"}}
+    doc["modules"]["C2"] = dict(doc["modules"]["C"], base=lam)
+    doc["fixtures"]["main"]["lambda_modules"].append("C2")
+
+
 @pytest.mark.parametrize(
     "edit,path",
     [
@@ -224,6 +263,22 @@ def _append_row(table, key, row):
             ),
             "$.modules.B.on_hom.u.u[1]: block entry out of range",
         ),
+        (
+            lambda doc: doc["categories"]["T"].update(objects=["t", "t"]),
+            "$.categories.T.objects: duplicate object name 't'",
+        ),
+        (
+            _comma_object_over_a_wider_bimodule,
+            "$.fixtures.main.comma_objects: object 'o_n' is not over the fixture's bimodule",
+        ),
+        (
+            _comma_object_over_a_copy_of_t,
+            "$.fixtures.main.comma_objects: object 'o_n' is not over the fixture's bimodule",
+        ),
+        (
+            _lambda_module_over_another_lambda,
+            "$.fixtures.main.lambda_modules: module 'C2' is not over the fixture's lambda",
+        ),
     ],
     ids=[
         "zero_denominator",
@@ -258,6 +313,10 @@ def _append_row(table, key, row):
         "unreduced_right_action_after_its_reduced_form",
         "on_hom_morphism_index_in_second_row",
         "on_hom_block_entry_in_second_row",
+        "duplicate_object_name",
+        "comma_object_over_a_wider_bimodule",
+        "comma_object_over_a_copy_of_t",
+        "lambda_module_over_another_lambda",
     ],
 )
 def test_parse_rejects_malformed_entry_with_its_path(edit, path, tmp_path):
@@ -600,6 +659,51 @@ def test_cli_unknown_name_is_structural(tmp_path):
         ]
     )
     assert code == 2
+
+
+def _input_directory(tmp_path, src, monkeypatch):
+    return str(tmp_path), str(tmp_path / "out.json")
+
+
+def _input_not_utf8(tmp_path, src, monkeypatch):
+    src.write_bytes(shipped_text("kkk").replace('"t"', '"t\u00e9"').encode("latin-1"))
+    return str(src), str(tmp_path / "out.json")
+
+
+def _input_nested_too_deeply(tmp_path, src, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 200_000))
+    return "-", str(tmp_path / "out.json")
+
+
+def _output_in_a_missing_directory(tmp_path, src, monkeypatch):
+    return str(src), str(tmp_path / "missing" / "out.json")
+
+
+@pytest.mark.parametrize(
+    "paths,message",
+    [
+        (_input_directory, "cannot read input: "),
+        (_input_not_utf8, "cannot read input: "),
+        (_input_nested_too_deeply, "invalid JSON: the input nests too deeply"),
+        (_output_in_a_missing_directory, "cannot write output: "),
+    ],
+    ids=[
+        "input_directory",
+        "input_not_utf8",
+        "input_nested_too_deeply",
+        "output_missing_directory",
+    ],
+)
+def test_file_errors_exit_2_with_one_line(
+    paths, message, tmp_path, monkeypatch, capsys
+):
+    src = tmp_path / "kkk.json"
+    src.write_text(shipped_text("kkk"), encoding="utf-8")
+    source, target = paths(tmp_path, src, monkeypatch)
+    assert main(["validate", "--input", source, "--output", target]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not os.path.exists(target)
+    assert err.startswith("structural error: " + message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
